@@ -260,18 +260,60 @@ def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
 # -- natural projection ---------------------------------------------------
 
 
-def _eps_closure(a: Automaton, hidden: frozenset, start: frozenset) -> frozenset:
-    closure = set(start)
-    frontier = list(start)
+def _projection_nfa(a: Automaton, keep: frozenset):
+    """The automaton with events outside ``keep`` erased to silent moves.
+
+    Returns ``(trans, init)``: ``trans[q][ev]`` is the set of states reached
+    from ``q`` by hidden moves, then ``ev``, then hidden moves (only events
+    with a nonempty target set appear), and ``init`` is the hidden closure
+    of the initial state.  Each state's closure is computed once.
+    """
+    hidden_succ = {
+        q: {d for ev, dsts in a._succ.get(q, {}).items() if ev not in keep for d in dsts}
+        for q in a.states
+    }
+    closure = {}
+    for q in a.states:
+        seen = {q}
+        work = [q]
+        while work:
+            for d in hidden_succ[work.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    work.append(d)
+        closure[q] = frozenset(seen)
+    # rows share the closure sets; a union is built only where moves meet
+    trans = {}
+    for q in a.states:
+        row: dict = {}
+        for p in closure[q]:
+            for ev, dsts in a._succ.get(p, {}).items():
+                if ev in keep:
+                    for d in dsts:
+                        row[ev] = row[ev] | closure[d] if ev in row else closure[d]
+        trans[q] = row
+    return trans, closure[a.initial]
+
+
+def _determinize(trans: dict, roots: Iterable[frozenset]) -> dict:
+    """Subset construction over ``trans`` from the given root subsets.
+
+    Returns ``subset -> event -> successor subset`` for every subset
+    reachable from a root; the empty subset is never produced.
+    """
+    dfa: dict = {}
+    frontier = list(roots)
     while frontier:
-        q = frontier.pop()
-        for ev in a.enabled(q):
-            if ev in hidden:
-                for dst in a.step(q, ev):
-                    if dst not in closure:
-                        closure.add(dst)
-                        frontier.append(dst)
-    return frozenset(closure)
+        subset = frontier.pop()
+        if subset in dfa:
+            continue
+        row: dict = {}
+        for q in subset:
+            for ev, dsts in trans[q].items():
+                row[ev] = row[ev] | dsts if ev in row else dsts
+        dfa[subset] = row
+        frontier.extend(t for t in row.values() if t not in dfa)
+    return dfa
 
 
 def _subset_name(subset: frozenset) -> str:
@@ -289,71 +331,18 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
     unknown = keep - a.event_ids
     if unknown:
         raise ValueError(f"keep set contains unknown events: {sorted(unknown)}")
-    hidden = a.event_ids - keep
     kept_events = tuple(e for e in a.alphabet if e.id in keep)
 
-    init = _eps_closure(a, hidden, frozenset([a.initial]))
-    subsets = {init: _subset_name(init)}
-    frontier = [init]
-    transitions = []
-    while frontier:
-        subset = frontier.pop()
-        src = subsets[subset]
-        for ev in sorted(keep):
-            targets = {d for q in subset for d in a.step(q, ev)}
-            if not targets:
-                continue
-            closed = _eps_closure(a, hidden, frozenset(targets))
-            if closed not in subsets:
-                subsets[closed] = _subset_name(closed)
-                frontier.append(closed)
-            transitions.append((src, ev, subsets[closed]))
-    marked = {name for subset, name in subsets.items() if subset & a.marked}
-    return Automaton.build(
-        set(subsets.values()), subsets[init], kept_events, transitions, marked
-    )
-
-
-def project_by_merging(a: Automaton, keep: Iterable[str]) -> Automaton:
-    """Alternative projection: merge states related by hidden moves.
-
-    Merging is an undirected quotient, which is only language-correct for
-    automata whose hidden moves are confluent; it exists as an independent
-    cross-check of :func:`natural_project` on such models, not as the
-    authoritative construction.
-    """
-    keep = frozenset(keep)
-    hidden = a.event_ids - keep
-    parent = {q: q for q in a.states}
-
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            # keep the lexicographically smaller root for determinism
-            if rq < rp:
-                rp, rq = rq, rp
-            parent[rq] = rp
-
-    for (src, ev, dst) in a.transitions:
-        if ev in hidden:
-            union(src, dst)
-    kept_events = tuple(e for e in a.alphabet if e.id in keep)
-    transitions = {
-        (find(src), ev, find(dst))
-        for (src, ev, dst) in a.transitions
-        if ev in keep
-    }
-    states = {find(q) for q in a.states}
-    marked = {find(q) for q in a.marked}
-    return accessible(
-        Automaton.build(states, find(a.initial), kept_events, transitions, marked)
-    )
+    trans, init = _projection_nfa(a, keep)
+    dfa = _determinize(trans, [init])
+    names = {subset: _subset_name(subset) for subset in dfa}
+    transitions = [
+        (names[subset], ev, names[dst])
+        for subset, row in dfa.items()
+        for ev, dst in row.items()
+    ]
+    marked = {name for subset, name in names.items() if subset & a.marked}
+    return Automaton.build(set(names.values()), names[init], kept_events, transitions, marked)
 
 
 # -- bisimulation ----------------------------------------------------------
@@ -376,6 +365,36 @@ class BisimResult:
         return self.bisimilar
 
 
+def _refine(block_of: dict, succ: dict) -> dict:
+    """Coarsest stable refinement of an initial partition.
+
+    ``block_of`` maps every state to its initial block and ``succ`` maps
+    every state to ``event -> successor states``.  Blocks are split on
+    (event, target-block) signatures until stable; the result maps each
+    state to a block id, two states sharing one iff they are bisimilar
+    under the initial partition.
+    """
+    # block ids are renumbered by sorted signature for deterministic output
+    while True:
+        sigs = {}
+        for q in block_of:
+            sig = (
+                block_of[q],
+                tuple(
+                    sorted(
+                        (ev, tuple(sorted({block_of[d] for d in dsts})))
+                        for ev, dsts in succ[q].items()
+                    )
+                ),
+            )
+            sigs[q] = sig
+        new_ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values()), key=repr))}
+        new_block_of = {q: new_ids[sigs[q]] for q in block_of}
+        if len(new_ids) == len(set(block_of.values())):
+            return new_block_of
+        block_of = new_block_of
+
+
 def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     """Decide bisimilarity by partition refinement on the disjoint union.
 
@@ -395,28 +414,7 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
         succ["2:" + src].setdefault(ev, set()).add("2:" + dst)
     marked = {"1:" + q for q in u1.marked} | {"2:" + q for q in u2.marked}
 
-    block_of = {q: (q in marked) for q in tagged}
-    # refine on (event, target-block) signatures until stable; block ids are
-    # renumbered by sorted signature for deterministic output
-    while True:
-        sigs = {}
-        for q in tagged:
-            sig = (
-                block_of[q],
-                tuple(
-                    sorted(
-                        (ev, tuple(sorted({block_of[d] for d in dsts})))
-                        for ev, dsts in succ[q].items()
-                    )
-                ),
-            )
-            sigs[q] = sig
-        new_ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values()), key=repr))}
-        new_block_of = {q: new_ids[sigs[q]] for q in tagged}
-        if len(new_ids) == len(set(block_of.values())):
-            block_of = new_block_of
-            break
-        block_of = new_block_of
+    block_of = _refine({q: (q in marked) for q in tagged}, succ)
 
     if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
         return BisimResult(False, counterexample=(u1.initial, u2.initial))

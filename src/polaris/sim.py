@@ -356,7 +356,8 @@ def supervisor_react(
     Uncontrollable events advance the six automata; then, among enabled
     controllable events, stop/release requests are issued first and exactly
     one actuation command is kept active per agent (re-issued after each
-    detection, replaced when the supervisors change the enabled set).
+    detection and release, replaced when the supervisors change the
+    enabled set).
     Returns the new world state plus the event records of this reaction.
     """
     mission = mission or _mission(cfg)
@@ -405,6 +406,8 @@ def supervisor_react(
         if episode.cleared and autos.enabled(release_event):
             autos.feed(release_event)
             stopped[target - 1] = False
+            # its command may have ended with a detection while it was stopped
+            detected[target - 1] = True
             records.append(
                 EventRecord(t, str(episode.avoider), release_event, f"releases agent {target}")
             )

@@ -10,11 +10,15 @@ replaced by the parallel composition of its natural projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .automata import (
     Automaton,
     BisimResult,
+    _determinize,
+    _projection_nfa,
+    _refine,
     accessible,
     is_bisimilar,
     natural_project,
@@ -185,53 +189,25 @@ class DecomposabilityReport:
         return "\n".join(lines)
 
 
-def _eps_nfa(a: Automaton, keep: frozenset):
-    """Projection before determinization: hidden events become silent.
+def _dc4_witness(a: Automaton, keep: frozenset) -> Optional[tuple]:
+    """First (q, ev, t1, t2) whose projected successors t1 < t2 differ.
 
-    Returns the NFA transition map q -> event -> frozenset of states, where
-    each step already includes closure under hidden moves on both sides.
+    Two successors of one projected step must generate the same projected
+    language.  All singleton subsets are determinized together and refined
+    once from a single block, so equal blocks mean equal languages.
     """
-    hidden = a.event_ids - keep
-
-    def closure(states):
-        out = set(states)
-        work = list(states)
-        while work:
-            q = work.pop()
-            for ev in a.enabled(q):
-                if ev in hidden:
-                    for d in a.step(q, ev):
-                        if d not in out:
-                            out.add(d)
-                            work.append(d)
-        return frozenset(out)
-
-    init = closure([a.initial])
-    trans: dict = {q: {} for q in a.states}
-    for q in a.states:
-        base = closure([q])
-        for ev in sorted(keep):
-            targets = {d for p in base for d in a.step(p, ev)}
-            if targets:
-                trans[q][ev] = closure(targets)
-    return trans, init
-
-
-def _gen_language_equal(trans: dict, keep: frozenset, set1: frozenset, set2: frozenset) -> bool:
-    """Equality of prefix-closed definedness languages of two NFA state sets."""
-    seen = {(set1, set2)}
-    work = [(set1, set2)]
-    while work:
-        (x, y) = work.pop()
-        for ev in sorted(keep):
-            tx = frozenset().union(*[trans[q].get(ev, frozenset()) for q in x]) if x else frozenset()
-            ty = frozenset().union(*[trans[q].get(ev, frozenset()) for q in y]) if y else frozenset()
-            if bool(tx) != bool(ty):
-                return False
-            if tx and (tx, ty) not in seen:
-                seen.add((tx, ty))
-                work.append((tx, ty))
-    return True
+    trans, _ = _projection_nfa(a, keep)
+    dfa = _determinize(trans, [frozenset([q]) for q in a.states])
+    block = _refine(
+        dict.fromkeys(dfa, 0),
+        {subset: {ev: (dst,) for ev, dst in row.items()} for subset, row in dfa.items()},
+    )
+    for q in sorted(a.states):
+        for ev, targets in sorted(trans[q].items()):
+            for t1, t2 in combinations(sorted(targets), 2):
+                if block[frozenset([t1])] != block[frozenset([t2])]:
+                    return (q, ev, t1, t2)
+    return None
 
 
 def check_decomposability(
@@ -263,6 +239,11 @@ def check_decomposability(
     priv2 = tuple(sorted(e2 - e1))
     shared = e1 & e2
 
+    # states are bisimilar iff they share a block of the refinement of a
+    block = _refine(
+        {q: q in a.marked for q in a.states},
+        {q: {ev: a.step(q, ev) for ev in a.enabled(q)} for q in a.states},
+    )
     dc1 = True
     dc1_wit = None
     dc2 = True
@@ -283,36 +264,11 @@ def check_decomposability(
                     if dc1:
                         dc1, dc1_wit = False, (q, x, y)
                     continue
-                if qxy != qyx:
-                    same = is_bisimilar(a.rerooted(qxy), a.rerooted(qyx))
-                    if not same and dc2:
-                        dc2, dc2_wit = False, (q, x, y)
+                if block[qxy] != block[qyx] and dc2:
+                    dc2, dc2_wit = False, (q, x, y)
 
-    trans1, _ = _eps_nfa(a, e1)
-    trans2, _ = _eps_nfa(a, e2)
-    dc4 = True
-    dc4_wit = None
-    for keep, trans in ((e1, trans1), (e2, trans2)):
-        if not dc4:
-            break
-        for q in sorted(a.states):
-            for ev, targets in sorted(trans[q].items()):
-                if len(targets) < 2:
-                    continue
-                ts = sorted(targets)
-                for t1 in ts:
-                    for t2 in ts:
-                        if t1 < t2 and not _gen_language_equal(
-                            trans, keep, frozenset([t1]), frozenset([t2])
-                        ):
-                            dc4, dc4_wit = False, (q, ev, t1, t2)
-                            break
-                    if not dc4:
-                        break
-                if not dc4:
-                    break
-            if not dc4:
-                break
+    dc4_wit = _dc4_witness(a, e1) or _dc4_witness(a, e2)
+    dc4 = dc4_wit is None
 
     dc3, dc3_wit, exhaustive = _check_dc3(a, e1, e2, shared, n, dc3_budget)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polaris.automata import Automaton, Event
+from polaris.automata import Automaton, Event, accessible
 
 
 def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, events=()):
@@ -73,6 +73,47 @@ def brute_language(a: Automaton, n: int, marked_only=True):
 
     walk(frozenset([a.initial]), ())
     return out
+
+
+def project_by_merging(a: Automaton, keep):
+    """Alternative projection: merge states related by hidden moves.
+
+    Merging is an undirected quotient, which is only language-correct for
+    automata whose hidden moves are confluent; it is an independent
+    cross-check of ``natural_project`` on such models.
+    """
+    keep = frozenset(keep)
+    hidden = a.event_ids - keep
+    parent = {q: q for q in a.states}
+
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    def union(p, q):
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            # keep the lexicographically smaller root for determinism
+            if rq < rp:
+                rp, rq = rq, rp
+            parent[rq] = rp
+
+    for (src, ev, dst) in a.transitions:
+        if ev in hidden:
+            union(src, dst)
+    kept_events = tuple(e for e in a.alphabet if e.id in keep)
+    transitions = {
+        (find(src), ev, find(dst))
+        for (src, ev, dst) in a.transitions
+        if ev in keep
+    }
+    states = {find(q) for q in a.states}
+    marked = {find(q) for q in a.marked}
+    return accessible(
+        Automaton.build(states, find(a.initial), kept_events, transitions, marked)
+    )
 
 
 def check_bisim_relation(a1, a2, relation):

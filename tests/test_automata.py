@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import brute_language, check_bisim_relation, make_auto, random_automaton
+from conftest import (
+    brute_language,
+    check_bisim_relation,
+    make_auto,
+    project_by_merging,
+    random_automaton,
+)
 
 from polaris.automata import (
     Automaton,
@@ -10,7 +16,6 @@ from polaris.automata import (
     marked_language_upto,
     natural_project,
     parallel_compose,
-    project_by_merging,
 )
 from polaris.errors import AlphabetConflict, BoundTooLarge
 

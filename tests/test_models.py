@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import project_by_merging
+
 from polaris.automata import (
     is_bisimilar,
     marked_language_upto,
@@ -182,8 +184,6 @@ def test_private_pairs_commute_in_collision_spec():
 
 
 def test_projection_matches_merged_epsilon_on_collision_spec():
-    from polaris.automata import project_by_merging
-
     spec = build_collision_spec(SMALL)
     for k in (1, 2):
         keep = frozenset(agent_alphabet(k, SMALL).all_ids)

@@ -225,6 +225,19 @@ def test_release_resumes_both_agents():
     assert not world.discrete[1].stopped
 
 
+def test_release_reissues_command_consumed_by_stop_step_detection():
+    cfg = small_cfg()
+    world, mission = started_world(cfg)
+    # agent 2's detection ends its command in the step that stops it
+    events = [("detection", 2, RegionIndex(2, 4)), ("alarm", 1, "Ca12F")]
+    world, records = supervisor_react(world, events, cfg, mission)
+    assert [r.event for r in records] == ["d_2_4_2", "Ca12F", "Stop2"]
+    assert world.discrete[1].plant == "R2"
+    world, records = supervisor_react(world, [("cleared", 1, None)], cfg, mission)
+    assert [r.event for r in records] == ["alarm_cleared", "R21", "Cr-2"]
+    assert world.discrete[1].plant != "R2"
+
+
 def test_zero_velocity_bound_flags_unreached_formation():
     cfg = small_cfg(u_max=0.0, t_end=2.0)
     result = run_scenario(cfg)

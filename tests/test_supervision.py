@@ -1,8 +1,17 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import brute_language, make_auto, random_automaton
 
-from polaris.automata import is_bisimilar, marked_language_upto, parallel_compose
+from polaris.automata import (
+    Automaton,
+    accessible,
+    is_bisimilar,
+    marked_language_upto,
+    natural_project,
+    parallel_compose,
+)
 from polaris.errors import (
     AlphabetMismatch,
     CoverageError,
@@ -269,6 +278,98 @@ def test_oracle_pass_implies_language_equality(rng):
             recomposed = parallel_compose(p1, p2)
             assert marked_language_upto(a, 6) == marked_language_upto(recomposed, 6)
     assert seen_passes > 0
+
+
+# -- oracles for the projection and the dc2/dc4 diagnostics -----------------
+
+
+def _random_cover(rng, a):
+    """Two event sets covering the alphabet, each with a private event."""
+    ids = sorted(a.event_ids)
+    cut = rng.randint(1, len(ids) - 1)
+    return set(ids[: cut + rng.randint(0, 1)]), set(ids[cut - rng.randint(0, 1) :])
+
+
+def _hidden_closure(a, states, keep):
+    out = set(states)
+    while True:
+        more = {
+            d for q in out for ev in a.enabled(q) if ev not in keep for d in a.step(q, ev)
+        } - out
+        if not more:
+            return out
+        out |= more
+
+
+def _dc2_oracle(a, e1, e2):
+    """First (q, x, y) whose two interleavings reach non-bisimilar states."""
+    for q in sorted(a.states):
+        for x in sorted(e1 - e2):
+            for y in sorted(e2 - e1):
+                (qx, qy) = (a.step1(q, x), a.step1(q, y))
+                if qx is None or qy is None:
+                    continue
+                (qxy, qyx) = (a.step1(qx, y), a.step1(qy, x))
+                if qxy is None or qyx is None:
+                    continue
+                if not is_bisimilar(a.rerooted(qxy), a.rerooted(qyx)):
+                    return (q, x, y)
+    return None
+
+
+def _dc4_oracle(a, e1, e2):
+    """First projected step (q, ev) with successors t1 < t2 whose projected
+    generated languages differ."""
+    for keep in (e1, e2):
+
+        def generated(t):
+            r = a.rerooted(t)
+            return natural_project(
+                Automaton.build(r.states, t, r.alphabet, r.transitions, r.states), keep
+            )
+
+        for q in sorted(a.states):
+            base = _hidden_closure(a, {q}, keep)
+            for ev in sorted(keep):
+                targets = _hidden_closure(a, {d for p in base for d in a.step(p, ev)}, keep)
+                for (t1, t2) in combinations(sorted(targets), 2):
+                    if not is_bisimilar(generated(t1), generated(t2)):
+                        return (q, ev, t1, t2)
+    return None
+
+
+def test_dc2_and_dc4_match_per_pair_oracles(rng):
+    failures = {"dc2": 0, "dc4": 0}
+    for _ in range(300):
+        a = random_automaton(
+            rng, max_states=5, max_events=4, min_events=2, deterministic=True, density=0.7
+        )
+        (e1, e2) = _random_cover(rng, a)
+        report = check_decomposability(a, e1, e2, n=2, dc3_budget=200)
+        a = accessible(a)
+        dc2_wit = _dc2_oracle(a, e1, e2)
+        dc4_wit = _dc4_oracle(a, e1, e2)
+        assert (report.dc2, report.dc2_witness) == (dc2_wit is None, dc2_wit)
+        assert (report.dc4, report.dc4_witness) == (dc4_wit is None, dc4_wit)
+        failures["dc2"] += not report.dc2
+        failures["dc4"] += not report.dc4
+    assert failures["dc2"] > 0 and failures["dc4"] > 0
+
+
+def test_natural_project_marked_language_is_projected_brute_language(rng):
+    n = 2
+    for _ in range(300):
+        a = random_automaton(rng, max_states=3, max_events=3, deterministic=True)
+        keep = set(rng.sample(sorted(a.event_ids), rng.randint(0, len(a.event_ids))))
+        # a projected string of length n needs at most n + (n+1)(|Q|-1) events
+        depth = n + (n + 1) * (len(a.states) - 1)
+        want = {
+            p
+            for s in brute_language(a, depth)
+            for p in [tuple(e for e in s if e in keep)]
+            if len(p) <= n
+        }
+        assert brute_language(natural_project(a, keep), n) == want
 
 
 # -- decentralized cooperation ----------------------------------------------
