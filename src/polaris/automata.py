@@ -120,12 +120,13 @@ class Automaton:
                 succ[src][ev] = frozenset(succ[src][ev])
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_by_id", {e.id: e for e in self.alphabet})
+        object.__setattr__(self, "_event_ids", frozenset(self._by_id))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def event_ids(self) -> frozenset:
-        return frozenset(self._by_id)
+        return self._event_ids
 
     def event(self, event_id: str) -> Event:
         return self._by_id[event_id]

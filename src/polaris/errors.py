@@ -50,11 +50,25 @@ class Infeasible(PolarisError):
 
 
 class HorizonViolation(PolarisError):
-    """A follower left its control-horizon disk during simulation."""
+    """A follower left its control-horizon disk during simulation.
+
+    Raised from ``sim.run_scenario``, it carries ``world`` (the last world
+    state reached) and ``recent`` (the last event records).
+    """
+
+    world = None
+    recent = ()
 
 
 class SupervisorBlocked(PolarisError):
-    """No controllable event is enabled and none is pending."""
+    """No controllable event is enabled and none is pending.
+
+    Raised from ``sim.run_scenario``, it carries ``world`` and ``recent``
+    like :class:`HorizonViolation`.
+    """
+
+    world = None
+    recent = ()
 
 
 class InvalidToken(PolarisError):

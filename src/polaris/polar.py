@@ -58,8 +58,8 @@ class PolarPartition:
     n_theta: int
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ValueError("r_max must be positive and finite")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("need at least two grid lines in each direction")
 

@@ -45,6 +45,17 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def validate(self) -> "ScenarioConfig":
+        for (key, value) in (
+            ("sim.dt", self.dt),
+            ("sim.t_end", self.t_end),
+            ("sim.u_max", self.u_max),
+            ("sim.speed", self.speed),
+            ("sim.kappa", self.kappa),
+            ("avoid.alarm_radius", self.alarm_radius),
+            ("avoid.release_radius", self.release_radius),
+            ("avoid.front_half_angle_deg", self.front_half_angle),
+        ):
+            _check_finite(key, value)
         if self.dt <= 0:
             raise ValidationError("sim.dt must be positive")
         if self.t_end < 0:
@@ -67,6 +78,7 @@ class ScenarioConfig:
             raise ValidationError("exactly two followers are required")
         _check_schedule("leader.velocity", self.leader_velocity)
         for idx, f in enumerate(self.followers, start=1):
+            _check_finite(f"follower{idx}.initial_position", *f.initial_position)
             _check_schedule(f"follower{idx}.offsets", f.offsets)
         return self
 
@@ -80,9 +92,16 @@ class ScenarioConfig:
         return tuple(sorted(times))
 
 
+def _check_finite(name: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{name} must be finite")
+
+
 def _check_schedule(name: str, schedule) -> None:
     if not schedule:
         raise ValidationError(f"{name} must have at least one entry")
+    for entry in schedule:
+        _check_finite(name, *entry)
     times = [entry[0] for entry in schedule]
     if times[0] != 0:
         raise ValidationError(f"{name} must start at time 0")

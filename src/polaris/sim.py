@@ -99,20 +99,41 @@ class WorldState:
         return (px - ox, py - oy)
 
 
+_ROLES = ("plant", "formation", "local")
+_READY = {1: "R1", 2: "R2"}  # plant state of agent k with no command in flight
+_NO_MOVES: dict = {}
+_UNSET = object()
+
+
 class Mission:
-    """Prebuilt models and controller cache for one scenario config."""
+    """Prebuilt models and per-step lookup tables for one scenario config.
+
+    ``slots`` lists the six supervisor automata as ``(k, role, automaton)``,
+    agent 1's plant, formation and local supervisor before agent 2's; a
+    reaction keeps their states in a list in the same order.  ``by_event``
+    maps each event id to the ``(slot, successor rows)`` of the automata
+    whose alphabet contains it.  Region cells and command choices are
+    filled on first use and reused by later steps.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.models: FormationModels = build_models(cfg.partition)
         self.used_controllers: dict = {}
+        m = self.models
+        self.slots = tuple(
+            (k, role, getattr(m, role)(k)) for k in (1, 2) for role in _ROLES
+        )
+        self.by_event: dict = {}
+        for (slot, (_, _, auto)) in enumerate(self.slots):
+            for ev in auto.event_ids:
+                self.by_event.setdefault(ev, []).append((slot, auto._succ))
+        self.priority = {k: _command_priority(m.alphabet(k)) for k in (1, 2)}
+        self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
+        self._choices: dict = {}  # (k, six states) -> command or None
 
     def alphabet(self, k: int):
         return self.models.alphabet(k)
-
-    def automata(self, k: int):
-        m = self.models
-        return (m.plant(k), m.formation(k), m.local(k))
 
     def controller(self, region: RegionIndex, mode: Mode):
         vc = cached_controller(
@@ -120,6 +141,43 @@ class Mission:
         )
         self.used_controllers[(region.i, region.j, mode.value)] = vc
         return vc
+
+    def cell(self, k: int, region: RegionIndex, command: str) -> tuple:
+        """``(r_lo, r_hi, th_lo, span, gains)`` of agent ``k``'s command in a
+        region.
+
+        Command ids name their agent, so the command and region index are a
+        complete key.
+        """
+        key = (command, region.i, region.j)
+        cell = self._cells.get(key)
+        if cell is None:
+            vc = self.controller(region, self.alphabet(k).command_mode(command))
+            (r_lo, r_hi, th_lo, th_hi) = region_bounds(self.cfg.partition, region)
+            cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat())
+            self._cells[key] = cell
+        return cell
+
+    def choose_command(self, autos: "_Automata", k: int) -> Optional[str]:
+        """First enabled actuation command of agent ``k`` in priority order.
+
+        The scan depends only on the six automaton states, so its result is
+        memoized on them.  None means no actuation is enabled but some
+        controllable event is; with none at all the supervisors are blocked.
+        """
+        key = (k, *autos.state)
+        choice = self._choices.get(key, _UNSET)
+        if choice is _UNSET:
+            choice = next((ev for ev in self.priority[k] if autos.enabled(ev)), None)
+            if choice is None and not any(
+                autos.enabled(ev) for ev in self.alphabet(k).controllable_ids
+            ):
+                raise SupervisorBlocked(
+                    f"agent {k}: no controllable event enabled at "
+                    f"plant={autos.plant_state(k)}"
+                )
+            self._choices[key] = choice
+        return choice
 
     def controllers_text(self) -> str:
         """Every controller the run instantiated, one vertex vector per line."""
@@ -137,14 +195,34 @@ def _mission(cfg: ScenarioConfig) -> Mission:
     return Mission(cfg)
 
 
-def _locate_or_raise(cfg: ScenarioConfig, k: int, x: float, y: float) -> RegionIndex:
+def _check_horizon(cfg: ScenarioConfig, k: int, x: float, y: float) -> None:
     r = math.hypot(x, y)
     if r > cfg.partition.r_max:
         raise HorizonViolation(
             f"follower {k} at relative radius {r:.3f} beyond horizon "
             f"{cfg.partition.r_max:.3f}"
         )
+
+
+def _locate_or_raise(cfg: ScenarioConfig, k: int, x: float, y: float) -> RegionIndex:
+    _check_horizon(cfg, k, x, y)
     return locate(cfg.partition, x, y)
+
+
+def _initial_discretes(
+    follower_pos: tuple, offsets: tuple, cfg: ScenarioConfig, mission: Mission
+) -> tuple:
+    """Both agents' discrete states at the start of a phase."""
+    discretes = []
+    for k in (1, 2):
+        (px, py) = follower_pos[k - 1]
+        (ox, oy) = offsets[k - 1]
+        region = _locate_or_raise(cfg, k, px - ox, py - oy)
+        m = mission.models
+        discretes.append(
+            AgentDiscrete(m.plant(k).initial, m.formation(k).initial, m.local(k).initial, region)
+        )
+    return tuple(discretes)
 
 
 def initial_world(cfg: ScenarioConfig, mission: Optional[Mission] = None) -> WorldState:
@@ -152,22 +230,13 @@ def initial_world(cfg: ScenarioConfig, mission: Optional[Mission] = None) -> Wor
     mission = mission or _mission(cfg)
     offsets = tuple(schedule_at(f.offsets, 0.0) for f in cfg.followers)
     follower_pos = tuple(f.initial_position for f in cfg.followers)
-    discretes = []
-    for k in (1, 2):
-        (px, py) = follower_pos[k - 1]
-        (ox, oy) = offsets[k - 1]
-        region = _locate_or_raise(cfg, k, px - ox, py - oy)
-        (plant, formation, local) = mission.automata(k)
-        discretes.append(
-            AgentDiscrete(plant.initial, formation.initial, local.initial, region)
-        )
     return WorldState(
         step_index=0,
         t=0.0,
         leader_pos=(0.0, 0.0),
         follower_pos=follower_pos,
         offsets=offsets,
-        discrete=tuple(discretes),
+        discrete=_initial_discretes(follower_pos, offsets, cfg, mission),
     )
 
 
@@ -175,13 +244,9 @@ def _relative_velocity(world: WorldState, cfg: ScenarioConfig, mission: Mission,
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
-    mode = mission.alphabet(k).command_mode(disc.command)
-    vc = mission.controller(disc.region, mode)
-    (r_lo, r_hi, th_lo, th_hi) = region_bounds(cfg.partition, disc.region)
+    (r_lo, r_hi, th_lo, span, gains) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative(k)
-    return kernels.eval_cell(
-        r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat(), x, y, cfg.partition.r_eps, True
-    )
+    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, cfg.partition.r_eps, True)
 
 
 def step(world: WorldState, cfg: ScenarioConfig, mission: Optional[Mission] = None) -> WorldState:
@@ -209,19 +274,18 @@ def step(world: WorldState, cfg: ScenarioConfig, mission: Optional[Mission] = No
         (px, py) = world.follower_pos[k - 1]
         new_followers.append((px + (tvx - lvx) * cfg.dt, py + (tvy - lvy) * cfg.dt))
     new_index = world.step_index + 1
-    new = replace(
-        world,
-        step_index=new_index,
-        t=new_index * cfg.dt,
-        leader_pos=(
-            world.leader_pos[0] + lvx * cfg.dt,
-            world.leader_pos[1] + lvy * cfg.dt,
-        ),
-        follower_pos=tuple(new_followers),
+    new = WorldState(
+        new_index,
+        new_index * cfg.dt,
+        (world.leader_pos[0] + lvx * cfg.dt, world.leader_pos[1] + lvy * cfg.dt),
+        tuple(new_followers),
+        world.offsets,
+        world.discrete,
+        world.episode,
     )
     for k in (1, 2):
         (rx, ry) = new.relative(k)
-        _locate_or_raise(cfg, k, rx, ry)
+        _check_horizon(cfg, k, rx, ry)
     return new
 
 
@@ -243,7 +307,7 @@ def _wrap_angle(a: float) -> float:
 def _classify_alarm(world: WorldState, cfg: ScenarioConfig, mission: Mission, owner: int) -> str:
     """Front when the other agent's bearing is within the half-angle of the
     owner's commanded velocity direction; toward-goal fallback when the
-    owner is holding or unommanded."""
+    owner is holding or uncommanded."""
     other = 2 if owner == 1 else 1
     (ox, oy) = world.follower_pos[owner - 1]
     (tx, ty) = world.follower_pos[other - 1]
@@ -305,44 +369,42 @@ def _command_priority(al) -> tuple:
 
 
 class _Automata:
-    """Mutable view of the six automaton states during one reaction."""
+    """Mutable view of the six automaton states during one reaction, in
+    ``Mission.slots`` order."""
+
+    __slots__ = ("by_event", "slots", "state")
 
     def __init__(self, world: WorldState, mission: Mission):
-        self.mission = mission
-        self.machines = []  # (agent k, automaton, role)
-        self.state = {}
-        for k in (1, 2):
-            (plant, formation, local) = mission.automata(k)
-            disc = world.discrete[k - 1]
-            for auto, role, current in (
-                (plant, "plant", disc.plant),
-                (formation, "formation", disc.formation),
-                (local, "local", disc.local),
-            ):
-                self.machines.append((k, auto, role))
-                self.state[(k, role)] = current
+        self.by_event = mission.by_event
+        self.slots = mission.slots
+        (d1, d2) = world.discrete
+        self.state = [d1.plant, d1.formation, d1.local, d2.plant, d2.formation, d2.local]
 
     def enabled(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
-        for (k, auto, role) in self.machines:
-            if event in auto.event_ids:
-                if not auto.step(self.state[(k, role)], event):
-                    return False
+        state = self.state
+        for (slot, succ) in self.by_event.get(event, ()):
+            if event not in succ.get(state[slot], _NO_MOVES):
+                return False
         return True
 
     def feed(self, event: str) -> None:
-        for (k, auto, role) in self.machines:
-            if event in auto.event_ids:
-                dst = auto.step1(self.state[(k, role)], event)
-                if dst is None:
-                    raise SupervisorBlocked(
-                        f"event {event} undefined in agent {k} {role} automaton "
-                        f"at state {self.state[(k, role)]!r}"
-                    )
-                self.state[(k, role)] = dst
+        for (slot, _) in self.by_event.get(event, ()):
+            (k, role, auto) = self.slots[slot]
+            dst = auto.step1(self.state[slot], event)
+            if dst is None:
+                raise SupervisorBlocked(
+                    f"event {event} undefined in agent {k} {role} automaton "
+                    f"at state {self.state[slot]!r}"
+                )
+            self.state[slot] = dst
 
     def plant_state(self, k: int) -> str:
-        return self.state[(k, "plant")]
+        return self.state[3 * (k - 1)]
+
+    def discrete(self, k: int, region, command, stopped) -> AgentDiscrete:
+        (plant, formation, local) = self.state[3 * (k - 1) : 3 * k]
+        return AgentDiscrete(plant, formation, local, region, command, stopped)
 
 
 def supervisor_react(
@@ -358,16 +420,18 @@ def supervisor_react(
     one actuation command is kept active per agent (re-issued after each
     detection and release, replaced when the supervisors change the
     enabled set).
-    Returns the new world state plus the event records of this reaction.
+    Returns the new world state plus the event records of this reaction;
+    when nothing changed, the world state passed in is returned.
     """
     mission = mission or _mission(cfg)
     autos = _Automata(world, mission)
     records = []
     t = world.t
     episode = world.episode
-    regions = [world.discrete[0].region, world.discrete[1].region]
-    commands = [world.discrete[0].command, world.discrete[1].command]
-    stopped = [world.discrete[0].stopped, world.discrete[1].stopped]
+    (d1, d2) = world.discrete
+    regions = [d1.region, d2.region]
+    commands = [d1.command, d2.command]
+    stopped = [d1.stopped, d2.stopped]
     detected = [False, False]
 
     for item in events:
@@ -415,24 +479,13 @@ def supervisor_react(
 
     # one actuation command per agent
     for k in (1, 2):
-        al = mission.alphabet(k)
         if stopped[k - 1]:
             continue
-        if autos.plant_state(k) != f"R{k}":
+        if autos.plant_state(k) != _READY[k]:
             continue  # a command is in flight; wait for its detection
-        desired = None
-        for candidate in _command_priority(al):
-            if autos.enabled(candidate):
-                desired = candidate
-                break
+        desired = mission.choose_command(autos, k)
         if desired is None:
-            # no actuation available: hold position unless nothing at all is
-            # enabled or pending, which signals a modeling bug
-            if not any(autos.enabled(ev) for ev in al.controllable_ids):
-                raise SupervisorBlocked(
-                    f"agent {k}: no controllable event enabled at "
-                    f"plant={autos.plant_state(k)}"
-                )
+            # no actuation available: hold position
             commands[k - 1] = None
             continue
         if desired != commands[k - 1] or detected[k - 1]:
@@ -442,19 +495,13 @@ def supervisor_react(
                 EventRecord(t, str(k), desired, f"region=({regions[k-1].i},{regions[k-1].j})")
             )
 
-    discretes = []
-    for k in (1, 2):
-        discretes.append(
-            AgentDiscrete(
-                plant=autos.state[(k, "plant")],
-                formation=autos.state[(k, "formation")],
-                local=autos.state[(k, "local")],
-                region=regions[k - 1],
-                command=commands[k - 1],
-                stopped=stopped[k - 1],
-            )
-        )
-    return replace(world, discrete=tuple(discretes), episode=episode), records
+    # every automaton move, region, stop and episode change leaves a record
+    if not records and commands[0] == d1.command and commands[1] == d2.command:
+        return world, records
+    discretes = tuple(
+        autos.discrete(k, regions[k - 1], commands[k - 1], stopped[k - 1]) for k in (1, 2)
+    )
+    return replace(world, discrete=discretes, episode=episode), records
 
 
 def _apply_offset_switch(
@@ -462,16 +509,8 @@ def _apply_offset_switch(
 ) -> WorldState:
     """Re-center the relative frames and restart the discrete layer."""
     offsets = tuple(schedule_at(f.offsets, world.t) for f in cfg.followers)
-    discretes = []
-    for k in (1, 2):
-        (px, py) = world.follower_pos[k - 1]
-        (ox, oy) = offsets[k - 1]
-        region = _locate_or_raise(cfg, k, px - ox, py - oy)
-        (plant, formation, local) = mission.automata(k)
-        discretes.append(
-            AgentDiscrete(plant.initial, formation.initial, local.initial, region)
-        )
-    return replace(world, offsets=offsets, discrete=tuple(discretes), episode=None)
+    discretes = _initial_discretes(world.follower_pos, offsets, cfg, mission)
+    return replace(world, offsets=offsets, discrete=discretes, episode=None)
 
 
 def _check_start_region(world: WorldState, cfg: ScenarioConfig) -> None:
@@ -536,24 +575,28 @@ class ScenarioResult:
 
 def _row(world: WorldState) -> str:
     (lx, ly) = world.leader_pos
-    cells = [f"{world.t:.6f}", f"{lx:.6f}", f"{ly:.6f}"]
-    for k in (1, 2):
-        (px, py) = world.follower_pos[k - 1]
-        cells.append(f"{lx + px:.6f}")
-        cells.append(f"{ly + py:.6f}")
-    for k in (1, 2):
-        (rx, ry) = world.relative(k)
-        cells.append(f"{rx:.6f}")
-        cells.append(f"{ry:.6f}")
-    for k in (1, 2):
-        region = world.discrete[k - 1].region
-        cells.append(str(region.i))
-        cells.append(str(region.j))
-    return ",".join(cells)
+    ((x1, y1), (x2, y2)) = world.follower_pos
+    ((ox1, oy1), (ox2, oy2)) = world.offsets
+    (d1, d2) = world.discrete
+    return (
+        f"{world.t:.6f},{lx:.6f},{ly:.6f},"
+        f"{lx + x1:.6f},{ly + y1:.6f},{lx + x2:.6f},{ly + y2:.6f},"
+        f"{x1 - ox1:.6f},{y1 - oy1:.6f},{x2 - ox2:.6f},{y2 - oy2:.6f},"
+        f"{d1.region.i},{d1.region.j},{d2.region.i},{d2.region.j}"
+    )
+
+
+#: Event records attached to a simulator failure as ``recent``.
+FAILURE_RECORDS = 10
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Run the closed loop to t_end and summarize what happened."""
+    """Run the closed loop to t_end and summarize what happened.
+
+    A :class:`SupervisorBlocked` or :class:`HorizonViolation` raised during
+    the run carries ``world``, the last world state reached, and
+    ``recent``, the last :data:`FAILURE_RECORDS` event records.
+    """
     cfg.validate()
     mission = _mission(cfg)
     world = initial_world(cfg, mission)
@@ -567,54 +610,59 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     episodes: list = []
     min_sep = _separation(world)
     min_sep_t = 0.0
-
-    world, records = supervisor_react(world, [], cfg, mission)
-    result.records.extend(records)
-    result.rows.append(_row(world))
-
     first_circle = {
         k: frozenset(mission.alphabet(k).first_circle) for k in (1, 2)
     }
 
-    for _ in range(n_steps):
-        if switch_times and world.t >= switch_times[0]:
-            switch_times.pop(0)
-            world = _apply_offset_switch(world, cfg, mission)
-            _check_start_region(world, cfg)
-            phase += 1
-            for k in (1, 2):
-                t_reach[k].append(None)
-            result.records.append(
-                EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
-            )
-            world, records = supervisor_react(world, [], cfg, mission)
-            result.records.extend(records)
-
-        new_world = step(world, cfg, mission)
-        events = detect_events(world, new_world, cfg, mission)
-        world, records = supervisor_react(new_world, events, cfg, mission)
+    try:
+        world, records = supervisor_react(world, [], cfg, mission)
         result.records.extend(records)
         result.rows.append(_row(world))
 
-        sep = _separation(world)
-        if sep < min_sep:
-            min_sep = sep
-            min_sep_t = world.t
-        for rec in records:
-            if rec.agent in ("1", "2"):
-                k = int(rec.agent)
-                if rec.event in first_circle[k] and t_reach[k][phase] is None:
-                    t_reach[k][phase] = rec.t
-            if rec.event in ALARM_EVENTS:
-                episodes.append(_EpisodeLog(rec.event, rec.t))
-            elif rec.event in ("Stop1", "Stop2") and episodes:
-                if episodes[-1].stop is None:
-                    episodes[-1].stop = rec.event
-                    episodes[-1].t_stop = rec.t
-            elif rec.event in ("R12", "R21") and episodes:
-                if episodes[-1].release is None:
-                    episodes[-1].release = rec.event
-                    episodes[-1].t_release = rec.t
+        for _ in range(n_steps):
+            if switch_times and world.t >= switch_times[0]:
+                switch_times.pop(0)
+                world = _apply_offset_switch(world, cfg, mission)
+                _check_start_region(world, cfg)
+                phase += 1
+                for k in (1, 2):
+                    t_reach[k].append(None)
+                result.records.append(
+                    EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
+                )
+                world, records = supervisor_react(world, [], cfg, mission)
+                result.records.extend(records)
+
+            prev = world
+            world = step(prev, cfg, mission)
+            events = detect_events(prev, world, cfg, mission)
+            world, records = supervisor_react(world, events, cfg, mission)
+            result.records.extend(records)
+            result.rows.append(_row(world))
+
+            sep = _separation(world)
+            if sep < min_sep:
+                min_sep = sep
+                min_sep_t = world.t
+            for rec in records:
+                if rec.agent in ("1", "2"):
+                    k = int(rec.agent)
+                    if rec.event in first_circle[k] and t_reach[k][phase] is None:
+                        t_reach[k][phase] = rec.t
+                if rec.event in ALARM_EVENTS:
+                    episodes.append(_EpisodeLog(rec.event, rec.t))
+                elif rec.event in ("Stop1", "Stop2") and episodes:
+                    if episodes[-1].stop is None:
+                        episodes[-1].stop = rec.event
+                        episodes[-1].t_stop = rec.t
+                elif rec.event in ("R12", "R21") and episodes:
+                    if episodes[-1].release is None:
+                        episodes[-1].release = rec.event
+                        episodes[-1].t_release = rec.t
+    except (SupervisorBlocked, HorizonViolation) as exc:
+        exc.world = world
+        exc.recent = tuple(result.records[-FAILURE_RECORDS:])
+        raise
 
     flags = []
     for k in (1, 2):

@@ -235,31 +235,33 @@ def check_decomposability(
     p1, p2 = natural_project(a, e1), natural_project(a, e2)
     bisim = is_bisimilar(a, parallel_compose(p1, p2))
 
-    priv1 = tuple(sorted(e1 - e2))
-    priv2 = tuple(sorted(e2 - e1))
+    priv1 = e1 - e2
+    priv2 = e2 - e1
     shared = e1 & e2
 
+    # a is deterministic: every enabled event has one target
+    moves = {q: {ev: a.step1(q, ev) for ev in a.enabled(q)} for q in a.states}
     # states are bisimilar iff they share a block of the refinement of a
     block = _refine(
         {q: q in a.marked for q in a.states},
-        {q: {ev: a.step(q, ev) for ev in a.enabled(q)} for q in a.states},
+        {q: {ev: (dst,) for (ev, dst) in row.items()} for (q, row) in moves.items()},
     )
     dc1 = True
     dc1_wit = None
     dc2 = True
     dc2_wit = None
     for q in sorted(a.states):
-        enabled = set(a.enabled(q))
-        for x in priv1:
-            if x not in enabled:
+        # rows list their events in sorted order, so witnesses come out
+        # in (sorted q, sorted x, sorted y) order
+        row = moves[q]
+        ys = [(y, qy) for (y, qy) in row.items() if y in priv2]
+        for (x, qx) in row.items():
+            if x not in priv1:
                 continue
-            for y in priv2:
-                if y not in enabled:
-                    continue
-                qx = a.step1(q, x)
-                qy = a.step1(q, y)
-                qxy = a.step1(qx, y)
-                qyx = a.step1(qy, x)
+            after_x = moves[qx]
+            for (y, qy) in ys:
+                qxy = after_x.get(y)
+                qyx = moves[qy].get(x)
                 if qxy is None or qyx is None:
                     if dc1:
                         dc1, dc1_wit = False, (q, x, y)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polaris.automata import Automaton, Event, accessible
+from polaris.errors import SupervisorBlocked
 
 
 def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, events=()):
@@ -133,6 +134,55 @@ def check_bisim_relation(a1, a2, relation):
                 if not any((d1, d2) in pairs for d1 in a1.step(q1, ev)):
                     return False
     return True
+
+
+# A crossing-path mission with an alarm, stop and release episode and a
+# formation switch at t = 40 s.
+CROSSING_CFG = """\
+partition.r_max = 50
+partition.n_r = 21
+partition.n_theta = 9
+sim.dt = 0.02
+sim.t_end = 45
+sim.u_max = 5
+sim.speed = 2
+avoid.alarm_radius = 8
+avoid.release_radius = 12
+avoid.front_half_angle_deg = 60
+leader.velocity = 0:1.211,0.436 20:0.922,0.330
+follower1.initial_position = -15.925,17.239
+follower1.offsets = 0:14.855,1.921 40:31.257,17.497
+follower2.initial_position = 13.996,-13.427
+follower2.offsets = 0:-2.677,21.653 40:-5.111,8.216
+"""
+
+
+def scan_command_choice(models, k: int, states) -> str:
+    """Uncached command choice of agent ``k``, the simulator's reference.
+
+    ``states`` are the six supervisor states: agent 1's plant, formation
+    and local supervisor, then agent 2's.  Returns the first actuation
+    command enabled in every automaton whose alphabet contains it, in the
+    order hold, anticlockwise turn, inward push, then the rest sorted; None
+    when no command is enabled but another controllable event is.
+    """
+    machines = [
+        getattr(models, role)(j) for j in (1, 2) for role in ("plant", "formation", "local")
+    ]
+
+    def enabled(event):
+        return all(
+            auto.step(q, event) for (auto, q) in zip(machines, states) if event in auto.event_ids
+        )
+
+    al = models.alphabet(k)
+    rest = sorted(set(al.commands) - {f"Cth+{k}", f"Cr-{k}"})
+    for candidate in (al.hold, f"Cth+{k}", f"Cr-{k}", *rest):
+        if enabled(candidate):
+            return candidate
+    if not any(enabled(ev) for ev in al.controllable_ids):
+        raise SupervisorBlocked(f"agent {k}: no controllable event enabled")
+    return None
 
 
 @pytest.fixture

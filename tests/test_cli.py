@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_auto
+from conftest import CROSSING_CFG, make_auto
 
 from polaris import exchange
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
@@ -125,6 +126,61 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "mode=exit_r-" in controllers and "mode=invariant" in controllers
     stdout = capsys.readouterr().out
     assert "min_separation" in stdout
+
+
+# SHA-256 of every ``simulate`` output file, recorded before the simulator
+# step was rewritten around precomputed tables and a memoized command
+# choice; any change to the outputs shows here.
+GOLDEN_SIMULATE = {
+    "bundled": {
+        "trajectory.csv": "86854334ff60be4c4fd8d14383f14d83f20163f48aecf15872d352af5fa31387",
+        "events.log": "904110a26f7144b1752996c758095237a10e9d341fc3ccb2e20d6c6dadd0638e",
+        "verdicts.txt": "41b0405e64ebc3e4f89795328dd6c422202234003386581c3b34561e43f7fcba",
+        "controllers.txt": "7665556d8ca0ca52c98956420502997f99df9c6a37f2de57c1111fc4c128295b",
+    },
+    "crossing": {
+        "trajectory.csv": "8b9348c3690ae0cc2be54e31c71526a82dd56f114de05c620a03023e8351eddf",
+        "events.log": "12066a4f2729053b88e985f02c5cd6aa24519d18a653c03e5c51898f2623ba4a",
+        "verdicts.txt": "14f227dedf6613809e216cf56eed6f61b062a929ca0957817270705e1b0c19f5",
+        "controllers.txt": "3b9bb8059cd0754b4b0fbbc934385f771a2a0e5db0a241cb1069b5199c3ebd98",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
+def test_simulate_outputs_match_golden_digests(tmp_path, capsys, name):
+    scenario = DATA / "paper_phase12.cfg"
+    if name == "crossing":
+        scenario = tmp_path / "crossing.cfg"
+        scenario.write_text(CROSSING_CFG, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(out)]) == 0
+    if name == "crossing":
+        assert "release=R21" in capsys.readouterr().out
+    digests = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in GOLDEN_SIMULATE[name]
+    }
+    assert digests == GOLDEN_SIMULATE[name]
+
+
+@pytest.mark.parametrize(
+    "line", ["sim.t_end = inf", "avoid.alarm_radius = nan", "sim.u_max = inf"]
+)
+def test_simulate_non_finite_value_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [row for row in CROSSING_CFG.splitlines() if not row.startswith(key)]
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_max", ["nan", "inf"])
+def test_build_models_non_finite_partition_exits_2(tmp_path, capsys, r_max):
+    out = tmp_path / "models"
+    assert main(["build-models", "--partition", f"{r_max},9,13", "-o", str(out)]) == 2
+    assert "r_max must be positive and finite" in capsys.readouterr().err
 
 
 def test_io_error_exits_2(capsys):

@@ -84,3 +84,26 @@ def test_partition_validation_wrapped():
 def test_dt_must_be_positive():
     with pytest.raises(ValidationError):
         loads_scenario("sim.dt = 0\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim.dt = nan",
+        "sim.t_end = inf",
+        "sim.u_max = inf",
+        "sim.speed = inf",
+        "sim.kappa = nan",
+        "avoid.alarm_radius = nan",
+        "avoid.release_radius = inf",
+        "avoid.front_half_angle_deg = nan",
+        "partition.r_max = inf",
+        "partition.r_max = nan",
+        "leader.velocity = 0:inf,0",
+        "follower1.initial_position = nan,1",
+        "follower2.offsets = 0:1,2 inf:3,4",
+    ],
+)
+def test_non_finite_values_rejected(line):
+    with pytest.raises(ValidationError, match="finite"):
+        loads_scenario(line + "\n")

@@ -3,12 +3,17 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import CROSSING_CFG, scan_command_choice
+
 from polaris.errors import HorizonViolation, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
-from polaris.scenario import FollowerConfig, ScenarioConfig
+from polaris.scenario import FollowerConfig, ScenarioConfig, loads_scenario, parse_scenario
 from polaris.sim import (
+    FAILURE_RECORDS,
+    EventRecord,
     Episode,
     Mission,
+    _mission,
     detect_events,
     initial_world,
     run_scenario,
@@ -269,6 +274,51 @@ def test_switch_beyond_horizon_raises():
     )
     with pytest.raises(HorizonViolation):
         run_scenario(cfg)
+
+
+def test_horizon_violation_carries_last_world_and_recent_records():
+    # without velocity authority the followers trail a fast leader out of
+    # the horizon: follower 2 starts 20 m behind and reaches r_max = 40 m
+    # at t = 2, so the last world reached is one step earlier
+    cfg = small_cfg(u_max=0.0, leader_velocity=((0.0, 10.0, 0.0),), t_end=10.0)
+    with pytest.raises(HorizonViolation) as info:
+        run_scenario(cfg)
+    world = info.value.world
+    assert world.t == pytest.approx(2.0 - cfg.dt)
+    for k in (1, 2):
+        assert math.hypot(*world.relative(k)) <= cfg.partition.r_max
+    recent = info.value.recent
+    assert 0 < len(recent) <= FAILURE_RECORDS
+    assert all(isinstance(rec, EventRecord) for rec in recent)
+    # follower 2's entry into the outermost ring is among them
+    assert "d_4_4_2" in [rec.event for rec in recent]
+    assert recent[-1].t <= world.t
+
+
+def test_failure_context_keeps_the_last_records():
+    # a formation switch that puts follower 1 far beyond the horizon
+    cfg = loads_scenario(CROSSING_CFG.replace("40:31.257,17.497", "40:200,0"))
+    with pytest.raises(HorizonViolation) as info:
+        run_scenario(cfg)
+    assert info.value.world.t == pytest.approx(40.0)
+    recent = info.value.recent
+    assert len(recent) == FAILURE_RECORDS
+    times = [rec.t for rec in recent]
+    assert times == sorted(times) and times[-1] < 40.0
+
+
+@pytest.mark.parametrize("source", ["bundled", "crossing"])
+def test_memoized_command_choice_matches_uncached_scan(source):
+    if source == "bundled":
+        cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
+    else:
+        cfg = loads_scenario(CROSSING_CFG)
+    run_scenario(cfg)
+    mission = _mission(cfg)
+    # the run held, pushed inward and turned away from an alarm
+    assert {"C0_1", "Cr-1", "Cth+1"} <= set(mission._choices.values())
+    for ((k, *states), choice) in mission._choices.items():
+        assert scan_command_choice(mission.models, k, states) == choice
 
 
 def test_region_tracking_matches_locate_every_step():
