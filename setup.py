@@ -6,24 +6,15 @@ falls back to the pure-Python implementation at import time.
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "polaris.kernels._ckernel",
-                ["src/polaris/kernels/_ckernel.pyx"],
-                # keep float results bit-identical to the pure-Python backend:
-                # no fused multiply-add, no pairing of cos+sin into sincos
-                extra_compile_args=["-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-sincos"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "polaris.kernels._ckernel",
+            ["src/polaris/kernels/_ckernel.c"],
+            # keep float results bit-identical to the pure-Python backend:
+            # no fused multiply-add, no pairing of cos+sin into sincos
+            extra_compile_args=["-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-sincos"],
+            optional=True,
+        )
+    ]
+)

@@ -1,21 +1,16 @@
 """Backend selection for the geometry kernels.
 
-The compiled extension is preferred when it imported cleanly; set
-``POLARIS_PURE_PY=1`` to force the pure-Python backend.  Both backends
-produce bit-identical results, so the choice only affects speed.
+The compiled extension is used when it was built and imports cleanly,
+otherwise the pure-Python backend.  Both backends produce bit-identical
+results, so the choice only affects speed.
 """
-
-import os
 
 from . import _pure
 
-if os.environ.get("POLARIS_PURE_PY"):
+try:
+    from . import _ckernel as _backend
+except ImportError:
     _backend = _pure
-else:
-    try:
-        from . import _ckernel as _backend  # type: ignore[no-redef]
-    except ImportError:
-        _backend = _pure
 
 BACKEND = _backend.NAME
 
@@ -29,15 +24,3 @@ eval_cell = _backend.eval_cell
 classify = _backend.classify
 integrate_cell = _backend.integrate_cell
 integrate_many = _backend.integrate_many
-
-
-def available_backends():
-    """Names of the importable backends (for the benchmark)."""
-    names = ["pure"]
-    try:
-        from . import _ckernel  # noqa: F401
-
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names

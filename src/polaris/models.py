@@ -83,8 +83,13 @@ class AgentAlphabet:
         return f"d_{i}_{j}_{self.k}"
 
     @property
+    def actuation_ids(self) -> tuple:
+        """The four exit commands and hold: the events that set the agent's motion."""
+        return self.commands + (self.hold,)
+
+    @property
     def controllable_ids(self) -> tuple:
-        return self.commands + (self.hold, "Stop1", "Stop2", "R12", "R21")
+        return self.actuation_ids + ("Stop1", "Stop2", "R12", "R21")
 
     @property
     def uncontrollable_ids(self) -> tuple:
@@ -92,7 +97,7 @@ class AgentAlphabet:
 
     @property
     def all_ids(self) -> tuple:
-        return self.commands + (self.hold,) + self.detection_ids + self.external
+        return self.actuation_ids + self.detection_ids + self.external
 
     def events(self) -> tuple:
         own = frozenset([self.k])

@@ -128,7 +128,6 @@ class Mission:
         for (slot, (_, _, auto)) in enumerate(self.slots):
             for ev in auto.event_ids:
                 self.by_event.setdefault(ev, []).append((slot, auto._succ))
-        self.priority = {k: _command_priority(m.alphabet(k)) for k in (1, 2)}
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
         self._choices: dict = {}  # (k, six states) -> command or None
 
@@ -159,19 +158,20 @@ class Mission:
         return cell
 
     def choose_command(self, autos: "_Automata", k: int) -> Optional[str]:
-        """First enabled actuation command of agent ``k`` in priority order.
+        """The enabled actuation command of agent ``k``.
 
-        The scan depends only on the six automaton states, so its result is
-        memoized on them.  None means no actuation is enabled but some
-        controllable event is; with none at all the supervisors are blocked.
+        The supervisors enable at most one actuation (a command or hold) at a
+        time, so the order of the scan decides nothing.  The scan depends
+        only on the six automaton states, so its result is memoized on them.
+        None means no actuation is enabled but some controllable event is;
+        with none at all the supervisors are blocked.
         """
         key = (k, *autos.state)
         choice = self._choices.get(key, _UNSET)
         if choice is _UNSET:
-            choice = next((ev for ev in self.priority[k] if autos.enabled(ev)), None)
-            if choice is None and not any(
-                autos.enabled(ev) for ev in self.alphabet(k).controllable_ids
-            ):
+            al = self.alphabet(k)
+            choice = next((ev for ev in al.actuation_ids if autos.enabled(ev)), None)
+            if choice is None and not any(autos.enabled(ev) for ev in al.controllable_ids):
                 raise SupervisorBlocked(
                     f"agent {k}: no controllable event enabled at "
                     f"plant={autos.plant_state(k)}"
@@ -358,14 +358,6 @@ def detect_events(
     elif episode is not None and not episode.cleared and sep_next > cfg.release_radius:
         events.append(("cleared", episode.avoider, None))
     return events
-
-
-# priority of actuation commands when several are enabled: hold first, then
-# the anticlockwise turn, then the inward push, then the rest alphabetically
-def _command_priority(al) -> tuple:
-    k = al.k
-    rest = sorted(set(al.commands) - {f"Cth+{k}", f"Cr-{k}"})
-    return (al.hold, f"Cth+{k}", f"Cr-{k}", *rest)
 
 
 class _Automata:

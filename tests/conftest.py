@@ -1,4 +1,11 @@
+import importlib.machinery
+import importlib.util
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +190,34 @@ def scan_command_choice(models, k: int, states) -> str:
     if not any(enabled(ev) for ev in al.controllable_ids):
         raise SupervisorBlocked(f"agent {k}: no controllable event enabled")
     return None
+
+
+@pytest.fixture(scope="session")
+def ckernel(tmp_path_factory):
+    """The compiled kernel, freshly built by ``setup.py build_ext``.
+
+    The build uses the install flags, writes only into a temporary
+    directory, and the module is loaded from there without entering
+    ``sys.modules``, so the rest of the suite keeps the backend it imported.
+    Skips only when there is no C compiler on PATH; a failed build fails.
+    """
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) on PATH")
+    out = tmp_path_factory.mktemp("ckernel")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+    )
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = out / "lib" / "polaris" / "kernels" / f"_ckernel{suffix}"
+    # the extension is optional, so a failed compile still exits 0
+    assert build.returncode == 0 and path.exists(), build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("polaris.kernels._ckernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -222,6 +222,18 @@ def test_agent_loop_contains_mission_strings():
     assert not loop.generates(("Cr-1", "Cr-1"))
 
 
+@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (6, 9), (9, 13), (11, 10), (22, 10)])
+def test_agent_loop_enables_at_most_one_actuation(n_r, n_theta):
+    # the simulator picks the first enabled actuation in alphabet order; with
+    # never more than one enabled, the order decides nothing
+    models = build_models(PolarPartition(50.0, n_r, n_theta))
+    for k in (1, 2):
+        actuations = set(models.alphabet(k).actuation_ids)
+        loop = models.agent_loop(k)
+        counts = [len(actuations.intersection(loop.enabled(q))) for q in loop.states]
+        assert max(counts) == 1
+
+
 def test_plant_is_fully_accessible():
     plant = build_plant(1, P)
     from polaris.automata import accessible
