@@ -19,7 +19,6 @@ from .models import (
     agent_alphabet,
     build_collision_spec,
     build_formation_spec,
-    build_local_supervisors,
     build_models,
     build_plant,
 )

@@ -115,9 +115,13 @@ class Automaton:
         for (src, ev, dst) in self.transitions:
             succ.setdefault(src, {}).setdefault(ev, set())
             succ[src][ev].add(dst)
-        for src in succ:
-            for ev in succ[src]:
-                succ[src][ev] = frozenset(succ[src][ev])
+        # one frozenset per distinct target set: most rows of a large alphabet
+        # reach the same few targets, and every set is kept for the object's life
+        shared: dict = {}
+        for row in succ.values():
+            for ev, targets in row.items():
+                targets = frozenset(targets)
+                row[ev] = shared.setdefault(targets, targets)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_by_id", {e.id: e for e in self.alphabet})
         object.__setattr__(self, "_event_ids", frozenset(self._by_id))

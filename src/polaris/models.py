@@ -33,7 +33,6 @@ __all__ = [
     "build_plant",
     "build_formation_spec",
     "build_collision_spec",
-    "build_local_supervisors",
     "FormationModels",
     "build_models",
 ]
@@ -254,27 +253,6 @@ def build_collision_spec(p: PolarPartition) -> Automaton:
     return Automaton.build(states, free, tuple(events.values()), trans, states)
 
 
-def build_local_supervisors(p: PolarPartition):
-    """Formation supervisors plus the projected collision supervisors.
-
-    Projects the global collision supervisor onto each agent's event set
-    and verifies that the projections compose back to it (bisimulation)
-    before returning; a failure would mean the global model is not
-    decentralizable and is treated as a construction bug.
-    """
-    af1 = build_formation_spec(1, p)
-    af2 = build_formation_spec(2, p)
-    ac = build_collision_spec(p)
-    e1 = frozenset(agent_alphabet(1, p).all_ids)
-    e2 = frozenset(agent_alphabet(2, p).all_ids)
-    ac1 = natural_project(ac, e1)
-    ac2 = natural_project(ac, e2)
-    recomposed = parallel_compose(ac1, ac2)
-    if not is_bisimilar(recomposed, ac):
-        raise NotDecomposable("collision supervisor projections do not recompose")
-    return af1, af2, ac1, ac2
-
-
 @dataclass(frozen=True)
 class FormationModels:
     """The full model set for one partition."""
@@ -311,16 +289,28 @@ class FormationModels:
 
 @lru_cache(maxsize=8)
 def build_models(p: PolarPartition) -> FormationModels:
-    af1, af2, ac1, ac2 = build_local_supervisors(p)
+    """Plants, formation specs, the collision supervisor and its projections.
+
+    The global collision supervisor is projected onto each agent's event
+    set, and the projections must compose back to it (bisimulation); a
+    failure would mean the global model is not decentralizable and is
+    treated as a construction bug.
+    """
+    ac = build_collision_spec(p)
+    alphabet1, alphabet2 = agent_alphabet(1, p), agent_alphabet(2, p)
+    ac1 = natural_project(ac, frozenset(alphabet1.all_ids))
+    ac2 = natural_project(ac, frozenset(alphabet2.all_ids))
+    if not is_bisimilar(parallel_compose(ac1, ac2), ac):
+        raise NotDecomposable("collision supervisor projections do not recompose")
     return FormationModels(
         partition=p,
-        alphabet1=agent_alphabet(1, p),
-        alphabet2=agent_alphabet(2, p),
+        alphabet1=alphabet1,
+        alphabet2=alphabet2,
         plant1=build_plant(1, p),
         plant2=build_plant(2, p),
-        formation1=af1,
-        formation2=af2,
-        collision=build_collision_spec(p),
+        formation1=build_formation_spec(1, p),
+        formation2=build_formation_spec(2, p),
+        collision=ac,
         local1=ac1,
         local2=ac2,
     )

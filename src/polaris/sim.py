@@ -225,9 +225,8 @@ def _initial_discretes(
     return tuple(discretes)
 
 
-def initial_world(cfg: ScenarioConfig, mission: Optional[Mission] = None) -> WorldState:
+def initial_world(cfg: ScenarioConfig, mission: Mission) -> WorldState:
     """World at t = 0, before the first command selection."""
-    mission = mission or _mission(cfg)
     offsets = tuple(schedule_at(f.offsets, 0.0) for f in cfg.followers)
     follower_pos = tuple(f.initial_position for f in cfg.followers)
     return WorldState(
@@ -249,13 +248,12 @@ def _relative_velocity(world: WorldState, cfg: ScenarioConfig, mission: Mission,
     return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, cfg.partition.r_eps, True)
 
 
-def step(world: WorldState, cfg: ScenarioConfig, mission: Optional[Mission] = None) -> WorldState:
+def step(world: WorldState, cfg: ScenarioConfig, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
     Stopped followers keep their relative position; every follower's total
     velocity (leader plus relative) is clamped to the velocity bound.
     """
-    mission = mission or _mission(cfg)
     (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
     new_followers = []
     for k in (1, 2):
@@ -328,7 +326,7 @@ def detect_events(
     world_prev: WorldState,
     world_next: WorldState,
     cfg: ScenarioConfig,
-    mission: Optional[Mission] = None,
+    mission: Mission,
 ):
     """Uncontrollable and internal events between two consecutive states.
 
@@ -336,7 +334,6 @@ def detect_events(
     at most one new collision alarm, then the internal alarm-cleared signal
     once the separation exceeds the release radius during an episode.
     """
-    mission = mission or _mission(cfg)
     events = []
     for k in (1, 2):
         disc = world_prev.discrete[k - 1]
@@ -403,7 +400,7 @@ def supervisor_react(
     world: WorldState,
     events,
     cfg: ScenarioConfig,
-    mission: Optional[Mission] = None,
+    mission: Mission,
 ):
     """Feed detected events through the supervisors and emit their reaction.
 
@@ -415,7 +412,6 @@ def supervisor_react(
     Returns the new world state plus the event records of this reaction;
     when nothing changed, the world state passed in is returned.
     """
-    mission = mission or _mission(cfg)
     autos = _Automata(world, mission)
     records = []
     t = world.t

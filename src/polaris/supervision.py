@@ -173,6 +173,9 @@ class DecomposabilityReport:
     dc3_exhaustive: bool = False
     dc4: bool = True
     dc4_witness: Optional[tuple] = None
+    # the projections of the accessible automaton that were composed
+    local1: Optional[Automaton] = field(default=None, repr=False, compare=False)
+    local2: Optional[Automaton] = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.decomposable
@@ -225,8 +228,13 @@ def check_decomposability(
     and the fourth are checked exactly, the third only on a bounded,
     deterministic sample of string pairs (length <= n, at most
     ``dc3_budget`` pair checks) because its universal quantification over
-    all strings is not enumerable in general.
+    all strings is not enumerable in general.  At ``n = 0`` only the empty
+    string pairs with itself, so dc3 holds vacuously and no pair is checked;
+    a caller that needs only the verdict passes 0.  The report carries the
+    two projections it composed as ``local1`` and ``local2``.
     """
+    if n < 0:
+        raise ValueError("dc3 string bound must be >= 0")
     if not a.deterministic:
         raise NondeterministicInput("decomposability conditions require a deterministic automaton")
     e1, e2 = _coverage(a, e1, e2)
@@ -287,6 +295,8 @@ def check_decomposability(
         dc3_exhaustive=exhaustive,
         dc4=dc4,
         dc4_witness=dc4_wit,
+        local1=p1,
+        local2=p2,
     )
 
 
@@ -377,7 +387,6 @@ class DecentralizedVerdict:
     satisfied: bool
     centralized_matches: bool
     decomposability: DecomposabilityReport
-    local_closed_loop: Automaton = field(repr=False, default=None)
 
     def __bool__(self):
         return self.satisfied
@@ -392,6 +401,8 @@ def verify_decentralized(
     composition of the local closed loops is compared with the global spec
     automaton by bisimulation.  The intermediate check (global controller
     composed with the joint plant against the spec) is reported alongside.
+    The decomposability check samples no dc3 strings (bound 0): only its
+    verdict and its projections are used here.
     """
     e1 = ac.event_ids & ap1.event_ids
     e2 = ac.event_ids & ap2.event_ids
@@ -399,11 +410,12 @@ def verify_decentralized(
         raise CoverageError(
             "controller alphabet not covered by the plants' local event sets"
         )
-    report = check_decomposability(ac, e1, e2, n=4)
+    report = check_decomposability(ac, e1, e2, n=0)
     if not report:
         raise NotDecomposable("controller is not decomposable; see report diagnostics")
-    ac1, ac2 = natural_project(ac, e1), natural_project(ac, e2)
-    local = parallel_compose(parallel_compose(ap1, ac1), parallel_compose(ap2, ac2))
+    local = parallel_compose(
+        parallel_compose(ap1, report.local1), parallel_compose(ap2, report.local2)
+    )
     satisfied = bool(is_bisimilar(local, a_spec))
     central = bool(is_bisimilar(parallel_compose(ac, parallel_compose(ap1, ap2)), a_spec))
-    return DecentralizedVerdict(satisfied, central, report, accessible(local))
+    return DecentralizedVerdict(satisfied, central, report)

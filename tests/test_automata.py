@@ -38,6 +38,14 @@ def test_deterministic_flag():
         nondet.step1("q0", "a")
 
 
+def test_equal_target_sets_share_one_frozenset():
+    a = make_auto([("q0", "a", "q1"), ("q0", "b", "q1"), ("q1", "a", "q1"),
+                   ("q1", "b", "q0"), ("q1", "c", "q0")])
+    assert a.step("q0", "a") == {"q1"}
+    assert a.step("q0", "a") is a.step("q0", "b") is a.step("q1", "a")
+    assert a.step("q1", "b") is a.step("q1", "c")
+
+
 def test_accessible_identity_for_single_state():
     a = make_auto([], initial="q0")
     assert accessible(a) is a

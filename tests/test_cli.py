@@ -164,6 +164,56 @@ def test_simulate_outputs_match_golden_digests(tmp_path, capsys, name):
     assert digests == GOLDEN_SIMULATE[name]
 
 
+# SHA-256 of every ``build-models`` output file (``report.txt`` without its
+# ``elapsed_s`` line), recorded before the collision supervisor was built
+# and checked once per build; any change to the outputs shows here.
+GOLDEN_BUILD_MODELS = {
+    "50,3,3": {
+        "a1.aut": "c7ac2ebf007dd7f2ac5fc4a2f4ac828f49ca3808143be76ff381e7bc2cb10031",
+        "a2.aut": "e93759308c4a742157a1a13dd9b7786caa480fa4ff0d9418d65ee3033089f221",
+        "ac.aut": "7146c55dcf5d291df44e03d3bc094aff68bdf885ea28e11f73e573595d9235d3",
+        "ac1.aut": "efa5ca9d4fa9d3d202d619963037d5dc716f97f08d11a99d022c337fc0499eeb",
+        "ac2.aut": "8ffa4c16a4a4de8202c18e4f0ce539245c9aa4d0eceaa6ad04f0eb4be550fbc6",
+        "af1.aut": "773b22793cccd52e4437ac5b26ab6430c7f16ae42ae7aa84ce442ef2a07786c8",
+        "af2.aut": "a2f0dd20553d078e0c0d15e65546540be93e935b77da76074a502646229f1b53",
+        "report.txt": "391b6a401a77d78ae07148d6296f3bdb6ad8566e7f928812323727c323cefc26",
+    },
+    "50,6,9": {
+        "a1.aut": "ce3697f825734e2b78dbee2222f277a81e76e0065c143b983a992a15acb064b6",
+        "a2.aut": "0f8d39740a64c6e5a7e978c594aacecaf6a8de7922748881dc316364a418e7e8",
+        "ac.aut": "0af6baf6b61b4b424624a560189284c35e6a24e9cf6d1d55a193c331ffa9ef27",
+        "ac1.aut": "cc1a086ca908de5df005067666176caf74501b48f5fde333be84c9d7eb206f9a",
+        "ac2.aut": "ed7fb8e8c52ee2ba6cd7f0ac460a4fc02f4f4141f1b154f5e4cece4610ff2541",
+        "af1.aut": "f38e8a202d6d896ee8ff083e6143990a41d0edd400bd7e30bba8acd87f074af2",
+        "af2.aut": "06003e4855bf1a3dc6fb7870da82ce58deeedd99e468a74bf8ee89fbdf9cb7d4",
+        "report.txt": "f533bfea5100f8512309c977b368895cb138c2a3524f435fb2fd35fc758ee875",
+    },
+}
+
+
+@pytest.mark.parametrize("partition", sorted(GOLDEN_BUILD_MODELS))
+def test_build_models_outputs_match_golden_digests(tmp_path, capsys, partition):
+    out = tmp_path / "models"
+    assert main(["build-models", "--partition", partition, "-o", str(out)]) == 0
+    digests = {}
+    for f in GOLDEN_BUILD_MODELS[partition]:
+        lines = (out / f).read_bytes().splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(b"elapsed_s"))
+        digests[f] = hashlib.sha256(data).hexdigest()
+    assert digests == GOLDEN_BUILD_MODELS[partition]
+
+
+def test_check_decomposable_negative_bound_exits_2(tmp_path, capsys):
+    path = tmp_path / "v.aut"
+    exchange.write(make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")]), path)
+    code = main(["check-decomposable", str(path), "--events1", "e1",
+                 "--events2", "e2", "--bound", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bound must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize(
     "line", ["sim.t_end = inf", "avoid.alarm_radius = nan", "sim.u_max = inf"]
 )

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import project_by_merging
 
+import polaris.models
 from polaris.automata import (
     is_bisimilar,
     marked_language_upto,
@@ -12,7 +13,6 @@ from polaris.models import (
     agent_alphabet,
     build_collision_spec,
     build_formation_spec,
-    build_local_supervisors,
     build_models,
     build_plant,
 )
@@ -161,16 +161,29 @@ def test_collision_spec_decomposable():
 
 
 def test_local_supervisors_recompose_to_global():
-    (af1, af2, ac1, ac2) = build_local_supervisors(P)
+    models = build_models(P)
     ac = build_collision_spec(P)
-    assert is_bisimilar(parallel_compose(ac1, ac2), ac)
-    assert ac1.deterministic and ac2.deterministic
+    assert is_bisimilar(parallel_compose(models.local1, models.local2), ac)
+    assert models.local1.deterministic and models.local2.deterministic
 
 
 def test_local_supervisor_alphabets_match_agents():
-    (_, _, ac1, ac2) = build_local_supervisors(P)
-    assert ac1.event_ids == frozenset(agent_alphabet(1, P).all_ids)
-    assert ac2.event_ids == frozenset(agent_alphabet(2, P).all_ids)
+    models = build_models(P)
+    assert models.local1.event_ids == frozenset(agent_alphabet(1, P).all_ids)
+    assert models.local2.event_ids == frozenset(agent_alphabet(2, P).all_ids)
+
+
+def test_build_models_builds_collision_spec_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return build_collision_spec(p)
+
+    monkeypatch.setattr(polaris.models, "build_collision_spec", counted)
+    models = build_models.__wrapped__(P)  # past the cache
+    assert calls == [P]
+    assert models.collision == build_collision_spec(P)
 
 
 def test_private_pairs_commute_in_collision_spec():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_language, make_auto, random_automaton
 
+import polaris.supervision
 from polaris.automata import (
     Automaton,
     accessible,
@@ -19,6 +20,8 @@ from polaris.errors import (
     NotControllable,
     NotDecomposable,
 )
+from polaris.models import build_models
+from polaris.polar import PolarPartition
 from polaris.supervision import (
     check_controllability,
     check_decomposability,
@@ -356,6 +359,20 @@ def test_dc2_and_dc4_match_per_pair_oracles(rng):
     assert failures["dc2"] > 0 and failures["dc4"] > 0
 
 
+def test_report_projections_equal_natural_project(rng):
+    # the report projects the accessible part; unreachable states change
+    # nothing in a projection, so verify_decentralized may compose these
+    trimmed = 0
+    for _ in range(300):
+        a = random_automaton(rng, max_states=5, max_events=4, min_events=2, deterministic=True)
+        (e1, e2) = _random_cover(rng, a)
+        report = check_decomposability(a, e1, e2, n=0)
+        assert report.local1 == natural_project(a, e1)
+        assert report.local2 == natural_project(a, e2)
+        trimmed += accessible(a).states != a.states
+    assert trimmed > 0
+
+
 def test_natural_project_marked_language_is_projected_brute_language(rng):
     n = 2
     for _ in range(300):
@@ -421,6 +438,19 @@ def test_unmarked_spec_detected():
     )
     verdict = verify_decentralized(ap1, ap2, ac, unmarked)
     assert not verdict.satisfied
+
+
+def test_verify_decentralized_samples_no_dc3_strings(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dc3 pair checked")
+
+    monkeypatch.setattr(polaris.supervision, "_dc3_pair_ok", forbidden)
+    models = build_models(PolarPartition(40.0, 3, 3))
+    joint = parallel_compose(models.plant1, models.plant2)
+    spec = parallel_compose(models.collision, joint)
+    verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
+    assert verdict.satisfied and verdict.centralized_matches
+    assert verdict.decomposability.dc3_bound == 0
 
 
 def test_undecomposable_controller_raises():
