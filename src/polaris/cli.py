@@ -96,9 +96,7 @@ def cmd_check_controllable(args) -> int:
 
 def cmd_check_decomposable(args) -> int:
     a = exchange.read(args.automaton)
-    report = check_decomposability(
-        a, _event_list(args.events1), _event_list(args.events2), n=args.bound
-    )
+    report = check_decomposability(a, _event_list(args.events1), _event_list(args.events2))
     print(report.summary())
     return PASS if report.decomposable else FAIL
 
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("automaton")
     q.add_argument("--events1", required=True, help="comma-separated events or @FILE")
     q.add_argument("--events2", required=True, help="comma-separated events or @FILE")
-    q.add_argument("--bound", type=int, default=8)
     q.set_defaults(func=cmd_check_decomposable)
 
     q = sub.add_parser("build-models", help="emit the formation model set")

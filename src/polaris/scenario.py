@@ -42,7 +42,6 @@ class ScenarioConfig:
     front_half_angle: float = math.radians(60.0)
     leader_velocity: tuple = ((0.0, 0.0, 0.0),)
     followers: tuple = (FollowerConfig(), FollowerConfig())
-    rng_seed: int = 0
 
     def validate(self) -> "ScenarioConfig":
         for (key, value) in (
@@ -129,7 +128,6 @@ _KNOWN_KEYS = {
     "sim.u_max",
     "sim.speed",
     "sim.kappa",
-    "sim.rng_seed",
     "avoid.alarm_radius",
     "avoid.release_radius",
     "avoid.front_half_angle_deg",
@@ -245,7 +243,6 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         front_half_angle=math.radians(take_float("avoid.front_half_angle_deg", 60.0)),
         leader_velocity=leader,
         followers=tuple(followers),
-        rng_seed=take_int("sim.rng_seed", 0),
     )
     return cfg.validate()
 

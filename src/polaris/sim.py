@@ -540,10 +540,6 @@ class ScenarioResult:
         lines = [f"{key} = {value}" for (key, value) in self.verdicts.items()]
         return "\n".join(lines) + "\n"
 
-    def agent_event_string(self, k: int, alphabet) -> tuple:
-        keep = frozenset(alphabet.all_ids)
-        return tuple(rec.event for rec in self.records if rec.event in keep)
-
     def agent_event_segments(self, k: int, alphabet) -> tuple:
         """Per-phase event strings of one agent.
 

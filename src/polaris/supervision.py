@@ -169,8 +169,6 @@ class DecomposabilityReport:
     dc2_witness: Optional[tuple] = None
     dc3: bool = True
     dc3_witness: Optional[tuple] = None
-    dc3_bound: int = 0
-    dc3_exhaustive: bool = False
     dc4: bool = True
     dc4_witness: Optional[tuple] = None
     # the projections of the accessible automaton that were composed
@@ -185,8 +183,7 @@ class DecomposabilityReport:
             f"decomposable: {self.decomposable}",
             f"dc1: {'pass' if self.dc1 else f'fail {self.dc1_witness}'}",
             f"dc2: {'pass' if self.dc2 else f'fail {self.dc2_witness}'}",
-            f"dc3: {'pass' if self.dc3 else f'fail {self.dc3_witness}'}"
-            + f" (bound {self.dc3_bound}{'' if self.dc3_exhaustive else ', truncated'})",
+            f"dc3: {'pass' if self.dc3 else f'fail {self.dc3_witness}'}",
             f"dc4: {'pass' if self.dc4 else f'fail {self.dc4_witness}'}",
         ]
         return "\n".join(lines)
@@ -213,28 +210,114 @@ def _dc4_witness(a: Automaton, keep: frozenset) -> Optional[tuple]:
     return None
 
 
+def _dc3_witness(moves: dict, e1: frozenset, e2: frozenset) -> Optional[tuple]:
+    """First (q, s, t) whose product of p1(s) and p2(t) leaves the automaton.
+
+    Searches the nodes (state after s, state after t, state after their
+    interleaving, first shared event seen) breadth-first from every
+    (q, q, q, unseen).  s may take an E2-private event alone and t an
+    E1-private one; an E1-private event of s or an E2-private event of t
+    also moves the interleaving; a shared event enabled after both s and t
+    moves all three.  Before the first shared event a node counts only if
+    s and t can still reach a common shared event through private events,
+    so that they extend to a pair whose first shared events agree.  A
+    counted move that the interleaving cannot take fails; s and t are then
+    extended to their common first shared event.
+    """
+    shared = e1 & e2
+    # shared events enabled somewhere ahead of each state on a private path
+    ahead = {}
+    for q in moves:
+        seen, stack, found = {q}, [q], set()
+        while stack:
+            for (ev, dst) in moves[stack.pop()].items():
+                if ev in shared:
+                    found.add(ev)
+                elif dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        ahead[q] = found
+
+    def counts(qs, qt, seen_shared):
+        return seen_shared or not ahead[qs].isdisjoint(ahead[qt])
+
+    def to_shared(q, ev):
+        """Shortest private path from q to ev, ev included."""
+        paths = {q: ()}
+        queue = [q]
+        for p in queue:
+            if ev in moves[p]:
+                return paths[p] + (ev,)
+            for (x, dst) in moves[p].items():
+                if x not in shared and dst not in paths:
+                    paths[dst] = paths[p] + (x,)
+                    queue.append(dst)
+
+    parent = {}
+    queue = []
+    for q in sorted(moves):
+        if counts(q, q, False):
+            parent[(q, q, q, False)] = None
+            queue.append((q, q, q, False))
+    for node in queue:
+        (qs, qt, qi, seen_shared) = node
+        after_i = moves[qi]
+        # (event of s, event of t, next s, next t, next interleaving, flag)
+        steps = []
+        for (ev, ds) in moves[qs].items():
+            if ev in shared:
+                dt = moves[qt].get(ev)
+                if dt is not None:
+                    steps.append((ev, ev, ds, dt, after_i.get(ev), True))
+            else:
+                di = after_i.get(ev) if ev in e1 else qi
+                steps.append((ev, None, ds, qt, di, seen_shared))
+        for (ev, dt) in moves[qt].items():
+            if ev not in shared:
+                di = after_i.get(ev) if ev in e2 else qi
+                steps.append((None, ev, qs, dt, di, seen_shared))
+        for (x, y, ds, dt, di, flag) in steps:
+            if not counts(ds, dt, flag):
+                continue
+            if di is not None:
+                nxt = (ds, dt, di, flag)
+                if nxt not in parent:
+                    parent[nxt] = (node, x, y)
+                    queue.append(nxt)
+                continue
+            (s, t) = ([x], [y])
+            while parent[node] is not None:
+                (node, x, y) = parent[node]
+                s.append(x)
+                t.append(y)
+            s = tuple(ev for ev in reversed(s) if ev is not None)
+            t = tuple(ev for ev in reversed(t) if ev is not None)
+            if not flag:
+                first = min(ahead[ds] & ahead[dt])
+                (s, t) = (s + to_shared(ds, first), t + to_shared(dt, first))
+            return (node[0], s, t)
+    return None
+
+
 def check_decomposability(
-    a: Automaton,
-    e1: Iterable[str],
-    e2: Iterable[str],
-    n: int = 8,
-    dc3_budget: int = 20_000,
+    a: Automaton, e1: Iterable[str], e2: Iterable[str], *, n: Optional[int] = None
 ) -> DecomposabilityReport:
     """Decide decomposability and run the four diagnostic conditions.
 
     The authoritative verdict is the direct oracle: project onto both event
     sets, compose the projections and test bisimilarity with the original.
-    The diagnostics locate the cause of a failure: the first two conditions
-    and the fourth are checked exactly, the third only on a bounded,
-    deterministic sample of string pairs (length <= n, at most
-    ``dc3_budget`` pair checks) because its universal quantification over
-    all strings is not enumerable in general.  At ``n = 0`` only the empty
-    string pairs with itself, so dc3 holds vacuously and no pair is checked;
-    a caller that needs only the verdict passes 0.  The report carries the
-    two projections it composed as ``local1`` and ``local2``.
+    The diagnostics locate the cause of a failure and are all decided
+    exactly, over the accessible part of the automaton.  dc3 reads the
+    condition of Karimadini and Lin (Automatica 47(5), 2011) as: for every
+    reachable q and every pair s, t generated from q whose first shared
+    events agree (s = t included), every node of the synchronized product
+    of p1(s) and p2(t) is generated from q.  The report carries the two
+    projections it composed as ``local1`` and ``local2``.
+
+    ``n`` is accepted and ignored.  It was the string-length bound of the
+    sampled dc3 search this one replaced; it stays only until the tracer
+    test in ``perfbench/tests`` stops passing it.
     """
-    if n < 0:
-        raise ValueError("dc3 string bound must be >= 0")
     if not a.deterministic:
         raise NondeterministicInput("decomposability conditions require a deterministic automaton")
     e1, e2 = _coverage(a, e1, e2)
@@ -245,7 +328,6 @@ def check_decomposability(
 
     priv1 = e1 - e2
     priv2 = e2 - e1
-    shared = e1 & e2
 
     # a is deterministic: every enabled event has one target
     moves = {q: {ev: a.step1(q, ev) for ev in a.enabled(q)} for q in a.states}
@@ -277,10 +359,8 @@ def check_decomposability(
                 if block[qxy] != block[qyx] and dc2:
                     dc2, dc2_wit = False, (q, x, y)
 
+    dc3_wit = _dc3_witness(moves, e1, e2)
     dc4_wit = _dc4_witness(a, e1) or _dc4_witness(a, e2)
-    dc4 = dc4_wit is None
-
-    dc3, dc3_wit, exhaustive = _check_dc3(a, e1, e2, shared, n, dc3_budget)
 
     return DecomposabilityReport(
         decomposable=bool(bisim),
@@ -289,97 +369,13 @@ def check_decomposability(
         dc1_witness=dc1_wit,
         dc2=dc2,
         dc2_witness=dc2_wit,
-        dc3=dc3,
+        dc3=dc3_wit is None,
         dc3_witness=dc3_wit,
-        dc3_bound=n,
-        dc3_exhaustive=exhaustive,
-        dc4=dc4,
+        dc4=dc4_wit is None,
         dc4_witness=dc4_wit,
         local1=p1,
         local2=p2,
     )
-
-
-def _strings_from(a: Automaton, q: str, n: int, budget: int):
-    """Defined strings of length <= n from q, lexicographic, budget-capped."""
-    out = []
-    exhaustive = True
-    stack = [(q, ())]
-    while stack:
-        state, prefix = stack.pop()
-        out.append((prefix, state))
-        if len(out) >= budget:
-            exhaustive = False
-            break
-        if len(prefix) == n:
-            continue
-        for ev in reversed(a.enabled(state)):
-            nxt = a.step1(state, ev)
-            if nxt is not None:
-                stack.append((nxt, prefix + (ev,)))
-    return out, exhaustive
-
-
-def _proj_string(s: tuple, keep: frozenset) -> tuple:
-    return tuple(e for e in s if e in keep)
-
-
-def _dc3_pair_ok(a: Automaton, q: str, p1: tuple, p2: tuple, shared: frozenset) -> bool:
-    """All synchronized interleavings of prefixes of p1 and p2 defined at q.
-
-    Walks the product of prefix positions with the automaton state; shared
-    events advance both strings, private events one.  Fails as soon as one
-    interleaved prefix is undefined.
-    """
-    seen = {(q, 0, 0)}
-    stack = [(q, 0, 0)]
-    while stack:
-        state, i, j = stack.pop()
-        moves = []
-        if i < len(p1):
-            if p1[i] in shared:
-                if j < len(p2) and p2[j] == p1[i]:
-                    moves.append((p1[i], i + 1, j + 1))
-            else:
-                moves.append((p1[i], i + 1, j))
-        if j < len(p2) and p2[j] not in shared:
-            moves.append((p2[j], i, j + 1))
-        for (ev, ni, nj) in moves:
-            nxt = a.step1(state, ev)
-            if nxt is None:
-                return False
-            if (nxt, ni, nj) not in seen:
-                seen.add((nxt, ni, nj))
-                stack.append((nxt, ni, nj))
-    return True
-
-
-def _check_dc3(a, e1, e2, shared, n, budget):
-    """Bounded diagnostic for the interleaving condition on shared prefixes."""
-    checks = 0
-    exhaustive = True
-    per_state_strings = max(64, budget // (10 * max(1, len(a.states))))
-    for q in sorted(a.states):
-        strings, exhaustive_q = _strings_from(a, q, n, per_state_strings)
-        exhaustive = exhaustive and exhaustive_q
-        by_first_shared: dict = {}
-        for (s, _) in strings:
-            ps = _proj_string(s, shared)
-            if ps:
-                by_first_shared.setdefault(ps[0], []).append(s)
-        for ev, group in sorted(by_first_shared.items()):
-            for s in group:
-                for t in group:
-                    if s == t:
-                        continue
-                    checks += 1
-                    if checks > budget:
-                        return True, None, False
-                    if not _dc3_pair_ok(
-                        a, q, _proj_string(s, e1), _proj_string(t, e2), shared
-                    ):
-                        return False, (q, s, t), exhaustive
-    return True, None, exhaustive
 
 
 @dataclass(frozen=True)
@@ -401,8 +397,6 @@ def verify_decentralized(
     composition of the local closed loops is compared with the global spec
     automaton by bisimulation.  The intermediate check (global controller
     composed with the joint plant against the spec) is reported alongside.
-    The decomposability check samples no dc3 strings (bound 0): only its
-    verdict and its projections are used here.
     """
     e1 = ac.event_ids & ap1.event_ids
     e2 = ac.event_ids & ap2.event_ids
@@ -410,7 +404,7 @@ def verify_decentralized(
         raise CoverageError(
             "controller alphabet not covered by the plants' local event sets"
         )
-    report = check_decomposability(ac, e1, e2, n=0)
+    report = check_decomposability(ac, e1, e2)
     if not report:
         raise NotDecomposable("controller is not decomposable; see report diagnostics")
     local = parallel_compose(

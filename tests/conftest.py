@@ -124,6 +124,81 @@ def project_by_merging(a: Automaton, keep):
     )
 
 
+def dc3_pair_ok(a: Automaton, q, s: tuple, t: tuple, e1, e2) -> bool:
+    """Every node of the synchronized product of p1(s) and p2(t) is
+    generated from q.
+
+    Walks the product of prefix positions with the automaton state; shared
+    events advance both projections, private events one.  Fails as soon as
+    one interleaved prefix is undefined.
+    """
+    shared = frozenset(e1) & frozenset(e2)
+    p1 = tuple(ev for ev in s if ev in e1)
+    p2 = tuple(ev for ev in t if ev in e2)
+    seen = {(q, 0, 0)}
+    stack = [(q, 0, 0)]
+    while stack:
+        state, i, j = stack.pop()
+        moves = []
+        if i < len(p1):
+            if p1[i] in shared:
+                if j < len(p2) and p2[j] == p1[i]:
+                    moves.append((p1[i], i + 1, j + 1))
+            else:
+                moves.append((p1[i], i + 1, j))
+        if j < len(p2) and p2[j] not in shared:
+            moves.append((p2[j], i, j + 1))
+        for (ev, ni, nj) in moves:
+            nxt = a.step1(state, ev)
+            if nxt is None:
+                return False
+            if (nxt, ni, nj) not in seen:
+                seen.add((nxt, ni, nj))
+                stack.append((nxt, ni, nj))
+    return True
+
+
+def generated_strings(a: Automaton, q, n: int):
+    """Every string of length <= n generated from q, lexicographic."""
+    out = []
+    stack = [(q, ())]
+    while stack:
+        state, prefix = stack.pop()
+        out.append(prefix)
+        if len(prefix) < n:
+            for ev in reversed(a.enabled(state)):
+                stack.append((a.step1(state, ev), prefix + (ev,)))
+    return out
+
+
+def first_shared(s: tuple, shared):
+    return next((ev for ev in s if ev in shared), None)
+
+
+def dc3_by_sampling(a: Automaton, e1, e2, n: int):
+    """First (q, s, t) failing dc3 among strings of length <= n, or None.
+
+    The bounded reference for the exact dc3 search of a deterministic
+    automaton: at every reachable q, every pair s, t of generated strings
+    with the same first shared event (s = t included) is checked with
+    ``dc3_pair_ok``.
+    """
+    a = accessible(a)
+    shared = frozenset(e1) & frozenset(e2)
+    for q in sorted(a.states):
+        groups: dict = {}
+        for s in generated_strings(a, q, n):
+            first = first_shared(s, shared)
+            if first is not None:
+                groups.setdefault(first, []).append(s)
+        for (_, group) in sorted(groups.items()):
+            for s in group:
+                for t in group:
+                    if not dc3_pair_ok(a, q, s, t, e1, e2):
+                        return (q, s, t)
+    return None
+
+
 def check_bisim_relation(a1, a2, relation):
     """Transfer-condition validation of a claimed bisimulation."""
     pairs = relation.pairs

@@ -62,7 +62,6 @@ def test_criterion_1_collision_supervisor_decomposability(tmp_path):
         str(outdir / "ac.aut"),
         "--events1", f"@{outdir / 'ac1.aut'}",
         "--events2", f"@{outdir / 'ac2.aut'}",
-        "--bound", "3",
     )
     elapsed = time.monotonic() - started
     ok = (

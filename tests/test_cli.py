@@ -69,8 +69,7 @@ def test_check_decomposable_v_shape(tmp_path, capsys):
     v = make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")])
     path = tmp_path / "v.aut"
     exchange.write(v, path)
-    code = main(["check-decomposable", str(path), "--events1", "e1",
-                 "--events2", "e2", "--bound", "4"])
+    code = main(["check-decomposable", str(path), "--events1", "e1", "--events2", "e2"])
     assert code == 1
     out = capsys.readouterr().out
     assert "decomposable: False" in out
@@ -90,7 +89,6 @@ def test_build_models_and_decomposability_via_files(tmp_path, capsys):
         "check-decomposable", str(out / "ac.aut"),
         "--events1", f"@{out / 'ac1.aut'}",
         "--events2", f"@{out / 'ac2.aut'}",
-        "--bound", "3",
     ])
     assert code == 0
 
@@ -203,15 +201,17 @@ def test_build_models_outputs_match_golden_digests(tmp_path, capsys, partition):
     assert digests == GOLDEN_BUILD_MODELS[partition]
 
 
-def test_check_decomposable_negative_bound_exits_2(tmp_path, capsys):
+def test_check_decomposable_bound_option_exits_2(tmp_path, capsys):
+    # dc3 is decided exactly, so there is no string bound to set
     path = tmp_path / "v.aut"
     exchange.write(make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")]), path)
-    code = main(["check-decomposable", str(path), "--events1", "e1",
-                 "--events2", "e2", "--bound", "-1"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check-decomposable", str(path), "--events1", "e1",
+              "--events2", "e2", "--bound", "3"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "bound must be >= 0" in captured.err
+    assert "--bound" in captured.err
 
 
 @pytest.mark.parametrize(

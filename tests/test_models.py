@@ -155,9 +155,9 @@ def test_collision_spec_decomposable():
     spec = build_collision_spec(P)
     e1 = frozenset(agent_alphabet(1, P).all_ids)
     e2 = frozenset(agent_alphabet(2, P).all_ids)
-    report = check_decomposability(spec, e1, e2, n=3)
+    report = check_decomposability(spec, e1, e2)
     assert report.decomposable
-    assert report.dc1 and report.dc2 and report.dc4
+    assert report.dc1 and report.dc2 and report.dc3 and report.dc4
 
 
 def test_local_supervisors_recompose_to_global():

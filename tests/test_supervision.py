@@ -2,9 +2,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_language, make_auto, random_automaton
+from conftest import (
+    brute_language,
+    dc3_by_sampling,
+    dc3_pair_ok,
+    first_shared,
+    make_auto,
+    random_automaton,
+)
 
-import polaris.supervision
 from polaris.automata import (
     Automaton,
     accessible,
@@ -212,14 +218,14 @@ def test_decompose_coverage_error():
 
 def test_decomposability_trivial_when_all_shared():
     a = make_auto([("q0", "a", "q1"), ("q1", "b", "q0")], marked={"q0"})
-    report = check_decomposability(a, a.event_ids, a.event_ids, n=4)
+    report = check_decomposability(a, a.event_ids, a.event_ids)
     assert report.decomposable
     assert report.dc1 and report.dc2 and report.dc3 and report.dc4
 
 
 def test_v_shape_fails_dc1_and_oracle():
     a = make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")])
-    report = check_decomposability(a, {"e1"}, {"e2"}, n=4)
+    report = check_decomposability(a, {"e1"}, {"e2"})
     assert not report.dc1
     assert report.dc1_witness == ("q0", "e1", "e2")
     assert not report.decomposable
@@ -237,7 +243,7 @@ def test_dc2_failure_on_noncommuting_diamond():
         ],
         events={"x"},
     )
-    report = check_decomposability(a, {"e1", "x"}, {"e2", "x"}, n=4)
+    report = check_decomposability(a, {"e1", "x"}, {"e2", "x"})
     assert report.dc1
     assert not report.dc2
     assert not report.decomposable
@@ -260,7 +266,7 @@ def test_dc1_failure_implies_oracle_failure(rng):
         e1, e2 = set(ids[:half]), set(ids[half:])
         if not e2:
             continue
-        report = check_decomposability(a, e1, e2, n=4)
+        report = check_decomposability(a, e1, e2)
         if not report.dc1:
             seen_failures += 1
             assert not report.decomposable
@@ -274,7 +280,7 @@ def test_oracle_pass_implies_language_equality(rng):
         ids = sorted(a.event_ids)
         half = max(1, len(ids) // 2)
         e1, e2 = set(ids[:half]), set(ids[half:]) | {ids[0]}
-        report = check_decomposability(a, e1, e2, n=3)
+        report = check_decomposability(a, e1, e2)
         if report.decomposable:
             seen_passes += 1
             (p1, p2) = decompose(a, e1, e2)
@@ -348,7 +354,7 @@ def test_dc2_and_dc4_match_per_pair_oracles(rng):
             rng, max_states=5, max_events=4, min_events=2, deterministic=True, density=0.7
         )
         (e1, e2) = _random_cover(rng, a)
-        report = check_decomposability(a, e1, e2, n=2, dc3_budget=200)
+        report = check_decomposability(a, e1, e2)
         a = accessible(a)
         dc2_wit = _dc2_oracle(a, e1, e2)
         dc4_wit = _dc4_oracle(a, e1, e2)
@@ -359,6 +365,55 @@ def test_dc2_and_dc4_match_per_pair_oracles(rng):
     assert failures["dc2"] > 0 and failures["dc4"] > 0
 
 
+def _assert_dc3_witness(a, e1, e2, witness):
+    """s and t are generated from a reachable q, agree on their first
+    shared event and fail the pair check."""
+    (q, s, t) = witness
+    assert q in accessible(a).states
+    assert a.rerooted(q).generates(s) and a.rerooted(q).generates(t)
+    first = first_shared(s, e1 & e2)
+    assert first is not None and first == first_shared(t, e1 & e2)
+    assert not dc3_pair_ok(a, q, s, t, e1, e2)
+
+
+def test_dc3_fails_on_chain_whose_private_events_do_not_commute():
+    # y may only follow x, but the projections xa and ya let y go first;
+    # the only pair of strings with a shared event is s = t = xya
+    a = make_auto([("q0", "x", "q1"), ("q1", "y", "q2"), ("q2", "a", "q3")])
+    (e1, e2) = ({"x", "a"}, {"y", "a"})
+    report = check_decomposability(a, e1, e2)
+    assert report.dc1 and report.dc2 and report.dc4
+    assert not report.dc3
+    _assert_dc3_witness(a, e1, e2, report.dc3_witness)
+    assert not report.decomposable
+
+
+def _random_shared_cover(rng, a):
+    """Two event sets covering the alphabet with at least one shared event."""
+    ids = sorted(a.event_ids)
+    sides = [rng.choice((1, 2, 3)) for _ in ids]
+    if 3 not in sides:
+        sides[rng.randrange(len(ids))] = 3
+    return (
+        {ev for (ev, side) in zip(ids, sides) if side & 1},
+        {ev for (ev, side) in zip(ids, sides) if side & 2},
+    )
+
+
+def test_dc3_agrees_with_bounded_sampling(rng):
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        a = random_automaton(rng, max_states=4, max_events=3, min_events=2, deterministic=True)
+        (e1, e2) = _random_shared_cover(rng, a)
+        report = check_decomposability(a, e1, e2)
+        outcomes[report.dc3] += 1
+        if report.dc3:
+            assert dc3_by_sampling(a, e1, e2, 3) is None
+        else:
+            _assert_dc3_witness(a, e1, e2, report.dc3_witness)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_report_projections_equal_natural_project(rng):
     # the report projects the accessible part; unreachable states change
     # nothing in a projection, so verify_decentralized may compose these
@@ -366,7 +421,7 @@ def test_report_projections_equal_natural_project(rng):
     for _ in range(300):
         a = random_automaton(rng, max_states=5, max_events=4, min_events=2, deterministic=True)
         (e1, e2) = _random_cover(rng, a)
-        report = check_decomposability(a, e1, e2, n=0)
+        report = check_decomposability(a, e1, e2)
         assert report.local1 == natural_project(a, e1)
         assert report.local2 == natural_project(a, e2)
         trimmed += accessible(a).states != a.states
@@ -440,17 +495,12 @@ def test_unmarked_spec_detected():
     assert not verdict.satisfied
 
 
-def test_verify_decentralized_samples_no_dc3_strings(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("dc3 pair checked")
-
-    monkeypatch.setattr(polaris.supervision, "_dc3_pair_ok", forbidden)
+def test_verify_decentralized_on_built_models():
     models = build_models(PolarPartition(40.0, 3, 3))
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
     verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
     assert verdict.satisfied and verdict.centralized_matches
-    assert verdict.decomposability.dc3_bound == 0
 
 
 def test_undecomposable_controller_raises():
