@@ -1,9 +1,11 @@
 """Finite automata and the algebraic operations the toolkit builds on.
 
 Automata are immutable values: states are opaque strings, the alphabet is a
-set of :class:`Event` records, and transitions are stored in relation form
-(source, event id, target) so nondeterminism can be represented.  All
-operations are pure functions returning new automata.
+set of :class:`Event` records, and the transition relation is stored once,
+as a successor index (state -> event id -> set of targets) that also
+represents nondeterminism.  The sorted (source, event id, target) triples
+are derived from it on request, for the ``.aut`` writer.  All operations
+are pure functions returning new automata.
 """
 
 from __future__ import annotations
@@ -65,18 +67,20 @@ def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
 class Automaton:
     """A finite transition system with marked states.
 
-    The transition relation is a set of (source, event id, target) triples;
-    the deterministic case is exactly ``deterministic == True``.  Instances
-    are validated on construction and never mutated afterwards.
+    ``_succ`` is the only stored transition relation: state -> event id ->
+    nonempty frozenset of targets, equal sets shared as one object, so the
+    deterministic case is exactly ``deterministic == True``.  Equality
+    compares it too.  Instances are validated on construction and never
+    mutated afterwards.
     """
 
     states: frozenset
     initial: str
     alphabet: tuple
-    transitions: tuple
     marked: frozenset
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    _succ: dict = field(repr=False, hash=False)
+    _by_id: dict = field(repr=False, compare=False)
+    _event_ids: frozenset = field(repr=False, compare=False)
 
     @classmethod
     def build(
@@ -87,34 +91,22 @@ class Automaton:
         transitions: Iterable[tuple],
         marked: Iterable[str],
     ) -> "Automaton":
+        """Validate and index (source, event id, target) triples, in one pass."""
         states = frozenset(states)
         marked = frozenset(marked)
         alphabet = _merge_events([alphabet])
-        transitions = tuple(sorted(set(map(tuple, transitions))))
-        a = cls(states, initial, alphabet, transitions, marked)
-        a._validate()
-        a._index()
-        return a
-
-    def _validate(self):
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial!r} not in state set")
-        if not self.marked <= self.states:
+        if initial not in states:
+            raise ValueError(f"initial state {initial!r} not in state set")
+        if not marked <= states:
             raise ValueError("marked states must be a subset of the state set")
-        ids = {e.id for e in self.alphabet}
-        if len(ids) != len(self.alphabet):
-            raise ValueError("duplicate event id in alphabet")
-        for (src, ev, dst) in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition ({src},{ev},{dst}) has unknown endpoint")
-            if ev not in ids:
-                raise ValueError(f"transition event {ev!r} not in alphabet")
-
-    def _index(self):
+        by_id = {e.id: e for e in alphabet}
         succ: dict = {}
-        for (src, ev, dst) in self.transitions:
-            succ.setdefault(src, {}).setdefault(ev, set())
-            succ[src][ev].add(dst)
+        for (src, ev, dst) in transitions:
+            if src not in states or dst not in states:
+                raise ValueError(f"transition ({src},{ev},{dst}) has unknown endpoint")
+            if ev not in by_id:
+                raise ValueError(f"transition event {ev!r} not in alphabet")
+            succ.setdefault(src, {}).setdefault(ev, set()).add(dst)
         # one frozenset per distinct target set: most rows of a large alphabet
         # reach the same few targets, and every set is kept for the object's life
         shared: dict = {}
@@ -122,11 +114,17 @@ class Automaton:
             for ev, targets in row.items():
                 targets = frozenset(targets)
                 row[ev] = shared.setdefault(targets, targets)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.alphabet})
-        object.__setattr__(self, "_event_ids", frozenset(self._by_id))
+        return cls(states, initial, alphabet, marked, succ, by_id, frozenset(by_id))
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def transitions(self) -> tuple:
+        """The relation as sorted (source, event id, target) triples."""
+        return tuple(sorted(self._triples()))
+
+    def _triples(self):
+        return ((q, ev, d) for q, row in self._succ.items() for ev, ds in row.items() for d in ds)
 
     @property
     def event_ids(self) -> frozenset:
@@ -151,29 +149,24 @@ class Automaton:
 
     @property
     def deterministic(self) -> bool:
-        for trans in self._succ.values():
-            for dsts in trans.values():
-                if len(dsts) > 1:
-                    return False
-        return True
+        return all(len(dsts) == 1 for row in self._succ.values() for dsts in row.values())
+
+    def _reach(self, string: Sequence[str]) -> set:
+        """The states ``string`` leads to; empty iff it is not generated."""
+        current = {self.initial}
+        for ev in string:
+            current = {d for q in current for d in self.step(q, ev)}
+            if not current:
+                break
+        return current
 
     def accepts(self, string: Sequence[str]) -> bool:
         """Membership of ``string`` in the marked language."""
-        current = {self.initial}
-        for ev in string:
-            current = {d for q in current for d in self.step(q, ev)}
-            if not current:
-                return False
-        return bool(current & self.marked)
+        return bool(self._reach(string) & self.marked)
 
     def generates(self, string: Sequence[str]) -> bool:
         """Membership of ``string`` in the generated language."""
-        current = {self.initial}
-        for ev in string:
-            current = {d for q in current for d in self.step(q, ev)}
-            if not current:
-                return False
-        return True
+        return bool(self._reach(string))
 
     # -- simple rewrites --------------------------------------------------
 
@@ -183,14 +176,14 @@ class Automaton:
             {ren(q) for q in self.states},
             ren(self.initial),
             self.alphabet,
-            [(ren(s), e, ren(t)) for (s, e, t) in self.transitions],
+            [(ren(s), e, ren(t)) for (s, e, t) in self._triples()],
             {ren(q) for q in self.marked},
         )
 
     def rerooted(self, state: str) -> "Automaton":
         """The same automaton started from ``state`` (trimmed)."""
         return accessible(
-            Automaton.build(self.states, state, self.alphabet, self.transitions, self.marked)
+            Automaton.build(self.states, state, self.alphabet, self._triples(), self.marked)
         )
 
 
@@ -200,8 +193,8 @@ def accessible(a: Automaton) -> Automaton:
     frontier = [a.initial]
     while frontier:
         q = frontier.pop()
-        for ev in a.enabled(q):
-            for dst in a.step(q, ev):
+        for dsts in a._succ.get(q, {}).values():
+            for dst in dsts:
                 if dst not in reach:
                     reach.add(dst)
                     frontier.append(dst)
@@ -211,7 +204,7 @@ def accessible(a: Automaton) -> Automaton:
         reach,
         a.initial,
         a.alphabet,
-        [t for t in a.transitions if t[0] in reach and t[2] in reach],
+        [t for t in a._triples() if t[0] in reach],
         a.marked & reach,
     )
 
@@ -411,15 +404,15 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     """
     u1 = accessible(a1)
     u2 = accessible(a2)
-    tagged = [("1:" + q) for q in sorted(u1.states)] + [("2:" + q) for q in sorted(u2.states)]
-    succ: dict = {q: {} for q in tagged}
-    for (src, ev, dst) in u1.transitions:
-        succ["1:" + src].setdefault(ev, set()).add("1:" + dst)
-    for (src, ev, dst) in u2.transitions:
-        succ["2:" + src].setdefault(ev, set()).add("2:" + dst)
-    marked = {"1:" + q for q in u1.marked} | {"2:" + q for q in u2.marked}
+    succ: dict = {}
+    block_of: dict = {}
+    for tag, u in (("1:", u1), ("2:", u2)):
+        for q in u.states:
+            row = u._succ.get(q, {})
+            succ[tag + q] = {ev: [tag + d for d in dsts] for ev, dsts in row.items()}
+            block_of[tag + q] = q in u.marked
 
-    block_of = _refine({q: (q in marked) for q in tagged}, succ)
+    block_of = _refine(block_of, succ)
 
     if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
         return BisimResult(False, counterexample=(u1.initial, u2.initial))
@@ -453,15 +446,13 @@ def marked_language_upto(
     ids = sorted(a.event_ids)
     code = {ev: chr(33 + i) for i, ev in enumerate(ids)}
     decode = {c: ev for ev, c in code.items()}
-    succ_c: dict = {}
-    for (src, ev, dst) in a.transitions:
-        succ_c.setdefault(src, {}).setdefault(code[ev], []).append(dst)
+    succ_c = {q: {code[ev]: ds for ev, ds in row.items()} for q, row in a._succ.items()}
 
     out = []
     nodes = 1
     if a.deterministic:
         # each string reaches exactly one state: track it directly
-        det: dict = {q: tuple(sorted((c, ds[0]) for c, ds in m.items())) for q, m in succ_c.items()}
+        det: dict = {q: tuple(sorted((c, *ds) for c, ds in m.items())) for q, m in succ_c.items()}
         marked = a.marked
         level_d: dict = {"": a.initial}
         for length in range(n + 1):

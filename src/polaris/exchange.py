@@ -72,7 +72,7 @@ def dumps(a: Automaton) -> str:
             for e in sorted(owned, key=lambda e: e.id)
         ]
         lines.append("owners: " + " ".join(parts))
-    for (src, ev, dst) in sorted(a.transitions):
+    for (src, ev, dst) in a.transitions:
         lines.append(f"trans: {src} {ev} {dst}")
     return "\n".join(lines) + "\n"
 
@@ -101,12 +101,14 @@ def loads(text: str, path=None) -> Automaton:
             for tok in tokens:
                 if "=" not in tok:
                     raise ParseError(f"bad owners entry {tok!r}", path, lineno)
-                ev, _, tags = tok.partition("=")
+                ev, _, tag_text = tok.partition("=")
                 _check_token(ev, path, lineno)
-                try:
-                    owners[ev] = frozenset(int(t) for t in tags.split(","))
-                except ValueError:
-                    raise ParseError(f"bad owner tags {tok!r}", path, lineno) from None
+                if ev in owners:
+                    raise ParseError(f"owners given twice for {ev!r}", path, lineno)
+                tags = set(tag_text.split(","))
+                if not tags <= {"1", "2"}:
+                    raise ParseError(f"owner tags must be 1 or 2 in {tok!r}", path, lineno)
+                owners[ev] = frozenset(map(int, tags))
             continue
         if key == "states":
             _check_tokens(tokens, path, lineno)
@@ -115,6 +117,8 @@ def loads(text: str, path=None) -> Automaton:
             _check_tokens(tokens, path, lineno)
             if len(tokens) != 1:
                 raise ParseError("initial takes exactly one state", path, lineno)
+            if initial is not None:
+                raise ParseError("'initial:' given twice", path, lineno)
             initial = tokens[0]
         elif key == "marked":
             _check_tokens(tokens, path, lineno)
@@ -138,6 +142,9 @@ def loads(text: str, path=None) -> Automaton:
     overlap = set(controllable) & set(uncontrollable)
     if overlap:
         raise ParseError(f"events both controllable and uncontrollable: {sorted(overlap)}", path)
+    undeclared = set(owners).difference(controllable, uncontrollable)
+    if undeclared:
+        raise ParseError(f"owners given for undeclared events: {sorted(undeclared)}", path)
     alphabet = [
         Event(ev, True, owners.get(ev, frozenset())) for ev in dict.fromkeys(controllable)
     ] + [

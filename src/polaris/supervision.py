@@ -50,7 +50,7 @@ def is_nonblocking(a: Automaton) -> bool:
     """From every reachable state some marked state must stay reachable."""
     a = accessible(a)
     predecessors: dict = {q: set() for q in a.states}
-    for (src, _, dst) in a.transitions:
+    for (src, _, dst) in a._triples():
         predecessors[dst].add(src)
     can_mark = set(a.marked)
     frontier = list(a.marked)

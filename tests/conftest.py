@@ -33,7 +33,11 @@ def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, ev
     return Automaton.build(states, initial, evs.values(), trans, marked)
 
 
-def random_automaton(
+def random_automaton(rng: random.Random, **kwargs) -> Automaton:
+    return Automaton.build(*random_automaton_parts(rng, **kwargs))
+
+
+def random_automaton_parts(
     rng: random.Random,
     max_states=5,
     max_events=4,
@@ -42,6 +46,8 @@ def random_automaton(
     density=0.5,
     min_events=1,
 ):
+    """The arguments of ``Automaton.build`` for one random automaton:
+    (states, initial, events, transition triples, marked)."""
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(n)]
     m = rng.randint(min_events, max_events)
@@ -62,7 +68,7 @@ def random_automaton(
         marked = set(states)
     else:
         marked = {s for s in states if rng.random() < 0.5}
-    return Automaton.build(states, states[0], events, trans, marked)
+    return states, states[0], events, trans, marked
 
 
 def brute_language(a: Automaton, n: int, marked_only=True):

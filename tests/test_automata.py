@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -6,8 +8,10 @@ from conftest import (
     make_auto,
     project_by_merging,
     random_automaton,
+    random_automaton_parts,
 )
 
+from polaris import exchange
 from polaris.automata import (
     Automaton,
     Event,
@@ -27,6 +31,35 @@ def test_build_validates_endpoints():
         Automaton.build(["q0"], "missing", [Event("a", True)], [], [])
     with pytest.raises(ValueError):
         Automaton.build(["q0"], "q0", [Event("a", True)], [("q0", "b", "q0")], [])
+    with pytest.raises(ValueError):
+        Automaton.build(["q0"], "q0", [Event("a", True)], [], ["q0", "q1"])
+    # a repeated event id is merged before the relation is checked, so the
+    # alphabet never holds one id twice: equal controllability unites owners
+    merged = Automaton.build(
+        ["q0"], "q0", [Event("a", True, {1}), Event("a", True, {2})], [("q0", "a", "q0")], []
+    )
+    assert merged.alphabet == (Event("a", True, {1, 2}),)
+    # ... and conflicting controllability is refused
+    with pytest.raises(AlphabetConflict):
+        Automaton.build(["q0"], "q0", [Event("a", True), Event("a", False)], [], [])
+
+
+def test_index_round_trips_random_automata():
+    rng = random.Random(7001)
+    for i in range(600):
+        states, initial, events, trans, marked = random_automaton_parts(
+            rng, deterministic=i % 3 == 0
+        )
+        # repeat and shuffle the input: the index keeps each triple once
+        triples = trans + rng.sample(trans, len(trans) // 2)
+        rng.shuffle(triples)
+        a = Automaton.build(states, initial, events, triples, marked)
+        assert a.transitions == tuple(sorted(set(triples)))
+        assert exchange.loads(exchange.dumps(a)) == a
+        same = Automaton.build(reversed(states), initial, events, reversed(trans), marked)
+        assert same == a and hash(same) == hash(a)
+        if trans:
+            assert Automaton.build(states, initial, events, trans[1:], marked) != a
 
 
 def test_deterministic_flag():

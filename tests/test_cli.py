@@ -186,6 +186,17 @@ GOLDEN_BUILD_MODELS = {
         "af2.aut": "06003e4855bf1a3dc6fb7870da82ce58deeedd99e468a74bf8ee89fbdf9cb7d4",
         "report.txt": "f533bfea5100f8512309c977b368895cb138c2a3524f435fb2fd35fc758ee875",
     },
+    # the partition of the benchmark's synthesis workload
+    "50,9,13": {
+        "a1.aut": "d4bb0b01d498517f90faf53572259d8c53d2d13883b4a240e536f8ddaaa4dd30",
+        "a2.aut": "f1fc78289ea8cfdf774a5e28b18befba243d4bd69bfc9221c031b265b7916981",
+        "ac.aut": "b60636de54b8e08c2c277d269b580b34a7a94ae3da22d900f25acf135c9cae9a",
+        "ac1.aut": "a869a2acb8abe56cedbcfeeffd08f4f65f8c42c455d04bc685b345771b084a7c",
+        "ac2.aut": "2404c32f9b0e5cb3593b1c4e11b3d47fba72fdddefadedaa534731e9486c66f7",
+        "af1.aut": "07f59c6f8cf9abe37591bf48c99b99160eff66f46e10471016de3b9c18edf41d",
+        "af2.aut": "93b0f15907ddf1532ffbe7ab32fe74675836f653033daccad2931c209479874a",
+        "report.txt": "5ca15dc6edd5fd9882e17cdb5b88d7fd04737248b859017386c28987d57830fe",
+    },
 }
 
 

@@ -61,6 +61,10 @@ def test_owner_tags_round_trip():
         ("states: a\ninitial: a\ncontrollable: e\nuncontrollable: e\n", "both"),
         ("states: a\ninitial: a b\n", "exactly one"),
         ("states: a\ninitial: a\nowners: e\n", "owners"),
+        ("states: a\ninitial: a\ncontrollable: e\nowners: e=1 f=2\n", "undeclared events"),
+        ("states: a\ninitial: a\ncontrollable: e\nowners: e=1\nowners: e=2\n", "owners given twice"),
+        ("states: a\ninitial: a\ncontrollable: e\nowners: e=0,7\n", "must be 1 or 2"),
+        ("states: a b\ninitial: a\ninitial: b\n", "'initial:' given twice"),
     ],
 )
 def test_reader_errors(text, fragment):
