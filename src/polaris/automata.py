@@ -2,10 +2,14 @@
 
 Automata are immutable values: states are opaque strings, the alphabet is a
 set of :class:`Event` records, and the transition relation is stored once,
-as a successor index (state -> event id -> set of targets) that also
-represents nondeterminism.  The sorted (source, event id, target) triples
-are derived from it on request, for the ``.aut`` writer.  All operations
-are pure functions returning new automata.
+as a successor index keyed by event class (state -> class id -> set of
+targets) that also represents nondeterminism.  A class is a maximal set of
+events with one relation, controllability and owners; the models' alphabets
+grow with the partition but their class counts do not, so the operations
+below run over classes, or over the common refinement of several automata's
+classes, and never over single events.  The sorted (source, event id,
+target) triples are derived from the index on request, for the ``.aut``
+writer.  All operations are pure functions returning new automata.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ __all__ = [
     "is_bisimilar",
     "marked_language_upto",
 ]
+
+_NO_ROW: dict = {}
+_NO_TARGETS: frozenset = frozenset()
 
 
 @dataclass(frozen=True, order=True)
@@ -67,11 +74,15 @@ def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
 class Automaton:
     """A finite transition system with marked states.
 
-    ``_succ`` is the only stored transition relation: state -> event id ->
-    nonempty frozenset of targets, equal sets shared as one object, so the
-    deterministic case is exactly ``deterministic == True``.  Equality
-    compares it too.  Instances are validated on construction and never
-    mutated afterwards.
+    ``_succ`` is the only stored transition relation: state -> class id ->
+    nonempty frozenset of targets, equal sets shared as one object, rows
+    listing their classes in id order.  ``_members[c]`` holds the sorted
+    event ids of class ``c`` and ``_class_of`` maps each event id back to
+    its class.  Classes are maximal (events share one exactly when they
+    have the same relation, controllability and owners) and numbered in the
+    order of their smallest members, so equal automata have equal indexes
+    however they were built, and equality compares the index.  Instances
+    are validated on construction and never mutated afterwards.
     """
 
     states: frozenset
@@ -79,6 +90,8 @@ class Automaton:
     alphabet: tuple
     marked: frozenset
     _succ: dict = field(repr=False, hash=False)
+    _members: tuple = field(repr=False, hash=False)
+    _class_of: dict = field(repr=False, compare=False)
     _by_id: dict = field(repr=False, compare=False)
     _event_ids: frozenset = field(repr=False, compare=False)
 
@@ -91,7 +104,8 @@ class Automaton:
         transitions: Iterable[tuple],
         marked: Iterable[str],
     ) -> "Automaton":
-        """Validate and index (source, event id, target) triples, in one pass."""
+        """Validate (source, event id, target) triples and index them by
+        class, in one pass over the triples."""
         states = frozenset(states)
         marked = frozenset(marked)
         alphabet = _merge_events([alphabet])
@@ -99,32 +113,94 @@ class Automaton:
             raise ValueError(f"initial state {initial!r} not in state set")
         if not marked <= states:
             raise ValueError("marked states must be a subset of the state set")
-        by_id = {e.id: e for e in alphabet}
-        succ: dict = {}
+        relation = {e.id: set() for e in alphabet}
         for (src, ev, dst) in transitions:
             if src not in states or dst not in states:
                 raise ValueError(f"transition ({src},{ev},{dst}) has unknown endpoint")
-            if ev not in by_id:
+            pairs = relation.get(ev)
+            if pairs is None:
                 raise ValueError(f"transition event {ev!r} not in alphabet")
-            succ.setdefault(src, {}).setdefault(ev, set()).add(dst)
-        # one frozenset per distinct target set: most rows of a large alphabet
-        # reach the same few targets, and every set is kept for the object's life
+            pairs.add((src, dst))
+        members = {ev: (ev,) for ev in relation}
+        return cls._from_classes(states, initial, alphabet, members, relation, marked)
+
+    @classmethod
+    def _from_classes(
+        cls,
+        states: Iterable[str],
+        initial: str,
+        alphabet: tuple,
+        members: Mapping,
+        relation: Mapping,
+        marked: Iterable[str],
+    ) -> "Automaton":
+        """Index a relation given over groups of events, unvalidated.
+
+        ``alphabet`` is sorted by id; ``members`` maps each group key to its
+        sorted event ids, the groups partitioning the alphabet, and
+        ``relation`` maps a key to its (source, target) pairs (a key may be
+        missing when it has none).  The events of one group must agree on
+        controllability and owners.  Groups with one relation,
+        controllability and owners are merged into one class.
+        """
+        by_id = {e.id: e for e in alphabet}
+        grouped: dict = {}
+        for key, evs in members.items():
+            first = by_id[evs[0]]
+            pairs = frozenset(relation.get(key, ()))
+            grouped.setdefault((pairs, first.controllable, first.owners), []).append(evs)
+        classes = sorted(
+            (sorted(ev for evs in groups for ev in evs), pairs)
+            for ((pairs, _, _), groups) in grouped.items()
+        )
+        # one frozenset per distinct target set, shared by every row using it:
+        # a lone target takes its one-element set from ``ones``; a second
+        # target turns the entry into a mutable set, frozen and shared below
+        succ: dict = {}
+        ones: dict = {}
+        grown: list = []
+        for c, (_, pairs) in enumerate(classes):
+            for (src, dst) in pairs:
+                row = succ.get(src)
+                if row is None:
+                    row = succ[src] = {}
+                targets = row.get(c)
+                if targets is None:
+                    one = ones.get(dst)
+                    if one is None:
+                        one = ones[dst] = frozenset((dst,))
+                    row[c] = one
+                elif targets.__class__ is set:
+                    targets.add(dst)
+                else:
+                    row[c] = {*targets, dst}
+                    grown.append((row, c))
         shared: dict = {}
-        for row in succ.values():
-            for ev, targets in row.items():
-                targets = frozenset(targets)
-                row[ev] = shared.setdefault(targets, targets)
-        return cls(states, initial, alphabet, marked, succ, by_id, frozenset(by_id))
+        for (row, c) in grown:
+            targets = frozenset(row[c])
+            row[c] = shared.setdefault(targets, targets)
+        member_ids = tuple(tuple(evs) for (evs, _) in classes)
+        class_of = {ev: c for c, evs in enumerate(member_ids) for ev in evs}
+        return cls(
+            frozenset(states), initial, alphabet, frozenset(marked), succ, member_ids,
+            class_of, by_id, frozenset(by_id),
+        )
 
     # -- queries ---------------------------------------------------------
 
     @property
     def transitions(self) -> tuple:
         """The relation as sorted (source, event id, target) triples."""
-        return tuple(sorted(self._triples()))
-
-    def _triples(self):
-        return ((q, ev, d) for q, row in self._succ.items() for ev, ds in row.items() for d in ds)
+        members = self._members
+        return tuple(
+            sorted(
+                (q, ev, d)
+                for q, row in self._succ.items()
+                for c, ds in row.items()
+                for ev in members[c]
+                for d in ds
+            )
+        )
 
     @property
     def event_ids(self) -> frozenset:
@@ -135,10 +211,11 @@ class Automaton:
 
     def enabled(self, state: str) -> tuple:
         """Event ids with at least one transition from ``state``, sorted."""
-        return tuple(sorted(self._succ.get(state, {})))
+        members = self._members
+        return tuple(sorted(ev for c in self._succ.get(state, _NO_ROW) for ev in members[c]))
 
     def step(self, state: str, event_id: str) -> frozenset:
-        return self._succ.get(state, {}).get(event_id, frozenset())
+        return self._succ.get(state, _NO_ROW).get(self._class_of.get(event_id), _NO_TARGETS)
 
     def step1(self, state: str, event_id: str) -> Optional[str]:
         """Deterministic step; None when undefined."""
@@ -170,21 +247,30 @@ class Automaton:
 
     # -- simple rewrites --------------------------------------------------
 
-    def renamed(self, mapping: Mapping[str, str]) -> "Automaton":
-        ren = lambda q: mapping.get(q, q)
-        return Automaton.build(
-            {ren(q) for q in self.states},
-            ren(self.initial),
+    def _restricted(self, keep: Mapping[str, str]) -> "Automaton":
+        """The automaton on the states of ``keep``, each renamed to its
+        value; the initial state must be kept."""
+        relation: dict = {}
+        for q, row in self._succ.items():
+            src = keep.get(q)
+            if src is None:
+                continue
+            for c, ds in row.items():
+                pairs = relation.get(c)
+                if pairs is None:
+                    pairs = relation[c] = set()
+                pairs.update((src, keep[d]) for d in ds)
+        return Automaton._from_classes(
+            keep.values(),
+            keep[self.initial],
             self.alphabet,
-            [(ren(s), e, ren(t)) for (s, e, t) in self._triples()],
-            {ren(q) for q in self.marked},
+            dict(enumerate(self._members)),
+            relation,
+            {keep[q] for q in self.marked if q in keep},
         )
 
-    def rerooted(self, state: str) -> "Automaton":
-        """The same automaton started from ``state`` (trimmed)."""
-        return accessible(
-            Automaton.build(self.states, state, self.alphabet, self._triples(), self.marked)
-        )
+    def renamed(self, mapping: Mapping[str, str]) -> "Automaton":
+        return self._restricted({q: mapping.get(q, q) for q in self.states})
 
 
 def accessible(a: Automaton) -> Automaton:
@@ -193,20 +279,56 @@ def accessible(a: Automaton) -> Automaton:
     frontier = [a.initial]
     while frontier:
         q = frontier.pop()
-        for dsts in a._succ.get(q, {}).values():
+        for dsts in a._succ.get(q, _NO_ROW).values():
             for dst in dsts:
                 if dst not in reach:
                     reach.add(dst)
                     frontier.append(dst)
     if reach == a.states:
         return a
-    return Automaton.build(
-        reach,
-        a.initial,
-        a.alphabet,
-        [t for t in a._triples() if t[0] in reach],
-        a.marked & reach,
-    )
+    return a._restricted({q: q for q in reach})
+
+
+def _common_classes(events: Sequence[str], autos: Sequence[Automaton], split=()) -> dict:
+    """The common refinement of the automata's event classes.
+
+    Two of the sorted ``events`` share a block when every automaton of
+    ``autos`` puts them in one class (or has neither) and every set of
+    ``split`` holds both or neither.  Returns ``label -> events`` in label
+    order, a block's label being its smallest event, so an algorithm that
+    runs over labels in order meets each block where a scan of single
+    events in sorted order would first meet it.
+    """
+    columns = [[a._class_of.get(ev) for ev in events] for a in autos]
+    columns += [[ev in s for ev in events] for s in split]
+    blocks: dict = {}
+    for (ev, key) in zip(events, zip(*columns)):
+        evs = blocks.get(key)
+        if evs is None:
+            blocks[key] = [ev]
+        else:
+            evs.append(ev)
+    return {evs[0]: evs for evs in blocks.values()}
+
+
+def _label_rows(a: Automaton, labels: Iterable[str]) -> dict:
+    """``a``'s successor rows over the labels of a common refinement:
+    state -> label -> targets, for every state, rows in label order."""
+    on: dict = {}
+    for label in labels:
+        c = a._class_of.get(label)
+        if c is not None:
+            on.setdefault(c, []).append(label)
+    rows = {
+        q: {label: ds for c, ds in a._succ.get(q, _NO_ROW).items() for label in on[c]}
+        for q in a.states
+    }
+    # _succ rows list their classes in id order, so the rows above are in
+    # label order already when the labels taken class by class are sorted
+    by_class = [label for c in sorted(on) for label in on[c]]
+    if by_class != sorted(by_class):
+        rows = {q: dict(sorted(row.items())) for q, row in rows.items()}
+    return rows
 
 
 def product_state(q1: str, q2: str) -> str:
@@ -216,43 +338,48 @@ def product_state(q1: str, q2: str) -> str:
 def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
     """Synchronous composition: shared events synchronize, private events
     interleave.  The result is trimmed to its accessible part and product
-    states are canonically named ⟨q1,q2⟩."""
+    states are canonically named ⟨q1,q2⟩.  The product moves by label of
+    the two operands' common refinement, so a product class is a union of
+    pairs of operand classes."""
     alphabet = _merge_events([a1.alphabet, a2.alphabet])
+    labels = _common_classes([e.id for e in alphabet], (a1, a2))
+    rows1, rows2 = _label_rows(a1, labels), _label_rows(a2, labels)
     ids1, ids2 = a1.event_ids, a2.event_ids
-    shared = ids1 & ids2
+    shared = {label for label in labels if label in ids1 and label in ids2}
 
     init = (a1.initial, a2.initial)
-    seen = {init}
+    names = {init: product_state(*init)}
     frontier = [init]
-    transitions = []
+    relation: dict = {label: set() for label in labels}
     while frontier:
         (q1, q2) = frontier.pop()
-        src = product_state(q1, q2)
+        src = names[(q1, q2)]
+        row2 = rows2[q2]
         moves = []
-        for ev in a1.enabled(q1):
+        for (ev, ds1) in rows1[q1].items():
             if ev in shared:
-                for d1 in a1.step(q1, ev):
-                    for d2 in a2.step(q2, ev):
+                for d1 in ds1:
+                    for d2 in row2.get(ev, _NO_TARGETS):
                         moves.append((ev, d1, d2))
             else:
-                for d1 in a1.step(q1, ev):
+                for d1 in ds1:
                     moves.append((ev, d1, q2))
-        for ev in a2.enabled(q2):
+        for (ev, ds2) in row2.items():
             if ev not in shared:
-                for d2 in a2.step(q2, ev):
+                for d2 in ds2:
                     moves.append((ev, q1, d2))
         for (ev, d1, d2) in moves:
-            transitions.append((src, ev, product_state(d1, d2)))
-            if (d1, d2) not in seen:
-                seen.add((d1, d2))
+            dst = names.get((d1, d2))
+            if dst is None:
+                dst = names[(d1, d2)] = product_state(d1, d2)
                 frontier.append((d1, d2))
-    states = {product_state(q1, q2) for (q1, q2) in seen}
+            relation[ev].add((src, dst))
     marked = {
-        product_state(q1, q2)
-        for (q1, q2) in seen
-        if q1 in a1.marked and q2 in a2.marked
+        name for ((q1, q2), name) in names.items() if q1 in a1.marked and q2 in a2.marked
     }
-    return Automaton.build(states, product_state(*init), alphabet, transitions, marked)
+    return Automaton._from_classes(
+        names.values(), names[init], alphabet, labels, relation, marked
+    )
 
 
 # -- natural projection ---------------------------------------------------
@@ -261,13 +388,24 @@ def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
 def _projection_nfa(a: Automaton, keep: frozenset):
     """The automaton with events outside ``keep`` erased to silent moves.
 
-    Returns ``(trans, init)``: ``trans[q][ev]`` is the set of states reached
-    from ``q`` by hidden moves, then ``ev``, then hidden moves (only events
-    with a nonempty target set appear), and ``init`` is the hidden closure
-    of the initial state.  Each state's closure is computed once.
+    A class with an event outside ``keep`` moves silently; one with a kept
+    event is visible through its kept events.  Returns ``(trans, init,
+    visible)``: ``trans[q][c]`` is the set of states reached from ``q`` by
+    hidden moves, then class ``c``, then hidden moves (only classes with a
+    nonempty target set appear), ``init`` is the hidden closure of the
+    initial state and ``visible[c]`` lists the kept events of each visible
+    class, sorted.  Each state's closure is computed once.
     """
+    visible = {}
+    hidden = set()
+    for c, evs in enumerate(a._members):
+        kept = [ev for ev in evs if ev in keep]
+        if kept:
+            visible[c] = kept
+        if len(kept) < len(evs):
+            hidden.add(c)
     hidden_succ = {
-        q: {d for ev, dsts in a._succ.get(q, {}).items() if ev not in keep for d in dsts}
+        q: {d for c, dsts in a._succ.get(q, _NO_ROW).items() if c in hidden for d in dsts}
         for q in a.states
     }
     closure = {}
@@ -280,17 +418,29 @@ def _projection_nfa(a: Automaton, keep: frozenset):
                     seen.add(d)
                     work.append(d)
         closure[q] = frozenset(seen)
-    # rows share the closure sets; a union is built only where moves meet
+    # a row first collects the distinct states a visible class reaches, then
+    # takes the union of their closures once; a single state's row entry is
+    # its closure set itself
     trans = {}
     for q in a.states:
-        row: dict = {}
+        reached: dict = {}
         for p in closure[q]:
-            for ev, dsts in a._succ.get(p, {}).items():
-                if ev in keep:
-                    for d in dsts:
-                        row[ev] = row[ev] | closure[d] if ev in row else closure[d]
-        trans[q] = row
-    return trans, closure[a.initial]
+            for c, dsts in a._succ.get(p, _NO_ROW).items():
+                if c in visible:
+                    ds = reached.get(c)
+                    if ds is None:
+                        reached[c] = set(dsts)
+                    else:
+                        ds.update(dsts)
+        trans[q] = {
+            c: (
+                closure[next(iter(ds))]
+                if len(ds) == 1
+                else frozenset().union(*map(closure.get, ds))
+            )
+            for c, ds in reached.items()
+        }
+    return trans, closure[a.initial], visible
 
 
 def _determinize(trans: dict, roots: Iterable[frozenset]) -> dict:
@@ -331,16 +481,17 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
         raise ValueError(f"keep set contains unknown events: {sorted(unknown)}")
     kept_events = tuple(e for e in a.alphabet if e.id in keep)
 
-    trans, init = _projection_nfa(a, keep)
+    trans, init, visible = _projection_nfa(a, keep)
     dfa = _determinize(trans, [init])
     names = {subset: _subset_name(subset) for subset in dfa}
-    transitions = [
-        (names[subset], ev, names[dst])
-        for subset, row in dfa.items()
-        for ev, dst in row.items()
-    ]
+    relation: dict = {c: set() for c in visible}
+    for subset, row in dfa.items():
+        for c, dst in row.items():
+            relation[c].add((names[subset], names[dst]))
     marked = {name for subset, name in names.items() if subset & a.marked}
-    return Automaton.build(set(names.values()), names[init], kept_events, transitions, marked)
+    return Automaton._from_classes(
+        names.values(), names[init], kept_events, visible, relation, marked
+    )
 
 
 # -- bisimulation ----------------------------------------------------------
@@ -367,27 +518,25 @@ def _refine(block_of: dict, succ: dict) -> dict:
     """Coarsest stable refinement of an initial partition.
 
     ``block_of`` maps every state to its initial block and ``succ`` maps
-    every state to ``event -> successor states``.  Blocks are split on
-    (event, target-block) signatures until stable; the result maps each
-    state to a block id, two states sharing one iff they are bisimilar
-    under the initial partition.
+    every state to ``event -> successor states`` (an event may stand for a
+    class of events).  Blocks are split on (event, target-block) signatures
+    until stable; the result maps each state to a block id, two states
+    sharing one iff they are bisimilar under the initial partition.  Block
+    ids are numbered in order of first appearance: callers only compare
+    them.
     """
-    # block ids are renumbered by sorted signature for deterministic output
     while True:
-        sigs = {}
+        new_ids: dict = {}
+        new_block_of = {}
         for q in block_of:
             sig = (
                 block_of[q],
-                tuple(
-                    sorted(
-                        (ev, tuple(sorted({block_of[d] for d in dsts})))
-                        for ev, dsts in succ[q].items()
-                    )
+                frozenset(
+                    (ev, frozenset([block_of[d] for d in dsts]))
+                    for ev, dsts in succ[q].items()
                 ),
             )
-            sigs[q] = sig
-        new_ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values()), key=repr))}
-        new_block_of = {q: new_ids[sigs[q]] for q in block_of}
+            new_block_of[q] = new_ids.setdefault(sig, len(new_ids))
         if len(new_ids) == len(set(block_of.values())):
             return new_block_of
         block_of = new_block_of
@@ -397,18 +546,19 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     """Decide bisimilarity by partition refinement on the disjoint union.
 
     The initial partition separates marked from unmarked states, so a
-    positive verdict also preserves marked languages.  Events missing from
+    positive verdict also preserves marked languages.  Both automata move
+    by label of the common refinement of their classes; events missing from
     one alphabet simply never fire on that side.  On success the witness
     relation (restricted to reachable state pairs) is returned; on failure
     a distinguishing state pair is.
     """
     u1 = accessible(a1)
     u2 = accessible(a2)
+    labels = _common_classes(sorted(u1.event_ids | u2.event_ids), (u1, u2))
     succ: dict = {}
     block_of: dict = {}
     for tag, u in (("1:", u1), ("2:", u2)):
-        for q in u.states:
-            row = u._succ.get(q, {})
+        for q, row in _label_rows(u, labels).items():
             succ[tag + q] = {ev: [tag + d for d in dsts] for ev, dsts in row.items()}
             block_of[tag + q] = q in u.marked
 
@@ -416,11 +566,11 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
 
     if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
         return BisimResult(False, counterexample=(u1.initial, u2.initial))
+    in_block: dict = {}
+    for q2 in u2.states:
+        in_block.setdefault(block_of["2:" + q2], []).append(q2)
     pairs = frozenset(
-        (q1, q2)
-        for q1 in sorted(u1.states)
-        for q2 in sorted(u2.states)
-        if block_of["1:" + q1] == block_of["2:" + q2]
+        (q1, q2) for q1 in u1.states for q2 in in_block.get(block_of["1:" + q1], ())
     )
     return BisimResult(True, relation=BisimRelation(pairs))
 
@@ -446,7 +596,10 @@ def marked_language_upto(
     ids = sorted(a.event_ids)
     code = {ev: chr(33 + i) for i, ev in enumerate(ids)}
     decode = {c: ev for ev, c in code.items()}
-    succ_c = {q: {code[ev]: ds for ev, ds in row.items()} for q, row in a._succ.items()}
+    succ_c = {
+        q: {code[ev]: ds for c, ds in row.items() for ev in a._members[c]}
+        for q, row in a._succ.items()
+    }
 
     out = []
     nodes = 1

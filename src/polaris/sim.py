@@ -111,9 +111,9 @@ class Mission:
     ``slots`` lists the six supervisor automata as ``(k, role, automaton)``,
     agent 1's plant, formation and local supervisor before agent 2's; a
     reaction keeps their states in a list in the same order.  ``by_event``
-    maps each event id to the ``(slot, successor rows)`` of the automata
-    whose alphabet contains it.  Region cells and command choices are
-    filled on first use and reused by later steps.
+    maps each event id to the ``(slot, class id, successor rows)`` of the
+    automata whose alphabet contains it.  Region cells and command choices
+    are filled on first use and reused by later steps.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -127,7 +127,7 @@ class Mission:
         self.by_event: dict = {}
         for (slot, (_, _, auto)) in enumerate(self.slots):
             for ev in auto.event_ids:
-                self.by_event.setdefault(ev, []).append((slot, auto._succ))
+                self.by_event.setdefault(ev, []).append((slot, auto._class_of[ev], auto._succ))
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
         self._choices: dict = {}  # (k, six states) -> command or None
 
@@ -372,13 +372,13 @@ class _Automata:
     def enabled(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
         state = self.state
-        for (slot, succ) in self.by_event.get(event, ()):
-            if event not in succ.get(state[slot], _NO_MOVES):
+        for (slot, c, succ) in self.by_event.get(event, ()):
+            if c not in succ.get(state[slot], _NO_MOVES):
                 return False
         return True
 
     def feed(self, event: str) -> None:
-        for (slot, _) in self.by_event.get(event, ()):
+        for (slot, _, _) in self.by_event.get(event, ()):
             (k, role, auto) = self.slots[slot]
             dst = auto.step1(self.state[slot], event)
             if dst is None:

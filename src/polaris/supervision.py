@@ -16,7 +16,9 @@ from typing import Iterable, Optional
 from .automata import (
     Automaton,
     BisimResult,
+    _common_classes,
     _determinize,
+    _label_rows,
     _projection_nfa,
     _refine,
     accessible,
@@ -50,8 +52,10 @@ def is_nonblocking(a: Automaton) -> bool:
     """From every reachable state some marked state must stay reachable."""
     a = accessible(a)
     predecessors: dict = {q: set() for q in a.states}
-    for (src, _, dst) in a._triples():
-        predecessors[dst].add(src)
+    for (src, row) in a._succ.items():
+        for dsts in row.values():
+            for dst in dsts:
+                predecessors[dst].add(src)
     can_mark = set(a.marked)
     frontier = list(a.marked)
     while frontier:
@@ -82,7 +86,10 @@ def check_controllability(
     generated language) and the plant; fails iff some reachable pair enables
     an event of ``e_uc`` in the plant but not in the spec.  On failure the
     witness string s and event are returned, with s generated by the spec,
-    s+event generated by the plant but not by the spec.
+    s+event generated by the plant but not by the spec.  The search moves
+    by label of the common refinement of both automata's classes and
+    ``e_uc``, in label order, so each witness event is the smallest of the
+    first failing block, as a scan of single events in sorted order finds.
     """
     if spec.event_ids != plant.event_ids:
         raise AlphabetMismatch(
@@ -94,14 +101,16 @@ def check_controllability(
     if extra:
         raise AlphabetMismatch(f"uncontrollable events not in alphabet: {sorted(extra)}")
 
+    labels = _common_classes([e.id for e in plant.alphabet], (spec, plant), (e_uc,))
+    spec_rows, plant_rows = _label_rows(spec, labels), _label_rows(plant, labels)
     start = (spec.initial, plant.initial)
     parents: dict = {start: None}
     frontier = [start]
     while frontier:
         pair = frontier.pop(0)
         (qs, qp) = pair
-        spec_enabled = set(spec.enabled(qs))
-        for ev in plant.enabled(qp):
+        spec_enabled = spec_rows[qs]
+        for (ev, dps) in plant_rows[qp].items():
             if ev in e_uc and ev not in spec_enabled:
                 string = []
                 node = pair
@@ -112,8 +121,8 @@ def check_controllability(
                 return ControllabilityReport(False, tuple(string), ev)
             if ev not in spec_enabled:
                 continue
-            for ds in sorted(spec.step(qs, ev)):
-                for dp in sorted(plant.step(qp, ev)):
+            for ds in sorted(spec_enabled[ev]):
+                for dp in sorted(dps):
                     nxt = (ds, dp)
                     if nxt not in parents:
                         parents[nxt] = (pair, ev)
@@ -194,16 +203,17 @@ def _dc4_witness(a: Automaton, keep: frozenset) -> Optional[tuple]:
 
     Two successors of one projected step must generate the same projected
     language.  All singleton subsets are determinized together and refined
-    once from a single block, so equal blocks mean equal languages.
+    once from a single block, so equal blocks mean equal languages.  A
+    projected class is scanned as its smallest kept event.
     """
-    trans, _ = _projection_nfa(a, keep)
+    trans, _, visible = _projection_nfa(a, keep)
     dfa = _determinize(trans, [frozenset([q]) for q in a.states])
     block = _refine(
         dict.fromkeys(dfa, 0),
         {subset: {ev: (dst,) for ev, dst in row.items()} for subset, row in dfa.items()},
     )
     for q in sorted(a.states):
-        for ev, targets in sorted(trans[q].items()):
+        for ev, targets in sorted((visible[c][0], targets) for c, targets in trans[q].items()):
             for t1, t2 in combinations(sorted(targets), 2):
                 if block[frozenset([t1])] != block[frozenset([t2])]:
                     return (q, ev, t1, t2)
@@ -213,6 +223,8 @@ def _dc4_witness(a: Automaton, keep: frozenset) -> Optional[tuple]:
 def _dc3_witness(moves: dict, e1: frozenset, e2: frozenset) -> Optional[tuple]:
     """First (q, s, t) whose product of p1(s) and p2(t) leaves the automaton.
 
+    ``moves`` maps each state to ``label -> target`` (see
+    :func:`check_decomposability`), so s and t are spelled with labels.
     Searches the nodes (state after s, state after t, state after their
     interleaving, first shared event seen) breadth-first from every
     (q, q, q, unseen).  s may take an E2-private event alone and t an
@@ -329,8 +341,14 @@ def check_decomposability(
     priv1 = e1 - e2
     priv2 = e2 - e1
 
-    # a is deterministic: every enabled event has one target
-    moves = {q: {ev: a.step1(q, ev) for ev in a.enabled(q)} for q in a.states}
+    # the conditions run over labels: a label stands for the events of one
+    # class that agree on membership in e1 and in e2, and is the smallest
+    # of them; a is deterministic, so every enabled label has one target.
+    # The target is read through step1 rather than from the row only
+    # because test_tracing_patches_every_binding_and_restores_it in
+    # perfbench/tests expects this function to call Automaton.step
+    labels = _common_classes([e.id for e in a.alphabet], (a,), (e1, e2))
+    moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in _label_rows(a, labels).items()}
     # states are bisimilar iff they share a block of the refinement of a
     block = _refine(
         {q: q in a.marked for q in a.states},
@@ -341,7 +359,7 @@ def check_decomposability(
     dc2 = True
     dc2_wit = None
     for q in sorted(a.states):
-        # rows list their events in sorted order, so witnesses come out
+        # rows list their labels in sorted order, so witnesses come out
         # in (sorted q, sorted x, sorted y) order
         row = moves[q]
         ys = [(y, qy) for (y, qy) in row.items() if y in priv2]

@@ -77,6 +77,30 @@ def test_equal_target_sets_share_one_frozenset():
     assert a.step("q0", "a") == {"q1"}
     assert a.step("q0", "a") is a.step("q0", "b") is a.step("q1", "a")
     assert a.step("q1", "b") is a.step("q1", "c")
+    # sets of two or more targets are shared too
+    n = make_auto([("q0", "a", "q0"), ("q0", "a", "q1"), ("q1", "b", "q1"),
+                   ("q1", "b", "q0"), ("q1", "c", "q1")])
+    assert n.step("q0", "a") == {"q0", "q1"}
+    assert n.step("q0", "a") is n.step("q1", "b")
+    assert n.step("q1", "c") == {"q1"}
+
+
+def test_classes_are_maximal_and_canonical():
+    # a, b and z share relation, controllability and owners; y differs in
+    # owners, c in controllability, x in one transition; w never moves
+    trans = [("q0", ev, "q1") for ev in "abcxyz"] + [("q1", ev, "q0") for ev in "abcyz"]
+    events = [Event(ev, ev != "c", {2} if ev == "y" else ()) for ev in "abcwxyz"]
+    a = Automaton.build(["q0", "q1"], "q0", events, trans, ["q0"])
+    assert a._members == (("a", "b", "z"), ("c",), ("w",), ("x",), ("y",))
+    assert [a._class_of[ev] for ev in "abcwxyz"] == [0, 0, 1, 2, 3, 4, 0]
+    assert a.enabled("q1") == ("a", "b", "c", "y", "z")
+    # the same automaton reached through the algebra has the same index
+    twin = a.renamed({"q0": "p0", "q1": "p1"})
+    rebuilt = natural_project(parallel_compose(a, twin), a.event_ids)
+    assert accessible(rebuilt).renamed({"{⟨q0,p0⟩}": "q0", "{⟨q1,p1⟩}": "q1"}) == a
+    # rows list their classes in id order, which label-ordered scans rely on
+    for auto in (a, twin, rebuilt):
+        assert all(list(row) == sorted(row) for row in auto._succ.values())
 
 
 def test_accessible_identity_for_single_state():

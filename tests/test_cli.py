@@ -197,6 +197,16 @@ GOLDEN_BUILD_MODELS = {
         "af2.aut": "93b0f15907ddf1532ffbe7ab32fe74675836f653033daccad2931c209479874a",
         "report.txt": "5ca15dc6edd5fd9882e17cdb5b88d7fd04737248b859017386c28987d57830fe",
     },
+    "50,12,18": {
+        "a1.aut": "c7e30015b898a5175f5ddf604afcdc4b8f7027efc53822505d6a97628de28cc6",
+        "a2.aut": "95de181c1f646eef5633f6b2554c1aa6ae1d65592a9af3d93bba3f74af333663",
+        "ac.aut": "ec28ee200d7a3bb6c8fe91863f32e33beb76db05dbf24b0bef362da70da3f81f",
+        "ac1.aut": "e66049d9085d5bd33e017d57eb7e4f11e243000af6e0b4b7b3f7d0fce08c566e",
+        "ac2.aut": "85a2442ed066674efc41306d22aa9fb31bbcccccdfe6ec46ef7e8c97651c654d",
+        "af1.aut": "0aebdfcafe4745ab2c906501528a534fb63d2775f03a48bdbbe9e6856c132e6e",
+        "af2.aut": "deb642009d4f602cf7c714d1196975ffb72e3523ed9e6afd270886d1d91cf893",
+        "report.txt": "c9b910abd1fbad3fa820487970a8a1df234ea2fa87ac06259c4eeee72fa01783",
+    },
 }
 
 

@@ -247,6 +247,26 @@ def test_agent_loop_enables_at_most_one_actuation(n_r, n_theta):
         assert max(counts) == 1
 
 
+@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (9, 13), (24, 36)])
+def test_class_counts_do_not_grow_with_the_partition(n_r, n_theta):
+    models = build_models(PolarPartition(50.0, n_r, n_theta))
+    joint_plant = parallel_compose(models.plant1, models.plant2)
+    mission = modular_supervisor(
+        parallel_compose(models.formation1, models.formation2), models.collision, joint_plant
+    )
+    counts = {
+        name: len(auto._members)
+        for name, auto in [
+            ("plant", models.plant1), ("formation", models.formation1),
+            ("collision", models.collision), ("local", models.local1),
+            ("joint plant", joint_plant), ("mission", mission),
+        ]
+    }
+    assert counts == {
+        "plant": 5, "formation": 10, "collision": 16, "local": 11, "joint plant": 8, "mission": 18,
+    }
+
+
 def test_plant_is_fully_accessible():
     plant = build_plant(1, P)
     from polaris.automata import accessible

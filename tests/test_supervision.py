@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,14 @@ from conftest import (
     dc3_pair_ok,
     first_shared,
     make_auto,
+    per_event_bisim,
+    per_event_compose,
+    per_event_controllability,
+    per_event_decomposability,
+    per_event_project,
     random_automaton,
+    random_automaton_with_twins,
+    rerooted,
 )
 
 from polaris.automata import (
@@ -321,7 +329,7 @@ def _dc2_oracle(a, e1, e2):
                 (qxy, qyx) = (a.step1(qx, y), a.step1(qy, x))
                 if qxy is None or qyx is None:
                     continue
-                if not is_bisimilar(a.rerooted(qxy), a.rerooted(qyx)):
+                if not is_bisimilar(rerooted(a, qxy), rerooted(a, qyx)):
                     return (q, x, y)
     return None
 
@@ -332,7 +340,7 @@ def _dc4_oracle(a, e1, e2):
     for keep in (e1, e2):
 
         def generated(t):
-            r = a.rerooted(t)
+            r = rerooted(a, t)
             return natural_project(
                 Automaton.build(r.states, t, r.alphabet, r.transitions, r.states), keep
             )
@@ -370,7 +378,7 @@ def _assert_dc3_witness(a, e1, e2, witness):
     shared event and fail the pair check."""
     (q, s, t) = witness
     assert q in accessible(a).states
-    assert a.rerooted(q).generates(s) and a.rerooted(q).generates(t)
+    assert rerooted(a, q).generates(s) and rerooted(a, q).generates(t)
     first = first_shared(s, e1 & e2)
     assert first is not None and first == first_shared(t, e1 & e2)
     assert not dc3_pair_ok(a, q, s, t, e1, e2)
@@ -426,6 +434,55 @@ def test_report_projections_equal_natural_project(rng):
         assert report.local2 == natural_project(a, e2)
         trimmed += accessible(a).states != a.states
     assert trimmed > 0
+
+
+def test_class_algebra_matches_per_event_oracles():
+    # twins put several events in one class, so a class-level result must
+    # equal the per-event one, witnesses (smallest member first) included
+    rng = random.Random(8088)
+    seen = dict.fromkeys(
+        ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness"), 0
+    )
+    twin_ids = {f(ev) for ev in "abc" for f in (str.upper, lambda ev: ev + "2")}
+
+    def twins(witness):
+        flat = [x for part in witness or () for x in (part if isinstance(part, tuple) else [part])]
+        return not twin_ids.isdisjoint(flat)
+
+    for i in range(3000):
+        a = random_automaton_with_twins(
+            rng, max_states=4, max_events=3, min_events=2, deterministic=i % 3 != 0
+        )
+        b = random_automaton_with_twins(rng, max_states=3, max_events=3)
+        seen["merged"] += any(len(evs) > 1 for evs in a._members)
+
+        assert parallel_compose(a, b) == per_event_compose(a, b)
+        keep = rng.sample(sorted(a.event_ids), rng.randint(0, len(a.event_ids)))
+        assert natural_project(a, keep) == per_event_project(a, keep)
+        for other in (b, a.renamed({q: "r" + q for q in a.states}), per_event_compose(a, a)):
+            verdict = is_bisimilar(a, other)
+            assert verdict == per_event_bisim(a, other)
+            seen["bisimilar"] += verdict.bisimilar
+
+        spec = Automaton.build(
+            a.states, a.initial, a.alphabet,
+            [t for t in a.transitions if rng.random() < 0.7], a.states,
+        )
+        e_uc = {e.id for e in a.alphabet if not e.controllable}
+        report = check_controllability(spec, a, e_uc)
+        assert report == per_event_controllability(spec, a, e_uc)
+        seen["uncontrollable"] += not report
+
+        if a.deterministic:
+            (e1, e2) = (_random_shared_cover if i % 2 else _random_cover)(rng, a)
+            report = check_decomposability(a, e1, e2)
+            want = per_event_decomposability(a, e1, e2)
+            assert report == want
+            assert (report.local1, report.local2) == (want.local1, want.local2)
+            for dc in ("dc1", "dc2", "dc3", "dc4"):
+                seen[dc] += not getattr(report, dc)
+                seen["twin witness"] += twins(getattr(report, dc + "_witness"))
+    assert all(seen.values()), seen
 
 
 def test_natural_project_marked_language_is_projected_brute_language(rng):
