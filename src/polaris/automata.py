@@ -455,10 +455,12 @@ def _determinize(trans: dict, roots: Iterable[frozenset]) -> dict:
         subset = frontier.pop()
         if subset in dfa:
             continue
-        row: dict = {}
+        # collect each event's member target sets, then take one union
+        parts: dict = {}
         for q in subset:
             for ev, dsts in trans[q].items():
-                row[ev] = row[ev] | dsts if ev in row else dsts
+                parts.setdefault(ev, []).append(dsts)
+        row = {ev: ds[0] if len(ds) == 1 else frozenset().union(*ds) for ev, ds in parts.items()}
         dfa[subset] = row
         frontier.extend(t for t in row.values() if t not in dfa)
     return dfa

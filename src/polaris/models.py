@@ -53,18 +53,6 @@ class AgentAlphabet:
     detections: tuple  # ((i, j), id) pairs, row-major
     external: tuple
 
-    @classmethod
-    def create(cls, k: int, p: PolarPartition) -> "AgentAlphabet":
-        if k not in (1, 2):
-            raise ValueError("agent index must be 1 or 2")
-        commands = (f"Cr+{k}", f"Cr-{k}", f"Cth+{k}", f"Cth-{k}")
-        detections = tuple(
-            ((i, j), f"d_{i}_{j}_{k}")
-            for i in range(1, p.n_r)
-            for j in range(1, p.n_theta)
-        )
-        return cls(k, commands, f"C0_{k}", detections, EXTERNAL_EVENTS)
-
     @property
     def detection_ids(self) -> tuple:
         return tuple(ev for (_, ev) in self.detections)
@@ -119,7 +107,16 @@ class AgentAlphabet:
 
 
 def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
-    return AgentAlphabet.create(k, p)
+    """The events of agent k (1 or 2) over the partition."""
+    if k not in (1, 2):
+        raise ValueError("agent index must be 1 or 2")
+    commands = (f"Cr+{k}", f"Cr-{k}", f"Cth+{k}", f"Cth-{k}")
+    detections = tuple(
+        ((i, j), f"d_{i}_{j}_{k}")
+        for i in range(1, p.n_r)
+        for j in range(1, p.n_theta)
+    )
+    return AgentAlphabet(k, commands, f"C0_{k}", detections, EXTERNAL_EVENTS)
 
 
 def build_plant(k: int, p: PolarPartition) -> Automaton:

@@ -25,7 +25,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from . import kernels
 from .errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
@@ -47,6 +46,13 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_KAPPA = 0.5
+
+# how far outside its region, as a fraction of r_max, eval_control
+# accepts a point
+_POINT_TOL = 1e-6
+
+# samples per side of the lattice on which validate_controller checks a cell
+_GRID = 20
 
 
 @dataclass(frozen=True)
@@ -269,16 +275,14 @@ def eval_control(
     vc: VertexControls,
     x: float,
     y: float,
-    tol: Optional[float] = None,
 ):
     """Cartesian velocity of the interpolated field at a point of the region.
 
-    The point must lie in the region within ``tol`` (default 1e-6 * r_max);
-    the angular rate uses the radius clamped below at the partition's
-    r_eps, tapering the tangential term near the center.
+    The point must lie in the region within ``_POINT_TOL * r_max``; the
+    angular rate uses the radius clamped below at the partition's r_eps,
+    tapering the tangential term near the center.
     """
-    if tol is None:
-        tol = 1e-6 * p.r_max
+    tol = _POINT_TOL * p.r_max
     (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
     span = th_hi - th_lo
     r = math.hypot(x, y)
@@ -309,7 +313,7 @@ class ValidationResult:
 
 
 def validate_controller(
-    p: PolarPartition, idx: RegionIndex, vc: VertexControls, grid: int = 20
+    p: PolarPartition, idx: RegionIndex, vc: VertexControls
 ) -> ValidationResult:
     """Re-check the controller postconditions numerically.
 
@@ -317,8 +321,9 @@ def validate_controller(
     point strictly outward across its exit facet at every vertex and never
     outward across another facet at that facet's vertices; an invariant
     controller must point strictly inward at every facet vertex.  On a
-    grid x grid sample of the cell, boundary samples must not point outward
-    across any non-exit facet.  Returns the violated facet names.
+    ``_GRID`` x ``_GRID`` sample of the cell, boundary samples must not
+    point outward across any non-exit facet.  Returns the violated facet
+    names.
     """
     _check_index(p, idx)
     violations = []
@@ -345,10 +350,10 @@ def validate_controller(
     # sampled-grid check that no boundary point flows outward through a
     # non-exit facet
     tol = 1e-12
-    for a_idx in range(grid):
-        alpha = a_idx / (grid - 1)
-        for b_idx in range(grid):
-            beta = b_idx / (grid - 1)
+    for a_idx in range(_GRID):
+        alpha = a_idx / (_GRID - 1)
+        for b_idx in range(_GRID):
+            beta = b_idx / (_GRID - 1)
             (ur, ut) = interpolate_polar(vc, alpha, beta)
             on = []
             if alpha == 0.0 and "r-" in facets:

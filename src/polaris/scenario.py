@@ -186,6 +186,8 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         values[key] = (value, lineno)
     if not seen_any:
         raise ParseError("empty scenario file", path)
+    # an absent key keeps the dataclass default
+    base = ScenarioConfig()
 
     def take_float(key, default):
         if key not in values:
@@ -205,42 +207,48 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         except ValueError:
             raise ParseError(f"{key}: bad integer {value!r}", path, lineno) from None
 
+    def take_degrees(key, default):
+        """The key's value in radians; the default is in radians already."""
+        if key not in values:
+            return default
+        return math.radians(take_float(key, None))
+
     try:
         partition = PolarPartition(
-            take_float("partition.r_max", 50.0),
-            take_int("partition.n_r", 6),
-            take_int("partition.n_theta", 9),
+            take_float("partition.r_max", base.partition.r_max),
+            take_int("partition.n_r", base.partition.n_r),
+            take_int("partition.n_theta", base.partition.n_theta),
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
     followers = []
-    for idx in (1, 2):
-        pos = (0.0, 0.0)
+    for (idx, follower) in enumerate(base.followers, start=1):
+        pos = follower.initial_position
         key = f"follower{idx}.initial_position"
         if key in values:
             pos = _parse_pair(values[key][0], key, path, values[key][1])
-        offsets = ((0.0, 0.0, 0.0),)
+        offsets = follower.offsets
         key = f"follower{idx}.offsets"
         if key in values:
             offsets = _parse_schedule(values[key][0], key, path, values[key][1])
         followers.append(FollowerConfig(pos, offsets))
 
-    leader = ((0.0, 0.0, 0.0),)
+    leader = base.leader_velocity
     if "leader.velocity" in values:
         (value, lineno) = values["leader.velocity"]
         leader = _parse_schedule(value, "leader.velocity", path, lineno)
 
     cfg = ScenarioConfig(
         partition=partition,
-        dt=take_float("sim.dt", 0.02),
-        t_end=take_float("sim.t_end", 150.0),
-        u_max=take_float("sim.u_max", 5.0),
-        speed=take_float("sim.speed", 2.0),
-        kappa=take_float("sim.kappa", 0.5),
-        alarm_radius=take_float("avoid.alarm_radius", 8.0),
-        release_radius=take_float("avoid.release_radius", 12.0),
-        front_half_angle=math.radians(take_float("avoid.front_half_angle_deg", 60.0)),
+        dt=take_float("sim.dt", base.dt),
+        t_end=take_float("sim.t_end", base.t_end),
+        u_max=take_float("sim.u_max", base.u_max),
+        speed=take_float("sim.speed", base.speed),
+        kappa=take_float("sim.kappa", base.kappa),
+        alarm_radius=take_float("avoid.alarm_radius", base.alarm_radius),
+        release_radius=take_float("avoid.release_radius", base.release_radius),
+        front_half_angle=take_degrees("avoid.front_half_angle_deg", base.front_half_angle),
         leader_velocity=leader,
         followers=tuple(followers),
     )

@@ -77,30 +77,26 @@ class ControllabilityReport:
         return self.controllable
 
 
-def check_controllability(
-    spec: Automaton, plant: Automaton, e_uc: Iterable[str]
-) -> ControllabilityReport:
+def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityReport:
     """Check that the spec never disables an uncontrollable plant event.
 
+    The uncontrollable events are those the plant's alphabet marks so.
     Traverses the synchronous product of the spec (prefix-closed view: its
     generated language) and the plant; fails iff some reachable pair enables
-    an event of ``e_uc`` in the plant but not in the spec.  On failure the
+    an uncontrollable event in the plant but not in the spec.  On failure the
     witness string s and event are returned, with s generated by the spec,
     s+event generated by the plant but not by the spec.  The search moves
-    by label of the common refinement of both automata's classes and
-    ``e_uc``, in label order, so each witness event is the smallest of the
-    first failing block, as a scan of single events in sorted order finds.
+    by label of the common refinement of both automata's classes and the
+    uncontrollable events, in label order, so each witness event is the
+    smallest of the first failing block, as a scan of single events in
+    sorted order finds.
     """
     if spec.event_ids != plant.event_ids:
         raise AlphabetMismatch(
             "spec and plant must share an alphabet; "
             f"difference: {sorted(spec.event_ids ^ plant.event_ids)}"
         )
-    e_uc = frozenset(e_uc)
-    extra = e_uc - plant.event_ids
-    if extra:
-        raise AlphabetMismatch(f"uncontrollable events not in alphabet: {sorted(extra)}")
-
+    e_uc = frozenset(e.id for e in plant.alphabet if not e.controllable)
     labels = _common_classes([e.id for e in plant.alphabet], (spec, plant), (e_uc,))
     spec_rows, plant_rows = _label_rows(spec, labels), _label_rows(plant, labels)
     start = (spec.initial, plant.initial)
@@ -139,8 +135,7 @@ def closed_loop(s: Automaton, a: Automaton) -> Automaton:
     """
     if s.marked != s.states:
         raise ValueError("supervisor realization must have every state marked")
-    e_uc = {e.id for e in a.alphabet if not e.controllable}
-    report = check_controllability(s, a, e_uc)
+    report = check_controllability(s, a)
     if not report:
         raise NotControllable(
             f"spec disables uncontrollable {report.witness_event!r} after "
@@ -399,7 +394,6 @@ def check_decomposability(
 @dataclass(frozen=True)
 class DecentralizedVerdict:
     satisfied: bool
-    centralized_matches: bool
     decomposability: DecomposabilityReport
 
     def __bool__(self):
@@ -411,23 +405,20 @@ def verify_decentralized(
 ) -> DecentralizedVerdict:
     """Check that the locally supervised team meets the global spec.
 
-    The controller is projected onto each plant's local event set; the
-    composition of the local closed loops is compared with the global spec
-    automaton by bisimulation.  The intermediate check (global controller
-    composed with the joint plant against the spec) is reported alongside.
+    The controller is projected onto each plant's local event set (its
+    events shared with that plant); the composition of the local closed
+    loops is compared with the global spec automaton by bisimulation.  A
+    controller event in neither plant raises ``CoverageError``, and a
+    controller that is not decomposable over the two sets raises
+    ``NotDecomposable``.  The decomposability report, whose projections
+    were composed, is returned with the verdict.
     """
     e1 = ac.event_ids & ap1.event_ids
     e2 = ac.event_ids & ap2.event_ids
-    if e1 | e2 != ac.event_ids:
-        raise CoverageError(
-            "controller alphabet not covered by the plants' local event sets"
-        )
     report = check_decomposability(ac, e1, e2)
     if not report:
         raise NotDecomposable("controller is not decomposable; see report diagnostics")
     local = parallel_compose(
         parallel_compose(ap1, report.local1), parallel_compose(ap2, report.local2)
     )
-    satisfied = bool(is_bisimilar(local, a_spec))
-    central = bool(is_bisimilar(parallel_compose(ac, parallel_compose(ap1, ap2)), a_spec))
-    return DecentralizedVerdict(satisfied, central, report)
+    return DecentralizedVerdict(bool(is_bisimilar(local, a_spec)), report)

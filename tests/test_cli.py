@@ -93,23 +93,44 @@ def test_build_models_and_decomposability_via_files(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_theorem1_via_files(tmp_path, capsys):
+@pytest.fixture
+def theorem1_files(tmp_path, capsys):
+    """Models at 30,3,5, their joint plant and the spec ac || joint."""
     out = tmp_path / "models"
     assert main(["build-models", "--partition", "30,3,5", "-o", str(out)]) == 0
-    capsys.readouterr()
     joint = tmp_path / "joint.aut"
     assert main(["compose", str(out / "a1.aut"), str(out / "a2.aut"), "-o", str(joint)]) == 0
     spec = tmp_path / "spec.aut"
     assert main(["compose", str(out / "ac.aut"), str(joint), "-o", str(spec)]) == 0
-    code = main([
+    capsys.readouterr()
+    return out, joint, spec
+
+
+def _verify_theorem1(out, spec):
+    return main([
         "verify-theorem1",
         "--plant1", str(out / "a1.aut"),
         "--plant2", str(out / "a2.aut"),
         "--controller", str(out / "ac.aut"),
         "--spec", str(spec),
     ])
-    assert code == 0
-    assert "decentralized_matches_spec = True" in capsys.readouterr().out
+
+
+def test_verify_theorem1_via_files(theorem1_files, capsys):
+    (out, _, spec) = theorem1_files
+    assert _verify_theorem1(out, spec) == 0
+    assert capsys.readouterr().out == (
+        "centralized_matches_spec = True\ndecentralized_matches_spec = True\n"
+    )
+
+
+def test_verify_theorem1_rejects_a_wrong_spec(theorem1_files, capsys):
+    # the joint plant alone allows what the collision controller forbids
+    (out, joint, _) = theorem1_files
+    assert _verify_theorem1(out, joint) == 1
+    assert capsys.readouterr().out == (
+        "centralized_matches_spec = False\ndecentralized_matches_spec = False\n"
+    )
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):

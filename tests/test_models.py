@@ -101,8 +101,7 @@ def test_formation_spec_controllable():
     for k in (1, 2):
         plant = build_plant(k, P)
         spec = build_formation_spec(k, P)
-        e_uc = {e.id for e in plant.alphabet if not e.controllable}
-        assert check_controllability(spec, plant, e_uc).controllable
+        assert check_controllability(spec, plant).controllable
 
 
 def test_collision_spec_left_branch_walk():
@@ -147,8 +146,7 @@ def test_collision_spec_formation_reached_during_avoidance():
 def test_collision_spec_controllable_wrt_joint_plant():
     spec = build_collision_spec(P)
     joint = parallel_compose(build_plant(1, P), build_plant(2, P))
-    e_uc = {e.id for e in joint.alphabet if not e.controllable}
-    assert check_controllability(spec, joint, e_uc).controllable
+    assert check_controllability(spec, joint).controllable
 
 
 def test_collision_spec_decomposable():
@@ -223,7 +221,6 @@ def test_decentralized_pipeline_on_mission_models():
     spec = parallel_compose(models.collision, joint)
     verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
     assert verdict.satisfied
-    assert verdict.centralized_matches
 
 
 def test_agent_loop_contains_mission_strings():

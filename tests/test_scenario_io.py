@@ -1,9 +1,17 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from polaris.errors import ParseError, ValidationError
-from polaris.scenario import loads_scenario, parse_scenario, schedule_at
+from polaris.polar import PolarPartition
+from polaris.scenario import (
+    FollowerConfig,
+    ScenarioConfig,
+    loads_scenario,
+    parse_scenario,
+    schedule_at,
+)
 
 BUNDLED = "src/polaris/data/paper_phase12.cfg"
 
@@ -33,6 +41,23 @@ def test_defaults_applied():
     assert cfg.partition.n_r == 6
     assert cfg.alarm_radius == 8.0
     assert cfg.release_radius == 12.0
+
+
+@pytest.mark.parametrize(
+    ("line", "changed"),
+    [
+        ("sim.dt = 0.05", {"dt": 0.05}),
+        ("partition.n_r = 4", {"partition": PolarPartition(50.0, 4, 9)}),
+        ("avoid.front_half_angle_deg = 45", {"front_half_angle": math.radians(45.0)}),
+        ("leader.velocity = 0:1,2", {"leader_velocity": ((0.0, 1.0, 2.0),)}),
+        (
+            "follower2.initial_position = 3,4",
+            {"followers": (FollowerConfig(), FollowerConfig(initial_position=(3.0, 4.0)))},
+        ),
+    ],
+)
+def test_one_key_scenario_keeps_every_other_default(line, changed):
+    assert loads_scenario(line + "\n") == replace(ScenarioConfig(), **changed)
 
 
 def test_empty_file_is_parse_error():

@@ -52,13 +52,13 @@ from polaris.supervision import (
 
 def test_spec_equal_to_plant_is_controllable():
     plant = make_auto([("q0", "c", "q1"), ("q1", "d", "q0")], controllable={"c"})
-    assert check_controllability(plant, plant, {"d"}).controllable
+    assert check_controllability(plant, plant).controllable
 
 
 def test_uncontrollable_event_disabled_by_spec():
     plant = make_auto([("p0", "c", "p1"), ("p1", "d", "p0")], initial="p0", controllable={"c"})
     spec = make_auto([("s0", "c", "s1")], initial="s0", controllable={"c"}, events={"d"})
-    report = check_controllability(spec, plant, {"d"})
+    report = check_controllability(spec, plant)
     assert not report.controllable
     assert report.witness_string == ("c",)
     assert report.witness_event == "d"
@@ -72,7 +72,7 @@ def test_alphabet_mismatch_is_rejected():
     plant = make_auto([("p0", "c", "p0")], initial="p0", controllable={"c"})
     spec = make_auto([("s0", "x", "s0")], initial="s0", controllable={"x"})
     with pytest.raises(AlphabetMismatch):
-        check_controllability(spec, plant, set())
+        check_controllability(spec, plant)
 
 
 def test_controllability_agrees_with_definition(rng):
@@ -89,7 +89,7 @@ def test_controllability_agrees_with_definition(rng):
         if spec.event_ids != plant.event_ids:
             continue
         e_uc = {e.id for e in plant.alphabet if not e.controllable}
-        report = check_controllability(spec, plant, e_uc)
+        report = check_controllability(spec, plant)
         if report.controllable:
             for s in brute_language(spec, 6, marked_only=False):
                 for ev in sorted(e_uc):
@@ -469,7 +469,7 @@ def test_class_algebra_matches_per_event_oracles():
             [t for t in a.transitions if rng.random() < 0.7], a.states,
         )
         e_uc = {e.id for e in a.alphabet if not e.controllable}
-        report = check_controllability(spec, a, e_uc)
+        report = check_controllability(spec, a)
         assert report == per_event_controllability(spec, a, e_uc)
         seen["uncontrollable"] += not report
 
@@ -521,7 +521,7 @@ def test_neutral_controller_satisfies_joint_plant():
     ac = make_auto([("c0", "go", "c0")], initial="c0", controllable={"go"})
     spec = parallel_compose(ap1, ap2)
     verdict = verify_decentralized(ap1, ap2, ac, spec)
-    assert verdict.satisfied and verdict.centralized_matches
+    assert verdict.satisfied
 
 
 def test_restrictive_controller_with_matching_spec():
@@ -529,7 +529,7 @@ def test_restrictive_controller_with_matching_spec():
     ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
     spec = parallel_compose(ac, parallel_compose(ap1, ap2))
     verdict = verify_decentralized(ap1, ap2, ac, spec)
-    assert verdict.satisfied and verdict.centralized_matches
+    assert verdict.satisfied
 
 
 def test_wrong_spec_detected():
@@ -538,7 +538,6 @@ def test_wrong_spec_detected():
     wrong = parallel_compose(ap1, ap2)  # allows repeated go
     verdict = verify_decentralized(ap1, ap2, ac, wrong)
     assert not verdict.satisfied
-    assert not verdict.centralized_matches
 
 
 def test_unmarked_spec_detected():
@@ -557,7 +556,15 @@ def test_verify_decentralized_on_built_models():
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
     verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
-    assert verdict.satisfied and verdict.centralized_matches
+    assert verdict.satisfied
+
+
+def test_controller_event_in_neither_plant_raises():
+    (ap1, ap2) = _team()
+    ac = make_auto([("c0", "go", "c0"), ("c0", "z", "c0")],
+                   initial="c0", controllable={"go", "z"})
+    with pytest.raises(CoverageError, match="'z'"):
+        verify_decentralized(ap1, ap2, ac, parallel_compose(ap1, ap2))
 
 
 def test_undecomposable_controller_raises():
