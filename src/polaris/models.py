@@ -37,8 +37,9 @@ __all__ = [
     "build_models",
 ]
 
-EXTERNAL_EVENTS = ("Ca12F", "Ca12N", "Ca21F", "Ca21N", "Stop1", "Stop2", "R12", "R21")
 ALARM_EVENTS = ("Ca12F", "Ca12N", "Ca21F", "Ca21N")
+COORDINATION_COMMANDS = ("Stop1", "Stop2", "R12", "R21")
+EXTERNAL_EVENTS = ALARM_EVENTS + COORDINATION_COMMANDS
 RELEASE_OF_EPISODE = {1: "R21", 2: "R12"}  # episode k = agent k avoiding
 STOP_OF_EPISODE = {1: "Stop2", 2: "Stop1"}
 
@@ -76,7 +77,7 @@ class AgentAlphabet:
 
     @property
     def controllable_ids(self) -> tuple:
-        return self.actuation_ids + ("Stop1", "Stop2", "R12", "R21")
+        return self.actuation_ids + COORDINATION_COMMANDS
 
     @property
     def uncontrollable_ids(self) -> tuple:
@@ -93,7 +94,7 @@ class AgentAlphabet:
         evs.append(Event(self.hold, True, own))
         evs.extend(Event(d, False, own) for d in self.detection_ids)
         evs.extend(Event(e, False, both) for e in ALARM_EVENTS)
-        evs.extend(Event(e, True, both) for e in ("Stop1", "Stop2", "R12", "R21"))
+        evs.extend(Event(e, True, both) for e in COORDINATION_COMMANDS)
         return tuple(evs)
 
     def command_mode(self, command: str) -> Mode:
@@ -163,7 +164,7 @@ def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
         trans.append((moving, d, formed))
     trans.append((formed, al.hold, formed))
     for q in skeleton:
-        for ex in ("Stop1", "Stop2", "R12", "R21"):
+        for ex in COORDINATION_COMMANDS:
             trans.append((q, ex, q))
         trans.append((q, "Ca12F", f"{q}_ca12"))
         trans.append((q, "Ca12N", f"{q}_ca12"))

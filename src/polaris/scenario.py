@@ -9,7 +9,8 @@ separated, schedules are space-separated ``time:items`` entries, e.g.::
     follower1.initial_position = -29.9,9.1
     follower1.offsets = 0:12,10 50:-30,-10
 
-Unknown keys are rejected; all values have defaults except where noted.
+Unknown keys are rejected; every key is optional, and an absent one keeps
+the :class:`ScenarioConfig` default.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ class FollowerConfig:
     offsets: tuple = ((0.0, 0.0, 0.0),)  # (time, dx, dy), piecewise constant
 
 
+#: Float keys and the :class:`ScenarioConfig` field each sets, in the order
+#: in which ``validate`` checks them.  The file gives the front half-angle
+#: in degrees, the field holds radians.
+_FLOAT_KEYS = {
+    "sim.dt": "dt",
+    "sim.t_end": "t_end",
+    "sim.u_max": "u_max",
+    "sim.speed": "speed",
+    "sim.kappa": "kappa",
+    "avoid.alarm_radius": "alarm_radius",
+    "avoid.release_radius": "release_radius",
+    "avoid.front_half_angle_deg": "front_half_angle",
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     partition: PolarPartition = PolarPartition(50.0, 6, 9)
@@ -44,17 +60,8 @@ class ScenarioConfig:
     followers: tuple = (FollowerConfig(), FollowerConfig())
 
     def validate(self) -> "ScenarioConfig":
-        for (key, value) in (
-            ("sim.dt", self.dt),
-            ("sim.t_end", self.t_end),
-            ("sim.u_max", self.u_max),
-            ("sim.speed", self.speed),
-            ("sim.kappa", self.kappa),
-            ("avoid.alarm_radius", self.alarm_radius),
-            ("avoid.release_radius", self.release_radius),
-            ("avoid.front_half_angle_deg", self.front_half_angle),
-        ):
-            _check_finite(key, value)
+        for (key, name) in _FLOAT_KEYS.items():
+            _check_finite(key, getattr(self, name))
         if self.dt <= 0:
             raise ValidationError("sim.dt must be positive")
         if self.t_end < 0:
@@ -123,14 +130,7 @@ _KNOWN_KEYS = {
     "partition.r_max",
     "partition.n_r",
     "partition.n_theta",
-    "sim.dt",
-    "sim.t_end",
-    "sim.u_max",
-    "sim.speed",
-    "sim.kappa",
-    "avoid.alarm_radius",
-    "avoid.release_radius",
-    "avoid.front_half_angle_deg",
+    *_FLOAT_KEYS,
     "leader.velocity",
     "follower1.initial_position",
     "follower1.offsets",
@@ -207,12 +207,6 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         except ValueError:
             raise ParseError(f"{key}: bad integer {value!r}", path, lineno) from None
 
-    def take_degrees(key, default):
-        """The key's value in radians; the default is in radians already."""
-        if key not in values:
-            return default
-        return math.radians(take_float(key, None))
-
     try:
         partition = PolarPartition(
             take_float("partition.r_max", base.partition.r_max),
@@ -239,18 +233,13 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         (value, lineno) = values["leader.velocity"]
         leader = _parse_schedule(value, "leader.velocity", path, lineno)
 
+    floats = {
+        name: take_float(key, None) for (key, name) in _FLOAT_KEYS.items() if key in values
+    }
+    if "front_half_angle" in floats:
+        floats["front_half_angle"] = math.radians(floats["front_half_angle"])
     cfg = ScenarioConfig(
-        partition=partition,
-        dt=take_float("sim.dt", base.dt),
-        t_end=take_float("sim.t_end", base.t_end),
-        u_max=take_float("sim.u_max", base.u_max),
-        speed=take_float("sim.speed", base.speed),
-        kappa=take_float("sim.kappa", base.kappa),
-        alarm_radius=take_float("avoid.alarm_radius", base.alarm_radius),
-        release_radius=take_float("avoid.release_radius", base.release_radius),
-        front_half_angle=take_degrees("avoid.front_half_angle_deg", base.front_half_angle),
-        leader_velocity=leader,
-        followers=tuple(followers),
+        partition=partition, leader_velocity=leader, followers=tuple(followers), **floats
     )
     return cfg.validate()
 

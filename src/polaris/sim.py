@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional
 
 from . import kernels
@@ -29,7 +28,7 @@ from .models import (
     STOP_OF_EPISODE,
     build_models,
 )
-from .polar import Mode, RegionIndex, cached_controller, locate, region_bounds
+from .polar import PolarPartition, RegionIndex, cached_controller, locate, region_bounds
 from .scenario import ScenarioConfig, schedule_at
 
 __all__ = [
@@ -100,7 +99,6 @@ class WorldState:
 
 
 _ROLES = ("plant", "formation", "local")
-_READY = {1: "R1", 2: "R2"}  # plant state of agent k with no command in flight
 _NO_MOVES: dict = {}
 _UNSET = object()
 
@@ -108,6 +106,7 @@ _UNSET = object()
 class Mission:
     """Prebuilt models and per-step lookup tables for one scenario config.
 
+    ``cfg`` is that config; the step functions read their settings from it.
     ``slots`` lists the six supervisor automata as ``(k, role, automaton)``,
     agent 1's plant, formation and local supervisor before agent 2's; a
     reaction keeps their states in a list in the same order.  ``by_event``
@@ -134,13 +133,6 @@ class Mission:
     def alphabet(self, k: int):
         return self.models.alphabet(k)
 
-    def controller(self, region: RegionIndex, mode: Mode):
-        vc = cached_controller(
-            self.cfg.partition, region, mode, self.cfg.speed, self.cfg.kappa
-        )
-        self.used_controllers[(region.i, region.j, mode.value)] = vc
-        return vc
-
     def cell(self, k: int, region: RegionIndex, command: str) -> tuple:
         """``(r_lo, r_hi, th_lo, span, gains)`` of agent ``k``'s command in a
         region.
@@ -151,8 +143,11 @@ class Mission:
         key = (command, region.i, region.j)
         cell = self._cells.get(key)
         if cell is None:
-            vc = self.controller(region, self.alphabet(k).command_mode(command))
-            (r_lo, r_hi, th_lo, th_hi) = region_bounds(self.cfg.partition, region)
+            cfg = self.cfg
+            mode = self.alphabet(k).command_mode(command)
+            vc = cached_controller(cfg.partition, region, mode, cfg.speed, cfg.kappa)
+            self.used_controllers[(region.i, region.j, mode.value)] = vc
+            (r_lo, r_hi, th_lo, th_hi) = region_bounds(cfg.partition, region)
             cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat())
             self._cells[key] = cell
         return cell
@@ -190,43 +185,48 @@ class Mission:
         return "\n".join(lines) + "\n" if lines else ""
 
 
-@lru_cache(maxsize=4)
-def _mission(cfg: ScenarioConfig) -> Mission:
-    return Mission(cfg)
-
-
-def _check_horizon(cfg: ScenarioConfig, k: int, x: float, y: float) -> None:
+def _check_horizon(p: PolarPartition, k: int, x: float, y: float) -> None:
     r = math.hypot(x, y)
-    if r > cfg.partition.r_max:
+    if r > p.r_max:
         raise HorizonViolation(
-            f"follower {k} at relative radius {r:.3f} beyond horizon "
-            f"{cfg.partition.r_max:.3f}"
+            f"follower {k} at relative radius {r:.3f} beyond horizon {p.r_max:.3f}"
         )
 
 
-def _locate_or_raise(cfg: ScenarioConfig, k: int, x: float, y: float) -> RegionIndex:
-    _check_horizon(cfg, k, x, y)
-    return locate(cfg.partition, x, y)
+def _initial_discretes(follower_pos: tuple, offsets: tuple, mission: Mission) -> tuple:
+    """Both agents' discrete states at the start of a phase.
 
-
-def _initial_discretes(
-    follower_pos: tuple, offsets: tuple, cfg: ScenarioConfig, mission: Mission
-) -> tuple:
-    """Both agents' discrete states at the start of a phase."""
+    Both followers must be within the horizon (:class:`HorizonViolation`
+    otherwise) and then outside the innermost ring, because the reach
+    policy needs a start outside it (:class:`ValidationError` otherwise).
+    """
+    p = mission.cfg.partition
+    m = mission.models
     discretes = []
     for k in (1, 2):
         (px, py) = follower_pos[k - 1]
         (ox, oy) = offsets[k - 1]
-        region = _locate_or_raise(cfg, k, px - ox, py - oy)
-        m = mission.models
+        _check_horizon(p, k, px - ox, py - oy)
+        region = locate(p, px - ox, py - oy)
         discretes.append(
             AgentDiscrete(m.plant(k).initial, m.formation(k).initial, m.local(k).initial, region)
         )
+    for (k, disc) in enumerate(discretes, start=1):
+        if disc.region.i == 1:
+            raise ValidationError(
+                f"follower {k} starts inside the innermost ring; the reach "
+                "policy needs a start outside it"
+            )
     return tuple(discretes)
 
 
-def initial_world(cfg: ScenarioConfig, mission: Mission) -> WorldState:
-    """World at t = 0, before the first command selection."""
+def initial_world(mission: Mission) -> WorldState:
+    """World at t = 0, before the first command selection.
+
+    Raises :class:`HorizonViolation` or :class:`ValidationError` for a
+    follower that starts beyond the horizon or inside the innermost ring.
+    """
+    cfg = mission.cfg
     offsets = tuple(schedule_at(f.offsets, 0.0) for f in cfg.followers)
     follower_pos = tuple(f.initial_position for f in cfg.followers)
     return WorldState(
@@ -235,29 +235,32 @@ def initial_world(cfg: ScenarioConfig, mission: Mission) -> WorldState:
         leader_pos=(0.0, 0.0),
         follower_pos=follower_pos,
         offsets=offsets,
-        discrete=_initial_discretes(follower_pos, offsets, cfg, mission),
+        discrete=_initial_discretes(follower_pos, offsets, mission),
     )
 
 
-def _relative_velocity(world: WorldState, cfg: ScenarioConfig, mission: Mission, k: int):
+def _relative_velocity(world: WorldState, mission: Mission, k: int):
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
     (r_lo, r_hi, th_lo, span, gains) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative(k)
-    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, cfg.partition.r_eps, True)
+    return kernels.eval_cell(
+        r_lo, r_hi, th_lo, span, gains, x, y, mission.cfg.partition.r_eps, True
+    )
 
 
-def step(world: WorldState, cfg: ScenarioConfig, mission: Mission) -> WorldState:
+def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
     Stopped followers keep their relative position; every follower's total
     velocity (leader plus relative) is clamped to the velocity bound.
     """
+    cfg = mission.cfg
     (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
     new_followers = []
     for k in (1, 2):
-        (vx, vy) = _relative_velocity(world, cfg, mission, k)
+        (vx, vy) = _relative_velocity(world, mission, k)
         tvx = lvx + vx
         tvy = lvy + vy
         speed = math.hypot(tvx, tvy)
@@ -283,7 +286,7 @@ def step(world: WorldState, cfg: ScenarioConfig, mission: Mission) -> WorldState
     )
     for k in (1, 2):
         (rx, ry) = new.relative(k)
-        _check_horizon(cfg, k, rx, ry)
+        _check_horizon(cfg.partition, k, rx, ry)
     return new
 
 
@@ -302,14 +305,15 @@ def _wrap_angle(a: float) -> float:
     return a
 
 
-def _classify_alarm(world: WorldState, cfg: ScenarioConfig, mission: Mission, owner: int) -> str:
+def _classify_alarm(world: WorldState, mission: Mission, owner: int) -> str:
     """Front when the other agent's bearing is within the half-angle of the
     owner's commanded velocity direction; toward-goal fallback when the
     owner is holding or uncommanded."""
+    cfg = mission.cfg
     other = 2 if owner == 1 else 1
     (ox, oy) = world.follower_pos[owner - 1]
     (tx, ty) = world.follower_pos[other - 1]
-    (vx, vy) = _relative_velocity(world, cfg, mission, owner)
+    (vx, vy) = _relative_velocity(world, mission, owner)
     if math.hypot(vx, vy) < 1e-9:
         (rx, ry) = world.relative(owner)
         if math.hypot(rx, ry) < cfg.partition.r_eps:
@@ -322,18 +326,14 @@ def _classify_alarm(world: WorldState, cfg: ScenarioConfig, mission: Mission, ow
     return f"Ca{owner}{other}N"
 
 
-def detect_events(
-    world_prev: WorldState,
-    world_next: WorldState,
-    cfg: ScenarioConfig,
-    mission: Mission,
-):
+def detect_events(world_prev: WorldState, world_next: WorldState, mission: Mission):
     """Uncontrollable and internal events between two consecutive states.
 
     In priority order: region-crossing detections (agent 1 before agent 2),
     at most one new collision alarm, then the internal alarm-cleared signal
     once the separation exceeds the release radius during an episode.
     """
+    cfg = mission.cfg
     events = []
     for k in (1, 2):
         disc = world_prev.discrete[k - 1]
@@ -351,7 +351,7 @@ def detect_events(
                 owner = k
                 break
         if owner is not None:
-            events.append(("alarm", owner, _classify_alarm(world_next, cfg, mission, owner)))
+            events.append(("alarm", owner, _classify_alarm(world_next, mission, owner)))
     elif episode is not None and not episode.cleared and sep_next > cfg.release_radius:
         events.append(("cleared", episode.avoider, None))
     return events
@@ -391,17 +391,17 @@ class _Automata:
     def plant_state(self, k: int) -> str:
         return self.state[3 * (k - 1)]
 
+    def plant_ready(self, k: int) -> bool:
+        """Agent ``k``'s plant is in its initial state: no command in flight."""
+        slot = 3 * (k - 1)
+        return self.state[slot] == self.slots[slot][2].initial
+
     def discrete(self, k: int, region, command, stopped) -> AgentDiscrete:
         (plant, formation, local) = self.state[3 * (k - 1) : 3 * k]
         return AgentDiscrete(plant, formation, local, region, command, stopped)
 
 
-def supervisor_react(
-    world: WorldState,
-    events,
-    cfg: ScenarioConfig,
-    mission: Mission,
-):
+def supervisor_react(world: WorldState, events, mission: Mission):
     """Feed detected events through the supervisors and emit their reaction.
 
     Uncontrollable events advance the six automata; then, among enabled
@@ -412,6 +412,7 @@ def supervisor_react(
     Returns the new world state plus the event records of this reaction;
     when nothing changed, the world state passed in is returned.
     """
+    cfg = mission.cfg
     autos = _Automata(world, mission)
     records = []
     t = world.t
@@ -469,7 +470,7 @@ def supervisor_react(
     for k in (1, 2):
         if stopped[k - 1]:
             continue
-        if autos.plant_state(k) != _READY[k]:
+        if not autos.plant_ready(k):
             continue  # a command is in flight; wait for its detection
         desired = mission.choose_command(autos, k)
         if desired is None:
@@ -492,22 +493,11 @@ def supervisor_react(
     return replace(world, discrete=discretes, episode=episode), records
 
 
-def _apply_offset_switch(
-    world: WorldState, cfg: ScenarioConfig, mission: Mission
-) -> WorldState:
+def _apply_offset_switch(world: WorldState, mission: Mission) -> WorldState:
     """Re-center the relative frames and restart the discrete layer."""
-    offsets = tuple(schedule_at(f.offsets, world.t) for f in cfg.followers)
-    discretes = _initial_discretes(world.follower_pos, offsets, cfg, mission)
+    offsets = tuple(schedule_at(f.offsets, world.t) for f in mission.cfg.followers)
+    discretes = _initial_discretes(world.follower_pos, offsets, mission)
     return replace(world, offsets=offsets, discrete=discretes, episode=None)
-
-
-def _check_start_region(world: WorldState, cfg: ScenarioConfig) -> None:
-    for k in (1, 2):
-        if world.discrete[k - 1].region.i == 1:
-            raise ValidationError(
-                f"follower {k} starts inside the innermost ring; the reach "
-                "policy needs a start outside it"
-            )
 
 
 @dataclass
@@ -522,7 +512,6 @@ class _EpisodeLog:
 
 @dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     rows: list = field(default_factory=list)
     records: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
@@ -577,15 +566,18 @@ FAILURE_RECORDS = 10
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run the closed loop to t_end and summarize what happened.
 
-    A :class:`SupervisorBlocked` or :class:`HorizonViolation` raised during
-    the run carries ``world``, the last world state reached, and
-    ``recent``, the last :data:`FAILURE_RECORDS` event records.
+    A start or formation switch that puts a follower inside the innermost
+    ring raises :class:`ValidationError`; one that puts it beyond the
+    horizon raises :class:`HorizonViolation`, as does a step that leaves
+    the horizon.  A :class:`SupervisorBlocked` or
+    :class:`HorizonViolation` raised after the start carries ``world``, the
+    last world state reached, and ``recent``, the last
+    :data:`FAILURE_RECORDS` event records.
     """
     cfg.validate()
-    mission = _mission(cfg)
-    world = initial_world(cfg, mission)
-    _check_start_region(world, cfg)
-    result = ScenarioResult(cfg)
+    mission = Mission(cfg)
+    world = initial_world(mission)
+    result = ScenarioResult()
 
     switch_times = list(cfg.switch_times())
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -599,28 +591,27 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     }
 
     try:
-        world, records = supervisor_react(world, [], cfg, mission)
+        world, records = supervisor_react(world, [], mission)
         result.records.extend(records)
         result.rows.append(_row(world))
 
         for _ in range(n_steps):
             if switch_times and world.t >= switch_times[0]:
                 switch_times.pop(0)
-                world = _apply_offset_switch(world, cfg, mission)
-                _check_start_region(world, cfg)
+                world = _apply_offset_switch(world, mission)
                 phase += 1
                 for k in (1, 2):
                     t_reach[k].append(None)
                 result.records.append(
                     EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
                 )
-                world, records = supervisor_react(world, [], cfg, mission)
+                world, records = supervisor_react(world, [], mission)
                 result.records.extend(records)
 
             prev = world
-            world = step(prev, cfg, mission)
-            events = detect_events(prev, world, cfg, mission)
-            world, records = supervisor_react(world, events, cfg, mission)
+            world = step(prev, mission)
+            events = detect_events(prev, world, mission)
+            world, records = supervisor_react(world, events, mission)
             result.records.extend(records)
             result.rows.append(_row(world))
 
@@ -635,11 +626,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                         t_reach[k][phase] = rec.t
                 if rec.event in ALARM_EVENTS:
                     episodes.append(_EpisodeLog(rec.event, rec.t))
-                elif rec.event in ("Stop1", "Stop2") and episodes:
+                elif rec.event in STOP_OF_EPISODE.values() and episodes:
                     if episodes[-1].stop is None:
                         episodes[-1].stop = rec.event
                         episodes[-1].t_stop = rec.t
-                elif rec.event in ("R12", "R21") and episodes:
+                elif rec.event in RELEASE_OF_EPISODE.values() and episodes:
                     if episodes[-1].release is None:
                         episodes[-1].release = rec.event
                         episodes[-1].t_release = rec.t

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import CROSSING_CFG, scan_command_choice
 
+from polaris import sim
+from polaris.cli import main
 from polaris.errors import HorizonViolation, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
 from polaris.scenario import FollowerConfig, ScenarioConfig, loads_scenario, parse_scenario
@@ -13,7 +15,6 @@ from polaris.sim import (
     EventRecord,
     Episode,
     Mission,
-    _mission,
     detect_events,
     initial_world,
     run_scenario,
@@ -43,8 +44,8 @@ def small_cfg(**overrides):
 
 def started_world(cfg):
     mission = Mission(cfg)
-    world = initial_world(cfg, mission)
-    world, _ = supervisor_react(world, [], cfg, mission)
+    world = initial_world(mission)
+    world, _ = supervisor_react(world, [], mission)
     return world, mission
 
 
@@ -63,7 +64,7 @@ def test_stopped_follower_holds_relative_position_under_moving_leader():
         world,
         discrete=(replace(world.discrete[0], stopped=True), world.discrete[1]),
     )
-    after = step(stopped, cfg, mission)
+    after = step(stopped, mission)
     assert after.relative(1) == stopped.relative(1)
     assert after.follower_pos[0] == stopped.follower_pos[0]
     # the absolute position tracks the leader
@@ -82,7 +83,7 @@ def test_stopped_follower_holds_relative_position_under_moving_leader():
 def test_euler_step_bound():
     cfg = small_cfg(leader_velocity=((0.0, 2.0, -1.0),))
     world, mission = started_world(cfg)
-    after = step(world, cfg, mission)
+    after = step(world, mission)
     for k in (1, 2):
         (x0, y0) = world.follower_pos[k - 1]
         (x1, y1) = after.follower_pos[k - 1]
@@ -105,7 +106,7 @@ def test_invariant_hold_for_ten_thousand_steps():
         ),
     )
     for _ in range(10_000):
-        held = step(held, cfg, mission)
+        held = step(held, mission)
     (rx, ry) = held.relative(1)
     assert locate(cfg.partition, rx, ry) == region
 
@@ -113,8 +114,8 @@ def test_invariant_hold_for_ten_thousand_steps():
 def test_detect_no_events_on_quiet_step():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    after = step(world, cfg, mission)
-    assert detect_events(world, after, cfg, mission) == []
+    after = step(world, mission)
+    assert detect_events(world, after, mission) == []
 
 
 def test_detect_region_crossing_emits_detection():
@@ -124,7 +125,7 @@ def test_detect_region_crossing_emits_detection():
         world,
         follower_pos=((15.0, 10.0), world.follower_pos[1]),  # rel (5, 0): ring 1
     )
-    events = detect_events(world, moved, cfg, mission)
+    events = detect_events(world, moved, mission)
     assert events == [("detection", 1, RegionIndex(1, 1))]
 
 
@@ -141,12 +142,12 @@ def test_detect_alarm_front_vs_not_front():
         world,
         follower_pos=((30.0, 10.0), (22.5, 10.0)),
     )
-    events = detect_events(prev, nxt, cfg, mission)
+    events = detect_events(prev, nxt, mission)
     assert events[-1] == ("alarm", 1, "Ca12F")
     # off to the side instead: bearing ~65 degrees off the heading
     prev = replace(world, follower_pos=((30.0, 10.0), (25.5, 1.5)))
     nxt = replace(world, follower_pos=((30.0, 10.0), (27.0, 3.5)))
-    events = detect_events(prev, nxt, cfg, mission)
+    events = detect_events(prev, nxt, mission)
     assert events[-1] == ("alarm", 1, "Ca12N")
 
 
@@ -159,7 +160,7 @@ def test_detect_second_agent_alarm_when_first_unavailable():
         discrete=(replace(world.discrete[0], stopped=True), world.discrete[1]),
     )
     nxt = replace(prev, follower_pos=((30.0, 10.0), (22.5, 10.0)))
-    events = detect_events(prev, nxt, cfg, mission)
+    events = detect_events(prev, nxt, mission)
     assert events[-1][0] == "alarm" and events[-1][1] == 2
     assert events[-1][2].startswith("Ca21")
 
@@ -170,7 +171,7 @@ def test_detect_cleared_after_release_radius():
     episode = Episode("Ca12F", 1, 1.0)
     prev = replace(world, follower_pos=((30.0, 10.0), (25.0, 10.0)), episode=episode)
     nxt = replace(prev, follower_pos=((30.0, 10.0), (17.0, 10.0)))
-    events = detect_events(prev, nxt, cfg, mission)
+    events = detect_events(prev, nxt, mission)
     assert events[-1] == ("cleared", 1, None)
 
 
@@ -178,7 +179,7 @@ def test_supervisor_reacts_to_first_circle_detection_with_hold():
     cfg = small_cfg()
     world, mission = started_world(cfg)
     events = [("detection", 1, RegionIndex(1, 1))]
-    after, records = supervisor_react(world, events, cfg, mission)
+    after, records = supervisor_react(world, events, mission)
     assert after.discrete[0].command == "C0_1"
     assert [r.event for r in records] == ["d_1_1_1", "C0_1"]
 
@@ -189,7 +190,7 @@ def test_supervisor_reacts_to_alarm_with_stop_then_turn():
     # region crossing and alarm in the same step: the finished transit lets
     # the turn be commanded immediately after the stop
     events = [("detection", 1, RegionIndex(2, 1)), ("alarm", 1, "Ca12F")]
-    after, records = supervisor_react(world, events, cfg, mission)
+    after, records = supervisor_react(world, events, mission)
     names = [r.event for r in records]
     assert names[:3] == ["d_2_1_1", "Ca12F", "Stop2"]
     assert "Cth+1" in names
@@ -201,29 +202,25 @@ def test_supervisor_reacts_to_alarm_with_stop_then_turn():
 def test_alarm_mid_flight_defers_turn_to_next_detection():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    world, _ = supervisor_react(world, [("detection", 1, RegionIndex(2, 1))], cfg, mission)
+    world, _ = supervisor_react(world, [("detection", 1, RegionIndex(2, 1))], mission)
     # the re-armed inward command is in flight: only the stop goes out now
-    after, records = supervisor_react(world, [("alarm", 1, "Ca12F")], cfg, mission)
+    after, records = supervisor_react(world, [("alarm", 1, "Ca12F")], mission)
     assert [r.event for r in records] == ["Ca12F", "Stop2"]
     assert after.discrete[0].command == "Cr-1"
     # the next boundary crossing hands control to the turn
-    deferred, records = supervisor_react(
-        after, [("detection", 1, RegionIndex(2, 2))], cfg, mission
-    )
+    deferred, records = supervisor_react(after, [("detection", 1, RegionIndex(2, 2))], mission)
     assert [r.event for r in records] == ["d_2_2_1", "Cth+1"]
     # a first-circle crossing parks the agent in formation instead
-    parked, records = supervisor_react(
-        after, [("detection", 1, RegionIndex(1, 1))], cfg, mission
-    )
+    parked, records = supervisor_react(after, [("detection", 1, RegionIndex(1, 1))], mission)
     assert [r.event for r in records] == ["d_1_1_1", "C0_1"]
 
 
 def test_release_resumes_both_agents():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    world, _ = supervisor_react(world, [("detection", 1, RegionIndex(2, 1))], cfg, mission)
-    world, _ = supervisor_react(world, [("alarm", 1, "Ca12F")], cfg, mission)
-    world, records = supervisor_react(world, [("cleared", 1, None)], cfg, mission)
+    world, _ = supervisor_react(world, [("detection", 1, RegionIndex(2, 1))], mission)
+    world, _ = supervisor_react(world, [("alarm", 1, "Ca12F")], mission)
+    world, records = supervisor_react(world, [("cleared", 1, None)], mission)
     names = [r.event for r in records]
     assert "alarm_cleared" in names and "R21" in names
     assert world.episode is None
@@ -235,10 +232,10 @@ def test_release_reissues_command_consumed_by_stop_step_detection():
     world, mission = started_world(cfg)
     # agent 2's detection ends its command in the step that stops it
     events = [("detection", 2, RegionIndex(2, 4)), ("alarm", 1, "Ca12F")]
-    world, records = supervisor_react(world, events, cfg, mission)
+    world, records = supervisor_react(world, events, mission)
     assert [r.event for r in records] == ["d_2_4_2", "Ca12F", "Stop2"]
     assert world.discrete[1].plant == "R2"
-    world, records = supervisor_react(world, [("cleared", 1, None)], cfg, mission)
+    world, records = supervisor_react(world, [("cleared", 1, None)], mission)
     assert [r.event for r in records] == ["alarm_cleared", "R21", "Cr-2"]
     assert world.discrete[1].plant != "R2"
 
@@ -261,6 +258,40 @@ def test_start_inside_first_ring_rejected():
         )
     )
     with pytest.raises(ValidationError):
+        run_scenario(cfg)
+
+
+def test_switch_into_first_ring_rejected(tmp_path, capsys):
+    # the switch at t = 1 moves follower 1's desired offset onto the spot
+    # it has moved at most 2 m away from, well inside the 10 m first ring
+    text = """\
+partition.r_max = 40
+partition.n_r = 5
+partition.n_theta = 9
+sim.t_end = 2
+follower1.initial_position = 30,10
+follower1.offsets = 0:10,10 1:30,10
+follower2.initial_position = -30,-10
+follower2.offsets = 0:-10,-10
+"""
+    with pytest.raises(ValidationError, match="follower 1 starts inside the innermost ring"):
+        run_scenario(loads_scenario(text))
+    scenario = tmp_path / "switch.cfg"
+    scenario.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    assert "innermost ring" in capsys.readouterr().err
+
+
+def test_start_beyond_horizon_wins_over_start_in_first_ring():
+    # follower 1 starts in ring 1 and follower 2 beyond the 40 m horizon:
+    # both agents' horizons are checked before either's ring
+    cfg = small_cfg(
+        followers=(
+            FollowerConfig((12.0, 10.0), ((0.0, 10.0, 10.0),)),
+            FollowerConfig((-30.0, -10.0), ((0.0, 30.0, -10.0),)),
+        )
+    )
+    with pytest.raises(HorizonViolation, match="follower 2"):
         run_scenario(cfg)
 
 
@@ -308,13 +339,20 @@ def test_failure_context_keeps_the_last_records():
 
 
 @pytest.mark.parametrize("source", ["bundled", "crossing"])
-def test_memoized_command_choice_matches_uncached_scan(source):
+def test_memoized_command_choice_matches_uncached_scan(source, monkeypatch):
     if source == "bundled":
         cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
     else:
         cfg = loads_scenario(CROSSING_CFG)
+    missions = []
+
+    def capture(config):
+        missions.append(Mission(config))
+        return missions[-1]
+
+    monkeypatch.setattr(sim, "Mission", capture)
     run_scenario(cfg)
-    mission = _mission(cfg)
+    (mission,) = missions
     # the run held, pushed inward and turned away from an alarm
     assert {"C0_1", "Cr-1", "Cth+1"} <= set(mission._choices.values())
     for ((k, *states), choice) in mission._choices.items():
@@ -324,12 +362,12 @@ def test_memoized_command_choice_matches_uncached_scan(source):
 def test_region_tracking_matches_locate_every_step():
     cfg = small_cfg(t_end=20.0)
     mission = Mission(cfg)
-    world = initial_world(cfg, mission)
-    world, _ = supervisor_react(world, [], cfg, mission)
+    world = initial_world(mission)
+    world, _ = supervisor_react(world, [], mission)
     for _ in range(1000):
-        nxt = step(world, cfg, mission)
-        events = detect_events(world, nxt, cfg, mission)
-        world, _ = supervisor_react(nxt, events, cfg, mission)
+        nxt = step(world, mission)
+        events = detect_events(world, nxt, mission)
+        world, _ = supervisor_react(nxt, events, mission)
         for k in (1, 2):
             (rx, ry) = world.relative(k)
             assert locate(cfg.partition, rx, ry) == world.discrete[k - 1].region
