@@ -1,26 +1,17 @@
-"""Backend selection for the geometry kernels.
+"""The geometry kernels: cell-field evaluation, facet classification and
+fixed-step integration, implemented in pure Python in ``_pure``."""
 
-The compiled extension is used when it was built and imports cleanly,
-otherwise the pure-Python backend.  Both backends produce bit-identical
-results, so the choice only affects speed.
-"""
+from ._pure import (
+    EXIT_R_MINUS,
+    EXIT_R_PLUS,
+    EXIT_TH_MINUS,
+    EXIT_TH_PLUS,
+    INSIDE,
+    classify,
+    eval_cell,
+    integrate_cell,
+    integrate_many,
+)
 
-from . import _pure
-
-try:
-    from . import _ckernel as _backend
-except ImportError:
-    _backend = _pure
-
-BACKEND = _backend.NAME
-
-INSIDE = _pure.INSIDE
-EXIT_R_PLUS = _pure.EXIT_R_PLUS
-EXIT_R_MINUS = _pure.EXIT_R_MINUS
-EXIT_TH_PLUS = _pure.EXIT_TH_PLUS
-EXIT_TH_MINUS = _pure.EXIT_TH_MINUS
-
-eval_cell = _backend.eval_cell
-classify = _backend.classify
-integrate_cell = _backend.integrate_cell
-integrate_many = _backend.integrate_many
+# the only implementation; perfbench names it in each result header
+BACKEND = "pure"

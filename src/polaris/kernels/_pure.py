@@ -1,14 +1,13 @@
-"""Pure-Python backend for the hot geometry kernels.
+"""Pure-Python geometry kernels: the interpolated cell field, facet
+classification and fixed-step Euler integration.
 
-Keep every arithmetic expression textually identical to the compiled
-backend (same operation order, same literals): the test suite asserts
-bit-identical results between the two, and the compiled module is built
-with float contraction disabled for the same reason.
+``polaris.kernels`` re-exports them.  The simulator integrates the field
+that ``eval_cell`` returns, and the ``simulate`` golden digests pin its
+results bit for bit: a change to the operation order or the literals of
+an expression shows there.
 """
 
 from math import atan2, cos, fmod, sin, sqrt
-
-NAME = "pure"
 
 TWO_PI = 6.283185307179586
 

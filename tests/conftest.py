@@ -1,12 +1,5 @@
-import importlib.machinery
-import importlib.util
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +14,7 @@ from polaris.automata import (
     product_state,
 )
 from polaris.errors import SupervisorBlocked
+from polaris.polar import _EXIT_FACET, _FACETS, _facets_of
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
 
 
@@ -579,32 +573,55 @@ def scan_command_choice(models, k: int, states) -> str:
     return None
 
 
-@pytest.fixture(scope="session")
-def ckernel(tmp_path_factory):
-    """The compiled kernel, freshly built by ``setup.py build_ext``.
+def interpolate_polar(vc, alpha: float, beta: float):
+    """Bilinear interpolation of the vertex vectors at cell coordinates.
 
-    The build uses the install flags, writes only into a temporary
-    directory, and the module is loaded from there without entering
-    ``sys.modules``, so the rest of the suite keeps the backend it imported.
-    Skips only when there is no C compiler on PATH; a failed build fails.
+    alpha is the radial fraction, beta the angular fraction; the weights
+    (1-a)(1-b), a(1-b), ab, (1-a)b match vertices v0..v3 and sum to one.
     """
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) on PATH")
-    out = tmp_path_factory.mktemp("ckernel")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+    w = (
+        (1.0 - alpha) * (1.0 - beta),
+        alpha * (1.0 - beta),
+        alpha * beta,
+        (1.0 - alpha) * beta,
     )
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    path = out / "lib" / "polaris" / "kernels" / f"_ckernel{suffix}"
-    # the extension is optional, so a failed compile still exits 0
-    assert build.returncode == 0 and path.exists(), build.stdout + build.stderr
-    spec = importlib.util.spec_from_file_location("polaris.kernels._ckernel", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    ur = sum(wi * ui[0] for wi, ui in zip(w, vc.u))
+    ut = sum(wi * ui[1] for wi, ui in zip(w, vc.u))
+    return (ur, ut)
+
+
+def validate_by_grid(p, idx, vc, n: int = 20) -> list:
+    """Sampled oracle for ``polar.validate_controller``'s facet conditions.
+
+    Interpolates the field on an n x n lattice of cell coordinates and
+    returns (facet, alpha index, beta index) for every boundary sample that
+    points outward, by more than 1e-12, across a facet of the region other
+    than the mode's exit facet.
+    """
+    facets = _facets_of(p, idx)
+    exit_facet = _EXIT_FACET.get(vc.mode)
+    violations = []
+    for a_idx in range(n):
+        alpha = a_idx / (n - 1)
+        for b_idx in range(n):
+            beta = b_idx / (n - 1)
+            (ur, ut) = interpolate_polar(vc, alpha, beta)
+            on = []
+            if alpha == 0.0:
+                on.append("r-")
+            if alpha == 1.0:
+                on.append("r+")
+            if beta == 0.0:
+                on.append("th-")
+            if beta == 1.0:
+                on.append("th+")
+            for name in on:
+                if name == exit_facet or name not in facets:
+                    continue
+                (_, normal) = _FACETS[name]
+                if ur * normal[0] + ut * normal[1] > 1e-12:
+                    violations.append((name, a_idx, b_idx))
+    return violations
 
 
 @pytest.fixture

@@ -226,7 +226,7 @@ def test_criterion_5_region_controllers():
     report(
         "5 region controllers",
         not violations,
-        f"kernel={kernels.BACKEND}, violations={violations[:3]}",
+        f"violations={violations[:3]}",
     )
 
 

@@ -3,15 +3,18 @@ import random
 
 import pytest
 
+from conftest import interpolate_polar, validate_by_grid
+
 from polaris import kernels
 from polaris.errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
 from polaris.polar import (
     Mode,
     PolarPartition,
     RegionIndex,
+    VertexControls,
+    _EXIT_FACET,
     design_controller,
     eval_control,
-    interpolate_polar,
     locate,
     region_bounds,
     validate_controller,
@@ -35,6 +38,11 @@ def interior_starts(p, idx, count, rng):
         th = th_lo + (0.05 + 0.9 * rng.random()) * (th_hi - th_lo)
         starts.append((r * math.cos(th), r * math.sin(th)))
     return starts
+
+
+def from_flat(mode, comps):
+    """VertexControls from the flat (u0r, u0t, ..., u3r, u3t) components."""
+    return VertexControls(mode, tuple(zip(comps[::2], comps[1::2])))
 
 
 # -- partition geometry -------------------------------------------------------
@@ -160,6 +168,23 @@ def test_eval_at_center_is_vertex_mean():
     want_vx = mean_r * math.cos(th) - mean_t * math.sin(th)
     want_vy = mean_r * math.sin(th) + mean_t * math.cos(th)
     assert (vx, vy) == (pytest.approx(want_vx), pytest.approx(want_vy))
+    # away from the r_eps clamp, the field that eval_control returns (and
+    # simulate integrates) is the interpolation of the vertex values whose
+    # signs validate_controller checks, rotated into Cartesian components
+    rng = random.Random(19)
+    for idx in (RegionIndex(1, 5), RegionIndex(2, 3), RegionIndex(4, 8)):
+        (r_lo, r_hi, th_lo, th_hi) = region_bounds(P, idx)
+        for _ in range(200):
+            vc = from_flat(Mode.INVARIANT, [rng.uniform(-2.0, 2.0) for _ in range(8)])
+            (alpha, beta) = (0.01 + 0.99 * rng.random(), rng.random())
+            r = r_lo + alpha * (r_hi - r_lo)
+            th = th_lo + beta * (th_hi - th_lo)
+            (vx, vy) = eval_control(P, idx, vc, r * math.cos(th), r * math.sin(th))
+            ur = vx * math.cos(th) + vy * math.sin(th)
+            ut = vy * math.cos(th) - vx * math.sin(th)
+            (want_ur, want_ut) = interpolate_polar(vc, alpha, beta)
+            assert ur == pytest.approx(want_ur, abs=1e-12), (idx, vc, alpha, beta)
+            assert ut == pytest.approx(want_ut, abs=1e-12), (idx, vc, alpha, beta)
 
 
 def test_eval_outside_region_raises():
@@ -178,8 +203,9 @@ def test_design_rejects_inward_exit_from_first_ring():
 
 
 def test_design_rejects_bad_speed():
-    with pytest.raises(ValueError):
-        design_controller(P, RegionIndex(2, 1), Mode.INVARIANT, 0.0)
+    for speed in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            design_controller(P, RegionIndex(2, 1), Mode.INVARIANT, speed)
 
 
 def test_exit_r_minus_has_inward_radial_at_all_vertices():
@@ -222,6 +248,78 @@ def test_validate_flags_illegal_inward_exit():
     vc = design_controller(P, RegionIndex(2, 1), Mode.EXIT_R_MINUS, 2.0)
     result = validate_controller(P, RegionIndex(1, 1), vc)
     assert not result.ok
+
+
+def test_validate_rejects_nan_vertex_component():
+    # the second cell is a full disk: its centre vertices v0, v3 lie on no
+    # facet
+    for (p, idx) in (
+        (PolarPartition(50.0, 6, 9), RegionIndex(2, 2)),
+        (PolarPartition(40.0, 4, 2), RegionIndex(1, 1)),
+    ):
+        for mode in (Mode.INVARIANT, Mode.EXIT_R_PLUS):
+            flat = design_controller(p, idx, mode, 2.0).flat()
+            for k in range(8):
+                broken = from_flat(mode, flat[:k] + (math.nan,) + flat[k + 1:])
+                assert not validate_controller(p, idx, broken).ok, (p, idx, mode, k)
+
+
+# vertex values on and next to the sign boundary: signed zeros, values
+# inside the grid oracle's 1e-12 tolerance and the smallest subnormals
+EDGE_VALUES = (0.0, -0.0, 1e-13, -1e-13, 5e-324, -5e-324)
+
+
+def perturbed_controls(rng, p, idx, mode):
+    """The designed controller (all zeros where the mode is infeasible)
+    with about one vertex component in five replaced by an edge value or a
+    draw from [-2, 2]."""
+    try:
+        flat = design_controller(p, idx, mode, rng.uniform(0.5, 3.0)).flat()
+    except Infeasible:
+        flat = (0.0,) * 8
+    comps = [
+        c if rng.random() >= 0.2
+        else rng.choice(EDGE_VALUES) if rng.random() < 0.5
+        else rng.uniform(-2.0, 2.0)
+        for c in flat
+    ]
+    return from_flat(mode, comps)
+
+
+def test_grid_oracle_never_fails_where_vertex_checks_pass():
+    rng = random.Random(17)
+    partitions = (P, PolarPartition(40.0, 3, 3), PolarPartition(40.0, 4, 2))
+    modes = list(Mode)
+    passed = set()
+    caught = set()
+    for n in range(3000):
+        p = partitions[n % 3]
+        mode = modes[n // 3 % len(modes)]
+        i = 1 if rng.random() < 0.3 else rng.randint(2, p.n_r - 1)
+        idx = RegionIndex(i, rng.randint(1, p.n_theta - 1))
+        vc = perturbed_controls(rng, p, idx, mode)
+        grid = validate_by_grid(p, idx, vc)
+        if validate_controller(p, idx, vc).ok:
+            assert grid == [], (p, idx, vc, grid)
+            passed.add((mode, i == 1, p.n_theta == 2))
+        caught.update((mode, name) for (name, _, _) in grid)
+    # certified cases in every mode, in and outside the innermost ring,
+    # with and without angular facets (no angular exit without them)
+    assert passed == {
+        (mode, inner, full_circle)
+        for mode in modes
+        for inner in (True, False)
+        for full_circle in (True, False)
+        if not (inner and mode is Mode.EXIT_R_MINUS)
+        and not (full_circle and mode in (Mode.EXIT_TH_PLUS, Mode.EXIT_TH_MINUS))
+    }
+    # and the oracle sees an outward sample on every non-exit facet
+    assert caught == {
+        (mode, name)
+        for mode in modes
+        for name in ("r+", "r-", "th+", "th-")
+        if name != _EXIT_FACET.get(mode)
+    }
 
 
 # -- trajectory-level properties ----------------------------------------------
