@@ -18,7 +18,8 @@ class BoundTooLarge(PolarisError):
 
 
 class CoverageError(PolarisError):
-    """The two local event sets do not cover the automaton alphabet."""
+    """The two local event sets do not cover the automaton alphabet, or
+    name events outside it."""
 
 
 class NondeterministicInput(PolarisError):

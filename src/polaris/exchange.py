@@ -78,11 +78,8 @@ def dumps(a: Automaton) -> str:
 
 
 def loads(text: str, path=None) -> Automaton:
-    states: list = []
+    lists: dict = {"states": [], "marked": [], "controllable": [], "uncontrollable": []}
     initial = None
-    marked: list = []
-    controllable: list = []
-    uncontrollable: list = []
     owners: dict = {}
     transitions: list = []
 
@@ -110,31 +107,21 @@ def loads(text: str, path=None) -> Automaton:
                     raise ParseError(f"owner tags must be 1 or 2 in {tok!r}", path, lineno)
                 owners[ev] = frozenset(map(int, tags))
             continue
-        if key == "states":
-            _check_tokens(tokens, path, lineno)
-            states.extend(tokens)
+        _check_tokens(tokens, path, lineno)
+        if key in lists:
+            lists[key].extend(tokens)
         elif key == "initial":
-            _check_tokens(tokens, path, lineno)
             if len(tokens) != 1:
                 raise ParseError("initial takes exactly one state", path, lineno)
             if initial is not None:
                 raise ParseError("'initial:' given twice", path, lineno)
             initial = tokens[0]
-        elif key == "marked":
-            _check_tokens(tokens, path, lineno)
-            marked.extend(tokens)
-        elif key == "controllable":
-            _check_tokens(tokens, path, lineno)
-            controllable.extend(tokens)
-        elif key == "uncontrollable":
-            _check_tokens(tokens, path, lineno)
-            uncontrollable.extend(tokens)
         elif key == "trans":
-            _check_tokens(tokens, path, lineno)
             if len(tokens) != 3:
                 raise ParseError("trans takes 'src event dst'", path, lineno)
             transitions.append((tokens[0], tokens[1], tokens[2]))
 
+    (states, marked, controllable, uncontrollable) = lists.values()
     if initial is None:
         raise ParseError("missing 'initial:' section", path)
     if not states:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import kernels
-from .errors import HorizonViolation, SupervisorBlocked, ValidationError
+from .errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
 from .models import (
     ALARM_EVENTS,
     FormationModels,
@@ -91,11 +91,15 @@ class WorldState:
     offsets: tuple  # two current desired offsets
     discrete: tuple  # two AgentDiscrete
     episode: Optional[Episode] = None
+    # derived by __post_init__, so dataclasses.replace never leaves them stale
+    relative: tuple = field(init=False, compare=False, repr=False)  # positions minus offsets
+    separation: float = field(init=False, compare=False, repr=False)  # between the followers
 
-    def relative(self, k: int) -> tuple:
-        (px, py) = self.follower_pos[k - 1]
-        (ox, oy) = self.offsets[k - 1]
-        return (px - ox, py - oy)
+    def __post_init__(self):
+        ((x1, y1), (x2, y2)) = self.follower_pos
+        ((ox1, oy1), (ox2, oy2)) = self.offsets
+        object.__setattr__(self, "relative", ((x1 - ox1, y1 - oy1), (x2 - ox2, y2 - oy2)))
+        object.__setattr__(self, "separation", math.hypot(x1 - x2, y1 - y2))
 
 
 _ROLES = ("plant", "formation", "local")
@@ -185,12 +189,15 @@ class Mission:
         return "\n".join(lines) + "\n" if lines else ""
 
 
-def _check_horizon(p: PolarPartition, k: int, x: float, y: float) -> None:
-    r = math.hypot(x, y)
-    if r > p.r_max:
+def _locate(p: PolarPartition, k: int, x: float, y: float) -> RegionIndex:
+    """Follower ``k``'s region; :class:`HorizonViolation` beyond the horizon."""
+    try:
+        return locate(p, x, y)
+    except OutOfHorizon:
         raise HorizonViolation(
-            f"follower {k} at relative radius {r:.3f} beyond horizon {p.r_max:.3f}"
-        )
+            f"follower {k} at relative radius {math.hypot(x, y):.3f} "
+            f"beyond horizon {p.r_max:.3f}"
+        ) from None
 
 
 def _initial_discretes(follower_pos: tuple, offsets: tuple, mission: Mission) -> tuple:
@@ -202,22 +209,20 @@ def _initial_discretes(follower_pos: tuple, offsets: tuple, mission: Mission) ->
     """
     p = mission.cfg.partition
     m = mission.models
-    discretes = []
-    for k in (1, 2):
-        (px, py) = follower_pos[k - 1]
-        (ox, oy) = offsets[k - 1]
-        _check_horizon(p, k, px - ox, py - oy)
-        region = locate(p, px - ox, py - oy)
-        discretes.append(
-            AgentDiscrete(m.plant(k).initial, m.formation(k).initial, m.local(k).initial, region)
-        )
-    for (k, disc) in enumerate(discretes, start=1):
-        if disc.region.i == 1:
+    regions = [
+        _locate(p, k, px - ox, py - oy)
+        for (k, (px, py), (ox, oy)) in zip((1, 2), follower_pos, offsets)
+    ]
+    for (k, region) in enumerate(regions, start=1):
+        if region.i == 1:
             raise ValidationError(
                 f"follower {k} starts inside the innermost ring; the reach "
                 "policy needs a start outside it"
             )
-    return tuple(discretes)
+    return tuple(
+        AgentDiscrete(m.plant(k).initial, m.formation(k).initial, m.local(k).initial, region)
+        for (k, region) in enumerate(regions, start=1)
+    )
 
 
 def initial_world(mission: Mission) -> WorldState:
@@ -244,7 +249,7 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
     (r_lo, r_hi, th_lo, span, gains) = mission.cell(k, disc.region, disc.command)
-    (x, y) = world.relative(k)
+    (x, y) = world.relative[k - 1]
     return kernels.eval_cell(
         r_lo, r_hi, th_lo, span, gains, x, y, mission.cfg.partition.r_eps, True
     )
@@ -254,7 +259,8 @@ def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
     Stopped followers keep their relative position; every follower's total
-    velocity (leader plus relative) is clamped to the velocity bound.
+    velocity (leader plus relative) is clamped to the velocity bound.  The
+    new state is not located here: :func:`detect_events` does that.
     """
     cfg = mission.cfg
     (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
@@ -275,7 +281,7 @@ def step(world: WorldState, mission: Mission) -> WorldState:
         (px, py) = world.follower_pos[k - 1]
         new_followers.append((px + (tvx - lvx) * cfg.dt, py + (tvy - lvy) * cfg.dt))
     new_index = world.step_index + 1
-    new = WorldState(
+    return WorldState(
         new_index,
         new_index * cfg.dt,
         (world.leader_pos[0] + lvx * cfg.dt, world.leader_pos[1] + lvy * cfg.dt),
@@ -284,16 +290,6 @@ def step(world: WorldState, mission: Mission) -> WorldState:
         world.discrete,
         world.episode,
     )
-    for k in (1, 2):
-        (rx, ry) = new.relative(k)
-        _check_horizon(cfg.partition, k, rx, ry)
-    return new
-
-
-def _separation(world: WorldState) -> float:
-    (x1, y1) = world.follower_pos[0]
-    (x2, y2) = world.follower_pos[1]
-    return math.hypot(x1 - x2, y1 - y2)
 
 
 def _wrap_angle(a: float) -> float:
@@ -315,7 +311,7 @@ def _classify_alarm(world: WorldState, mission: Mission, owner: int) -> str:
     (tx, ty) = world.follower_pos[other - 1]
     (vx, vy) = _relative_velocity(world, mission, owner)
     if math.hypot(vx, vy) < 1e-9:
-        (rx, ry) = world.relative(owner)
+        (rx, ry) = world.relative[owner - 1]
         if math.hypot(rx, ry) < cfg.partition.r_eps:
             return f"Ca{owner}{other}N"
         (vx, vy) = (-rx, -ry)
@@ -332,19 +328,18 @@ def detect_events(world_prev: WorldState, world_next: WorldState, mission: Missi
     In priority order: region-crossing detections (agent 1 before agent 2),
     at most one new collision alarm, then the internal alarm-cleared signal
     once the separation exceeds the release radius during an episode.
+    Locating the followers in ``world_next`` raises
+    :class:`HorizonViolation` for the first one beyond the horizon.
     """
     cfg = mission.cfg
     events = []
-    for k in (1, 2):
-        disc = world_prev.discrete[k - 1]
-        (rx, ry) = world_next.relative(k)
-        region = locate(cfg.partition, rx, ry)
+    for (k, (rx, ry), disc) in zip((1, 2), world_next.relative, world_prev.discrete):
+        region = _locate(cfg.partition, k, rx, ry)
         if region != disc.region:
             events.append(("detection", k, region))
-    sep_prev = _separation(world_prev)
-    sep_next = _separation(world_next)
+    sep_next = world_next.separation
     episode = world_prev.episode
-    if episode is None and sep_prev >= cfg.alarm_radius > sep_next:
+    if episode is None and world_prev.separation >= cfg.alarm_radius > sep_next:
         owner = None
         for k in (1, 2):
             if not world_prev.discrete[k - 1].stopped:
@@ -549,12 +544,12 @@ class ScenarioResult:
 def _row(world: WorldState) -> str:
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
-    ((ox1, oy1), (ox2, oy2)) = world.offsets
+    ((rx1, ry1), (rx2, ry2)) = world.relative
     (d1, d2) = world.discrete
     return (
         f"{world.t:.6f},{lx:.6f},{ly:.6f},"
         f"{lx + x1:.6f},{ly + y1:.6f},{lx + x2:.6f},{ly + y2:.6f},"
-        f"{x1 - ox1:.6f},{y1 - oy1:.6f},{x2 - ox2:.6f},{y2 - oy2:.6f},"
+        f"{rx1:.6f},{ry1:.6f},{rx2:.6f},{ry2:.6f},"
         f"{d1.region.i},{d1.region.j},{d2.region.i},{d2.region.j}"
     )
 
@@ -584,7 +579,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     phase = 0
     t_reach = {1: [None], 2: [None]}
     episodes: list = []
-    min_sep = _separation(world)
+    min_sep = world.separation
     min_sep_t = 0.0
     first_circle = {
         k: frozenset(mission.alphabet(k).first_circle) for k in (1, 2)
@@ -608,16 +603,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 world, records = supervisor_react(world, [], mission)
                 result.records.extend(records)
 
-            prev = world
-            world = step(prev, mission)
-            events = detect_events(prev, world, mission)
-            world, records = supervisor_react(world, events, mission)
+            nxt = step(world, mission)
+            events = detect_events(world, nxt, mission)
+            world, records = supervisor_react(nxt, events, mission)
             result.records.extend(records)
             result.rows.append(_row(world))
 
-            sep = _separation(world)
-            if sep < min_sep:
-                min_sep = sep
+            if world.separation < min_sep:
+                min_sep = world.separation
                 min_sep_t = world.t
             for rec in records:
                 if rec.agent in ("1", "2"):

@@ -101,9 +101,8 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
     spec_rows, plant_rows = _label_rows(spec, labels), _label_rows(plant, labels)
     start = (spec.initial, plant.initial)
     parents: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        pair = frontier.pop(0)
+    queue = [start]
+    for pair in queue:
         (qs, qp) = pair
         spec_enabled = spec_rows[qs]
         for (ev, dps) in plant_rows[qp].items():
@@ -122,7 +121,7 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
                     nxt = (ds, dp)
                     if nxt not in parents:
                         parents[nxt] = (pair, ev)
-                        frontier.append(nxt)
+                        queue.append(nxt)
     return ControllabilityReport(True)
 
 
@@ -151,8 +150,11 @@ def modular_supervisor(s1: Automaton, s2: Automaton, a: Automaton) -> Automaton:
 
 def _coverage(a: Automaton, e1, e2):
     e1, e2 = frozenset(e1), frozenset(e2)
-    if e1 | e2 != a.event_ids:
-        missing = a.event_ids - (e1 | e2)
+    unknown = (e1 | e2) - a.event_ids
+    if unknown:
+        raise CoverageError(f"event sets contain unknown events: {sorted(unknown)}")
+    missing = a.event_ids - e1 - e2
+    if missing:
         raise CoverageError(f"event sets do not cover the alphabet: {sorted(missing)}")
     return e1, e2
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,19 @@ from polaris.automata import (
 from polaris.errors import SupervisorBlocked
 from polaris.polar import _EXIT_FACET, _FACETS, _facets_of
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_polaris(*args, **env):
+    """``python -m polaris`` in a subprocess that imports this checkout's
+    ``src``, installed or not; ``env`` adds environment variables."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "polaris", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
+    )
 
 
 def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, events=()):

@@ -5,14 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import math
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import random_automaton
+from conftest import random_automaton, run_polaris
 
 from polaris import kernels
 from polaris.automata import (
@@ -47,17 +45,11 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion}: {detail}"
 
 
-def cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "polaris", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_1_collision_supervisor_decomposability(tmp_path):
     outdir = tmp_path / "models"
     started = time.monotonic()
-    build = cli("build-models", "--partition", "50,6,9", "-o", str(outdir))
-    check = cli(
+    build = run_polaris("build-models", "--partition", "50,6,9", "-o", str(outdir))
+    check = run_polaris(
         "check-decomposable",
         str(outdir / "ac.aut"),
         "--events1", f"@{outdir / 'ac1.aut'}",
@@ -303,8 +295,8 @@ def test_criterion_6_mission_scenario():
 
 def test_criterion_7_simulation_determinism(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    r1 = cli("simulate", "--scenario", str(BUNDLED_CFG), "-o", str(out1))
-    r2 = cli("simulate", "--scenario", str(BUNDLED_CFG), "-o", str(out2))
+    r1 = run_polaris("simulate", "--scenario", str(BUNDLED_CFG), "-o", str(out1))
+    r2 = run_polaris("simulate", "--scenario", str(BUNDLED_CFG), "-o", str(out2))
     ok = r1.returncode == 0 and r2.returncode == 0
     identical = []
     for name in ("trajectory.csv", "events.log", "verdicts.txt", "controllers.txt"):

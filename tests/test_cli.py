@@ -1,12 +1,9 @@
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CROSSING_CFG, make_auto
+from conftest import CROSSING_CFG, make_auto, run_polaris
 
 from polaris import exchange
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
@@ -287,10 +284,6 @@ def test_usage_error_exits_2():
 
 
 def test_console_entry_point_runs():
-    env = dict(os.environ, POLARIS_LOG="quiet")
-    out = subprocess.run(
-        [sys.executable, "-m", "polaris", "--help"],
-        capture_output=True, text=True, env=env,
-    )
+    out = run_polaris("--help", POLARIS_LOG="quiet")
     assert out.returncode == 0
     assert "simulate" in out.stdout

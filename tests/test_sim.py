@@ -7,7 +7,7 @@ from conftest import CROSSING_CFG, scan_command_choice
 
 from polaris import sim
 from polaris.cli import main
-from polaris.errors import HorizonViolation, ValidationError
+from polaris.errors import HorizonViolation, OutOfHorizon, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
 from polaris.scenario import FollowerConfig, ScenarioConfig, loads_scenario, parse_scenario
 from polaris.sim import (
@@ -65,7 +65,7 @@ def test_stopped_follower_holds_relative_position_under_moving_leader():
         discrete=(replace(world.discrete[0], stopped=True), world.discrete[1]),
     )
     after = step(stopped, mission)
-    assert after.relative(1) == stopped.relative(1)
+    assert after.relative[0] == stopped.relative[0]
     assert after.follower_pos[0] == stopped.follower_pos[0]
     # the absolute position tracks the leader
     abs_before = (
@@ -107,7 +107,7 @@ def test_invariant_hold_for_ten_thousand_steps():
     )
     for _ in range(10_000):
         held = step(held, mission)
-    (rx, ry) = held.relative(1)
+    (rx, ry) = held.relative[0]
     assert locate(cfg.partition, rx, ry) == region
 
 
@@ -317,13 +317,56 @@ def test_horizon_violation_carries_last_world_and_recent_records():
     world = info.value.world
     assert world.t == pytest.approx(2.0 - cfg.dt)
     for k in (1, 2):
-        assert math.hypot(*world.relative(k)) <= cfg.partition.r_max
+        assert math.hypot(*world.relative[k - 1]) <= cfg.partition.r_max
     recent = info.value.recent
     assert 0 < len(recent) <= FAILURE_RECORDS
     assert all(isinstance(rec, EventRecord) for rec in recent)
     # follower 2's entry into the outermost ring is among them
     assert "d_4_4_2" in [rec.event for rec in recent]
     assert recent[-1].t <= world.t
+
+
+def trailing_past_horizon():
+    # both followers stopped at relative (-39.9, 0) with no velocity
+    # authority: a 10 m/s leader drags them to -40.1, past r_max = 40
+    cfg = small_cfg(u_max=0.0, leader_velocity=((0.0, 10.0, 0.0),))
+    world, mission = started_world(cfg)
+    edge = replace(
+        world,
+        follower_pos=((-29.9, 10.0), (-49.9, -10.0)),
+        discrete=tuple(replace(d, stopped=True) for d in world.discrete),
+    )
+    return edge, step(edge, mission), mission
+
+
+def test_step_into_a_world_beyond_the_horizon_does_not_raise():
+    (edge, after, mission) = trailing_past_horizon()
+    r_max = mission.cfg.partition.r_max
+    assert all(math.hypot(*rel) <= r_max for rel in edge.relative)
+    assert all(math.hypot(*rel) > r_max for rel in after.relative)
+
+
+def test_detect_events_beyond_the_horizon_names_the_first_follower():
+    (edge, after, mission) = trailing_past_horizon()
+    with pytest.raises(HorizonViolation) as info:
+        detect_events(edge, after, mission)
+    assert not isinstance(info.value, OutOfHorizon)
+    assert str(info.value) == "follower 1 at relative radius 40.100 beyond horizon 40.000"
+
+
+def test_follower_exactly_at_the_horizon_is_inside():
+    cfg = small_cfg(
+        followers=(
+            FollowerConfig((50.0, 10.0), ((0.0, 10.0, 10.0),)),  # relative (40, 0)
+            FollowerConfig((-30.0, -10.0), ((0.0, -10.0, -10.0),)),
+        )
+    )
+    world, mission = started_world(cfg)
+    assert world.discrete[0].region == RegionIndex(4, 1)
+    # relative (24, -32): hypot is exactly 40
+    at_edge = replace(world, follower_pos=(world.follower_pos[0], (14.0, -42.0)))
+    events = detect_events(world, at_edge, mission)
+    assert events == [("detection", 2, RegionIndex(4, 7))]
 
 
 def test_failure_context_keeps_the_last_records():
@@ -369,7 +412,7 @@ def test_region_tracking_matches_locate_every_step():
         events = detect_events(world, nxt, mission)
         world, _ = supervisor_react(nxt, events, mission)
         for k in (1, 2):
-            (rx, ry) = world.relative(k)
+            (rx, ry) = world.relative[k - 1]
             assert locate(cfg.partition, rx, ry) == world.discrete[k - 1].region
 
 

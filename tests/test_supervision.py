@@ -222,6 +222,8 @@ def test_decompose_coverage_error():
     a = make_auto([("q0", "a", "q1"), ("q1", "b", "q0")])
     with pytest.raises(CoverageError):
         decompose(a, {"a"}, {"a"})
+    with pytest.raises(CoverageError, match=r"unknown events: \['bogus'\]"):
+        decompose(a, {"a"}, {"b", "bogus"})
 
 
 def test_decomposability_trivial_when_all_shared():
