@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import exchange
 from .automata import is_bisimilar, natural_project, parallel_compose
-from .errors import PolarisError
+from .errors import HorizonViolation, PolarisError, SupervisorBlocked
 from .models import build_models
 from .polar import PolarPartition
 from .scenario import parse_scenario
@@ -237,6 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure_context(exc) -> str:
+    """Where a failed simulation stopped: the last world reached, its
+    followers' relative positions and the event records that led there."""
+    world = exc.world
+    lines = [f"  at t={world.t:.6f} step_index={world.step_index}"]
+    for (k, (x, y)) in enumerate(world.relative, start=1):
+        lines.append(f"  follower {k} relative position ({x:.6f}, {y:.6f})")
+    lines.append(f"  last {len(exc.recent)} event records:")
+    lines.extend(f"    {rec.line()}" for rec in exc.recent)
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -245,6 +257,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PolarisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (HorizonViolation, SupervisorBlocked)) and exc.world is not None:
+            print(_failure_context(exc), end="", file=sys.stderr)
         return USAGE
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import kernels
@@ -58,12 +58,17 @@ class PolarPartition:
     r_max: float
     n_r: int
     n_theta: int
+    # derived by __post_init__ for locate: the grid steps, the highest
+    # region indices and the regions located so far, keyed i * n_theta + j
+    _grid: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError("r_max must be positive and finite")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("need at least two grid lines in each direction")
+        grid = (self.delta_r, self.delta_theta, self.n_r - 1, self.n_theta - 1, {})
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def delta_r(self) -> float:
@@ -119,16 +124,33 @@ def region_bounds(p: PolarPartition, idx: RegionIndex):
 
 
 def locate(p: PolarPartition, x: float, y: float) -> RegionIndex:
-    """Region containing the point, ties broken toward the lower index."""
+    """Region containing the point, ties broken toward the lower index.
+
+    Every call that lands in the same region of ``p`` returns the same
+    :class:`RegionIndex` object, made on the first such call.
+    """
     r = math.hypot(x, y)
     if r > p.r_max:
         raise OutOfHorizon(f"point at radius {r:.6g} beyond horizon {p.r_max:.6g}")
     th = math.atan2(y, x)
     if th < 0.0:
         th += TWO_PI
-    i = min(max(math.ceil(r / p.delta_r), 1), p.n_r - 1)
-    j = min(max(math.ceil(th / p.delta_theta), 1), p.n_theta - 1)
-    return RegionIndex(i, j)
+    (delta_r, delta_theta, i_max, j_max, located) = p._grid
+    i = math.ceil(r / delta_r)
+    if i < 1:
+        i = 1
+    elif i > i_max:
+        i = i_max
+    j = math.ceil(th / delta_theta)
+    if j < 1:
+        j = 1
+    elif j > j_max:
+        j = j_max
+    key = i * p.n_theta + j
+    region = located.get(key)
+    if region is None:
+        region = located[key] = RegionIndex(i, j)
+    return region
 
 
 class Mode(enum.Enum):

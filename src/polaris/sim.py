@@ -138,8 +138,9 @@ class Mission:
         return self.models.alphabet(k)
 
     def cell(self, k: int, region: RegionIndex, command: str) -> tuple:
-        """``(r_lo, r_hi, th_lo, span, gains)`` of agent ``k``'s command in a
-        region.
+        """``(r_lo, r_hi, th_lo, span, gains, r_eps)`` of agent ``k``'s
+        command in a region: the ``eval_cell`` arguments that do not depend
+        on the point.
 
         Command ids name their agent, so the command and region index are a
         complete key.
@@ -152,7 +153,7 @@ class Mission:
             vc = cached_controller(cfg.partition, region, mode, cfg.speed, cfg.kappa)
             self.used_controllers[(region.i, region.j, mode.value)] = vc
             (r_lo, r_hi, th_lo, th_hi) = region_bounds(cfg.partition, region)
-            cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat())
+            cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat(), cfg.partition.r_eps)
             self._cells[key] = cell
         return cell
 
@@ -248,11 +249,9 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
-    (r_lo, r_hi, th_lo, span, gains) = mission.cell(k, disc.region, disc.command)
+    (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative[k - 1]
-    return kernels.eval_cell(
-        r_lo, r_hi, th_lo, span, gains, x, y, mission.cfg.partition.r_eps, True
-    )
+    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps, True)
 
 
 def step(world: WorldState, mission: Mission) -> WorldState:
@@ -335,7 +334,7 @@ def detect_events(world_prev: WorldState, world_next: WorldState, mission: Missi
     events = []
     for (k, (rx, ry), disc) in zip((1, 2), world_next.relative, world_prev.discrete):
         region = _locate(cfg.partition, k, rx, ry)
-        if region != disc.region:
+        if region is not disc.region and region != disc.region:
             events.append(("detection", k, region))
     sep_next = world_next.separation
     episode = world_prev.episode
@@ -541,16 +540,18 @@ class ScenarioResult:
         return tuple(tuple(seg) for seg in segments)
 
 
+# one CSV row: the CSV_HEADER columns, floats to six decimals
+_ROW = ",".join(["%.6f"] * 11 + ["%d"] * 4)
+
+
 def _row(world: WorldState) -> str:
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
     ((rx1, ry1), (rx2, ry2)) = world.relative
     (d1, d2) = world.discrete
-    return (
-        f"{world.t:.6f},{lx:.6f},{ly:.6f},"
-        f"{lx + x1:.6f},{ly + y1:.6f},{lx + x2:.6f},{ly + y2:.6f},"
-        f"{rx1:.6f},{ry1:.6f},{rx2:.6f},{ry2:.6f},"
-        f"{d1.region.i},{d1.region.j},{d2.region.i},{d2.region.j}"
+    return _ROW % (
+        world.t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2,
+        d1.region.i, d1.region.j, d2.region.i, d2.region.j,
     )
 
 
@@ -568,6 +569,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     :class:`HorizonViolation` raised after the start carries ``world``, the
     last world state reached, and ``recent``, the last
     :data:`FAILURE_RECORDS` event records.
+
+    A step without events skips the reaction once the discrete state has
+    settled: a reaction without events reads only the world's discrete
+    state and episode, which :func:`step` carries over, so once it has
+    returned the world it was given it would keep doing so.
     """
     cfg.validate()
     mission = Mission(cfg)
@@ -587,6 +593,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     try:
         world, records = supervisor_react(world, [], mission)
+        settled = False
         result.records.extend(records)
         result.rows.append(_row(world))
 
@@ -601,12 +608,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
                 )
                 world, records = supervisor_react(world, [], mission)
+                settled = False
                 result.records.extend(records)
 
             nxt = step(world, mission)
             events = detect_events(world, nxt, mission)
-            world, records = supervisor_react(nxt, events, mission)
-            result.records.extend(records)
+            if events or not settled:
+                world, records = supervisor_react(nxt, events, mission)
+                settled = world is nxt
+                result.records.extend(records)
+            else:
+                world, records = nxt, ()
             result.rows.append(_row(world))
 
             if world.separation < min_sep:

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -17,8 +18,10 @@ from polaris.automata import (
     accessible,
     product_state,
 )
-from polaris.errors import SupervisorBlocked
-from polaris.polar import _EXIT_FACET, _FACETS, _facets_of
+from polaris import sim
+from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked
+from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
+from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
 
 
@@ -588,6 +591,134 @@ def scan_command_choice(models, k: int, states) -> str:
     if not any(enabled(ev) for ev in al.controllable_ids):
         raise SupervisorBlocked(f"agent {k}: no controllable event enabled")
     return None
+
+
+def locate_by_formula(p, x: float, y: float) -> RegionIndex:
+    """``polar.locate`` as a fresh index from a clamped ceiling, the
+    reference for the shared indices that ``locate`` hands out."""
+    r = math.hypot(x, y)
+    if r > p.r_max:
+        raise OutOfHorizon(f"point at radius {r:.6g} beyond horizon {p.r_max:.6g}")
+    th = math.atan2(y, x)
+    if th < 0.0:
+        th += TWO_PI
+    i = min(max(math.ceil(r / p.delta_r), 1), p.n_r - 1)
+    j = min(max(math.ceil(th / p.delta_theta), 1), p.n_theta - 1)
+    return RegionIndex(i, j)
+
+
+def csv_row_by_fstring(world) -> str:
+    """One trajectory row with a format spec per field, the reference for
+    ``sim._row``'s single template."""
+    (lx, ly) = world.leader_pos
+    ((x1, y1), (x2, y2)) = world.follower_pos
+    ((rx1, ry1), (rx2, ry2)) = world.relative
+    (d1, d2) = world.discrete
+    return (
+        f"{world.t:.6f},{lx:.6f},{ly:.6f},"
+        f"{lx + x1:.6f},{ly + y1:.6f},{lx + x2:.6f},{ly + y2:.6f},"
+        f"{rx1:.6f},{ry1:.6f},{rx2:.6f},{ry2:.6f},"
+        f"{d1.region.i},{d1.region.j},{d2.region.i},{d2.region.j}"
+    )
+
+
+def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
+    """``sim.run_scenario`` with a supervisor reaction on every step.
+
+    The reference for the simulator's loop, which skips reactions without
+    events once the discrete state has settled; rows are formatted by
+    :func:`csv_row_by_fstring`.  Failures carry ``world`` and ``recent``
+    as in ``run_scenario``.
+    """
+    cfg.validate()
+    mission = sim.Mission(cfg)
+    world = sim.initial_world(mission)
+    result = sim.ScenarioResult()
+
+    switch_times = list(cfg.switch_times())
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    phase = 0
+    t_reach = {1: [None], 2: [None]}
+    episodes: list = []
+    min_sep = world.separation
+    min_sep_t = 0.0
+    first_circle = {k: frozenset(mission.alphabet(k).first_circle) for k in (1, 2)}
+
+    try:
+        world, records = sim.supervisor_react(world, [], mission)
+        result.records.extend(records)
+        result.rows.append(csv_row_by_fstring(world))
+
+        for _ in range(n_steps):
+            if switch_times and world.t >= switch_times[0]:
+                switch_times.pop(0)
+                world = sim._apply_offset_switch(world, mission)
+                phase += 1
+                for k in (1, 2):
+                    t_reach[k].append(None)
+                result.records.append(
+                    sim.EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
+                )
+                world, records = sim.supervisor_react(world, [], mission)
+                result.records.extend(records)
+
+            nxt = sim.step(world, mission)
+            events = sim.detect_events(world, nxt, mission)
+            world, records = sim.supervisor_react(nxt, events, mission)
+            result.records.extend(records)
+            result.rows.append(csv_row_by_fstring(world))
+
+            if world.separation < min_sep:
+                min_sep = world.separation
+                min_sep_t = world.t
+            for rec in records:
+                if rec.agent in ("1", "2"):
+                    k = int(rec.agent)
+                    if rec.event in first_circle[k] and t_reach[k][phase] is None:
+                        t_reach[k][phase] = rec.t
+                if rec.event in ALARM_EVENTS:
+                    episodes.append(sim._EpisodeLog(rec.event, rec.t))
+                elif rec.event in STOP_OF_EPISODE.values() and episodes:
+                    if episodes[-1].stop is None:
+                        episodes[-1].stop = rec.event
+                        episodes[-1].t_stop = rec.t
+                elif rec.event in RELEASE_OF_EPISODE.values() and episodes:
+                    if episodes[-1].release is None:
+                        episodes[-1].release = rec.event
+                        episodes[-1].t_release = rec.t
+    except (SupervisorBlocked, HorizonViolation) as exc:
+        exc.world = world
+        exc.recent = tuple(result.records[-sim.FAILURE_RECORDS:])
+        raise
+
+    flags = []
+    for k in (1, 2):
+        for ph, value in enumerate(t_reach[k], start=1):
+            if value is None:
+                flags.append(f"follower {k} never reached the formation in phase {ph}")
+    for idx, ep in enumerate(episodes, start=1):
+        if ep.t_release is None:
+            flags.append(f"episode {idx} never released")
+
+    verdicts = result.verdicts
+    for k in (1, 2):
+        verdicts[f"t_reach_{k}"] = " ".join(
+            "none" if v is None else f"{v:.2f}" for v in t_reach[k]
+        )
+    verdicts["min_separation"] = f"{min_sep:.6f} (t={min_sep_t:.2f})"
+    verdicts["alarm_episodes"] = str(len(episodes))
+    for idx, ep in enumerate(episodes, start=1):
+        verdicts[f"episode_{idx}"] = (
+            f"alarm={ep.alarm} t_alarm={ep.t_alarm:.2f} "
+            f"stop={ep.stop} t_stop={sim._fmt_t(ep.t_stop)} "
+            f"release={ep.release} t_release={sim._fmt_t(ep.t_release)}"
+        )
+    for k in (1, 2):
+        region = world.discrete[k - 1].region
+        verdicts[f"final_region_{k}"] = f"({region.i},{region.j})"
+    verdicts["flags"] = "; ".join(flags) if flags else "none"
+    result.controllers = mission.controllers_text()
+    return result
 
 
 def interpolate_polar(vc, alpha: float, beta: float):

@@ -265,6 +265,41 @@ def test_simulate_non_finite_value_exits_2(tmp_path, capsys, line):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_simulate_failure_reports_where_the_run_stopped(tmp_path, capsys):
+    # test_sim's trailing run: without velocity authority follower 2 is
+    # dragged past the 40 m horizon at t = 2, one step after the last world
+    scenario = tmp_path / "trailing.cfg"
+    scenario.write_text(
+        "partition.r_max = 40\npartition.n_r = 5\npartition.n_theta = 9\n"
+        "sim.t_end = 10\nsim.u_max = 0\nleader.velocity = 0:10,0\n"
+        "follower1.initial_position = 30,10\nfollower1.offsets = 0:10,10\n"
+        "follower2.initial_position = -30,-10\nfollower2.offsets = 0:-10,-10\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("error: follower 2 at relative radius")
+    assert lines[1] == "  at t=1.980000 step_index=99"
+    assert lines[2] == "  follower 1 relative position (0.200000, 0.000000)"
+    assert lines[3] == "  follower 2 relative position (-39.800000, 0.000000)"
+    assert lines[4] == "  last 8 event records:"
+    assert lines[5] == "    t=0.000000 agent=1 event=Cr-1 detail=region=(2,1)"
+    assert lines[-1] == "    t=1.020000 agent=1 event=C0_1 detail=region=(1,1)"
+    assert "    t=1.000000 agent=2 event=d_4_4_2 detail=region=(4,4)" in lines
+    assert len(lines) == 13
+
+
+def test_simulate_start_failure_has_no_world_to_report(tmp_path, capsys):
+    scenario = tmp_path / "beyond.cfg"
+    scenario.write_text(CROSSING_CFG.replace("-15.925,17.239", "-150,17.239"), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: follower 1 at relative radius 165.565 beyond horizon 50.000\n"
+    )
+
+
 @pytest.mark.parametrize("r_max", ["nan", "inf"])
 def test_build_models_non_finite_partition_exits_2(tmp_path, capsys, r_max):
     out = tmp_path / "models"

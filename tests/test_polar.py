@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import interpolate_polar, validate_by_grid
+from conftest import interpolate_polar, locate_by_formula, validate_by_grid
 
-from polaris import kernels
+from polaris import kernels, polar
 from polaris.errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
 from polaris.polar import (
     Mode,
@@ -108,6 +108,77 @@ def test_locate_region_midpoints_round_trip():
         (r_lo, r_hi, th_lo, th_hi) = region_bounds(P, idx)
         r, th = (r_lo + r_hi) / 2, (th_lo + th_hi) / 2
         assert locate(P, r * math.cos(th), r * math.sin(th)) == idx
+
+
+ORACLE_PARTITIONS = [
+    PolarPartition(50.0, 21, 9),
+    PolarPartition(50.0, 24, 36),
+    PolarPartition(40.0, 4, 2),
+    PolarPartition(40.0, 5, 9),
+    PolarPartition(1.0, 7, 5),
+    # r_max / delta_r and 2*pi / delta_theta round above n_r - 1 and
+    # n_theta - 1, so the horizon and the angle 2*pi need the upper clamps
+    PolarPartition(50.0, 30, 62),
+]
+
+
+def located(f, p, x, y):
+    try:
+        return f(p, x, y)
+    except OutOfHorizon:
+        return "beyond"
+
+
+def boundary_points(p):
+    """The origin, every grid radius and grid angle, angles just below
+    2*pi and the horizon itself."""
+    below_two_pi = math.nextafter(2.0 * math.pi, 0.0)
+    points = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    radii = [k * p.delta_r for k in range(p.n_r)] + [p.radius(i) for i in range(1, p.n_r + 1)]
+    angles = [j * p.delta_theta for j in range(p.n_theta)]
+    angles += [p.angle(j) for j in range(1, p.n_theta + 1)] + [math.pi, below_two_pi]
+    for r in radii + [p.r_max, math.nextafter(p.r_max, 0.0)]:
+        points += [(r, 0.0), (r, -0.0), (r, -1e-12), (r, -5e-324), (-r, -0.0)]
+        points += [(r * math.cos(th), r * math.sin(th)) for th in angles]
+    points += [(0.0, p.r_max), (-p.r_max, 0.0), (0.0, -p.r_max)]
+    return points
+
+
+@pytest.mark.parametrize("p", ORACLE_PARTITIONS, ids=lambda p: f"{p.r_max:g},{p.n_r},{p.n_theta}")
+def test_locate_matches_the_clamped_formula(p):
+    rng = random.Random(13)
+    span = 1.1 * p.r_max
+    points = boundary_points(p)
+    points += [(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(3000)]
+    for (x, y) in points:
+        assert located(locate, p, x, y) == located(locate_by_formula, p, x, y), (x, y)
+    assert located(locate, p, p.r_max, 0.0) == RegionIndex(p.n_r - 1, 1)
+    assert located(locate, p, math.nextafter(p.r_max, math.inf), 0.0) == "beyond"
+
+
+def test_locate_returns_one_index_per_region():
+    p = PolarPartition(50.0, 21, 9)
+    first = locate(p, 10.0, 1.0)
+    assert first == RegionIndex(5, 1)
+    assert locate(p, 11.0, 0.5) is first
+    # an equal partition has indices of its own, equal to the first ones
+    other = locate(PolarPartition(50.0, 21, 9), 10.0, 1.0)
+    assert other == first
+
+
+def test_locate_makes_only_the_regions_it_returns(monkeypatch):
+    made = []
+
+    def counting(i, j):
+        made.append((i, j))
+        return RegionIndex(i, j)
+
+    monkeypatch.setattr(polar, "RegionIndex", counting)
+    p = PolarPartition(50.0, 3, 100000)
+    points = [(10.0, 0.0), (10.0, 1e-6), (40.0, 0.0), (0.0, 30.0), (-30.0, -0.5)]
+    regions = [locate(p, x, y) for (x, y) in points * 3]
+    assert sorted(made) == sorted({(r.i, r.j) for r in regions})
+    assert len(made) == 4
 
 
 # -- controller design and evaluation -----------------------------------------

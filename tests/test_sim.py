@@ -1,13 +1,14 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import CROSSING_CFG, scan_command_choice
+from conftest import CROSSING_CFG, run_scenario_reacting_every_step, scan_command_choice
 
 from polaris import sim
 from polaris.cli import main
-from polaris.errors import HorizonViolation, OutOfHorizon, ValidationError
+from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
 from polaris.scenario import FollowerConfig, ScenarioConfig, loads_scenario, parse_scenario
 from polaris.sim import (
@@ -474,3 +475,97 @@ def test_piecewise_leader_schedule():
     at = {float(c[0]): (float(c[1]), float(c[2])) for c in rows}
     assert at[1.0] == (pytest.approx(1.0), pytest.approx(0.0))
     assert at[2.0] == (pytest.approx(1.0), pytest.approx(2.0))
+
+
+SEEDED_HEADER = """\
+partition.r_max = 50
+partition.n_r = 21
+partition.n_theta = 9
+sim.t_end = 60
+avoid.alarm_radius = 8
+avoid.release_radius = 12
+"""
+
+
+def seeded_mission(seed: int, crossing: bool) -> str:
+    """A two-phase mission on 21x9 with a formation switch at t = 30.
+
+    Crossing missions start the followers at nearly equal distances before
+    a common point of their approach paths, which cross at 100 to 150
+    degrees, so the two meet within the alarm radius.  The others start
+    anywhere 6 to 40 m from offsets on opposite sides of the leader.
+    """
+    rng = random.Random(seed)
+
+    def polar_point(r, angle, at=(0.0, 0.0)):
+        return (at[0] + r * math.cos(angle), at[1] + r * math.sin(angle))
+
+    if crossing:
+        meet = (rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))
+        a1 = rng.uniform(0.0, 2.0 * math.pi)
+        a2 = a1 + rng.choice((-1.0, 1.0)) * math.radians(rng.uniform(100.0, 150.0))
+        d1 = rng.uniform(18.0, 26.0)
+        d2 = d1 + rng.uniform(-1.5, 1.5)
+        offsets = [polar_point(rng.uniform(11.0, 16.0), a, meet) for a in (a1, a2)]
+        starts = [polar_point(-d, a, meet) for (a, d) in ((a1, d1), (a2, d2))]
+    else:
+        b = rng.uniform(0.0, 2.0 * math.pi)
+        offsets = [
+            polar_point(rng.uniform(10.0, 16.0), b),
+            polar_point(rng.uniform(10.0, 16.0), b + math.pi + rng.uniform(-0.5, 0.5)),
+        ]
+        starts = [
+            polar_point(rng.uniform(6.0, 40.0), rng.uniform(0.0, 2.0 * math.pi), off)
+            for off in offsets
+        ]
+    moved = [polar_point(rng.uniform(8.0, 25.0), rng.uniform(0.0, 2.0 * math.pi), off)
+             for off in offsets]
+    lines = [SEEDED_HEADER.rstrip()]
+    lines.append(
+        f"leader.velocity = 0:{rng.uniform(0.5, 1.5):.3f},{rng.uniform(-0.5, 0.5):.3f} "
+        f"20:{rng.uniform(0.5, 1.5):.3f},{rng.uniform(-0.5, 0.5):.3f}"
+    )
+    for k in (1, 2):
+        ((sx, sy), (ox, oy), (mx, my)) = (starts[k - 1], offsets[k - 1], moved[k - 1])
+        lines.append(f"follower{k}.initial_position = {sx:.3f},{sy:.3f}")
+        lines.append(f"follower{k}.offsets = 0:{ox:.3f},{oy:.3f} 30:{mx:.3f},{my:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(run, cfg):
+    """Every output of a run, or the failure and its context."""
+    try:
+        result = run(cfg)
+    except (HorizonViolation, SupervisorBlocked) as exc:
+        return (type(exc), str(exc), exc.world, exc.recent)
+    return (result.csv_text(), result.log_text(), result.verdicts_text(), result.controllers)
+
+
+@pytest.mark.parametrize("source", ["bundled", "crossing", "trailing", "switch-beyond"])
+def test_skipping_settled_reactions_changes_no_output(source):
+    if source == "bundled":
+        cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
+    elif source == "crossing":
+        cfg = loads_scenario(CROSSING_CFG)
+    elif source == "trailing":
+        # fails while stepping, as in the horizon test above
+        cfg = small_cfg(u_max=0.0, leader_velocity=((0.0, 10.0, 0.0),), t_end=10.0)
+    else:
+        cfg = loads_scenario(CROSSING_CFG.replace("40:31.257,17.497", "40:200,0"))
+    expected = outcome(run_scenario_reacting_every_step, cfg)
+    assert outcome(run_scenario, cfg) == expected
+    if source == "crossing":
+        assert "release=R21" in expected[2]
+    elif source != "bundled":
+        assert expected[0] is HorizonViolation
+
+
+def test_skipping_settled_reactions_matches_on_seeded_missions():
+    releases = 0
+    for seed in range(20):
+        cfg = loads_scenario(seeded_mission(seed, crossing=seed % 2 == 0))
+        expected = outcome(run_scenario_reacting_every_step, cfg)
+        assert outcome(run_scenario, cfg) == expected, seed
+        releases += expected[2].count("release=R")
+    # the crossing missions raise alarms that end in a stop and a release
+    assert releases >= 10
