@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValidationError("sim.dt must be positive")
         if self.t_end < 0:
             raise ValidationError("sim.t_end must be nonnegative")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValidationError("sim.t_end / sim.dt must be finite (the step count)")
         if self.speed <= 0:
             raise ValidationError("sim.speed must be positive")
         if self.u_max < 0:

@@ -5,9 +5,9 @@ the leader; the active region controller gives its relative velocity, the
 composed discrete supervisors (plant, formation module, local collision
 module) choose commands, and the environment feeds back region-crossing
 detections and collision alarms.  One step is: advance the continuous
-state, detect events, feed the uncontrollable ones through the automata,
-then emit the controllable events they enable (stop/release first, then
-one actuation command per agent).
+state and detect events; on a step with events, feed the uncontrollable
+ones through the automata, then emit the controllable events they enable
+(stop/release first, then one actuation command per agent).
 
 Everything is deterministic: identical configs produce identical
 trajectories, logs and verdicts byte for byte.
@@ -103,7 +103,6 @@ class WorldState:
 
 
 _ROLES = ("plant", "formation", "local")
-_NO_MOVES: dict = {}
 _UNSET = object()
 
 
@@ -114,8 +113,8 @@ class Mission:
     ``slots`` lists the six supervisor automata as ``(k, role, automaton)``,
     agent 1's plant, formation and local supervisor before agent 2's; a
     reaction keeps their states in a list in the same order.  ``by_event``
-    maps each event id to the ``(slot, class id, successor rows)`` of the
-    automata whose alphabet contains it.  Region cells and command choices
+    maps each event id to the slots of the automata whose alphabet contains
+    it.  Region cells and command choices
     are filled on first use and reused by later steps.
     """
 
@@ -130,7 +129,7 @@ class Mission:
         self.by_event: dict = {}
         for (slot, (_, _, auto)) in enumerate(self.slots):
             for ev in auto.event_ids:
-                self.by_event.setdefault(ev, []).append((slot, auto._class_of[ev], auto._succ))
+                self.by_event.setdefault(ev, []).append(slot)
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
         self._choices: dict = {}  # (k, six states) -> command or None
 
@@ -365,14 +364,11 @@ class _Automata:
 
     def enabled(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
-        state = self.state
-        for (slot, c, succ) in self.by_event.get(event, ()):
-            if c not in succ.get(state[slot], _NO_MOVES):
-                return False
-        return True
+        (slots, state) = (self.slots, self.state)
+        return all(slots[s][2].step(state[s], event) for s in self.by_event.get(event, ()))
 
     def feed(self, event: str) -> None:
-        for (slot, _, _) in self.by_event.get(event, ()):
+        for slot in self.by_event.get(event, ()):
             (k, role, auto) = self.slots[slot]
             dst = auto.step1(self.state[slot], event)
             if dst is None:
@@ -403,8 +399,15 @@ def supervisor_react(world: WorldState, events, mission: Mission):
     one actuation command is kept active per agent (re-issued after each
     detection and release, replaced when the supervisors change the
     enabled set).
-    Returns the new world state plus the event records of this reaction;
-    when nothing changed, the world state passed in is returned.
+    Returns the new world state plus the event records of this reaction.
+
+    A second reaction without events would change nothing, so the loop
+    reacts only on steps with events.  Each section is switched off by its
+    own action: a stop marks the agent stopped, and a release ends the
+    episode.  An issued command either takes the plant out of its initial
+    state or becomes the agent's recorded command, and a ``None`` choice
+    records ``None``.  Apart from its events, a reaction reads only the
+    discrete state and episode, and :func:`step` carries both over unchanged.
     """
     cfg = mission.cfg
     autos = _Automata(world, mission)
@@ -478,9 +481,6 @@ def supervisor_react(world: WorldState, events, mission: Mission):
                 EventRecord(t, str(k), desired, f"region=({regions[k-1].i},{regions[k-1].j})")
             )
 
-    # every automaton move, region, stop and episode change leaves a record
-    if not records and commands[0] == d1.command and commands[1] == d2.command:
-        return world, records
     discretes = tuple(
         autos.discrete(k, regions[k - 1], commands[k - 1], stopped[k - 1]) for k in (1, 2)
     )
@@ -562,18 +562,14 @@ FAILURE_RECORDS = 10
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run the closed loop to t_end and summarize what happened.
 
-    A start or formation switch that puts a follower inside the innermost
-    ring raises :class:`ValidationError`; one that puts it beyond the
-    horizon raises :class:`HorizonViolation`, as does a step that leaves
-    the horizon.  A :class:`SupervisorBlocked` or
+    The supervisors react at the start, after each formation switch and on
+    steps with events.  A start or formation switch that puts a follower
+    inside the innermost ring raises :class:`ValidationError`; one that
+    puts it beyond the horizon raises :class:`HorizonViolation`, as does a
+    step that leaves the horizon.  A :class:`SupervisorBlocked` or
     :class:`HorizonViolation` raised after the start carries ``world``, the
     last world state reached, and ``recent``, the last
     :data:`FAILURE_RECORDS` event records.
-
-    A step without events skips the reaction once the discrete state has
-    settled: a reaction without events reads only the world's discrete
-    state and episode, which :func:`step` carries over, so once it has
-    returned the world it was given it would keep doing so.
     """
     cfg.validate()
     mission = Mission(cfg)
@@ -583,17 +579,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     switch_times = list(cfg.switch_times())
     n_steps = int(round(cfg.t_end / cfg.dt))
     phase = 0
-    t_reach = {1: [None], 2: [None]}
-    episodes: list = []
     min_sep = world.separation
     min_sep_t = 0.0
-    first_circle = {
-        k: frozenset(mission.alphabet(k).first_circle) for k in (1, 2)
-    }
 
     try:
         world, records = supervisor_react(world, [], mission)
-        settled = False
         result.records.extend(records)
         result.rows.append(_row(world))
 
@@ -602,50 +592,31 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 switch_times.pop(0)
                 world = _apply_offset_switch(world, mission)
                 phase += 1
-                for k in (1, 2):
-                    t_reach[k].append(None)
                 result.records.append(
                     EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
                 )
                 world, records = supervisor_react(world, [], mission)
-                settled = False
                 result.records.extend(records)
 
             nxt = step(world, mission)
             events = detect_events(world, nxt, mission)
-            if events or not settled:
-                world, records = supervisor_react(nxt, events, mission)
-                settled = world is nxt
+            if events:
+                nxt, records = supervisor_react(nxt, events, mission)
                 result.records.extend(records)
-            else:
-                world, records = nxt, ()
+            world = nxt
             result.rows.append(_row(world))
 
             if world.separation < min_sep:
                 min_sep = world.separation
                 min_sep_t = world.t
-            for rec in records:
-                if rec.agent in ("1", "2"):
-                    k = int(rec.agent)
-                    if rec.event in first_circle[k] and t_reach[k][phase] is None:
-                        t_reach[k][phase] = rec.t
-                if rec.event in ALARM_EVENTS:
-                    episodes.append(_EpisodeLog(rec.event, rec.t))
-                elif rec.event in STOP_OF_EPISODE.values() and episodes:
-                    if episodes[-1].stop is None:
-                        episodes[-1].stop = rec.event
-                        episodes[-1].t_stop = rec.t
-                elif rec.event in RELEASE_OF_EPISODE.values() and episodes:
-                    if episodes[-1].release is None:
-                        episodes[-1].release = rec.event
-                        episodes[-1].t_release = rec.t
     except (SupervisorBlocked, HorizonViolation) as exc:
         exc.world = world
         exc.recent = tuple(result.records[-FAILURE_RECORDS:])
         raise
 
+    (t_reach, episodes) = _read_records(result.records, mission)
     flags = []
-    for k in (1, 2):
+    for k in ("1", "2"):
         for ph, value in enumerate(t_reach[k], start=1):
             if value is None:
                 flags.append(f"follower {k} never reached the formation in phase {ph}")
@@ -654,10 +625,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             flags.append(f"episode {idx} never released")
 
     verdicts = result.verdicts
-    for k in (1, 2):
-        verdicts[f"t_reach_{k}"] = " ".join(
-            "none" if v is None else f"{v:.2f}" for v in t_reach[k]
-        )
+    for k in ("1", "2"):
+        verdicts[f"t_reach_{k}"] = " ".join(_fmt_t(v) for v in t_reach[k])
     verdicts["min_separation"] = f"{min_sep:.6f} (t={min_sep_t:.2f})"
     verdicts["alarm_episodes"] = str(len(episodes))
     for idx, ep in enumerate(episodes, start=1):
@@ -672,6 +641,36 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     verdicts["flags"] = "; ".join(flags) if flags else "none"
     result.controllers = mission.controllers_text()
     return result
+
+
+def _read_records(records, mission: Mission) -> tuple:
+    """Each agent's per-phase reach times and the alarm episodes of a run.
+
+    A ``formation_switch`` record opens a phase, and an agent's first
+    detection of a first-circle region in a phase is its reach time there.
+    An alarm opens an episode, which the first stop and the first release
+    after it fill in.  Returns ``({"1": times, "2": times}, episodes)``.
+    """
+    first_circle = {str(k): frozenset(mission.alphabet(k).first_circle) for k in (1, 2)}
+    t_reach = {"1": [None], "2": [None]}
+    episodes: list = []
+    for rec in records:
+        event = rec.event
+        if event == "formation_switch":
+            for times in t_reach.values():
+                times.append(None)
+        elif event in first_circle.get(rec.agent, ()):
+            if t_reach[rec.agent][-1] is None:
+                t_reach[rec.agent][-1] = rec.t
+        elif event in ALARM_EVENTS:
+            episodes.append(_EpisodeLog(event, rec.t))
+        elif event in STOP_OF_EPISODE.values() and episodes[-1].stop is None:
+            episodes[-1].stop = event
+            episodes[-1].t_stop = rec.t
+        elif event in RELEASE_OF_EPISODE.values() and episodes[-1].release is None:
+            episodes[-1].release = event
+            episodes[-1].t_release = rec.t
+    return (t_reach, episodes)
 
 
 def _fmt_t(value) -> str:

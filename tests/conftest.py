@@ -625,10 +625,9 @@ def csv_row_by_fstring(world) -> str:
 def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
     """``sim.run_scenario`` with a supervisor reaction on every step.
 
-    The reference for the simulator's loop, which skips reactions without
-    events once the discrete state has settled; rows are formatted by
-    :func:`csv_row_by_fstring`.  Failures carry ``world`` and ``recent``
-    as in ``run_scenario``.
+    The reference for the simulator's loop, which reacts only on steps
+    with events; rows are formatted by :func:`csv_row_by_fstring`.
+    Failures carry ``world`` and ``recent`` as in ``run_scenario``.
     """
     cfg.validate()
     mission = sim.Mission(cfg)

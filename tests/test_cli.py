@@ -265,6 +265,22 @@ def test_simulate_non_finite_value_exits_2(tmp_path, capsys, line):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end, dt", [("20", "5e-324"), ("1e308", "1e-10")])
+def test_simulate_step_count_that_overflows_exits_2(tmp_path, t_end, dt):
+    kept = [
+        row for row in (DATA / "paper_phase12.cfg").read_text(encoding="utf-8").splitlines()
+        if not row.startswith(("sim.t_end", "sim.dt"))
+    ]
+    scenario = tmp_path / "overflow.cfg"
+    scenario.write_text("\n".join(kept + [f"sim.t_end = {t_end}", f"sim.dt = {dt}"]) + "\n",
+                        encoding="utf-8")
+    proc = run_polaris("simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "sim.t_end / sim.dt" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_failure_reports_where_the_run_stopped(tmp_path, capsys):
     # test_sim's trailing run: without velocity authority follower 2 is
     # dragged past the 40 m horizon at t = 2, one step after the last world

@@ -132,3 +132,10 @@ def test_dt_must_be_positive():
 def test_non_finite_values_rejected(line):
     with pytest.raises(ValidationError, match="finite"):
         loads_scenario(line + "\n")
+
+
+@pytest.mark.parametrize("t_end, dt", [("20", "5e-324"), ("1e308", "1e-10")])
+def test_step_count_that_overflows_rejected(t_end, dt):
+    # both settings are finite, but t_end / dt is not
+    with pytest.raises(ValidationError, match=r"sim\.t_end / sim\.dt must be finite"):
+        loads_scenario(f"sim.t_end = {t_end}\nsim.dt = {dt}\n")

@@ -541,6 +541,8 @@ def outcome(run, cfg):
     return (result.csv_text(), result.log_text(), result.verdicts_text(), result.controllers)
 
 
+# run_scenario reacts only on steps with events; the reference reacts on
+# every step.  The two must agree on every output and failure.
 @pytest.mark.parametrize("source", ["bundled", "crossing", "trailing", "switch-beyond"])
 def test_skipping_settled_reactions_changes_no_output(source):
     if source == "bundled":
@@ -569,3 +571,27 @@ def test_skipping_settled_reactions_matches_on_seeded_missions():
         releases += expected[2].count("release=R")
     # the crossing missions raise alarms that end in a stop and a release
     assert releases >= 10
+
+
+def test_reaction_reaches_its_fixpoint(monkeypatch):
+    # the property that lets run_scenario react only on steps with events:
+    # reacting again without events leaves a reaction's world as it is
+    react = sim.supervisor_react
+    repeated = []
+
+    def react_then_repeat(world, events, mission):
+        (nxt, records) = react(world, events, mission)
+        (again, more) = react(nxt, [], mission)
+        assert again == nxt and more == [], (world.t, events, more)
+        repeated.append([kind for (kind, _, _) in events])
+        return (nxt, records)
+
+    monkeypatch.setattr(sim, "supervisor_react", react_then_repeat)
+    sources = [parse_scenario("src/polaris/data/paper_phase12.cfg"), loads_scenario(CROSSING_CFG)]
+    sources += [loads_scenario(seeded_mission(seed, crossing=seed % 2 == 0)) for seed in range(20)]
+    for cfg in sources:
+        outcome(run_scenario, cfg)
+    kinds = [kind for events in repeated for kind in events]
+    # the repeats cover reactions that open and clear alarm episodes
+    assert kinds.count("alarm") >= 15 and kinds.count("cleared") >= 15
+    assert kinds.count("detection") >= 500
