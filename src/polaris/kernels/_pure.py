@@ -5,6 +5,14 @@ classification and fixed-step Euler integration.
 that ``eval_cell`` returns, and the ``simulate`` golden digests pin its
 results bit for bit: a change to the operation order or the literals of
 an expression shows there.
+
+``integrate_cell`` fuses ``eval_cell`` and ``classify`` into one loop
+with no calls but the math functions: each Euler step locates its new
+point once (radius, angle and angular offset), and that one location
+serves both the facet test and the next step's field.  It performs the
+same float operations on the same operands as the stepwise loop of
+``eval_cell`` then ``classify``, so its results match that loop bit for
+bit, exceptions included.
 """
 
 from math import atan2, cos, fmod, sin, sqrt
@@ -100,19 +108,74 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     Returns (exit_code, steps_taken, x, y): exit_code is INSIDE when the
     trajectory is still in the cell after max_steps, otherwise the facet
     first crossed, with the post-crossing position.
+
+    Each step is ``eval_cell(..., clamp=True)``, an Euler update, then
+    ``classify`` of the new point, inlined: the radius, angle and angular
+    offset of a point are computed once and shared by the facet test and
+    the next step's field.
     """
+    if not 0 < max_steps:
+        return (INSIDE, 0, x0, y0)
+    (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t) = u
+    dr = r_hi - r_lo
+    partial = span < TWO_PI - 1e-12
+    gap = TWO_PI - span
     x = x0
     y = y0
     steps = 0
-    while steps < max_steps:
-        (vx, vy) = eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, True)
-        x = x + dt * vx
-        y = y + dt * vy
+    r = sqrt(x * x + y * y)
+    th = atan2(y, x)
+    # a before rel, in eval_cell's order: r_hi == r_lo raises before fmod can
+    a = (r - r_lo) / dr
+    rel = fmod(th - th_lo, TWO_PI)
+    if rel < 0.0:
+        rel += TWO_PI
+    while True:
+        # the clamped field at (x, y), as eval_cell computes it
+        b = rel / span
+        if a < 0.0:
+            a = 0.0
+        elif a > 1.0:
+            a = 1.0
+        if b < 0.0:
+            b = 0.0
+        elif b > 1.0:
+            b = 1.0
+        oma = 1.0 - a
+        omb = 1.0 - b
+        w0 = oma * omb
+        w1 = a * omb
+        w2 = a * b
+        w3 = oma * b
+        ur = w0 * u0r + w1 * u1r + w2 * u2r + w3 * u3r
+        ut = w0 * u0t + w1 * u1t + w2 * u2t + w3 * u3t
+        m = r
+        if m < r_eps:
+            m = r_eps
+        tang = r * ut / m
+        ct = cos(th)
+        st = sin(th)
+        x = x + dt * (ur * ct - tang * st)
+        y = y + dt * (ur * st + tang * ct)
         steps += 1
-        code = classify(r_lo, r_hi, th_lo, span, x, y)
-        if code != INSIDE:
-            return (code, steps, x, y)
-    return (INSIDE, steps, x, y)
+
+        # locate the new point once, then the facet test as classify does
+        r = sqrt(x * x + y * y)
+        if r > r_hi:
+            return (EXIT_R_PLUS, steps, x, y)
+        if r < r_lo:
+            return (EXIT_R_MINUS, steps, x, y)
+        th = atan2(y, x)
+        rel = fmod(th - th_lo, TWO_PI)
+        if rel < 0.0:
+            rel += TWO_PI
+        if partial and rel > span:
+            if rel - span <= gap * 0.5:
+                return (EXIT_TH_PLUS, steps, x, y)
+            return (EXIT_TH_MINUS, steps, x, y)
+        if not steps < max_steps:
+            return (INSIDE, steps, x, y)
+        a = (r - r_lo) / dr
 
 
 def integrate_many(r_lo, r_hi, th_lo, span, u, starts, dt, max_steps, r_eps):

@@ -67,6 +67,11 @@ class PolarPartition:
             raise ValueError("r_max must be positive and finite")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("need at least two grid lines in each direction")
+        if not (self.delta_r > 0 and self.r_eps > 0):
+            raise ValueError(
+                f"r_max {self.r_max!r} is too small: its radial step or radius "
+                "floor underflows to zero"
+            )
         grid = (self.delta_r, self.delta_theta, self.n_r - 1, self.n_theta - 1, {})
         object.__setattr__(self, "_grid", grid)
 

@@ -19,6 +19,7 @@ from polaris.automata import (
     product_state,
 )
 from polaris import sim
+from polaris.kernels import INSIDE, classify, eval_cell
 from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
@@ -718,6 +719,24 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
     verdicts["flags"] = "; ".join(flags) if flags else "none"
     result.controllers = mission.controllers_text()
     return result
+
+
+def integrate_by_steps(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
+    """Stepwise reference for ``kernels.integrate_cell``: each Euler step
+    calls ``eval_cell`` on the current point, then ``classify`` on the
+    new one, so every step locates its point twice."""
+    x = x0
+    y = y0
+    steps = 0
+    while steps < max_steps:
+        (vx, vy) = eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, True)
+        x = x + dt * vx
+        y = y + dt * vy
+        steps += 1
+        code = classify(r_lo, r_hi, th_lo, span, x, y)
+        if code != INSIDE:
+            return (code, steps, x, y)
+    return (INSIDE, steps, x, y)
 
 
 def interpolate_polar(vc, alpha: float, beta: float):

@@ -281,6 +281,22 @@ def test_simulate_step_count_that_overflows_exits_2(tmp_path, t_end, dt):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("r_max", ["5e-324", "1e-321"])
+def test_simulate_partition_whose_steps_underflow_exits_2(tmp_path, r_max):
+    scenario = tmp_path / "tiny.cfg"
+    scenario.write_text(
+        f"partition.r_max = {r_max}\n"
+        "follower1.initial_position = 0,0\nfollower1.offsets = 0:0,0\n"
+        "follower2.initial_position = 0,0\nfollower2.offsets = 0:0,0\n",
+        encoding="utf-8",
+    )
+    proc = run_polaris("simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "too small" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_failure_reports_where_the_run_stopped(tmp_path, capsys):
     # test_sim's trailing run: without velocity authority follower 2 is
     # dragged past the 40 m horizon at t = 2, one step after the last world

@@ -4,6 +4,9 @@ import random
 import pytest
 
 from polaris import kernels
+from polaris.polar import TWO_PI
+
+from conftest import integrate_by_steps
 
 
 def random_cell(rng):
@@ -31,15 +34,124 @@ def test_integrate_many_matches_scalar_loop():
     assert many == single
 
 
+# (r_lo, r_hi, th_lo, span, x, y, r_eps) on which the field divides by zero
+ZERO_DIVISORS = (
+    (5.0, 5.0, 0.0, 1.0, 4.0, 1.0, 0.05),  # r_hi == r_lo
+    (1.0, 5.0, 0.0, 0.0, 4.0, 1.0, 0.05),  # zero span
+    (0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0),  # r == r_eps == 0
+)
+
+
 def test_zero_divisors_raise_in_both_backends():
     u = (1.0,) * 8
-    for args in (
-        (5.0, 5.0, 0.0, 1.0, u, 4.0, 1.0, 0.05, True),  # r_hi == r_lo
-        (1.0, 5.0, 0.0, 0.0, u, 4.0, 1.0, 0.05, True),  # zero span
-        (0.0, 5.0, 0.0, 1.0, u, 0.0, 0.0, 0.0, True),  # r == r_eps == 0
-    ):
+    for (r_lo, r_hi, th_lo, span, x, y, r_eps) in ZERO_DIVISORS:
         with pytest.raises(ZeroDivisionError):
-            kernels.eval_cell(*args)
+            kernels.eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, True)
+
+
+def test_integrate_cell_raises_on_the_same_zero_divisors():
+    u = (1.0,) * 8
+    for (r_lo, r_hi, th_lo, span, x, y, r_eps) in ZERO_DIVISORS:
+        for max_steps in (1, 2, 500):
+            with pytest.raises(ZeroDivisionError):
+                kernels.integrate_cell(r_lo, r_hi, th_lo, span, u, x, y, 0.1, max_steps, r_eps)
+        # no step, no field evaluation: the start comes back untouched
+        result = kernels.integrate_cell(r_lo, r_hi, th_lo, span, u, x, y, 0.1, 0, r_eps)
+        assert result == (kernels.INSIDE, 0, x, y)
+
+
+# a full circle, and a span just inside the full-circle cutoff 2*pi - 1e-12
+FULL_SPANS = (TWO_PI, TWO_PI - 1e-13)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or of the exception it raises: repr tells signed
+    zeros and NaNs apart, which == would not."""
+    try:
+        return repr(fn(*args))
+    except (ZeroDivisionError, ValueError) as exc:
+        return repr(exc)
+
+
+def seeded_kernel_case(rng):
+    """integrate_cell arguments drawn across the kernel's edge cases:
+    full-circle spans, r_lo = 0 with starts at or near the origin, starts
+    outside the cell, non-positive step budgets, zero divisors and NaNs."""
+    r_lo = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 40.0)
+    r_hi = r_lo + rng.uniform(0.5, 10.0)
+    th_lo = rng.uniform(-TWO_PI, TWO_PI)
+    span = rng.choice(FULL_SPANS) if rng.random() < 0.25 else rng.uniform(0.2, 6.0)
+    u = tuple(rng.uniform(-3.0, 3.0) for _ in range(8))
+    r_eps = rng.choice((1e-3, 0.05, 0.5))
+    dt = rng.choice((0.01, 0.1, 1.0))
+    max_steps = rng.choice((-1, 0, 1, 2, 7, 500))
+
+    where = rng.randrange(8)
+    if where == 0:  # outside the annulus
+        r = rng.choice((rng.uniform(r_hi, r_hi + 5.0), rng.uniform(0.0, r_lo)))
+        th = th_lo + rng.uniform(0.0, span)
+    elif where == 1:  # outside the angular span
+        r = rng.uniform(r_lo, r_hi)
+        th = th_lo + span + rng.uniform(0.0, TWO_PI - span)
+    elif where == 2:  # at the origin
+        r = th = 0.0
+    elif where == 3:  # inside the tangential floor r_eps
+        r = rng.uniform(0.0, r_eps)
+        th = rng.uniform(-math.pi, math.pi)
+    else:
+        r = rng.uniform(r_lo, r_hi)
+        th = th_lo + rng.uniform(0.0, span)
+    (x0, y0) = (r * math.cos(th), r * math.sin(th))
+
+    odd = rng.randrange(40)
+    if odd == 0:
+        r_hi = r_lo
+    elif odd == 1:
+        span = 0.0
+    elif odd == 2:
+        r_eps = 0.0
+    elif odd == 3:
+        x0 = math.nan
+    elif odd == 4:
+        u = (math.nan,) + u[1:]
+    elif odd == 5:
+        y0 = -0.0
+    return (r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps)
+
+
+def angular_edge_cases(rng):
+    """Still starts (zero field) at the angular edges: inside the 1e-13 gap
+    that a span just short of 2*pi leaves, and on either side of the
+    complement-arc midpoint that splits th+ exits from th- exits."""
+    still = (0.0,) * 8
+    for _ in range(100):
+        r = rng.uniform(1.0, 20.0)
+        th_lo = rng.uniform(-math.pi, math.pi)
+        th = th_lo - rng.uniform(1e-14, 9e-14)
+        yield (0.0, 30.0, th_lo, FULL_SPANS[1], still,
+               r * math.cos(th), r * math.sin(th), 0.1, rng.choice((1, 5)), 0.05)
+        span = rng.uniform(0.2, 6.0)
+        th = th_lo + span + rng.uniform(0.0, TWO_PI - span)
+        yield (0.0, 30.0, th_lo, span, still,
+               r * math.cos(th), r * math.sin(th), 0.1, 1, 0.05)
+
+
+def test_integrate_cell_matches_the_stepwise_oracle():
+    rng = random.Random(15)
+    cases = [seeded_kernel_case(rng) for _ in range(3200)]
+    cases += angular_edge_cases(rng)
+    outcomes = []
+    for args in cases:
+        expected = outcome(integrate_by_steps, *args)
+        assert outcome(kernels.integrate_cell, *args) == expected, args
+        outcomes.append(expected)
+    # the cases reach every exit code, a zero divisor and NaN propagation
+    assert {int(o[1]) for o in outcomes if o.startswith("(")} == {
+        kernels.INSIDE, kernels.EXIT_R_PLUS, kernels.EXIT_R_MINUS,
+        kernels.EXIT_TH_PLUS, kernels.EXIT_TH_MINUS,
+    }
+    assert any("ZeroDivisionError" in o for o in outcomes)
+    assert any("nan" in o for o in outcomes)
 
 
 def test_classify_precedence_and_wrap():

@@ -81,6 +81,13 @@ def test_invalid_partitions_rejected():
         PolarPartition(10.0, 1, 9)
 
 
+@pytest.mark.parametrize("r_max", [5e-324, 1e-321])
+def test_partitions_whose_steps_underflow_rejected(r_max):
+    # 5e-324 / 4 rounds to a zero radial step; 1e-321 * 1e-3 to a zero floor
+    with pytest.raises(ValueError, match="too small"):
+        PolarPartition(r_max, 5, 9)
+
+
 def test_locate_origin_ties_to_first_region():
     assert locate(P, 0.0, 0.0) == RegionIndex(1, 1)
 
