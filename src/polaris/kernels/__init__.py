@@ -1,5 +1,5 @@
-"""The geometry kernels: cell-field evaluation, facet classification and
-fixed-step integration, implemented in pure Python in ``_pure``."""
+"""The geometry kernels: cell-field evaluation and fixed-step integration
+with exit-facet classification, implemented in pure Python in ``_pure``."""
 
 from ._pure import (
     EXIT_R_MINUS,
@@ -7,7 +7,6 @@ from ._pure import (
     EXIT_TH_MINUS,
     EXIT_TH_PLUS,
     INSIDE,
-    classify,
     eval_cell,
     integrate_cell,
     integrate_many,

@@ -1,18 +1,21 @@
-"""Pure-Python geometry kernels: the interpolated cell field, facet
-classification and fixed-step Euler integration.
+"""Pure-Python geometry kernels: the interpolated cell field and
+fixed-step Euler integration with exit-facet classification.
 
 ``polaris.kernels`` re-exports them.  The simulator integrates the field
-that ``eval_cell`` returns, and the ``simulate`` golden digests pin its
-results bit for bit: a change to the operation order or the literals of
-an expression shows there.
+that ``eval_cell`` returns: its event steps call ``eval_cell``, and its
+quiet loop (``sim._mover``) repeats ``eval_cell``'s clamped arithmetic
+inline.  The ``simulate`` golden digests pin both bit for bit: a change to
+the operation order or the literals of an expression in one shows there
+unless the other changes with it.
 
-``integrate_cell`` fuses ``eval_cell`` and ``classify`` into one loop
-with no calls but the math functions: each Euler step locates its new
-point once (radius, angle and angular offset), and that one location
-serves both the facet test and the next step's field.  It performs the
-same float operations on the same operands as the stepwise loop of
-``eval_cell`` then ``classify``, so its results match that loop bit for
-bit, exceptions included.
+``integrate_cell`` is one loop with no calls but the math functions: each
+Euler step locates its new point once (radius, angle and angular offset),
+and that one location serves both the facet test and the next step's
+field.  It performs the same float operations on the same operands as a
+stepwise loop that calls ``eval_cell``, then locates the new point
+against the cell's facets (``integrate_by_steps`` and its ``classify`` in
+the tests), so its results match that loop bit for bit, exceptions
+included.
 """
 
 from math import atan2, cos, fmod, sin, sqrt
@@ -77,31 +80,6 @@ def eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, clamp):
     return (vx, vy)
 
 
-def classify(r_lo, r_hi, th_lo, span, x, y):
-    """Locate (x, y) relative to the cell: INSIDE or the facet crossed.
-
-    Radial facets take precedence over angular ones; an angular excursion
-    is attributed to the nearer facet measured through the complement arc.
-    """
-    r = sqrt(x * x + y * y)
-    if r > r_hi:
-        return EXIT_R_PLUS
-    if r < r_lo:
-        return EXIT_R_MINUS
-    if span < TWO_PI - 1e-12:
-        th = atan2(y, x)
-        rel = fmod(th - th_lo, TWO_PI)
-        if rel < 0.0:
-            rel += TWO_PI
-        if rel > span:
-            excess = rel - span
-            gap = TWO_PI - span
-            if excess <= gap * 0.5:
-                return EXIT_TH_PLUS
-            return EXIT_TH_MINUS
-    return INSIDE
-
-
 def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     """Fixed-step Euler integration of the cell field from (x0, y0).
 
@@ -109,10 +87,11 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     trajectory is still in the cell after max_steps, otherwise the facet
     first crossed, with the post-crossing position.
 
-    Each step is ``eval_cell(..., clamp=True)``, an Euler update, then
-    ``classify`` of the new point, inlined: the radius, angle and angular
-    offset of a point are computed once and shared by the facet test and
-    the next step's field.
+    Each step is ``eval_cell(..., clamp=True)``, an Euler update, then the
+    facet test of the new point, inlined: radial facets first, then an
+    angular excursion attributed to the nearer facet through the
+    complement arc.  The radius, angle and angular offset of a point are
+    computed once and shared by the facet test and the next step's field.
     """
     if not 0 < max_steps:
         return (INSIDE, 0, x0, y0)
@@ -159,7 +138,7 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
         y = y + dt * (ur * st + tang * ct)
         steps += 1
 
-        # locate the new point once, then the facet test as classify does
+        # locate the new point once, then the facet test
         r = sqrt(x * x + y * y)
         if r > r_hi:
             return (EXIT_R_PLUS, steps, x, y)

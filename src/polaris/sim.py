@@ -9,6 +9,16 @@ state and detect events; on a step with events, feed the uncontrollable
 ones through the automata, then emit the controllable events they enable
 (stop/release first, then one actuation command per agent).
 
+Between two events nothing discrete changes, so :func:`run_scenario`
+advances each quiet stretch in one loop over plain floats (``_coast``)
+that repeats the float operations of :func:`step`, :func:`detect_events`
+and the row formatting.  The loop stops before the first step that may
+have an event: a follower may leave its region or the horizon, the
+followers may close within the alarm radius or part beyond the release
+radius, or a formation switch is due.  That step runs through
+:func:`step`, :func:`detect_events` and :func:`supervisor_react`, so every
+event and failure comes from them.
+
 Everything is deterministic: identical configs produce identical
 trajectories, logs and verdicts byte for byte.
 """
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from math import atan2, ceil, cos, fmod, hypot, sin, sqrt
 from typing import Optional
 
 from . import kernels
@@ -28,7 +39,14 @@ from .models import (
     STOP_OF_EPISODE,
     build_models,
 )
-from .polar import PolarPartition, RegionIndex, cached_controller, locate, region_bounds
+from .polar import (
+    TWO_PI,
+    PolarPartition,
+    RegionIndex,
+    cached_controller,
+    locate,
+    region_bounds,
+)
 from .scenario import ScenarioConfig, schedule_at
 
 __all__ = [
@@ -555,6 +573,181 @@ def _row(world: WorldState) -> str:
     )
 
 
+def _mover(mission: Mission, k: int, world: WorldState):
+    """Follower ``k``'s quiet step in ``world``'s discrete state, as a
+    function of plain floats.
+
+    ``move(x, y, rx, ry, th, lvx, lvy)`` takes the follower's position, its
+    relative position and that position's ``atan2`` angle, and the leader
+    velocity.  It returns the new ``(x, y, rx, ry, th)``, computed with the
+    float operations of :func:`step` (``eval_cell``'s clamped field, the
+    ``u_max`` clamp, the Euler update) and of ``locate``, or None when the
+    new position may lie beyond the horizon or outside the region.
+    """
+    cfg = mission.cfg
+    p = cfg.partition
+    (dt, u_max, r_max) = (cfg.dt, cfg.u_max, p.r_max)
+    (delta_r, delta_theta, i_max, j_max) = (p.delta_r, p.delta_theta, p.n_r - 1, p.n_theta - 1)
+    disc = world.discrete[k - 1]
+    (i0, j0) = (disc.region.i, disc.region.j)
+    (ox, oy) = world.offsets[k - 1]
+    held = disc.stopped or disc.command is None
+    if not held:
+        (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
+        (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t) = gains
+        dr = r_hi - r_lo
+
+    def move(x, y, rx, ry, th, lvx, lvy):
+        if held:
+            # step adds a zero relative velocity; the sum turns -0.0 into 0.0
+            tvx = lvx + 0.0
+            tvy = lvy + 0.0
+        else:
+            r = sqrt(rx * rx + ry * ry)
+            a = (r - r_lo) / dr
+            rel = fmod(th - th_lo, TWO_PI)
+            if rel < 0.0:
+                rel += TWO_PI
+            b = rel / span
+            if a < 0.0:
+                a = 0.0
+            elif a > 1.0:
+                a = 1.0
+            if b < 0.0:
+                b = 0.0
+            elif b > 1.0:
+                b = 1.0
+            w0 = (1.0 - a) * (1.0 - b)
+            w1 = a * (1.0 - b)
+            w2 = a * b
+            w3 = (1.0 - a) * b
+            ur = w0 * u0r + w1 * u1r + w2 * u2r + w3 * u3r
+            ut = w0 * u0t + w1 * u1t + w2 * u2t + w3 * u3t
+            tang = r * ut / (r_eps if r < r_eps else r)
+            ct = cos(th)
+            st = sin(th)
+            tvx = lvx + (ur * ct - tang * st)
+            tvy = lvy + (ur * st + tang * ct)
+        speed = hypot(tvx, tvy)
+        if speed > u_max:
+            if u_max == 0.0:
+                tvx = 0.0
+                tvy = 0.0
+            else:
+                scale = u_max / speed
+                tvx *= scale
+                tvy *= scale
+        x = x + (tvx - lvx) * dt
+        y = y + (tvy - lvy) * dt
+        rx = x - ox
+        ry = y - oy
+        r = hypot(rx, ry)
+        if not r <= r_max:  # beyond the horizon, or NaN
+            return None
+        th = atan2(ry, rx)
+        i = ceil(r / delta_r)
+        if i < 1:
+            i = 1
+        elif i > i_max:
+            i = i_max
+        j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
+        if j < 1:
+            j = 1
+        elif j > j_max:
+            j = j_max
+        if i != i0 or j != j0:
+            return None
+        return (x, y, rx, ry, th)
+
+    return move
+
+
+def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
+    """Advance ``world`` through the steps that cannot have an event.
+
+    Between two events each follower keeps its command, region and offset,
+    and the episode stays as it is, so only floats change.  Each step
+    moves both followers with :func:`_mover`, takes their separation,
+    appends the row that :func:`_row` would format to ``rows`` and updates
+    the minimum separation.  A follower's ``atan2`` angle from its region
+    test is the angle of its next field, so it is computed once per step;
+    the radius is not shared, since ``locate`` takes ``hypot`` and the
+    field ``sqrt``.  The leader velocity is read again only when ``t``
+    reaches its next breakpoint.
+
+    The loop stops before the first step that may have an event: a
+    follower may leave its region or the horizon, the separation crosses
+    into the alarm radius with no episode open, or it passes the release
+    radius during an episode that is not yet cleared.  It also stops at
+    step ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop only has
+    to be conservative, because the caller runs that step with
+    :func:`step` and :func:`detect_events`.
+
+    Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
+    stopped (``world`` itself if it took no step).
+    """
+    index = world.step_index
+    t = world.t
+    # with no step to take, fetch no cell: the controllers text lists only
+    # the controllers that some step used
+    if not (index < n_steps and t < t_switch):
+        return (world, min_sep, min_sep_t)
+    cfg = mission.cfg
+    (dt, leader) = (cfg.dt, cfg.leader_velocity)
+    (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
+    episode = world.episode
+    watch_alarm = episode is None
+    watch_release = episode is not None and not episode.cleared
+    move1 = _mover(mission, 1, world)
+    move2 = _mover(mission, 2, world)
+    (d1, d2) = world.discrete
+    (i1, j1, i2, j2) = (d1.region.i, d1.region.j, d2.region.i, d2.region.j)
+
+    (lx, ly) = world.leader_pos
+    ((x1, y1), (x2, y2)) = world.follower_pos
+    ((rx1, ry1), (rx2, ry2)) = world.relative
+    th1 = atan2(ry1, rx1)
+    th2 = atan2(ry2, rx2)
+    sep = world.separation
+    t_lv = t  # the leader velocity is read at the first step
+    start = index
+    while index < n_steps and t < t_switch:
+        if t >= t_lv:
+            (lvx, lvy) = schedule_at(leader, t)
+            t_lv = next((entry[0] for entry in leader if entry[0] > t), math.inf)
+        new1 = move1(x1, y1, rx1, ry1, th1, lvx, lvy)
+        if new1 is None:
+            break
+        new2 = move2(x2, y2, rx2, ry2, th2, lvx, lvy)
+        if new2 is None:
+            break
+        nsep = hypot(new1[0] - new2[0], new1[1] - new2[1])
+        if watch_alarm and sep >= alarm_radius > nsep:
+            break
+        if watch_release and nsep > release_radius:
+            break
+
+        (x1, y1, rx1, ry1, th1) = new1
+        (x2, y2, rx2, ry2, th2) = new2
+        sep = nsep
+        index += 1
+        t = index * dt
+        lx = lx + lvx * dt
+        ly = ly + lvy * dt
+        rows.append(_ROW % (
+            t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2, i1, j1, i2, j2
+        ))
+        if sep < min_sep:
+            min_sep = sep
+            min_sep_t = t
+    if index == start:
+        return (world, min_sep, min_sep_t)
+    moved = WorldState(
+        index, t, (lx, ly), ((x1, y1), (x2, y2)), world.offsets, world.discrete, episode
+    )
+    return (moved, min_sep, min_sep_t)
+
+
 #: Event records attached to a simulator failure as ``recent``.
 FAILURE_RECORDS = 10
 
@@ -563,10 +756,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run the closed loop to t_end and summarize what happened.
 
     The supervisors react at the start, after each formation switch and on
-    steps with events.  A start or formation switch that puts a follower
-    inside the innermost ring raises :class:`ValidationError`; one that
-    puts it beyond the horizon raises :class:`HorizonViolation`, as does a
-    step that leaves the horizon.  A :class:`SupervisorBlocked` or
+    steps with events.  Between them ``_coast`` advances the quiet steps as
+    plain floats.  It stops before a step on which a follower may leave its
+    region or the horizon, or the separation may cross into the alarm
+    radius with no episode open or past the release radius in an episode
+    not yet cleared; that step runs through :func:`step` and
+    :func:`detect_events`.  It also stops when a formation switch is due
+    and after the last step.
+
+    A start or formation switch that puts a follower inside the innermost
+    ring raises :class:`ValidationError`; one that puts it beyond the
+    horizon raises :class:`HorizonViolation`, as does a step that leaves
+    the horizon.  A :class:`SupervisorBlocked` or
     :class:`HorizonViolation` raised after the start carries ``world``, the
     last world state reached, and ``recent``, the last
     :data:`FAILURE_RECORDS` event records.
@@ -587,8 +788,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         result.records.extend(records)
         result.rows.append(_row(world))
 
-        for _ in range(n_steps):
-            if switch_times and world.t >= switch_times[0]:
+        while True:
+            t_switch = switch_times[0] if switch_times else math.inf
+            (world, min_sep, min_sep_t) = _coast(
+                world, mission, result.rows, n_steps, t_switch, min_sep, min_sep_t
+            )
+            if world.step_index >= n_steps:
+                break
+            if world.t >= t_switch:
                 switch_times.pop(0)
                 world = _apply_offset_switch(world, mission)
                 phase += 1

@@ -19,7 +19,14 @@ from polaris.automata import (
     product_state,
 )
 from polaris import sim
-from polaris.kernels import INSIDE, classify, eval_cell
+from polaris.kernels import (
+    EXIT_R_MINUS,
+    EXIT_R_PLUS,
+    EXIT_TH_MINUS,
+    EXIT_TH_PLUS,
+    INSIDE,
+    eval_cell,
+)
 from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
@@ -719,6 +726,32 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
     verdicts["flags"] = "; ".join(flags) if flags else "none"
     result.controllers = mission.controllers_text()
     return result
+
+
+def classify(r_lo, r_hi, th_lo, span, x, y):
+    """Locate (x, y) relative to the cell: INSIDE or the facet crossed.
+
+    Radial facets take precedence over angular ones; an angular excursion
+    is attributed to the nearer facet measured through the complement arc.
+    ``kernels.integrate_cell`` makes this test inline after each step.
+    """
+    r = math.sqrt(x * x + y * y)
+    if r > r_hi:
+        return EXIT_R_PLUS
+    if r < r_lo:
+        return EXIT_R_MINUS
+    if span < TWO_PI - 1e-12:
+        th = math.atan2(y, x)
+        rel = math.fmod(th - th_lo, TWO_PI)
+        if rel < 0.0:
+            rel += TWO_PI
+        if rel > span:
+            excess = rel - span
+            gap = TWO_PI - span
+            if excess <= gap * 0.5:
+                return EXIT_TH_PLUS
+            return EXIT_TH_MINUS
+    return INSIDE
 
 
 def integrate_by_steps(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):

@@ -6,7 +6,7 @@ import pytest
 from polaris import kernels
 from polaris.polar import TWO_PI
 
-from conftest import integrate_by_steps
+from conftest import classify, integrate_by_steps
 
 
 def random_cell(rng):
@@ -156,18 +156,18 @@ def test_integrate_cell_matches_the_stepwise_oracle():
 
 def test_classify_precedence_and_wrap():
     # radial exits win over angular ones
-    assert kernels.classify(10.0, 20.0, 0.0, 1.0, 25.0, 0.0) == kernels.EXIT_R_PLUS
-    assert kernels.classify(10.0, 20.0, 0.0, 1.0, 5.0, 0.0) == kernels.EXIT_R_MINUS
+    assert classify(10.0, 20.0, 0.0, 1.0, 25.0, 0.0) == kernels.EXIT_R_PLUS
+    assert classify(10.0, 20.0, 0.0, 1.0, 5.0, 0.0) == kernels.EXIT_R_MINUS
     # just past the upper angular facet
     x = 15 * math.cos(1.05)
     y = 15 * math.sin(1.05)
-    assert kernels.classify(10.0, 20.0, 0.0, 1.0, x, y) == kernels.EXIT_TH_PLUS
+    assert classify(10.0, 20.0, 0.0, 1.0, x, y) == kernels.EXIT_TH_PLUS
     # just below the lower facet, approached through the wrap
     x = 15 * math.cos(-0.05)
     y = 15 * math.sin(-0.05)
-    assert kernels.classify(10.0, 20.0, 0.0, 1.0, x, y) == kernels.EXIT_TH_MINUS
+    assert classify(10.0, 20.0, 0.0, 1.0, x, y) == kernels.EXIT_TH_MINUS
     # a full-circle sector has no angular facets
-    assert kernels.classify(10.0, 20.0, 0.0, 2 * math.pi, x, y) == kernels.INSIDE
+    assert classify(10.0, 20.0, 0.0, 2 * math.pi, x, y) == kernels.INSIDE
 
 
 def test_tangential_rate_tapers_at_center():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CROSSING_CFG, run_scenario_reacting_every_step, scan_command_choice
 
-from polaris import sim
+from polaris import kernels, polar, sim
 from polaris.cli import main
 from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
@@ -595,3 +595,125 @@ def test_reaction_reaches_its_fixpoint(monkeypatch):
     # the repeats cover reactions that open and clear alarm episodes
     assert kinds.count("alarm") >= 15 and kinds.count("cleared") >= 15
     assert kinds.count("detection") >= 500
+
+
+# run_scenario advances the steps without events in one float loop and
+# runs step and detect_events only where an event may occur.  The cases
+# below reach parts of that loop that the missions above do not.
+BUNDLED = "src/polaris/data/paper_phase12.cfg"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_quiet_loop_matches_a_horizon_violation_by_one_follower(k):
+    # without velocity authority both followers trail a 10 m/s leader on
+    # the relative x axis: follower k from relative (-30.1, 0) leaves the
+    # 40 m horizon at the step to t = 1, while the other, from (35, 0), is
+    # still inside.  Beyond r_max the ring index clamps to the outermost ring and
+    # the angle does not change, so only the horizon test sees that step.
+    (trailing, ahead) = ((-30.1, 0.0), (35.0, 0.0))
+    rel = (trailing, ahead) if k == 1 else (ahead, trailing)
+    offsets = ((10.0, 10.0), (-10.0, -10.0))
+    followers = tuple(
+        FollowerConfig((ox + rx, oy + ry), ((0.0, ox, oy),))
+        for ((ox, oy), (rx, ry)) in zip(offsets, rel)
+    )
+    cfg = small_cfg(
+        u_max=0.0, leader_velocity=((0.0, 10.0, 0.0),), t_end=5.0, followers=followers
+    )
+    expected = outcome(run_scenario_reacting_every_step, cfg)
+    assert outcome(run_scenario, cfg) == expected
+    assert expected[0] is HorizonViolation
+    assert expected[1].startswith(f"follower {k} at relative radius 40.")
+    assert expected[2].t == pytest.approx(1.0 - cfg.dt)
+
+
+def clamped_steps(result, u_max, dt) -> int:
+    """Follower-steps whose absolute displacement is ``u_max * dt``, to the
+    rounding of the CSV's six decimals."""
+    rows = [[float(v) for v in row.split(",")] for row in result.rows]
+    return sum(
+        1
+        for (before, after) in zip(rows, rows[1:])
+        for col in (3, 5)
+        if abs(math.hypot(after[col] - before[col], after[col + 1] - before[col + 1])
+               - u_max * dt) < 1e-5
+    )
+
+
+def test_quiet_loop_matches_under_a_partial_velocity_clamp():
+    # a 2.5 m/s bound below the 2 m/s command plus the 1.1 m/s leader
+    # scales the followers' velocities on many steps without stopping them
+    text = open(BUNDLED, encoding="utf-8").read().replace("sim.u_max = 5", "sim.u_max = 2.5")
+    cfg = loads_scenario(text)
+    assert 0.0 < cfg.u_max < cfg.speed + math.hypot(*cfg.leader_velocity[0][1:])
+    expected = outcome(run_scenario_reacting_every_step, cfg)
+    assert outcome(run_scenario, cfg) == expected
+    assert clamped_steps(run_scenario(cfg), cfg.u_max, cfg.dt) >= 1000
+    assert "release=R21" in expected[2]
+
+
+def off_grid(text: str) -> str:
+    """A seeded mission with its switch at 30.01 s and its leader-velocity
+    breakpoint at 20.005 s, both between two steps of 0.02 s."""
+    return text.replace(" 30:", " 30.01:").replace(" 20:", " 20.005:")
+
+
+def test_quiet_loop_matches_with_breakpoints_off_the_step_grid():
+    for seed in range(6):
+        cfg = loads_scenario(off_grid(seeded_mission(seed, crossing=seed % 2 == 0)))
+        assert cfg.switch_times() == (30.01,) and cfg.leader_velocity[1][0] == 20.005
+        expected = outcome(run_scenario_reacting_every_step, cfg)
+        assert outcome(run_scenario, cfg) == expected, seed
+        assert "formation_switch" in expected[1], seed
+
+
+def test_quiet_loop_matches_a_seeded_supervisor_block():
+    # a 1.25 m/s bound leaves too little authority against the leader:
+    # follower 2, holding in the first ring, drifts into the next region
+    # of the ring, and its plant has no detection in its ready state
+    cfg = loads_scenario(seeded_mission(3, crossing=False) + "sim.u_max = 1.25\n")
+    expected = outcome(run_scenario_reacting_every_step, cfg)
+    assert outcome(run_scenario, cfg) == expected
+    (kind, message, world, recent) = expected
+    assert kind is SupervisorBlocked
+    assert message == "event d_1_6_2 undefined in agent 2 plant automaton at state 'R2'"
+    # it has held region (1,7) since t = 2.54; the last world is the step
+    # before the one that crossed into (1,6)
+    assert world.t == pytest.approx(7.08)
+    assert (world.discrete[1].region, world.discrete[1].command) == (RegionIndex(1, 7), "C0_2")
+    assert ("d_1_7_2", "C0_2") == tuple(rec.event for rec in recent[2:4])
+
+
+def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
+    # perfbench's mission trace wraps these names, and rejects a traced run
+    # in which one of them is never called
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for (module, name) in ((sim, "step"), (sim, "detect_events"), (sim, "supervisor_react")):
+        monkeypatch.setattr(module, name, counting(f"sim.{name}", getattr(module, name)))
+    monkeypatch.setattr(kernels, "eval_cell", counting("kernels.eval_cell", kernels.eval_cell))
+    located = counting("polar.locate", polar.locate)
+    monkeypatch.setattr(polar, "locate", located)
+    monkeypatch.setattr(sim, "locate", located)
+    run_scenario(parse_scenario(BUNDLED))
+    assert sorted(calls) == [
+        "kernels.eval_cell", "polar.locate", "sim.detect_events", "sim.step",
+        "sim.supervisor_react",
+    ]
+    assert all(count >= 1 for count in calls.values()), calls
+
+
+def test_controllers_text_lists_only_the_controllers_a_step_used():
+    # both followers reach the first ring on the last step, at t = 5.02,
+    # and get hold commands that no step runs
+    cfg = small_cfg(t_end=5.02)
+    expected = outcome(run_scenario_reacting_every_step, cfg)
+    assert outcome(run_scenario, cfg) == expected
+    assert "C0_1" in expected[1] and "C0_2" in expected[1]
+    assert "mode=invariant" not in expected[3]
