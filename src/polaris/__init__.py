@@ -8,7 +8,6 @@ from .automata import (
     Event,
     accessible,
     is_bisimilar,
-    marked_language_upto,
     natural_project,
     parallel_compose,
 )

@@ -13,10 +13,6 @@ class AlphabetMismatch(PolarisError):
     """Two automata that must share an alphabet do not."""
 
 
-class BoundTooLarge(PolarisError):
-    """A bounded language enumeration exceeded its node budget."""
-
-
 class CoverageError(PolarisError):
     """The two local event sets do not cover the automaton alphabet, or
     name events outside it."""

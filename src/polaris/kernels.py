@@ -1,12 +1,12 @@
 """Pure-Python geometry kernels: the interpolated cell field and
 fixed-step Euler integration with exit-facet classification.
 
-``polaris.kernels`` re-exports them.  The simulator integrates the field
-that ``eval_cell`` returns: its event steps call ``eval_cell``, and its
-quiet loop (``sim._mover``) repeats ``eval_cell``'s clamped arithmetic
-inline.  The ``simulate`` golden digests pin both bit for bit: a change to
-the operation order or the literals of an expression in one shows there
-unless the other changes with it.
+The simulator integrates the field that ``eval_cell`` returns: its event
+steps call ``eval_cell``, and its quiet loop (``sim._mover``) repeats
+``eval_cell``'s clamped arithmetic inline.  The ``simulate`` golden
+digests pin both bit for bit: a change to the operation order or the
+literals of an expression in one shows there unless the other changes
+with it.
 
 ``integrate_cell`` is one loop with no calls but the math functions: each
 Euler step locates its new point once (radius, angle and angular offset),
@@ -21,6 +21,9 @@ included.
 from math import atan2, cos, fmod, sin, sqrt
 
 TWO_PI = 6.283185307179586
+
+# the only implementation; perfbench names it in each result header
+BACKEND = "pure"
 
 # exit codes returned by integrate_cell
 INSIDE = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
@@ -58,9 +58,6 @@ class PolarPartition:
     r_max: float
     n_r: int
     n_theta: int
-    # derived by __post_init__ for locate: the grid steps, the highest
-    # region indices and the regions located so far, keyed i * n_theta + j
-    _grid: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.r_max) and self.r_max > 0):
@@ -72,8 +69,6 @@ class PolarPartition:
                 f"r_max {self.r_max!r} is too small: its radial step or radius "
                 "floor underflows to zero"
             )
-        grid = (self.delta_r, self.delta_theta, self.n_r - 1, self.n_theta - 1, {})
-        object.__setattr__(self, "_grid", grid)
 
     @property
     def delta_r(self) -> float:
@@ -131,31 +126,19 @@ def region_bounds(p: PolarPartition, idx: RegionIndex):
 def locate(p: PolarPartition, x: float, y: float) -> RegionIndex:
     """Region containing the point, ties broken toward the lower index.
 
-    Every call that lands in the same region of ``p`` returns the same
-    :class:`RegionIndex` object, made on the first such call.
+    The indices are the ceilings of the radius and the angle in [0, 2*pi)
+    over the grid steps, clamped to the grid.  A point beyond the horizon,
+    or with a NaN coordinate, raises :class:`OutOfHorizon`.
     """
     r = math.hypot(x, y)
-    if r > p.r_max:
+    if not r <= p.r_max:  # beyond the horizon, or NaN
         raise OutOfHorizon(f"point at radius {r:.6g} beyond horizon {p.r_max:.6g}")
     th = math.atan2(y, x)
     if th < 0.0:
         th += TWO_PI
-    (delta_r, delta_theta, i_max, j_max, located) = p._grid
-    i = math.ceil(r / delta_r)
-    if i < 1:
-        i = 1
-    elif i > i_max:
-        i = i_max
-    j = math.ceil(th / delta_theta)
-    if j < 1:
-        j = 1
-    elif j > j_max:
-        j = j_max
-    key = i * p.n_theta + j
-    region = located.get(key)
-    if region is None:
-        region = located[key] = RegionIndex(i, j)
-    return region
+    i = min(max(math.ceil(r / p.delta_r), 1), p.n_r - 1)
+    j = min(max(math.ceil(th / p.delta_theta), 1), p.n_theta - 1)
+    return RegionIndex(i, j)
 
 
 class Mode(enum.Enum):

@@ -94,9 +94,7 @@ class AgentDiscrete:
 
 @dataclass(frozen=True)
 class Episode:
-    alarm: str  # the alarm event that opened the episode
     avoider: int  # agent index that keeps moving and turns
-    t_alarm: float
     cleared: bool = False
 
 
@@ -121,7 +119,6 @@ class WorldState:
 
 
 _ROLES = ("plant", "formation", "local")
-_UNSET = object()
 
 
 class Mission:
@@ -132,8 +129,7 @@ class Mission:
     agent 1's plant, formation and local supervisor before agent 2's; a
     reaction keeps their states in a list in the same order.  ``by_event``
     maps each event id to the slots of the automata whose alphabet contains
-    it.  Region cells and command choices
-    are filled on first use and reused by later steps.
+    it.  Region cells are filled on first use and reused by later steps.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -149,7 +145,6 @@ class Mission:
             for ev in auto.event_ids:
                 self.by_event.setdefault(ev, []).append(slot)
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
-        self._choices: dict = {}  # (k, six states) -> command or None
 
     def alphabet(self, k: int):
         return self.models.alphabet(k)
@@ -178,22 +173,16 @@ class Mission:
         """The enabled actuation command of agent ``k``.
 
         The supervisors enable at most one actuation (a command or hold) at a
-        time, so the order of the scan decides nothing.  The scan depends
-        only on the six automaton states, so its result is memoized on them.
-        None means no actuation is enabled but some controllable event is;
-        with none at all the supervisors are blocked.
+        time, so the order of the scan decides nothing.  None means no
+        actuation is enabled but some controllable event is; with none at
+        all the supervisors are blocked.
         """
-        key = (k, *autos.state)
-        choice = self._choices.get(key, _UNSET)
-        if choice is _UNSET:
-            al = self.alphabet(k)
-            choice = next((ev for ev in al.actuation_ids if autos.enabled(ev)), None)
-            if choice is None and not any(autos.enabled(ev) for ev in al.controllable_ids):
-                raise SupervisorBlocked(
-                    f"agent {k}: no controllable event enabled at "
-                    f"plant={autos.plant_state(k)}"
-                )
-            self._choices[key] = choice
+        al = self.alphabet(k)
+        choice = next((ev for ev in al.actuation_ids if autos.enabled(ev)), None)
+        if choice is None and not any(autos.enabled(ev) for ev in al.controllable_ids):
+            raise SupervisorBlocked(
+                f"agent {k}: no controllable event enabled at plant={autos.plant_state(k)}"
+            )
         return choice
 
     def controllers_text(self) -> str:
@@ -351,7 +340,7 @@ def detect_events(world_prev: WorldState, world_next: WorldState, mission: Missi
     events = []
     for (k, (rx, ry), disc) in zip((1, 2), world_next.relative, world_prev.discrete):
         region = _locate(cfg.partition, k, rx, ry)
-        if region is not disc.region and region != disc.region:
+        if region != disc.region:
             events.append(("detection", k, region))
     sep_next = world_next.separation
     episode = world_prev.episode
@@ -450,7 +439,7 @@ def supervisor_react(world: WorldState, events, mission: Mission):
         elif kind == "alarm":
             event = payload
             autos.feed(event)
-            episode = Episode(event, k, t)
+            episode = Episode(k)
             records.append(
                 EventRecord(t, str(k), event, f"separation<{cfg.alarm_radius:g}")
             )

@@ -27,7 +27,7 @@ from polaris.kernels import (
     INSIDE,
     eval_cell,
 )
-from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked
+from polaris.errors import HorizonViolation, OutOfHorizon, PolarisError, SupervisorBlocked
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
@@ -150,6 +150,88 @@ def brute_language(a: Automaton, n: int, marked_only=True):
                 walk(nxt, prefix + (ev,))
 
     walk(frozenset([a.initial]), ())
+    return out
+
+
+# -- bounded language enumeration ------------------------------------------
+
+
+class BoundTooLarge(PolarisError):
+    """A bounded language enumeration exceeded its node budget."""
+
+
+DEFAULT_NODE_BUDGET = 5_000_000
+
+
+def marked_language_upto(
+    a: Automaton, n: int, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> list:
+    """Brute-force enumeration of the marked language up to length ``n``.
+
+    Returns the exact set of marked strings of length <= n as a list of
+    event-id tuples, sorted by (length, events) for reproducibility.
+    Raises :class:`BoundTooLarge` when more than ``max_nodes`` distinct
+    strings would have to be explored.
+    """
+    if n < 0:
+        raise ValueError("length bound must be >= 0")
+    # encode events as single characters so set/dict operations stay cheap
+    ids = sorted(a.event_ids)
+    code = {ev: chr(33 + i) for i, ev in enumerate(ids)}
+    decode = {c: ev for ev, c in code.items()}
+    succ_c = {
+        q: {code[ev]: ds for c, ds in row.items() for ev in a._members[c]}
+        for q, row in a._succ.items()
+    }
+
+    out = []
+    nodes = 1
+    if a.deterministic:
+        # each string reaches exactly one state: track it directly
+        det: dict = {q: tuple(sorted((c, *ds) for c, ds in m.items())) for q, m in succ_c.items()}
+        marked = a.marked
+        level_d: dict = {"": a.initial}
+        for length in range(n + 1):
+            for s, q in level_d.items():
+                if q in marked:
+                    out.append(tuple(decode[c] for c in s))
+            if length == n:
+                break
+            nxt_d: dict = {}
+            empty: tuple = ()
+            for s, q in level_d.items():
+                for (c, dst) in det.get(q, empty):
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise BoundTooLarge(f"enumeration exceeds node budget {max_nodes}")
+                    nxt_d[s + c] = dst
+            level_d = nxt_d
+        out.sort(key=lambda t: (len(t), t))
+        return out
+
+    level: dict = {"": frozenset([a.initial])}
+    for length in range(n + 1):
+        for s, states in level.items():
+            if states & a.marked:
+                out.append(tuple(decode[c] for c in s))
+        if length == n:
+            break
+        nxt: dict = {}
+        for s, states in level.items():
+            for q in states:
+                for c, dsts in succ_c.get(q, {}).items():
+                    key = s + c
+                    bucket = nxt.get(key)
+                    if bucket is None:
+                        nodes += 1
+                        if nodes > max_nodes:
+                            raise BoundTooLarge(
+                                f"enumeration exceeds node budget {max_nodes}"
+                            )
+                        bucket = nxt[key] = set()
+                    bucket.update(dsts)
+        level = {s: frozenset(states) for s, states in nxt.items()}
+    out.sort(key=lambda t: (len(t), t))
     return out
 
 
@@ -602,8 +684,9 @@ def scan_command_choice(models, k: int, states) -> str:
 
 
 def locate_by_formula(p, x: float, y: float) -> RegionIndex:
-    """``polar.locate`` as a fresh index from a clamped ceiling, the
-    reference for the shared indices that ``locate`` hands out."""
+    """``polar.locate`` as a clamped ceiling of the radius and angle over
+    the grid steps, the reference for ``locate`` at points without a NaN
+    coordinate."""
     r = math.hypot(x, y)
     if r > p.r_max:
         raise OutOfHorizon(f"point at radius {r:.6g} beyond horizon {p.r_max:.6g}")

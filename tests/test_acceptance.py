@@ -10,12 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_automaton, run_polaris
+from conftest import marked_language_upto, random_automaton, run_polaris
 
 from polaris import kernels
 from polaris.automata import (
     is_bisimilar,
-    marked_language_upto,
     natural_project,
     parallel_compose,
 )

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from conftest import (
+    BoundTooLarge,
     brute_language,
     check_bisim_relation,
     make_auto,
+    marked_language_upto,
     project_by_merging,
     random_automaton,
     random_automaton_parts,
@@ -17,11 +19,10 @@ from polaris.automata import (
     Event,
     accessible,
     is_bisimilar,
-    marked_language_upto,
     natural_project,
     parallel_compose,
 )
-from polaris.errors import AlphabetConflict, BoundTooLarge
+from polaris.errors import AlphabetConflict
 
 
 def test_build_validates_endpoints():

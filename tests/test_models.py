@@ -1,11 +1,10 @@
 import pytest
 
-from conftest import project_by_merging
+from conftest import marked_language_upto, project_by_merging
 
 import polaris.models
 from polaris.automata import (
     is_bisimilar,
-    marked_language_upto,
     natural_project,
     parallel_compose,
 )

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import interpolate_polar, locate_by_formula, validate_by_grid
 
-from polaris import kernels, polar
+from polaris import kernels
 from polaris.errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
 from polaris.polar import (
     Mode,
@@ -110,6 +110,12 @@ def test_locate_beyond_horizon():
     assert locate(P, 40.0, 0.0) == RegionIndex(4, 1)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_locate_rejects_nan_as_beyond_the_horizon(point):
+    with pytest.raises(OutOfHorizon):
+        locate(P, *point)
+
+
 def test_locate_region_midpoints_round_trip():
     for idx in P.regions():
         (r_lo, r_hi, th_lo, th_hi) = region_bounds(P, idx)
@@ -161,31 +167,6 @@ def test_locate_matches_the_clamped_formula(p):
         assert located(locate, p, x, y) == located(locate_by_formula, p, x, y), (x, y)
     assert located(locate, p, p.r_max, 0.0) == RegionIndex(p.n_r - 1, 1)
     assert located(locate, p, math.nextafter(p.r_max, math.inf), 0.0) == "beyond"
-
-
-def test_locate_returns_one_index_per_region():
-    p = PolarPartition(50.0, 21, 9)
-    first = locate(p, 10.0, 1.0)
-    assert first == RegionIndex(5, 1)
-    assert locate(p, 11.0, 0.5) is first
-    # an equal partition has indices of its own, equal to the first ones
-    other = locate(PolarPartition(50.0, 21, 9), 10.0, 1.0)
-    assert other == first
-
-
-def test_locate_makes_only_the_regions_it_returns(monkeypatch):
-    made = []
-
-    def counting(i, j):
-        made.append((i, j))
-        return RegionIndex(i, j)
-
-    monkeypatch.setattr(polar, "RegionIndex", counting)
-    p = PolarPartition(50.0, 3, 100000)
-    points = [(10.0, 0.0), (10.0, 1e-6), (40.0, 0.0), (0.0, 30.0), (-30.0, -0.5)]
-    regions = [locate(p, x, y) for (x, y) in points * 3]
-    assert sorted(made) == sorted({(r.i, r.j) for r in regions})
-    assert len(made) == 4
 
 
 # -- controller design and evaluation -----------------------------------------

@@ -169,7 +169,7 @@ def test_detect_second_agent_alarm_when_first_unavailable():
 def test_detect_cleared_after_release_radius():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    episode = Episode("Ca12F", 1, 1.0)
+    episode = Episode(1)
     prev = replace(world, follower_pos=((30.0, 10.0), (25.0, 10.0)), episode=episode)
     nxt = replace(prev, follower_pos=((30.0, 10.0), (17.0, 10.0)))
     events = detect_events(prev, nxt, mission)
@@ -355,6 +355,14 @@ def test_detect_events_beyond_the_horizon_names_the_first_follower():
     assert str(info.value) == "follower 1 at relative radius 40.100 beyond horizon 40.000"
 
 
+def test_detect_events_treats_a_nan_position_as_beyond_the_horizon():
+    world, mission = started_world(small_cfg())
+    lost = replace(world, follower_pos=(world.follower_pos[0], (math.nan, 10.0)))
+    with pytest.raises(HorizonViolation) as info:
+        detect_events(world, lost, mission)
+    assert str(info.value) == "follower 2 at relative radius nan beyond horizon 40.000"
+
+
 def test_follower_exactly_at_the_horizon_is_inside():
     cfg = small_cfg(
         followers=(
@@ -382,25 +390,29 @@ def test_failure_context_keeps_the_last_records():
     assert times == sorted(times) and times[-1] < 40.0
 
 
+# Every command choice of a run must equal the reference scan over the six
+# automata, in its own fixed order.
 @pytest.mark.parametrize("source", ["bundled", "crossing"])
 def test_memoized_command_choice_matches_uncached_scan(source, monkeypatch):
     if source == "bundled":
         cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
     else:
         cfg = loads_scenario(CROSSING_CFG)
-    missions = []
+    choices = []
+    choose = Mission.choose_command
 
-    def capture(config):
-        missions.append(Mission(config))
-        return missions[-1]
+    def recording(mission, autos, k):
+        states = tuple(autos.state)
+        choice = choose(mission, autos, k)
+        choices.append((mission.models, k, states, choice))
+        return choice
 
-    monkeypatch.setattr(sim, "Mission", capture)
+    monkeypatch.setattr(Mission, "choose_command", recording)
     run_scenario(cfg)
-    (mission,) = missions
     # the run held, pushed inward and turned away from an alarm
-    assert {"C0_1", "Cr-1", "Cth+1"} <= set(mission._choices.values())
-    for ((k, *states), choice) in mission._choices.items():
-        assert scan_command_choice(mission.models, k, states) == choice
+    assert {"C0_1", "Cr-1", "Cth+1"} <= {choice for (*_, choice) in choices}
+    for (models, k, states, choice) in choices:
+        assert scan_command_choice(models, k, states) == choice
 
 
 def test_region_tracking_matches_locate_every_step():

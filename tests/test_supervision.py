@@ -9,6 +9,7 @@ from conftest import (
     dc3_pair_ok,
     first_shared,
     make_auto,
+    marked_language_upto,
     per_event_bisim,
     per_event_compose,
     per_event_controllability,
@@ -23,7 +24,6 @@ from polaris.automata import (
     Automaton,
     accessible,
     is_bisimilar,
-    marked_language_upto,
     natural_project,
     parallel_compose,
 )
