@@ -33,36 +33,36 @@ EXIT_TH_PLUS = 3
 EXIT_TH_MINUS = 4
 
 
-def eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, clamp):
+def eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps):
     """Velocity of the interpolated cell field at Cartesian (x, y).
 
     ``u`` holds the four vertex vectors in polar components as a flat tuple
     (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t); vertices are ordered inner/low,
     outer/low, outer/high, inner/high.  The angular rate is computed with the
     radius clamped below at ``r_eps``, which tapers the tangential term to
-    zero at the origin.  With ``clamp`` true the bilinear coordinates are
-    clamped to [0, 1] so points marginally outside the cell get the nearest
-    facet value.
+    zero at the origin.  The bilinear coordinates are clamped to the cell,
+    so a point marginally outside it gets the value on the nearest facet:
+    the radial coordinate is clamped to [0, 1], and an angle past the
+    sector takes the value on the angular facet nearer through the
+    complement arc (``integrate_cell``'s facet test), so a point just
+    below ``th_lo`` gets the ``th_lo`` facet's value, not ``th_hi``'s.
     """
     r = sqrt(x * x + y * y)
     th = atan2(y, x)
 
     dr = r_hi - r_lo
     a = (r - r_lo) / dr
+    if a < 0.0:
+        a = 0.0
+    elif a > 1.0:
+        a = 1.0
 
     rel = fmod(th - th_lo, TWO_PI)
     if rel < 0.0:
         rel += TWO_PI
     b = rel / span
-    if clamp:
-        if a < 0.0:
-            a = 0.0
-        elif a > 1.0:
-            a = 1.0
-        if b < 0.0:
-            b = 0.0
-        elif b > 1.0:
-            b = 1.0
+    if b > 1.0:
+        b = 1.0 if rel - span <= (TWO_PI - span) * 0.5 else 0.0
 
     w0 = (1.0 - a) * (1.0 - b)
     w1 = a * (1.0 - b)
@@ -90,7 +90,7 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     trajectory is still in the cell after max_steps, otherwise the facet
     first crossed, with the post-crossing position.
 
-    Each step is ``eval_cell(..., clamp=True)``, an Euler update, then the
+    Each step is ``eval_cell``, an Euler update, then the
     facet test of the new point, inlined: radial facets first, then an
     angular excursion attributed to the nearer facet through the
     complement arc.  The radius, angle and angular offset of a point are
@@ -114,15 +114,13 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
         rel += TWO_PI
     while True:
         # the clamped field at (x, y), as eval_cell computes it
-        b = rel / span
         if a < 0.0:
             a = 0.0
         elif a > 1.0:
             a = 1.0
-        if b < 0.0:
-            b = 0.0
-        elif b > 1.0:
-            b = 1.0
+        b = rel / span
+        if b > 1.0:
+            b = 1.0 if rel - span <= gap * 0.5 else 0.0
         oma = 1.0 - a
         omb = 1.0 - b
         w0 = oma * omb

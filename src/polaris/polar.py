@@ -25,8 +25,10 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
+from .kernels import TWO_PI
 from .errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "eval_control",
     "validate_controller",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_KAPPA = 0.5
 
@@ -151,28 +151,27 @@ class Mode(enum.Enum):
     EXIT_TH_MINUS = "exit_th-"
 
 
-_EXIT_CODE = {
-    Mode.EXIT_R_PLUS: kernels.EXIT_R_PLUS,
-    Mode.EXIT_R_MINUS: kernels.EXIT_R_MINUS,
-    Mode.EXIT_TH_PLUS: kernels.EXIT_TH_PLUS,
-    Mode.EXIT_TH_MINUS: kernels.EXIT_TH_MINUS,
-}
+class _Facet(NamedTuple):
+    """One facet of a region: the two vertices on it (order per the
+    module docstring), its outward normal in polar components, the exit
+    mode that leaves through it and ``integrate_cell``'s code for a
+    crossing."""
 
-# facet name -> (vertex indices on the facet, outward normal in polar
-# components).  Vertex order per the module docstring.
+    verts: tuple
+    normal: tuple
+    mode: Mode
+    code: int
+
+
 _FACETS = {
-    "r+": ((1, 2), (1.0, 0.0)),
-    "r-": ((0, 3), (-1.0, 0.0)),
-    "th+": ((2, 3), (0.0, 1.0)),
-    "th-": ((0, 1), (0.0, -1.0)),
+    "r+": _Facet((1, 2), (1.0, 0.0), Mode.EXIT_R_PLUS, kernels.EXIT_R_PLUS),
+    "r-": _Facet((0, 3), (-1.0, 0.0), Mode.EXIT_R_MINUS, kernels.EXIT_R_MINUS),
+    "th+": _Facet((2, 3), (0.0, 1.0), Mode.EXIT_TH_PLUS, kernels.EXIT_TH_PLUS),
+    "th-": _Facet((0, 1), (0.0, -1.0), Mode.EXIT_TH_MINUS, kernels.EXIT_TH_MINUS),
 }
 
-_EXIT_FACET = {
-    Mode.EXIT_R_PLUS: "r+",
-    Mode.EXIT_R_MINUS: "r-",
-    Mode.EXIT_TH_PLUS: "th+",
-    Mode.EXIT_TH_MINUS: "th-",
-}
+# exit mode -> name of the facet it leaves through
+_EXIT_FACET = {f.mode: name for (name, f) in _FACETS.items()}
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,8 @@ class VertexControls:
 
     @property
     def exit_code(self) -> int:
-        return _EXIT_CODE.get(self.mode, kernels.INSIDE)
+        exit_facet = _EXIT_FACET.get(self.mode)
+        return kernels.INSIDE if exit_facet is None else _FACETS[exit_facet].code
 
 
 def _facets_of(p: PolarPartition, idx: RegionIndex):
@@ -214,41 +214,31 @@ def design_controller(
 ) -> VertexControls:
     """Pick vertex vectors realizing the requested mode at the given speed.
 
-    Exit modes push at full speed along the exit normal at every vertex and
-    keep the orthogonal component zero, so no other facet is ever crossed.
-    Invariant mode points each vertex vector inward across both incident
-    facets with margin kappa*speed per component; at the innermost ring the
-    radial component on the center vertices is dropped (no inner facet), so
-    trajectories sink toward the desired position and stall there.
+    Exit modes push at full speed along the exit facet's outward normal at
+    every vertex, so the orthogonal component is zero and no other facet
+    is ever crossed; a mode whose exit facet the region lacks (see
+    :func:`_facets_of`) raises :class:`Infeasible`.  Invariant mode points
+    each vertex vector inward across both incident facets with margin
+    kappa*speed per component; at the innermost ring the radial component
+    on the center vertices is dropped (no inner facet), so trajectories
+    sink toward the desired position and stall there.
     """
     _check_index(p, idx)
     if not (math.isfinite(speed) and speed > 0.0):
         raise ValueError("speed must be positive and finite")
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must be in (0, 1]")
-    if mode is Mode.EXIT_R_MINUS and idx.i == 1:
-        raise Infeasible("the innermost ring has no inward exit facet")
-    if mode in (Mode.EXIT_TH_PLUS, Mode.EXIT_TH_MINUS) and p.n_theta == 2:
-        raise Infeasible("a full-circle sector has no angular exit facet")
-
-    if mode is Mode.EXIT_R_PLUS:
-        vec = (speed, 0.0)
-        u = (vec, vec, vec, vec)
-    elif mode is Mode.EXIT_R_MINUS:
-        vec = (-speed, 0.0)
-        u = (vec, vec, vec, vec)
-    elif mode is Mode.EXIT_TH_PLUS:
-        vec = (0.0, speed)
-        u = (vec, vec, vec, vec)
-    elif mode is Mode.EXIT_TH_MINUS:
-        vec = (0.0, -speed)
-        u = (vec, vec, vec, vec)
-    else:
+    if mode is Mode.INVARIANT:
         m = kappa * speed
         inner_r = 0.0 if idx.i == 1 else m
         mt = 0.0 if p.n_theta == 2 else m
-        u = ((inner_r, mt), (-m, mt), (-m, -mt), (inner_r, -mt))
-    return VertexControls(mode, u)
+        return VertexControls(mode, ((inner_r, mt), (-m, mt), (-m, -mt), (inner_r, -mt)))
+    exit_facet = _EXIT_FACET[mode]
+    if exit_facet not in _facets_of(p, idx):
+        raise Infeasible(f"region ({idx.i},{idx.j}) has no {exit_facet} facet to exit through")
+    (nr, nt) = _FACETS[exit_facet].normal
+    vec = (speed * nr, speed * nt)
+    return VertexControls(mode, (vec, vec, vec, vec))
 
 
 @lru_cache(maxsize=4096)
@@ -267,9 +257,11 @@ def eval_control(
 ):
     """Cartesian velocity of the interpolated field at a point of the region.
 
-    The point must lie in the region within ``_POINT_TOL * r_max``; the
-    angular rate uses the radius clamped below at the partition's r_eps,
-    tapering the tangential term near the center.
+    The point must lie in the region within ``_POINT_TOL * r_max``, and a
+    point just outside gets the value on its nearest facet (the clamped
+    field of ``kernels.eval_cell``); the angular rate uses the radius
+    clamped below at the partition's r_eps, tapering the tangential term
+    near the center.
     """
     tol = _POINT_TOL * p.r_max
     (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
@@ -289,7 +281,7 @@ def eval_control(
                 raise OutsideRegion(
                     f"angle {rel + th_lo:.9g} outside sector [{th_lo:.9g}, {th_hi:.9g}]"
                 )
-    return kernels.eval_cell(r_lo, r_hi, th_lo, span, vc.flat(), x, y, p.r_eps, False)
+    return kernels.eval_cell(r_lo, r_hi, th_lo, span, vc.flat(), x, y, p.r_eps)
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,7 @@ def validate_controller(
         violations.append("non-finite vertex value")
 
     for name in facets:
-        (verts, normal) = _FACETS[name]
+        (verts, normal, _, _) = _FACETS[name]
         if name == exit_facet:
             for v in range(4):
                 dot = vc.u[v][0] * normal[0] + vc.u[v][1] * normal[1]

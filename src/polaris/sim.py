@@ -257,7 +257,7 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
         return (0.0, 0.0)
     (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative[k - 1]
-    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps, True)
+    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps)
 
 
 def step(world: WorldState, mission: Mission) -> WorldState:
@@ -298,11 +298,11 @@ def step(world: WorldState, mission: Mission) -> WorldState:
 
 
 def _wrap_angle(a: float) -> float:
-    a = math.fmod(a, 2.0 * math.pi)
+    a = math.fmod(a, TWO_PI)
     if a >= math.pi:
-        a -= 2.0 * math.pi
+        a -= TWO_PI
     elif a < -math.pi:
-        a += 2.0 * math.pi
+        a += TWO_PI
     return a
 
 
@@ -585,6 +585,7 @@ def _mover(mission: Mission, k: int, world: WorldState):
         (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
         (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t) = gains
         dr = r_hi - r_lo
+        gap = TWO_PI - span
 
     def move(x, y, rx, ry, th, lvx, lvy):
         if held:
@@ -597,15 +598,13 @@ def _mover(mission: Mission, k: int, world: WorldState):
             rel = fmod(th - th_lo, TWO_PI)
             if rel < 0.0:
                 rel += TWO_PI
-            b = rel / span
             if a < 0.0:
                 a = 0.0
             elif a > 1.0:
                 a = 1.0
-            if b < 0.0:
-                b = 0.0
-            elif b > 1.0:
-                b = 1.0
+            b = rel / span
+            if b > 1.0:
+                b = 1.0 if rel - span <= gap * 0.5 else 0.0
             w0 = (1.0 - a) * (1.0 - b)
             w1 = a * (1.0 - b)
             w2 = a * b

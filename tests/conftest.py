@@ -845,7 +845,7 @@ def integrate_by_steps(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps)
     y = y0
     steps = 0
     while steps < max_steps:
-        (vx, vy) = eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, True)
+        (vx, vy) = eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps)
         x = x + dt * vx
         y = y + dt * vy
         steps += 1
@@ -900,7 +900,7 @@ def validate_by_grid(p, idx, vc, n: int = 20) -> list:
             for name in on:
                 if name == exit_facet or name not in facets:
                     continue
-                (_, normal) = _FACETS[name]
+                normal = _FACETS[name].normal
                 if ur * normal[0] + ut * normal[1] > 1e-12:
                     violations.append((name, a_idx, b_idx))
     return violations

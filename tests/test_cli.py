@@ -339,9 +339,26 @@ def test_build_models_non_finite_partition_exits_2(tmp_path, capsys, r_max):
     assert "r_max must be positive and finite" in capsys.readouterr().err
 
 
-def test_io_error_exits_2(capsys):
+def test_io_error_exits_2(tmp_path, capsys):
     assert main(["bisim", "missing1.aut", "missing2.aut"]) == 2
     assert "error:" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["simulate", "--scenario", missing, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
+
+@pytest.mark.parametrize(
+    ("argv", "fragment"),
+    [
+        (["build-models", "--partition", "50,9"], "--partition expects 'r_max,n_r,n_theta'"),
+        (["project", "{a}", "--keep", "a,zz"], "keep set contains unknown events: ['zz']"),
+    ],
+)
+def test_bad_arguments_exit_2(files, capsys, argv, fragment):
+    (tmp, pa, _, _, _) = files
+    argv = [arg.replace("{a}", str(pa)) for arg in argv] + ["-o", str(tmp / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {fragment}\n"
 
 
 def test_usage_error_exits_2():

@@ -4,7 +4,7 @@ from conftest import make_auto
 
 from polaris import exchange
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
-from polaris.errors import ParseError
+from polaris.errors import InvalidToken, ParseError
 
 SAMPLE = """\
 # a small plant
@@ -65,6 +65,8 @@ def test_owner_tags_round_trip():
         ("states: a\ninitial: a\ncontrollable: e\nowners: e=1\nowners: e=2\n", "owners given twice"),
         ("states: a\ninitial: a\ncontrollable: e\nowners: e=0,7\n", "must be 1 or 2"),
         ("states: a b\ninitial: a\ninitial: b\n", "'initial:' given twice"),
+        ("states: a\ninitial a\n", "missing ':'"),
+        ("states: a\ninitial: a\ncontrollable: e\ntrans: a e zz\n", "unknown endpoint"),
     ],
 )
 def test_reader_errors(text, fragment):
@@ -100,3 +102,9 @@ def test_file_io_round_trip(tmp_path):
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         exchange.read(tmp_path / "nope.aut")
+
+
+def test_writer_rejects_an_event_id_that_is_not_a_token():
+    a = make_auto([("q0", "e?", "q1")])
+    with pytest.raises(InvalidToken, match="not a valid token"):
+        exchange.dumps(a)

@@ -46,7 +46,7 @@ def test_zero_divisors_raise_in_both_backends():
     u = (1.0,) * 8
     for (r_lo, r_hi, th_lo, span, x, y, r_eps) in ZERO_DIVISORS:
         with pytest.raises(ZeroDivisionError):
-            kernels.eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps, True)
+            kernels.eval_cell(r_lo, r_hi, th_lo, span, u, x, y, r_eps)
 
 
 def test_integrate_cell_raises_on_the_same_zero_divisors():
@@ -172,8 +172,8 @@ def test_classify_precedence_and_wrap():
 
 def test_tangential_rate_tapers_at_center():
     u = (0.0, 2.0) * 4
-    (vx1, vy1) = kernels.eval_cell(0.0, 10.0, 0.0, 1.0, u, 0.001, 0.0, 0.05, True)
-    (vx2, vy2) = kernels.eval_cell(0.0, 10.0, 0.0, 1.0, u, 1.0, 0.0, 0.05, True)
+    (vx1, vy1) = kernels.eval_cell(0.0, 10.0, 0.0, 1.0, u, 0.001, 0.0, 0.05)
+    (vx2, vy2) = kernels.eval_cell(0.0, 10.0, 0.0, 1.0, u, 1.0, 0.0, 0.05)
     assert math.hypot(vx1, vy1) < math.hypot(vx2, vy2)
     assert math.hypot(vx2, vy2) == pytest.approx(2.0)
 

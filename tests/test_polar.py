@@ -256,15 +256,101 @@ def test_eval_outside_region_raises():
         eval_control(P, idx, vc, 15 * math.cos(th_bad), 15 * math.sin(th_bad))
 
 
+@pytest.mark.parametrize("j", [1, 4, 8])
+def test_eval_control_is_continuous_across_the_angular_facets(j):
+    # a point a hair past th_lo gets the th_lo facet's value and one past
+    # th_hi the th_hi facet's value, even where the angular offset wraps
+    # to nearly 2*pi (at j = 1, an angle of -1e-12 once read 15 m/s from
+    # vertex vectors of norm sqrt(2))
+    p = PolarPartition(50.0, 6, 9)
+    idx = RegionIndex(3, j)
+    (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
+    r = (r_lo + r_hi) / 2
+    vc = design_controller(p, idx, Mode.INVARIANT, 2.0)
+    norm = max(math.hypot(ur, ut) for (ur, ut) in vc.u)
+    for facet in (th_lo, th_hi):
+        on = eval_control(p, idx, vc, r * math.cos(facet), r * math.sin(facet))
+        for d in (-1e-12, 1e-12):
+            th = facet + d
+            past = eval_control(p, idx, vc, r * math.cos(th), r * math.sin(th))
+            assert math.hypot(*past) <= norm
+            assert past == (pytest.approx(on[0], abs=1e-9), pytest.approx(on[1], abs=1e-9))
+
+
 def test_design_rejects_inward_exit_from_first_ring():
     with pytest.raises(Infeasible):
         design_controller(P, RegionIndex(1, 1), Mode.EXIT_R_MINUS, 2.0)
+
+
+def design_by_chain(p, idx, mode, speed, kappa):
+    """The hand-written mode chain that ``design_controller`` replaced with
+    its facet table, kept as the oracle for the table."""
+    if mode is Mode.EXIT_R_MINUS and idx.i == 1:
+        raise Infeasible("the innermost ring has no inward exit facet")
+    if mode in (Mode.EXIT_TH_PLUS, Mode.EXIT_TH_MINUS) and p.n_theta == 2:
+        raise Infeasible("a full-circle sector has no angular exit facet")
+    if mode is Mode.EXIT_R_PLUS:
+        vec = (speed, 0.0)
+    elif mode is Mode.EXIT_R_MINUS:
+        vec = (-speed, 0.0)
+    elif mode is Mode.EXIT_TH_PLUS:
+        vec = (0.0, speed)
+    elif mode is Mode.EXIT_TH_MINUS:
+        vec = (0.0, -speed)
+    else:
+        m = kappa * speed
+        inner_r = 0.0 if idx.i == 1 else m
+        mt = 0.0 if p.n_theta == 2 else m
+        return VertexControls(mode, ((inner_r, mt), (-m, mt), (-m, -mt), (inner_r, -mt)))
+    return VertexControls(mode, (vec, vec, vec, vec))
+
+
+CHAIN_EXIT_CODES = {
+    Mode.INVARIANT: kernels.INSIDE,
+    Mode.EXIT_R_PLUS: kernels.EXIT_R_PLUS,
+    Mode.EXIT_R_MINUS: kernels.EXIT_R_MINUS,
+    Mode.EXIT_TH_PLUS: kernels.EXIT_TH_PLUS,
+    Mode.EXIT_TH_MINUS: kernels.EXIT_TH_MINUS,
+}
+
+
+@pytest.mark.parametrize(
+    "p",
+    [PolarPartition(50.0, 6, 9), PolarPartition(50.0, 21, 9), PolarPartition(40.0, 4, 2)],
+    ids=lambda p: f"{p.n_r - 1}x{p.n_theta - 1}",
+)
+def test_design_from_the_facet_table_matches_the_mode_chain(p):
+    infeasible = set()
+    for idx in p.regions():
+        for mode in Mode:
+            for (speed, kappa) in ((2.0, 0.5), (0.7, 1.0), (3.25, 0.3)):
+                try:
+                    want = design_by_chain(p, idx, mode, speed, kappa)
+                except Infeasible:
+                    with pytest.raises(Infeasible):
+                        design_controller(p, idx, mode, speed, kappa)
+                    infeasible.add((idx.i == 1, mode))
+                    continue
+                got = design_controller(p, idx, mode, speed, kappa)
+                # repr tells a signed zero from 0.0, which == does not
+                assert repr(got) == repr(want), (idx, mode, speed, kappa)
+                assert got.exit_code == CHAIN_EXIT_CODES[mode]
+    if p.n_theta == 2:
+        assert infeasible == {
+            (inner, mode) for inner in (True, False)
+            for mode in (Mode.EXIT_TH_PLUS, Mode.EXIT_TH_MINUS)
+        } | {(True, Mode.EXIT_R_MINUS)}
+    else:
+        assert infeasible == {(True, Mode.EXIT_R_MINUS)}
 
 
 def test_design_rejects_bad_speed():
     for speed in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             design_controller(P, RegionIndex(2, 1), Mode.INVARIANT, speed)
+    for kappa in (0.0, 1.5):
+        with pytest.raises(ValueError, match="kappa"):
+            design_controller(P, RegionIndex(2, 1), Mode.INVARIANT, 2.0, kappa)
 
 
 def test_exit_r_minus_has_inward_radial_at_all_vertices():

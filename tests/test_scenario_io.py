@@ -91,6 +91,16 @@ def test_bad_tuple_and_schedule():
         loads_scenario("follower1.offsets = 0:1,2 0:3,4\n")
     with pytest.raises(ValidationError, match="start at time 0"):
         loads_scenario("follower1.offsets = 5:1,2\n")
+    with pytest.raises(ParseError, match="bad number"):
+        loads_scenario("follower1.initial_position = 1,x\n")
+    with pytest.raises(ParseError, match="bad time"):
+        loads_scenario("leader.velocity = x:1,2\n")
+    with pytest.raises(ParseError, match="must not be empty"):
+        loads_scenario("leader.velocity =\n")
+    with pytest.raises(ValidationError, match="at least one entry"):
+        replace(ScenarioConfig(), leader_velocity=()).validate()
+    with pytest.raises(ValidationError, match="exactly two followers"):
+        replace(ScenarioConfig(), followers=(FollowerConfig(),)).validate()
 
 
 def test_schedule_lookup():
@@ -132,6 +142,26 @@ def test_dt_must_be_positive():
 def test_non_finite_values_rejected(line):
     with pytest.raises(ValidationError, match="finite"):
         loads_scenario(line + "\n")
+
+
+@pytest.mark.parametrize(
+    ("line", "error", "fragment"),
+    [
+        ("sim.t_end = -1", ValidationError, "sim.t_end must be nonnegative"),
+        ("sim.speed = 0", ValidationError, "sim.speed must be positive"),
+        ("sim.u_max = -1", ValidationError, "sim.u_max must be nonnegative"),
+        ("sim.kappa = 2", ValidationError, "sim.kappa must be in (0, 1]"),
+        ("avoid.alarm_radius = 0", ValidationError, "avoid.alarm_radius must be positive"),
+        ("avoid.front_half_angle_deg = 0", ValidationError, "must be in (0, 180]"),
+        ("sim.dt 0.02", ParseError, "expected 'key = value'"),
+        ("sim.dt = abc", ParseError, "sim.dt: bad number 'abc'"),
+        ("partition.n_r = 2.5", ParseError, "partition.n_r: bad integer '2.5'"),
+    ],
+)
+def test_out_of_range_or_malformed_values_rejected(line, error, fragment):
+    with pytest.raises(error) as err:
+        loads_scenario(line + "\n")
+    assert fragment in str(err.value)
 
 
 @pytest.mark.parametrize("t_end, dt", [("20", "5e-324"), ("1e308", "1e-10")])

@@ -150,6 +150,28 @@ def test_detect_alarm_front_vs_not_front():
     nxt = replace(world, follower_pos=((30.0, 10.0), (27.0, 3.5)))
     events = detect_events(prev, nxt, mission)
     assert events[-1] == ("alarm", 1, "Ca12N")
+    # holding at its desired position (offset (10, 10)), follower 1 has no
+    # heading, so an alarm is never in front
+    (d1, d2) = world.discrete
+    holding = (replace(d1, region=RegionIndex(1, 1), command="C0_1"), d2)
+    prev = replace(world, follower_pos=((10.0, 10.0), (19.0, 10.0)), discrete=holding)
+    nxt = replace(world, follower_pos=((10.0, 10.0), (17.5, 10.0)), discrete=holding)
+    assert sim._relative_velocity(nxt, mission, 1) == (0.0, 0.0)
+    assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12N")
+    # with no command and away from the centre, follower 1 heads toward its
+    # goal: here at -pi + 0.1, so the bearing pi to follower 2 is 0.1 rad
+    # off the heading once the difference is wrapped
+    (rx, ry) = (5.0 * math.cos(0.1), 5.0 * math.sin(0.1))
+    (fx, fy) = (10.0 + rx, 10.0 + ry)
+    idle = (replace(d1, region=locate(cfg.partition, rx, ry), command=None), d2)
+    prev = replace(world, follower_pos=((fx, fy), (fx - 8.5, fy)), discrete=idle)
+    nxt = replace(world, follower_pos=((fx, fy), (fx - 7.5, fy)), discrete=idle)
+    assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12F")
+    # and follower 2 straight behind it is not in front
+    prev = replace(world, follower_pos=((fx, fy), (fx + 8.5, fy)), discrete=idle)
+    nxt = replace(world, follower_pos=((fx, fy), (fx + 7.5, fy)), discrete=idle)
+    assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12N")
+    assert sim._wrap_angle(math.pi - (-math.pi + 0.1)) == pytest.approx(-0.1)
 
 
 def test_detect_second_agent_alarm_when_first_unavailable():
@@ -411,6 +433,8 @@ def test_memoized_command_choice_matches_uncached_scan(source, monkeypatch):
     run_scenario(cfg)
     # the run held, pushed inward and turned away from an alarm
     assert {"C0_1", "Cr-1", "Cth+1"} <= {choice for (*_, choice) in choices}
+    # every call found an enabled actuation
+    assert None not in {choice for (*_, choice) in choices}
     for (models, k, states, choice) in choices:
         assert scan_command_choice(models, k, states) == choice
 
@@ -694,6 +718,27 @@ def test_quiet_loop_matches_a_seeded_supervisor_block():
     assert world.t == pytest.approx(7.08)
     assert (world.discrete[1].region, world.discrete[1].command) == (RegionIndex(1, 7), "C0_2")
     assert ("d_1_7_2", "C0_2") == tuple(rec.event for rec in recent[2:4])
+
+
+def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
+    # the quiet loop's inline field must clamp a wrapped angle to the
+    # nearer facet as eval_cell does; held in region (3,1), the field
+    # there pushes follower 1 back across th_lo
+    cfg = small_cfg()
+    world, mission = started_world(cfg)
+    (d1, d2) = world.discrete
+    th = -1e-12
+    world = replace(
+        world,
+        follower_pos=((10.0 + 25.0 * math.cos(th), 10.0 + 25.0 * math.sin(th)), (-30.0, -10.0)),
+        discrete=(replace(d1, region=RegionIndex(3, 1), command="C0_1"), d2),
+    )
+    (rx, ry) = world.relative[0]
+    assert ry < 0.0
+    moved = sim._mover(mission, 1, world)(*world.follower_pos[0], rx, ry, math.atan2(ry, rx), 0.0, 0.0)
+    (x, y, rx, ry, _) = moved
+    assert (x, y) == step(world, mission).follower_pos[0]
+    assert ry > 0.0
 
 
 def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
