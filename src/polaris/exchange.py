@@ -163,5 +163,5 @@ def read(path) -> Automaton:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(str(exc), path) from exc
+        raise ParseError(exc.strerror or str(exc), path) from exc
     return loads(text, path=path)

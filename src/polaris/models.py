@@ -16,6 +16,12 @@ Commands, holds, stops and releases are controllable; alarms and
 detections are not.  The release naming follows the convention that the
 second index is the requesting agent, so an episode opened by ``Ca12*``
 (agent 1 avoiding, agent 2 stopped) is closed by ``R21``.
+
+This module is the one place that spells event ids: :func:`agent_alphabet`
+for an agent's own events, and the per-episode tables ``ALARMS_OF_EPISODE``,
+``STOP_OF_EPISODE`` and ``RELEASE_OF_EPISODE`` for the shared ones.  The
+builders and the simulator read these groups.  Each builder lists its
+edges as ``(source, event group, target)`` rows.
 """
 
 from __future__ import annotations
@@ -37,87 +43,100 @@ __all__ = [
     "build_models",
 ]
 
-ALARM_EVENTS = ("Ca12F", "Ca12N", "Ca21F", "Ca21N")
-COORDINATION_COMMANDS = ("Stop1", "Stop2", "R12", "R21")
-EXTERNAL_EVENTS = ALARM_EVENTS + COORDINATION_COMMANDS
-RELEASE_OF_EPISODE = {1: "R21", 2: "R12"}  # episode k = agent k avoiding
+# episode k: agent k avoiding, the other agent stopped
+ALARMS_OF_EPISODE = {1: ("Ca12F", "Ca12N"), 2: ("Ca21F", "Ca21N")}  # (front, not_front)
 STOP_OF_EPISODE = {1: "Stop2", 2: "Stop1"}
+RELEASE_OF_EPISODE = {1: "R21", 2: "R12"}
+ALARM_EVENTS = ALARMS_OF_EPISODE[1] + ALARMS_OF_EPISODE[2]
+COORDINATION_COMMANDS = tuple(sorted(STOP_OF_EPISODE.values())) + tuple(
+    sorted(RELEASE_OF_EPISODE.values())
+)
+EXTERNAL_EVENTS = ALARM_EVENTS + COORDINATION_COMMANDS
+
+
+def _detection(i: int, j: int, k: int) -> str:
+    return f"d_{i}_{j}_{k}"
 
 
 @dataclass(frozen=True)
 class AgentAlphabet:
-    """All event ids of one agent, grouped by role."""
+    """All event ids of one agent, grouped by role.
+
+    :func:`agent_alphabet` builds every group once; the fields are tuples.
+    """
 
     k: int
     commands: tuple  # the four exit commands
     hold: str
     detections: tuple  # ((i, j), id) pairs, row-major
     external: tuple
-
-    @property
-    def detection_ids(self) -> tuple:
-        return tuple(ev for (_, ev) in self.detections)
-
-    @property
-    def first_circle(self) -> tuple:
-        """Detections announcing a first-circle region (formation reached)."""
-        return tuple(ev for ((i, _), ev) in self.detections if i == 1)
-
-    @property
-    def outer_detections(self) -> tuple:
-        return tuple(ev for ((i, _), ev) in self.detections if i != 1)
+    modes: tuple  # the Mode of each actuation id, in actuation_ids order
+    detection_ids: tuple
+    first_circle: tuple  # detections announcing a first-circle region (formation reached)
+    outer_detections: tuple
+    actuation_ids: tuple  # the four exit commands and hold: the events that set the motion
+    controllable_ids: tuple
+    uncontrollable_ids: tuple
+    all_ids: tuple
 
     def detection(self, i: int, j: int) -> str:
-        return f"d_{i}_{j}_{self.k}"
-
-    @property
-    def actuation_ids(self) -> tuple:
-        """The four exit commands and hold: the events that set the agent's motion."""
-        return self.commands + (self.hold,)
-
-    @property
-    def controllable_ids(self) -> tuple:
-        return self.actuation_ids + COORDINATION_COMMANDS
-
-    @property
-    def uncontrollable_ids(self) -> tuple:
-        return ALARM_EVENTS + self.detection_ids
-
-    @property
-    def all_ids(self) -> tuple:
-        return self.actuation_ids + self.detection_ids + self.external
+        return _detection(i, j, self.k)
 
     def events(self) -> tuple:
         own = frozenset([self.k])
         both = frozenset([1, 2])
-        evs = [Event(c, True, own) for c in self.commands]
-        evs.append(Event(self.hold, True, own))
+        evs = [Event(c, True, own) for c in self.actuation_ids]
         evs.extend(Event(d, False, own) for d in self.detection_ids)
         evs.extend(Event(e, False, both) for e in ALARM_EVENTS)
         evs.extend(Event(e, True, both) for e in COORDINATION_COMMANDS)
         return tuple(evs)
 
+    def command(self, mode: Mode) -> str:
+        """The actuation id that selects ``mode`` (hold for INVARIANT)."""
+        return self.actuation_ids[self.modes.index(mode)]
+
     def command_mode(self, command: str) -> Mode:
-        return {
-            f"Cr+{self.k}": Mode.EXIT_R_PLUS,
-            f"Cr-{self.k}": Mode.EXIT_R_MINUS,
-            f"Cth+{self.k}": Mode.EXIT_TH_PLUS,
-            f"Cth-{self.k}": Mode.EXIT_TH_MINUS,
-            self.hold: Mode.INVARIANT,
-        }[command]
+        return self.modes[self.actuation_ids.index(command)]
 
 
 def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
     """The events of agent k (1 or 2) over the partition."""
     if k not in (1, 2):
         raise ValueError("agent index must be 1 or 2")
-    commands = (f"Cr+{k}", f"Cr-{k}", f"Cth+{k}", f"Cth-{k}")
+    (actuations, modes) = zip(
+        (f"Cr+{k}", Mode.EXIT_R_PLUS),
+        (f"Cr-{k}", Mode.EXIT_R_MINUS),
+        (f"Cth+{k}", Mode.EXIT_TH_PLUS),
+        (f"Cth-{k}", Mode.EXIT_TH_MINUS),
+        (f"C0_{k}", Mode.INVARIANT),
+    )
     detections = tuple(
-        ((i, j), f"d_{i}_{j}_{k}")
+        ((i, j), _detection(i, j, k))
         for i in range(1, p.n_r)
         for j in range(1, p.n_theta)
     )
-    return AgentAlphabet(k, commands, f"C0_{k}", detections, EXTERNAL_EVENTS)
+    detection_ids = tuple(ev for (_, ev) in detections)
+    return AgentAlphabet(
+        k=k,
+        commands=actuations[:4],
+        hold=actuations[4],
+        detections=detections,
+        external=EXTERNAL_EVENTS,
+        modes=modes,
+        detection_ids=detection_ids,
+        first_circle=tuple(ev for ((i, _), ev) in detections if i == 1),
+        outer_detections=tuple(ev for ((i, _), ev) in detections if i != 1),
+        actuation_ids=actuations,
+        controllable_ids=actuations + COORDINATION_COMMANDS,
+        uncontrollable_ids=ALARM_EVENTS + detection_ids,
+        all_ids=actuations + detection_ids + EXTERNAL_EVENTS,
+    )
+
+
+def _edges(rows) -> list:
+    """Expand ``(source, event group, target)`` rows into the
+    ``(source, event id, target)`` triples of :meth:`Automaton.build`."""
+    return [(src, ev, dst) for (src, group, dst) in rows for ev in group]
 
 
 def build_plant(k: int, p: PolarPartition) -> Automaton:
@@ -130,16 +149,13 @@ def build_plant(k: int, p: PolarPartition) -> Automaton:
     """
     al = agent_alphabet(k, p)
     ready, wait = f"R{k}", f"O{k}"
-    trans = []
-    for c in al.commands:
-        trans.append((ready, c, wait))
-    trans.append((ready, al.hold, ready))
-    for ex in al.external:
-        trans.append((ready, ex, ready))
-        trans.append((wait, ex, wait))
-    for d in al.detection_ids:
-        trans.append((wait, d, ready))
-    return Automaton.build([ready, wait], ready, al.events(), trans, [ready])
+    rows = [
+        (ready, al.commands, wait),
+        (ready, (al.hold,) + al.external, ready),
+        (wait, al.external, wait),
+        (wait, al.detection_ids, ready),
+    ]
+    return Automaton.build([ready, wait], ready, al.events(), _edges(rows), [ready])
 
 
 def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
@@ -154,42 +170,31 @@ def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
     All states are marked.
     """
     al = agent_alphabet(k, p)
-    away, moving, formed = "away", "moving", "formed"
-    skeleton = (away, moving, formed)
-    trans = []
-    trans.append((away, f"Cr-{k}", moving))
-    for d in al.outer_detections:
-        trans.append((moving, d, away))
-    for d in al.first_circle:
-        trans.append((moving, d, formed))
-    trans.append((formed, al.hold, formed))
-    for q in skeleton:
-        for ex in COORDINATION_COMMANDS:
-            trans.append((q, ex, q))
-        trans.append((q, "Ca12F", f"{q}_ca12"))
-        trans.append((q, "Ca12N", f"{q}_ca12"))
-        trans.append((q, "Ca21F", f"{q}_ca21"))
-        trans.append((q, "Ca21N", f"{q}_ca21"))
+    skeleton = (away, moving, formed) = ("away", "moving", "formed")
+    rows = [
+        (away, (al.command(Mode.EXIT_R_MINUS),), moving),
+        (moving, al.outer_detections, away),
+        (moving, al.first_circle, formed),
+        (formed, (al.hold,), formed),
+    ]
+    rows.extend((q, COORDINATION_COMMANDS, q) for q in skeleton)
     states = list(skeleton)
-    for episode, release in (("ca12", "R21"), ("ca21", "R12")):
-        other = "R12" if release == "R21" else "R21"
+    for episode in (1, 2):
+        tag = f"ca{episode}{3 - episode}"
+        release = RELEASE_OF_EPISODE[episode]
+        suspended = tuple(ev for ev in EXTERNAL_EVENTS if ev != release)
         for q in skeleton:
-            s = f"{q}_{episode}"
+            s = f"{q}_{tag}"
             states.append(s)
-            for c in al.commands:
-                trans.append((s, c, f"moving_{episode}"))
-            trans.append((s, al.hold, f"formed_{episode}"))
-            for d in al.outer_detections:
-                trans.append((s, d, f"away_{episode}"))
-            for d in al.first_circle:
-                trans.append((s, d, f"formed_{episode}"))
-            for ca in ALARM_EVENTS:
-                trans.append((s, ca, s))
-            trans.append((s, "Stop1", s))
-            trans.append((s, "Stop2", s))
-            trans.append((s, other, s))
-            trans.append((s, release, q))
-    return Automaton.build(states, away, al.events(), trans, states)
+            rows += [
+                (q, ALARMS_OF_EPISODE[episode], s),
+                (s, al.commands, f"moving_{tag}"),
+                (s, (al.hold,) + al.first_circle, f"formed_{tag}"),
+                (s, al.outer_detections, f"away_{tag}"),
+                (s, suspended, s),
+                (s, (release,), q),
+            ]
+    return Automaton.build(states, away, al.events(), _edges(rows), states)
 
 
 def build_collision_spec(p: PolarPartition) -> Automaton:
@@ -205,50 +210,35 @@ def build_collision_spec(p: PolarPartition) -> Automaton:
     All states are marked.
     """
     al = {1: agent_alphabet(1, p), 2: agent_alphabet(2, p)}
-    events = {}
-    for k in (1, 2):
-        for ev in al[k].events():
-            events.setdefault(ev.id, ev)
     free = "free"
-    trans = []
-    for k in (1, 2):
-        for c in al[k].commands + (al[k].hold,):
-            trans.append((free, c, free))
-        for d in al[k].detection_ids:
-            trans.append((free, d, free))
+    rows = [(free, al[k].actuation_ids + al[k].detection_ids, free) for k in (1, 2)]
     states = [free]
     for k, other in ((1, 2), (2, 1)):
-        alert, turn, turning, parked = (
-            f"alert{k}",
-            f"turn{k}",
-            f"turning{k}",
-            f"parked{k}",
-        )
+        a = al[k]
+        (alert, turn, turning, parked) = (f"alert{k}", f"turn{k}", f"turning{k}", f"parked{k}")
         states.extend([alert, turn, turning, parked])
-        stop = STOP_OF_EPISODE[k]
-        release = RELEASE_OF_EPISODE[k]
-        trans.append((free, f"Ca{k}{other}F", alert))
-        trans.append((free, f"Ca{k}{other}N", alert))
-        trans.append((alert, stop, turn))
-        trans.append((turn, f"Cth+{k}", turning))
-        for (src, dst) in ((turn, turn), (turning, turn)):
-            for d in al[k].outer_detections:
-                trans.append((src, d, dst))
+        release = (RELEASE_OF_EPISODE[k],)
+        rows += [
+            (free, ALARMS_OF_EPISODE[k], alert),
+            (alert, (STOP_OF_EPISODE[k],), turn),
+            (turn, (a.command(Mode.EXIT_TH_PLUS),), turning),
+            (parked, (a.hold,), parked),
+            (parked, release, free),
+            (alert, a.detection_ids, alert),
+        ]
         for src in (turn, turning):
-            for d in al[k].first_circle:
-                trans.append((src, d, parked))
-            trans.append((src, release, free))
-        trans.append((parked, al[k].hold, parked))
-        trans.append((parked, release, free))
+            rows += [
+                (src, a.outer_detections, turn),
+                (src, a.first_circle, parked),
+                (src, release, free),
+            ]
         # events of the stopped agent and repeated alarms stay enabled
-        for src in (alert, turn, turning, parked):
-            for d in al[other].detection_ids:
-                trans.append((src, d, src))
-            for ca in ALARM_EVENTS:
-                trans.append((src, ca, src))
-        for d in al[k].detection_ids:
-            trans.append((alert, d, alert))
-    return Automaton.build(states, free, tuple(events.values()), trans, states)
+        rows.extend(
+            (src, al[other].detection_ids + ALARM_EVENTS, src)
+            for src in (alert, turn, turning, parked)
+        )
+    events = al[1].events() + al[2].events()  # Automaton.build merges the shared ones
+    return Automaton.build(states, free, events, _edges(rows), states)
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def eval_control(
     (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
     span = th_hi - th_lo
     r = math.hypot(x, y)
-    if r < r_lo - tol or r > r_hi + tol:
+    if not (r_lo - tol <= r <= r_hi + tol):
         raise OutsideRegion(f"radius {r:.9g} outside [{r_lo:.9g}, {r_hi:.9g}]")
     if span < TWO_PI - 1e-12:
         th = math.atan2(y, x)

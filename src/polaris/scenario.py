@@ -251,5 +251,5 @@ def parse_scenario(path) -> ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(str(exc), path) from exc
+        raise ParseError(exc.strerror or str(exc), path) from exc
     return loads_scenario(text, path=path)

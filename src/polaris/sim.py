@@ -34,6 +34,7 @@ from . import kernels
 from .errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
 from .models import (
     ALARM_EVENTS,
+    ALARMS_OF_EPISODE,
     FormationModels,
     RELEASE_OF_EPISODE,
     STOP_OF_EPISODE,
@@ -125,11 +126,10 @@ class Mission:
     """Prebuilt models and per-step lookup tables for one scenario config.
 
     ``cfg`` is that config; the step functions read their settings from it.
-    ``slots`` lists the six supervisor automata as ``(k, role, automaton)``,
-    agent 1's plant, formation and local supervisor before agent 2's; a
-    reaction keeps their states in a list in the same order.  ``by_event``
-    maps each event id to the slots of the automata whose alphabet contains
-    it.  Region cells are filled on first use and reused by later steps.
+    ``slots`` lists the six supervisor automata as ``(k, role, automaton,
+    event ids)``, agent 1's plant, formation and local supervisor before
+    agent 2's; a reaction keeps their states in a list in the same order.
+    Region cells are filled on first use and reused by later steps.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -137,13 +137,8 @@ class Mission:
         self.models: FormationModels = build_models(cfg.partition)
         self.used_controllers: dict = {}
         m = self.models
-        self.slots = tuple(
-            (k, role, getattr(m, role)(k)) for k in (1, 2) for role in _ROLES
-        )
-        self.by_event: dict = {}
-        for (slot, (_, _, auto)) in enumerate(self.slots):
-            for ev in auto.event_ids:
-                self.by_event.setdefault(ev, []).append(slot)
+        autos = [(k, role, getattr(m, role)(k)) for k in (1, 2) for role in _ROLES]
+        self.slots = tuple((k, role, auto, auto.event_ids) for (k, role, auto) in autos)
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
 
     def alphabet(self, k: int):
@@ -312,19 +307,20 @@ def _classify_alarm(world: WorldState, mission: Mission, owner: int) -> str:
     owner is holding or uncommanded."""
     cfg = mission.cfg
     other = 2 if owner == 1 else 1
+    (front, not_front) = ALARMS_OF_EPISODE[owner]
     (ox, oy) = world.follower_pos[owner - 1]
     (tx, ty) = world.follower_pos[other - 1]
     (vx, vy) = _relative_velocity(world, mission, owner)
     if math.hypot(vx, vy) < 1e-9:
         (rx, ry) = world.relative[owner - 1]
         if math.hypot(rx, ry) < cfg.partition.r_eps:
-            return f"Ca{owner}{other}N"
+            return not_front
         (vx, vy) = (-rx, -ry)
     bearing = math.atan2(ty - oy, tx - ox)
     heading = math.atan2(vy, vx)
     if abs(_wrap_angle(bearing - heading)) <= cfg.front_half_angle:
-        return f"Ca{owner}{other}F"
-    return f"Ca{owner}{other}N"
+        return front
+    return not_front
 
 
 def detect_events(world_prev: WorldState, world_next: WorldState, mission: Mission):
@@ -361,22 +357,28 @@ class _Automata:
     """Mutable view of the six automaton states during one reaction, in
     ``Mission.slots`` order."""
 
-    __slots__ = ("by_event", "slots", "state")
+    __slots__ = ("slots", "state")
 
     def __init__(self, world: WorldState, mission: Mission):
-        self.by_event = mission.by_event
         self.slots = mission.slots
         (d1, d2) = world.discrete
         self.state = [d1.plant, d1.formation, d1.local, d2.plant, d2.formation, d2.local]
 
     def enabled(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
-        (slots, state) = (self.slots, self.state)
-        return all(slots[s][2].step(state[s], event) for s in self.by_event.get(event, ()))
+        state = self.state
+        return all(
+            auto.step(state[s], event)
+            for (s, (_, _, auto, events)) in enumerate(self.slots)
+            if event in events
+        )
 
     def feed(self, event: str) -> None:
-        for slot in self.by_event.get(event, ()):
-            (k, role, auto) = self.slots[slot]
+        """Advance every automaton whose alphabet contains the event, in
+        slot order; :class:`SupervisorBlocked` at the first that cannot."""
+        for (slot, (k, role, auto, events)) in enumerate(self.slots):
+            if event not in events:
+                continue
             dst = auto.step1(self.state[slot], event)
             if dst is None:
                 raise SupervisorBlocked(

@@ -225,6 +225,38 @@ GOLDEN_BUILD_MODELS = {
         "af2.aut": "deb642009d4f602cf7c714d1196975ffb72e3523ed9e6afd270886d1d91cf893",
         "report.txt": "c9b910abd1fbad3fa820487970a8a1df234ea2fa87ac06259c4eeee72fa01783",
     },
+    # degenerate partitions: one ring (no outer detections) and one
+    # full-circle sector
+    "50,2,2": {
+        "a1.aut": "549cad9c4d53738d5012afa718c2e087a8c18f4fa1a033153eb25f4e83b6563a",
+        "a2.aut": "79482334a7b181d5f2984033075cc016956df612c1cbf70e9ed5566049da1372",
+        "ac.aut": "40536a2deb5f68ddc2f7395b48568141090019f536d4033e31f53a346f0778ec",
+        "ac1.aut": "c7eb0bac99789fa1f0cf7c90e20052631f35d465e7c25c3b8396327075b855db",
+        "ac2.aut": "7b4823ab3306e0e2b3bb0507f69a63995f32e48e5e5d4931f4bbd8c4fc95bf0e",
+        "af1.aut": "adf1225f3a5b99ae5037028a1e5ffcb96aab1daa85a6197ff79d7e53aa467f74",
+        "af2.aut": "d618778619b851686a3e90ab6e4cdda098bf3946f60e2966a926cef0ad65ef84",
+        "report.txt": "0c469892906a170b4280cbf00b942401508190d9e3a509b3fee40c270ca66faf",
+    },
+    "50,2,9": {
+        "a1.aut": "95c975621a7dce33183161c592110fe6aaafb668379a53196597d0ae3dee3e22",
+        "a2.aut": "fef7679bd26e841211a64ba362bcd76c947abe86d575accc29b3c799f5529f08",
+        "ac.aut": "9c6a59165df960b4ca5286fc23218b2a72be1e042e4477d804ac0b22f772725b",
+        "ac1.aut": "a84269c134db83f3de4ba559d05628338adc46b0d2ae0cb8cddd195dc6f14ad8",
+        "ac2.aut": "8778a8151eac8f71aef61390668e6fde6b9b6238793072cfb332ee4d76ce9e28",
+        "af1.aut": "d82ac911ee27e6f6993dc663beb39a94000841c30c61b70852df2378969fd26b",
+        "af2.aut": "1a24d8c9d4a15919c94371c47219cf04ca6cdea071ee74763bd7732d825b15e3",
+        "report.txt": "1837dfbb8a48227679ad6983978025c28080c69108304b722f93e7756f8873ea",
+    },
+    "50,6,2": {
+        "a1.aut": "36d2cd8d3675a71a0a5ccb364fd3e4c56a487794de02dcbe90bab80f2825cf4b",
+        "a2.aut": "494fa2a38fd7489ff9f4181340f5636d29edaf8d83cbb6e96145243264444a6c",
+        "ac.aut": "5827916c8a39d41a23fc84a54690d931579a471d3a50f4c5aaf810692eb0ec6a",
+        "ac1.aut": "d2966b0367f7eaf929303f6ce151b8cd03b8d0dbb1cbeb0c374491439c4f8634",
+        "ac2.aut": "804a6ddb4eb648659dc7f886ade0196ee209a51ea534db11b6dbd65f9a7ee392",
+        "af1.aut": "2569207fbf3287ba70b89405dda4d4fa9a3e652e88baf8cc96ad248153223057",
+        "af2.aut": "85132c0af61efb3a8ac9fefbdecba172d407ac61b2d048327e901f92ef3c8282",
+        "report.txt": "cada01cfe827b736f052ad2b67889e14948697ca80002412caa105d9fe943a23",
+    },
 }
 
 
@@ -340,11 +372,16 @@ def test_build_models_non_finite_partition_exits_2(tmp_path, capsys, r_max):
 
 
 def test_io_error_exits_2(tmp_path, capsys):
-    assert main(["bisim", "missing1.aut", "missing2.aut"]) == 2
-    assert "error:" in capsys.readouterr().err
+    missing_aut = str(tmp_path / "missing1.aut")
+    assert main(["bisim", missing_aut, str(tmp_path / "missing2.aut")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing_aut}: ")
+    assert err.count(missing_aut) == 1
     missing = str(tmp_path / "missing.cfg")
     assert main(["simulate", "--scenario", missing, "-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ")
+    assert err.count(missing) == 1
 
 
 @pytest.mark.parametrize(

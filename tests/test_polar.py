@@ -256,6 +256,15 @@ def test_eval_outside_region_raises():
         eval_control(P, idx, vc, 15 * math.cos(th_bad), 15 * math.sin(th_bad))
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_eval_control_rejects_nan_point(point):
+    p = PolarPartition(50.0, 6, 9)
+    idx = RegionIndex(3, 2)
+    vc = design_controller(p, idx, Mode.INVARIANT, 2.0)
+    with pytest.raises(OutsideRegion):
+        eval_control(p, idx, vc, *point)
+
+
 @pytest.mark.parametrize("j", [1, 4, 8])
 def test_eval_control_is_continuous_across_the_angular_facets(j):
     # a point a hair past th_lo gets the th_lo facet's value and one past
