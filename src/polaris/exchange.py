@@ -164,4 +164,6 @@ def read(path) -> Automaton:
             text = fh.read()
     except OSError as exc:
         raise ParseError(exc.strerror or str(exc), path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path) from exc
     return loads(text, path=path)

@@ -1,13 +1,6 @@
 """Pure-Python geometry kernels: the interpolated cell field and
 fixed-step Euler integration with exit-facet classification.
 
-The simulator integrates the field that ``eval_cell`` returns: its event
-steps call ``eval_cell``, and its quiet loop (``sim._mover``) repeats
-``eval_cell``'s clamped arithmetic inline.  The ``simulate`` golden
-digests pin both bit for bit: a change to the operation order or the
-literals of an expression in one shows there unless the other changes
-with it.
-
 ``integrate_cell`` is one loop with no calls but the math functions: each
 Euler step locates its new point once (radius, angle and angular offset),
 and that one location serves both the facet test and the next step's

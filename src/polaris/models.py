@@ -68,7 +68,6 @@ class AgentAlphabet:
     k: int
     commands: tuple  # the four exit commands
     hold: str
-    detections: tuple  # ((i, j), id) pairs, row-major
     external: tuple
     modes: tuple  # the Mode of each actuation id, in actuation_ids order
     detection_ids: tuple
@@ -120,7 +119,6 @@ def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
         k=k,
         commands=actuations[:4],
         hold=actuations[4],
-        detections=detections,
         external=EXTERNAL_EVENTS,
         modes=modes,
         detection_ids=detection_ids,

@@ -252,4 +252,6 @@ def parse_scenario(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ParseError(exc.strerror or str(exc), path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path) from exc
     return loads_scenario(text, path=path)

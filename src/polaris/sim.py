@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from math import atan2, ceil, cos, fmod, hypot, sin, sqrt
+from math import atan2, ceil, hypot
 from typing import Optional
 
 from . import kernels
@@ -293,12 +293,8 @@ def step(world: WorldState, mission: Mission) -> WorldState:
 
 
 def _wrap_angle(a: float) -> float:
-    a = math.fmod(a, TWO_PI)
-    if a >= math.pi:
-        a -= TWO_PI
-    elif a < -math.pi:
-        a += TWO_PI
-    return a
+    """``a`` less the nearest multiple of 2π, exactly: in [-π, π]."""
+    return math.remainder(a, TWO_PI)
 
 
 def _classify_alarm(world: WorldState, mission: Mission, owner: int) -> str:
@@ -568,12 +564,12 @@ def _mover(mission: Mission, k: int, world: WorldState):
     """Follower ``k``'s quiet step in ``world``'s discrete state, as a
     function of plain floats.
 
-    ``move(x, y, rx, ry, th, lvx, lvy)`` takes the follower's position, its
-    relative position and that position's ``atan2`` angle, and the leader
-    velocity.  It returns the new ``(x, y, rx, ry, th)``, computed with the
-    float operations of :func:`step` (``eval_cell``'s clamped field, the
-    ``u_max`` clamp, the Euler update) and of ``locate``, or None when the
-    new position may lie beyond the horizon or outside the region.
+    ``move(x, y, rx, ry, lvx, lvy)`` takes the follower's position, its
+    relative position and the leader velocity.  It returns the new
+    ``(x, y, rx, ry)``, computed with the float operations of :func:`step`
+    (``kernels.eval_cell``, the ``u_max`` clamp, the Euler update) and of
+    ``locate``, or None when the new position may lie beyond the horizon
+    or outside the region.
     """
     cfg = mission.cfg
     p = cfg.partition
@@ -585,39 +581,14 @@ def _mover(mission: Mission, k: int, world: WorldState):
     held = disc.stopped or disc.command is None
     if not held:
         (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
-        (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t) = gains
-        dr = r_hi - r_lo
-        gap = TWO_PI - span
 
-    def move(x, y, rx, ry, th, lvx, lvy):
+    def move(x, y, rx, ry, lvx, lvy):
         if held:
-            # step adds a zero relative velocity; the sum turns -0.0 into 0.0
-            tvx = lvx + 0.0
-            tvy = lvy + 0.0
+            (vx, vy) = (0.0, 0.0)
         else:
-            r = sqrt(rx * rx + ry * ry)
-            a = (r - r_lo) / dr
-            rel = fmod(th - th_lo, TWO_PI)
-            if rel < 0.0:
-                rel += TWO_PI
-            if a < 0.0:
-                a = 0.0
-            elif a > 1.0:
-                a = 1.0
-            b = rel / span
-            if b > 1.0:
-                b = 1.0 if rel - span <= gap * 0.5 else 0.0
-            w0 = (1.0 - a) * (1.0 - b)
-            w1 = a * (1.0 - b)
-            w2 = a * b
-            w3 = (1.0 - a) * b
-            ur = w0 * u0r + w1 * u1r + w2 * u2r + w3 * u3r
-            ut = w0 * u0t + w1 * u1t + w2 * u2t + w3 * u3t
-            tang = r * ut / (r_eps if r < r_eps else r)
-            ct = cos(th)
-            st = sin(th)
-            tvx = lvx + (ur * ct - tang * st)
-            tvy = lvy + (ur * st + tang * ct)
+            (vx, vy) = kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, rx, ry, r_eps)
+        tvx = lvx + vx
+        tvy = lvy + vy
         speed = hypot(tvx, tvy)
         if speed > u_max:
             if u_max == 0.0:
@@ -647,7 +618,7 @@ def _mover(mission: Mission, k: int, world: WorldState):
             j = j_max
         if i != i0 or j != j0:
             return None
-        return (x, y, rx, ry, th)
+        return (x, y, rx, ry)
 
     return move
 
@@ -659,11 +630,8 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     and the episode stays as it is, so only floats change.  Each step
     moves both followers with :func:`_mover`, takes their separation,
     appends the row that :func:`_row` would format to ``rows`` and updates
-    the minimum separation.  A follower's ``atan2`` angle from its region
-    test is the angle of its next field, so it is computed once per step;
-    the radius is not shared, since ``locate`` takes ``hypot`` and the
-    field ``sqrt``.  The leader velocity is read again only when ``t``
-    reaches its next breakpoint.
+    the minimum separation.  The leader velocity is read again only when
+    ``t`` reaches its next breakpoint.
 
     The loop stops before the first step that may have an event: a
     follower may leave its region or the horizon, the separation crosses
@@ -696,8 +664,6 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
     ((rx1, ry1), (rx2, ry2)) = world.relative
-    th1 = atan2(ry1, rx1)
-    th2 = atan2(ry2, rx2)
     sep = world.separation
     t_lv = t  # the leader velocity is read at the first step
     start = index
@@ -705,10 +671,10 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if t >= t_lv:
             (lvx, lvy) = schedule_at(leader, t)
             t_lv = next((entry[0] for entry in leader if entry[0] > t), math.inf)
-        new1 = move1(x1, y1, rx1, ry1, th1, lvx, lvy)
+        new1 = move1(x1, y1, rx1, ry1, lvx, lvy)
         if new1 is None:
             break
-        new2 = move2(x2, y2, rx2, ry2, th2, lvx, lvy)
+        new2 = move2(x2, y2, rx2, ry2, lvx, lvy)
         if new2 is None:
             break
         nsep = hypot(new1[0] - new2[0], new1[1] - new2[1])
@@ -717,8 +683,8 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if watch_release and nsep > release_radius:
             break
 
-        (x1, y1, rx1, ry1, th1) = new1
-        (x2, y2, rx2, ry2, th2) = new2
+        (x1, y1, rx1, ry1) = new1
+        (x2, y2, rx2, ry2) = new2
         sep = nsep
         index += 1
         t = index * dt

@@ -382,6 +382,15 @@ def test_io_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {missing}: ")
     assert err.count(missing) == 1
+    # a file that is not UTF-8 is named as well
+    bad_aut = tmp_path / "bad.aut"
+    bad_aut.write_bytes(b"\xff")
+    assert main(["bisim", str(bad_aut), str(bad_aut)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad_aut}: ")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"\xff")
+    assert main(["simulate", "--scenario", str(bad_cfg), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad_cfg}: ")
 
 
 @pytest.mark.parametrize(

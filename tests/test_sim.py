@@ -721,9 +721,9 @@ def test_quiet_loop_matches_a_seeded_supervisor_block():
 
 
 def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
-    # the quiet loop's inline field must clamp a wrapped angle to the
-    # nearer facet as eval_cell does; held in region (3,1), the field
-    # there pushes follower 1 back across th_lo
+    # the quiet loop's field must clamp a wrapped angle to the nearer
+    # facet as step's does; held in region (3,1), the field there pushes
+    # follower 1 back across th_lo
     cfg = small_cfg()
     world, mission = started_world(cfg)
     (d1, d2) = world.discrete
@@ -735,10 +735,25 @@ def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
     )
     (rx, ry) = world.relative[0]
     assert ry < 0.0
-    moved = sim._mover(mission, 1, world)(*world.follower_pos[0], rx, ry, math.atan2(ry, rx), 0.0, 0.0)
-    (x, y, rx, ry, _) = moved
+    moved = sim._mover(mission, 1, world)(*world.follower_pos[0], rx, ry, 0.0, 0.0)
+    (x, y, rx, ry) = moved
     assert (x, y) == step(world, mission).follower_pos[0]
     assert ry > 0.0
+
+
+def test_quiet_loop_and_step_evaluate_one_field(monkeypatch):
+    # a changed field reaches the quiet loop and step alike: with the
+    # velocity halved, running every step through step still matches
+    real = kernels.eval_cell
+
+    def halved(*args):
+        (vx, vy) = real(*args)
+        return (0.5 * vx, 0.5 * vy)
+
+    monkeypatch.setattr(kernels, "eval_cell", halved)
+    assert outcome(run_scenario, small_cfg()) == outcome(
+        run_scenario_reacting_every_step, small_cfg()
+    )
 
 
 def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
