@@ -7,9 +7,11 @@ targets) that also represents nondeterminism.  A class is a maximal set of
 events with one relation, controllability and owners; the models' alphabets
 grow with the partition but their class counts do not, so the operations
 below run over classes, or over the common refinement of several automata's
-classes, and never over single events.  The sorted (source, event id,
-target) triples are derived from the index on request, for the ``.aut``
-writer.  All operations are pure functions returning new automata.
+classes, and never over single events.  ``Automaton.build`` takes rows
+whose middle element may be a group of events, and its per-event work is
+to check each member and place it in its class.  The sorted (source,
+event id, target) triples are derived from the index on request.  All
+operations are pure functions returning new automata.
 """
 
 from __future__ import annotations
@@ -103,8 +105,14 @@ class Automaton:
         transitions: Iterable[tuple],
         marked: Iterable[str],
     ) -> "Automaton":
-        """Validate (source, event id, target) triples and index them by
-        class, in one pass over the triples."""
+        """Validate (source, event, target) rows and index them by class.
+
+        A row's event is an event id or a tuple of event ids (an event
+        group), which stands for one triple per member.  Endpoints are
+        checked once per row and events once per member.  Each event is
+        keyed by the rows it appears in, its controllability and owners,
+        and those keys are the groups handed to :meth:`_from_classes`.
+        """
         states = frozenset(states)
         marked = frozenset(marked)
         alphabet = _merge_events([alphabet])
@@ -112,15 +120,26 @@ class Automaton:
             raise ValueError(f"initial state {initial!r} not in state set")
         if not marked <= states:
             raise ValueError("marked states must be a subset of the state set")
-        relation = {e.id: set() for e in alphabet}
-        for (src, ev, dst) in transitions:
+        rows_of = {e.id: [] for e in alphabet}
+        ends = []
+        for (src, group, dst) in transitions:
+            if isinstance(group, str):
+                group = (group,)
+            elif not group:
+                continue
             if src not in states or dst not in states:
-                raise ValueError(f"transition ({src},{ev},{dst}) has unknown endpoint")
-            pairs = relation.get(ev)
-            if pairs is None:
-                raise ValueError(f"transition event {ev!r} not in alphabet")
-            pairs.add((src, dst))
-        members = {ev: (ev,) for ev in relation}
+                raise ValueError(f"transition ({src},{group[0]},{dst}) has unknown endpoint")
+            row = len(ends)
+            ends.append((src, dst))
+            for ev in group:
+                rows = rows_of.get(ev)
+                if rows is None:
+                    raise ValueError(f"transition event {ev!r} not in alphabet")
+                rows.append(row)
+        members: dict = {}
+        for e in alphabet:
+            members.setdefault((tuple(rows_of[e.id]), e.controllable, e.owners), []).append(e.id)
+        relation = {key: {ends[row] for row in key[0]} for key in members}
         return cls._from_classes(states, initial, alphabet, members, relation, marked)
 
     @classmethod

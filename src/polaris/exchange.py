@@ -15,8 +15,9 @@ Tokens are whitespace separated and must match ``[A-Za-z0-9_+\\-]+``.
 by source/event/target) so that writing a canonically ordered file back out
 is byte-identical.  State names produced by composition or projection may
 contain characters outside the token set; the writer deterministically
-renames those (``q000``, ``q001``, ... in sorted order), which preserves all
-languages and bisimilarity.
+renames those as it prints them (``q000``, ``q001``, ... in sorted order),
+which preserves all languages and bisimilarity.  It walks the class index
+source by source and sorts only each source's (event, target) pairs.
 """
 
 from __future__ import annotations
@@ -51,29 +52,32 @@ def _safe_names(states) -> dict:
 
 
 def dumps(a: Automaton) -> str:
-    mapping = _safe_names(a.states)
-    if mapping:
-        a = a.renamed(mapping)
+    """The canonical text of ``a``, written by walking its class index."""
     for ev in a.alphabet:
         if not TOKEN_RE.match(ev.id):
             raise InvalidToken(f"event id {ev.id!r} is not a valid token")
-    lines = []
-    lines.append("states: " + " ".join(sorted(a.states)))
-    lines.append("initial: " + a.initial)
-    lines.append("marked: " + " ".join(sorted(a.marked)))
-    ctrl = sorted(e.id for e in a.alphabet if e.controllable)
-    unctrl = sorted(e.id for e in a.alphabet if not e.controllable)
-    lines.append("controllable: " + " ".join(ctrl))
-    lines.append("uncontrollable: " + " ".join(unctrl))
-    owned = [e for e in a.alphabet if e.owners]
-    if owned:
-        parts = [
-            f"{e.id}=" + ",".join(str(t) for t in sorted(e.owners))
-            for e in sorted(owned, key=lambda e: e.id)
-        ]
-        lines.append("owners: " + " ".join(parts))
-    for (src, ev, dst) in a.transitions:
-        lines.append(f"trans: {src} {ev} {dst}")
+    mapping = _safe_names(a.states)
+    name = {q: mapping.get(q, q) for q in a.states}
+    lines = [
+        "states: " + " ".join(sorted(name.values())),
+        "initial: " + name[a.initial],
+        "marked: " + " ".join(sorted(name[q] for q in a.marked)),
+        # the alphabet is sorted by id
+        "controllable: " + " ".join(e.id for e in a.alphabet if e.controllable),
+        "uncontrollable: " + " ".join(e.id for e in a.alphabet if not e.controllable),
+    ]
+    tags = {o: ",".join(str(t) for t in sorted(o)) for o in {e.owners for e in a.alphabet} if o}
+    if tags:
+        owned = (f"{e.id}={tags[e.owners]}" for e in a.alphabet if e.owners)
+        lines.append("owners: " + " ".join(owned))
+    # a space sorts below every token character, so sorting one source's
+    # lines sorts its (event, target) pairs
+    (succ, members) = (a._succ, a._members)
+    for q in sorted(succ, key=name.__getitem__):
+        head = f"trans: {name[q]} "
+        row = [f"{head}{e} {name[d]}" for c, ds in succ[q].items() for e in members[c] for d in ds]
+        row.sort()
+        lines += row
     return "\n".join(lines) + "\n"
 
 

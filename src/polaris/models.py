@@ -20,8 +20,9 @@ second index is the requesting agent, so an episode opened by ``Ca12*``
 This module is the one place that spells event ids: :func:`agent_alphabet`
 for an agent's own events, and the per-episode tables ``ALARMS_OF_EPISODE``,
 ``STOP_OF_EPISODE`` and ``RELEASE_OF_EPISODE`` for the shared ones.  The
-builders and the simulator read these groups.  Each builder lists its
-edges as ``(source, event group, target)`` rows.
+builders and the simulator read these groups.  Each builder takes the
+agents' alphabets and hands its edges to :meth:`Automaton.build` as
+``(source, event group, target)`` rows.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _detection(i: int, j: int, k: int) -> str:
 class AgentAlphabet:
     """All event ids of one agent, grouped by role.
 
-    :func:`agent_alphabet` builds every group once; the fields are tuples.
+    :func:`agent_alphabet` builds every group once, the :class:`Event`
+    records included; the fields are tuples.
     """
 
     k: int
@@ -77,18 +79,10 @@ class AgentAlphabet:
     controllable_ids: tuple
     uncontrollable_ids: tuple
     all_ids: tuple
+    events: tuple
 
     def detection(self, i: int, j: int) -> str:
         return _detection(i, j, self.k)
-
-    def events(self) -> tuple:
-        own = frozenset([self.k])
-        both = frozenset([1, 2])
-        evs = [Event(c, True, own) for c in self.actuation_ids]
-        evs.extend(Event(d, False, own) for d in self.detection_ids)
-        evs.extend(Event(e, False, both) for e in ALARM_EVENTS)
-        evs.extend(Event(e, True, both) for e in COORDINATION_COMMANDS)
-        return tuple(evs)
 
     def command(self, mode: Mode) -> str:
         """The actuation id that selects ``mode`` (hold for INVARIANT)."""
@@ -115,6 +109,7 @@ def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
         for j in range(1, p.n_theta)
     )
     detection_ids = tuple(ev for (_, ev) in detections)
+    own, both = frozenset([k]), frozenset([1, 2])
     return AgentAlphabet(
         k=k,
         commands=actuations[:4],
@@ -128,36 +123,35 @@ def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
         controllable_ids=actuations + COORDINATION_COMMANDS,
         uncontrollable_ids=ALARM_EVENTS + detection_ids,
         all_ids=actuations + detection_ids + EXTERNAL_EVENTS,
+        events=tuple(
+            [Event(c, True, own) for c in actuations]
+            + [Event(d, False, own) for d in detection_ids]
+            + [Event(e, False, both) for e in ALARM_EVENTS]
+            + [Event(e, True, both) for e in COORDINATION_COMMANDS]
+        ),
     )
 
 
-def _edges(rows) -> list:
-    """Expand ``(source, event group, target)`` rows into the
-    ``(source, event id, target)`` triples of :meth:`Automaton.build`."""
-    return [(src, ev, dst) for (src, group, dst) in rows for ev in group]
-
-
-def build_plant(k: int, p: PolarPartition) -> Automaton:
-    """Two-state motion abstraction of one agent.
+def build_plant(al: AgentAlphabet) -> Automaton:
+    """Two-state motion abstraction of agent ``al.k``.
 
     In the ready state a command moves the agent to the detection-wait
     state; entering a new region emits the matching detection and returns.
     The hold command and every shared coordination event leave the state
     unchanged.
     """
-    al = agent_alphabet(k, p)
-    ready, wait = f"R{k}", f"O{k}"
+    ready, wait = f"R{al.k}", f"O{al.k}"
     rows = [
         (ready, al.commands, wait),
         (ready, (al.hold,) + al.external, ready),
         (wait, al.external, wait),
         (wait, al.detection_ids, ready),
     ]
-    return Automaton.build([ready, wait], ready, al.events(), _edges(rows), [ready])
+    return Automaton.build([ready, wait], ready, al.events, rows, [ready])
 
 
-def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
-    """Reach-and-keep specification for one agent.
+def build_formation_spec(al: AgentAlphabet) -> Automaton:
+    """Reach-and-keep specification for agent ``al.k``.
 
     Away from the first circle only the inward command is allowed; each
     outer-ring detection re-arms it, a first-circle detection switches to
@@ -167,7 +161,6 @@ def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
     the episode-closing release resumes the policy in the tracked phase.
     All states are marked.
     """
-    al = agent_alphabet(k, p)
     skeleton = (away, moving, formed) = ("away", "moving", "formed")
     rows = [
         (away, (al.command(Mode.EXIT_R_MINUS),), moving),
@@ -192,10 +185,10 @@ def build_formation_spec(k: int, p: PolarPartition) -> Automaton:
                 (s, suspended, s),
                 (s, (release,), q),
             ]
-    return Automaton.build(states, away, al.events(), _edges(rows), states)
+    return Automaton.build(states, away, al.events, rows, states)
 
 
-def build_collision_spec(p: PolarPartition) -> Automaton:
+def build_collision_spec(al1: AgentAlphabet, al2: AgentAlphabet) -> Automaton:
     """Cooperative collision-avoidance specification over both agents.
 
     While no alarm is active both agents act freely.  An alarm telling
@@ -207,7 +200,7 @@ def build_collision_spec(p: PolarPartition) -> Automaton:
     plant could emit them so no uncontrollable event is ever disabled.
     All states are marked.
     """
-    al = {1: agent_alphabet(1, p), 2: agent_alphabet(2, p)}
+    al = {1: al1, 2: al2}
     free = "free"
     rows = [(free, al[k].actuation_ids + al[k].detection_ids, free) for k in (1, 2)]
     states = [free]
@@ -235,8 +228,8 @@ def build_collision_spec(p: PolarPartition) -> Automaton:
             (src, al[other].detection_ids + ALARM_EVENTS, src)
             for src in (alert, turn, turning, parked)
         )
-    events = al[1].events() + al[2].events()  # Automaton.build merges the shared ones
-    return Automaton.build(states, free, events, _edges(rows), states)
+    events = al1.events + al2.events  # Automaton.build merges the shared ones
+    return Automaton.build(states, free, events, rows, states)
 
 
 @dataclass(frozen=True)
@@ -282,8 +275,8 @@ def build_models(p: PolarPartition) -> FormationModels:
     failure would mean the global model is not decentralizable and is
     treated as a construction bug.
     """
-    ac = build_collision_spec(p)
     alphabet1, alphabet2 = agent_alphabet(1, p), agent_alphabet(2, p)
+    ac = build_collision_spec(alphabet1, alphabet2)
     ac1 = natural_project(ac, frozenset(alphabet1.all_ids))
     ac2 = natural_project(ac, frozenset(alphabet2.all_ids))
     if not is_bisimilar(parallel_compose(ac1, ac2), ac):
@@ -292,10 +285,10 @@ def build_models(p: PolarPartition) -> FormationModels:
         partition=p,
         alphabet1=alphabet1,
         alphabet2=alphabet2,
-        plant1=build_plant(1, p),
-        plant2=build_plant(2, p),
-        formation1=build_formation_spec(1, p),
-        formation2=build_formation_spec(2, p),
+        plant1=build_plant(alphabet1),
+        plant2=build_plant(alphabet2),
+        formation1=build_formation_spec(alphabet1),
+        formation2=build_formation_spec(alphabet2),
         collision=ac,
         local1=ac1,
         local2=ac2,

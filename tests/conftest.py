@@ -27,7 +27,14 @@ from polaris.kernels import (
     INSIDE,
     eval_cell,
 )
-from polaris.errors import HorizonViolation, OutOfHorizon, PolarisError, SupervisorBlocked
+from polaris.errors import (
+    HorizonViolation,
+    InvalidToken,
+    OutOfHorizon,
+    PolarisError,
+    SupervisorBlocked,
+)
+from polaris.exchange import TOKEN_RE, _safe_names
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
@@ -64,6 +71,46 @@ def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, ev
     if marked is None:
         marked = set(states)
     return Automaton.build(states, initial, evs.values(), trans, marked)
+
+
+def _edges(rows) -> list:
+    """Expand ``(source, event group, target)`` rows, a group being a tuple
+    of event ids or one plain id, into ``(source, event id, target)``
+    triples, in row order."""
+    return [
+        (src, ev, dst)
+        for (src, group, dst) in rows
+        for ev in ((group,) if isinstance(group, str) else group)
+    ]
+
+
+def dumps_by_triples(a: Automaton) -> str:
+    """The ``.aut`` writer that renames through a new automaton and prints
+    its sorted triples: the oracle of ``exchange.dumps``."""
+    mapping = _safe_names(a.states)
+    if mapping:
+        a = a.renamed(mapping)
+    for ev in a.alphabet:
+        if not TOKEN_RE.match(ev.id):
+            raise InvalidToken(f"event id {ev.id!r} is not a valid token")
+    lines = []
+    lines.append("states: " + " ".join(sorted(a.states)))
+    lines.append("initial: " + a.initial)
+    lines.append("marked: " + " ".join(sorted(a.marked)))
+    ctrl = sorted(e.id for e in a.alphabet if e.controllable)
+    unctrl = sorted(e.id for e in a.alphabet if not e.controllable)
+    lines.append("controllable: " + " ".join(ctrl))
+    lines.append("uncontrollable: " + " ".join(unctrl))
+    owned = [e for e in a.alphabet if e.owners]
+    if owned:
+        parts = [
+            f"{e.id}=" + ",".join(str(t) for t in sorted(e.owners))
+            for e in sorted(owned, key=lambda e: e.id)
+        ]
+        lines.append("owners: " + " ".join(parts))
+    for (src, ev, dst) in a.transitions:
+        lines.append(f"trans: {src} {ev} {dst}")
+    return "\n".join(lines) + "\n"
 
 
 def random_automaton(rng: random.Random, **kwargs) -> Automaton:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     BoundTooLarge,
+    _edges,
     brute_language,
     check_bisim_relation,
     make_auto,
@@ -43,6 +44,94 @@ def test_build_validates_endpoints():
     # ... and conflicting controllability is refused
     with pytest.raises(AlphabetConflict):
         Automaton.build(["q0"], "q0", [Event("a", True), Event("a", False)], [], [])
+
+
+_OWNER_SETS = ((), (1,), (2,), (1, 2))
+
+
+def _random_grouped_parts(rng: random.Random):
+    """A random automaton as triples and as rows over event groups.
+
+    Some events copy an earlier event's relation (so they share its class)
+    and some have no transition.  Each (source, target) pair's events are
+    split into random groups, given alone as plain ids or as one-element
+    tuples; the rows add overlapping groups, empty groups and duplicates.
+    Returns (states, initial, events, triples, rows, marked).
+    """
+    n = rng.randint(1, 5)
+    states = [f"s{i}" for i in range(n)]
+    events = [
+        Event(f"ev{i}", rng.random() < 0.5, rng.choice(_OWNER_SETS))
+        for i in range(rng.randint(1, 7))
+    ]
+    relations: list = []
+    for _ in events:
+        r = rng.random()
+        if r < 0.15:
+            relations.append([])
+        elif r < 0.45 and relations:
+            relations.append(list(rng.choice(relations)))
+        else:
+            relations.append(
+                [(q, d) for q in states for d in states if rng.random() < 0.6 / n]
+            )
+    triples = [(q, ev.id, d) for ev, pairs in zip(events, relations) for (q, d) in pairs]
+    by_ends: dict = {}
+    for (q, ev, d) in triples:
+        by_ends.setdefault((q, d), []).append(ev)
+    rows = []
+    for (q, d), evs in by_ends.items():
+        rest = rng.sample(evs, len(evs))
+        while rest:
+            cut = rng.randint(1, len(rest))
+            group, rest = tuple(rest[:cut]), rest[cut:]
+            rows.append((q, group[0] if cut == 1 and rng.random() < 0.5 else group, d))
+        if rng.random() < 0.3:
+            rows.append((q, tuple(rng.sample(evs, rng.randint(1, len(evs)))), d))
+        if rng.random() < 0.1:
+            rows.append((q, (), d))
+    rows += [row for row in rows if rng.random() < 0.2]
+    rng.shuffle(rows)
+    marked = [q for q in states if rng.random() < 0.5]
+    return states, states[0], events, triples, rows, marked
+
+
+def test_build_on_event_groups_matches_build_on_triples():
+    rng = random.Random(2101)
+    seen = {"shared class": 0, "overlap": 0, "unused event": 0, "plain id": 0}
+    for _ in range(1200):
+        states, initial, events, triples, rows, marked = _random_grouped_parts(rng)
+        grouped = Automaton.build(states, initial, events, rows, marked)
+        assert grouped == Automaton.build(states, initial, events, triples, marked)
+        assert grouped.transitions == tuple(sorted(triples))
+        seen["shared class"] += any(len(evs) > 1 for evs in grouped._members)
+        seen["overlap"] += len(_edges(rows)) > len(triples)
+        seen["unused event"] += len(grouped._class_of) > len({ev for (_, ev, _) in triples})
+        seen["plain id"] += any(isinstance(g, str) for (_, g, _) in rows)
+        # a bad row anywhere raises what the per-event triples raise
+        bad = ("s0", ("ev0", "nope"), "s0") if rng.random() < 0.5 else ("s0", ("ev0",), "gone")
+        rows.insert(rng.randint(0, len(rows)), bad)
+        with pytest.raises(ValueError) as by_rows:
+            Automaton.build(states, initial, events, rows, marked)
+        with pytest.raises(ValueError) as by_triples:
+            Automaton.build(states, initial, events, _edges(rows), marked)
+        assert str(by_rows.value) == str(by_triples.value)
+    assert min(seen.values()) > 50, seen
+
+
+def test_build_on_event_groups_names_the_bad_event_or_endpoint():
+    events = [Event("ev0", True), Event("ev1", False)]
+    cases = [
+        ([("s0", ("ev0", "zz"), "s1")], "transition event 'zz' not in alphabet"),
+        ([("s0", ("ev1", "ev0"), "s9")], "transition (s0,ev1,s9) has unknown endpoint"),
+        ([("s0", ("ev0",), "s1"), ("s1", ("ev1", "yy", "zz"), "s0")],
+         "transition event 'yy' not in alphabet"),
+    ]
+    for rows, text in cases:
+        for transitions in (rows, _edges(rows)):
+            with pytest.raises(ValueError) as exc:
+                Automaton.build(["s0", "s1"], "s0", events, transitions, [])
+            assert str(exc.value) == text
 
 
 def test_index_round_trips_random_automata():

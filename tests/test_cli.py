@@ -225,6 +225,27 @@ GOLDEN_BUILD_MODELS = {
         "af2.aut": "deb642009d4f602cf7c714d1196975ffb72e3523ed9e6afd270886d1d91cf893",
         "report.txt": "c9b910abd1fbad3fa820487970a8a1df234ea2fa87ac06259c4eeee72fa01783",
     },
+    # the partition of the bundled mission
+    "50,21,9": {
+        "a1.aut": "25a4f9d33d49af9ba37197d74f8a14c0a3abc4e597729f6f3e0b906f8fb1d8ec",
+        "a2.aut": "c2a4d50991f744a29abf8df2815cea6c917fb9241afa026e7e942818e39f9302",
+        "ac.aut": "ce3529ee616e62538afb5b498eea1d8cfe17e27dc7bde208f2c67275ff4e66df",
+        "ac1.aut": "83454361b5332f5ee391cd95c99311866c6a5713a4f0e0999fce4b750d531031",
+        "ac2.aut": "0b632c58bfdd162fdc2f42c31530f3e71e42e35e58723bfcf95ea7670016071d",
+        "af1.aut": "b29141f720d492668208abdec7b497e78c3fbe45f07f46ff5c2984d036cb72a3",
+        "af2.aut": "c8c2139f8d034bd6db9d1f298b7a6f538ac707c9282703c7b8816a5c93d60ccd",
+        "report.txt": "21935b07eca3b765d1fda956a51fae6591f76a099bfe6d7d7e6828909b617152",
+    },
+    "50,24,36": {
+        "a1.aut": "678ec007e26da8e8be73a3f2da807f9f8046e1e031dce89e71f1449b87d45a35",
+        "a2.aut": "5a85df286ed10e9486c5bd493e0f54c1c01e445e47935c6486db4d1ac2df67fc",
+        "ac.aut": "5b2b02221edf899a00de7cdf5c58ea5c27603aa56ec1f0ebe955e482795bc4ab",
+        "ac1.aut": "52667fa98dc9faea798c97868238cb1bd14b7a8998a14fcf0cd14ca5dfae3816",
+        "ac2.aut": "b03b8665f818c07a192673f789fbbff0024bf901ab73bdf5112eeff066392b38",
+        "af1.aut": "bc1f541398ec2ca66bd5aa8c7fdad3d495c0952dd29fda8eeba0461b4355e3ae",
+        "af2.aut": "8db7023076a7d6f4e687bb8264d3d2878138c6735dcf4a013a8f48c1916e4509",
+        "report.txt": "ce5feab6bd61ad0377db52bc647266b35f6b9881c9b55db64386a5e20bcc4a20",
+    },
     # degenerate partitions: one ring (no outer detections) and one
     # full-circle sector
     "50,2,2": {

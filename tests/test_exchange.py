@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
-from conftest import make_auto
+from conftest import dumps_by_triples, make_auto
 
 from polaris import exchange
-from polaris.automata import is_bisimilar, natural_project, parallel_compose
+from polaris.automata import Automaton, Event, is_bisimilar, natural_project, parallel_compose
 from polaris.errors import InvalidToken, ParseError
 
 SAMPLE = """\
@@ -108,3 +110,38 @@ def test_writer_rejects_an_event_id_that_is_not_a_token():
     a = make_auto([("q0", "e?", "q1")])
     with pytest.raises(InvalidToken, match="not a valid token"):
         exchange.dumps(a)
+
+
+# token-safe names, ``q000``/``q001`` among them so the renamer skips them,
+# and names from composition and projection that it must rename
+_STATE_NAMES = ("s", "s0", "s1", "R1", "q000", "q001", "⟨q0,q1⟩", "⟨s0,R1⟩", "{a,b}", "{}", "x y")
+_OWNER_SETS = ((), (1,), (2,), (1, 2))
+
+
+def test_dumps_matches_the_per_triple_writer_on_random_automata():
+    rng = random.Random(2102)
+    seen = {"renamed": 0, "nondeterministic": 0, "unused event": 0}
+    seen.update({owners: 0 for owners in _OWNER_SETS})
+    for _ in range(1200):
+        states = rng.sample(_STATE_NAMES, rng.randint(1, 6))
+        events = [
+            Event(f"e{i}", rng.random() < 0.5, rng.choice(_OWNER_SETS))
+            for i in rng.sample(range(12), rng.randint(1, 6))
+        ]
+        trans = [
+            (q, ev.id, d)
+            for q in states for ev in events for d in states
+            if rng.random() < 0.7 / len(states)
+        ]
+        marked = [q for q in states if rng.random() < 0.5]
+        a = Automaton.build(states, rng.choice(states), events, trans, marked)
+        text = exchange.dumps(a)
+        assert text == dumps_by_triples(a)
+        mapping = exchange._safe_names(a.states)
+        assert exchange.loads(text) == (a.renamed(mapping) if mapping else a)
+        seen["renamed"] += bool(mapping)
+        seen["nondeterministic"] += not a.deterministic
+        seen["unused event"] += len(events) > len({ev for (_, ev, _) in trans})
+        for ev in events:
+            seen[tuple(sorted(ev.owners))] += 1
+    assert min(seen.values()) > 50, seen

@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import marked_language_upto, project_by_merging
+from conftest import _edges, marked_language_upto, project_by_merging
 
 import polaris.models
 from polaris.automata import (
+    Automaton,
     is_bisimilar,
     natural_project,
     parallel_compose,
@@ -46,14 +47,14 @@ def test_alphabet_counts():
 
 def test_alphabet_owner_tags():
     al = agent_alphabet(2, P)
-    by_id = {e.id: e for e in al.events()}
+    by_id = {e.id: e for e in al.events}
     assert by_id["Cr-2"].owners == frozenset({2})
     assert by_id["d_1_1_2"].owners == frozenset({2})
     assert by_id["Stop1"].owners == frozenset({1, 2})
 
 
 def test_plant_structure():
-    plant = build_plant(1, P)
+    plant = build_plant(agent_alphabet(1, P))
     al = agent_alphabet(1, P)
     assert len(plant.states) == 2
     assert plant.initial == "R1"
@@ -63,7 +64,7 @@ def test_plant_structure():
 
 
 def test_plant_language_samples():
-    plant = build_plant(1, P)
+    plant = build_plant(agent_alphabet(1, P))
     assert plant.generates(("Cr-1", "d_2_3_1"))
     assert not plant.generates(("Cr-1", "Cr-1"))
     assert plant.accepts(())  # initial state marked
@@ -72,21 +73,21 @@ def test_plant_language_samples():
 
 
 def test_formation_spec_reach_keep_walk():
-    spec = build_formation_spec(1, P)
+    spec = build_formation_spec(agent_alphabet(1, P))
     walk = ("Cr-1", "d_3_2_1", "Cr-1", "d_2_2_1", "Cr-1", "d_1_2_1", "C0_1", "C0_1")
     assert spec.generates(walk)
     assert spec.accepts(walk)  # all states marked
 
 
 def test_formation_spec_initially_allows_only_inward_command():
-    spec = build_formation_spec(1, P)
+    spec = build_formation_spec(agent_alphabet(1, P))
     enabled = set(spec.enabled(spec.initial))
     assert "Cr-1" in enabled
     assert not ({"Cr+1", "Cth+1", "Cth-1", "C0_1"} & enabled)
 
 
 def test_formation_spec_alarm_makes_it_permissive_until_release():
-    spec = build_formation_spec(1, P)
+    spec = build_formation_spec(agent_alphabet(1, P))
     state = spec.step1(spec.initial, "Ca12F")
     assert "Cth+1" in spec.enabled(state)
     assert "R21" in spec.enabled(state)
@@ -98,19 +99,19 @@ def test_formation_spec_alarm_makes_it_permissive_until_release():
 
 def test_formation_spec_controllable():
     for k in (1, 2):
-        plant = build_plant(k, P)
-        spec = build_formation_spec(k, P)
+        plant = build_plant(agent_alphabet(k, P))
+        spec = build_formation_spec(agent_alphabet(k, P))
         assert check_controllability(spec, plant).controllable
 
 
 def test_collision_spec_left_branch_walk():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     walk = ("Ca12F", "Stop2", "Cth+1", "d_3_4_1", "Cth+1", "d_3_5_1", "R21")
     assert spec.generates(walk)
 
 
 def test_collision_spec_stops_other_agent_until_release():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     state = spec.step1(spec.step1(spec.initial, "Ca12F"), "Stop2")
     al2 = agent_alphabet(2, P)
     blocked = set(al2.commands) | {al2.hold}
@@ -126,14 +127,14 @@ def test_collision_spec_stops_other_agent_until_release():
 
 
 def test_collision_spec_neutral_interleaving():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     assert spec.generates(("Cr-1", "Cr-2"))
     assert spec.generates(("Cr-2", "Cr-1"))
     assert spec.generates(("Cr-1", "d_2_2_1", "Cr-2", "d_3_3_2"))
 
 
 def test_collision_spec_formation_reached_during_avoidance():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     state = spec.step1(spec.step1(spec.initial, "Ca12N"), "Stop2")
     parked = spec.step1(spec.step1(state, "Cth+1"), "d_1_7_1")
     assert parked == "parked1"
@@ -143,13 +144,13 @@ def test_collision_spec_formation_reached_during_avoidance():
 
 
 def test_collision_spec_controllable_wrt_joint_plant():
-    spec = build_collision_spec(P)
-    joint = parallel_compose(build_plant(1, P), build_plant(2, P))
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
+    joint = parallel_compose(build_plant(agent_alphabet(1, P)), build_plant(agent_alphabet(2, P)))
     assert check_controllability(spec, joint).controllable
 
 
 def test_collision_spec_decomposable():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     e1 = frozenset(agent_alphabet(1, P).all_ids)
     e2 = frozenset(agent_alphabet(2, P).all_ids)
     report = check_decomposability(spec, e1, e2)
@@ -159,7 +160,7 @@ def test_collision_spec_decomposable():
 
 def test_local_supervisors_recompose_to_global():
     models = build_models(P)
-    ac = build_collision_spec(P)
+    ac = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     assert is_bisimilar(parallel_compose(models.local1, models.local2), ac)
     assert models.local1.deterministic and models.local2.deterministic
 
@@ -173,18 +174,55 @@ def test_local_supervisor_alphabets_match_agents():
 def test_build_models_builds_collision_spec_once(monkeypatch):
     calls = []
 
-    def counted(p):
-        calls.append(p)
-        return build_collision_spec(p)
+    def counted(al1, al2):
+        calls.append((al1.k, al2.k))
+        return build_collision_spec(al1, al2)
 
     monkeypatch.setattr(polaris.models, "build_collision_spec", counted)
     models = build_models.__wrapped__(P)  # past the cache
-    assert calls == [P]
-    assert models.collision == build_collision_spec(P)
+    assert calls == [(1, 2)]
+    assert models.collision == build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
+
+
+def test_build_models_builds_each_alphabet_once(monkeypatch):
+    calls = []
+
+    def counted(k, p):
+        calls.append(k)
+        return agent_alphabet(k, p)
+
+    monkeypatch.setattr(polaris.models, "agent_alphabet", counted)
+    build_models.__wrapped__(P)  # past the cache
+    assert calls == [1, 2]
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (5, 9), (9, 13), (21, 9), (24, 36)])
+def test_builders_rows_build_what_their_triples_build(monkeypatch, n_r, n_theta):
+    build = Automaton.build.__func__
+    calls = []
+
+    def recording(cls, states, initial, alphabet, rows, marked):
+        calls.append((states, initial, alphabet, rows, marked))
+        return build(cls, states, initial, alphabet, rows, marked)
+
+    monkeypatch.setattr(Automaton, "build", classmethod(recording))
+    p = PolarPartition(50.0, n_r, n_theta)
+    al1, al2 = agent_alphabet(1, p), agent_alphabet(2, p)
+    built = [
+        build_plant(al1), build_plant(al2), build_formation_spec(al1),
+        build_formation_spec(al2), build_collision_spec(al1, al2),
+    ]
+    monkeypatch.undo()
+    assert len(calls) == len(built)
+    for auto, (states, initial, alphabet, rows, marked) in zip(built, calls):
+        triples = _edges(rows)
+        assert len(triples) > len(rows)  # the rows do group events
+        assert auto == Automaton.build(states, initial, alphabet, triples, marked)
+        assert auto.transitions == tuple(sorted(set(triples)))
 
 
 def test_private_pairs_commute_in_collision_spec():
-    spec = build_collision_spec(P)
+    spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     # agent-1 and agent-2 private events enabled together must commute
     free = spec.initial
     for (e1, e2) in [("Cr-1", "Cr-2"), ("C0_1", "d_2_2_2"), ("Cr+1", "C0_2")]:
@@ -194,7 +232,7 @@ def test_private_pairs_commute_in_collision_spec():
 
 
 def test_projection_matches_merged_epsilon_on_collision_spec():
-    spec = build_collision_spec(SMALL)
+    spec = build_collision_spec(agent_alphabet(1, SMALL), agent_alphabet(2, SMALL))
     for k in (1, 2):
         keep = frozenset(agent_alphabet(k, SMALL).all_ids)
         subset = natural_project(spec, keep)
@@ -264,7 +302,7 @@ def test_class_counts_do_not_grow_with_the_partition(n_r, n_theta):
 
 
 def test_plant_is_fully_accessible():
-    plant = build_plant(1, P)
+    plant = build_plant(agent_alphabet(1, P))
     from polaris.automata import accessible
 
     assert accessible(plant) is plant
@@ -293,7 +331,7 @@ def test_modular_language_is_module_intersection_on_built_models():
 
 def test_build_plant_rejects_bad_agent():
     with pytest.raises(ValueError):
-        build_plant(3, P)
+        build_plant(agent_alphabet(3, P))
 
 
 def test_closed_loop_helper_on_built_models():
