@@ -7,6 +7,7 @@ or I/O errors.  ``POLARIS_LOG=debug|info|quiet`` controls verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -51,7 +52,11 @@ def _partition(value: str) -> PolarPartition:
     parts = value.split(",")
     if len(parts) != 3:
         raise PolarisError("--partition expects 'r_max,n_r,n_theta'")
-    return PolarPartition(float(parts[0]), int(parts[1]), int(parts[2]))
+    try:
+        (r_max, n_r, n_theta) = (float(parts[0]), int(parts[1]), int(parts[2]))
+    except ValueError:
+        raise PolarisError(f"--partition: bad number in {value!r}") from None
+    return PolarPartition(r_max, n_r, n_theta)
 
 
 def cmd_compose(args) -> int:
@@ -182,7 +187,9 @@ def cmd_verify_theorem1(args) -> int:
     return PASS if verdict.satisfied else FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polaris",
         description="supervisory-control toolkit and formation-flight simulator",

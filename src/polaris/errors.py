@@ -72,19 +72,23 @@ class InvalidToken(PolarisError):
     """A token in the automaton exchange format is malformed."""
 
 
-class ParseError(PolarisError):
-    """A config or automaton file could not be parsed."""
+class _FileError(PolarisError):
+    """An error in a file's contents.  The message starts with the file's
+    path and the line, ``path:line: ``, as far as they are known."""
 
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc += str(path)
-        if line is not None:
-            loc += f":{line}"
+        if path is None:
+            loc = "" if line is None else f"line {line}"
+        else:
+            loc = str(path) if line is None else f"{path}:{line}"
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path = path
         self.line = line
 
 
-class ValidationError(PolarisError):
+class ParseError(_FileError):
+    """A config or automaton file could not be parsed."""
+
+
+class ValidationError(_FileError):
     """A parsed config violates an invariant."""

@@ -10,7 +10,8 @@ separated, schedules are space-separated ``time:items`` entries, e.g.::
     follower1.offsets = 0:12,10 50:-30,-10
 
 Unknown keys are rejected; every key is optional, and an absent one keeps
-the :class:`ScenarioConfig` default.
+the :class:`ScenarioConfig` default.  An error in a file's contents starts
+with its path, and with the line of the key at fault where there is one.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class ScenarioConfig:
     followers: tuple = (FollowerConfig(), FollowerConfig())
 
     def validate(self) -> "ScenarioConfig":
+        """This config, or :class:`ValidationError` for the first invariant
+        it violates.  A message about one key starts with that key."""
         for (key, name) in _FLOAT_KEYS.items():
             _check_finite(key, getattr(self, name))
         if self.dt <= 0:
@@ -182,7 +185,7 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         key = key.strip()
         value = value.strip()
         if key not in _KNOWN_KEYS:
-            raise ValidationError(f"unknown key {key!r} (line {lineno})")
+            raise ValidationError(f"unknown key {key!r}", path, lineno)
         if key in values:
             raise ParseError(f"duplicate key {key!r}", path, lineno)
         values[key] = (value, lineno)
@@ -216,7 +219,7 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
             take_int("partition.n_theta", base.partition.n_theta),
         )
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(str(exc), path) from exc
 
     followers = []
     for (idx, follower) in enumerate(base.followers, start=1):
@@ -243,7 +246,12 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
     cfg = ScenarioConfig(
         partition=partition, leader_velocity=leader, followers=tuple(followers), **floats
     )
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except ValidationError as exc:
+        message = str(exc)
+        (_, line) = values.get(message.split(" ", 1)[0], (None, None))
+        raise ValidationError(message, path, line) from None
 
 
 def parse_scenario(path) -> ScenarioConfig:

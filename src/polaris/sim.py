@@ -10,12 +10,13 @@ ones through the automata, then emit the controllable events they enable
 (stop/release first, then one actuation command per agent).
 
 Between two events nothing discrete changes, so :func:`run_scenario`
-advances each quiet stretch in one loop over plain floats (``_coast``)
-that repeats the float operations of :func:`step`, :func:`detect_events`
-and the row formatting.  The loop stops before the first step that may
-have an event: a follower may leave its region or the horizon, the
-followers may close within the alarm radius or part beyond the release
-radius, or a formation switch is due.  That step runs through
+advances each quiet stretch in one loop over plain floats (``_coast``).
+A follower moves only through the ``move`` function of ``_mover``, in that
+loop and in :func:`step` alike; the loop repeats only the region test of
+:func:`detect_events` and the row formatting.  It stops before the first
+step that may have an event: a follower may leave its region or the
+horizon, the followers may close within the alarm radius or part beyond
+the release radius, or a formation switch is due.  That step runs through
 :func:`step`, :func:`detect_events` and :func:`supervisor_react`, so every
 event and failure comes from them.
 
@@ -258,34 +259,22 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
 def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
-    Stopped followers keep their relative position; every follower's total
-    velocity (leader plus relative) is clamped to the velocity bound.  The
-    new state is not located here: :func:`detect_events` does that.
+    Each follower moves by its :func:`_mover`.  The new state is not
+    located here: :func:`detect_events` does that, so a step beyond the
+    horizon does not raise.
     """
     cfg = mission.cfg
     (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
-    new_followers = []
-    for k in (1, 2):
-        (vx, vy) = _relative_velocity(world, mission, k)
-        tvx = lvx + vx
-        tvy = lvy + vy
-        speed = math.hypot(tvx, tvy)
-        if speed > cfg.u_max:
-            if cfg.u_max == 0.0:
-                tvx = 0.0
-                tvy = 0.0
-            else:
-                scale = cfg.u_max / speed
-                tvx *= scale
-                tvy *= scale
-        (px, py) = world.follower_pos[k - 1]
-        new_followers.append((px + (tvx - lvx) * cfg.dt, py + (tvy - lvy) * cfg.dt))
+    moved = [
+        _mover(mission, k, world)(*world.follower_pos[k - 1], *world.relative[k - 1], lvx, lvy)
+        for k in (1, 2)
+    ]
     new_index = world.step_index + 1
     return WorldState(
         new_index,
         new_index * cfg.dt,
         (world.leader_pos[0] + lvx * cfg.dt, world.leader_pos[1] + lvy * cfg.dt),
-        tuple(new_followers),
+        tuple((x, y) for (x, y, _, _, _) in moved),
         world.offsets,
         world.discrete,
         world.episode,
@@ -561,15 +550,17 @@ def _row(world: WorldState) -> str:
 
 
 def _mover(mission: Mission, k: int, world: WorldState):
-    """Follower ``k``'s quiet step in ``world``'s discrete state, as a
-    function of plain floats.
+    """Follower ``k``'s step in ``world``'s discrete state, as a function
+    of plain floats.
 
     ``move(x, y, rx, ry, lvx, lvy)`` takes the follower's position, its
-    relative position and the leader velocity.  It returns the new
-    ``(x, y, rx, ry)``, computed with the float operations of :func:`step`
-    (``kernels.eval_cell``, the ``u_max`` clamp, the Euler update) and of
-    ``locate``, or None when the new position may lie beyond the horizon
-    or outside the region.
+    relative position and the leader velocity.  Stopped and uncommanded
+    followers have no relative velocity; the others take
+    ``kernels.eval_cell``'s.  The total velocity (leader plus relative) is
+    clamped to ``u_max`` and the position takes one Euler step.  It returns
+    the new ``(x, y, rx, ry, inside)``, where ``inside`` is the region test
+    of ``locate``'s float operations: False when the new position may lie
+    beyond the horizon or outside the region.
     """
     cfg = mission.cfg
     p = cfg.partition
@@ -604,7 +595,7 @@ def _mover(mission: Mission, k: int, world: WorldState):
         ry = y - oy
         r = hypot(rx, ry)
         if not r <= r_max:  # beyond the horizon, or NaN
-            return None
+            return (x, y, rx, ry, False)
         th = atan2(ry, rx)
         i = ceil(r / delta_r)
         if i < 1:
@@ -616,9 +607,7 @@ def _mover(mission: Mission, k: int, world: WorldState):
             j = 1
         elif j > j_max:
             j = j_max
-        if i != i0 or j != j0:
-            return None
-        return (x, y, rx, ry)
+        return (x, y, rx, ry, i == i0 and j == j0)
 
     return move
 
@@ -671,20 +660,20 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if t >= t_lv:
             (lvx, lvy) = schedule_at(leader, t)
             t_lv = next((entry[0] for entry in leader if entry[0] > t), math.inf)
-        new1 = move1(x1, y1, rx1, ry1, lvx, lvy)
-        if new1 is None:
+        (nx1, ny1, nrx1, nry1, inside) = move1(x1, y1, rx1, ry1, lvx, lvy)
+        if not inside:
             break
-        new2 = move2(x2, y2, rx2, ry2, lvx, lvy)
-        if new2 is None:
+        (nx2, ny2, nrx2, nry2, inside) = move2(x2, y2, rx2, ry2, lvx, lvy)
+        if not inside:
             break
-        nsep = hypot(new1[0] - new2[0], new1[1] - new2[1])
+        nsep = hypot(nx1 - nx2, ny1 - ny2)
         if watch_alarm and sep >= alarm_radius > nsep:
             break
         if watch_release and nsep > release_radius:
             break
 
-        (x1, y1, rx1, ry1) = new1
-        (x2, y2, rx2, ry2) = new2
+        (x1, y1, rx1, ry1) = (nx1, ny1, nrx1, nry1)
+        (x2, y2, rx2, ry2) = (nx2, ny2, nrx2, nry2)
         sep = nsep
         index += 1
         t = index * dt

@@ -18,7 +18,7 @@ from polaris.automata import (
     accessible,
     product_state,
 )
-from polaris import sim
+from polaris import kernels, sim
 from polaris.kernels import (
     EXIT_R_MINUS,
     EXIT_R_PLUS,
@@ -37,6 +37,7 @@ from polaris.errors import (
 from polaris.exchange import TOKEN_RE, _safe_names
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
+from polaris.scenario import schedule_at
 from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
 
 
@@ -760,11 +761,62 @@ def csv_row_by_fstring(world) -> str:
     )
 
 
+def relative_velocity_of(world, mission, k: int):
+    """Follower ``k``'s relative velocity in ``world``: zero when stopped
+    or uncommanded, else the field of its command in its region."""
+    disc = world.discrete[k - 1]
+    if disc.stopped or disc.command is None:
+        return (0.0, 0.0)
+    (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
+    (x, y) = world.relative[k - 1]
+    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps)
+
+
+def euler_step(world, mission) -> "sim.WorldState":
+    """The reference for ``sim.step``, which moves each follower through
+    ``sim._mover``: one Euler step of length dt, written out here.
+
+    Stopped and uncommanded followers have no relative velocity; every
+    follower's total velocity (leader plus relative) is clamped to the
+    velocity bound.  The field is read as ``kernels.eval_cell`` at call time, so a test that
+    replaces it reaches this step and the simulator alike.
+    """
+    cfg = mission.cfg
+    (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
+    new_followers = []
+    for k in (1, 2):
+        (vx, vy) = relative_velocity_of(world, mission, k)
+        tvx = lvx + vx
+        tvy = lvy + vy
+        speed = math.hypot(tvx, tvy)
+        if speed > cfg.u_max:
+            if cfg.u_max == 0.0:
+                tvx = 0.0
+                tvy = 0.0
+            else:
+                scale = cfg.u_max / speed
+                tvx *= scale
+                tvy *= scale
+        (px, py) = world.follower_pos[k - 1]
+        new_followers.append((px + (tvx - lvx) * cfg.dt, py + (tvy - lvy) * cfg.dt))
+    new_index = world.step_index + 1
+    return sim.WorldState(
+        new_index,
+        new_index * cfg.dt,
+        (world.leader_pos[0] + lvx * cfg.dt, world.leader_pos[1] + lvy * cfg.dt),
+        tuple(new_followers),
+        world.offsets,
+        world.discrete,
+        world.episode,
+    )
+
+
 def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
     """``sim.run_scenario`` with a supervisor reaction on every step.
 
     The reference for the simulator's loop, which reacts only on steps
-    with events; rows are formatted by :func:`csv_row_by_fstring`.
+    with events; steps are taken by :func:`euler_step` and rows are
+    formatted by :func:`csv_row_by_fstring`.
     Failures carry ``world`` and ``recent`` as in ``run_scenario``.
     """
     cfg.validate()
@@ -799,7 +851,7 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
                 world, records = sim.supervisor_react(world, [], mission)
                 result.records.extend(records)
 
-            nxt = sim.step(world, mission)
+            nxt = euler_step(world, mission)
             events = sim.detect_events(world, nxt, mission)
             world, records = sim.supervisor_react(nxt, events, mission)
             result.records.extend(records)

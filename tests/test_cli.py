@@ -5,7 +5,7 @@ import pytest
 
 from conftest import CROSSING_CFG, make_auto, run_polaris
 
-from polaris import exchange
+from polaris import cli, exchange
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
 from polaris.cli import main
 
@@ -419,6 +419,7 @@ def test_io_error_exits_2(tmp_path, capsys):
     [
         (["build-models", "--partition", "50,9"], "--partition expects 'r_max,n_r,n_theta'"),
         (["project", "{a}", "--keep", "a,zz"], "keep set contains unknown events: ['zz']"),
+        (["build-models", "--partition", "50,6.5,9"], "--partition: bad number in '50,6.5,9'"),
     ],
 )
 def test_bad_arguments_exit_2(files, capsys, argv, fragment):
@@ -426,6 +427,35 @@ def test_bad_arguments_exit_2(files, capsys, argv, fragment):
     argv = [arg.replace("{a}", str(pa)) for arg in argv] + ["-o", str(tmp / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {fragment}\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "located"),
+    [
+        ("sim.foo = 1\n", ":1: unknown key 'sim.foo'"),
+        ("sim.t_end = 5\nsim.dt = -1\n", ":2: sim.dt must be positive"),
+        ("sim.t_end = 5\navoid.release_radius = 4\n",
+         ":2: avoid.release_radius must exceed avoid.alarm_radius (hysteresis)"),
+        ("follower1.offsets = 0:1,2 0:3,4\n",
+         ":1: follower1.offsets times must be strictly increasing"),
+        ("partition.n_r = 1\n", ": need at least two grid lines in each direction"),
+    ],
+    ids=["unknown-key", "dt", "hysteresis", "schedule", "partition"],
+)
+def test_scenario_content_errors_name_the_file(tmp_path, capsys, text, located):
+    scenario = tmp_path / "unk.cfg"
+    scenario.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {scenario}{located}\n"
+
+
+def test_two_main_calls_build_the_parser_once(files, capsys):
+    (_, pa, pb, _, _) = files
+    cli.build_parser.cache_clear()
+    assert main(["bisim", str(pa), str(pa)]) == 0
+    assert main(["bisim", str(pa), str(pb)]) == 1
+    assert cli.build_parser.cache_info().misses == 1
+    assert capsys.readouterr().out.splitlines()[0] == "bisimilar"
 
 
 def test_usage_error_exits_2():

@@ -1,16 +1,29 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from conftest import CROSSING_CFG, run_scenario_reacting_every_step, scan_command_choice
+from conftest import (
+    CROSSING_CFG,
+    euler_step,
+    relative_velocity_of,
+    run_scenario_reacting_every_step,
+    scan_command_choice,
+)
 
 from polaris import kernels, polar, sim
 from polaris.cli import main
 from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
 from polaris.polar import PolarPartition, RegionIndex, locate
-from polaris.scenario import FollowerConfig, ScenarioConfig, loads_scenario, parse_scenario
+from polaris.scenario import (
+    FollowerConfig,
+    ScenarioConfig,
+    loads_scenario,
+    parse_scenario,
+    schedule_at,
+)
 from polaris.sim import (
     FAILURE_RECORDS,
     EventRecord,
@@ -736,9 +749,56 @@ def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
     (rx, ry) = world.relative[0]
     assert ry < 0.0
     moved = sim._mover(mission, 1, world)(*world.follower_pos[0], rx, ry, 0.0, 0.0)
-    (x, y, rx, ry) = moved
-    assert (x, y) == step(world, mission).follower_pos[0]
-    assert ry > 0.0
+    (x, y, rx, ry, inside) = moved
+    assert (x, y) == euler_step(world, mission).follower_pos[0]
+    assert ry > 0.0 and inside
+
+
+def test_step_matches_the_reference_euler_step_bit_for_bit():
+    # step moves each follower through _mover's move; conftest's euler_step
+    # writes the same Euler step out.  Seeded worlds put held, stopped and
+    # commanded followers anywhere in the grid, under no velocity
+    # authority, a partial clamp and a loose bound, with the leader
+    # velocity read on both sides of its breakpoint at t = 4.
+    rng = random.Random(22)
+    seen = Counter()
+    leader = ((0.0, 3.0, 1.0), (4.0, -1.0, 2.5))
+    for u_max in (0.0, 2.5, 50.0):
+        cfg = small_cfg(dt=0.5, u_max=u_max, leader_velocity=leader)
+        (start, mission) = started_world(cfg)
+        p = cfg.partition
+        for _ in range(200):
+            discrete = []
+            follower_pos = []
+            for (k, d, (ox, oy)) in zip((1, 2), start.discrete, start.offsets):
+                region = RegionIndex(rng.randint(1, p.n_r - 1), rng.randint(1, p.n_theta - 1))
+                (r_lo, r_hi, th_lo, th_hi) = polar.region_bounds(p, region)
+                (r, th) = (rng.uniform(r_lo, r_hi), rng.uniform(th_lo, th_hi))
+                follower_pos.append((ox + r * math.cos(th), oy + r * math.sin(th)))
+                commands = [f"Cth+{k}", f"Cth-{k}", f"C0_{k}"]
+                commands += [f"Cr-{k}"] * (region.i > 1) + [f"Cr+{k}"] * (region.i < p.n_r - 1)
+                kind = rng.choice(("held", "stopped", "commanded"))
+                command = None if kind == "held" else rng.choice(commands)
+                discrete.append(replace(d, region=region, command=command,
+                                        stopped=kind == "stopped"))
+                seen[kind] += 1
+            t = rng.choice((4.0 - cfg.dt, 4.0))
+            world = replace(start, step_index=round(t / cfg.dt), t=t,
+                            follower_pos=tuple(follower_pos), discrete=tuple(discrete))
+            expected = euler_step(world, mission)
+            assert step(world, mission) == expected
+            seen[f"t={t}"] += 1
+            (lvx, lvy) = schedule_at(leader, t)
+            for k in (1, 2):
+                (vx, vy) = relative_velocity_of(world, mission, k)
+                speed = math.hypot(lvx + vx, lvy + vy)
+                seen["u_max=0" if u_max == 0.0 else "clamped" if speed > u_max else "loose"] += 1
+                (rx, ry) = expected.relative[k - 1]
+                if math.hypot(rx, ry) > p.r_max:
+                    seen["beyond the horizon"] += 1
+                elif locate(p, rx, ry) != world.discrete[k - 1].region:
+                    seen["left its region"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 10, seen
 
 
 def test_quiet_loop_and_step_evaluate_one_field(monkeypatch):
