@@ -16,8 +16,7 @@ operations are pure functions returning new automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetConflict
 
@@ -36,20 +35,29 @@ _NO_ROW: dict = {}
 _NO_TARGETS: frozenset = frozenset()
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """An alphabet symbol with its controllability flag and owner tags.
-
-    ``owners`` says which agents' local alphabets the event belongs to
-    (a subset of {1, 2}); shared coordination events carry both tags.
-    """
-
+class _EventFields(NamedTuple):
     id: str
     controllable: bool
     owners: frozenset = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "owners", frozenset(self.owners))
+
+class Event(_EventFields):
+    """An alphabet symbol with its controllability flag and owner tags.
+
+    ``owners`` says which agents' local alphabets the event belongs to
+    (a subset of {1, 2}); shared coordination events carry both tags.
+    Any iterable of tags is stored as a frozenset.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, controllable: bool, owners: Iterable[int] = frozenset()):
+        return tuple.__new__(cls, (id, controllable, frozenset(owners)))
+
+    @classmethod
+    def _make(cls, fields):
+        # ``_replace`` builds through here, so it normalizes ``owners`` too
+        return cls(*fields)
 
 
 def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
@@ -71,7 +79,6 @@ def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
     return tuple(sorted(by_id.values(), key=lambda e: e.id))
 
 
-@dataclass(frozen=True)
 class Automaton:
     """A finite transition system with marked states.
 
@@ -82,19 +89,53 @@ class Automaton:
     its class.  Classes are maximal (events share one exactly when they
     have the same relation, controllability and owners) and numbered in the
     order of their smallest members, so equal automata have equal indexes
-    however they were built, and equality compares the index.  Instances
-    are validated on construction and never mutated afterwards.
+    however they were built, and equality compares the index.  The hash
+    and ``repr`` read the four public fields only.  Instances are
+    validated on construction and never mutated afterwards.
     """
 
-    states: frozenset
-    initial: str
-    alphabet: tuple
-    marked: frozenset
-    _succ: dict = field(repr=False, hash=False)
-    _members: tuple = field(repr=False, hash=False)
-    _class_of: dict = field(repr=False, compare=False)
-    _by_id: dict = field(repr=False, compare=False)
-    _event_ids: frozenset = field(repr=False, compare=False)
+    __slots__ = (
+        "states", "initial", "alphabet", "marked",
+        "_succ", "_members", "_class_of", "_by_id", "_event_ids",
+    )
+
+    def __init__(
+        self, states: frozenset, initial: str, alphabet: tuple, marked: frozenset,
+        _succ: dict, _members: tuple, _class_of: dict, _by_id: dict, _event_ids: frozenset,
+    ):
+        set_field = object.__setattr__
+        set_field(self, "states", states)
+        set_field(self, "initial", initial)
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "marked", marked)
+        set_field(self, "_succ", _succ)
+        set_field(self, "_members", _members)
+        set_field(self, "_class_of", _class_of)
+        set_field(self, "_by_id", _by_id)
+        set_field(self, "_event_ids", _event_ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return (self.states, self.initial, self.alphabet, self.marked, self._succ, self._members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash((self.states, self.initial, self.alphabet, self.marked))
+
+    def __repr__(self):
+        return (
+            f"Automaton(states={self.states!r}, initial={self.initial!r}, "
+            f"alphabet={self.alphabet!r}, marked={self.marked!r})"
+        )
 
     @classmethod
     def build(
@@ -517,15 +558,13 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
 # -- bisimulation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BisimRelation:
+class BisimRelation(NamedTuple):
     """A bisimulation between two automata: set of matched state pairs."""
 
     pairs: frozenset
 
 
-@dataclass(frozen=True)
-class BisimResult:
+class BisimResult(NamedTuple):
     bisimilar: bool
     relation: Optional[BisimRelation] = None
     counterexample: Optional[tuple] = None

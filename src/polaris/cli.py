@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import exchange
 from .automata import is_bisimilar, natural_project, parallel_compose
-from .errors import HorizonViolation, PolarisError, SupervisorBlocked
+from .errors import HorizonViolation, PolarisError, SupervisorBlocked, ValidationError
 from .models import build_models
 from .polar import PolarPartition
 from .scenario import parse_scenario
@@ -164,7 +164,14 @@ def cmd_simulate(args) -> int:
     cfg = parse_scenario(args.scenario)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(cfg)
+    try:
+        result = run_scenario(cfg)
+    except (HorizonViolation, ValidationError) as exc:
+        if getattr(exc, "world", None) is not None:
+            raise
+        # a start or formation switch that the file's positions make
+        # impossible: no world was reached, so the file is named instead
+        raise ValidationError(str(exc), args.scenario) from exc
     (outdir / "trajectory.csv").write_text(result.csv_text(), encoding="utf-8")
     (outdir / "events.log").write_text(result.log_text(), encoding="utf-8")
     (outdir / "verdicts.txt").write_text(result.verdicts_text(), encoding="utf-8")

@@ -27,8 +27,8 @@ agents' alphabets and hands its edges to :meth:`Automaton.build` as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .automata import Automaton, Event, is_bisimilar, parallel_compose, natural_project
 from .errors import NotDecomposable
@@ -59,8 +59,7 @@ def _detection(i: int, j: int, k: int) -> str:
     return f"d_{i}_{j}_{k}"
 
 
-@dataclass(frozen=True)
-class AgentAlphabet:
+class AgentAlphabet(NamedTuple):
     """All event ids of one agent, grouped by role.
 
     :func:`agent_alphabet` builds every group once, the :class:`Event`
@@ -232,8 +231,7 @@ def build_collision_spec(al1: AgentAlphabet, al2: AgentAlphabet) -> Automaton:
     return Automaton.build(states, free, events, rows, states)
 
 
-@dataclass(frozen=True)
-class FormationModels:
+class FormationModels(NamedTuple):
     """The full model set for one partition."""
 
     partition: PolarPartition

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,15 +50,20 @@ DEFAULT_KAPPA = 0.5
 _POINT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PolarPartition:
-    """Disk radius plus the counts of radial and angular grid lines."""
-
+class _PartitionFields(NamedTuple):
     r_max: float
     n_r: int
     n_theta: int
 
-    def __post_init__(self):
+
+class PolarPartition(_PartitionFields):
+    """Disk radius plus the counts of radial and angular grid lines,
+    validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, r_max: float, n_r: int, n_theta: int):
+        self = tuple.__new__(cls, (r_max, n_r, n_theta))
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError("r_max must be positive and finite")
         if self.n_r < 2 or self.n_theta < 2:
@@ -69,6 +73,12 @@ class PolarPartition:
                 f"r_max {self.r_max!r} is too small: its radial step or radius "
                 "floor underflows to zero"
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # ``_replace`` builds through here, so it validates too
+        return cls(*fields)
 
     @property
     def delta_r(self) -> float:
@@ -99,8 +109,7 @@ class PolarPartition:
                 yield RegionIndex(i, j)
 
 
-@dataclass(frozen=True, order=True)
-class RegionIndex:
+class RegionIndex(NamedTuple):
     """Address (i, j) of the region between grid radii i, i+1 and grid
     angles j, j+1 (both 1-based)."""
 
@@ -174,8 +183,7 @@ _FACETS = {
 _EXIT_FACET = {f.mode: name for (name, f) in _FACETS.items()}
 
 
-@dataclass(frozen=True)
-class VertexControls:
+class VertexControls(NamedTuple):
     """Mode plus the four polar vertex vectors (u_r, u_theta) in m/s."""
 
     mode: Mode
@@ -184,11 +192,6 @@ class VertexControls:
     def flat(self) -> tuple:
         (u0, u1, u2, u3) = self.u
         return (u0[0], u0[1], u1[0], u1[1], u2[0], u2[1], u3[0], u3[1])
-
-    def scaled(self, factor: float) -> "VertexControls":
-        return VertexControls(
-            self.mode, tuple((ur * factor, ut * factor) for (ur, ut) in self.u)
-        )
 
     @property
     def exit_code(self) -> int:
@@ -284,8 +287,7 @@ def eval_control(
     return kernels.eval_cell(r_lo, r_hi, th_lo, span, vc.flat(), x, y, p.r_eps)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     violations: tuple
 

@@ -17,7 +17,7 @@ with its path, and with the line of the key at fault where there is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .polar import PolarPartition
@@ -25,8 +25,7 @@ from .polar import PolarPartition
 __all__ = ["FollowerConfig", "ScenarioConfig", "parse_scenario", "loads_scenario"]
 
 
-@dataclass(frozen=True)
-class FollowerConfig:
+class FollowerConfig(NamedTuple):
     initial_position: tuple = (0.0, 0.0)  # leader frame at t = 0
     offsets: tuple = ((0.0, 0.0, 0.0),)  # (time, dx, dy), piecewise constant
 
@@ -46,8 +45,7 @@ _FLOAT_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     partition: PolarPartition = PolarPartition(50.0, 6, 9)
     dt: float = 0.02
     t_end: float = 150.0
@@ -191,7 +189,7 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         values[key] = (value, lineno)
     if not seen_any:
         raise ParseError("empty scenario file", path)
-    # an absent key keeps the dataclass default
+    # an absent key keeps the ScenarioConfig default
     base = ScenarioConfig()
 
     def take_float(key, default):

@@ -27,9 +27,8 @@ trajectories, logs and verdicts byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from math import atan2, ceil, hypot
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
@@ -73,8 +72,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     t: float
     agent: str  # "1", "2" or "world"
     event: str
@@ -84,8 +82,7 @@ class EventRecord:
         return f"t={self.t:.6f} agent={self.agent} event={self.event} detail={self.detail}"
 
 
-@dataclass(frozen=True)
-class AgentDiscrete:
+class AgentDiscrete(NamedTuple):
     plant: str
     formation: str
     local: str
@@ -94,14 +91,12 @@ class AgentDiscrete:
     stopped: bool = False
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     avoider: int  # agent index that keeps moving and turns
     cleared: bool = False
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(NamedTuple):
     step_index: int
     t: float
     leader_pos: tuple
@@ -109,15 +104,19 @@ class WorldState:
     offsets: tuple  # two current desired offsets
     discrete: tuple  # two AgentDiscrete
     episode: Optional[Episode] = None
-    # derived by __post_init__, so dataclasses.replace never leaves them stale
-    relative: tuple = field(init=False, compare=False, repr=False)  # positions minus offsets
-    separation: float = field(init=False, compare=False, repr=False)  # between the followers
 
-    def __post_init__(self):
+    @property
+    def relative(self) -> tuple:
+        """The two positions minus their offsets."""
         ((x1, y1), (x2, y2)) = self.follower_pos
         ((ox1, oy1), (ox2, oy2)) = self.offsets
-        object.__setattr__(self, "relative", ((x1 - ox1, y1 - oy1), (x2 - ox2, y2 - oy2)))
-        object.__setattr__(self, "separation", math.hypot(x1 - x2, y1 - y2))
+        return ((x1 - ox1, y1 - oy1), (x2 - ox2, y2 - oy2))
+
+    @property
+    def separation(self) -> float:
+        """The distance between the followers."""
+        ((x1, y1), (x2, y2)) = self.follower_pos
+        return math.hypot(x1 - x2, y1 - y2)
 
 
 _ROLES = ("plant", "formation", "local")
@@ -431,7 +430,7 @@ def supervisor_react(world: WorldState, events, mission: Mission):
                 EventRecord(t, str(k), event, f"separation<{cfg.alarm_radius:g}")
             )
         elif kind == "cleared":
-            episode = replace(episode, cleared=True)
+            episode = episode._replace(cleared=True)
             records.append(
                 EventRecord(t, "world", "alarm_cleared", f"separation>{cfg.release_radius:g}")
             )
@@ -478,32 +477,50 @@ def supervisor_react(world: WorldState, events, mission: Mission):
     discretes = tuple(
         autos.discrete(k, regions[k - 1], commands[k - 1], stopped[k - 1]) for k in (1, 2)
     )
-    return replace(world, discrete=discretes, episode=episode), records
+    return world._replace(discrete=discretes, episode=episode), records
 
 
 def _apply_offset_switch(world: WorldState, mission: Mission) -> WorldState:
     """Re-center the relative frames and restart the discrete layer."""
     offsets = tuple(schedule_at(f.offsets, world.t) for f in mission.cfg.followers)
     discretes = _initial_discretes(world.follower_pos, offsets, mission)
-    return replace(world, offsets=offsets, discrete=discretes, episode=None)
+    return world._replace(offsets=offsets, discrete=discretes, episode=None)
 
 
-@dataclass
 class _EpisodeLog:
-    alarm: str
-    t_alarm: float
-    stop: Optional[str] = None
-    t_stop: Optional[float] = None
-    release: Optional[str] = None
-    t_release: Optional[float] = None
+    __slots__ = ("alarm", "t_alarm", "stop", "t_stop", "release", "t_release")
+
+    def __init__(self, alarm: str, t_alarm: float):
+        self.alarm = alarm
+        self.t_alarm = t_alarm
+        self.stop = self.t_stop = self.release = self.t_release = None
 
 
-@dataclass
 class ScenarioResult:
-    rows: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    controllers: str = ""
+    """The rows, event records, verdicts and controller text of a run;
+    the list and dict fields default to new empty ones."""
+
+    __slots__ = ("rows", "records", "verdicts", "controllers")
+    __hash__ = None
+
+    def __init__(self, rows=None, records=None, verdicts=None, controllers: str = ""):
+        self.rows = [] if rows is None else rows
+        self.records = [] if records is None else records
+        self.verdicts = {} if verdicts is None else verdicts
+        self.controllers = controllers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.records, self.verdicts, self.controllers) == (
+            other.rows, other.records, other.verdicts, other.controllers
+        )
+
+    def __repr__(self):
+        return (
+            f"ScenarioResult(rows={self.rows!r}, records={self.records!r}, "
+            f"verdicts={self.verdicts!r}, controllers={self.controllers!r})"
+        )
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]

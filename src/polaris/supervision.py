@@ -9,9 +9,8 @@ replaced by the parallel composition of its natural projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .automata import (
     Automaton,
@@ -67,8 +66,7 @@ def is_nonblocking(a: Automaton) -> bool:
     return can_mark == a.states
 
 
-@dataclass(frozen=True)
-class ControllabilityReport:
+class ControllabilityReport(NamedTuple):
     controllable: bool
     witness_string: Optional[tuple] = None
     witness_event: Optional[str] = None
@@ -165,8 +163,7 @@ def decompose(a: Automaton, e1: Iterable[str], e2: Iterable[str]):
     return natural_project(a, e1), natural_project(a, e2)
 
 
-@dataclass(frozen=True)
-class DecomposabilityReport:
+class DecomposabilityReport(NamedTuple):
     decomposable: bool
     bisim: BisimResult
     dc1: bool
@@ -177,12 +174,29 @@ class DecomposabilityReport:
     dc3_witness: Optional[tuple] = None
     dc4: bool = True
     dc4_witness: Optional[tuple] = None
-    # the projections of the accessible automaton that were composed
-    local1: Optional[Automaton] = field(default=None, repr=False, compare=False)
-    local2: Optional[Automaton] = field(default=None, repr=False, compare=False)
+    # the projections of the accessible automaton that were composed; they
+    # take no part in repr, equality or hashing
+    local1: Optional[Automaton] = None
+    local2: Optional[Automaton] = None
 
     def __bool__(self):
         return self.decomposable
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for (name, value) in zip(self._fields[:-2], self))
+        return f"DecomposabilityReport({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-2] == other[:-2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-2])
 
     def summary(self) -> str:
         lines = [
@@ -393,8 +407,7 @@ def check_decomposability(
     )
 
 
-@dataclass(frozen=True)
-class DecentralizedVerdict:
+class DecentralizedVerdict(NamedTuple):
     satisfied: bool
     decomposability: DecomposabilityReport
 

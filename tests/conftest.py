@@ -954,6 +954,11 @@ def integrate_by_steps(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps)
     return (INSIDE, steps, x, y)
 
 
+def scaled_controls(vc, factor: float):
+    """``vc`` with every vertex vector multiplied by ``factor``."""
+    return vc._replace(u=tuple((ur * factor, ut * factor) for (ur, ut) in vc.u))
+
+
 def interpolate_polar(vc, alpha: float, beta: float):
     """Bilinear interpolation of the vertex vectors at cell coordinates.
 

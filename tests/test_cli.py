@@ -1,9 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CROSSING_CFG, make_auto, run_polaris
+from conftest import CROSSING_CFG, SRC, make_auto, run_polaris
 
 from polaris import cli, exchange
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
@@ -381,7 +384,17 @@ def test_simulate_start_failure_has_no_world_to_report(tmp_path, capsys):
     scenario.write_text(CROSSING_CFG.replace("-15.925,17.239", "-150,17.239"), encoding="utf-8")
     assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        "error: follower 1 at relative radius 165.565 beyond horizon 50.000\n"
+        f"error: {scenario}: follower 1 at relative radius 165.565 beyond horizon 50.000\n"
+    )
+
+
+def test_simulate_start_in_the_innermost_ring_names_the_file(tmp_path, capsys):
+    scenario = tmp_path / "inside.cfg"
+    scenario.write_text(CROSSING_CFG.replace("-15.925,17.239", "15.855,2.921"), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: follower 1 starts inside the innermost ring; "
+        "the reach policy needs a start outside it\n"
     )
 
 
@@ -468,3 +481,14 @@ def test_console_entry_point_runs():
     out = run_polaris("--help", POLARIS_LOG="quiet")
     assert out.returncode == 0
     assert "simulate" in out.stdout
+
+
+def test_cli_import_loads_no_code_generating_modules():
+    # records are NamedTuples and __slots__ classes: importing the CLI
+    # must not pull in dataclasses or, through it, inspect
+    probe = "import sys, polaris.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert out.stdout == "[]\n"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import interpolate_polar, locate_by_formula, validate_by_grid
+from conftest import interpolate_polar, locate_by_formula, scaled_controls, validate_by_grid
 
 from polaris import kernels
 from polaris.errors import IndexOutOfRange, Infeasible, OutOfHorizon, OutsideRegion
@@ -395,7 +395,7 @@ def test_validate_catches_flipped_exit_vertex():
 def test_validate_is_scale_invariant_for_invariant_mode():
     idx = RegionIndex(2, 5)
     vc = design_controller(P, idx, Mode.INVARIANT, 2.0)
-    assert validate_controller(P, idx, vc.scaled(0.1)).ok
+    assert validate_controller(P, idx, scaled_controls(vc, 0.1)).ok
 
 
 def test_validate_flags_illegal_inward_exit():

@@ -1,0 +1,202 @@
+"""The toolkit's records: immutable, equal and hashed by value, ordered by
+field order where they are ordered, and shown as ``Name(field=value, ...)``."""
+
+import math
+
+import pytest
+
+from polaris.automata import Automaton, BisimRelation, BisimResult, Event
+from polaris.models import AgentAlphabet, FormationModels
+from polaris.polar import Mode, PolarPartition, RegionIndex, ValidationResult, VertexControls
+from polaris.scenario import FollowerConfig, ScenarioConfig
+from polaris.sim import AgentDiscrete, Episode, EventRecord, ScenarioResult, WorldState
+from polaris.supervision import (
+    ControllabilityReport,
+    DecentralizedVerdict,
+    DecomposabilityReport,
+)
+
+EVENT = "Event(id='a', controllable=True, owners=frozenset({1}))"
+AUTOMATON = (
+    f"Automaton(states=frozenset({{'q'}}), initial='q', alphabet=({EVENT},), "
+    "marked=frozenset({'q'}))"
+)
+RELATION = "BisimRelation(pairs=frozenset({('q', 'q')}))"
+BISIM = f"BisimResult(bisimilar=True, relation={RELATION}, counterexample=None)"
+PARTITION = "PolarPartition(r_max=50.0, n_r=3, n_theta=3)"
+FOLLOWER = "FollowerConfig(initial_position=(0.0, 0.0), offsets=((0.0, 0.0, 0.0),))"
+DC_PASS = "dc2=True, dc2_witness=None, dc3=True, dc3_witness=None, dc4=True, dc4_witness=None"
+
+
+def automaton():
+    return Automaton.build(["q"], "q", [Event("a", True, [1])], [("q", "a", "q")], ["q"])
+
+
+def bisim():
+    return BisimResult(True, BisimRelation(frozenset({("q", "q")})))
+
+
+def partition():
+    return PolarPartition(50.0, 3, 3)
+
+
+def world():
+    return WorldState(0, 0.0, (0.0, 0.0), ((3.0, 4.0), (0.0, 0.0)), ((1.0, 1.0),) * 2, ())
+
+
+# (factory, repr) for one instance of each immutable record; a factory
+# builds a new, equal instance on every call
+RECORDS = [
+    (lambda: Event("a", True, [1]), EVENT),
+    (automaton, AUTOMATON),
+    (lambda: BisimRelation(frozenset({("q", "q")})), RELATION),
+    (bisim, BISIM),
+    (partition, PARTITION),
+    (lambda: RegionIndex(2, 1), "RegionIndex(i=2, j=1)"),
+    (
+        lambda: VertexControls(Mode.INVARIANT, ((1.0, 0.0),) * 4),
+        "VertexControls(mode=<Mode.INVARIANT: 'invariant'>, "
+        "u=((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)))",
+    ),
+    (
+        lambda: ValidationResult(False, ("r+ (vertex v1)",)),
+        "ValidationResult(ok=False, violations=('r+ (vertex v1)',))",
+    ),
+    (
+        lambda: AgentAlphabet(1, ("Cr+1",), "C0_1", (), (), (), (), (), (), (), (), (), ()),
+        "AgentAlphabet(k=1, commands=('Cr+1',), hold='C0_1', external=(), modes=(), "
+        "detection_ids=(), first_circle=(), outer_detections=(), actuation_ids=(), "
+        "controllable_ids=(), uncontrollable_ids=(), all_ids=(), events=())",
+    ),
+    (
+        lambda: FormationModels(partition(), None, None, *[automaton()] * 7),
+        f"FormationModels(partition={PARTITION}, alphabet1=None, alphabet2=None, "
+        f"plant1={AUTOMATON}, plant2={AUTOMATON}, formation1={AUTOMATON}, "
+        f"formation2={AUTOMATON}, collision={AUTOMATON}, local1={AUTOMATON}, "
+        f"local2={AUTOMATON})",
+    ),
+    (FollowerConfig, FOLLOWER),
+    (
+        ScenarioConfig,
+        "ScenarioConfig(partition=PolarPartition(r_max=50.0, n_r=6, n_theta=9), dt=0.02, "
+        "t_end=150.0, u_max=5.0, speed=2.0, kappa=0.5, alarm_radius=8.0, "
+        "release_radius=12.0, front_half_angle=1.0471975511965976, "
+        f"leader_velocity=((0.0, 0.0, 0.0),), followers=({FOLLOWER}, {FOLLOWER}))",
+    ),
+    (
+        lambda: EventRecord(1.5, "1", "Cr+1"),
+        "EventRecord(t=1.5, agent='1', event='Cr+1', detail='')",
+    ),
+    (
+        lambda: AgentDiscrete("R1", "F1", "L1", RegionIndex(2, 1)),
+        "AgentDiscrete(plant='R1', formation='F1', local='L1', region=RegionIndex(i=2, j=1), "
+        "command=None, stopped=False)",
+    ),
+    (lambda: Episode(1), "Episode(avoider=1, cleared=False)"),
+    (
+        world,
+        "WorldState(step_index=0, t=0.0, leader_pos=(0.0, 0.0), "
+        "follower_pos=((3.0, 4.0), (0.0, 0.0)), offsets=((1.0, 1.0), (1.0, 1.0)), "
+        "discrete=(), episode=None)",
+    ),
+    (
+        lambda: ControllabilityReport(False, ("a",), "b"),
+        "ControllabilityReport(controllable=False, witness_string=('a',), witness_event='b')",
+    ),
+    (
+        lambda: DecomposabilityReport(True, bisim(), True, local1=automaton(), local2=automaton()),
+        f"DecomposabilityReport(decomposable=True, bisim={BISIM}, dc1=True, dc1_witness=None, "
+        f"{DC_PASS})",
+    ),
+    (
+        lambda: DecentralizedVerdict(
+            True, DecomposabilityReport(False, BisimResult(False), False, ("q", "x", "y"))
+        ),
+        "DecentralizedVerdict(satisfied=True, decomposability=DecomposabilityReport("
+        "decomposable=False, bisim=BisimResult(bisimilar=False, relation=None, "
+        f"counterexample=None), dc1=False, dc1_witness=('q', 'x', 'y'), {DC_PASS}))",
+    ),
+]
+
+IDS = [text.split("(", 1)[0] for (_, text) in RECORDS]
+
+
+@pytest.mark.parametrize(("make", "text"), RECORDS, ids=IDS)
+def test_record_repr_is_pinned(make, text):
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize(("make", "text"), RECORDS, ids=IDS)
+def test_equal_records_hash_equal(make, text):
+    (a, b) = (make(), make())
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(("make", "text"), RECORDS, ids=IDS)
+def test_record_fields_cannot_be_assigned(make, text):
+    record = make()
+    names = getattr(record, "_fields", None) or Automaton.__slots__
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, names[0])
+
+
+def test_sorting_follows_field_order():
+    regions = [RegionIndex(2, 1), RegionIndex(1, 3), RegionIndex(1, 2)]
+    assert sorted(regions) == [RegionIndex(1, 2), RegionIndex(1, 3), RegionIndex(2, 1)]
+    events = [Event("b", False), Event("a", True), Event("a", False), Event("a", False, {1})]
+    assert sorted(events) == [
+        Event("a", False), Event("a", False, {1}), Event("a", True), Event("b", False)
+    ]
+
+
+def test_records_of_one_class_differ_by_any_compared_field():
+    assert RegionIndex(1, 2) != RegionIndex(2, 1)
+    assert Event("a", True, {1}) != Event("a", True, {2})
+    assert partition() != PolarPartition(50.0, 3, 4)
+    other = Automaton.build(["q"], "q", [Event("a", True, [1])], [], ["q"])
+    assert automaton() != other
+
+
+def test_projections_take_no_part_in_report_equality():
+    bare = DecomposabilityReport(True, bisim(), True)
+    full = bare._replace(local1=automaton(), local2=automaton())
+    assert bare == full and hash(bare) == hash(full)
+    assert repr(bare) == repr(full)
+    assert bare != bare._replace(dc2=False)
+
+
+def test_constructors_normalize_and_validate_through_replace():
+    event = Event("a", True, [1])
+    assert event.owners == frozenset({1})
+    assert event._replace(owners={1, 2}).owners == frozenset({1, 2})
+    with pytest.raises(ValueError, match="need at least two grid lines"):
+        partition()._replace(n_r=1)
+    with pytest.raises(ValueError, match="r_max must be positive and finite"):
+        PolarPartition(math.nan, 3, 3)
+
+
+def test_world_state_derives_relative_positions_and_separation():
+    start = world()
+    assert start.relative == ((2.0, 3.0), (-1.0, -1.0))
+    assert start.separation == 5.0
+    moved = start._replace(follower_pos=((0.0, 0.0), (0.0, 0.0)))
+    assert moved.relative == ((-1.0, -1.0), (-1.0, -1.0))
+    assert moved.separation == 0.0
+
+
+def test_scenario_result_is_a_mutable_unhashable_record():
+    result = ScenarioResult(rows=["r"], verdicts={"flags": "none"})
+    assert repr(result) == (
+        "ScenarioResult(rows=['r'], records=[], verdicts={'flags': 'none'}, controllers='')"
+    )
+    assert result == ScenarioResult(rows=["r"], verdicts={"flags": "none"})
+    assert ScenarioResult().rows is not ScenarioResult().rows
+    result.controllers = "text"
+    assert result != ScenarioResult(rows=["r"], verdicts={"flags": "none"})
+    with pytest.raises(TypeError):
+        hash(result)

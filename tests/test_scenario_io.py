@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -57,7 +56,7 @@ def test_defaults_applied():
     ],
 )
 def test_one_key_scenario_keeps_every_other_default(line, changed):
-    assert loads_scenario(line + "\n") == replace(ScenarioConfig(), **changed)
+    assert loads_scenario(line + "\n") == ScenarioConfig()._replace(**changed)
 
 
 def test_empty_file_is_parse_error():
@@ -98,9 +97,9 @@ def test_bad_tuple_and_schedule():
     with pytest.raises(ParseError, match="must not be empty"):
         loads_scenario("leader.velocity =\n")
     with pytest.raises(ValidationError, match="at least one entry"):
-        replace(ScenarioConfig(), leader_velocity=()).validate()
+        ScenarioConfig()._replace(leader_velocity=()).validate()
     with pytest.raises(ValidationError, match="exactly two followers"):
-        replace(ScenarioConfig(), followers=(FollowerConfig(),)).validate()
+        ScenarioConfig()._replace(followers=(FollowerConfig(),)).validate()
 
 
 def test_schedule_lookup():

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -74,9 +73,8 @@ def test_initial_commands_push_inward():
 def test_stopped_follower_holds_relative_position_under_moving_leader():
     cfg = small_cfg(leader_velocity=((0.0, 1.0, 0.5),))
     world, mission = started_world(cfg)
-    stopped = replace(
-        world,
-        discrete=(replace(world.discrete[0], stopped=True), world.discrete[1]),
+    stopped = world._replace(
+        discrete=(world.discrete[0]._replace(stopped=True), world.discrete[1]),
     )
     after = step(stopped, mission)
     assert after.relative[0] == stopped.relative[0]
@@ -112,11 +110,10 @@ def test_invariant_hold_for_ten_thousand_steps():
     world, mission = started_world(cfg)
     # park follower 1 in its current region under the hold controller
     region = world.discrete[0].region
-    held = replace(
-        world,
+    held = world._replace(
         discrete=(
-            replace(world.discrete[0], command="C0_1", plant="R1"),
-            replace(world.discrete[1], stopped=True),
+            world.discrete[0]._replace(command="C0_1", plant="R1"),
+            world.discrete[1]._replace(stopped=True),
         ),
     )
     for _ in range(10_000):
@@ -135,8 +132,7 @@ def test_detect_no_events_on_quiet_step():
 def test_detect_region_crossing_emits_detection():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    moved = replace(
-        world,
+    moved = world._replace(
         follower_pos=((15.0, 10.0), world.follower_pos[1]),  # rel (5, 0): ring 1
     )
     events = detect_events(world, moved, mission)
@@ -148,27 +144,25 @@ def test_detect_alarm_front_vs_not_front():
     world, mission = started_world(cfg)
     # place follower 2 just inside follower 1's alarm radius, ahead of its
     # inward track (follower 1 heads toward -x in its relative frame)
-    prev = replace(
-        world,
+    prev = world._replace(
         follower_pos=((30.0, 10.0), (21.0, 10.0)),
     )
-    nxt = replace(
-        world,
+    nxt = world._replace(
         follower_pos=((30.0, 10.0), (22.5, 10.0)),
     )
     events = detect_events(prev, nxt, mission)
     assert events[-1] == ("alarm", 1, "Ca12F")
     # off to the side instead: bearing ~65 degrees off the heading
-    prev = replace(world, follower_pos=((30.0, 10.0), (25.5, 1.5)))
-    nxt = replace(world, follower_pos=((30.0, 10.0), (27.0, 3.5)))
+    prev = world._replace(follower_pos=((30.0, 10.0), (25.5, 1.5)))
+    nxt = world._replace(follower_pos=((30.0, 10.0), (27.0, 3.5)))
     events = detect_events(prev, nxt, mission)
     assert events[-1] == ("alarm", 1, "Ca12N")
     # holding at its desired position (offset (10, 10)), follower 1 has no
     # heading, so an alarm is never in front
     (d1, d2) = world.discrete
-    holding = (replace(d1, region=RegionIndex(1, 1), command="C0_1"), d2)
-    prev = replace(world, follower_pos=((10.0, 10.0), (19.0, 10.0)), discrete=holding)
-    nxt = replace(world, follower_pos=((10.0, 10.0), (17.5, 10.0)), discrete=holding)
+    holding = (d1._replace(region=RegionIndex(1, 1), command="C0_1"), d2)
+    prev = world._replace(follower_pos=((10.0, 10.0), (19.0, 10.0)), discrete=holding)
+    nxt = world._replace(follower_pos=((10.0, 10.0), (17.5, 10.0)), discrete=holding)
     assert sim._relative_velocity(nxt, mission, 1) == (0.0, 0.0)
     assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12N")
     # with no command and away from the centre, follower 1 heads toward its
@@ -176,13 +170,13 @@ def test_detect_alarm_front_vs_not_front():
     # off the heading once the difference is wrapped
     (rx, ry) = (5.0 * math.cos(0.1), 5.0 * math.sin(0.1))
     (fx, fy) = (10.0 + rx, 10.0 + ry)
-    idle = (replace(d1, region=locate(cfg.partition, rx, ry), command=None), d2)
-    prev = replace(world, follower_pos=((fx, fy), (fx - 8.5, fy)), discrete=idle)
-    nxt = replace(world, follower_pos=((fx, fy), (fx - 7.5, fy)), discrete=idle)
+    idle = (d1._replace(region=locate(cfg.partition, rx, ry), command=None), d2)
+    prev = world._replace(follower_pos=((fx, fy), (fx - 8.5, fy)), discrete=idle)
+    nxt = world._replace(follower_pos=((fx, fy), (fx - 7.5, fy)), discrete=idle)
     assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12F")
     # and follower 2 straight behind it is not in front
-    prev = replace(world, follower_pos=((fx, fy), (fx + 8.5, fy)), discrete=idle)
-    nxt = replace(world, follower_pos=((fx, fy), (fx + 7.5, fy)), discrete=idle)
+    prev = world._replace(follower_pos=((fx, fy), (fx + 8.5, fy)), discrete=idle)
+    nxt = world._replace(follower_pos=((fx, fy), (fx + 7.5, fy)), discrete=idle)
     assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12N")
     assert sim._wrap_angle(math.pi - (-math.pi + 0.1)) == pytest.approx(-0.1)
 
@@ -190,12 +184,11 @@ def test_detect_alarm_front_vs_not_front():
 def test_detect_second_agent_alarm_when_first_unavailable():
     cfg = small_cfg()
     world, mission = started_world(cfg)
-    prev = replace(
-        world,
+    prev = world._replace(
         follower_pos=((30.0, 10.0), (21.0, 10.0)),
-        discrete=(replace(world.discrete[0], stopped=True), world.discrete[1]),
+        discrete=(world.discrete[0]._replace(stopped=True), world.discrete[1]),
     )
-    nxt = replace(prev, follower_pos=((30.0, 10.0), (22.5, 10.0)))
+    nxt = prev._replace(follower_pos=((30.0, 10.0), (22.5, 10.0)))
     events = detect_events(prev, nxt, mission)
     assert events[-1][0] == "alarm" and events[-1][1] == 2
     assert events[-1][2].startswith("Ca21")
@@ -205,8 +198,8 @@ def test_detect_cleared_after_release_radius():
     cfg = small_cfg()
     world, mission = started_world(cfg)
     episode = Episode(1)
-    prev = replace(world, follower_pos=((30.0, 10.0), (25.0, 10.0)), episode=episode)
-    nxt = replace(prev, follower_pos=((30.0, 10.0), (17.0, 10.0)))
+    prev = world._replace(follower_pos=((30.0, 10.0), (25.0, 10.0)), episode=episode)
+    nxt = prev._replace(follower_pos=((30.0, 10.0), (17.0, 10.0)))
     events = detect_events(prev, nxt, mission)
     assert events[-1] == ("cleared", 1, None)
 
@@ -367,10 +360,9 @@ def trailing_past_horizon():
     # authority: a 10 m/s leader drags them to -40.1, past r_max = 40
     cfg = small_cfg(u_max=0.0, leader_velocity=((0.0, 10.0, 0.0),))
     world, mission = started_world(cfg)
-    edge = replace(
-        world,
+    edge = world._replace(
         follower_pos=((-29.9, 10.0), (-49.9, -10.0)),
-        discrete=tuple(replace(d, stopped=True) for d in world.discrete),
+        discrete=tuple(d._replace(stopped=True) for d in world.discrete),
     )
     return edge, step(edge, mission), mission
 
@@ -392,7 +384,7 @@ def test_detect_events_beyond_the_horizon_names_the_first_follower():
 
 def test_detect_events_treats_a_nan_position_as_beyond_the_horizon():
     world, mission = started_world(small_cfg())
-    lost = replace(world, follower_pos=(world.follower_pos[0], (math.nan, 10.0)))
+    lost = world._replace(follower_pos=(world.follower_pos[0], (math.nan, 10.0)))
     with pytest.raises(HorizonViolation) as info:
         detect_events(world, lost, mission)
     assert str(info.value) == "follower 2 at relative radius nan beyond horizon 40.000"
@@ -408,7 +400,7 @@ def test_follower_exactly_at_the_horizon_is_inside():
     world, mission = started_world(cfg)
     assert world.discrete[0].region == RegionIndex(4, 1)
     # relative (24, -32): hypot is exactly 40
-    at_edge = replace(world, follower_pos=(world.follower_pos[0], (14.0, -42.0)))
+    at_edge = world._replace(follower_pos=(world.follower_pos[0], (14.0, -42.0)))
     events = detect_events(world, at_edge, mission)
     assert events == [("detection", 2, RegionIndex(4, 7))]
 
@@ -741,10 +733,9 @@ def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
     world, mission = started_world(cfg)
     (d1, d2) = world.discrete
     th = -1e-12
-    world = replace(
-        world,
+    world = world._replace(
         follower_pos=((10.0 + 25.0 * math.cos(th), 10.0 + 25.0 * math.sin(th)), (-30.0, -10.0)),
-        discrete=(replace(d1, region=RegionIndex(3, 1), command="C0_1"), d2),
+        discrete=(d1._replace(region=RegionIndex(3, 1), command="C0_1"), d2),
     )
     (rx, ry) = world.relative[0]
     assert ry < 0.0
@@ -779,12 +770,12 @@ def test_step_matches_the_reference_euler_step_bit_for_bit():
                 commands += [f"Cr-{k}"] * (region.i > 1) + [f"Cr+{k}"] * (region.i < p.n_r - 1)
                 kind = rng.choice(("held", "stopped", "commanded"))
                 command = None if kind == "held" else rng.choice(commands)
-                discrete.append(replace(d, region=region, command=command,
-                                        stopped=kind == "stopped"))
+                discrete.append(d._replace(region=region, command=command,
+                                           stopped=kind == "stopped"))
                 seen[kind] += 1
             t = rng.choice((4.0 - cfg.dt, 4.0))
-            world = replace(start, step_index=round(t / cfg.dt), t=t,
-                            follower_pos=tuple(follower_pos), discrete=tuple(discrete))
+            world = start._replace(step_index=round(t / cfg.dt), t=t,
+                                   follower_pos=tuple(follower_pos), discrete=tuple(discrete))
             expected = euler_step(world, mission)
             assert step(world, mission) == expected
             seen[f"t={t}"] += 1
