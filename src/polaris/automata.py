@@ -60,8 +60,15 @@ class Event(_EventFields):
         return cls(*fields)
 
 
-def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
-    """Union alphabets by id, checking controllability agreement."""
+def _merge_events(groups: Sequence[Iterable[Event]]) -> tuple:
+    """Union alphabets by id, checking controllability agreement.
+
+    The union is sorted by id.  Two equal groups are taken to be the
+    alphabets of two automata, already sorted with one record per id, so
+    the first is returned as it is.
+    """
+    if len(groups) == 2 and groups[0] == groups[1]:
+        return groups[0]
     by_id: dict[str, Event] = {}
     for group in groups:
         for ev in group:
@@ -76,7 +83,8 @@ def _merge_events(groups: Iterable[Iterable[Event]]) -> tuple:
                     )
                 if old.owners != ev.owners:
                     by_id[ev.id] = Event(ev.id, ev.controllable, old.owners | ev.owners)
-    return tuple(sorted(by_id.values(), key=lambda e: e.id))
+    # ids are unique, so the records sort by id alone
+    return tuple(sorted(by_id.values()))
 
 
 class Automaton:

@@ -132,22 +132,18 @@ def cmd_build_models(args) -> int:
     verdicts["controllable_collision"] = bool(
         check_controllability(models.collision, joint_plant)
     )
-    # verify_decentralized checks decomposability itself; its report serves
-    # the lines below (dc3 is not printed)
-    verdict = verify_decentralized(
-        models.plant1, models.plant2, models.collision,
-        parallel_compose(models.collision, joint_plant),
-    )
-    report = verdict.decomposability
+    # the collision supervisor on the joint plant: the spec the local
+    # supervisors must reproduce, and the mission loop's plant side
+    spec = parallel_compose(models.collision, joint_plant)
+    report = models.decomposition  # dc3 is not printed
     verdicts["decomposable_collision"] = report.decomposable
     verdicts.update(dc1=report.dc1, dc2=report.dc2, dc4=report.dc4)
-    verdicts["decentralized_equivalent"] = verdict.satisfied
-    closed = modular_supervisor(
-        parallel_compose(models.formation1, models.formation2),
-        models.collision,
-        joint_plant,
+    verdicts["decentralized_equivalent"] = verify_decentralized(
+        models.plant1, models.plant2, report, spec
+    ).satisfied
+    verdicts["mission_nonblocking"] = is_nonblocking(
+        modular_supervisor(models.formation1, models.formation2, spec)
     )
-    verdicts["mission_nonblocking"] = is_nonblocking(closed)
     text = (
         f"partition = {p.r_max:g},{p.n_r},{p.n_theta}\n"
         + "".join(f"{name} = {ok}\n" for name, ok in verdicts.items())
@@ -185,7 +181,10 @@ def cmd_verify_theorem1(args) -> int:
     plant2 = exchange.read(args.plant2)
     controller = exchange.read(args.controller)
     spec = exchange.read(args.spec)
-    verdict = verify_decentralized(plant1, plant2, controller, spec)
+    decomposition = check_decomposability(
+        controller, controller.event_ids & plant1.event_ids, controller.event_ids & plant2.event_ids
+    )
+    verdict = verify_decentralized(plant1, plant2, decomposition, spec)
     # the global controller on the joint plant, the closed loop that the
     # local ones must reproduce
     central = is_bisimilar(parallel_compose(controller, parallel_compose(plant1, plant2)), spec)

@@ -30,9 +30,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .automata import Automaton, Event, is_bisimilar, parallel_compose, natural_project
+from .automata import Automaton, Event, parallel_compose
 from .errors import NotDecomposable
 from .polar import Mode, PolarPartition
+from .supervision import DecomposabilityReport, check_decomposability
 
 __all__ = [
     "AgentAlphabet",
@@ -244,6 +245,7 @@ class FormationModels(NamedTuple):
     collision: Automaton
     local1: Automaton
     local2: Automaton
+    decomposition: DecomposabilityReport
 
     def alphabet(self, k: int) -> AgentAlphabet:
         return self.alphabet1 if k == 1 else self.alphabet2
@@ -268,16 +270,16 @@ class FormationModels(NamedTuple):
 def build_models(p: PolarPartition) -> FormationModels:
     """Plants, formation specs, the collision supervisor and its projections.
 
-    The global collision supervisor is projected onto each agent's event
-    set, and the projections must compose back to it (bisimulation); a
-    failure would mean the global model is not decentralizable and is
-    treated as a construction bug.
+    The collision supervisor's decomposability over the two agents' event
+    sets is decided once, and the report is kept as ``decomposition``; its
+    projections are the local supervisors.  A supervisor that is not
+    decomposable means the global model cannot be decentralized and is
+    treated as a construction bug (``NotDecomposable``).
     """
     alphabet1, alphabet2 = agent_alphabet(1, p), agent_alphabet(2, p)
     ac = build_collision_spec(alphabet1, alphabet2)
-    ac1 = natural_project(ac, frozenset(alphabet1.all_ids))
-    ac2 = natural_project(ac, frozenset(alphabet2.all_ids))
-    if not is_bisimilar(parallel_compose(ac1, ac2), ac):
+    decomposition = check_decomposability(ac, alphabet1.all_ids, alphabet2.all_ids)
+    if not decomposition:
         raise NotDecomposable("collision supervisor projections do not recompose")
     return FormationModels(
         partition=p,
@@ -288,6 +290,7 @@ def build_models(p: PolarPartition) -> FormationModels:
         formation1=build_formation_spec(alphabet1),
         formation2=build_formation_spec(alphabet2),
         collision=ac,
-        local1=ac1,
-        local2=ac2,
+        local1=decomposition.local1,
+        local2=decomposition.local2,
+        decomposition=decomposition,
     )

@@ -416,24 +416,21 @@ class DecentralizedVerdict(NamedTuple):
 
 
 def verify_decentralized(
-    ap1: Automaton, ap2: Automaton, ac: Automaton, a_spec: Automaton
+    ap1: Automaton, ap2: Automaton, decomposition: DecomposabilityReport, a_spec: Automaton
 ) -> DecentralizedVerdict:
     """Check that the locally supervised team meets the global spec.
 
-    The controller is projected onto each plant's local event set (its
-    events shared with that plant); the composition of the local closed
-    loops is compared with the global spec automaton by bisimulation.  A
-    controller event in neither plant raises ``CoverageError``, and a
-    controller that is not decomposable over the two sets raises
-    ``NotDecomposable``.  The decomposability report, whose projections
-    were composed, is returned with the verdict.
+    ``decomposition`` is the controller's decomposability report over each
+    plant's local event set (its events shared with that plant), as
+    :func:`check_decomposability` gives it; a negative report raises
+    ``NotDecomposable``.  The local closed loops, each plant with the
+    report's projection onto its set, are composed and compared with the
+    global spec automaton by bisimulation.  The report is returned with
+    the verdict.
     """
-    e1 = ac.event_ids & ap1.event_ids
-    e2 = ac.event_ids & ap2.event_ids
-    report = check_decomposability(ac, e1, e2)
-    if not report:
+    if not decomposition:
         raise NotDecomposable("controller is not decomposable; see report diagnostics")
     local = parallel_compose(
-        parallel_compose(ap1, report.local1), parallel_compose(ap2, report.local2)
+        parallel_compose(ap1, decomposition.local1), parallel_compose(ap2, decomposition.local2)
     )
-    return DecentralizedVerdict(bool(is_bisimilar(local, a_spec)), report)
+    return DecentralizedVerdict(bool(is_bisimilar(local, a_spec)), decomposition)

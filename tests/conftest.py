@@ -18,7 +18,7 @@ from polaris.automata import (
     accessible,
     product_state,
 )
-from polaris import kernels, sim
+from polaris import kernels, models, sim
 from polaris.kernels import (
     EXIT_R_MINUS,
     EXIT_R_PLUS,
@@ -1013,3 +1013,19 @@ def validate_by_grid(p, idx, vc, n: int = 20) -> list:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def undecomposable_collision(monkeypatch):
+    """``models.build_collision_spec`` replaced by a deterministic
+    supervisor that is not decomposable: its one state with a choice offers
+    a private command of each agent, and the product of its projections
+    lets both agents take theirs.  ``build_models``' cache is cleared."""
+
+    def build(al1, al2):
+        states = ["c0", "c1", "c2"]
+        rows = [("c0", al1.commands[0], "c1"), ("c0", al2.commands[0], "c2")]
+        return Automaton.build(states, "c0", al1.events + al2.events, rows, states)
+
+    monkeypatch.setattr(models, "build_collision_spec", build)
+    models.build_models.cache_clear()

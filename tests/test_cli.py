@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CROSSING_CFG, SRC, make_auto, run_polaris
 
-from polaris import cli, exchange
+from polaris import cli, exchange, models, supervision
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
 from polaris.cli import main
 
@@ -294,6 +294,47 @@ def test_build_models_outputs_match_golden_digests(tmp_path, capsys, partition):
         data = b"".join(line for line in lines if not line.startswith(b"elapsed_s"))
         digests[f] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN_BUILD_MODELS[partition]
+
+
+def test_build_models_decides_decomposability_once(tmp_path, capsys, monkeypatch):
+    originals = {
+        "check_decomposability": supervision.check_decomposability,
+        "natural_project": natural_project,
+        "is_bisimilar": is_bisimilar,
+        "parallel_compose": parallel_compose,
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counted(name, fn) for (name, fn) in originals.items()}
+    patched = set()
+    for (module_name, module) in list(sys.modules.items()):
+        if module_name != "polaris" and not module_name.startswith("polaris."):
+            continue
+        for (name, fn) in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrappers[name])
+                patched.add(module_name)
+    assert {"polaris.automata", "polaris.supervision", "polaris.models", "polaris.cli"} <= patched
+    models.build_models.cache_clear()
+    assert main(["build-models", "--partition", "50,9,13", "-o", str(tmp_path / "models")]) == 0
+    assert calls == {
+        "check_decomposability": 1, "natural_project": 2, "is_bisimilar": 2, "parallel_compose": 8,
+    }
+
+
+def test_build_models_exits_2_when_the_collision_supervisor_is_not_decomposable(
+    undecomposable_collision, tmp_path, capsys
+):
+    assert main(["build-models", "--partition", "30,3,5", "-o", str(tmp_path / "models")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: collision supervisor projections do not recompose\n"
 
 
 def test_check_decomposable_bound_option_exits_2(tmp_path, capsys):

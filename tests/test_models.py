@@ -9,6 +9,7 @@ from polaris.automata import (
     natural_project,
     parallel_compose,
 )
+from polaris.errors import NotDecomposable
 from polaris.models import (
     agent_alphabet,
     build_collision_spec,
@@ -196,6 +197,13 @@ def test_build_models_builds_each_alphabet_once(monkeypatch):
     assert calls == [1, 2]
 
 
+def test_build_models_raises_on_a_collision_supervisor_that_is_not_decomposable(
+    undecomposable_collision,
+):
+    with pytest.raises(NotDecomposable, match="collision supervisor projections do not recompose"):
+        build_models.__wrapped__(P)
+
+
 @pytest.mark.parametrize("n_r,n_theta", [(3, 3), (5, 9), (9, 13), (21, 9), (24, 36)])
 def test_builders_rows_build_what_their_triples_build(monkeypatch, n_r, n_theta):
     build = Automaton.build.__func__
@@ -252,11 +260,26 @@ def test_mission_closed_loop_nonblocking():
     assert closed.accepts(())
 
 
+@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (9, 13), (21, 9)])
+def test_mission_loop_on_the_spec_product_matches_the_formation_grouping(n_r, n_theta):
+    # build-models closes the mission loop on collision || joint plant, the
+    # product it already composed as the spec
+    models = build_models(PolarPartition(50.0, n_r, n_theta))
+    joint_plant = parallel_compose(models.plant1, models.plant2)
+    spec = parallel_compose(models.collision, joint_plant)
+    regrouped = modular_supervisor(models.formation1, models.formation2, spec)
+    grouped = modular_supervisor(
+        parallel_compose(models.formation1, models.formation2), models.collision, joint_plant
+    )
+    assert is_bisimilar(regrouped, grouped)
+    assert is_nonblocking(regrouped) == is_nonblocking(grouped)
+
+
 def test_decentralized_pipeline_on_mission_models():
     models = build_models(SMALL)
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
-    verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
+    verdict = verify_decentralized(models.plant1, models.plant2, models.decomposition, spec)
     assert verdict.satisfied
 
 

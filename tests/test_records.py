@@ -69,11 +69,14 @@ RECORDS = [
         "controllable_ids=(), uncontrollable_ids=(), all_ids=(), events=())",
     ),
     (
-        lambda: FormationModels(partition(), None, None, *[automaton()] * 7),
+        lambda: FormationModels(
+            partition(), None, None, *[automaton()] * 7, DecomposabilityReport(True, bisim(), True)
+        ),
         f"FormationModels(partition={PARTITION}, alphabet1=None, alphabet2=None, "
         f"plant1={AUTOMATON}, plant2={AUTOMATON}, formation1={AUTOMATON}, "
         f"formation2={AUTOMATON}, collision={AUTOMATON}, local1={AUTOMATON}, "
-        f"local2={AUTOMATON})",
+        f"local2={AUTOMATON}, decomposition=DecomposabilityReport(decomposable=True, "
+        f"bisim={BISIM}, dc1=True, dc1_witness=None, {DC_PASS}))",
     ),
     (FollowerConfig, FOLLOWER),
     (

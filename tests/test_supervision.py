@@ -470,6 +470,12 @@ def test_class_algebra_matches_per_event_oracles():
             a.states, a.initial, a.alphabet,
             [t for t in a.transitions if rng.random() < 0.7], a.states,
         )
+        # operands over one shared alphabet: the product keeps a's tuple
+        for other in (spec, a.renamed({q: "r" + q for q in a.states})):
+            product = parallel_compose(a, other)
+            assert product == per_event_compose(a, other)
+            assert product.alphabet is a.alphabet
+
         e_uc = {e.id for e in a.alphabet if not e.controllable}
         report = check_controllability(spec, a)
         assert report == per_event_controllability(spec, a, e_uc)
@@ -518,11 +524,16 @@ def _team():
     return ap1, ap2
 
 
+def _decomposition(ap1, ap2, ac):
+    """The controller's report over its events shared with each plant."""
+    return check_decomposability(ac, ac.event_ids & ap1.event_ids, ac.event_ids & ap2.event_ids)
+
+
 def test_neutral_controller_satisfies_joint_plant():
     (ap1, ap2) = _team()
     ac = make_auto([("c0", "go", "c0")], initial="c0", controllable={"go"})
     spec = parallel_compose(ap1, ap2)
-    verdict = verify_decentralized(ap1, ap2, ac, spec)
+    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), spec)
     assert verdict.satisfied
 
 
@@ -530,7 +541,7 @@ def test_restrictive_controller_with_matching_spec():
     (ap1, ap2) = _team()
     ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
     spec = parallel_compose(ac, parallel_compose(ap1, ap2))
-    verdict = verify_decentralized(ap1, ap2, ac, spec)
+    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), spec)
     assert verdict.satisfied
 
 
@@ -538,7 +549,7 @@ def test_wrong_spec_detected():
     (ap1, ap2) = _team()
     ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
     wrong = parallel_compose(ap1, ap2)  # allows repeated go
-    verdict = verify_decentralized(ap1, ap2, ac, wrong)
+    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), wrong)
     assert not verdict.satisfied
 
 
@@ -549,7 +560,7 @@ def test_unmarked_spec_detected():
     unmarked = joint.__class__.build(
         joint.states, joint.initial, joint.alphabet, joint.transitions, set()
     )
-    verdict = verify_decentralized(ap1, ap2, ac, unmarked)
+    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), unmarked)
     assert not verdict.satisfied
 
 
@@ -557,7 +568,9 @@ def test_verify_decentralized_on_built_models():
     models = build_models(PolarPartition(40.0, 3, 3))
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
-    verdict = verify_decentralized(models.plant1, models.plant2, models.collision, spec)
+    decomposition = _decomposition(models.plant1, models.plant2, models.collision)
+    assert decomposition == models.decomposition
+    verdict = verify_decentralized(models.plant1, models.plant2, decomposition, spec)
     assert verdict.satisfied
 
 
@@ -566,15 +579,15 @@ def test_controller_event_in_neither_plant_raises():
     ac = make_auto([("c0", "go", "c0"), ("c0", "z", "c0")],
                    initial="c0", controllable={"go", "z"})
     with pytest.raises(CoverageError, match="'z'"):
-        verify_decentralized(ap1, ap2, ac, parallel_compose(ap1, ap2))
+        verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), parallel_compose(ap1, ap2))
 
 
 def test_undecomposable_controller_raises():
     (ap1, ap2) = _team()
     ac = make_auto([("c0", "a", "c1"), ("c0", "b", "c2")],
                    initial="c0", controllable={"a", "b"})
-    with pytest.raises(NotDecomposable):
-        verify_decentralized(ap1, ap2, ac, parallel_compose(ap1, ap2))
+    with pytest.raises(NotDecomposable, match="controller is not decomposable"):
+        verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), parallel_compose(ap1, ap2))
 
 
 # -- nonblocking -------------------------------------------------------------
