@@ -3,7 +3,6 @@ leader-follower formation flight over a polar-partitioned motion space."""
 
 from .automata import (
     Automaton,
-    BisimRelation,
     BisimResult,
     Event,
     accessible,

@@ -23,7 +23,6 @@ from .errors import AlphabetConflict
 __all__ = [
     "Event",
     "Automaton",
-    "BisimRelation",
     "BisimResult",
     "accessible",
     "parallel_compose",
@@ -566,15 +565,9 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
 # -- bisimulation ----------------------------------------------------------
 
 
-class BisimRelation(NamedTuple):
-    """A bisimulation between two automata: set of matched state pairs."""
-
-    pairs: frozenset
-
-
 class BisimResult(NamedTuple):
     bisimilar: bool
-    relation: Optional[BisimRelation] = None
+    relation: Optional[frozenset] = None  # the matched (state1, state2) pairs
     counterexample: Optional[tuple] = None
 
     def __bool__(self):
@@ -639,4 +632,4 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     pairs = frozenset(
         (q1, q2) for q1 in u1.states for q2 in in_block.get(block_of["1:" + q1], ())
     )
-    return BisimResult(True, relation=BisimRelation(pairs))
+    return BisimResult(True, relation=pairs)

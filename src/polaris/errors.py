@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text-file reader
+whose failures they name."""
 
 
 class PolarisError(Exception):
@@ -24,10 +25,6 @@ class NondeterministicInput(PolarisError):
 
 class NotControllable(PolarisError):
     """The specification disables an uncontrollable plant event."""
-
-
-class NotDecomposable(PolarisError):
-    """A supervisor expected to decompose into local parts does not."""
 
 
 class IndexOutOfRange(PolarisError):
@@ -88,6 +85,18 @@ class _FileError(PolarisError):
 
 class ParseError(_FileError):
     """A config or automaton file could not be parsed."""
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; a file that cannot be read or decoded
+    raises ``ParseError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(exc.strerror or str(exc), path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path) from exc
 
 
 class ValidationError(_FileError):

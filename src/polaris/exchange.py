@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .automata import Automaton, Event
-from .errors import InvalidToken, ParseError
+from .errors import InvalidToken, ParseError, _read_text
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
 
@@ -163,11 +163,4 @@ def write(a: Automaton, path) -> None:
 
 
 def read(path) -> Automaton:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(exc.strerror or str(exc), path) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(exc), path) from exc
-    return loads(text, path=path)
+    return loads(_read_text(path), path=path)

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .automata import Automaton, Event, parallel_compose
-from .errors import NotDecomposable
 from .polar import Mode, PolarPartition
 from .supervision import DecomposabilityReport, check_decomposability
 
@@ -243,9 +242,7 @@ class FormationModels(NamedTuple):
     formation1: Automaton
     formation2: Automaton
     collision: Automaton
-    local1: Automaton
-    local2: Automaton
-    decomposition: DecomposabilityReport
+    decomposition: DecomposabilityReport  # its projections are the local supervisors
 
     def alphabet(self, k: int) -> AgentAlphabet:
         return self.alphabet1 if k == 1 else self.alphabet2
@@ -257,7 +254,7 @@ class FormationModels(NamedTuple):
         return self.formation1 if k == 1 else self.formation2
 
     def local(self, k: int) -> Automaton:
-        return self.local1 if k == 1 else self.local2
+        return self.decomposition.local1 if k == 1 else self.decomposition.local2
 
     def agent_loop(self, k: int) -> Automaton:
         """Composed per-agent supervised plant (for membership checks)."""
@@ -271,16 +268,12 @@ def build_models(p: PolarPartition) -> FormationModels:
     """Plants, formation specs, the collision supervisor and its projections.
 
     The collision supervisor's decomposability over the two agents' event
-    sets is decided once, and the report is kept as ``decomposition``; its
-    projections are the local supervisors.  A supervisor that is not
-    decomposable means the global model cannot be decentralized and is
-    treated as a construction bug (``NotDecomposable``).
+    sets is decided once, and the report is kept as ``decomposition``,
+    whether it is decomposable or not; its projections are the local
+    supervisors.
     """
     alphabet1, alphabet2 = agent_alphabet(1, p), agent_alphabet(2, p)
     ac = build_collision_spec(alphabet1, alphabet2)
-    decomposition = check_decomposability(ac, alphabet1.all_ids, alphabet2.all_ids)
-    if not decomposition:
-        raise NotDecomposable("collision supervisor projections do not recompose")
     return FormationModels(
         partition=p,
         alphabet1=alphabet1,
@@ -290,7 +283,5 @@ def build_models(p: PolarPartition) -> FormationModels:
         formation1=build_formation_spec(alphabet1),
         formation2=build_formation_spec(alphabet2),
         collision=ac,
-        local1=decomposition.local1,
-        local2=decomposition.local2,
-        decomposition=decomposition,
+        decomposition=check_decomposability(ac, alphabet1.all_ids, alphabet2.all_ids),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _read_text
 from .polar import PolarPartition
 
 __all__ = ["FollowerConfig", "ScenarioConfig", "parse_scenario", "loads_scenario"]
@@ -253,11 +253,4 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(exc.strerror or str(exc), path) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(exc), path) from exc
-    return loads_scenario(text, path=path)
+    return loads_scenario(_read_text(path), path=path)

@@ -30,7 +30,6 @@ from .errors import (
     CoverageError,
     NondeterministicInput,
     NotControllable,
-    NotDecomposable,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "decompose",
     "check_decomposability",
     "verify_decentralized",
-    "DecentralizedVerdict",
     "is_nonblocking",
 ]
 
@@ -174,29 +172,12 @@ class DecomposabilityReport(NamedTuple):
     dc3_witness: Optional[tuple] = None
     dc4: bool = True
     dc4_witness: Optional[tuple] = None
-    # the projections of the accessible automaton that were composed; they
-    # take no part in repr, equality or hashing
+    # the projections of the accessible automaton that were composed
     local1: Optional[Automaton] = None
     local2: Optional[Automaton] = None
 
     def __bool__(self):
         return self.decomposable
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for (name, value) in zip(self._fields[:-2], self))
-        return f"DecomposabilityReport({shown})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:-2] == other[:-2]
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:-2])
 
     def summary(self) -> str:
         lines = [
@@ -407,30 +388,15 @@ def check_decomposability(
     )
 
 
-class DecentralizedVerdict(NamedTuple):
-    satisfied: bool
-    decomposability: DecomposabilityReport
-
-    def __bool__(self):
-        return self.satisfied
-
-
 def verify_decentralized(
-    ap1: Automaton, ap2: Automaton, decomposition: DecomposabilityReport, a_spec: Automaton
-) -> DecentralizedVerdict:
+    ap1: Automaton, ap2: Automaton, local1: Automaton, local2: Automaton, a_spec: Automaton
+) -> BisimResult:
     """Check that the locally supervised team meets the global spec.
 
-    ``decomposition`` is the controller's decomposability report over each
-    plant's local event set (its events shared with that plant), as
-    :func:`check_decomposability` gives it; a negative report raises
-    ``NotDecomposable``.  The local closed loops, each plant with the
-    report's projection onto its set, are composed and compared with the
-    global spec automaton by bisimulation.  The report is returned with
-    the verdict.
+    ``local1`` and ``local2`` are the local supervisors, such as the
+    projections that :func:`decompose` or :func:`check_decomposability`
+    give.  The local closed loops, each plant with its supervisor, are
+    composed and compared with the global spec automaton by bisimulation.
     """
-    if not decomposition:
-        raise NotDecomposable("controller is not decomposable; see report diagnostics")
-    local = parallel_compose(
-        parallel_compose(ap1, decomposition.local1), parallel_compose(ap2, decomposition.local2)
-    )
-    return DecentralizedVerdict(bool(is_bisimilar(local, a_spec)), decomposition)
+    local = parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2))
+    return is_bisimilar(local, a_spec)

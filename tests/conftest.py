@@ -10,7 +10,6 @@ import pytest
 
 from polaris.automata import (
     Automaton,
-    BisimRelation,
     BisimResult,
     Event,
     _determinize,
@@ -72,6 +71,20 @@ def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, ev
     if marked is None:
         marked = set(states)
     return Automaton.build(states, initial, evs.values(), trans, marked)
+
+
+def team_plants():
+    """Two plants that share ``go`` and each add a private command
+    (``a`` for the first, ``b`` for the second) after it."""
+    ap1 = make_auto(
+        [("m0", "go", "m1"), ("m1", "go", "m1"), ("m1", "a", "m1")],
+        initial="m0", controllable={"go", "a", "b"},
+    )
+    ap2 = make_auto(
+        [("n0", "go", "n1"), ("n1", "go", "n1"), ("n1", "b", "n1")],
+        initial="n0", controllable={"go", "a", "b"},
+    )
+    return ap1, ap2
 
 
 def _edges(rows) -> list:
@@ -399,9 +412,9 @@ def dc3_by_sampling(a: Automaton, e1, e2, n: int):
     return None
 
 
-def check_bisim_relation(a1, a2, relation):
-    """Transfer-condition validation of a claimed bisimulation."""
-    pairs = relation.pairs
+def check_bisim_relation(a1, a2, pairs):
+    """Transfer-condition validation of a claimed bisimulation, given as
+    its set of state pairs."""
     if (a1.initial, a2.initial) not in pairs:
         return False
     events = sorted(a1.event_ids | a2.event_ids)
@@ -580,7 +593,7 @@ def per_event_bisim(a1: Automaton, a2: Automaton) -> BisimResult:
         for q2 in sorted(u2.states)
         if block_of["1:" + q1] == block_of["2:" + q2]
     )
-    return BisimResult(True, relation=BisimRelation(pairs))
+    return BisimResult(True, relation=pairs)
 
 
 def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> ControllabilityReport:

@@ -110,7 +110,7 @@ def test_criterion_3_closed_loop_language_equalities():
     models = build_models(PolarPartition(40.0, 3, 2))
     a1 = models.plant1
     af1 = models.formation1
-    ac1 = models.local1
+    ac1 = models.local(1)
 
     kf_bar = marked_language_upto(af1, n, budget)  # prefix-closed, all marked
     lm_plant = marked_language_upto(a1, n, budget)

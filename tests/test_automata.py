@@ -339,7 +339,7 @@ def test_bisim_reflexive_with_identity_relation(rng):
     a = make_auto([("q0", "a", "q1"), ("q1", "b", "q0")], marked={"q1"})
     res = is_bisimilar(a, a)
     assert res
-    assert ("q0", "q0") in res.relation.pairs
+    assert ("q0", "q0") in res.relation
     assert check_bisim_relation(a, a, res.relation)
 
 

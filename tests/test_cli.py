@@ -1,18 +1,20 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CROSSING_CFG, SRC, make_auto, run_polaris
+from conftest import CROSSING_CFG, SRC, make_auto, run_polaris, team_plants
 
 from polaris import cli, exchange, models, supervision
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
 from polaris.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "polaris" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "polaris" / "data"
 
 
 @pytest.fixture
@@ -40,6 +42,16 @@ def test_compose_writes_product(files):
     out = tmp / "product.aut"
     assert main(["compose", str(pa), str(pb), "-o", str(out)]) == 0
     assert is_bisimilar(exchange.read(out), parallel_compose(a, b))
+
+
+def test_written_files_are_reported_on_stderr_unless_quiet(files, capsys, monkeypatch):
+    (tmp, pa, pb, _, _) = files
+    out = tmp / "product.aut"
+    assert main(["compose", str(pa), str(pb), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == f"INFO polaris: wrote {out} (4 states)\n"
+    monkeypatch.setenv("POLARIS_LOG", "quiet")
+    assert main(["project", str(pa), "--keep", "a", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_project_with_keep_list(files):
@@ -130,6 +142,42 @@ def test_verify_theorem1_rejects_a_wrong_spec(theorem1_files, capsys):
     assert _verify_theorem1(out, joint) == 1
     assert capsys.readouterr().out == (
         "centralized_matches_spec = False\ndecentralized_matches_spec = False\n"
+    )
+
+
+def _team_files(tmp_path, controller, spec):
+    """The team plants, the controller and the spec as .aut files."""
+    (ap1, ap2) = team_plants()
+    if spec is None:
+        spec = parallel_compose(controller, parallel_compose(ap1, ap2))
+    for (name, auto) in (("a1", ap1), ("a2", ap2), ("ac", controller), ("spec", spec)):
+        exchange.write(auto, tmp_path / f"{name}.aut")
+    return tmp_path
+
+
+def test_verify_theorem1_reports_an_undecomposable_controller(tmp_path, capsys):
+    # each agent may take its private command, the controller only one
+    controller = make_auto([("c0", "a", "c1"), ("c0", "b", "c2"), ("c0", "go", "c0")],
+                           initial="c0", controllable={"a", "b", "go"})
+    out = _team_files(tmp_path, controller, None)
+    assert _verify_theorem1(out, out / "spec.aut") == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "centralized_matches_spec = True\ndecentralized_matches_spec = False\n"
+    )
+    assert captured.err == ""
+
+
+def test_verify_theorem1_projects_a_nondeterministic_controller(tmp_path, capsys):
+    # projection determinizes: the local supervisors allow go forever,
+    # while the controller may take a go after which it allows nothing
+    controller = make_auto([("c0", "go", "c0"), ("c0", "go", "c1")],
+                           initial="c0", controllable={"go"})
+    assert not controller.deterministic
+    out = _team_files(tmp_path, controller, parallel_compose(*team_plants()))
+    assert _verify_theorem1(out, out / "spec.aut") == 0
+    assert capsys.readouterr().out == (
+        "centralized_matches_spec = False\ndecentralized_matches_spec = True\n"
     )
 
 
@@ -328,13 +376,18 @@ def test_build_models_decides_decomposability_once(tmp_path, capsys, monkeypatch
     }
 
 
-def test_build_models_exits_2_when_the_collision_supervisor_is_not_decomposable(
+def test_build_models_exits_1_when_the_collision_supervisor_is_not_decomposable(
     undecomposable_collision, tmp_path, capsys
 ):
-    assert main(["build-models", "--partition", "30,3,5", "-o", str(tmp_path / "models")]) == 2
+    out = tmp_path / "models"
+    assert main(["build-models", "--partition", "30,3,5", "-o", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: collision supervisor projections do not recompose\n"
+    assert "decomposable_collision = False\n" in captured.out
+    assert captured.err == ""
+    assert (out / "report.txt").read_text(encoding="utf-8") == captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a1.aut", "a2.aut", "ac.aut", "ac1.aut", "ac2.aut", "af1.aut", "af2.aut", "report.txt",
+    ]
 
 
 def test_check_decomposable_bound_option_exits_2(tmp_path, capsys):
@@ -526,10 +579,34 @@ def test_console_entry_point_runs():
 
 def test_cli_import_loads_no_code_generating_modules():
     # records are NamedTuples and __slots__ classes: importing the CLI
-    # must not pull in dataclasses or, through it, inspect
-    probe = "import sys, polaris.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # must not pull in dataclasses or, through it, inspect; nor logging,
+    # which the two INFO lines do not need
+    probe = (
+        "import sys, polaris.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert out.stdout == "[]\n"
+
+
+def _readme_cli_commands():
+    """The commands of the README's CLI block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # the block runs from a checkout's root; the scenario is its one input
+    scenario = tmp_path / "src" / "polaris" / "data" / "paper_phase12.cfg"
+    scenario.parent.mkdir(parents=True)
+    scenario.write_bytes((DATA / "paper_phase12.cfg").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert "verify-theorem1" in [command[1] for command in commands]
+    for command in commands:
+        assert command[0] == "polaris"
+        assert main(command[1:]) == 0, (command, capsys.readouterr().err)

@@ -9,7 +9,6 @@ from polaris.automata import (
     natural_project,
     parallel_compose,
 )
-from polaris.errors import NotDecomposable
 from polaris.models import (
     agent_alphabet,
     build_collision_spec,
@@ -162,14 +161,14 @@ def test_collision_spec_decomposable():
 def test_local_supervisors_recompose_to_global():
     models = build_models(P)
     ac = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
-    assert is_bisimilar(parallel_compose(models.local1, models.local2), ac)
-    assert models.local1.deterministic and models.local2.deterministic
+    assert is_bisimilar(parallel_compose(models.local(1), models.local(2)), ac)
+    assert models.local(1).deterministic and models.local(2).deterministic
 
 
 def test_local_supervisor_alphabets_match_agents():
     models = build_models(P)
-    assert models.local1.event_ids == frozenset(agent_alphabet(1, P).all_ids)
-    assert models.local2.event_ids == frozenset(agent_alphabet(2, P).all_ids)
+    assert models.local(1).event_ids == frozenset(agent_alphabet(1, P).all_ids)
+    assert models.local(2).event_ids == frozenset(agent_alphabet(2, P).all_ids)
 
 
 def test_build_models_builds_collision_spec_once(monkeypatch):
@@ -197,11 +196,15 @@ def test_build_models_builds_each_alphabet_once(monkeypatch):
     assert calls == [1, 2]
 
 
-def test_build_models_raises_on_a_collision_supervisor_that_is_not_decomposable(
+def test_build_models_reports_a_collision_supervisor_that_is_not_decomposable(
     undecomposable_collision,
 ):
-    with pytest.raises(NotDecomposable, match="collision supervisor projections do not recompose"):
-        build_models.__wrapped__(P)
+    models = build_models.__wrapped__(P)
+    report = models.decomposition
+    assert not report.decomposable and not report.bisim
+    assert not report.dc1
+    assert (models.local(1), models.local(2)) == (report.local1, report.local2)
+    assert not is_bisimilar(parallel_compose(models.local(1), models.local(2)), models.collision)
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(3, 3), (5, 9), (9, 13), (21, 9), (24, 36)])
@@ -279,8 +282,8 @@ def test_decentralized_pipeline_on_mission_models():
     models = build_models(SMALL)
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
-    verdict = verify_decentralized(models.plant1, models.plant2, models.decomposition, spec)
-    assert verdict.satisfied
+    (local1, local2) = (models.local(1), models.local(2))
+    assert verify_decentralized(models.plant1, models.plant2, local1, local2, spec)
 
 
 def test_agent_loop_contains_mission_strings():
@@ -315,7 +318,7 @@ def test_class_counts_do_not_grow_with_the_partition(n_r, n_theta):
         name: len(auto._members)
         for name, auto in [
             ("plant", models.plant1), ("formation", models.formation1),
-            ("collision", models.collision), ("local", models.local1),
+            ("collision", models.collision), ("local", models.local(1)),
             ("joint plant", joint_plant), ("mission", mission),
         ]
     }
@@ -343,7 +346,7 @@ def test_supervised_language_is_spec_intersect_plant_on_built_models():
 
 def test_modular_language_is_module_intersection_on_built_models():
     models = build_models(SMALL)
-    af1, ac1, a1 = models.formation1, models.local1, models.plant1
+    af1, ac1, a1 = models.formation1, models.local(1), models.plant1
     left = set(
         marked_language_upto(parallel_compose(parallel_compose(af1, ac1), a1), 4)
     )

@@ -5,24 +5,19 @@ import math
 
 import pytest
 
-from polaris.automata import Automaton, BisimRelation, BisimResult, Event
+from polaris.automata import Automaton, BisimResult, Event
 from polaris.models import AgentAlphabet, FormationModels
 from polaris.polar import Mode, PolarPartition, RegionIndex, ValidationResult, VertexControls
 from polaris.scenario import FollowerConfig, ScenarioConfig
 from polaris.sim import AgentDiscrete, Episode, EventRecord, ScenarioResult, WorldState
-from polaris.supervision import (
-    ControllabilityReport,
-    DecentralizedVerdict,
-    DecomposabilityReport,
-)
+from polaris.supervision import ControllabilityReport, DecomposabilityReport
 
 EVENT = "Event(id='a', controllable=True, owners=frozenset({1}))"
 AUTOMATON = (
     f"Automaton(states=frozenset({{'q'}}), initial='q', alphabet=({EVENT},), "
     "marked=frozenset({'q'}))"
 )
-RELATION = "BisimRelation(pairs=frozenset({('q', 'q')}))"
-BISIM = f"BisimResult(bisimilar=True, relation={RELATION}, counterexample=None)"
+BISIM = "BisimResult(bisimilar=True, relation=frozenset({('q', 'q')}), counterexample=None)"
 PARTITION = "PolarPartition(r_max=50.0, n_r=3, n_theta=3)"
 FOLLOWER = "FollowerConfig(initial_position=(0.0, 0.0), offsets=((0.0, 0.0, 0.0),))"
 DC_PASS = "dc2=True, dc2_witness=None, dc3=True, dc3_witness=None, dc4=True, dc4_witness=None"
@@ -33,7 +28,7 @@ def automaton():
 
 
 def bisim():
-    return BisimResult(True, BisimRelation(frozenset({("q", "q")})))
+    return BisimResult(True, frozenset({("q", "q")}))
 
 
 def partition():
@@ -49,7 +44,6 @@ def world():
 RECORDS = [
     (lambda: Event("a", True, [1]), EVENT),
     (automaton, AUTOMATON),
-    (lambda: BisimRelation(frozenset({("q", "q")})), RELATION),
     (bisim, BISIM),
     (partition, PARTITION),
     (lambda: RegionIndex(2, 1), "RegionIndex(i=2, j=1)"),
@@ -70,13 +64,13 @@ RECORDS = [
     ),
     (
         lambda: FormationModels(
-            partition(), None, None, *[automaton()] * 7, DecomposabilityReport(True, bisim(), True)
+            partition(), None, None, *[automaton()] * 5, DecomposabilityReport(True, bisim(), True)
         ),
         f"FormationModels(partition={PARTITION}, alphabet1=None, alphabet2=None, "
         f"plant1={AUTOMATON}, plant2={AUTOMATON}, formation1={AUTOMATON}, "
-        f"formation2={AUTOMATON}, collision={AUTOMATON}, local1={AUTOMATON}, "
-        f"local2={AUTOMATON}, decomposition=DecomposabilityReport(decomposable=True, "
-        f"bisim={BISIM}, dc1=True, dc1_witness=None, {DC_PASS}))",
+        f"formation2={AUTOMATON}, collision={AUTOMATON}, "
+        f"decomposition=DecomposabilityReport(decomposable=True, bisim={BISIM}, dc1=True, "
+        f"dc1_witness=None, {DC_PASS}, local1=None, local2=None))",
     ),
     (FollowerConfig, FOLLOWER),
     (
@@ -109,15 +103,7 @@ RECORDS = [
     (
         lambda: DecomposabilityReport(True, bisim(), True, local1=automaton(), local2=automaton()),
         f"DecomposabilityReport(decomposable=True, bisim={BISIM}, dc1=True, dc1_witness=None, "
-        f"{DC_PASS})",
-    ),
-    (
-        lambda: DecentralizedVerdict(
-            True, DecomposabilityReport(False, BisimResult(False), False, ("q", "x", "y"))
-        ),
-        "DecentralizedVerdict(satisfied=True, decomposability=DecomposabilityReport("
-        "decomposable=False, bisim=BisimResult(bisimilar=False, relation=None, "
-        f"counterexample=None), dc1=False, dc1_witness=('q', 'x', 'y'), {DC_PASS}))",
+        f"{DC_PASS}, local1={AUTOMATON}, local2={AUTOMATON})",
     ),
 ]
 
@@ -165,12 +151,22 @@ def test_records_of_one_class_differ_by_any_compared_field():
     assert automaton() != other
 
 
-def test_projections_take_no_part_in_report_equality():
+def test_projections_take_part_in_report_equality():
     bare = DecomposabilityReport(True, bisim(), True)
     full = bare._replace(local1=automaton(), local2=automaton())
-    assert bare == full and hash(bare) == hash(full)
-    assert repr(bare) == repr(full)
+    assert bare != full and repr(bare) != repr(full)
+    assert full == full._replace(local1=automaton())
+    other = Automaton.build(["q"], "q", [Event("a", True, [1])], [], ["q"])
+    assert full != full._replace(local2=other)
     assert bare != bare._replace(dc2=False)
+
+
+def test_removed_wrappers_are_not_exported():
+    # a report is a verdict, a bisimulation relation a frozenset of pairs
+    import polaris
+
+    for name in ("NotDecomposable", "DecentralizedVerdict", "BisimRelation"):
+        assert not hasattr(polaris, name)
 
 
 def test_constructors_normalize_and_validate_through_replace():

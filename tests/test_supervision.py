@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     brute_language,
+    check_bisim_relation,
     dc3_by_sampling,
     dc3_pair_ok,
     first_shared,
@@ -18,6 +19,7 @@ from conftest import (
     random_automaton,
     random_automaton_with_twins,
     rerooted,
+    team_plants,
 )
 
 from polaris.automata import (
@@ -32,7 +34,6 @@ from polaris.errors import (
     CoverageError,
     NondeterministicInput,
     NotControllable,
-    NotDecomposable,
 )
 from polaris.models import build_models
 from polaris.polar import PolarPartition
@@ -486,7 +487,6 @@ def test_class_algebra_matches_per_event_oracles():
             report = check_decomposability(a, e1, e2)
             want = per_event_decomposability(a, e1, e2)
             assert report == want
-            assert (report.local1, report.local2) == (want.local1, want.local2)
             for dc in ("dc1", "dc2", "dc3", "dc4"):
                 seen[dc] += not getattr(report, dc)
                 seen["twin witness"] += twins(getattr(report, dc + "_witness"))
@@ -512,82 +512,79 @@ def test_natural_project_marked_language_is_projected_brute_language(rng):
 # -- decentralized cooperation ----------------------------------------------
 
 
-def _team():
-    ap1 = make_auto(
-        [("m0", "go", "m1"), ("m1", "go", "m1"), ("m1", "a", "m1")],
-        initial="m0", controllable={"go", "a", "b"},
-    )
-    ap2 = make_auto(
-        [("n0", "go", "n1"), ("n1", "go", "n1"), ("n1", "b", "n1")],
-        initial="n0", controllable={"go", "a", "b"},
-    )
-    return ap1, ap2
-
-
-def _decomposition(ap1, ap2, ac):
-    """The controller's report over its events shared with each plant."""
-    return check_decomposability(ac, ac.event_ids & ap1.event_ids, ac.event_ids & ap2.event_ids)
+def _locals(ap1, ap2, ac):
+    """The controller's projections onto its events shared with each plant."""
+    return decompose(ac, ac.event_ids & ap1.event_ids, ac.event_ids & ap2.event_ids)
 
 
 def test_neutral_controller_satisfies_joint_plant():
-    (ap1, ap2) = _team()
+    (ap1, ap2) = team_plants()
     ac = make_auto([("c0", "go", "c0")], initial="c0", controllable={"go"})
     spec = parallel_compose(ap1, ap2)
-    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), spec)
-    assert verdict.satisfied
+    assert verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), spec)
+
+
+def test_verify_decentralized_returns_the_bisimulation_of_the_team():
+    (ap1, ap2) = team_plants()
+    ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
+    (local1, local2) = _locals(ap1, ap2, ac)
+    spec = parallel_compose(ac, parallel_compose(ap1, ap2))
+    verdict = verify_decentralized(ap1, ap2, local1, local2, spec)
+    team = parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2))
+    assert verdict == is_bisimilar(team, spec)
+    assert check_bisim_relation(team, spec, verdict.relation)
 
 
 def test_restrictive_controller_with_matching_spec():
-    (ap1, ap2) = _team()
+    (ap1, ap2) = team_plants()
     ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
     spec = parallel_compose(ac, parallel_compose(ap1, ap2))
-    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), spec)
-    assert verdict.satisfied
+    assert verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), spec)
 
 
 def test_wrong_spec_detected():
-    (ap1, ap2) = _team()
+    (ap1, ap2) = team_plants()
     ac = make_auto([("c0", "go", "c1")], initial="c0", controllable={"go"})
     wrong = parallel_compose(ap1, ap2)  # allows repeated go
-    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), wrong)
-    assert not verdict.satisfied
+    assert not verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), wrong)
 
 
 def test_unmarked_spec_detected():
-    (ap1, ap2) = _team()
+    (ap1, ap2) = team_plants()
     ac = make_auto([("c0", "go", "c0")], initial="c0", controllable={"go"})
     joint = parallel_compose(ap1, ap2)
     unmarked = joint.__class__.build(
         joint.states, joint.initial, joint.alphabet, joint.transitions, set()
     )
-    verdict = verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), unmarked)
-    assert not verdict.satisfied
+    assert not verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), unmarked)
 
 
 def test_verify_decentralized_on_built_models():
     models = build_models(PolarPartition(40.0, 3, 3))
     joint = parallel_compose(models.plant1, models.plant2)
     spec = parallel_compose(models.collision, joint)
-    decomposition = _decomposition(models.plant1, models.plant2, models.collision)
-    assert decomposition == models.decomposition
-    verdict = verify_decentralized(models.plant1, models.plant2, decomposition, spec)
-    assert verdict.satisfied
+    (local1, local2) = _locals(models.plant1, models.plant2, models.collision)
+    assert (local1, local2) == (models.local(1), models.local(2))
+    assert verify_decentralized(models.plant1, models.plant2, local1, local2, spec)
 
 
 def test_controller_event_in_neither_plant_raises():
-    (ap1, ap2) = _team()
+    (ap1, ap2) = team_plants()
     ac = make_auto([("c0", "go", "c0"), ("c0", "z", "c0")],
                    initial="c0", controllable={"go", "z"})
     with pytest.raises(CoverageError, match="'z'"):
-        verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), parallel_compose(ap1, ap2))
+        verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), parallel_compose(ap1, ap2))
 
 
-def test_undecomposable_controller_raises():
-    (ap1, ap2) = _team()
-    ac = make_auto([("c0", "a", "c1"), ("c0", "b", "c2")],
-                   initial="c0", controllable={"a", "b"})
-    with pytest.raises(NotDecomposable, match="controller is not decomposable"):
-        verify_decentralized(ap1, ap2, _decomposition(ap1, ap2, ac), parallel_compose(ap1, ap2))
+def test_undecomposable_controller_fails_verification():
+    # each agent may take its private command, the controller only one
+    (ap1, ap2) = team_plants()
+    ac = make_auto([("c0", "a", "c1"), ("c0", "b", "c2"), ("c0", "go", "c0")],
+                   initial="c0", controllable={"a", "b", "go"})
+    assert not check_decomposability(ac, {"a", "go"}, {"b", "go"})
+    spec = parallel_compose(ac, parallel_compose(ap1, ap2))
+    verdict = verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), spec)
+    assert not verdict.bisimilar and verdict.relation is None
 
 
 # -- nonblocking -------------------------------------------------------------
