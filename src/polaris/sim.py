@@ -11,14 +11,16 @@ ones through the automata, then emit the controllable events they enable
 
 Between two events nothing discrete changes, so :func:`run_scenario`
 advances each quiet stretch in one loop over plain floats (``_coast``).
-A follower moves only through the ``move`` function of ``_mover``, in that
-loop and in :func:`step` alike; the loop repeats only the region test of
-:func:`detect_events` and the row formatting.  It stops before the first
-step that may have an event: a follower may leave its region or the
-horizon, the followers may close within the alarm radius or part beyond
-the release radius, or a formation switch is due.  That step runs through
-:func:`step`, :func:`detect_events` and :func:`supervisor_react`, so every
-event and failure comes from them.
+That loop is the only integrator: it moves both followers inline, with
+``kernels.eval_cell``'s float operations for the field, and :func:`step`
+is one pass of it with its stop tests off.  Besides moving, the loop
+repeats only the region test of :func:`detect_events` and the row
+formatting.  It stops before the first step that may have an event: a
+follower may leave its region or the horizon, the followers may close
+within the alarm radius or part beyond the release radius, or a
+formation switch is due.  That step runs through :func:`step`,
+:func:`detect_events` and :func:`supervisor_react`, so every event and
+failure comes from them.
 
 Everything is deterministic: identical configs produce identical
 trajectories, logs and verdicts byte for byte.
@@ -27,7 +29,7 @@ trajectories, logs and verdicts byte for byte.
 from __future__ import annotations
 
 import math
-from math import atan2, ceil, hypot
+from math import atan2, ceil, cos, fmod, hypot, sin, sqrt
 from typing import NamedTuple, Optional
 
 from . import kernels
@@ -258,26 +260,11 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
 def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
-    Each follower moves by its :func:`_mover`.  The new state is not
-    located here: :func:`detect_events` does that, so a step beyond the
-    horizon does not raise.
+    The step is one pass of :func:`_coast`'s loop with its stop tests off.
+    The new state is not located here: :func:`detect_events` does that, so
+    a step beyond the horizon does not raise.
     """
-    cfg = mission.cfg
-    (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)
-    moved = [
-        _mover(mission, k, world)(*world.follower_pos[k - 1], *world.relative[k - 1], lvx, lvy)
-        for k in (1, 2)
-    ]
-    new_index = world.step_index + 1
-    return WorldState(
-        new_index,
-        new_index * cfg.dt,
-        (world.leader_pos[0] + lvx * cfg.dt, world.leader_pos[1] + lvy * cfg.dt),
-        tuple((x, y) for (x, y, _, _, _) in moved),
-        world.offsets,
-        world.discrete,
-        world.episode,
-    )
+    return _coast(world, mission, None, world.step_index + 1, math.inf, 0.0, 0.0)[0]
 
 
 def _wrap_angle(a: float) -> float:
@@ -552,7 +539,8 @@ class ScenarioResult:
 
 
 # one CSV row: the CSV_HEADER columns, floats to six decimals
-_ROW = ",".join(["%.6f"] * 11 + ["%d"] * 4)
+_FLOATS = ",".join(["%.6f"] * 11)
+_ROW = _FLOATS + ",%d,%d,%d,%d"
 
 
 def _row(world: WorldState) -> str:
@@ -566,86 +554,46 @@ def _row(world: WorldState) -> str:
     )
 
 
-def _mover(mission: Mission, k: int, world: WorldState):
-    """Follower ``k``'s step in ``world``'s discrete state, as a function
-    of plain floats.
-
-    ``move(x, y, rx, ry, lvx, lvy)`` takes the follower's position, its
-    relative position and the leader velocity.  Stopped and uncommanded
-    followers have no relative velocity; the others take
-    ``kernels.eval_cell``'s.  The total velocity (leader plus relative) is
-    clamped to ``u_max`` and the position takes one Euler step.  It returns
-    the new ``(x, y, rx, ry, inside)``, where ``inside`` is the region test
-    of ``locate``'s float operations: False when the new position may lie
-    beyond the horizon or outside the region.
-    """
-    cfg = mission.cfg
-    p = cfg.partition
-    (dt, u_max, r_max) = (cfg.dt, cfg.u_max, p.r_max)
-    (delta_r, delta_theta, i_max, j_max) = (p.delta_r, p.delta_theta, p.n_r - 1, p.n_theta - 1)
+def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
+    """Follower ``k``'s constants between two events: its offset, held
+    flag and region index, then ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
+    ``th_lo``, ``span``, ``(TWO_PI - span) * 0.5``, eight gains and
+    ``r_eps``.  A held (stopped or uncommanded) follower fetches no cell;
+    its field constants are placeholders that the loop never reads."""
     disc = world.discrete[k - 1]
-    (i0, j0) = (disc.region.i, disc.region.j)
-    (ox, oy) = world.offsets[k - 1]
     held = disc.stopped or disc.command is None
-    if not held:
-        (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
-
-    def move(x, y, rx, ry, lvx, lvy):
-        if held:
-            (vx, vy) = (0.0, 0.0)
-        else:
-            (vx, vy) = kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, rx, ry, r_eps)
-        tvx = lvx + vx
-        tvy = lvy + vy
-        speed = hypot(tvx, tvy)
-        if speed > u_max:
-            if u_max == 0.0:
-                tvx = 0.0
-                tvy = 0.0
-            else:
-                scale = u_max / speed
-                tvx *= scale
-                tvy *= scale
-        x = x + (tvx - lvx) * dt
-        y = y + (tvy - lvy) * dt
-        rx = x - ox
-        ry = y - oy
-        r = hypot(rx, ry)
-        if not r <= r_max:  # beyond the horizon, or NaN
-            return (x, y, rx, ry, False)
-        th = atan2(ry, rx)
-        i = ceil(r / delta_r)
-        if i < 1:
-            i = 1
-        elif i > i_max:
-            i = i_max
-        j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
-        if j < 1:
-            j = 1
-        elif j > j_max:
-            j = j_max
-        return (x, y, rx, ry, i == i0 and j == j0)
-
-    return move
+    (r_lo, r_hi, th_lo, span, gains, r_eps) = (
+        (0.0, 1.0, 0.0, 1.0, (0.0,) * 8, 1.0) if held
+        else mission.cell(k, disc.region, disc.command)
+    )
+    return (*world.offsets[k - 1], held, disc.region.i, disc.region.j,
+            r_lo, r_hi - r_lo, th_lo, span, (TWO_PI - span) * 0.5, *gains, r_eps)
 
 
 def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
     """Advance ``world`` through the steps that cannot have an event.
 
-    Between two events each follower keeps its command, region and offset,
-    and the episode stays as it is, so only floats change.  Each step
-    moves both followers with :func:`_mover`, takes their separation,
-    appends the row that :func:`_row` would format to ``rows`` and updates
-    the minimum separation.  The leader velocity is read again only when
-    ``t`` reaches its next breakpoint.
+    This loop is the simulator's only integrator.  Between two events each
+    follower keeps its command, region and offset, and the episode stays
+    as it is, so only floats change.  Each step moves follower 1, then
+    follower 2, with no call but the math functions: the field of
+    ``kernels.eval_cell`` (none for a held follower) in its float
+    operations on the same operands, the total velocity (leader plus
+    relative) clamped to ``u_max``, and one Euler update.  It then takes
+    the separation, appends the row that :func:`_row` would format to
+    ``rows`` and updates the minimum separation.  The leader velocity is
+    read again only when ``t`` reaches its next breakpoint.
 
     The loop stops before the first step that may have an event: a
-    follower may leave its region or the horizon, the separation crosses
-    into the alarm radius with no episode open, or it passes the release
-    radius during an episode that is not yet cleared.  It also stops at
-    step ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop only has
-    to be conservative, because the caller runs that step with
-    :func:`step` and :func:`detect_events`.
+    follower may leave its region or the horizon (``locate``'s float
+    operations, follower 1's before follower 2 moves), the separation
+    crosses into the alarm radius with no episode open, or it passes the
+    release radius during an episode that is not yet cleared.  It also
+    stops at step ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop
+    only has to be conservative, because the caller runs that step with
+    :func:`step` and :func:`detect_events`.  With ``rows`` None, as
+    :func:`step` calls it, only these last two tests stop it, and it
+    appends no row.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
     stopped (``world`` itself if it took no step).
@@ -657,15 +605,20 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     if not (index < n_steps and t < t_switch):
         return (world, min_sep, min_sep_t)
     cfg = mission.cfg
-    (dt, leader) = (cfg.dt, cfg.leader_velocity)
+    p = cfg.partition
+    (dt, leader, u_max) = (cfg.dt, cfg.leader_velocity, cfg.u_max)
+    (r_max, delta_r, delta_theta) = (p.r_max, p.delta_r, p.delta_theta)
+    (i_max, j_max) = (p.n_r - 1, p.n_theta - 1)
     (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
+    watch = rows is not None
     episode = world.episode
-    watch_alarm = episode is None
-    watch_release = episode is not None and not episode.cleared
-    move1 = _mover(mission, 1, world)
-    move2 = _mover(mission, 2, world)
-    (d1, d2) = world.discrete
-    (i1, j1, i2, j2) = (d1.region.i, d1.region.j, d2.region.i, d2.region.j)
+    watch_alarm = watch and episode is None
+    watch_release = watch and episode is not None and not episode.cleared
+    (ox1, oy1, held1, i1, j1, lo1, dr1, tlo1, span1, half1,
+     u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
+    (ox2, oy2, held2, i2, j2, lo2, dr2, tlo2, span2, half2,
+     u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
+    row = _FLOATS + f",{i1},{j1},{i2},{j2}"
 
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
@@ -677,18 +630,106 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if t >= t_lv:
             (lvx, lvy) = schedule_at(leader, t)
             t_lv = next((entry[0] for entry in leader if entry[0] > t), math.inf)
-        (nx1, ny1, nrx1, nry1, inside) = move1(x1, y1, rx1, ry1, lvx, lvy)
-        if not inside:
-            break
-        (nx2, ny2, nrx2, nry2, inside) = move2(x2, y2, rx2, ry2, lvx, lvy)
-        if not inside:
-            break
+
+        # follower 1
+        if held1:
+            vx = vy = 0.0
+        else:
+            r = sqrt(rx1 * rx1 + ry1 * ry1)
+            th = atan2(ry1, rx1)
+            a = (r - lo1) / dr1
+            if a < 0.0:
+                a = 0.0
+            elif a > 1.0:
+                a = 1.0
+            rel = fmod(th - tlo1, TWO_PI)
+            if rel < 0.0:
+                rel += TWO_PI
+            b = rel / span1
+            if b > 1.0:
+                b = 1.0 if rel - span1 <= half1 else 0.0
+            (oma, omb) = (1.0 - a, 1.0 - b)
+            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
+            ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
+            ut = w0 * u0t1 + w1 * u1t1 + w2 * u2t1 + w3 * u3t1
+            tang = r * ut / (eps1 if r < eps1 else r)
+            (ct, st) = (cos(th), sin(th))
+            (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
+        (tvx, tvy) = (lvx + vx, lvy + vy)
+        speed = hypot(tvx, tvy)
+        if speed > u_max:
+            if u_max == 0.0:
+                (tvx, tvy) = (0.0, 0.0)
+            else:
+                scale = u_max / speed
+                (tvx, tvy) = (tvx * scale, tvy * scale)
+        nx1 = x1 + (tvx - lvx) * dt
+        ny1 = y1 + (tvy - lvy) * dt
+        (nrx1, nry1) = (nx1 - ox1, ny1 - oy1)
+        if watch:
+            r = hypot(nrx1, nry1)
+            if not r <= r_max:  # beyond the horizon, or NaN
+                break
+            th = atan2(nry1, nrx1)
+            i = ceil(r / delta_r)
+            j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
+            if (1 if i < 1 else i_max if i > i_max else i) != i1:
+                break
+            if (1 if j < 1 else j_max if j > j_max else j) != j1:
+                break
+
+        # follower 2, as follower 1
+        if held2:
+            vx = vy = 0.0
+        else:
+            r = sqrt(rx2 * rx2 + ry2 * ry2)
+            th = atan2(ry2, rx2)
+            a = (r - lo2) / dr2
+            if a < 0.0:
+                a = 0.0
+            elif a > 1.0:
+                a = 1.0
+            rel = fmod(th - tlo2, TWO_PI)
+            if rel < 0.0:
+                rel += TWO_PI
+            b = rel / span2
+            if b > 1.0:
+                b = 1.0 if rel - span2 <= half2 else 0.0
+            (oma, omb) = (1.0 - a, 1.0 - b)
+            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
+            ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2
+            ut = w0 * u0t2 + w1 * u1t2 + w2 * u2t2 + w3 * u3t2
+            tang = r * ut / (eps2 if r < eps2 else r)
+            (ct, st) = (cos(th), sin(th))
+            (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
+        (tvx, tvy) = (lvx + vx, lvy + vy)
+        speed = hypot(tvx, tvy)
+        if speed > u_max:
+            if u_max == 0.0:
+                (tvx, tvy) = (0.0, 0.0)
+            else:
+                scale = u_max / speed
+                (tvx, tvy) = (tvx * scale, tvy * scale)
+        nx2 = x2 + (tvx - lvx) * dt
+        ny2 = y2 + (tvy - lvy) * dt
+        (nrx2, nry2) = (nx2 - ox2, ny2 - oy2)
+        if watch:
+            r = hypot(nrx2, nry2)
+            if not r <= r_max:
+                break
+            th = atan2(nry2, nrx2)
+            i = ceil(r / delta_r)
+            j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
+            if (1 if i < 1 else i_max if i > i_max else i) != i2:
+                break
+            if (1 if j < 1 else j_max if j > j_max else j) != j2:
+                break
+
         nsep = hypot(nx1 - nx2, ny1 - ny2)
         if watch_alarm and sep >= alarm_radius > nsep:
             break
         if watch_release and nsep > release_radius:
             break
-
         (x1, y1, rx1, ry1) = (nx1, ny1, nrx1, nry1)
         (x2, y2, rx2, ry2) = (nx2, ny2, nrx2, nry2)
         sep = nsep
@@ -696,12 +737,11 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         t = index * dt
         lx = lx + lvx * dt
         ly = ly + lvy * dt
-        rows.append(_ROW % (
-            t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2, i1, j1, i2, j2
-        ))
-        if sep < min_sep:
-            min_sep = sep
-            min_sep_t = t
+        if watch:
+            rows.append(row % (t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2))
+            if sep < min_sep:
+                min_sep = sep
+                min_sep_t = t
     if index == start:
         return (world, min_sep, min_sep_t)
     moved = WorldState(

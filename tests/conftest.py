@@ -786,13 +786,13 @@ def relative_velocity_of(world, mission, k: int):
 
 
 def euler_step(world, mission) -> "sim.WorldState":
-    """The reference for ``sim.step``, which moves each follower through
-    ``sim._mover``: one Euler step of length dt, written out here.
+    """The reference for ``sim.step``, which takes one pass of ``sim._coast``'s
+    fused loop: one Euler step of length dt, written out here.
 
     Stopped and uncommanded followers have no relative velocity; every
     follower's total velocity (leader plus relative) is clamped to the
-    velocity bound.  The field is read as ``kernels.eval_cell`` at call time, so a test that
-    replaces it reaches this step and the simulator alike.
+    velocity bound.  The field is ``kernels.eval_cell``'s, which the
+    simulator's loop repeats inline, so this step checks that copy.
     """
     cfg = mission.cfg
     (lvx, lvy) = schedule_at(cfg.leader_velocity, world.t)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     CROSSING_CFG,
+    csv_row_by_fstring,
     euler_step,
     relative_velocity_of,
     run_scenario_reacting_every_step,
@@ -579,6 +580,8 @@ def outcome(run, cfg):
         result = run(cfg)
     except (HorizonViolation, SupervisorBlocked) as exc:
         return (type(exc), str(exc), exc.world, exc.recent)
+    except ValidationError as exc:
+        return (type(exc), str(exc))
     return (result.csv_text(), result.log_text(), result.verdicts_text(), result.controllers)
 
 
@@ -725,10 +728,24 @@ def test_quiet_loop_matches_a_seeded_supervisor_block():
     assert ("d_1_7_2", "C0_2") == tuple(rec.event for rec in recent[2:4])
 
 
+def test_quiet_loop_matches_off_the_default_step_and_bound():
+    # the seeded missions at a 0.05 s step and at a 1.25 m/s bound, which
+    # leaves many followers too little authority against the leader
+    kinds = Counter()
+    for extra in ("sim.dt = 0.05\n", "sim.u_max = 1.25\n"):
+        for seed in range(10):
+            for crossing in (False, True):
+                cfg = loads_scenario(seeded_mission(seed, crossing) + extra)
+                expected = outcome(run_scenario_reacting_every_step, cfg)
+                assert outcome(run_scenario, cfg) == expected, (extra, seed, crossing)
+                kinds[expected[0] if isinstance(expected[0], type) else "completed"] += 1
+    assert kinds == {SupervisorBlocked: 25, ValidationError: 1, "completed": 14}
+
+
 def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
     # the quiet loop's field must clamp a wrapped angle to the nearer
-    # facet as step's does; held in region (3,1), the field there pushes
-    # follower 1 back across th_lo
+    # facet as eval_cell does; held in region (3,1), the field there
+    # pushes follower 1 back across th_lo, so the loop takes the step
     cfg = small_cfg()
     world, mission = started_world(cfg)
     (d1, d2) = world.discrete
@@ -739,18 +756,20 @@ def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():
     )
     (rx, ry) = world.relative[0]
     assert ry < 0.0
-    moved = sim._mover(mission, 1, world)(*world.follower_pos[0], rx, ry, 0.0, 0.0)
-    (x, y, rx, ry, inside) = moved
+    (moved, _, _) = sim._coast(world, mission, [], 1, math.inf, math.inf, 0.0)
+    inside = moved is not world
+    assert moved == step(world, mission)
+    ((x, y), (rx, ry)) = (moved.follower_pos[0], moved.relative[0])
     assert (x, y) == euler_step(world, mission).follower_pos[0]
     assert ry > 0.0 and inside
 
 
 def test_step_matches_the_reference_euler_step_bit_for_bit():
-    # step moves each follower through _mover's move; conftest's euler_step
-    # writes the same Euler step out.  Seeded worlds put held, stopped and
-    # commanded followers anywhere in the grid, under no velocity
-    # authority, a partial clamp and a loose bound, with the leader
-    # velocity read on both sides of its breakpoint at t = 4.
+    # step moves each follower through _coast's loop; conftest's
+    # euler_step writes the same Euler step out.  Seeded worlds put held,
+    # stopped and commanded followers anywhere in the grid, under no
+    # velocity authority, a partial clamp and a loose bound, with the
+    # leader velocity read on both sides of its breakpoint at t = 4.
     rng = random.Random(22)
     seen = Counter()
     leader = ((0.0, 3.0, 1.0), (4.0, -1.0, 2.5))
@@ -792,19 +811,85 @@ def test_step_matches_the_reference_euler_step_bit_for_bit():
     assert min(seen.values()) >= 5 and len(seen) == 10, seen
 
 
-def test_quiet_loop_and_step_evaluate_one_field(monkeypatch):
-    # a changed field reaches the quiet loop and step alike: with the
-    # velocity halved, running every step through step still matches
-    real = kernels.eval_cell
+def field_branches(world, mission, k) -> list:
+    """The clamp branches of ``eval_cell`` that follower ``k``'s field
+    takes in ``world``; none for a held or stopped follower."""
+    disc = world.discrete[k - 1]
+    if disc.stopped or disc.command is None:
+        return ["stopped" if disc.stopped else "held"]
+    (r_lo, r_hi, th_lo, span, _, r_eps) = mission.cell(k, disc.region, disc.command)
+    (rx, ry) = world.relative[k - 1]
+    r = math.hypot(rx, ry)
+    rel = (math.atan2(ry, rx) - th_lo) % (2.0 * math.pi)
+    branches = ["a < 0"] * (r < r_lo) + ["a > 1"] * (r > r_hi) + ["r < r_eps"] * (r < r_eps)
+    if rel > span:
+        branches.append("b > 1 toward th_hi" if rel - span <= (2.0 * math.pi - span) * 0.5
+                        else "b > 1 toward th_lo")
+    return branches
 
-    def halved(*args):
-        (vx, vy) = real(*args)
-        return (0.5 * vx, 0.5 * vy)
 
-    monkeypatch.setattr(kernels, "eval_cell", halved)
-    assert outcome(run_scenario, small_cfg()) == outcome(
-        run_scenario_reacting_every_step, small_cfg()
-    )
+def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
+    # _coast's loop writes eval_cell's field out for each follower, and
+    # step takes its one step through that loop.  Seeded followers sit
+    # just past one facet of their region or within r_eps of the origin,
+    # held, stopped or commanded, under no velocity authority, a partial
+    # clamp and a loose bound.  step must equal conftest's euler_step,
+    # which calls eval_cell, and a one-step quiet advance must equal step
+    # or stop where a follower leaves its region or the horizon.
+    rng = random.Random(26)
+    seen = Counter()
+    places = ("inside", "below r_lo", "beyond r_hi", "below th_lo", "beyond th_hi", "near 0")
+    for u_max in (0.0, 2.5, 50.0):
+        cfg = small_cfg(dt=0.5, u_max=u_max, leader_velocity=((0.0, 3.0, 1.0),))
+        (start, mission) = started_world(cfg)
+        # a cleared episode turns both separation tests off
+        start = start._replace(episode=Episode(1, cleared=True))
+        p = cfg.partition
+        for _ in range(250):
+            discrete = []
+            follower_pos = []
+            for (k, d, (ox, oy)) in zip((1, 2), start.discrete, start.offsets):
+                place = rng.choice(places)
+                i = 1 if place == "near 0" else rng.randint(1 + (place == "below r_lo"), p.n_r - 1)
+                region = RegionIndex(i, rng.randint(1, p.n_theta - 1))
+                (r_lo, r_hi, th_lo, th_hi) = polar.region_bounds(p, region)
+                (r, th) = (rng.uniform(r_lo, r_hi), rng.uniform(th_lo, th_hi))
+                past = 10.0 ** rng.uniform(-9.0, -1.0)
+                if place == "below r_lo":
+                    r = r_lo - past
+                elif place == "beyond r_hi":
+                    r = r_hi + past
+                elif place == "below th_lo":
+                    th = th_lo - past
+                elif place == "beyond th_hi":
+                    th = th_hi + past
+                elif place == "near 0":
+                    r = rng.uniform(0.0, p.r_eps)
+                follower_pos.append((ox + r * math.cos(th), oy + r * math.sin(th)))
+                commands = [f"Cth+{k}", f"Cth-{k}", f"C0_{k}"]
+                commands += [f"Cr-{k}"] * (region.i > 1) + [f"Cr+{k}"] * (region.i < p.n_r - 1)
+                kind = rng.choice(("held", "stopped", "commanded", "commanded"))
+                command = None if kind == "held" else rng.choice(commands)
+                discrete.append(d._replace(region=region, command=command,
+                                           stopped=kind == "stopped"))
+            world = start._replace(follower_pos=tuple(follower_pos), discrete=tuple(discrete))
+            expected = euler_step(world, mission)
+            assert step(world, mission) == expected
+            rows = []
+            (quiet, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
+            if all(math.hypot(*rel) <= p.r_max and locate(p, *rel) == d.region
+                   for (rel, d) in zip(expected.relative, world.discrete)):
+                assert (quiet, rows) == (expected, [csv_row_by_fstring(expected)])
+                seen["quiet step"] += 1
+            else:
+                assert quiet is world and rows == []
+                seen["quiet stop"] += 1
+            for k in (1, 2):
+                seen.update(field_branches(world, mission, k))
+                (vx, vy) = relative_velocity_of(world, mission, k)
+                speed = math.hypot(3.0 + vx, 1.0 + vy)
+                seen["u_max = 0" if u_max == 0.0 else "clamped" if speed > u_max else "loose"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 12, seen
 
 
 def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
@@ -830,6 +915,9 @@ def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
         "sim.supervisor_react",
     ]
     assert all(count >= 1 for count in calls.values()), calls
+    # the steps take the field inline; only the run's one alarm
+    # classification calls eval_cell
+    assert calls["kernels.eval_cell"] == 1
 
 
 def test_controllers_text_lists_only_the_controllers_a_step_used():
