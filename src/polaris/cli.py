@@ -166,9 +166,10 @@ def cmd_simulate(args) -> int:
         raise ValidationError(str(exc), args.scenario) from exc
     (outdir / "trajectory.csv").write_text(result.csv_text(), encoding="utf-8")
     (outdir / "events.log").write_text(result.log_text(), encoding="utf-8")
-    (outdir / "verdicts.txt").write_text(result.verdicts_text(), encoding="utf-8")
+    verdicts = result.verdicts_text()
+    (outdir / "verdicts.txt").write_text(verdicts, encoding="utf-8")
     (outdir / "controllers.txt").write_text(result.controllers, encoding="utf-8")
-    print(result.verdicts_text(), end="")
+    print(verdicts, end="")
     return PASS
 
 

@@ -484,23 +484,29 @@ class _EpisodeLog:
 
 
 class ScenarioResult:
-    """The rows, event records, verdicts and controller text of a run;
-    the list and dict fields default to new empty ones."""
+    """The trajectory, event records, verdicts and controller text of a run.
+    The trajectory is held once, as ``csv``, the text of ``trajectory.csv``;
+    ``csv_text()`` returns it with no copy, and ``rows`` is a tuple of its
+    lines after the header.  List and dict fields default to new empty ones."""
 
-    __slots__ = ("rows", "records", "verdicts", "controllers")
+    __slots__ = ("csv", "records", "verdicts", "controllers")
     __hash__ = None
 
-    def __init__(self, rows=None, records=None, verdicts=None, controllers: str = ""):
-        self.rows = [] if rows is None else rows
+    def __init__(self, rows=(), records=None, verdicts=None, controllers: str = ""):
+        self.csv = "\n".join([CSV_HEADER, *rows, ""])
         self.records = [] if records is None else records
         self.verdicts = {} if verdicts is None else verdicts
         self.controllers = controllers
 
+    @property
+    def rows(self) -> tuple:
+        return tuple(self.csv.split("\n")[1:-1])
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rows, self.records, self.verdicts, self.controllers) == (
-            other.rows, other.records, other.verdicts, other.controllers
+        return (self.csv, self.records, self.verdicts, self.controllers) == (
+            other.csv, other.records, other.verdicts, other.controllers
         )
 
     def __repr__(self):
@@ -510,9 +516,7 @@ class ScenarioResult:
         )
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(self.rows)
-        return "\n".join(lines) + "\n"
+        return self.csv
 
     def log_text(self) -> str:
         return "".join(rec.line() + "\n" for rec in self.records)
@@ -581,8 +585,9 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     operations on the same operands, the total velocity (leader plus
     relative) clamped to ``u_max``, and one Euler update.  It then takes
     the separation, appends the row that :func:`_row` would format to
-    ``rows`` and updates the minimum separation.  The leader velocity is
-    read again only when ``t`` reaches its next breakpoint.
+    ``rows`` (joined once by :func:`run_scenario`) and updates the minimum
+    separation.  The leader velocity is read again only when ``t`` reaches
+    its next breakpoint.
 
     The loop stops before the first step that may have an event: a
     follower may leave its region or the horizon (``locate``'s float
@@ -764,7 +769,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     radius with no episode open or past the release radius in an episode
     not yet cleared; that step runs through :func:`step` and
     :func:`detect_events`.  It also stops when a formation switch is due
-    and after the last step.
+    and after the last step.  The rows go to a list that becomes the
+    result's CSV text in one join after the last step.
 
     A start or formation switch that puts a follower inside the innermost
     ring raises :class:`ValidationError`; one that puts it beyond the
@@ -777,7 +783,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cfg.validate()
     mission = Mission(cfg)
     world = initial_world(mission)
-    result = ScenarioResult()
+    rows = []
+    records = []
 
     switch_times = list(cfg.switch_times())
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -786,14 +793,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     min_sep_t = 0.0
 
     try:
-        world, records = supervisor_react(world, [], mission)
-        result.records.extend(records)
-        result.rows.append(_row(world))
+        (world, reacted) = supervisor_react(world, [], mission)
+        records.extend(reacted)
+        rows.append(_row(world))
 
         while True:
             t_switch = switch_times[0] if switch_times else math.inf
             (world, min_sep, min_sep_t) = _coast(
-                world, mission, result.rows, n_steps, t_switch, min_sep, min_sep_t
+                world, mission, rows, n_steps, t_switch, min_sep, min_sep_t
             )
             if world.step_index >= n_steps:
                 break
@@ -801,29 +808,29 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 switch_times.pop(0)
                 world = _apply_offset_switch(world, mission)
                 phase += 1
-                result.records.append(
+                records.append(
                     EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
                 )
-                world, records = supervisor_react(world, [], mission)
-                result.records.extend(records)
+                (world, reacted) = supervisor_react(world, [], mission)
+                records.extend(reacted)
 
             nxt = step(world, mission)
             events = detect_events(world, nxt, mission)
             if events:
-                nxt, records = supervisor_react(nxt, events, mission)
-                result.records.extend(records)
+                (nxt, reacted) = supervisor_react(nxt, events, mission)
+                records.extend(reacted)
             world = nxt
-            result.rows.append(_row(world))
+            rows.append(_row(world))
 
             if world.separation < min_sep:
                 min_sep = world.separation
                 min_sep_t = world.t
     except (SupervisorBlocked, HorizonViolation) as exc:
         exc.world = world
-        exc.recent = tuple(result.records[-FAILURE_RECORDS:])
+        exc.recent = tuple(records[-FAILURE_RECORDS:])
         raise
 
-    (t_reach, episodes) = _read_records(result.records, mission)
+    (t_reach, episodes) = _read_records(records, mission)
     flags = []
     for k in ("1", "2"):
         for ph, value in enumerate(t_reach[k], start=1):
@@ -833,7 +840,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         if ep.t_release is None:
             flags.append(f"episode {idx} never released")
 
-    verdicts = result.verdicts
+    verdicts = {}
     for k in ("1", "2"):
         verdicts[f"t_reach_{k}"] = " ".join(_fmt_t(v) for v in t_reach[k])
     verdicts["min_separation"] = f"{min_sep:.6f} (t={min_sep_t:.2f})"
@@ -848,8 +855,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         region = world.discrete[k - 1].region
         verdicts[f"final_region_{k}"] = f"({region.i},{region.j})"
     verdicts["flags"] = "; ".join(flags) if flags else "none"
-    result.controllers = mission.controllers_text()
-    return result
+    return ScenarioResult(rows, records, verdicts, mission.controllers_text())
 
 
 def _read_records(records, mission: Mission) -> tuple:

@@ -829,13 +829,15 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
 
     The reference for the simulator's loop, which reacts only on steps
     with events; steps are taken by :func:`euler_step` and rows are
-    formatted by :func:`csv_row_by_fstring`.
+    formatted by :func:`csv_row_by_fstring` into a list, from which the
+    result is built at the end.
     Failures carry ``world`` and ``recent`` as in ``run_scenario``.
     """
     cfg.validate()
     mission = sim.Mission(cfg)
     world = sim.initial_world(mission)
-    result = sim.ScenarioResult()
+    rows = []
+    records = []
 
     switch_times = list(cfg.switch_times())
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -847,9 +849,9 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
     first_circle = {k: frozenset(mission.alphabet(k).first_circle) for k in (1, 2)}
 
     try:
-        world, records = sim.supervisor_react(world, [], mission)
-        result.records.extend(records)
-        result.rows.append(csv_row_by_fstring(world))
+        (world, reacted) = sim.supervisor_react(world, [], mission)
+        records.extend(reacted)
+        rows.append(csv_row_by_fstring(world))
 
         for _ in range(n_steps):
             if switch_times and world.t >= switch_times[0]:
@@ -858,22 +860,22 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
                 phase += 1
                 for k in (1, 2):
                     t_reach[k].append(None)
-                result.records.append(
+                records.append(
                     sim.EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")
                 )
-                world, records = sim.supervisor_react(world, [], mission)
-                result.records.extend(records)
+                (world, reacted) = sim.supervisor_react(world, [], mission)
+                records.extend(reacted)
 
             nxt = euler_step(world, mission)
             events = sim.detect_events(world, nxt, mission)
-            world, records = sim.supervisor_react(nxt, events, mission)
-            result.records.extend(records)
-            result.rows.append(csv_row_by_fstring(world))
+            (world, reacted) = sim.supervisor_react(nxt, events, mission)
+            records.extend(reacted)
+            rows.append(csv_row_by_fstring(world))
 
             if world.separation < min_sep:
                 min_sep = world.separation
                 min_sep_t = world.t
-            for rec in records:
+            for rec in reacted:
                 if rec.agent in ("1", "2"):
                     k = int(rec.agent)
                     if rec.event in first_circle[k] and t_reach[k][phase] is None:
@@ -890,7 +892,7 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
                         episodes[-1].t_release = rec.t
     except (SupervisorBlocked, HorizonViolation) as exc:
         exc.world = world
-        exc.recent = tuple(result.records[-sim.FAILURE_RECORDS:])
+        exc.recent = tuple(records[-sim.FAILURE_RECORDS:])
         raise
 
     flags = []
@@ -902,7 +904,7 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
         if ep.t_release is None:
             flags.append(f"episode {idx} never released")
 
-    verdicts = result.verdicts
+    verdicts = {}
     for k in (1, 2):
         verdicts[f"t_reach_{k}"] = " ".join(
             "none" if v is None else f"{v:.2f}" for v in t_reach[k]
@@ -919,8 +921,7 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
         region = world.discrete[k - 1].region
         verdicts[f"final_region_{k}"] = f"({region.i},{region.j})"
     verdicts["flags"] = "; ".join(flags) if flags else "none"
-    result.controllers = mission.controllers_text()
-    return result
+    return sim.ScenarioResult(rows, records, verdicts, mission.controllers_text())
 
 
 def classify(r_lo, r_hi, th_lo, span, x, y):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CROSSING_CFG, SRC, make_auto, run_polaris, team_plants
 
-from polaris import cli, exchange, models, supervision
+from polaris import cli, exchange, models, sim, supervision
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
 from polaris.cli import main
 
@@ -181,18 +181,28 @@ def test_verify_theorem1_projects_a_nondeterministic_controller(tmp_path, capsys
     )
 
 
-def test_simulate_writes_outputs(tmp_path, capsys):
+def test_simulate_writes_outputs(tmp_path, capsys, monkeypatch):
+    formatted = []
+    verdicts_text = sim.ScenarioResult.verdicts_text
+
+    def counted(result):
+        formatted.append(result)
+        return verdicts_text(result)
+
+    monkeypatch.setattr(sim.ScenarioResult, "verdicts_text", counted)
     out = tmp_path / "run"
     code = main(["simulate", "--scenario", str(DATA / "paper_phase12.cfg"),
                  "-o", str(out)])
     assert code == 0
     assert (out / "trajectory.csv").exists()
     assert (out / "events.log").exists()
-    assert (out / "verdicts.txt").exists()
     controllers = (out / "controllers.txt").read_text()
     assert "mode=exit_r-" in controllers and "mode=invariant" in controllers
     stdout = capsys.readouterr().out
     assert "min_separation" in stdout
+    # the verdicts are formatted once, and stdout shows the file's bytes
+    assert stdout.encode("utf-8") == (out / "verdicts.txt").read_bytes()
+    assert len(formatted) == 1
 
 
 # SHA-256 of every ``simulate`` output file, recorded before the simulator

@@ -9,7 +9,7 @@ from polaris.automata import Automaton, BisimResult, Event
 from polaris.models import AgentAlphabet, FormationModels
 from polaris.polar import Mode, PolarPartition, RegionIndex, ValidationResult, VertexControls
 from polaris.scenario import FollowerConfig, ScenarioConfig
-from polaris.sim import AgentDiscrete, Episode, EventRecord, ScenarioResult, WorldState
+from polaris.sim import CSV_HEADER, AgentDiscrete, Episode, EventRecord, ScenarioResult, WorldState
 from polaris.supervision import ControllabilityReport, DecomposabilityReport
 
 EVENT = "Event(id='a', controllable=True, owners=frozenset({1}))"
@@ -191,10 +191,18 @@ def test_world_state_derives_relative_positions_and_separation():
 def test_scenario_result_is_a_mutable_unhashable_record():
     result = ScenarioResult(rows=["r"], verdicts={"flags": "none"})
     assert repr(result) == (
-        "ScenarioResult(rows=['r'], records=[], verdicts={'flags': 'none'}, controllers='')"
+        "ScenarioResult(rows=('r',), records=[], verdicts={'flags': 'none'}, controllers='')"
     )
-    assert result == ScenarioResult(rows=["r"], verdicts={"flags": "none"})
-    assert ScenarioResult().rows is not ScenarioResult().rows
+    assert result.csv == CSV_HEADER + "\nr\n"
+    assert result.csv_text() is result.csv
+    assert result == ScenarioResult(rows=("r",), verdicts={"flags": "none"})
+    assert ScenarioResult().rows == ()
+    assert ScenarioResult().records is not ScenarioResult().records
+    # the rows are a view of the text: appending to them fails loudly
+    with pytest.raises(AttributeError):
+        result.rows.append("s")
+    with pytest.raises(AttributeError):
+        result.rows = ["s"]
     result.controllers = "text"
     assert result != ScenarioResult(rows=["r"], verdicts={"flags": "none"})
     with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -928,3 +930,27 @@ def test_controllers_text_lists_only_the_controllers_a_step_used():
     assert outcome(run_scenario, cfg) == expected
     assert "C0_1" in expected[1] and "C0_2" in expected[1]
     assert "mode=invariant" not in expected[3]
+
+
+# bytes a bundled run's result may hold beyond its trajectory text: about
+# 31 KB of event records, verdicts and controller text
+RESULT_ALLOWANCE = 64 * 1024
+
+
+def test_a_result_holds_its_trajectory_once_as_the_csv_text():
+    cfg = parse_scenario(BUNDLED)
+    run_scenario(cfg)  # fills the model and controller caches, which outlive a run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg)
+        text = result.csv_text()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.csv_text() is text
+    assert text.startswith(sim.CSV_HEADER + "\n") and text.endswith("\n")
+    assert "\n".join(result.rows) == text[len(sim.CSV_HEADER) + 1:-1]
+    # a list of row strings beside the text would hold about 2.5 times it
+    assert retained <= 1.15 * len(text) + RESULT_ALLOWANCE, (retained, len(text))
