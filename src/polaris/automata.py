@@ -103,12 +103,12 @@ class Automaton:
 
     __slots__ = (
         "states", "initial", "alphabet", "marked",
-        "_succ", "_members", "_class_of", "_by_id", "_event_ids",
+        "_succ", "_members", "_class_of", "_event_ids",
     )
 
     def __init__(
         self, states: frozenset, initial: str, alphabet: tuple, marked: frozenset,
-        _succ: dict, _members: tuple, _class_of: dict, _by_id: dict, _event_ids: frozenset,
+        _succ: dict, _members: tuple, _class_of: dict, _event_ids: frozenset,
     ):
         set_field = object.__setattr__
         set_field(self, "states", states)
@@ -118,7 +118,6 @@ class Automaton:
         set_field(self, "_succ", _succ)
         set_field(self, "_members", _members)
         set_field(self, "_class_of", _class_of)
-        set_field(self, "_by_id", _by_id)
         set_field(self, "_event_ids", _event_ids)
 
     def __setattr__(self, name, value):
@@ -249,7 +248,7 @@ class Automaton:
         class_of = {ev: c for c, evs in enumerate(member_ids) for ev in evs}
         return cls(
             frozenset(states), initial, alphabet, frozenset(marked), succ, member_ids,
-            class_of, by_id, frozenset(by_id),
+            class_of, frozenset(by_id),
         )
 
     # -- queries ---------------------------------------------------------
@@ -271,9 +270,6 @@ class Automaton:
     @property
     def event_ids(self) -> frozenset:
         return self._event_ids
-
-    def event(self, event_id: str) -> Event:
-        return self._by_id[event_id]
 
     def enabled(self, state: str) -> tuple:
         """Event ids with at least one transition from ``state``, sorted."""
@@ -566,12 +562,10 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
 
 
 class BisimResult(NamedTuple):
-    bisimilar: bool
-    relation: Optional[frozenset] = None  # the matched (state1, state2) pairs
-    counterexample: Optional[tuple] = None
+    relation: Optional[frozenset]  # the matched (state1, state2) pairs, or None
 
     def __bool__(self):
-        return self.bisimilar
+        return self.relation is not None
 
 
 def _refine(block_of: dict, succ: dict) -> dict:
@@ -610,7 +604,7 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     by label of the common refinement of their classes; events missing from
     one alphabet simply never fire on that side.  On success the witness
     relation (restricted to reachable state pairs) is returned; on failure
-    a distinguishing state pair is.
+    the relation is None.
     """
     u1 = accessible(a1)
     u2 = accessible(a2)
@@ -625,11 +619,11 @@ def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
     block_of = _refine(block_of, succ)
 
     if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
-        return BisimResult(False, counterexample=(u1.initial, u2.initial))
+        return BisimResult(None)
     in_block: dict = {}
     for q2 in u2.states:
         in_block.setdefault(block_of["2:" + q2], []).append(q2)
     pairs = frozenset(
         (q1, q2) for q1 in u1.states for q2 in in_block.get(block_of["1:" + q1], ())
     )
-    return BisimResult(True, relation=pairs)
+    return BisimResult(pairs)

@@ -71,11 +71,11 @@ def cmd_project(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    verdict = is_bisimilar(exchange.read(args.a), exchange.read(args.b))
-    if verdict:
+    (a, b) = (exchange.read(args.a), exchange.read(args.b))
+    if is_bisimilar(a, b):
         print("bisimilar")
         return PASS
-    print(f"not bisimilar; distinguishing state pair: {verdict.counterexample}")
+    print(f"not bisimilar; distinguishing state pair: {(a.initial, b.initial)}")
     return FAIL
 
 
@@ -98,7 +98,7 @@ def cmd_check_decomposable(args) -> int:
     a = exchange.read(args.automaton)
     report = check_decomposability(a, _event_list(args.events1), _event_list(args.events2))
     print(report.summary())
-    return PASS if report.decomposable else FAIL
+    return PASS if report else FAIL
 
 
 def cmd_build_models(args) -> int:
@@ -132,8 +132,9 @@ def cmd_build_models(args) -> int:
     # supervisors must reproduce, and the mission loop's plant side
     spec = parallel_compose(models.collision, joint_plant)
     report = models.decomposition  # dc3 is not printed
-    verdicts["decomposable_collision"] = report.decomposable
-    verdicts.update(dc1=report.dc1, dc2=report.dc2, dc4=report.dc4)
+    verdicts["decomposable_collision"] = bool(report)
+    verdicts.update(dc1=report.dc1_witness is None, dc2=report.dc2_witness is None,
+                    dc4=report.dc4_witness is None)
     verdicts["decentralized_equivalent"] = bool(
         verify_decentralized(models.plant1, models.plant2, report.local1, report.local2, spec)
     )

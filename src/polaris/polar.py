@@ -288,11 +288,10 @@ def eval_control(
 
 
 class ValidationResult(NamedTuple):
-    ok: bool
     violations: tuple
 
     def __bool__(self):
-        return self.ok
+        return not self.violations
 
 
 def validate_controller(
@@ -319,7 +318,7 @@ def validate_controller(
     exit_facet = _EXIT_FACET.get(vc.mode)
 
     if exit_facet is not None and exit_facet not in facets:
-        return ValidationResult(False, (f"{exit_facet} (absent)",))
+        return ValidationResult((f"{exit_facet} (absent)",))
     if not all(map(math.isfinite, vc.flat())):
         violations.append("non-finite vertex value")
 
@@ -337,4 +336,4 @@ def validate_controller(
                 if not ((dot < 0.0) if strict else (dot <= 0.0)):
                     violations.append(f"{name} (vertex v{v})")
 
-    return ValidationResult(not violations, tuple(violations))
+    return ValidationResult(tuple(violations))

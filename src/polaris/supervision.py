@@ -65,12 +65,11 @@ def is_nonblocking(a: Automaton) -> bool:
 
 
 class ControllabilityReport(NamedTuple):
-    controllable: bool
     witness_string: Optional[tuple] = None
     witness_event: Optional[str] = None
 
     def __bool__(self):
-        return self.controllable
+        return self.witness_event is None
 
 
 def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityReport:
@@ -109,7 +108,7 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
                     node, via = parents[node]
                     string.append(via)
                 string.reverse()
-                return ControllabilityReport(False, tuple(string), ev)
+                return ControllabilityReport(tuple(string), ev)
             if ev not in spec_enabled:
                 continue
             for ds in sorted(spec_enabled[ev]):
@@ -118,7 +117,7 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
                     if nxt not in parents:
                         parents[nxt] = (pair, ev)
                         queue.append(nxt)
-    return ControllabilityReport(True)
+    return ControllabilityReport()
 
 
 def closed_loop(s: Automaton, a: Automaton) -> Automaton:
@@ -162,30 +161,23 @@ def decompose(a: Automaton, e1: Iterable[str], e2: Iterable[str]):
 
 
 class DecomposabilityReport(NamedTuple):
-    decomposable: bool
     bisim: BisimResult
-    dc1: bool
     dc1_witness: Optional[tuple] = None
-    dc2: bool = True
     dc2_witness: Optional[tuple] = None
-    dc3: bool = True
     dc3_witness: Optional[tuple] = None
-    dc4: bool = True
     dc4_witness: Optional[tuple] = None
     # the projections of the accessible automaton that were composed
     local1: Optional[Automaton] = None
     local2: Optional[Automaton] = None
 
     def __bool__(self):
-        return self.decomposable
+        return bool(self.bisim)
 
     def summary(self) -> str:
-        lines = [
-            f"decomposable: {self.decomposable}",
-            f"dc1: {'pass' if self.dc1 else f'fail {self.dc1_witness}'}",
-            f"dc2: {'pass' if self.dc2 else f'fail {self.dc2_witness}'}",
-            f"dc3: {'pass' if self.dc3 else f'fail {self.dc3_witness}'}",
-            f"dc4: {'pass' if self.dc4 else f'fail {self.dc4_witness}'}",
+        witnesses = (self.dc1_witness, self.dc2_witness, self.dc3_witness, self.dc4_witness)
+        lines = [f"decomposable: {bool(self)}"] + [
+            f"dc{k}: {'pass' if w is None else f'fail {w}'}"
+            for (k, w) in enumerate(witnesses, start=1)
         ]
         return "\n".join(lines)
 
@@ -308,15 +300,23 @@ def check_decomposability(
 ) -> DecomposabilityReport:
     """Decide decomposability and run the four diagnostic conditions.
 
-    The authoritative verdict is the direct oracle: project onto both event
-    sets, compose the projections and test bisimilarity with the original.
-    The diagnostics locate the cause of a failure and are all decided
-    exactly, over the accessible part of the automaton.  dc3 reads the
-    condition of Karimadini and Lin (Automatica 47(5), 2011) as: for every
-    reachable q and every pair s, t generated from q whose first shared
-    events agree (s = t included), every node of the synchronized product
-    of p1(s) and p2(t) is generated from q.  The report carries the two
-    projections it composed as ``local1`` and ``local2``.
+    The verdict is ``bool(report)``, that of ``report.bisim``: the
+    accessible automaton is bisimilar to the composition of its
+    projections onto both event sets, which the report carries as
+    ``local1`` and ``local2``.  The conditions, named after Karimadini and
+    Lin (Automatica 47(5), 2011), locate a failure.  Each is decided
+    exactly over the accessible part and holds iff its witness is None.
+
+    - dc1: at each state q, an enabled E1-private x and E2-private y stay
+      enabled after each other; witness ``(q, x, y)``.
+    - dc2: their interleavings xy and yx reach bisimilar states; witness
+      ``(q, x, y)``.
+    - dc3: for each q and pair s, t from q whose first shared events agree
+      (s = t included), every node of the synchronized product of p1(s)
+      and p2(t) is generated from q; witness ``(q, s, t)``.
+    - dc4: two successors of one step of the projection onto E1 or E2,
+      before it is determinized, generate the same projected language;
+      witness ``(q, ev, t1, t2)``.
 
     ``n`` is accepted and ignored.  It was the string-length bound of the
     sampled dc3 search this one replaced; it stays only until the tracer
@@ -346,10 +346,7 @@ def check_decomposability(
         {q: q in a.marked for q in a.states},
         {q: {ev: (dst,) for (ev, dst) in row.items()} for (q, row) in moves.items()},
     )
-    dc1 = True
-    dc1_wit = None
-    dc2 = True
-    dc2_wit = None
+    dc1_wit = dc2_wit = None
     for q in sorted(a.states):
         # rows list their labels in sorted order, so witnesses come out
         # in (sorted q, sorted x, sorted y) order
@@ -363,26 +360,16 @@ def check_decomposability(
                 qxy = after_x.get(y)
                 qyx = moves[qy].get(x)
                 if qxy is None or qyx is None:
-                    if dc1:
-                        dc1, dc1_wit = False, (q, x, y)
-                    continue
-                if block[qxy] != block[qyx] and dc2:
-                    dc2, dc2_wit = False, (q, x, y)
-
-    dc3_wit = _dc3_witness(moves, e1, e2)
-    dc4_wit = _dc4_witness(a, e1) or _dc4_witness(a, e2)
+                    dc1_wit = dc1_wit or (q, x, y)
+                elif block[qxy] != block[qyx]:
+                    dc2_wit = dc2_wit or (q, x, y)
 
     return DecomposabilityReport(
-        decomposable=bool(bisim),
         bisim=bisim,
-        dc1=dc1,
         dc1_witness=dc1_wit,
-        dc2=dc2,
         dc2_witness=dc2_wit,
-        dc3=dc3_wit is None,
-        dc3_witness=dc3_wit,
-        dc4=dc4_wit is None,
-        dc4_witness=dc4_wit,
+        dc3_witness=_dc3_witness(moves, e1, e2),
+        dc4_witness=_dc4_witness(a, e1) or _dc4_witness(a, e2),
         local1=p1,
         local2=p2,
     )
@@ -397,6 +384,8 @@ def verify_decentralized(
     projections that :func:`decompose` or :func:`check_decomposability`
     give.  The local closed loops, each plant with its supervisor, are
     composed and compared with the global spec automaton by bisimulation.
+    Returns that :class:`BisimResult`, which is true iff its relation is
+    not None.
     """
     local = parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2))
     return is_bisimilar(local, a_spec)

@@ -586,14 +586,14 @@ def per_event_bisim(a1: Automaton, a2: Automaton) -> BisimResult:
     block_of = _per_event_refine(block_of, succ)
 
     if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
-        return BisimResult(False, counterexample=(u1.initial, u2.initial))
+        return BisimResult(None)
     pairs = frozenset(
         (q1, q2)
         for q1 in sorted(u1.states)
         for q2 in sorted(u2.states)
         if block_of["1:" + q1] == block_of["2:" + q2]
     )
-    return BisimResult(True, relation=pairs)
+    return BisimResult(pairs)
 
 
 def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> ControllabilityReport:
@@ -613,7 +613,7 @@ def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> Contro
                     node, via = parents[node]
                     string.append(via)
                 string.reverse()
-                return ControllabilityReport(False, tuple(string), ev)
+                return ControllabilityReport(tuple(string), ev)
             if ev not in spec_enabled:
                 continue
             for ds in sorted(spec.step(qs, ev)):
@@ -622,7 +622,7 @@ def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> Contro
                     if nxt not in parents:
                         parents[nxt] = (pair, ev)
                         frontier.append(nxt)
-    return ControllabilityReport(True)
+    return ControllabilityReport()
 
 
 def _per_event_dc4_witness(a: Automaton, keep: frozenset):
@@ -655,10 +655,7 @@ def per_event_decomposability(a: Automaton, e1, e2) -> DecomposabilityReport:
         {q: q in a.marked for q in a.states},
         {q: {ev: (dst,) for (ev, dst) in row.items()} for (q, row) in moves.items()},
     )
-    dc1 = True
-    dc1_wit = None
-    dc2 = True
-    dc2_wit = None
+    dc1_wit = dc2_wit = None
     for q in sorted(a.states):
         row = moves[q]
         ys = [(y, qy) for (y, qy) in row.items() if y in priv2]
@@ -670,26 +667,16 @@ def per_event_decomposability(a: Automaton, e1, e2) -> DecomposabilityReport:
                 qxy = after_x.get(y)
                 qyx = moves[qy].get(x)
                 if qxy is None or qyx is None:
-                    if dc1:
-                        dc1, dc1_wit = False, (q, x, y)
-                    continue
-                if block[qxy] != block[qyx] and dc2:
-                    dc2, dc2_wit = False, (q, x, y)
-
-    dc3_wit = _dc3_witness(moves, e1, e2)
-    dc4_wit = _per_event_dc4_witness(a, e1) or _per_event_dc4_witness(a, e2)
+                    dc1_wit = dc1_wit or (q, x, y)
+                elif block[qxy] != block[qyx]:
+                    dc2_wit = dc2_wit or (q, x, y)
 
     return DecomposabilityReport(
-        decomposable=bool(bisim),
         bisim=bisim,
-        dc1=dc1,
         dc1_witness=dc1_wit,
-        dc2=dc2,
         dc2_witness=dc2_wit,
-        dc3=dc3_wit is None,
-        dc3_witness=dc3_wit,
-        dc4=dc4_wit is None,
-        dc4_witness=dc4_wit,
+        dc3_witness=_dc3_witness(moves, e1, e2),
+        dc4_witness=_per_event_dc4_witness(a, e1) or _per_event_dc4_witness(a, e2),
         local1=p1,
         local2=p2,
     )

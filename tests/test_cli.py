@@ -88,6 +88,53 @@ def test_check_decomposable_v_shape(tmp_path, capsys):
     assert "dc1: fail" in out
 
 
+# exact stdout and exit code of verdicts that fail or carry a failing
+# condition; the controllable and bisimilar inputs are the ones above
+VERDICT_PINS = {
+    "bisim": (
+        lambda d: ["bisim", d["a"], d["b"]],
+        1, "not bisimilar; distinguishing state pair: ('q0', 'p0')\n",
+    ),
+    "check-controllable": (
+        lambda d: ["check-controllable", "--plant", d["plant"], "--spec", d["bad"]],
+        1, "not controllable: after c the plant allows uncontrollable d but the spec does not\n",
+    ),
+    "dc1-v-shape": (
+        lambda d: ["check-decomposable", d["v"], "--events1", "e1", "--events2", "e2"],
+        1, "decomposable: False\ndc1: fail ('q0', 'e1', 'e2')\ndc2: pass\ndc3: pass\ndc4: pass\n",
+    ),
+    "dc4-only": (
+        lambda d: ["check-decomposable", d["loop"], "--events1", "a,b", "--events2", "a"],
+        0, "decomposable: True\ndc1: pass\ndc2: pass\ndc3: pass\ndc4: fail ('s0', 'a', 's0', 's1')\n",
+    ),
+    "all-pass-not-decomposable": (
+        lambda d: ["check-decomposable", d["cycle"], "--events1", "x", "--events2", "y"],
+        1, "decomposable: False\ndc1: pass\ndc2: pass\ndc3: pass\ndc4: pass\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_PINS))
+def test_failing_verdict_output_is_pinned(files, capsys, case):
+    (tmp, pa, pb, _, _) = files
+    autos = {
+        "plant": make_auto([("p0", "c", "p1"), ("p1", "d", "p0")], initial="p0",
+                           controllable={"c"}),
+        "bad": make_auto([("s0", "c", "s1")], initial="s0", controllable={"c"}, events={"d"}),
+        "v": make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")]),
+        "loop": make_auto([("s0", "a", "s0"), ("s0", "b", "s1")], initial="s0", marked={"s1"}),
+        "cycle": make_auto([("a", "x", "b"), ("b", "y", "a")], initial="a"),
+    }
+    paths = {"a": str(pa), "b": str(pb)}
+    for (name, auto) in autos.items():
+        paths[name] = str(tmp / f"{name}.aut")
+        exchange.write(auto, paths[name])
+    (argv, code, stdout) = VERDICT_PINS[case]
+    assert main(argv(paths)) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (stdout, "")
+
+
 def test_build_models_and_decomposability_via_files(tmp_path, capsys):
     out = tmp_path / "models"
     assert main(["build-models", "--partition", "30,3,5", "-o", str(out)]) == 0

@@ -101,7 +101,7 @@ def test_formation_spec_controllable():
     for k in (1, 2):
         plant = build_plant(agent_alphabet(k, P))
         spec = build_formation_spec(agent_alphabet(k, P))
-        assert check_controllability(spec, plant).controllable
+        assert check_controllability(spec, plant)
 
 
 def test_collision_spec_left_branch_walk():
@@ -146,7 +146,7 @@ def test_collision_spec_formation_reached_during_avoidance():
 def test_collision_spec_controllable_wrt_joint_plant():
     spec = build_collision_spec(agent_alphabet(1, P), agent_alphabet(2, P))
     joint = parallel_compose(build_plant(agent_alphabet(1, P)), build_plant(agent_alphabet(2, P)))
-    assert check_controllability(spec, joint).controllable
+    assert check_controllability(spec, joint)
 
 
 def test_collision_spec_decomposable():
@@ -154,8 +154,9 @@ def test_collision_spec_decomposable():
     e1 = frozenset(agent_alphabet(1, P).all_ids)
     e2 = frozenset(agent_alphabet(2, P).all_ids)
     report = check_decomposability(spec, e1, e2)
-    assert report.decomposable
-    assert report.dc1 and report.dc2 and report.dc3 and report.dc4
+    assert report
+    assert (report.dc1_witness, report.dc2_witness, report.dc3_witness,
+            report.dc4_witness) == (None,) * 4
 
 
 def test_local_supervisors_recompose_to_global():
@@ -201,8 +202,8 @@ def test_build_models_reports_a_collision_supervisor_that_is_not_decomposable(
 ):
     models = build_models.__wrapped__(P)
     report = models.decomposition
-    assert not report.decomposable and not report.bisim
-    assert not report.dc1
+    assert not report and not report.bisim
+    assert report.dc1_witness is not None
     assert (models.local(1), models.local(2)) == (report.local1, report.local2)
     assert not is_bisimilar(parallel_compose(models.local(1), models.local(2)), models.collision)
 

@@ -380,7 +380,7 @@ def test_validate_all_modes_all_regions():
         for mode in all_modes(P, idx):
             vc = design_controller(P, idx, mode, 2.0)
             result = validate_controller(P, idx, vc)
-            assert result.ok, (idx, mode, result.violations)
+            assert result, (idx, mode, result.violations)
 
 
 def test_validate_catches_flipped_exit_vertex():
@@ -388,20 +388,20 @@ def test_validate_catches_flipped_exit_vertex():
     vc = design_controller(P, idx, Mode.EXIT_R_MINUS, 2.0)
     broken = vc.__class__(vc.mode, ((2.0, 0.0),) + vc.u[1:])
     result = validate_controller(P, idx, broken)
-    assert not result.ok
+    assert not result
     assert any(v.startswith("r-") for v in result.violations)
 
 
 def test_validate_is_scale_invariant_for_invariant_mode():
     idx = RegionIndex(2, 5)
     vc = design_controller(P, idx, Mode.INVARIANT, 2.0)
-    assert validate_controller(P, idx, scaled_controls(vc, 0.1)).ok
+    assert validate_controller(P, idx, scaled_controls(vc, 0.1))
 
 
 def test_validate_flags_illegal_inward_exit():
     vc = design_controller(P, RegionIndex(2, 1), Mode.EXIT_R_MINUS, 2.0)
     result = validate_controller(P, RegionIndex(1, 1), vc)
-    assert not result.ok
+    assert not result
 
 
 def test_validate_rejects_nan_vertex_component():
@@ -415,7 +415,7 @@ def test_validate_rejects_nan_vertex_component():
             flat = design_controller(p, idx, mode, 2.0).flat()
             for k in range(8):
                 broken = from_flat(mode, flat[:k] + (math.nan,) + flat[k + 1:])
-                assert not validate_controller(p, idx, broken).ok, (p, idx, mode, k)
+                assert not validate_controller(p, idx, broken), (p, idx, mode, k)
 
 
 # vertex values on and next to the sign boundary: signed zeros, values
@@ -453,7 +453,7 @@ def test_grid_oracle_never_fails_where_vertex_checks_pass():
         idx = RegionIndex(i, rng.randint(1, p.n_theta - 1))
         vc = perturbed_controls(rng, p, idx, mode)
         grid = validate_by_grid(p, idx, vc)
-        if validate_controller(p, idx, vc).ok:
+        if validate_controller(p, idx, vc):
             assert grid == [], (p, idx, vc, grid)
             passed.add((mode, i == 1, p.n_theta == 2))
         caught.update((mode, name) for (name, _, _) in grid)

@@ -17,10 +17,10 @@ AUTOMATON = (
     f"Automaton(states=frozenset({{'q'}}), initial='q', alphabet=({EVENT},), "
     "marked=frozenset({'q'}))"
 )
-BISIM = "BisimResult(bisimilar=True, relation=frozenset({('q', 'q')}), counterexample=None)"
+BISIM = "BisimResult(relation=frozenset({('q', 'q')}))"
 PARTITION = "PolarPartition(r_max=50.0, n_r=3, n_theta=3)"
 FOLLOWER = "FollowerConfig(initial_position=(0.0, 0.0), offsets=((0.0, 0.0, 0.0),))"
-DC_PASS = "dc2=True, dc2_witness=None, dc3=True, dc3_witness=None, dc4=True, dc4_witness=None"
+DC_PASS = "dc1_witness=None, dc2_witness=None, dc3_witness=None, dc4_witness=None"
 
 
 def automaton():
@@ -28,7 +28,7 @@ def automaton():
 
 
 def bisim():
-    return BisimResult(True, frozenset({("q", "q")}))
+    return BisimResult(frozenset({("q", "q")}))
 
 
 def partition():
@@ -53,8 +53,8 @@ RECORDS = [
         "u=((1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)))",
     ),
     (
-        lambda: ValidationResult(False, ("r+ (vertex v1)",)),
-        "ValidationResult(ok=False, violations=('r+ (vertex v1)',))",
+        lambda: ValidationResult(("r+ (vertex v1)",)),
+        "ValidationResult(violations=('r+ (vertex v1)',))",
     ),
     (
         lambda: AgentAlphabet(1, ("Cr+1",), "C0_1", (), (), (), (), (), (), (), (), (), ()),
@@ -64,13 +64,13 @@ RECORDS = [
     ),
     (
         lambda: FormationModels(
-            partition(), None, None, *[automaton()] * 5, DecomposabilityReport(True, bisim(), True)
+            partition(), None, None, *[automaton()] * 5, DecomposabilityReport(bisim())
         ),
         f"FormationModels(partition={PARTITION}, alphabet1=None, alphabet2=None, "
         f"plant1={AUTOMATON}, plant2={AUTOMATON}, formation1={AUTOMATON}, "
         f"formation2={AUTOMATON}, collision={AUTOMATON}, "
-        f"decomposition=DecomposabilityReport(decomposable=True, bisim={BISIM}, dc1=True, "
-        f"dc1_witness=None, {DC_PASS}, local1=None, local2=None))",
+        f"decomposition=DecomposabilityReport(bisim={BISIM}, {DC_PASS}, local1=None, "
+        "local2=None))",
     ),
     (FollowerConfig, FOLLOWER),
     (
@@ -97,13 +97,13 @@ RECORDS = [
         "discrete=(), episode=None)",
     ),
     (
-        lambda: ControllabilityReport(False, ("a",), "b"),
-        "ControllabilityReport(controllable=False, witness_string=('a',), witness_event='b')",
+        lambda: ControllabilityReport(("a",), "b"),
+        "ControllabilityReport(witness_string=('a',), witness_event='b')",
     ),
     (
-        lambda: DecomposabilityReport(True, bisim(), True, local1=automaton(), local2=automaton()),
-        f"DecomposabilityReport(decomposable=True, bisim={BISIM}, dc1=True, dc1_witness=None, "
-        f"{DC_PASS}, local1={AUTOMATON}, local2={AUTOMATON})",
+        lambda: DecomposabilityReport(bisim(), local1=automaton(), local2=automaton()),
+        f"DecomposabilityReport(bisim={BISIM}, {DC_PASS}, local1={AUTOMATON}, "
+        f"local2={AUTOMATON})",
     ),
 ]
 
@@ -152,13 +152,30 @@ def test_records_of_one_class_differ_by_any_compared_field():
 
 
 def test_projections_take_part_in_report_equality():
-    bare = DecomposabilityReport(True, bisim(), True)
+    bare = DecomposabilityReport(bisim())
     full = bare._replace(local1=automaton(), local2=automaton())
     assert bare != full and repr(bare) != repr(full)
     assert full == full._replace(local1=automaton())
     other = Automaton.build(["q"], "q", [Event("a", True, [1])], [], ["q"])
     assert full != full._replace(local2=other)
-    assert bare != bare._replace(dc2=False)
+    assert bare != bare._replace(dc2_witness=("q", "a", "b"))
+
+
+def test_verdict_records_hold_only_their_evidence():
+    # no stored bool: each verdict is the truth of its record, read from
+    # the witness or relation that decides it
+    verdicts = (BisimResult, ControllabilityReport, DecomposabilityReport, ValidationResult)
+    fields = [
+        (name, record.__annotations__[name]) for record in verdicts for name in record._fields
+    ]
+    assert len(fields) == 11
+    assert not [name for (name, kind) in fields if kind in (bool, "bool")]
+    assert not BisimResult(None) and BisimResult(frozenset())
+    assert ControllabilityReport() and not ControllabilityReport((), "u")
+    assert ValidationResult(()) and not ValidationResult(("r+ (absent)",))
+    assert not DecomposabilityReport(BisimResult(None))
+    # a failing condition explains a verdict; it does not decide it
+    assert DecomposabilityReport(bisim(), dc4_witness=("q", "a", "q", "r"))
 
 
 def test_removed_wrappers_are_not_exported():

@@ -53,14 +53,14 @@ from polaris.supervision import (
 
 def test_spec_equal_to_plant_is_controllable():
     plant = make_auto([("q0", "c", "q1"), ("q1", "d", "q0")], controllable={"c"})
-    assert check_controllability(plant, plant).controllable
+    assert check_controllability(plant, plant)
 
 
 def test_uncontrollable_event_disabled_by_spec():
     plant = make_auto([("p0", "c", "p1"), ("p1", "d", "p0")], initial="p0", controllable={"c"})
     spec = make_auto([("s0", "c", "s1")], initial="s0", controllable={"c"}, events={"d"})
     report = check_controllability(spec, plant)
-    assert not report.controllable
+    assert not report
     assert report.witness_string == ("c",)
     assert report.witness_event == "d"
     # witness invariants: s in the spec language, s+e in the plant's, not in the spec's
@@ -91,7 +91,7 @@ def test_controllability_agrees_with_definition(rng):
             continue
         e_uc = {e.id for e in plant.alphabet if not e.controllable}
         report = check_controllability(spec, plant)
-        if report.controllable:
+        if report:
             for s in brute_language(spec, 6, marked_only=False):
                 for ev in sorted(e_uc):
                     if plant.generates(s + (ev,)):
@@ -230,16 +230,16 @@ def test_decompose_coverage_error():
 def test_decomposability_trivial_when_all_shared():
     a = make_auto([("q0", "a", "q1"), ("q1", "b", "q0")], marked={"q0"})
     report = check_decomposability(a, a.event_ids, a.event_ids)
-    assert report.decomposable
-    assert report.dc1 and report.dc2 and report.dc3 and report.dc4
+    assert report
+    assert (report.dc1_witness, report.dc2_witness, report.dc3_witness,
+            report.dc4_witness) == (None,) * 4
 
 
 def test_v_shape_fails_dc1_and_oracle():
     a = make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")])
     report = check_decomposability(a, {"e1"}, {"e2"})
-    assert not report.dc1
     assert report.dc1_witness == ("q0", "e1", "e2")
-    assert not report.decomposable
+    assert not report
 
 
 def test_dc2_failure_on_noncommuting_diamond():
@@ -255,9 +255,9 @@ def test_dc2_failure_on_noncommuting_diamond():
         events={"x"},
     )
     report = check_decomposability(a, {"e1", "x"}, {"e2", "x"})
-    assert report.dc1
-    assert not report.dc2
-    assert not report.decomposable
+    assert report.dc1_witness is None
+    assert report.dc2_witness is not None
+    assert not report
 
 
 def test_decomposability_rejects_nondeterministic_input():
@@ -278,9 +278,9 @@ def test_dc1_failure_implies_oracle_failure(rng):
         if not e2:
             continue
         report = check_decomposability(a, e1, e2)
-        if not report.dc1:
+        if report.dc1_witness is not None:
             seen_failures += 1
-            assert not report.decomposable
+            assert not report
     assert seen_failures > 0
 
 
@@ -292,7 +292,7 @@ def test_oracle_pass_implies_language_equality(rng):
         half = max(1, len(ids) // 2)
         e1, e2 = set(ids[:half]), set(ids[half:]) | {ids[0]}
         report = check_decomposability(a, e1, e2)
-        if report.decomposable:
+        if report:
             seen_passes += 1
             (p1, p2) = decompose(a, e1, e2)
             recomposed = parallel_compose(p1, p2)
@@ -369,10 +369,9 @@ def test_dc2_and_dc4_match_per_pair_oracles(rng):
         a = accessible(a)
         dc2_wit = _dc2_oracle(a, e1, e2)
         dc4_wit = _dc4_oracle(a, e1, e2)
-        assert (report.dc2, report.dc2_witness) == (dc2_wit is None, dc2_wit)
-        assert (report.dc4, report.dc4_witness) == (dc4_wit is None, dc4_wit)
-        failures["dc2"] += not report.dc2
-        failures["dc4"] += not report.dc4
+        assert (report.dc2_witness, report.dc4_witness) == (dc2_wit, dc4_wit)
+        failures["dc2"] += dc2_wit is not None
+        failures["dc4"] += dc4_wit is not None
     assert failures["dc2"] > 0 and failures["dc4"] > 0
 
 
@@ -393,10 +392,9 @@ def test_dc3_fails_on_chain_whose_private_events_do_not_commute():
     a = make_auto([("q0", "x", "q1"), ("q1", "y", "q2"), ("q2", "a", "q3")])
     (e1, e2) = ({"x", "a"}, {"y", "a"})
     report = check_decomposability(a, e1, e2)
-    assert report.dc1 and report.dc2 and report.dc4
-    assert not report.dc3
+    assert (report.dc1_witness, report.dc2_witness, report.dc4_witness) == (None,) * 3
     _assert_dc3_witness(a, e1, e2, report.dc3_witness)
-    assert not report.decomposable
+    assert not report
 
 
 def _random_shared_cover(rng, a):
@@ -417,8 +415,8 @@ def test_dc3_agrees_with_bounded_sampling(rng):
         a = random_automaton(rng, max_states=4, max_events=3, min_events=2, deterministic=True)
         (e1, e2) = _random_shared_cover(rng, a)
         report = check_decomposability(a, e1, e2)
-        outcomes[report.dc3] += 1
-        if report.dc3:
+        outcomes[report.dc3_witness is None] += 1
+        if report.dc3_witness is None:
             assert dc3_by_sampling(a, e1, e2, 3) is None
         else:
             _assert_dc3_witness(a, e1, e2, report.dc3_witness)
@@ -465,7 +463,7 @@ def test_class_algebra_matches_per_event_oracles():
         for other in (b, a.renamed({q: "r" + q for q in a.states}), per_event_compose(a, a)):
             verdict = is_bisimilar(a, other)
             assert verdict == per_event_bisim(a, other)
-            seen["bisimilar"] += verdict.bisimilar
+            seen["bisimilar"] += bool(verdict)
 
         spec = Automaton.build(
             a.states, a.initial, a.alphabet,
@@ -488,8 +486,9 @@ def test_class_algebra_matches_per_event_oracles():
             want = per_event_decomposability(a, e1, e2)
             assert report == want
             for dc in ("dc1", "dc2", "dc3", "dc4"):
-                seen[dc] += not getattr(report, dc)
-                seen["twin witness"] += twins(getattr(report, dc + "_witness"))
+                witness = getattr(report, dc + "_witness")
+                seen[dc] += witness is not None
+                seen["twin witness"] += twins(witness)
     assert all(seen.values()), seen
 
 
@@ -584,7 +583,7 @@ def test_undecomposable_controller_fails_verification():
     assert not check_decomposability(ac, {"a", "go"}, {"b", "go"})
     spec = parallel_compose(ac, parallel_compose(ap1, ap2))
     verdict = verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), spec)
-    assert not verdict.bisimilar and verdict.relation is None
+    assert not verdict and verdict.relation is None
 
 
 # -- nonblocking -------------------------------------------------------------
