@@ -88,6 +88,9 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     angular excursion attributed to the nearer facet through the
     complement arc.  The radius, angle and angular offset of a point are
     computed once and shared by the facet test and the next step's field.
+    ``fmod`` runs only when the angle less ``th_lo`` is not strictly
+    within ±2π: it returns a smaller argument unchanged, ``-0.0``
+    included, so the offset is ``eval_cell``'s either way.
     """
     if not 0 < max_steps:
         return (INSIDE, 0, x0, y0)
@@ -102,7 +105,9 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     th = atan2(y, x)
     # a before rel, in eval_cell's order: r_hi == r_lo raises before fmod can
     a = (r - r_lo) / dr
-    rel = fmod(th - th_lo, TWO_PI)
+    rel = th - th_lo
+    if not -TWO_PI < rel < TWO_PI:
+        rel = fmod(rel, TWO_PI)
     if rel < 0.0:
         rel += TWO_PI
     while True:
@@ -139,7 +144,9 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
         if r < r_lo:
             return (EXIT_R_MINUS, steps, x, y)
         th = atan2(y, x)
-        rel = fmod(th - th_lo, TWO_PI)
+        rel = th - th_lo
+        if not -TWO_PI < rel < TWO_PI:
+            rel = fmod(rel, TWO_PI)
         if rel < 0.0:
             rel += TWO_PI
         if partial and rel > span:

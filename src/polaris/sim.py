@@ -14,10 +14,10 @@ advances each quiet stretch in one loop over plain floats (``_coast``).
 That loop is the only integrator: it moves both followers inline, with
 ``kernels.eval_cell``'s float operations for the field, and :func:`step`
 is one pass of it with its stop tests off.  Besides moving, the loop
-repeats only the region test of :func:`detect_events` and the row
-formatting.  It stops before the first step that may have an event: a
-follower may leave its region or the horizon, the followers may close
-within the alarm radius or part beyond the release radius, or a
+makes only a conservative form of :func:`detect_events`'s region test
+and formats the rows.  It stops before the first step that may have an
+event: a follower may leave its region or the horizon, the followers may
+close within the alarm radius or part beyond the release radius, or a
 formation switch is due.  That step runs through :func:`step`,
 :func:`detect_events` and :func:`supervisor_react`, so every event and
 failure comes from them.
@@ -29,7 +29,8 @@ trajectories, logs and verdicts byte for byte.
 from __future__ import annotations
 
 import math
-from math import atan2, ceil, cos, fmod, hypot, sin, sqrt
+from math import atan2, cos, fmod, hypot, sin, sqrt
+from sys import float_info
 from typing import NamedTuple, Optional
 
 from . import kernels
@@ -123,6 +124,11 @@ class WorldState(NamedTuple):
 
 _ROLES = ("plant", "formation", "local")
 
+# relative margin of _coast's region test and of its clamp pre-test
+_MARGIN = 1e-9
+# the least radius whose square is a normal float, 2**-511
+_R_MIN = sqrt(float_info.min)
+
 
 class Mission:
     """Prebuilt models and per-step lookup tables for one scenario config.
@@ -142,6 +148,7 @@ class Mission:
         autos = [(k, role, getattr(m, role)(k)) for k in (1, 2) for role in _ROLES]
         self.slots = tuple((k, role, auto, auto.event_ids) for (k, role, auto) in autos)
         self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
+        self._bounds: dict = {}  # (i, j) -> _coast's region test
 
     def alphabet(self, k: int):
         return self.models.alphabet(k)
@@ -165,6 +172,33 @@ class Mission:
             cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat(), cfg.partition.r_eps)
             self._cells[key] = cell
         return cell
+
+    def bounds(self, region: RegionIndex) -> tuple:
+        """``(lo, hi, ax, ay, bx, by)``: the constants of ``_coast``'s
+        region test, a conservative stand-in for :func:`locate`.
+
+        A point (x, y) at radius ``r = sqrt(x*x + y*y)`` passes when
+        ``lo < r < hi`` and, with more than one sector, when both ``ax*y -
+        ay*x`` and ``x*by - y*bx`` exceed ``_MARGIN * r``, (ax, ay) and
+        (bx, by) being the unit vectors along the sector's two rays.  The
+        ring bounds lie ``_MARGIN`` inside the ring lines, relatively, and
+        no ``lo`` is below ``_R_MIN``: a point nearer the origin has an
+        ``x*x + y*y`` that rounds as a subnormal, or to 0, and fails.  A
+        span is at most π once there are two sectors, so the two cross
+        products bound the sector's wedge.  These margins exceed the
+        rounding of ``sqrt`` against ``hypot`` and of the cross products
+        against ``atan2`` by about six orders of magnitude, so a passing
+        point is one that ``locate`` puts in this region.
+        """
+        key = (region.i, region.j)
+        bounds = self._bounds.get(key)
+        if bounds is None:
+            p = self.cfg.partition
+            (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, region)
+            bounds = (max(r_lo * (1.0 + _MARGIN), _R_MIN), r_hi * (1.0 - _MARGIN),
+                      cos(th_lo), sin(th_lo), cos(th_hi), sin(th_hi))
+            self._bounds[key] = bounds
+        return bounds
 
     def choose_command(self, autos: "_Automata", k: int) -> Optional[str]:
         """The enabled actuation command of agent ``k``.
@@ -560,10 +594,11 @@ def _row(world: WorldState) -> str:
 
 def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
     """Follower ``k``'s constants between two events: its offset, held
-    flag and region index, then ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
-    ``th_lo``, ``span``, ``(TWO_PI - span) * 0.5``, eight gains and
-    ``r_eps``.  A held (stopped or uncommanded) follower fetches no cell;
-    its field constants are placeholders that the loop never reads."""
+    flag and region index, its region's :meth:`Mission.bounds`, then
+    ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``, ``th_lo``, ``span``,
+    ``(TWO_PI - span) * 0.5``, eight gains and ``r_eps``.  A held (stopped
+    or uncommanded) follower fetches no cell; its field constants are
+    placeholders that the loop never reads."""
     disc = world.discrete[k - 1]
     held = disc.stopped or disc.command is None
     (r_lo, r_hi, th_lo, span, gains, r_eps) = (
@@ -571,6 +606,7 @@ def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
         else mission.cell(k, disc.region, disc.command)
     )
     return (*world.offsets[k - 1], held, disc.region.i, disc.region.j,
+            *mission.bounds(disc.region),
             r_lo, r_hi - r_lo, th_lo, span, (TWO_PI - span) * 0.5, *gains, r_eps)
 
 
@@ -589,16 +625,29 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     separation.  The leader velocity is read again only when ``t`` reaches
     its next breakpoint.
 
+    Three shortcuts leave every float as ``eval_cell`` and :func:`step`'s
+    clamp compute it.  The field's radius ``sqrt(x*x + y*y)`` is the one
+    the region test took of the same floats at the step before.  ``fmod``
+    runs only when the angle offset is not strictly within ±2π, because
+    it returns a smaller argument unchanged.  ``hypot`` runs only when the
+    squared total speed exceeds ``(u_max * (1 - _MARGIN))**2``, or when
+    that bound is not a normal float (``u_max`` 0, tiny or huge), or the
+    sum is NaN or overflows: below the bound the clamp cannot bind.
+
     The loop stops before the first step that may have an event: a
-    follower may leave its region or the horizon (``locate``'s float
-    operations, follower 1's before follower 2 moves), the separation
-    crosses into the alarm radius with no episode open, or it passes the
-    release radius during an episode that is not yet cleared.  It also
-    stops at step ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop
-    only has to be conservative, because the caller runs that step with
-    :func:`step` and :func:`detect_events`.  With ``rows`` None, as
-    :func:`step` calls it, only these last two tests stop it, and it
-    appends no row.
+    follower may leave its region or the horizon (follower 1's test
+    before follower 2 moves), the separation crosses into the alarm
+    radius with no episode open, or it passes the release radius during
+    an episode that is not yet cleared.  It also stops at step
+    ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop only has to
+    be conservative, because the caller runs that step with :func:`step`
+    and :func:`detect_events`.  So the region test is
+    :meth:`Mission.bounds`'s margin test, with no ``hypot``, ``atan2``,
+    division or ``ceil``: a point it passes is one ``locate`` puts in the
+    follower's region, and a point within the margin of a grid line or
+    the horizon, a NaN or an overflow stops the loop.  With ``rows``
+    None, as :func:`step` calls it, only the ``n_steps`` and ``t_switch``
+    tests stop it, and it appends no row.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
     stopped (``world`` itself if it took no step).
@@ -610,24 +659,31 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     if not (index < n_steps and t < t_switch):
         return (world, min_sep, min_sep_t)
     cfg = mission.cfg
-    p = cfg.partition
     (dt, leader, u_max) = (cfg.dt, cfg.leader_velocity, cfg.u_max)
-    (r_max, delta_r, delta_theta) = (p.r_max, p.delta_r, p.delta_theta)
-    (i_max, j_max) = (p.n_r - 1, p.n_theta - 1)
+    # below this squared speed the clamp cannot bind; -1 sends every step
+    # to hypot
+    cap2 = u_max * (1.0 - _MARGIN)
+    cap2 *= cap2
+    if not float_info.min <= cap2 <= float_info.max:
+        cap2 = -1.0
+    sectors = cfg.partition.n_theta > 2
+    (margin, two_pi) = (_MARGIN, TWO_PI)
     (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
     watch = rows is not None
     episode = world.episode
     watch_alarm = watch and episode is None
     watch_release = watch and episode is not None and not episode.cleared
-    (ox1, oy1, held1, i1, j1, lo1, dr1, tlo1, span1, half1,
+    (ox1, oy1, held1, i1, j1, blo1, bhi1, ax1, ay1, bx1, by1, lo1, dr1, tlo1, span1, half1,
      u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
-    (ox2, oy2, held2, i2, j2, lo2, dr2, tlo2, span2, half2,
+    (ox2, oy2, held2, i2, j2, blo2, bhi2, ax2, ay2, bx2, by2, lo2, dr2, tlo2, span2, half2,
      u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
     row = _FLOATS + f",{i1},{j1},{i2},{j2}"
 
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
     ((rx1, ry1), (rx2, ry2)) = world.relative
+    r1 = sqrt(rx1 * rx1 + ry1 * ry1)
+    r2 = sqrt(rx2 * rx2 + ry2 * ry2)
     sep = world.separation
     t_lv = t  # the leader velocity is read at the first step
     start = index
@@ -640,16 +696,17 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if held1:
             vx = vy = 0.0
         else:
-            r = sqrt(rx1 * rx1 + ry1 * ry1)
             th = atan2(ry1, rx1)
-            a = (r - lo1) / dr1
+            a = (r1 - lo1) / dr1
             if a < 0.0:
                 a = 0.0
             elif a > 1.0:
                 a = 1.0
-            rel = fmod(th - tlo1, TWO_PI)
+            rel = th - tlo1
+            if not -two_pi < rel < two_pi:
+                rel = fmod(rel, two_pi)
             if rel < 0.0:
-                rel += TWO_PI
+                rel += two_pi
             b = rel / span1
             if b > 1.0:
                 b = 1.0 if rel - span1 <= half1 else 0.0
@@ -657,46 +714,45 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
             (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
             ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
             ut = w0 * u0t1 + w1 * u1t1 + w2 * u2t1 + w3 * u3t1
-            tang = r * ut / (eps1 if r < eps1 else r)
+            tang = r1 * ut / (eps1 if r1 < eps1 else r1)
             (ct, st) = (cos(th), sin(th))
             (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
         (tvx, tvy) = (lvx + vx, lvy + vy)
-        speed = hypot(tvx, tvy)
-        if speed > u_max:
-            if u_max == 0.0:
-                (tvx, tvy) = (0.0, 0.0)
-            else:
-                scale = u_max / speed
-                (tvx, tvy) = (tvx * scale, tvy * scale)
+        if not tvx * tvx + tvy * tvy <= cap2:
+            speed = hypot(tvx, tvy)
+            if speed > u_max:
+                if u_max == 0.0:
+                    (tvx, tvy) = (0.0, 0.0)
+                else:
+                    scale = u_max / speed
+                    (tvx, tvy) = (tvx * scale, tvy * scale)
         nx1 = x1 + (tvx - lvx) * dt
         ny1 = y1 + (tvy - lvy) * dt
         (nrx1, nry1) = (nx1 - ox1, ny1 - oy1)
+        nr1 = sqrt(nrx1 * nrx1 + nry1 * nry1)
         if watch:
-            r = hypot(nrx1, nry1)
-            if not r <= r_max:  # beyond the horizon, or NaN
+            if not blo1 < nr1 < bhi1:  # near a ring line or the horizon, or NaN
                 break
-            th = atan2(nry1, nrx1)
-            i = ceil(r / delta_r)
-            j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
-            if (1 if i < 1 else i_max if i > i_max else i) != i1:
-                break
-            if (1 if j < 1 else j_max if j > j_max else j) != j1:
-                break
+            if sectors:
+                m = margin * nr1
+                if not (ax1 * nry1 - ay1 * nrx1 > m and nrx1 * by1 - nry1 * bx1 > m):
+                    break
 
         # follower 2, as follower 1
         if held2:
             vx = vy = 0.0
         else:
-            r = sqrt(rx2 * rx2 + ry2 * ry2)
             th = atan2(ry2, rx2)
-            a = (r - lo2) / dr2
+            a = (r2 - lo2) / dr2
             if a < 0.0:
                 a = 0.0
             elif a > 1.0:
                 a = 1.0
-            rel = fmod(th - tlo2, TWO_PI)
+            rel = th - tlo2
+            if not -two_pi < rel < two_pi:
+                rel = fmod(rel, two_pi)
             if rel < 0.0:
-                rel += TWO_PI
+                rel += two_pi
             b = rel / span2
             if b > 1.0:
                 b = 1.0 if rel - span2 <= half2 else 0.0
@@ -704,39 +760,37 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
             (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
             ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2
             ut = w0 * u0t2 + w1 * u1t2 + w2 * u2t2 + w3 * u3t2
-            tang = r * ut / (eps2 if r < eps2 else r)
+            tang = r2 * ut / (eps2 if r2 < eps2 else r2)
             (ct, st) = (cos(th), sin(th))
             (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
         (tvx, tvy) = (lvx + vx, lvy + vy)
-        speed = hypot(tvx, tvy)
-        if speed > u_max:
-            if u_max == 0.0:
-                (tvx, tvy) = (0.0, 0.0)
-            else:
-                scale = u_max / speed
-                (tvx, tvy) = (tvx * scale, tvy * scale)
+        if not tvx * tvx + tvy * tvy <= cap2:
+            speed = hypot(tvx, tvy)
+            if speed > u_max:
+                if u_max == 0.0:
+                    (tvx, tvy) = (0.0, 0.0)
+                else:
+                    scale = u_max / speed
+                    (tvx, tvy) = (tvx * scale, tvy * scale)
         nx2 = x2 + (tvx - lvx) * dt
         ny2 = y2 + (tvy - lvy) * dt
         (nrx2, nry2) = (nx2 - ox2, ny2 - oy2)
+        nr2 = sqrt(nrx2 * nrx2 + nry2 * nry2)
         if watch:
-            r = hypot(nrx2, nry2)
-            if not r <= r_max:
+            if not blo2 < nr2 < bhi2:
                 break
-            th = atan2(nry2, nrx2)
-            i = ceil(r / delta_r)
-            j = ceil((th + TWO_PI if th < 0.0 else th) / delta_theta)
-            if (1 if i < 1 else i_max if i > i_max else i) != i2:
-                break
-            if (1 if j < 1 else j_max if j > j_max else j) != j2:
-                break
+            if sectors:
+                m = margin * nr2
+                if not (ax2 * nry2 - ay2 * nrx2 > m and nrx2 * by2 - nry2 * bx2 > m):
+                    break
 
         nsep = hypot(nx1 - nx2, ny1 - ny2)
         if watch_alarm and sep >= alarm_radius > nsep:
             break
         if watch_release and nsep > release_radius:
             break
-        (x1, y1, rx1, ry1) = (nx1, ny1, nrx1, nry1)
-        (x2, y2, rx2, ry2) = (nx2, ny2, nrx2, nry2)
+        (x1, y1, rx1, ry1, r1) = (nx1, ny1, nrx1, nry1, nr1)
+        (x2, y2, rx2, ry2, r2) = (nx2, ny2, nrx2, nry2, nr2)
         sep = nsep
         index += 1
         t = index * dt

@@ -180,3 +180,39 @@ def test_tangential_rate_tapers_at_center():
 
 def test_active_backend_is_exposed():
     assert kernels.BACKEND == "pure"
+
+
+def fmod_edge_cases(rng):
+    """integrate_cell arguments whose first angle offset ``th - th_lo`` is
+    exactly ±2π, one ulp inside ±2π or a signed zero: the edges of the
+    range where the kernel skips ``fmod``.  Half the cases have no field,
+    so every step's offset is the first one."""
+    targets = (TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(-TWO_PI, 0.0))
+    for _ in range(40):
+        r = rng.uniform(1.0, 20.0)
+        th = rng.uniform(-math.pi, math.pi)
+        (x0, y0) = (r * math.cos(th), r * math.sin(th))
+        th = math.atan2(y0, x0)
+        span = rng.choice(FULL_SPANS) if rng.random() < 0.3 else rng.uniform(0.2, 6.0)
+        u = rng.choice(((0.0,) * 8, tuple(rng.uniform(-3.0, 3.0) for _ in range(8))))
+        for target in targets:
+            # the th_lo nearest th - target whose offset rounds to target
+            th_lo = th - target
+            for _ in range(4):
+                if th - th_lo != target:
+                    th_lo = math.nextafter(th_lo, th_lo + (th - th_lo - target))
+            yield (0.0, 30.0, th_lo, span, u, x0, y0, 0.1, rng.choice((1, 3)), 0.05)
+        for (y0, th_lo) in ((-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)):
+            yield (0.0, 30.0, th_lo, span, u, r, y0, 0.1, rng.choice((1, 3)), 0.05)
+
+
+def test_integrate_cell_matches_the_oracle_where_fmod_is_skipped():
+    # integrate_cell calls fmod only for an offset not strictly within
+    # ±2π; the oracle's classify and eval_cell always call it
+    offsets = set()
+    for args in fmod_edge_cases(random.Random(30)):
+        assert outcome(kernels.integrate_cell, *args) == outcome(integrate_by_steps, *args), args
+        (th_lo, x0, y0) = (args[2], args[5], args[6])
+        offsets.add(repr(math.atan2(y0, x0) - th_lo))
+    edges = {TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(-TWO_PI, 0.0)}
+    assert {repr(v) for v in edges} | {"0.0", "-0.0"} <= offsets

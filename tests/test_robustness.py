@@ -1,6 +1,7 @@
 """Seeded mutations of the ``.aut`` files that ``build-models`` writes, run
-through every command that reads them: the exit code is 0, 1 or 2, exit 2
-comes with an ``error: `` line on stderr, and no exception escapes."""
+through every command that reads them, and of the bundled ``.cfg``, run
+through ``simulate``: the exit code is 0, 1 or 2, exit 2 comes with an
+``error: `` line on stderr, and no exception escapes."""
 
 import random
 from collections import Counter
@@ -8,10 +9,12 @@ from collections import Counter
 import pytest
 
 from polaris import exchange
+from polaris.errors import PolarisError
 from polaris.automata import parallel_compose
 from polaris.cli import main
 from polaris.models import build_models
 from polaris.polar import PolarPartition
+from polaris.scenario import parse_scenario
 
 CASES = 600
 KINDS = ("drop", "duplicate", "truncate", "bad token", "unknown name")
@@ -89,3 +92,95 @@ def test_mutated_aut_inputs_exit_0_1_or_2(originals, tmp_path, capsys):
     for command in COMMANDS:
         assert codes[(command, 2)] > 0 and codes[(command, 0)] + codes[(command, 1)] > 0, codes
     assert set(kinds) == set(KINDS)
+
+
+# .cfg mutations run through simulate: the bundled mission cut to 2 s
+CFG_CASES = 1000
+BUNDLED_CFG = "src/polaris/data/paper_phase12.cfg"
+EDGE_VALUES = ("nan", "inf", "-inf", "5e-324", "1e308", "-0", "0")
+JUNK_VALUES = ("", "abc", "1,2", "0x10", "1e", "--1")
+BAD_SCHEDULES = ("0:1.0", "0:1,2,3", "x:1,2", "5:1,2 0:3,4", "0:1,2 0:3,4", ":", "0:", "0:,",
+                 "0:1,2 -1:3,4", "1:1,2", "0:nan,1", "0:1,2 1e308:3,4")
+NON_UTF8 = (b"\xff", b"\xc3\x28", b"\x80abc", b"\xed\xa0\x80")
+CFG_KINDS = ("edge value", "junk value", "schedule", "duplicate key", "non-UTF-8")
+# the first cases: one key set to an extreme that validation or the run
+# must handle; the two u_max runs reach the quiet loop's clamp pre-test
+EXTREMES = (("sim.u_max", "1e308"), ("sim.u_max", "5e-324"), ("sim.t_end", "1e308"),
+            ("sim.dt", "5e-324"), ("partition.r_max", "1e308"), ("partition.r_max", "5e-324"))
+# skipped before running: a config with more steps or regions than these
+MAX_STEPS = 20_000
+MAX_REGIONS = 5_000
+
+
+def mutate_cfg(rng, lines, kinds) -> list:
+    """``lines`` of a cfg with one seeded edit of a value or a schedule,
+    or with one key line duplicated; its kind is counted."""
+    lines = list(lines)
+    keyed = [i for (i, line) in enumerate(lines) if "=" in line and not line.startswith("#")]
+    kind = rng.choice(CFG_KINDS[:4])
+    kinds[kind] += 1
+    i = rng.choice(keyed)
+    key = lines[i].split("=")[0].strip()
+    if kind == "schedule":
+        key = rng.choice(("leader.velocity", "follower1.offsets", "follower2.offsets"))
+        i = next(j for j in keyed if lines[j].split("=")[0].strip() == key)
+        lines[i] = f"{key} = {rng.choice(BAD_SCHEDULES)}"
+    elif kind == "duplicate key":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    else:
+        value = rng.choice(EDGE_VALUES if kind == "edge value" else JUNK_VALUES)
+        if "," in lines[i] and rng.random() < 0.5:  # the last coordinate of a pair
+            lines[i] = f"{lines[i].rsplit(',', 1)[0]},{value}"
+        else:
+            lines[i] = f"{key} = {value}"
+    return lines
+
+
+def test_mutated_cfg_inputs_exit_0_1_or_2(tmp_path, capsys):
+    # simulate on seeded mutations of the bundled .cfg: the exit code is
+    # 0, 1 or 2, exit 2 prints an error line, and no exception escapes.
+    # The two u_max extremes, which the quiet loop's clamp pre-test must
+    # send to hypot, complete.
+    with open(BUNDLED_CFG, encoding="utf-8") as f:
+        lines = f.read().replace("sim.t_end = 150", "sim.t_end = 2").splitlines()
+    rng = random.Random(30)
+    (codes, kinds, skips) = (Counter(), Counter(), 0)
+    path = tmp_path / "mission.cfg"
+    for n in range(CFG_CASES):
+        if n < len(EXTREMES):
+            (key, value) = EXTREMES[n]
+            mutated = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                       for line in lines]
+        else:
+            mutated = lines
+            for _ in range(rng.choice((1, 1, 2))):
+                mutated = mutate_cfg(rng, mutated, kinds)
+        data = ("\n".join(mutated) + "\n").encode("utf-8")
+        if n >= len(EXTREMES) and rng.random() < 0.2:
+            kinds["non-UTF-8"] += 1
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.choice(NON_UTF8) + data[at:]
+        path.write_bytes(data)
+        try:
+            cfg = parse_scenario(path)
+        except PolarisError:
+            pass
+        else:
+            if (round(cfg.t_end / cfg.dt) > MAX_STEPS
+                    or cfg.partition.region_count > MAX_REGIONS):
+                skips += 1
+                continue
+        code = main(["simulate", "--scenario", str(path), "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2) and (n >= 2 or code == 0), (data, captured.err)
+        if code == 2:
+            # an error in the file names it; a run that failed after its
+            # start reports where it stopped instead
+            assert captured.err.startswith("error: "), (data, captured.err)
+            stopped = captured.err.split("\n")[1].startswith("  at t=")
+            assert stopped or captured.err.startswith(f"error: {path}"), (data, captured.err)
+            codes["2 after the start"] += stopped
+        codes[code] += 1
+    print(f"{skips} of {CFG_CASES} mutated configs skipped for their size")
+    assert codes[0] >= 30 and codes[2] >= 500 and codes["2 after the start"] >= 1, codes
+    assert set(kinds) == set(CFG_KINDS)
