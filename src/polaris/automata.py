@@ -361,8 +361,8 @@ def _common_classes(events: Sequence[str], autos: Sequence[Automaton], split=())
     runs over labels in order meets each block where a scan of single
     events in sorted order would first meet it.
     """
-    columns = [[a._class_of.get(ev) for ev in events] for a in autos]
-    columns += [[ev in s for ev in events] for s in split]
+    columns = [map(a._class_of.get, events) for a in autos]
+    columns += [map(s.__contains__, events) for s in split]
     blocks: dict = {}
     for (ev, key) in zip(events, zip(*columns)):
         evs = blocks.get(key)
@@ -391,6 +391,126 @@ def _label_rows(a: Automaton, labels: Iterable[str]) -> dict:
     if by_class != sorted(by_class):
         rows = {q: dict(sorted(row.items())) for q, row in rows.items()}
     return rows
+
+
+def _side(a: Automaton, labels: Mapping) -> tuple:
+    """``a`` as an operand of :class:`_Product`: its label rows over
+    ``labels``, the labels its alphabet holds and its marking test."""
+    holds = frozenset(label for label in labels if label in a._class_of)
+    return (_label_rows(a, labels), holds, a.marked.__contains__)
+
+
+def _pairs(ds1, ds2) -> tuple:
+    """The pairs of ``ds1`` and ``ds2``, each in sorted order."""
+    return tuple((d1, d2) for d1 in sorted(ds1) for d2 in sorted(ds2))
+
+
+class _Product(dict):
+    """The synchronous product of two operands, its rows made on demand.
+
+    An operand is a triple ``(rows, holds, marks)``: ``rows`` maps each of
+    its nodes to ``label -> targets`` over the labels of one common
+    refinement, ``holds`` is the set of labels its alphabet holds and
+    ``marks`` tells its marked nodes.  :func:`_side` makes one of an
+    automaton and :meth:`side` one of a product, so products nest: the
+    product of several automata is a product of products.  A node is a
+    pair of the operands' nodes, and ``self[node]`` is its row,
+    ``label -> successor nodes``, built on its first read and kept.  A
+    shared label fires when both operands enable it and a private one
+    moves its own operand alone, as in :func:`parallel_compose`.  A row
+    lists the first operand's labels in that operand's row order, then the
+    second operand's private ones, and a label's successors in the order
+    of each operand's sorted targets.  No state names and no automaton are
+    built.
+    """
+
+    __slots__ = ("_rows1", "_rows2", "_marks1", "_marks2", "_shared", "_only2", "_holds")
+
+    def __init__(self, side1: tuple, side2: tuple):
+        super().__init__()
+        (self._rows1, holds1, self._marks1) = side1
+        (self._rows2, holds2, self._marks2) = side2
+        self._shared = holds1 & holds2
+        self._only2 = holds2 - holds1
+        self._holds = holds1 | holds2
+
+    def side(self) -> tuple:
+        return (self, self._holds, self.marks)
+
+    def marks(self, node: tuple) -> bool:
+        return self._marks1(node[0]) and self._marks2(node[1])
+
+    def __missing__(self, node: tuple) -> dict:
+        (q1, q2) = node
+        row2 = self._rows2[q2]
+        shared = self._shared
+        stay1, stay2 = (q1,), (q2,)
+        row = {}
+        for (label, ds1) in self._rows1[q1].items():
+            if label not in shared:
+                ds2 = stay2
+            else:
+                ds2 = row2.get(label)
+                if ds2 is None:
+                    continue
+            if len(ds1) == 1 == len(ds2):
+                row[label] = ((*ds1, *ds2),)
+            else:
+                row[label] = _pairs(ds1, ds2)
+        only2 = self._only2
+        if only2:
+            for (label, ds2) in row2.items():
+                if label in only2:
+                    row[label] = ((q1, *ds2),) if len(ds2) == 1 else _pairs(stay1, ds2)
+        self[node] = row
+        return row
+
+
+def _walk(nodes: Mapping, start, parents: dict):
+    """Breadth-first over the nodes reachable from ``start``.
+
+    ``nodes`` maps a node to its row, ``label -> successor nodes``, as a
+    :class:`_Product` or an automaton's label rows do.  Yields
+    ``(node, row)`` for each node in the order it is first reached, the
+    successors of a node in its row's order.  ``parents`` records each
+    reached node's ``(parent, label)``, None for ``start``: a caller that
+    stops early reads a shortest path to the node from it, and one that
+    walks to the end reads the reached set.
+    """
+    parents[start] = None
+    queue = [start]
+    for node in queue:
+        row = nodes[node]
+        yield node, row
+        for (label, ds) in row.items():
+            for d in ds:
+                if d not in parents:
+                    parents[d] = (node, label)
+                    queue.append(d)
+
+
+def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]:
+    """The pair walk of Hopcroft and Karp over two deterministic operands.
+
+    The sides are :class:`_Product` operands whose rows give one target
+    per label.  The walk moves from ``start`` on the labels both sides
+    enable and stops at the first pair whose marking or enabled labels
+    differ: the sides' generated or marked languages then differ, and the
+    result is None.  Otherwise it returns the frozenset of reached pairs,
+    which is a bisimulation.  This is the walk of J. E. Hopcroft and
+    R. M. Karp ("A linear algorithm for testing equivalence of finite
+    automata", Cornell TR 71-114, 1971) without its union-find, so that
+    every reachable pair is visited and returned.  A label outside one
+    side's alphabet never fires there.
+    """
+    (rows1, holds1, marks1), (rows2, holds2, marks2) = side1, side2
+    every = holds1 | holds2
+    pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
+    parents: dict = {}
+    for ((x, y), row) in _walk(pairs, start, parents):
+        if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):
+            return None
+    return frozenset(parents)
 
 
 def product_state(q1: str, q2: str) -> str:
@@ -597,18 +717,26 @@ def _refine(block_of: dict, succ: dict) -> dict:
 
 
 def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
-    """Decide bisimilarity by partition refinement on the disjoint union.
+    """Decide bisimilarity, with marked states matched to marked states.
 
-    The initial partition separates marked from unmarked states, so a
-    positive verdict also preserves marked languages.  Both automata move
-    by label of the common refinement of their classes; events missing from
-    one alphabet simply never fire on that side.  On success the witness
-    relation (restricted to reachable state pairs) is returned; on failure
-    the relation is None.
+    Both automata are trimmed to their accessible parts and move by label
+    of the common refinement of their classes; events missing from one
+    alphabet simply never fire on that side.  When both accessible parts
+    are deterministic, bisimilarity is equality of the generated and
+    marked languages, and the pair walk of :func:`_equivalent` decides it:
+    ``relation`` is then the set of reachable state pairs.  Otherwise
+    partition refinement on the disjoint union decides it, with the marked
+    and unmarked states as the initial blocks, and ``relation`` is the
+    maximal bisimulation between the accessible states.  It is None when
+    the automata are not bisimilar.
     """
     u1 = accessible(a1)
     u2 = accessible(a2)
     labels = _common_classes(sorted(u1.event_ids | u2.event_ids), (u1, u2))
+    if u1.deterministic and u2.deterministic:
+        return BisimResult(_equivalent(
+            _side(u1, labels), _side(u2, labels), (u1.initial, u2.initial)
+        ))
     succ: dict = {}
     block_of: dict = {}
     for tag, u in (("1:", u1), ("2:", u2)):

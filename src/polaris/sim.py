@@ -233,8 +233,8 @@ def _locate(p: PolarPartition, k: int, x: float, y: float) -> RegionIndex:
         return locate(p, x, y)
     except OutOfHorizon:
         raise HorizonViolation(
-            f"follower {k} at relative radius {math.hypot(x, y):.3f} "
-            f"beyond horizon {p.r_max:.3f}"
+            f"follower {k} at relative radius {math.hypot(x, y):.6g} "
+            f"beyond horizon {p.r_max:.6g}"
         ) from None
 
 

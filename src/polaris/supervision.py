@@ -17,13 +17,19 @@ from .automata import (
     BisimResult,
     _common_classes,
     _determinize,
+    _equivalent,
     _label_rows,
+    _merge_events,
+    _Product,
     _projection_nfa,
     _refine,
+    _side,
+    _walk,
     accessible,
     is_bisimilar,
     natural_project,
     parallel_compose,
+    product_state,
 )
 from .errors import (
     AlphabetMismatch,
@@ -45,23 +51,41 @@ __all__ = [
 ]
 
 
-def is_nonblocking(a: Automaton) -> bool:
-    """From every reachable state some marked state must stay reachable."""
-    a = accessible(a)
-    predecessors: dict = {q: set() for q in a.states}
-    for (src, row) in a._succ.items():
-        for dsts in row.values():
-            for dst in dsts:
-                predecessors[dst].add(src)
-    can_mark = set(a.marked)
-    frontier = list(a.marked)
-    while frontier:
-        q = frontier.pop()
-        for p in predecessors[q]:
-            if p not in can_mark:
-                can_mark.add(p)
-                frontier.append(p)
-    return can_mark == a.states
+def is_nonblocking(a: Automaton, *more: Automaton) -> bool:
+    """From every reachable state some marked state must stay reachable.
+
+    Given several automata, a state is a node of their synchronous
+    product, composed left to right as :func:`modular_supervisor` composes
+    its three, and it is marked when every member is.  The product is
+    never built: one walk reaches its nodes by label of the common
+    refinement of the automata's classes and records their predecessors,
+    and a backward pass from the marked nodes finds the nodes that can
+    reach one.  An automaton whose alphabet holds the others' is best
+    passed first: no row of the walk is then wider than its own.  Raises
+    :class:`AlphabetConflict` where composing them would.
+    """
+    autos = (a, *more)
+    labels = _common_classes([e.id for e in _merge_events([b.alphabet for b in autos])], autos)
+    side = _side(a, labels)
+    start = a.initial
+    for b in more:
+        side = _Product(side, _side(b, labels)).side()
+        start = (start, b.initial)
+    (nodes, _, marks) = side
+    reached: dict = {}
+    predecessors: dict = {}
+    for (node, row) in _walk(nodes, start, reached):
+        for ds in row.values():
+            for d in ds:
+                predecessors.setdefault(d, []).append(node)
+    can_mark = [node for node in reached if marks(node)]
+    seen = set(can_mark)
+    for node in can_mark:
+        for p in predecessors.get(node, ()):
+            if p not in seen:
+                seen.add(p)
+                can_mark.append(p)
+    return len(seen) == len(reached)
 
 
 class ControllabilityReport(NamedTuple):
@@ -76,15 +100,16 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
     """Check that the spec never disables an uncontrollable plant event.
 
     The uncontrollable events are those the plant's alphabet marks so.
-    Traverses the synchronous product of the spec (prefix-closed view: its
-    generated language) and the plant; fails iff some reachable pair enables
-    an uncontrollable event in the plant but not in the spec.  On failure the
-    witness string s and event are returned, with s generated by the spec,
-    s+event generated by the plant but not by the spec.  The search moves
-    by label of the common refinement of both automata's classes and the
-    uncontrollable events, in label order, so each witness event is the
-    smallest of the first failing block, as a scan of single events in
-    sorted order finds.
+    Walks the synchronous product of the spec (prefix-closed view: its
+    generated language) and the plant breadth-first, with the walk that
+    :func:`is_bisimilar` and :func:`is_nonblocking` use, and never builds
+    it; fails iff some reachable pair enables an uncontrollable event in
+    the plant but not in the spec.  On failure the witness string s and
+    event are returned, with s generated by the spec, s+event generated by
+    the plant but not by the spec.  The search moves by label of the common
+    refinement of both automata's classes and the uncontrollable events,
+    in label order, so each witness event is the smallest of the first
+    failing block, as a scan of single events in sorted order finds.
     """
     if spec.event_ids != plant.event_ids:
         raise AlphabetMismatch(
@@ -93,30 +118,20 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
         )
     e_uc = frozenset(e.id for e in plant.alphabet if not e.controllable)
     labels = _common_classes([e.id for e in plant.alphabet], (spec, plant), (e_uc,))
-    spec_rows, plant_rows = _label_rows(spec, labels), _label_rows(plant, labels)
-    start = (spec.initial, plant.initial)
-    parents: dict = {start: None}
-    queue = [start]
-    for pair in queue:
-        (qs, qp) = pair
+    spec_side, plant_side = _side(spec, labels), _side(plant, labels)
+    spec_rows, plant_rows = spec_side[0], plant_side[0]
+    parents: dict = {}
+    for (node, _) in _walk(_Product(spec_side, plant_side), (spec.initial, plant.initial), parents):
+        (qs, qp) = node
         spec_enabled = spec_rows[qs]
-        for (ev, dps) in plant_rows[qp].items():
+        for ev in plant_rows[qp]:
             if ev in e_uc and ev not in spec_enabled:
                 string = []
-                node = pair
                 while parents[node] is not None:
                     node, via = parents[node]
                     string.append(via)
                 string.reverse()
                 return ControllabilityReport(tuple(string), ev)
-            if ev not in spec_enabled:
-                continue
-            for ds in sorted(spec_enabled[ev]):
-                for dp in sorted(dps):
-                    nxt = (ds, dp)
-                    if nxt not in parents:
-                        parents[nxt] = (pair, ev)
-                        queue.append(nxt)
     return ControllabilityReport()
 
 
@@ -382,10 +397,33 @@ def verify_decentralized(
 
     ``local1`` and ``local2`` are the local supervisors, such as the
     projections that :func:`decompose` or :func:`check_decomposability`
-    give.  The local closed loops, each plant with its supervisor, are
-    composed and compared with the global spec automaton by bisimulation.
-    Returns that :class:`BisimResult`, which is true iff its relation is
-    not None.
+    give.  The team is the composition of the local closed loops, each
+    plant with its supervisor, and the result is
+    ``is_bisimilar(team, a_spec)``, true iff its relation is not None.
+    When the four operands and the spec's accessible part are
+    deterministic, the team is never built: the pair walk of
+    :func:`is_bisimilar` runs with the team's synchronous product as one
+    side, made node by node, and the reached team nodes are named as the
+    composed team names its states (``⟨⟨ap1,local1⟩,⟨ap2,local2⟩⟩``).
+    Otherwise the team is composed and compared.
     """
-    local = parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2))
-    return is_bisimilar(local, a_spec)
+    team = (ap1, local1, ap2, local2)
+    spec = accessible(a_spec)
+    if not (spec.deterministic and all(a.deterministic for a in team)):
+        return is_bisimilar(
+            parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2)),
+            a_spec,
+        )
+    ids = {e.id for e in _merge_events([a.alphabet for a in team])}
+    labels = _common_classes(sorted(ids | spec.event_ids), (*team, spec))
+    (s1, l1, s2, l2) = (_side(a, labels) for a in team)
+    pairs = _equivalent(
+        _Product(_Product(s1, l1).side(), _Product(s2, l2).side()).side(),
+        _side(spec, labels),
+        (((ap1.initial, local1.initial), (ap2.initial, local2.initial)), spec.initial),
+    )
+    if pairs is None:
+        return BisimResult(None)
+    return BisimResult(frozenset(
+        (product_state(product_state(*x1), product_state(*x2)), q) for ((x1, x2), q) in pairs
+    ))

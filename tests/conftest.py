@@ -191,6 +191,47 @@ def random_automaton_with_twins(rng: random.Random, **kwargs) -> Automaton:
     return Automaton.build(states, initial, events, trans, marked)
 
 
+# the generic case: 40 events, E1 and E2 the first and last 27 of them
+GENERIC_EVENTS = tuple(Event(f"e{k}", k % 2 == 0) for k in range(40))
+GENERIC_E1 = frozenset(e.id for e in GENERIC_EVENTS[:27])
+GENERIC_E2 = frozenset(e.id for e in GENERIC_EVENTS[-27:])
+
+
+def generic_automaton(rng: random.Random, n: int) -> Automaton:
+    """A random deterministic automaton on the generic alphabet.
+
+    States ``q0`` to ``q{n-1}``, ``q0`` initial.  Each state takes 1 to 6
+    distinct events of ``GENERIC_EVENTS`` (``e{k}``, controllable iff k is
+    even), each to a uniform random target, and 30% of the states (rounded)
+    are marked.  Unlike the formation models, almost every event is its
+    own class, so the algebra's per-class work is per-event work here.
+    """
+    states = [f"q{i}" for i in range(n)]
+    ids = [e.id for e in GENERIC_EVENTS]
+    trans = [
+        (q, ev, rng.choice(states)) for q in states for ev in rng.sample(ids, rng.randint(1, 6))
+    ]
+    marked = rng.sample(states, round(0.3 * n))
+    return Automaton.build(states, states[0], GENERIC_EVENTS, trans, marked)
+
+
+def unfolded(rng: random.Random, a: Automaton) -> Automaton:
+    """``a`` with copies of some states, a random share of the transitions
+    into each copied state redirected to its copy.  A copy has its
+    original's transitions and marking, so the result generates and marks
+    the same languages; it is deterministic when ``a`` is."""
+    copies = {q: q + "'" for q in a.states if rng.random() < 0.5}
+    trans = [
+        (src, ev, copies[dst] if dst in copies and rng.random() < 0.5 else dst)
+        for (src, ev, dst) in a.transitions
+    ]
+    trans += [(copies[src], ev, dst) for (src, ev, dst) in trans if src in copies]
+    return Automaton.build(
+        set(a.states) | set(copies.values()), a.initial, a.alphabet, trans,
+        set(a.marked) | {copies[q] for q in a.marked if q in copies},
+    )
+
+
 def rerooted(a: Automaton, q: str) -> Automaton:
     """The same automaton started from ``q``, trimmed."""
     return accessible(Automaton.build(a.states, q, a.alphabet, a.transitions, a.marked))
@@ -594,6 +635,18 @@ def per_event_bisim(a1: Automaton, a2: Automaton) -> BisimResult:
         if block_of["1:" + q1] == block_of["2:" + q2]
     )
     return BisimResult(pairs)
+
+
+def per_event_nonblocking(a: Automaton) -> bool:
+    """Every reachable state reaches a marked one, over single events."""
+    reach = per_event_accessible(a)
+    can_mark = set(reach.marked)
+    grew = True
+    while grew:
+        before = len(can_mark)
+        can_mark |= {src for (src, _, dst) in reach.transitions if dst in can_mark}
+        grew = len(can_mark) > before
+    return can_mark == reach.states
 
 
 def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> ControllabilityReport:

@@ -7,14 +7,18 @@ from conftest import (
     _edges,
     brute_language,
     check_bisim_relation,
+    generic_automaton,
     make_auto,
     marked_language_upto,
+    per_event_bisim,
     project_by_merging,
     random_automaton,
     random_automaton_parts,
+    random_automaton_with_twins,
+    unfolded,
 )
 
-from polaris import exchange
+from polaris import automata, exchange
 from polaris.automata import (
     Automaton,
     Event,
@@ -400,6 +404,66 @@ def test_bisim_relation_is_valid_on_randoms(rng):
         res = is_bisimilar(a, b)
         if res:
             assert check_bisim_relation(a, b, res.relation)
+
+
+def _reachable_pairs(a1, a2):
+    """The state pairs that one string leads to, over single events."""
+    start = (a1.initial, a2.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        (q1, q2) = stack.pop()
+        for ev in a1.enabled(q1):
+            for pair in ((d1, d2) for d1 in a1.step(q1, ev) for d2 in a2.step(q2, ev)):
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return seen
+
+
+def _mutated(rng, a):
+    """``a`` with one transition dropped or one state's marking flipped."""
+    trans = list(a.transitions)
+    marked = set(a.marked)
+    if trans and rng.random() < 0.5:
+        trans.pop(rng.randrange(len(trans)))
+    else:
+        marked ^= {rng.choice(sorted(a.states))}
+    return Automaton.build(a.states, a.initial, a.alphabet, trans, marked)
+
+
+def test_pair_walk_decides_deterministic_pairs_as_the_oracle(monkeypatch):
+    # deterministic pairs never reach the refinement: the pair walk decides
+    # them, and a positive relation is the set of reachable pairs
+    def refine(*args):
+        raise AssertionError("a deterministic pair was refined")
+
+    monkeypatch.setattr(automata, "_refine", refine)
+    rng = random.Random(1971)
+    makers = (
+        lambda: random_automaton(rng, max_states=5, max_events=4, deterministic=True),
+        lambda: random_automaton_with_twins(rng, max_states=4, max_events=3, deterministic=True),
+        lambda: generic_automaton(rng, rng.randint(1, 6)),
+    )
+    seen = {"pairs": 0, "bisimilar": 0, "not bisimilar": 0, "not isomorphic": 0}
+    for i in range(800):
+        make = makers[i % 3]
+        a = make()
+        renamed = a.renamed({q: "r" + q for q in a.states})
+        for other in (make(), renamed, unfolded(rng, a), _mutated(rng, a)):
+            assert a.deterministic and other.deterministic
+            verdict = is_bisimilar(a, other)
+            want = per_event_bisim(a, other)
+            assert bool(verdict) == bool(want)
+            seen["pairs"] += 1
+            if not verdict:
+                seen["not bisimilar"] += 1
+                continue
+            seen["bisimilar"] += 1
+            assert check_bisim_relation(a, other, verdict.relation)
+            assert verdict.relation == _reachable_pairs(a, other) <= want.relation
+            seen["not isomorphic"] += len(accessible(other).states) > len(accessible(a).states)
+    assert seen["pairs"] >= 3000 and min(seen.values()) > 100, seen
 
 
 # -- bounded language enumeration -------------------------------------------

@@ -428,8 +428,10 @@ def test_build_models_decides_decomposability_once(tmp_path, capsys, monkeypatch
     assert {"polaris.automata", "polaris.supervision", "polaris.models", "polaris.cli"} <= patched
     models.build_models.cache_clear()
     assert main(["build-models", "--partition", "50,9,13", "-o", str(tmp_path / "models")]) == 0
+    # the joint plant, the spec and check_decomposability's p1 || p2 are
+    # composed; the team and the mission loop are only walked
     assert calls == {
-        "check_decomposability": 1, "natural_project": 2, "is_bisimilar": 2, "parallel_compose": 8,
+        "check_decomposability": 1, "natural_project": 2, "is_bisimilar": 1, "parallel_compose": 3,
     }
 
 
@@ -535,7 +537,7 @@ def test_simulate_start_failure_has_no_world_to_report(tmp_path, capsys):
     scenario.write_text(CROSSING_CFG.replace("-15.925,17.239", "-150,17.239"), encoding="utf-8")
     assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"error: {scenario}: follower 1 at relative radius 165.565 beyond horizon 50.000\n"
+        f"error: {scenario}: follower 1 at relative radius 165.565 beyond horizon 50\n"
     )
 
 

@@ -383,7 +383,7 @@ def test_detect_events_beyond_the_horizon_names_the_first_follower():
     with pytest.raises(HorizonViolation) as info:
         detect_events(edge, after, mission)
     assert not isinstance(info.value, OutOfHorizon)
-    assert str(info.value) == "follower 1 at relative radius 40.100 beyond horizon 40.000"
+    assert str(info.value) == "follower 1 at relative radius 40.1 beyond horizon 40"
 
 
 def test_detect_events_treats_a_nan_position_as_beyond_the_horizon():
@@ -391,7 +391,7 @@ def test_detect_events_treats_a_nan_position_as_beyond_the_horizon():
     lost = world._replace(follower_pos=(world.follower_pos[0], (math.nan, 10.0)))
     with pytest.raises(HorizonViolation) as info:
         detect_events(world, lost, mission)
-    assert str(info.value) == "follower 2 at relative radius nan beyond horizon 40.000"
+    assert str(info.value) == "follower 2 at relative radius nan beyond horizon 40"
 
 
 def test_follower_exactly_at_the_horizon_is_inside():

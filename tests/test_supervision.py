@@ -15,21 +15,27 @@ from conftest import (
     per_event_compose,
     per_event_controllability,
     per_event_decomposability,
+    per_event_nonblocking,
     per_event_project,
     random_automaton,
+    random_automaton_parts,
     random_automaton_with_twins,
     rerooted,
     team_plants,
+    unfolded,
 )
 
+from polaris import supervision
 from polaris.automata import (
     Automaton,
+    Event,
     accessible,
     is_bisimilar,
     natural_project,
     parallel_compose,
 )
 from polaris.errors import (
+    AlphabetConflict,
     AlphabetMismatch,
     CoverageError,
     NondeterministicInput,
@@ -437,6 +443,19 @@ def test_report_projections_equal_natural_project(rng):
     assert trimmed > 0
 
 
+def _assert_same_bisim(a1, a2, verdict, oracle):
+    """``verdict`` agrees with the maximal relation ``oracle``: the same
+    truth, and a relation that is a bisimulation between the accessible
+    parts, which is the oracle itself when an input is nondeterministic."""
+    assert bool(verdict) == bool(oracle)
+    if not verdict:
+        return
+    assert check_bisim_relation(a1, a2, verdict.relation)
+    assert verdict.relation <= oracle.relation
+    if not (accessible(a1).deterministic and accessible(a2).deterministic):
+        assert verdict == oracle
+
+
 def test_class_algebra_matches_per_event_oracles():
     # twins put several events in one class, so a class-level result must
     # equal the per-event one, witnesses (smallest member first) included
@@ -462,7 +481,7 @@ def test_class_algebra_matches_per_event_oracles():
         assert natural_project(a, keep) == per_event_project(a, keep)
         for other in (b, a.renamed({q: "r" + q for q in a.states}), per_event_compose(a, a)):
             verdict = is_bisimilar(a, other)
-            assert verdict == per_event_bisim(a, other)
+            _assert_same_bisim(a, other, verdict, per_event_bisim(a, other))
             seen["bisimilar"] += bool(verdict)
 
         spec = Automaton.build(
@@ -484,7 +503,11 @@ def test_class_algebra_matches_per_event_oracles():
             (e1, e2) = (_random_shared_cover if i % 2 else _random_cover)(rng, a)
             report = check_decomposability(a, e1, e2)
             want = per_event_decomposability(a, e1, e2)
-            assert report == want
+            assert report._replace(bisim=want.bisim) == want
+            _assert_same_bisim(
+                accessible(a), parallel_compose(report.local1, report.local2),
+                report.bisim, want.bisim,
+            )
             for dc in ("dc1", "dc2", "dc3", "dc4"):
                 witness = getattr(report, dc + "_witness")
                 seen[dc] += witness is not None
@@ -586,6 +609,56 @@ def test_undecomposable_controller_fails_verification():
     assert not verdict and verdict.relation is None
 
 
+# the plant events of two agents that share ``go``
+TEAM_EVENTS = (
+    (Event("a1", True), Event("go", True), Event("u1", False)),
+    (Event("a2", True), Event("go", True), Event("u2", False)),
+)
+
+
+def _random_over(rng, events, deterministic):
+    (states, initial, letters, trans, marked) = random_automaton_parts(
+        rng, max_states=3, max_events=len(events), min_events=len(events),
+        deterministic=deterministic,
+    )
+    ids = {letter.id: ev.id for (letter, ev) in zip(letters, events)}
+    return Automaton.build(
+        states, initial, events, [(q, ids[ev], d) for (q, ev, d) in trans], marked
+    )
+
+
+def test_verify_decentralized_walks_the_team_as_composing_it_decides(monkeypatch):
+    # the oracle composes the team and bisimulates it; the result, relation
+    # included, must be the same, and deterministic teams are never composed
+    composed = []
+
+    def counted(a1, a2):
+        composed.append(1)
+        return parallel_compose(a1, a2)
+
+    monkeypatch.setattr(supervision, "parallel_compose", counted)
+    rng = random.Random(4242)
+    every = tuple(sorted(set(TEAM_EVENTS[0] + TEAM_EVENTS[1])))
+    seen = dict.fromkeys(("walked", "composed", "equivalent", "different"), 0)
+    for i in range(500):
+        deterministic = i % 4 != 0
+        (ap1, ap2) = (_random_over(rng, evs, deterministic) for evs in TEAM_EVENTS)
+        ac = _random_over(rng, every, rng.random() < 0.8)
+        (local1, local2) = _locals(ap1, ap2, ac)
+        team = parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2))
+        central = parallel_compose(ac, parallel_compose(ap1, ap2))
+        for spec in (central, unfolded(rng, team), _random_over(rng, every, deterministic)):
+            del composed[:]
+            verdict = verify_decentralized(ap1, ap2, local1, local2, spec)
+            assert verdict == is_bisimilar(team, spec)
+            walked = all(a.deterministic for a in (ap1, local1, ap2, local2))
+            walked = walked and accessible(spec).deterministic
+            assert len(composed) == (0 if walked else 3)
+            seen["walked" if walked else "composed"] += 1
+            seen["equivalent" if verdict else "different"] += 1
+    assert min(seen.values()) > 100, seen
+
+
 # -- nonblocking -------------------------------------------------------------
 
 
@@ -594,3 +667,28 @@ def test_nonblocking_simple_cases():
     assert is_nonblocking(good)
     bad = make_auto([("q0", "a", "q1")], marked={"q0"})
     assert not is_nonblocking(bad)
+
+
+def test_nonblocking_of_several_automata_matches_the_composed_loop():
+    rng = random.Random(2718)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        # supervisors mark every state, as closed_loop requires
+        (s1, s2, a) = (
+            random_automaton(rng, max_states=4, max_events=rng.randint(1, 4), all_marked=k < 2)
+            for k in range(3)
+        )
+        verdict = is_nonblocking(s1, s2, a)
+        assert verdict == is_nonblocking(modular_supervisor(s1, s2, a))
+        assert verdict == per_event_nonblocking(per_event_compose(per_event_compose(s1, s2), a))
+        assert is_nonblocking(s1, a) == per_event_nonblocking(per_event_compose(s1, a))
+        assert is_nonblocking(a) == per_event_nonblocking(a)
+        outcomes[verdict] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_nonblocking_of_several_automata_checks_their_alphabets():
+    a = make_auto([("q0", "x", "q0")], controllable={"x"})
+    b = make_auto([("q0", "x", "q0")])
+    with pytest.raises(AlphabetConflict, match="'x'"):
+        is_nonblocking(a, b)
