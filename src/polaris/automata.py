@@ -375,14 +375,18 @@ def _common_classes(events: Sequence[str], autos: Sequence[Automaton], split=())
 
 def _label_rows(a: Automaton, labels: Iterable[str]) -> dict:
     """``a``'s successor rows over the labels of a common refinement:
-    state -> label -> targets, for every state, rows in label order."""
+    state -> label -> sorted tuple of targets, for every state, rows in
+    label order."""
     on: dict = {}
     for label in labels:
         c = a._class_of.get(label)
         if c is not None:
             on.setdefault(c, []).append(label)
+    # _succ shares one frozenset per distinct target set: sort each once
+    shared = {ds for row in a._succ.values() for ds in row.values()}
+    ordered = {ds: tuple(sorted(ds)) for ds in shared}
     rows = {
-        q: {label: ds for c, ds in a._succ.get(q, _NO_ROW).items() for label in on[c]}
+        q: {label: ordered[ds] for c, ds in a._succ.get(q, _NO_ROW).items() for label in on[c]}
         for q in a.states
     }
     # _succ rows list their classes in id order, so the rows above are in
@@ -400,28 +404,29 @@ def _side(a: Automaton, labels: Mapping) -> tuple:
     return (_label_rows(a, labels), holds, a.marked.__contains__)
 
 
-def _pairs(ds1, ds2) -> tuple:
-    """The pairs of ``ds1`` and ``ds2``, each in sorted order."""
-    return tuple((d1, d2) for d1 in sorted(ds1) for d2 in sorted(ds2))
+def _pairs(ds1: tuple, ds2: tuple) -> tuple:
+    """The pairs of ``ds1`` and ``ds2``, each in its own order."""
+    return tuple((d1, d2) for d1 in ds1 for d2 in ds2)
 
 
 class _Product(dict):
     """The synchronous product of two operands, its rows made on demand.
 
     An operand is a triple ``(rows, holds, marks)``: ``rows`` maps each of
-    its nodes to ``label -> targets`` over the labels of one common
+    its nodes to ``label -> tuple of targets`` over the labels of one common
     refinement, ``holds`` is the set of labels its alphabet holds and
     ``marks`` tells its marked nodes.  :func:`_side` makes one of an
     automaton and :meth:`side` one of a product, so products nest: the
     product of several automata is a product of products.  A node is a
-    pair of the operands' nodes, and ``self[node]`` is its row,
-    ``label -> successor nodes``, built on its first read and kept.  A
-    shared label fires when both operands enable it and a private one
-    moves its own operand alone, as in :func:`parallel_compose`.  A row
-    lists the first operand's labels in that operand's row order, then the
-    second operand's private ones, and a label's successors in the order
-    of each operand's sorted targets.  No state names and no automaton are
-    built.
+    pair of the operands' nodes.  :meth:`row` builds a node's row,
+    ``label -> successor nodes``, and ``self[node]`` builds it on its
+    first read and keeps it.  A shared label fires when both operands
+    enable it and a private one moves its own operand alone; this is the
+    only statement of those rules, and :func:`parallel_compose` names the
+    nodes they reach.  A row lists the first operand's labels in that
+    operand's row order, then the second operand's private ones, and a
+    label's successors in the order of each operand's targets, which
+    :func:`_side` sorts.
     """
 
     __slots__ = ("_rows1", "_rows2", "_marks1", "_marks2", "_shared", "_only2", "_holds")
@@ -440,7 +445,8 @@ class _Product(dict):
     def marks(self, node: tuple) -> bool:
         return self._marks1(node[0]) and self._marks2(node[1])
 
-    def __missing__(self, node: tuple) -> dict:
+    def row(self, node: tuple) -> dict:
+        """The row of ``node``, built anew and not kept."""
         (q1, q2) = node
         row2 = self._rows2[q2]
         shared = self._shared
@@ -453,34 +459,34 @@ class _Product(dict):
                 ds2 = row2.get(label)
                 if ds2 is None:
                     continue
-            if len(ds1) == 1 == len(ds2):
-                row[label] = ((*ds1, *ds2),)
-            else:
-                row[label] = _pairs(ds1, ds2)
+            row[label] = (ds1 + ds2,) if len(ds1) == 1 == len(ds2) else _pairs(ds1, ds2)
         only2 = self._only2
         if only2:
             for (label, ds2) in row2.items():
                 if label in only2:
-                    row[label] = ((q1, *ds2),) if len(ds2) == 1 else _pairs(stay1, ds2)
-        self[node] = row
+                    row[label] = (stay1 + ds2,) if len(ds2) == 1 else _pairs(stay1, ds2)
+        return row
+
+    def __missing__(self, node: tuple) -> dict:
+        row = self[node] = self.row(node)
         return row
 
 
-def _walk(nodes: Mapping, start, parents: dict):
+def _walk(row_of, start, parents: dict):
     """Breadth-first over the nodes reachable from ``start``.
 
-    ``nodes`` maps a node to its row, ``label -> successor nodes``, as a
-    :class:`_Product` or an automaton's label rows do.  Yields
-    ``(node, row)`` for each node in the order it is first reached, the
-    successors of a node in its row's order.  ``parents`` records each
-    reached node's ``(parent, label)``, None for ``start``: a caller that
-    stops early reads a shortest path to the node from it, and one that
-    walks to the end reads the reached set.
+    ``row_of(node)`` is the node's row, ``label -> successor nodes``, as
+    :meth:`_Product.row` or a :class:`_Product`'s ``__getitem__`` gives
+    it.  Yields ``(node, row)`` for each node in the order it is first
+    reached, the successors of a node in its row's order.  ``parents``
+    records each reached node's ``(parent, label)``, None for ``start``: a
+    caller that stops early reads a shortest path to the node from it, and
+    one that walks to the end reads the reached set.
     """
     parents[start] = None
     queue = [start]
     for node in queue:
-        row = nodes[node]
+        row = row_of(node)
         yield node, row
         for (label, ds) in row.items():
             for d in ds:
@@ -507,7 +513,7 @@ def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]
     every = holds1 | holds2
     pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
     parents: dict = {}
-    for ((x, y), row) in _walk(pairs, start, parents):
+    for ((x, y), row) in _walk(pairs.__getitem__, start, parents):
         if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):
             return None
     return frozenset(parents)
@@ -520,45 +526,26 @@ def product_state(q1: str, q2: str) -> str:
 def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
     """Synchronous composition: shared events synchronize, private events
     interleave.  The result is trimmed to its accessible part and product
-    states are canonically named ⟨q1,q2⟩.  The product moves by label of
-    the two operands' common refinement, so a product class is a union of
-    pairs of operand classes."""
+    states are canonically named ⟨q1,q2⟩.  The nodes are those a walk of
+    the :class:`_Product` of both operands reaches, by label of their
+    common refinement, so a product class is a union of pairs of operand
+    classes.  The walk keeps no rows."""
     alphabet = _merge_events([a1.alphabet, a2.alphabet])
     labels = _common_classes([e.id for e in alphabet], (a1, a2))
-    rows1, rows2 = _label_rows(a1, labels), _label_rows(a2, labels)
-    ids1, ids2 = a1.event_ids, a2.event_ids
-    shared = {label for label in labels if label in ids1 and label in ids2}
-
+    product = _Product(_side(a1, labels), _side(a2, labels))
     init = (a1.initial, a2.initial)
     names = {init: product_state(*init)}
-    frontier = [init]
-    relation: dict = {label: set() for label in labels}
-    while frontier:
-        (q1, q2) = frontier.pop()
-        src = names[(q1, q2)]
-        row2 = rows2[q2]
-        moves = []
-        for (ev, ds1) in rows1[q1].items():
-            if ev in shared:
-                for d1 in ds1:
-                    for d2 in row2.get(ev, _NO_TARGETS):
-                        moves.append((ev, d1, d2))
-            else:
-                for d1 in ds1:
-                    moves.append((ev, d1, q2))
-        for (ev, ds2) in row2.items():
-            if ev not in shared:
-                for d2 in ds2:
-                    moves.append((ev, q1, d2))
-        for (ev, d1, d2) in moves:
-            dst = names.get((d1, d2))
-            if dst is None:
-                dst = names[(d1, d2)] = product_state(d1, d2)
-                frontier.append((d1, d2))
-            relation[ev].add((src, dst))
-    marked = {
-        name for ((q1, q2), name) in names.items() if q1 in a1.marked and q2 in a2.marked
-    }
+    relation: dict = {label: [] for label in labels}
+    for (node, row) in _walk(product.row, init, {}):
+        src = names[node]
+        for (label, ds) in row.items():
+            pairs = relation[label]
+            for d in ds:
+                dst = names.get(d)
+                if dst is None:
+                    dst = names[d] = product_state(*d)
+                pairs.append((src, dst))
+    marked = [name for (node, name) in names.items() if product.marks(node)]
     return Automaton._from_classes(
         names.values(), names[init], alphabet, labels, relation, marked
     )

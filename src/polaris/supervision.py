@@ -74,7 +74,7 @@ def is_nonblocking(a: Automaton, *more: Automaton) -> bool:
     (nodes, _, marks) = side
     reached: dict = {}
     predecessors: dict = {}
-    for (node, row) in _walk(nodes, start, reached):
+    for (node, row) in _walk(nodes.__getitem__, start, reached):
         for ds in row.values():
             for d in ds:
                 predecessors.setdefault(d, []).append(node)
@@ -121,7 +121,8 @@ def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityR
     spec_side, plant_side = _side(spec, labels), _side(plant, labels)
     spec_rows, plant_rows = spec_side[0], plant_side[0]
     parents: dict = {}
-    for (node, _) in _walk(_Product(spec_side, plant_side), (spec.initial, plant.initial), parents):
+    product = _Product(spec_side, plant_side)
+    for (node, _) in _walk(product.__getitem__, (spec.initial, plant.initial), parents):
         (qs, qp) = node
         spec_enabled = spec_rows[qs]
         for ev in plant_rows[qp]:

@@ -30,11 +30,9 @@ def files(tmp_path):
 
 
 def test_bisim_exit_codes(files, capsys):
-    (_, pa, pb, _, _) = files
+    (_, pa, _, _, _) = files
     assert main(["bisim", str(pa), str(pa)]) == 0
-    assert "bisimilar" in capsys.readouterr().out
-    assert main(["bisim", str(pa), str(pb)]) == 1
-    assert "not bisimilar" in capsys.readouterr().out
+    assert capsys.readouterr().out == "bisimilar\n"
 
 
 def test_compose_writes_product(files):
@@ -75,17 +73,6 @@ def test_check_controllable_pass_and_fail(tmp_path, capsys):
     assert main(["check-controllable", "--plant", str(pp), "--spec", str(pg)]) == 0
     assert main(["check-controllable", "--plant", str(pp), "--spec", str(pb)]) == 1
     assert "uncontrollable d" in capsys.readouterr().out
-
-
-def test_check_decomposable_v_shape(tmp_path, capsys):
-    v = make_auto([("q0", "e1", "q1"), ("q0", "e2", "q2")])
-    path = tmp_path / "v.aut"
-    exchange.write(v, path)
-    code = main(["check-decomposable", str(path), "--events1", "e1", "--events2", "e2"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "decomposable: False" in out
-    assert "dc1: fail" in out
 
 
 # exact stdout and exit code of verdicts that fail or carry a failing

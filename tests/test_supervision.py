@@ -4,11 +4,14 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    GENERIC_E1,
+    GENERIC_E2,
     brute_language,
     check_bisim_relation,
     dc3_by_sampling,
     dc3_pair_ok,
     first_shared,
+    generic_automaton,
     make_auto,
     marked_language_upto,
     per_event_bisim,
@@ -461,7 +464,8 @@ def test_class_algebra_matches_per_event_oracles():
     # equal the per-event one, witnesses (smallest member first) included
     rng = random.Random(8088)
     seen = dict.fromkeys(
-        ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness"), 0
+        ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness",
+         "large product"), 0
     )
     twin_ids = {f(ev) for ev in "abc" for f in (str.upper, lambda ev: ev + "2")}
 
@@ -512,7 +516,17 @@ def test_class_algebra_matches_per_event_oracles():
                 witness = getattr(report, dc + "_witness")
                 seen[dc] += witness is not None
                 seen["twin witness"] += twins(witness)
-    assert all(seen.values()), seen
+
+    # every event of a generic automaton is its own class, and projections
+    # onto two overlapping alphabets compose to hundreds of states
+    for seed in range(4):
+        for n in (18, 20):
+            g = generic_automaton(random.Random(seed), n)
+            (p1, p2) = (natural_project(g, GENERIC_E1), natural_project(g, GENERIC_E2))
+            product = parallel_compose(p1, p2)
+            assert product == per_event_compose(p1, p2)
+            seen["large product"] += len(product.states) >= 200
+    assert all(seen.values()) and seen["large product"] == 8, seen
 
 
 def test_natural_project_marked_language_is_projected_brute_language(rng):
