@@ -12,6 +12,10 @@ whose middle element may be a group of events, and its per-event work is
 to check each member and place it in its class.  The sorted (source,
 event id, target) triples are derived from the index on request.  All
 operations are pure functions returning new automata.
+
+An operand of the product walks below is an automaton or a tuple of
+operands, which stands for the product of its members composed left to
+right, its states named ``⟨…,…⟩`` as :func:`parallel_compose` names them.
 """
 
 from __future__ import annotations
@@ -62,28 +66,26 @@ class Event(_EventFields):
 def _merge_events(groups: Sequence[Iterable[Event]]) -> tuple:
     """Union alphabets by id, checking controllability agreement.
 
-    The union is sorted by id.  Two equal groups are taken to be the
-    alphabets of two automata, already sorted with one record per id, so
-    the first is returned as it is.
+    The union is sorted by id.  Several groups are taken to be alphabets
+    of automata, sorted with one record per id, so a group equal to an
+    earlier one adds nothing and, when all are equal, the first is kept.
     """
-    if len(groups) == 2 and groups[0] == groups[1]:
-        return groups[0]
+    distinct = [group for (k, group) in enumerate(groups) if group not in groups[:k]]
+    if len(distinct) == 1 < len(groups):
+        return distinct[0]
     by_id: dict[str, Event] = {}
-    for group in groups:
+    for group in distinct:
         for ev in group:
-            old = by_id.get(ev.id)
-            if old is None:
-                by_id[ev.id] = ev
-            else:
-                if old.controllable != ev.controllable:
-                    raise AlphabetConflict(
-                        f"event {ev.id!r} is controllable in one alphabet "
-                        "and uncontrollable in the other"
-                    )
-                if old.owners != ev.owners:
-                    by_id[ev.id] = Event(ev.id, ev.controllable, old.owners | ev.owners)
-    # ids are unique, so the records sort by id alone
-    return tuple(sorted(by_id.values()))
+            old = by_id.setdefault(ev.id, ev)
+            if old is ev or old == ev:
+                continue
+            if old.controllable != ev.controllable:
+                raise AlphabetConflict(
+                    f"event {ev.id!r} is controllable in one alphabet "
+                    "and uncontrollable in the other"
+                )
+            by_id[ev.id] = Event(ev.id, ev.controllable, old.owners | ev.owners)
+    return tuple([by_id[ev] for ev in sorted(by_id)])
 
 
 class Automaton:
@@ -397,13 +399,6 @@ def _label_rows(a: Automaton, labels: Iterable[str]) -> dict:
     return rows
 
 
-def _side(a: Automaton, labels: Mapping) -> tuple:
-    """``a`` as an operand of :class:`_Product`: its label rows over
-    ``labels``, the labels its alphabet holds and its marking test."""
-    holds = frozenset(label for label in labels if label in a._class_of)
-    return (_label_rows(a, labels), holds, a.marked.__contains__)
-
-
 def _pairs(ds1: tuple, ds2: tuple) -> tuple:
     """The pairs of ``ds1`` and ``ds2``, each in its own order."""
     return tuple((d1, d2) for d1 in ds1 for d2 in ds2)
@@ -415,18 +410,16 @@ class _Product(dict):
     An operand is a triple ``(rows, holds, marks)``: ``rows`` maps each of
     its nodes to ``label -> tuple of targets`` over the labels of one common
     refinement, ``holds`` is the set of labels its alphabet holds and
-    ``marks`` tells its marked nodes.  :func:`_side` makes one of an
-    automaton and :meth:`side` one of a product, so products nest: the
-    product of several automata is a product of products.  A node is a
-    pair of the operands' nodes.  :meth:`row` builds a node's row,
-    ``label -> successor nodes``, and ``self[node]`` builds it on its
-    first read and keeps it.  A shared label fires when both operands
-    enable it and a private one moves its own operand alone; this is the
-    only statement of those rules, and :func:`parallel_compose` names the
-    nodes they reach.  A row lists the first operand's labels in that
-    operand's row order, then the second operand's private ones, and a
-    label's successors in the order of each operand's targets, which
-    :func:`_side` sorts.
+    ``marks`` tells its marked nodes; :func:`_operands` makes them and
+    nests products through :meth:`side`.  A node is a pair of the
+    operands' nodes.  :meth:`row` builds a node's row, ``label ->
+    successor nodes``, and ``self[node]`` builds it on its first read and
+    keeps it, for nested products, whose rows are read again.  A shared
+    label fires when both operands enable it and a private one moves its
+    own operand alone; this is the only statement of those rules.  A row
+    lists the first operand's labels in that operand's row order, then the
+    second operand's private ones, and a label's successors in the order
+    of each operand's (sorted) targets.
     """
 
     __slots__ = ("_rows1", "_rows2", "_marks1", "_marks2", "_shared", "_only2", "_holds")
@@ -472,6 +465,53 @@ class _Product(dict):
         return row
 
 
+def _leaves(operand) -> list:
+    """The automata of an operand, left to right."""
+    if not isinstance(operand, tuple):
+        return [operand]
+    return [a for member in operand for a in _leaves(member)]
+
+
+def _operands(*operands) -> tuple:
+    """The operands of one walk as :class:`_Product` operands.
+
+    Returns ``(labels, made)``: ``labels`` is the common refinement of the
+    classes of every automaton in the operands, and ``made`` holds each
+    operand's ``(alphabet, triple, start node)``.  A tuple's alphabet is
+    the union of its members', which must agree on controllability, and
+    its node is the nested pair of its members' nodes.
+    """
+    leaves: dict = {}
+    alphabets = []
+    for operand in operands:
+        mine = _leaves(operand)
+        leaves.update((id(a), a) for a in mine)
+        alphabets.append(
+            mine[0].alphabet if len(mine) == 1 else _merge_events([a.alphabet for a in mine])
+        )
+    if len(alphabets) == 1:
+        events = [e.id for e in alphabets[0]]
+    else:
+        events = sorted({e.id for alphabet in alphabets for e in alphabet})
+    labels = _common_classes(events, list(leaves.values()))
+    sides = {}
+    for (key, a) in leaves.items():
+        holds = frozenset(label for label in labels if label in a._class_of)
+        sides[key] = (_label_rows(a, labels), holds, a.marked.__contains__)
+
+    def made(operand) -> tuple:
+        if not isinstance(operand, tuple):
+            return (sides[id(operand)], operand.initial)
+        (side, start) = made(operand[0])
+        for member in operand[1:]:
+            (other, q) = made(member)
+            side = _Product(side, other).side()
+            start = (start, q)
+        return (side, start)
+
+    return labels, [(alphabet, *made(x)) for (alphabet, x) in zip(alphabets, operands)]
+
+
 def _walk(row_of, start, parents: dict):
     """Breadth-first over the nodes reachable from ``start``.
 
@@ -495,46 +535,26 @@ def _walk(row_of, start, parents: dict):
                     queue.append(d)
 
 
-def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]:
-    """The pair walk of Hopcroft and Karp over two deterministic operands.
-
-    The sides are :class:`_Product` operands whose rows give one target
-    per label.  The walk moves from ``start`` on the labels both sides
-    enable and stops at the first pair whose marking or enabled labels
-    differ: the sides' generated or marked languages then differ, and the
-    result is None.  Otherwise it returns the frozenset of reached pairs,
-    which is a bisimulation.  This is the walk of J. E. Hopcroft and
-    R. M. Karp ("A linear algorithm for testing equivalence of finite
-    automata", Cornell TR 71-114, 1971) without its union-find, so that
-    every reachable pair is visited and returned.  A label outside one
-    side's alphabet never fires there.
-    """
-    (rows1, holds1, marks1), (rows2, holds2, marks2) = side1, side2
-    every = holds1 | holds2
-    pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
-    parents: dict = {}
-    for ((x, y), row) in _walk(pairs.__getitem__, start, parents):
-        if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):
-            return None
-    return frozenset(parents)
-
-
 def product_state(q1: str, q2: str) -> str:
     return f"⟨{q1},{q2}⟩"
 
 
-def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
+def _name(node) -> str:
+    """The state name of an operand's node: ``⟨q1,q2⟩`` for a pair."""
+    if node.__class__ is str:
+        return node
+    return product_state(_name(node[0]), _name(node[1]))
+
+
+def parallel_compose(a1, a2) -> Automaton:
     """Synchronous composition: shared events synchronize, private events
     interleave.  The result is trimmed to its accessible part and product
     states are canonically named ⟨q1,q2⟩.  The nodes are those a walk of
     the :class:`_Product` of both operands reaches, by label of their
     common refinement, so a product class is a union of pairs of operand
     classes.  The walk keeps no rows."""
-    alphabet = _merge_events([a1.alphabet, a2.alphabet])
-    labels = _common_classes([e.id for e in alphabet], (a1, a2))
-    product = _Product(_side(a1, labels), _side(a2, labels))
-    init = (a1.initial, a2.initial)
-    names = {init: product_state(*init)}
+    (labels, [(alphabet, (product, _, marks), init)]) = _operands((a1, a2))
+    names = {init: _name(init)}
     relation: dict = {label: [] for label in labels}
     for (node, row) in _walk(product.row, init, {}):
         src = names[node]
@@ -543,9 +563,9 @@ def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
             for d in ds:
                 dst = names.get(d)
                 if dst is None:
-                    dst = names[d] = product_state(*d)
+                    dst = names[d] = _name(d)
                 pairs.append((src, dst))
-    marked = [name for (node, name) in names.items() if product.marks(node)]
+    marked = [name for (node, name) in names.items() if marks(node)]
     return Automaton._from_classes(
         names.values(), names[init], alphabet, labels, relation, marked
     )
@@ -703,42 +723,61 @@ def _refine(block_of: dict, succ: dict) -> dict:
         block_of = new_block_of
 
 
-def is_bisimilar(a1: Automaton, a2: Automaton) -> BisimResult:
-    """Decide bisimilarity, with marked states matched to marked states.
+def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]:
+    """The bisimulation between two :class:`_Product` operands from ``start``.
 
-    Both automata are trimmed to their accessible parts and move by label
-    of the common refinement of their classes; events missing from one
-    alphabet simply never fire on that side.  When both accessible parts
-    are deterministic, bisimilarity is equality of the generated and
-    marked languages, and the pair walk of :func:`_equivalent` decides it:
-    ``relation`` is then the set of reachable state pairs.  Otherwise
-    partition refinement on the disjoint union decides it, with the marked
-    and unmarked states as the initial blocks, and ``relation`` is the
-    maximal bisimulation between the accessible states.  It is None when
-    the automata are not bisimilar.
+    The pair walk of J. E. Hopcroft and R. M. Karp ("A linear algorithm
+    for testing equivalence of finite automata", Cornell TR 71-114, 1971),
+    without its union-find so that it visits every reachable pair, moves
+    on the labels both sides enable.  While its rows have one target per
+    label, each node it reaches is the only one its string leads to, so a
+    pair whose marking or enabled labels differ proves the sides not
+    bisimilar (None); a walk with no such pair returns the reached pairs.
+    At the first pair whose row has a label with two successors, before
+    they are queued, partition refinement of the nodes reachable on each
+    side, marked and unmarked ones as the initial blocks, gives the
+    maximal bisimulation, or None when it holds no start pair.
     """
-    u1 = accessible(a1)
-    u2 = accessible(a2)
-    labels = _common_classes(sorted(u1.event_ids | u2.event_ids), (u1, u2))
-    if u1.deterministic and u2.deterministic:
-        return BisimResult(_equivalent(
-            _side(u1, labels), _side(u2, labels), (u1.initial, u2.initial)
-        ))
+    (rows1, holds1, marks1), (rows2, holds2, marks2) = side1, side2
+    every = holds1 | holds2
+    pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
+    parents: dict = {}
+    for ((x, y), row) in _walk(pairs.row, start, parents):
+        if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):
+            return None
+        if max(map(len, row.values()), default=1) > 1:
+            break
+    else:
+        return frozenset(parents)
     succ: dict = {}
     block_of: dict = {}
-    for tag, u in (("1:", u1), ("2:", u2)):
-        for q, row in _label_rows(u, labels).items():
-            succ[tag + q] = {ev: [tag + d for d in dsts] for ev, dsts in row.items()}
-            block_of[tag + q] = q in u.marked
-
+    reached = []
+    for (tag, rows, marks, q0) in ((1, rows1, marks1, start[0]), (2, rows2, marks2, start[1])):
+        nodes: dict = {}
+        for (q, row) in _walk(rows.__getitem__, q0, nodes):
+            succ[tag, q] = {label: [(tag, d) for d in ds] for (label, ds) in row.items()}
+            block_of[tag, q] = marks(q)
+        reached.append(nodes)
     block_of = _refine(block_of, succ)
-
-    if block_of["1:" + u1.initial] != block_of["2:" + u2.initial]:
-        return BisimResult(None)
     in_block: dict = {}
-    for q2 in u2.states:
-        in_block.setdefault(block_of["2:" + q2], []).append(q2)
-    pairs = frozenset(
-        (q1, q2) for q1 in u1.states for q2 in in_block.get(block_of["1:" + q1], ())
-    )
-    return BisimResult(pairs)
+    for q2 in reached[1]:
+        in_block.setdefault(block_of[2, q2], []).append(q2)
+    relation = frozenset((q1, q2) for q1 in reached[0] for q2 in in_block.get(block_of[1, q1], ()))
+    return relation if start in relation else None
+
+
+def is_bisimilar(a1, a2) -> BisimResult:
+    """Decide bisimilarity of two operands, marked states matched to marked.
+
+    They move by label of the common refinement of their automata's
+    classes; an event missing from one alphabet never fires on that side.
+    ``relation`` is None when they are not bisimilar; otherwise it holds
+    the reachable state pairs when :func:`_equivalent`'s walk met only
+    rows with one target per label, and else the maximal bisimulation
+    between the reachable states.
+    """
+    (_, [(_, side1, start1), (_, side2, start2)]) = _operands(a1, a2)
+    pairs = _equivalent(side1, side2, (start1, start2))
+    if pairs is None:
+        return BisimResult(None)
+    return BisimResult(frozenset((_name(x), _name(y)) for (x, y) in pairs))

@@ -118,7 +118,10 @@ def cmd_build_models(args) -> int:
     for name, auto in files.items():
         exchange.write(auto, outdir / name)
 
-    joint_plant = parallel_compose(models.plant1, models.plant2)
+    # the joint plant and the spec (the collision supervisor on it) are
+    # only checked, so they are operands, walked and never composed
+    joint_plant = (models.plant1, models.plant2)
+    spec = (models.collision, joint_plant)
     verdicts = {}  # in report order
     for k in (1, 2):
         verdicts[f"controllable_formation_{k}"] = bool(
@@ -127,9 +130,6 @@ def cmd_build_models(args) -> int:
     verdicts["controllable_collision"] = bool(
         check_controllability(models.collision, joint_plant)
     )
-    # the collision supervisor on the joint plant: the spec the local
-    # supervisors must reproduce, and the mission loop's plant side
-    spec = parallel_compose(models.collision, joint_plant)
     report = models.decomposition  # dc3 is not printed
     verdicts["decomposable_collision"] = bool(report)
     verdicts.update(dc1=report.dc1_witness is None, dc2=report.dc2_witness is None,
@@ -186,7 +186,7 @@ def cmd_verify_theorem1(args) -> int:
     decentral = verify_decentralized(plant1, plant2, local1, local2, spec)
     # the global controller on the joint plant, the closed loop that the
     # local ones must reproduce
-    central = is_bisimilar(parallel_compose(controller, parallel_compose(plant1, plant2)), spec)
+    central = is_bisimilar((controller, (plant1, plant2)), spec)
     print(f"centralized_matches_spec = {bool(central)}")
     print(f"decentralized_matches_spec = {bool(decentral)}")
     return PASS if decentral else FAIL

@@ -17,19 +17,16 @@ from .automata import (
     BisimResult,
     _common_classes,
     _determinize,
-    _equivalent,
     _label_rows,
-    _merge_events,
+    _operands,
     _Product,
     _projection_nfa,
     _refine,
-    _side,
     _walk,
     accessible,
     is_bisimilar,
     natural_project,
     parallel_compose,
-    product_state,
 )
 from .errors import (
     AlphabetMismatch,
@@ -51,30 +48,22 @@ __all__ = [
 ]
 
 
-def is_nonblocking(a: Automaton, *more: Automaton) -> bool:
+def is_nonblocking(a, *more) -> bool:
     """From every reachable state some marked state must stay reachable.
 
-    Given several automata, a state is a node of their synchronous
-    product, composed left to right as :func:`modular_supervisor` composes
-    its three, and it is marked when every member is.  The product is
-    never built: one walk reaches its nodes by label of the common
-    refinement of the automata's classes and records their predecessors,
-    and a backward pass from the marked nodes finds the nodes that can
-    reach one.  An automaton whose alphabet holds the others' is best
-    passed first: no row of the walk is then wider than its own.  Raises
-    :class:`AlphabetConflict` where composing them would.
+    The states are the nodes of the operands' product, composed left to
+    right as :func:`modular_supervisor` composes its three, marked when
+    every member is.  One walk reaches them, never building the product,
+    and records their predecessors; a backward pass from the marked nodes
+    finds those that can reach one.  An operand whose alphabet holds the
+    others' is best passed first: no row of the walk is then wider than
+    its own.  Raises :class:`AlphabetConflict` where composing would.
     """
-    autos = (a, *more)
-    labels = _common_classes([e.id for e in _merge_events([b.alphabet for b in autos])], autos)
-    side = _side(a, labels)
-    start = a.initial
-    for b in more:
-        side = _Product(side, _side(b, labels)).side()
-        start = (start, b.initial)
-    (nodes, _, marks) = side
+    (_, [(_, (rows, _, marks), start)]) = _operands((a, *more))
+    row_of = rows.row if isinstance(rows, _Product) else rows.__getitem__
     reached: dict = {}
     predecessors: dict = {}
-    for (node, row) in _walk(nodes.__getitem__, start, reached):
+    for (node, row) in _walk(row_of, start, reached):
         for ds in row.values():
             for d in ds:
                 predecessors.setdefault(d, []).append(node)
@@ -96,43 +85,37 @@ class ControllabilityReport(NamedTuple):
         return self.witness_event is None
 
 
-def check_controllability(spec: Automaton, plant: Automaton) -> ControllabilityReport:
+def check_controllability(spec, plant) -> ControllabilityReport:
     """Check that the spec never disables an uncontrollable plant event.
 
-    The uncontrollable events are those the plant's alphabet marks so.
-    Walks the synchronous product of the spec (prefix-closed view: its
-    generated language) and the plant breadth-first, with the walk that
-    :func:`is_bisimilar` and :func:`is_nonblocking` use, and never builds
-    it; fails iff some reachable pair enables an uncontrollable event in
-    the plant but not in the spec.  On failure the witness string s and
-    event are returned, with s generated by the spec, s+event generated by
-    the plant but not by the spec.  The search moves by label of the common
-    refinement of both automata's classes and the uncontrollable events,
-    in label order, so each witness event is the smallest of the first
-    failing block, as a scan of single events in sorted order finds.
+    ``spec`` and ``plant`` are operands over one set of event ids, and the
+    uncontrollable events are those the plant's alphabet marks so.  Walks
+    the product of the spec (prefix-closed view: its generated language)
+    and the plant breadth-first, never building it; fails iff some
+    reachable node enables an uncontrollable event in the plant but not in
+    the spec.  The witness string s is then a shortest one generated by
+    the spec, and the event the smallest failing one at the first failing
+    node, so s+event is generated by the plant but not by the spec.
     """
-    if spec.event_ids != plant.event_ids:
+    (_, [(spec_events, spec_side, qs0), (plant_events, plant_side, qp0)]) = _operands(spec, plant)
+    (spec_ids, plant_ids) = ({e.id for e in spec_events}, {e.id for e in plant_events})
+    if spec_ids != plant_ids:
         raise AlphabetMismatch(
-            "spec and plant must share an alphabet; "
-            f"difference: {sorted(spec.event_ids ^ plant.event_ids)}"
+            f"spec and plant must share an alphabet; difference: {sorted(spec_ids ^ plant_ids)}"
         )
-    e_uc = frozenset(e.id for e in plant.alphabet if not e.controllable)
-    labels = _common_classes([e.id for e in plant.alphabet], (spec, plant), (e_uc,))
-    spec_side, plant_side = _side(spec, labels), _side(plant, labels)
-    spec_rows, plant_rows = spec_side[0], plant_side[0]
+    e_uc = frozenset(e.id for e in plant_events if not e.controllable)
+    (spec_rows, plant_rows) = (spec_side[0], plant_side[0])
     parents: dict = {}
-    product = _Product(spec_side, plant_side)
-    for (node, _) in _walk(product.__getitem__, (spec.initial, plant.initial), parents):
+    for (node, _) in _walk(_Product(spec_side, plant_side).row, (qs0, qp0), parents):
         (qs, qp) = node
-        spec_enabled = spec_rows[qs]
-        for ev in plant_rows[qp]:
-            if ev in e_uc and ev not in spec_enabled:
-                string = []
-                while parents[node] is not None:
-                    node, via = parents[node]
-                    string.append(via)
-                string.reverse()
-                return ControllabilityReport(tuple(string), ev)
+        failing = [ev for ev in plant_rows[qp] if ev in e_uc and ev not in spec_rows[qs]]
+        if failing:
+            string = []
+            while parents[node] is not None:
+                node, via = parents[node]
+                string.append(via)
+            string.reverse()
+            return ControllabilityReport(tuple(string), min(failing))
     return ControllabilityReport()
 
 
@@ -391,40 +374,13 @@ def check_decomposability(
     )
 
 
-def verify_decentralized(
-    ap1: Automaton, ap2: Automaton, local1: Automaton, local2: Automaton, a_spec: Automaton
-) -> BisimResult:
+def verify_decentralized(ap1, ap2, local1, local2, a_spec) -> BisimResult:
     """Check that the locally supervised team meets the global spec.
 
-    ``local1`` and ``local2`` are the local supervisors, such as the
-    projections that :func:`decompose` or :func:`check_decomposability`
-    give.  The team is the composition of the local closed loops, each
-    plant with its supervisor, and the result is
-    ``is_bisimilar(team, a_spec)``, true iff its relation is not None.
-    When the four operands and the spec's accessible part are
-    deterministic, the team is never built: the pair walk of
-    :func:`is_bisimilar` runs with the team's synchronous product as one
-    side, made node by node, and the reached team nodes are named as the
-    composed team names its states (``⟨⟨ap1,local1⟩,⟨ap2,local2⟩⟩``).
-    Otherwise the team is composed and compared.
+    Every argument is an operand; ``local1`` and ``local2`` are the local
+    supervisors, such as the projections that :func:`decompose` gives.
+    The team, the product of each plant with its supervisor, is walked,
+    never composed, and its states are named ``⟨⟨ap1,local1⟩,⟨ap2,local2⟩⟩``
+    as composing names them.
     """
-    team = (ap1, local1, ap2, local2)
-    spec = accessible(a_spec)
-    if not (spec.deterministic and all(a.deterministic for a in team)):
-        return is_bisimilar(
-            parallel_compose(parallel_compose(ap1, local1), parallel_compose(ap2, local2)),
-            a_spec,
-        )
-    ids = {e.id for e in _merge_events([a.alphabet for a in team])}
-    labels = _common_classes(sorted(ids | spec.event_ids), (*team, spec))
-    (s1, l1, s2, l2) = (_side(a, labels) for a in team)
-    pairs = _equivalent(
-        _Product(_Product(s1, l1).side(), _Product(s2, l2).side()).side(),
-        _side(spec, labels),
-        (((ap1.initial, local1.initial), (ap2.initial, local2.initial)), spec.initial),
-    )
-    if pairs is None:
-        return BisimResult(None)
-    return BisimResult(frozenset(
-        (product_state(product_state(*x1), product_state(*x2)), q) for ((x1, x2), q) in pairs
-    ))
+    return is_bisimilar(((ap1, local1), (ap2, local2)), a_spec)

@@ -241,6 +241,11 @@ def test_compose_rejects_controllability_conflict():
     b = make_auto([("q0", "x", "q0")])
     with pytest.raises(AlphabetConflict):
         parallel_compose(a, b)
+    # a tuple operand stands for the composition, so its members must agree
+    with pytest.raises(AlphabetConflict):
+        is_bisimilar((a, b), a)
+    with pytest.raises(AlphabetConflict):
+        is_bisimilar(a, ((a,), (a, b)))
 
 
 def test_compose_commutative_associative_up_to_bisim(rng):
@@ -455,6 +460,10 @@ def test_pair_walk_decides_deterministic_pairs_as_the_oracle(monkeypatch):
             verdict = is_bisimilar(a, other)
             want = per_event_bisim(a, other)
             assert bool(verdict) == bool(want)
+            # a tuple operand is walked as its composition is, names included
+            product = parallel_compose(a, other)
+            assert is_bisimilar((a, other), renamed) == is_bisimilar(product, renamed)
+            assert is_bisimilar(a, (other, a)) == is_bisimilar(a, parallel_compose(other, a))
             seen["pairs"] += 1
             if not verdict:
                 seen["not bisimilar"] += 1

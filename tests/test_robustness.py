@@ -3,17 +3,18 @@ through every command that reads them, and of the bundled ``.cfg``, run
 through ``simulate``: the exit code is 0, 1 or 2, exit 2 comes with an
 ``error: `` line on stderr, and no exception escapes."""
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
 from polaris import exchange
-from polaris.errors import PolarisError
+from polaris.errors import Infeasible, OutsideRegion, PolarisError
 from polaris.automata import parallel_compose
 from polaris.cli import main
 from polaris.models import build_models
-from polaris.polar import PolarPartition
+from polaris.polar import Mode, PolarPartition, design_controller, eval_control, region_bounds
 from polaris.scenario import parse_scenario
 
 CASES = 600
@@ -94,6 +95,54 @@ def test_mutated_aut_inputs_exit_0_1_or_2(originals, tmp_path, capsys):
     assert set(kinds) == set(KINDS)
 
 
+def test_missing_inputs_exit_2_naming_the_path_once(originals, tmp_path, capsys):
+    # one seeded input of each command is missing: the error names its
+    # path once, not once more inside the operating system's message
+    rng = random.Random(19)
+    runs = {
+        command: (argv, sorted({name for name in originals if f"{{{name}}}" in " ".join(argv)}))
+        for (command, argv) in COMMANDS.items()
+    }
+    runs["simulate"] = (["simulate", "--scenario", "{cfg}", "-o", "{out}"], ["cfg"])
+    for (command, (argv, names)) in sorted(runs.items()):
+        folder = tmp_path / command
+        folder.mkdir()
+        missing = rng.choice(names)
+        paths = {name: folder / f"{name}.{'cfg' if name == 'cfg' else 'aut'}" for name in names}
+        for name in names:
+            if name != missing:
+                paths[name].write_text(originals[name], encoding="utf-8")
+        paths["out"] = folder / "out"
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[missing]}: "), (command, err)
+        assert err.count(str(paths[missing])) == 1, (command, err)
+
+
+def test_eval_control_rejects_non_finite_points():
+    # a point with a NaN or infinite coordinate lies in no region, so
+    # eval_control raises OutsideRegion rather than return a velocity
+    rng = random.Random(19)
+    p = PolarPartition(50.0, 6, 9)
+    regions = list(p.regions())
+    checked = Counter()
+    for _ in range(300):
+        idx = rng.choice(regions)
+        try:
+            vc = design_controller(p, idx, rng.choice(list(Mode)), 2.0)
+        except Infeasible:
+            continue
+        (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
+        (r, th) = (rng.uniform(r_lo, r_hi), rng.uniform(th_lo, th_hi))
+        point = [r * math.cos(th), r * math.sin(th)]
+        for k in rng.sample((0, 1), rng.randint(1, 2)):
+            point[k] = rng.choice((math.nan, math.nan, math.inf, -math.inf))
+        with pytest.raises(OutsideRegion):
+            eval_control(p, idx, vc, *point)
+        checked["nan" if math.isnan(sum(point)) else "inf"] += 1
+    assert min(checked.values()) > 50, checked
+
+
 # .cfg mutations run through simulate: the bundled mission cut to 2 s
 CFG_CASES = 1000
 BUNDLED_CFG = "src/polaris/data/paper_phase12.cfg"
@@ -103,10 +152,17 @@ BAD_SCHEDULES = ("0:1.0", "0:1,2,3", "x:1,2", "5:1,2 0:3,4", "0:1,2 0:3,4", ":",
                  "0:1,2 -1:3,4", "1:1,2", "0:nan,1", "0:1,2 1e308:3,4")
 NON_UTF8 = (b"\xff", b"\xc3\x28", b"\x80abc", b"\xed\xa0\x80")
 CFG_KINDS = ("edge value", "junk value", "schedule", "duplicate key", "non-UTF-8")
-# the first cases: one key set to an extreme that validation or the run
-# must handle; the two u_max runs reach the quiet loop's clamp pre-test
-EXTREMES = (("sim.u_max", "1e308"), ("sim.u_max", "5e-324"), ("sim.t_end", "1e308"),
-            ("sim.dt", "5e-324"), ("partition.r_max", "1e308"), ("partition.r_max", "5e-324"))
+# the first cases: keys set to extremes that validation or the run must
+# handle; the two u_max runs reach the quiet loop's clamp pre-test, and the
+# last puts both followers at the center of a partition whose radial step
+# and radius floor underflow, so that no horizon test rejects it first
+EXTREMES = (
+    (("sim.u_max", "1e308"),), (("sim.u_max", "5e-324"),), (("sim.t_end", "1e308"),),
+    (("sim.dt", "5e-324"),), (("partition.r_max", "1e308"),), (("partition.r_max", "5e-324"),),
+    (("partition.r_max", "5e-324"),
+     ("follower1.initial_position", "0,0"), ("follower1.offsets", "0:0,0"),
+     ("follower2.initial_position", "0,0"), ("follower2.offsets", "0:0,0")),
+)
 # skipped before running: a config with more steps or regions than these
 MAX_STEPS = 20_000
 MAX_REGIONS = 5_000
@@ -148,9 +204,10 @@ def test_mutated_cfg_inputs_exit_0_1_or_2(tmp_path, capsys):
     path = tmp_path / "mission.cfg"
     for n in range(CFG_CASES):
         if n < len(EXTREMES):
-            (key, value) = EXTREMES[n]
-            mutated = [f"{key} = {value}" if line.startswith(f"{key} =") else line
-                       for line in lines]
+            mutated = lines
+            for (key, value) in EXTREMES[n]:
+                mutated = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                           for line in mutated]
         else:
             mutated = lines
             for _ in range(rng.choice((1, 1, 2))):
@@ -166,7 +223,10 @@ def test_mutated_cfg_inputs_exit_0_1_or_2(tmp_path, capsys):
         except PolarisError:
             pass
         else:
-            if (round(cfg.t_end / cfg.dt) > MAX_STEPS
+            # a step count that is not finite is not skipped: the run
+            # must reject it
+            steps = cfg.t_end / cfg.dt
+            if ((math.isfinite(steps) and round(steps) > MAX_STEPS)
                     or cfg.partition.region_count > MAX_REGIONS):
                 skips += 1
                 continue

@@ -28,7 +28,7 @@ from conftest import (
     unfolded,
 )
 
-from polaris import supervision
+from polaris import automata, supervision
 from polaris.automata import (
     Automaton,
     Event,
@@ -465,7 +465,7 @@ def test_class_algebra_matches_per_event_oracles():
     rng = random.Random(8088)
     seen = dict.fromkeys(
         ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness",
-         "large product"), 0
+         "large product", "tuple bisimilar", "tuple not bisimilar", "tuple nondeterministic"), 0
     )
     twin_ids = {f(ev) for ev in "abc" for f in (str.upper, lambda ev: ev + "2")}
 
@@ -487,6 +487,16 @@ def test_class_algebra_matches_per_event_oracles():
             verdict = is_bisimilar(a, other)
             _assert_same_bisim(a, other, verdict, per_event_bisim(a, other))
             seen["bisimilar"] += bool(verdict)
+        # on every other case, a tuple operand is walked as its composition
+        # is, names included, nondeterministic members too
+        ab = parallel_compose(a, b)
+        others = (a, b, ab.renamed({q: "r" + q for q in ab.states})) if i % 2 else ()
+        for other in others:
+            verdict = is_bisimilar((a, b), other)
+            assert verdict == is_bisimilar(ab, other)
+            assert is_bisimilar(other, (a, b)) == is_bisimilar(other, ab)
+            seen["tuple bisimilar" if verdict else "tuple not bisimilar"] += 1
+            seen["tuple nondeterministic"] += not (a.deterministic and b.deterministic)
 
         spec = Automaton.build(
             a.states, a.initial, a.alphabet,
@@ -643,17 +653,18 @@ def _random_over(rng, events, deterministic):
 
 def test_verify_decentralized_walks_the_team_as_composing_it_decides(monkeypatch):
     # the oracle composes the team and bisimulates it; the result, relation
-    # included, must be the same, and deterministic teams are never composed
+    # included, must be the same, and no team is ever composed
     composed = []
 
     def counted(a1, a2):
         composed.append(1)
         return parallel_compose(a1, a2)
 
-    monkeypatch.setattr(supervision, "parallel_compose", counted)
+    for module in (supervision, automata):
+        monkeypatch.setattr(module, "parallel_compose", counted)
     rng = random.Random(4242)
     every = tuple(sorted(set(TEAM_EVENTS[0] + TEAM_EVENTS[1])))
-    seen = dict.fromkeys(("walked", "composed", "equivalent", "different"), 0)
+    seen = dict.fromkeys(("deterministic", "nondeterministic", "equivalent", "different"), 0)
     for i in range(500):
         deterministic = i % 4 != 0
         (ap1, ap2) = (_random_over(rng, evs, deterministic) for evs in TEAM_EVENTS)
@@ -665,11 +676,40 @@ def test_verify_decentralized_walks_the_team_as_composing_it_decides(monkeypatch
             del composed[:]
             verdict = verify_decentralized(ap1, ap2, local1, local2, spec)
             assert verdict == is_bisimilar(team, spec)
-            walked = all(a.deterministic for a in (ap1, local1, ap2, local2))
-            walked = walked and accessible(spec).deterministic
-            assert len(composed) == (0 if walked else 3)
-            seen["walked" if walked else "composed"] += 1
+            assert not composed
+            inputs = (ap1, local1, ap2, local2, accessible(spec))
+            all_deterministic = all(a.deterministic for a in inputs)
+            seen["deterministic" if all_deterministic else "nondeterministic"] += 1
             seen["equivalent" if verdict else "different"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_controllability_of_a_product_plant_matches_the_composed_plant():
+    # a product plant is walked, never composed: on deterministic inputs the
+    # report equals the composed plant's; a nondeterministic plant may reach
+    # its first failing node by another string, of the same length, that
+    # still replays
+    rng = random.Random(1917)
+    every = tuple(sorted(set(TEAM_EVENTS[0] + TEAM_EVENTS[1])))
+    seen = dict.fromkeys(("equal", "replayed", "controllable", "uncontrollable"), 0)
+    for i in range(1200):
+        (p1, p2) = (_random_over(rng, evs, i % 2 == 0) for evs in TEAM_EVENTS)
+        spec = _random_over(rng, every, True)
+        plant = parallel_compose(p1, p2)
+        report = check_controllability(spec, (p1, p2))
+        want = check_controllability(spec, plant)
+        seen["controllable" if report else "uncontrollable"] += 1
+        if p1.deterministic and p2.deterministic:
+            assert report == want
+            seen["equal"] += 1
+            continue
+        assert bool(report) == bool(want)
+        if not report:
+            (s, ev) = report
+            assert len(s) == len(want.witness_string)
+            assert spec.generates(s) and not spec.generates(s + (ev,))
+            assert plant.generates(s + (ev,))
+            seen["replayed"] += 1
     assert min(seen.values()) > 100, seen
 
 
@@ -694,6 +734,9 @@ def test_nonblocking_of_several_automata_matches_the_composed_loop():
         )
         verdict = is_nonblocking(s1, s2, a)
         assert verdict == is_nonblocking(modular_supervisor(s1, s2, a))
+        # nested tuples stand for the same loop
+        assert verdict == is_nonblocking((s1, s2), a) == is_nonblocking(s1, (s2, a))
+        assert verdict == is_nonblocking(((s1,), (s2, (a,))))
         assert verdict == per_event_nonblocking(per_event_compose(per_event_compose(s1, s2), a))
         assert is_nonblocking(s1, a) == per_event_nonblocking(per_event_compose(s1, a))
         assert is_nonblocking(a) == per_event_nonblocking(a)
@@ -706,3 +749,7 @@ def test_nonblocking_of_several_automata_checks_their_alphabets():
     b = make_auto([("q0", "x", "q0")])
     with pytest.raises(AlphabetConflict, match="'x'"):
         is_nonblocking(a, b)
+    with pytest.raises(AlphabetConflict, match="'x'"):
+        is_nonblocking((a, (b,)))
+    with pytest.raises(AlphabetConflict, match="'x'"):
+        check_controllability(a, (a, b))
