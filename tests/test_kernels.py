@@ -4,7 +4,8 @@ import random
 import pytest
 
 from polaris import kernels
-from polaris.polar import TWO_PI
+from polaris.errors import Infeasible
+from polaris.polar import TWO_PI, Mode, PolarPartition, design_controller, region_bounds
 
 from conftest import classify, integrate_by_steps
 
@@ -42,7 +43,7 @@ ZERO_DIVISORS = (
 )
 
 
-def test_zero_divisors_raise_in_both_backends():
+def test_eval_cell_raises_on_zero_divisors():
     u = (1.0,) * 8
     for (r_lo, r_hi, th_lo, span, x, y, r_eps) in ZERO_DIVISORS:
         with pytest.raises(ZeroDivisionError):
@@ -152,6 +153,73 @@ def test_integrate_cell_matches_the_stepwise_oracle():
     }
     assert any("ZeroDivisionError" in o for o in outcomes)
     assert any("nan" in o for o in outcomes)
+
+
+def test_integrate_cell_matches_the_oracle_on_designed_controllers():
+    # the controllers the program designs, not random gains: every region
+    # and feasible mode of 6x9 and 21x9 at speed 2, from two seeded starts;
+    # invariant runs stop after 200 steps, exit runs go until they leave
+    rng = random.Random(34)
+    codes = set()
+    for p in (PolarPartition(50.0, 6, 9), PolarPartition(50.0, 21, 9)):
+        for idx in p.regions():
+            (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, idx)
+            span = th_hi - th_lo
+            for mode in Mode:
+                try:
+                    vc = design_controller(p, idx, mode, 2.0)
+                except Infeasible:
+                    continue
+                cap = 200 if mode is Mode.INVARIANT else 100_000
+                for _ in range(2):
+                    r = r_lo + (0.05 + 0.9 * rng.random()) * (r_hi - r_lo)
+                    th = th_lo + (0.05 + 0.9 * rng.random()) * span
+                    args = (r_lo, r_hi, th_lo, span, vc.flat(),
+                            r * math.cos(th), r * math.sin(th), 0.02, cap, p.r_eps)
+                    expected = outcome(integrate_by_steps, *args)
+                    assert outcome(kernels.integrate_cell, *args) == expected, (p, idx, mode)
+                    assert int(expected[1]) == vc.exit_code, (p, idx, mode)
+                    codes.add(vc.exit_code)
+    assert len(codes) == 5
+
+
+def test_a_start_on_the_upper_angular_facet_stays_inside():
+    # a still start whose angle offset equals the span exactly lies on the
+    # th+ facet, which belongs to the cell: only a larger offset exits
+    rng = random.Random(35)
+    still = (0.0,) * 8
+    for _ in range(50):
+        r = rng.uniform(1.0, 20.0)
+        th = rng.uniform(-math.pi, math.pi)
+        (x0, y0) = (r * math.cos(th), r * math.sin(th))
+        th_lo = rng.uniform(-math.pi, math.pi)
+        span = math.atan2(y0, x0) - th_lo
+        if span <= 0.0:
+            span += TWO_PI
+        args = (0.0, 30.0, th_lo, span, still, x0, y0, 0.1, 3, 0.05)
+        expected = repr((kernels.INSIDE, 3, x0, y0))
+        assert outcome(integrate_by_steps, *args) == expected, args
+        assert outcome(kernels.integrate_cell, *args) == expected, args
+
+
+def test_a_full_circle_clamps_every_offset_in_its_gap():
+    # starts in the 1e-13 gap that a span just short of 2*pi leaves, with
+    # no field on the th_lo side of the gap (the v0-v1 facet) and a small
+    # radial one on the th_hi side: a point the clamp sends to th_lo must
+    # stay put on every step, not only the first
+    rng = random.Random(36)
+    u = (0.0, 0.0, 0.0, 0.0, 1e-3, 0.0, 1e-3, 0.0)
+    still = 0
+    for _ in range(200):
+        r = rng.uniform(1.0, 20.0)
+        th_lo = rng.uniform(-math.pi, math.pi)
+        th = th_lo - rng.uniform(1e-14, 9e-14)
+        (x0, y0) = (r * math.cos(th), r * math.sin(th))
+        args = (0.0, 30.0, th_lo, FULL_SPANS[1], u, x0, y0, 0.1, 3, 0.05)
+        expected = outcome(integrate_by_steps, *args)
+        assert outcome(kernels.integrate_cell, *args) == expected, args
+        still += expected == repr((kernels.INSIDE, 3, x0, y0))
+    assert 50 < still < 150
 
 
 def test_classify_precedence_and_wrap():
