@@ -13,9 +13,16 @@ to check each member and place it in its class.  The sorted (source,
 event id, target) triples are derived from the index on request.  All
 operations are pure functions returning new automata.
 
-An operand of the product walks below is an automaton or a tuple of
-operands, which stands for the product of its members composed left to
-right, its states named ``⟨…,…⟩`` as :func:`parallel_compose` names them.
+Every search here and in :mod:`polaris.supervision` is one breadth-first
+walk, :func:`_walk`, over rows ``node -> label -> successor nodes`` from
+one or several starts; :func:`_path` reads a shortest path back from the
+parents it records.  The subset construction is such a row function,
+walked only where its subsets are reached, and :func:`_walked` names the
+nodes of a walk as the states of a new automaton, for composition and
+projection alike.  An operand of the product walks below is an automaton
+or a tuple of operands, which stands for the product of its members
+composed left to right, its states named ``⟨…,…⟩`` as
+:func:`parallel_compose` names them.
 """
 
 from __future__ import annotations
@@ -337,17 +344,69 @@ class Automaton:
         return self._restricted({q: mapping.get(q, q) for q in self.states})
 
 
+def _walk(row_of, starts: Iterable, parents: dict):
+    """Breadth-first over the nodes reachable from ``starts``.
+
+    ``row_of(node)`` is the node's row, ``label -> successor nodes``, as
+    :meth:`_Product.row`, a :class:`_Product`'s ``__getitem__`` or a
+    subset construction's row function gives it.  The starts are queued
+    first, in the given order and each once, with parent None.  Yields
+    ``(node, row)`` for each node in the order it is queued, the
+    successors of a node in its row's order.  ``parents`` records each
+    reached node's ``(parent, label)``: a caller that stops early reads a
+    shortest path to the node from it with :func:`_path`, and one that
+    walks to the end reads the reached set.
+    """
+    queue = list(dict.fromkeys(starts))
+    parents.update(dict.fromkeys(queue))
+    for node in queue:
+        row = row_of(node)
+        yield node, row
+        for (label, ds) in row.items():
+            for d in ds:
+                if d not in parents:
+                    parents[d] = (node, label)
+                    queue.append(d)
+
+
+def _path(parents: dict, node) -> tuple:
+    """``(start, labels)``: the start a :func:`_walk` reached ``node`` from
+    and the labels of the shortest path to it that ``parents`` records."""
+    labels = []
+    while parents[node] is not None:
+        (node, label) = parents[node]
+        labels.append(label)
+    return node, tuple(reversed(labels))
+
+
+def _walked(row_of, start, name, marks, alphabet: tuple, members: Mapping) -> Automaton:
+    """The automaton of the nodes a :func:`_walk` from ``start`` reaches.
+
+    Each node is named ``name(node)`` and marked when ``marks(node)`` is
+    true; ``members`` maps each label of the rows to its sorted events of
+    ``alphabet``, as :meth:`Automaton._from_classes` takes them.  The
+    walk keeps no rows.
+    """
+    names = {start: name(start)}
+    relation: dict = {label: [] for label in members}
+    for (node, row) in _walk(row_of, (start,), {}):
+        src = names[node]
+        for (label, ds) in row.items():
+            pairs = relation[label]
+            for d in ds:
+                dst = names.get(d)
+                if dst is None:
+                    dst = names[d] = name(d)
+                pairs.append((src, dst))
+    marked = [n for (node, n) in names.items() if marks(node)]
+    return Automaton._from_classes(
+        names.values(), names[start], alphabet, members, relation, marked
+    )
+
+
 def accessible(a: Automaton) -> Automaton:
     """Trim to the states reachable from the initial state."""
-    reach = {a.initial}
-    frontier = [a.initial]
-    while frontier:
-        q = frontier.pop()
-        for dsts in a._succ.get(q, _NO_ROW).values():
-            for dst in dsts:
-                if dst not in reach:
-                    reach.add(dst)
-                    frontier.append(dst)
+    reach = {q for (q, _) in _walk(lambda q: a._succ.get(q, _NO_ROW), (a.initial,), {})}
     if reach == a.states:
         return a
     return a._restricted({q: q for q in reach})
@@ -512,29 +571,6 @@ def _operands(*operands) -> tuple:
     return labels, [(alphabet, *made(x)) for (alphabet, x) in zip(alphabets, operands)]
 
 
-def _walk(row_of, start, parents: dict):
-    """Breadth-first over the nodes reachable from ``start``.
-
-    ``row_of(node)`` is the node's row, ``label -> successor nodes``, as
-    :meth:`_Product.row` or a :class:`_Product`'s ``__getitem__`` gives
-    it.  Yields ``(node, row)`` for each node in the order it is first
-    reached, the successors of a node in its row's order.  ``parents``
-    records each reached node's ``(parent, label)``, None for ``start``: a
-    caller that stops early reads a shortest path to the node from it, and
-    one that walks to the end reads the reached set.
-    """
-    parents[start] = None
-    queue = [start]
-    for node in queue:
-        row = row_of(node)
-        yield node, row
-        for (label, ds) in row.items():
-            for d in ds:
-                if d not in parents:
-                    parents[d] = (node, label)
-                    queue.append(d)
-
-
 def product_state(q1: str, q2: str) -> str:
     return f"⟨{q1},{q2}⟩"
 
@@ -554,36 +590,24 @@ def parallel_compose(a1, a2) -> Automaton:
     common refinement, so a product class is a union of pairs of operand
     classes.  The walk keeps no rows."""
     (labels, [(alphabet, (product, _, marks), init)]) = _operands((a1, a2))
-    names = {init: _name(init)}
-    relation: dict = {label: [] for label in labels}
-    for (node, row) in _walk(product.row, init, {}):
-        src = names[node]
-        for (label, ds) in row.items():
-            pairs = relation[label]
-            for d in ds:
-                dst = names.get(d)
-                if dst is None:
-                    dst = names[d] = _name(d)
-                pairs.append((src, dst))
-    marked = [name for (node, name) in names.items() if marks(node)]
-    return Automaton._from_classes(
-        names.values(), names[init], alphabet, labels, relation, marked
-    )
+    return _walked(product.row, init, _name, marks, alphabet, labels)
 
 
 # -- natural projection ---------------------------------------------------
 
 
-def _projection_nfa(a: Automaton, keep: frozenset):
-    """The automaton with events outside ``keep`` erased to silent moves.
+def _projection(a: Automaton, keep: frozenset):
+    """The subset construction of ``a`` with events outside ``keep`` erased.
 
     A class with an event outside ``keep`` moves silently; one with a kept
-    event is visible through its kept events.  Returns ``(trans, init,
-    visible)``: ``trans[q][c]`` is the set of states reached from ``q`` by
-    hidden moves, then class ``c``, then hidden moves (only classes with a
-    nonempty target set appear), ``init`` is the hidden closure of the
+    event is visible through its kept events.  Returns ``(row, init,
+    visible)``: ``row(subset)`` is the subset's row for :func:`_walk`,
+    mapping each visible class that a member enables to a one-tuple of the
+    subset it reaches by hidden moves, then that class, then hidden moves
+    (never the empty subset); ``init`` is the hidden closure of the
     initial state and ``visible[c]`` lists the kept events of each visible
-    class, sorted.  Each state's closure is computed once.
+    class, sorted.  Each state's closure and its own row are computed
+    once.
     """
     visible = {}
     hidden = set()
@@ -593,23 +617,16 @@ def _projection_nfa(a: Automaton, keep: frozenset):
             visible[c] = kept
         if len(kept) < len(evs):
             hidden.add(c)
-    hidden_succ = {
-        q: {d for c, dsts in a._succ.get(q, _NO_ROW).items() if c in hidden for d in dsts}
+    hidden_rows = {
+        q: {c: dsts for c, dsts in a._succ.get(q, _NO_ROW).items() if c in hidden}
         for q in a.states
     }
-    closure = {}
-    for q in a.states:
-        seen = {q}
-        work = [q]
-        while work:
-            for d in hidden_succ[work.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    work.append(d)
-        closure[q] = frozenset(seen)
-    # a row first collects the distinct states a visible class reaches, then
-    # takes the union of their closures once; a single state's row entry is
-    # its closure set itself
+    closure = {
+        q: frozenset(p for (p, _) in _walk(hidden_rows.__getitem__, (q,), {})) for q in a.states
+    }
+    # a state's row first collects the distinct states a visible class
+    # reaches, then takes the union of their closures once; a single
+    # state's row entry is its closure set itself
     trans = {}
     for q in a.states:
         reached: dict = {}
@@ -629,30 +646,16 @@ def _projection_nfa(a: Automaton, keep: frozenset):
             )
             for c, ds in reached.items()
         }
-    return trans, closure[a.initial], visible
 
-
-def _determinize(trans: dict, roots: Iterable[frozenset]) -> dict:
-    """Subset construction over ``trans`` from the given root subsets.
-
-    Returns ``subset -> event -> successor subset`` for every subset
-    reachable from a root; the empty subset is never produced.
-    """
-    dfa: dict = {}
-    frontier = list(roots)
-    while frontier:
-        subset = frontier.pop()
-        if subset in dfa:
-            continue
-        # collect each event's member target sets, then take one union
+    def row(subset: frozenset) -> dict:
+        # collect each class's member target sets, then take one union
         parts: dict = {}
         for q in subset:
-            for ev, dsts in trans[q].items():
-                parts.setdefault(ev, []).append(dsts)
-        row = {ev: ds[0] if len(ds) == 1 else frozenset().union(*ds) for ev, ds in parts.items()}
-        dfa[subset] = row
-        frontier.extend(t for t in row.values() if t not in dfa)
-    return dfa
+            for c, dsts in trans[q].items():
+                parts.setdefault(c, []).append(dsts)
+        return {c: (ds[0] if len(ds) == 1 else frozenset().union(*ds),) for c, ds in parts.items()}
+
+    return row, closure[a.initial], visible
 
 
 def _subset_name(subset: frozenset) -> str:
@@ -672,17 +675,8 @@ def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
         raise ValueError(f"keep set contains unknown events: {sorted(unknown)}")
     kept_events = tuple(e for e in a.alphabet if e.id in keep)
 
-    trans, init, visible = _projection_nfa(a, keep)
-    dfa = _determinize(trans, [init])
-    names = {subset: _subset_name(subset) for subset in dfa}
-    relation: dict = {c: set() for c in visible}
-    for subset, row in dfa.items():
-        for c, dst in row.items():
-            relation[c].add((names[subset], names[dst]))
-    marked = {name for subset, name in names.items() if subset & a.marked}
-    return Automaton._from_classes(
-        names.values(), names[init], kept_events, visible, relation, marked
-    )
+    row, init, visible = _projection(a, keep)
+    return _walked(row, init, _subset_name, a.marked.intersection, kept_events, visible)
 
 
 # -- bisimulation ----------------------------------------------------------
@@ -742,7 +736,7 @@ def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]
     every = holds1 | holds2
     pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
     parents: dict = {}
-    for ((x, y), row) in _walk(pairs.row, start, parents):
+    for ((x, y), row) in _walk(pairs.row, (start,), parents):
         if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):
             return None
         if max(map(len, row.values()), default=1) > 1:
@@ -754,7 +748,7 @@ def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]
     reached = []
     for (tag, rows, marks, q0) in ((1, rows1, marks1, start[0]), (2, rows2, marks2, start[1])):
         nodes: dict = {}
-        for (q, row) in _walk(rows.__getitem__, q0, nodes):
+        for (q, row) in _walk(rows.__getitem__, (q0,), nodes):
             succ[tag, q] = {label: [(tag, d) for d in ds] for (label, ds) in row.items()}
             block_of[tag, q] = marks(q)
         reached.append(nodes)

@@ -16,11 +16,11 @@ from .automata import (
     Automaton,
     BisimResult,
     _common_classes,
-    _determinize,
     _label_rows,
     _operands,
+    _path,
     _Product,
-    _projection_nfa,
+    _projection,
     _refine,
     _walk,
     accessible,
@@ -54,27 +54,23 @@ def is_nonblocking(a, *more) -> bool:
     The states are the nodes of the operands' product, composed left to
     right as :func:`modular_supervisor` composes its three, marked when
     every member is.  One walk reaches them, never building the product,
-    and records their predecessors; a backward pass from the marked nodes
-    finds those that can reach one.  An operand whose alphabet holds the
-    others' is best passed first: no row of the walk is then wider than
-    its own.  Raises :class:`AlphabetConflict` where composing would.
+    and records their predecessors; a walk back along those moves from
+    the marked nodes finds the nodes that can reach one.  An operand
+    whose alphabet holds the others' is best passed first: no row of the
+    walk is then wider than its own.  Raises :class:`AlphabetConflict`
+    where composing would.
     """
     (_, [(_, (rows, _, marks), start)]) = _operands((a, *more))
     row_of = rows.row if isinstance(rows, _Product) else rows.__getitem__
     reached: dict = {}
     predecessors: dict = {}
-    for (node, row) in _walk(row_of, start, reached):
+    for (node, row) in _walk(row_of, (start,), reached):
         for ds in row.values():
             for d in ds:
                 predecessors.setdefault(d, []).append(node)
-    can_mark = [node for node in reached if marks(node)]
-    seen = set(can_mark)
-    for node in can_mark:
-        for p in predecessors.get(node, ()):
-            if p not in seen:
-                seen.add(p)
-                can_mark.append(p)
-    return len(seen) == len(reached)
+    marked = [node for node in reached if marks(node)]
+    can_mark = {q for (q, _) in _walk(lambda q: {None: predecessors.get(q, ())}, marked, {})}
+    return len(can_mark) == len(reached)
 
 
 class ControllabilityReport(NamedTuple):
@@ -95,9 +91,13 @@ def check_controllability(spec, plant) -> ControllabilityReport:
     reachable node enables an uncontrollable event in the plant but not in
     the spec.  The witness string s is then a shortest one generated by
     the spec, and the event the smallest failing one at the first failing
-    node, so s+event is generated by the plant but not by the spec.
+    node, so s+event is generated by the plant but not by the spec.  Each
+    nondeterministic automaton of the spec is walked as its subset
+    construction, which generates the same language, so a node holds
+    every spec state that its string reaches.
     """
-    (_, [(spec_events, spec_side, qs0), (plant_events, plant_side, qp0)]) = _operands(spec, plant)
+    operands = _operands(_determinized(spec), plant)
+    (_, [(spec_events, spec_side, qs0), (plant_events, plant_side, qp0)]) = operands
     (spec_ids, plant_ids) = ({e.id for e in spec_events}, {e.id for e in plant_events})
     if spec_ids != plant_ids:
         raise AlphabetMismatch(
@@ -106,17 +106,20 @@ def check_controllability(spec, plant) -> ControllabilityReport:
     e_uc = frozenset(e.id for e in plant_events if not e.controllable)
     (spec_rows, plant_rows) = (spec_side[0], plant_side[0])
     parents: dict = {}
-    for (node, _) in _walk(_Product(spec_side, plant_side).row, (qs0, qp0), parents):
+    for (node, _) in _walk(_Product(spec_side, plant_side).row, ((qs0, qp0),), parents):
         (qs, qp) = node
         failing = [ev for ev in plant_rows[qp] if ev in e_uc and ev not in spec_rows[qs]]
         if failing:
-            string = []
-            while parents[node] is not None:
-                node, via = parents[node]
-                string.append(via)
-            string.reverse()
-            return ControllabilityReport(tuple(string), min(failing))
+            return ControllabilityReport(_path(parents, node)[1], min(failing))
     return ControllabilityReport()
+
+
+def _determinized(operand):
+    """``operand`` with each nondeterministic automaton replaced by its
+    projection onto its whole alphabet: its subset construction."""
+    if isinstance(operand, tuple):
+        return tuple(map(_determinized, operand))
+    return operand if operand.deterministic else natural_project(operand, operand.event_ids)
 
 
 def closed_loop(s: Automaton, a: Automaton) -> Automaton:
@@ -139,7 +142,7 @@ def closed_loop(s: Automaton, a: Automaton) -> Automaton:
 
 def modular_supervisor(s1: Automaton, s2: Automaton, a: Automaton) -> Automaton:
     """Closed loop of two modular supervisors running in conjunction."""
-    return parallel_compose(parallel_compose(s1, s2), a)
+    return parallel_compose((s1, s2), a)
 
 
 def _coverage(a: Automaton, e1, e2):
@@ -185,18 +188,18 @@ def _dc4_witness(a: Automaton, keep: frozenset) -> Optional[tuple]:
     """First (q, ev, t1, t2) whose projected successors t1 < t2 differ.
 
     Two successors of one projected step must generate the same projected
-    language.  All singleton subsets are determinized together and refined
-    once from a single block, so equal blocks mean equal languages.  A
-    projected class is scanned as its smallest kept event.
+    language.  One walk of the subset construction from every singleton
+    subset reaches the subsets, which are refined once from a single
+    block, so equal blocks mean equal languages.  A singleton's row holds
+    the projected successors of its state.  A projected class is scanned
+    as its smallest kept event.
     """
-    trans, _, visible = _projection_nfa(a, keep)
-    dfa = _determinize(trans, [frozenset([q]) for q in a.states])
-    block = _refine(
-        dict.fromkeys(dfa, 0),
-        {subset: {ev: (dst,) for ev, dst in row.items()} for subset, row in dfa.items()},
-    )
+    row, _, visible = _projection(a, keep)
+    rows = dict(_walk(row, [frozenset([q]) for q in a.states], {}))
+    block = _refine(dict.fromkeys(rows, 0), rows)
     for q in sorted(a.states):
-        for ev, targets in sorted((visible[c][0], targets) for c, targets in trans[q].items()):
+        after = rows[frozenset([q])]
+        for ev, targets in sorted((visible[c][0], targets) for c, (targets,) in after.items()):
             for t1, t2 in combinations(sorted(targets), 2):
                 if block[frozenset([t1])] != block[frozenset([t2])]:
                     return (q, ev, t1, t2)
@@ -220,77 +223,56 @@ def _dc3_witness(moves: dict, e1: frozenset, e2: frozenset) -> Optional[tuple]:
     extended to their common first shared event.
     """
     shared = e1 & e2
+    private = {q: {ev: (d,) for (ev, d) in moves[q].items() if ev not in shared} for q in moves}
     # shared events enabled somewhere ahead of each state on a private path
     ahead = {}
     for q in moves:
-        seen, stack, found = {q}, [q], set()
-        while stack:
-            for (ev, dst) in moves[stack.pop()].items():
-                if ev in shared:
-                    found.add(ev)
-                elif dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        ahead[q] = found
+        reached = _walk(private.__getitem__, (q,), {})
+        ahead[q] = {ev for (p, _) in reached for ev in moves[p] if ev in shared}
 
     def counts(qs, qt, seen_shared):
         return seen_shared or not ahead[qs].isdisjoint(ahead[qt])
 
     def to_shared(q, ev):
         """Shortest private path from q to ev, ev included."""
-        paths = {q: ()}
-        queue = [q]
-        for p in queue:
+        parents: dict = {}
+        for (p, _) in _walk(private.__getitem__, (q,), parents):
             if ev in moves[p]:
-                return paths[p] + (ev,)
-            for (x, dst) in moves[p].items():
-                if x not in shared and dst not in paths:
-                    paths[dst] = paths[p] + (x,)
-                    queue.append(dst)
+                return _path(parents, p)[1] + (ev,)
 
-    parent = {}
-    queue = []
-    for q in sorted(moves):
-        if counts(q, q, False):
-            parent[(q, q, q, False)] = None
-            queue.append((q, q, q, False))
-    for node in queue:
+    def row(node):
+        # label (event of s, event of t); a move the interleaving cannot
+        # take reaches a node whose interleaving state is None
         (qs, qt, qi, seen_shared) = node
-        after_i = moves[qi]
-        # (event of s, event of t, next s, next t, next interleaving, flag)
-        steps = []
+        if qi is None:
+            return {}
+        (after_t, after_i) = (moves[qt], moves[qi])
+        out = {}
         for (ev, ds) in moves[qs].items():
             if ev in shared:
-                dt = moves[qt].get(ev)
+                dt = after_t.get(ev)
                 if dt is not None:
-                    steps.append((ev, ev, ds, dt, after_i.get(ev), True))
-            else:
-                di = after_i.get(ev) if ev in e1 else qi
-                steps.append((ev, None, ds, qt, di, seen_shared))
-        for (ev, dt) in moves[qt].items():
-            if ev not in shared:
-                di = after_i.get(ev) if ev in e2 else qi
-                steps.append((None, ev, qs, dt, di, seen_shared))
-        for (x, y, ds, dt, di, flag) in steps:
-            if not counts(ds, dt, flag):
-                continue
-            if di is not None:
-                nxt = (ds, dt, di, flag)
-                if nxt not in parent:
-                    parent[nxt] = (node, x, y)
-                    queue.append(nxt)
-                continue
-            (s, t) = ([x], [y])
-            while parent[node] is not None:
-                (node, x, y) = parent[node]
-                s.append(x)
-                t.append(y)
-            s = tuple(ev for ev in reversed(s) if ev is not None)
-            t = tuple(ev for ev in reversed(t) if ev is not None)
-            if not flag:
-                first = min(ahead[ds] & ahead[dt])
-                (s, t) = (s + to_shared(ds, first), t + to_shared(dt, first))
-            return (node[0], s, t)
+                    out[ev, ev] = ((ds, dt, after_i.get(ev), True),)
+            elif counts(ds, qt, seen_shared):
+                out[ev, None] = ((ds, qt, after_i.get(ev) if ev in e1 else qi, seen_shared),)
+        for (ev, dt) in after_t.items():
+            if ev not in shared and counts(qs, dt, seen_shared):
+                out[None, ev] = ((qs, dt, after_i.get(ev) if ev in e2 else qi, seen_shared),)
+        return out
+
+    parents: dict = {}
+    starts = [(q, q, q, False) for q in sorted(moves) if counts(q, q, False)]
+    for (node, _) in _walk(row, starts, parents):
+        (ds, dt, di, flag) = node
+        if di is not None:
+            continue
+        ((q, _, _, _), labels) = _path(parents, node)
+        s = tuple(x for (x, _) in labels if x is not None)
+        t = tuple(y for (_, y) in labels if y is not None)
+        if not flag:
+            first = min(ahead[ds] & ahead[dt])
+            (s, t) = (s + to_shared(ds, first), t + to_shared(dt, first))
+        return (q, s, t)
     return None
 
 
@@ -339,12 +321,10 @@ def check_decomposability(
     # because test_tracing_patches_every_binding_and_restores_it in
     # perfbench/tests expects this function to call Automaton.step
     labels = _common_classes([e.id for e in a.alphabet], (a,), (e1, e2))
-    moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in _label_rows(a, labels).items()}
+    rows = _label_rows(a, labels)
+    moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in rows.items()}
     # states are bisimilar iff they share a block of the refinement of a
-    block = _refine(
-        {q: q in a.marked for q in a.states},
-        {q: {ev: (dst,) for (ev, dst) in row.items()} for (q, row) in moves.items()},
-    )
+    block = _refine({q: q in a.marked for q in a.states}, rows)
     dc1_wit = dc2_wit = None
     for q in sorted(a.states):
         # rows list their labels in sorted order, so witnesses come out

@@ -12,7 +12,6 @@ from polaris.automata import (
     Automaton,
     BisimResult,
     Event,
-    _determinize,
     _merge_events,
     accessible,
     product_state,
@@ -37,7 +36,7 @@ from polaris.exchange import TOKEN_RE, _safe_names
 from polaris.models import ALARM_EVENTS, RELEASE_OF_EPISODE, STOP_OF_EPISODE
 from polaris.polar import _EXIT_FACET, _FACETS, TWO_PI, RegionIndex, _facets_of
 from polaris.scenario import schedule_at
-from polaris.supervision import ControllabilityReport, DecomposabilityReport, _dc3_witness
+from polaris.supervision import ControllabilityReport, DecomposabilityReport
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -478,11 +477,11 @@ def check_bisim_relation(a1, a2, pairs):
 # was keyed by event class.  They read automata only through their
 # per-event queries (``enabled``, ``step``, ``step1``, ``transitions``) and
 # build results with ``Automaton.build``, so they are independent of the
-# class index and of every algorithm that runs over classes.  The subset
-# construction (``automata._determinize``) and the dc3 search
-# (``supervision._dc3_witness``) take their moves keyed by whatever names
-# an event or a class, so the oracles call them with per-event moves: the
-# comparison checks that label-keyed input gives what event-keyed gives.
+# class index and of every algorithm that runs over classes.  They are
+# independent of ``automata._walk`` too: each keeps its own worklist, and
+# the subset construction (``_per_event_determinize``) and the dc3 search
+# (``_per_event_dc3_witness``) are the ones ``src`` ran before its searches
+# became walks, called here with per-event moves.
 
 
 def _row(a: Automaton, q):
@@ -577,11 +576,30 @@ def _per_event_projection_nfa(a: Automaton, keep: frozenset):
     return trans, closure[a.initial]
 
 
+def _per_event_determinize(trans: dict, roots) -> dict:
+    """Subset construction over ``trans`` from the given root subsets:
+    ``subset -> event -> successor subset`` for every reachable subset."""
+    dfa: dict = {}
+    frontier = list(roots)
+    while frontier:
+        subset = frontier.pop()
+        if subset in dfa:
+            continue
+        parts: dict = {}
+        for q in subset:
+            for ev, dsts in trans[q].items():
+                parts.setdefault(ev, []).append(dsts)
+        row = {ev: ds[0] if len(ds) == 1 else frozenset().union(*ds) for ev, ds in parts.items()}
+        dfa[subset] = row
+        frontier.extend(t for t in row.values() if t not in dfa)
+    return dfa
+
+
 def per_event_project(a: Automaton, keep) -> Automaton:
     keep = frozenset(keep)
     kept_events = tuple(e for e in a.alphabet if e.id in keep)
     trans, init = _per_event_projection_nfa(a, keep)
-    dfa = _determinize(trans, [init])
+    dfa = _per_event_determinize(trans, [init])
     names = {subset: "{" + ",".join(sorted(subset)) + "}" for subset in dfa}
     transitions = [
         (names[subset], ev, names[dst])
@@ -650,14 +668,17 @@ def per_event_nonblocking(a: Automaton) -> bool:
 
 
 def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> ControllabilityReport:
+    """Breadth-first over (spec subset, plant state): a node holds every
+    spec state that its string reaches, so a nondeterministic spec enables
+    what some state of the subset enables."""
     e_uc = frozenset(e_uc)
-    start = (spec.initial, plant.initial)
+    start = (frozenset([spec.initial]), plant.initial)
     parents: dict = {start: None}
     frontier = [start]
     while frontier:
         pair = frontier.pop(0)
         (qs, qp) = pair
-        spec_enabled = set(spec.enabled(qs))
+        spec_enabled = {ev for q in qs for ev in spec.enabled(q)}
         for ev in plant.enabled(qp):
             if ev in e_uc and ev not in spec_enabled:
                 string = []
@@ -669,18 +690,18 @@ def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> Contro
                 return ControllabilityReport(tuple(string), ev)
             if ev not in spec_enabled:
                 continue
-            for ds in sorted(spec.step(qs, ev)):
-                for dp in sorted(plant.step(qp, ev)):
-                    nxt = (ds, dp)
-                    if nxt not in parents:
-                        parents[nxt] = (pair, ev)
-                        frontier.append(nxt)
+            ds = frozenset(d for q in qs for d in spec.step(q, ev))
+            for dp in sorted(plant.step(qp, ev)):
+                nxt = (ds, dp)
+                if nxt not in parents:
+                    parents[nxt] = (pair, ev)
+                    frontier.append(nxt)
     return ControllabilityReport()
 
 
 def _per_event_dc4_witness(a: Automaton, keep: frozenset):
     trans, _ = _per_event_projection_nfa(a, keep)
-    dfa = _determinize(trans, [frozenset([q]) for q in a.states])
+    dfa = _per_event_determinize(trans, [frozenset([q]) for q in a.states])
     block = _per_event_refine(
         dict.fromkeys(dfa, 0),
         {subset: {ev: (dst,) for ev, dst in row.items()} for subset, row in dfa.items()},
@@ -690,6 +711,86 @@ def _per_event_dc4_witness(a: Automaton, keep: frozenset):
             for t1, t2 in combinations(sorted(targets), 2):
                 if block[frozenset([t1])] != block[frozenset([t2])]:
                     return (q, ev, t1, t2)
+    return None
+
+
+def _per_event_dc3_witness(moves: dict, e1: frozenset, e2: frozenset):
+    """First (q, s, t) whose product of p1(s) and p2(t) leaves the automaton,
+    by breadth-first search over (state after s, state after t, state after
+    their interleaving, first shared event seen) from every (q, q, q,
+    unseen); see ``supervision._dc3_witness``."""
+    shared = e1 & e2
+    # shared events enabled somewhere ahead of each state on a private path
+    ahead = {}
+    for q in moves:
+        seen, stack, found = {q}, [q], set()
+        while stack:
+            for (ev, dst) in moves[stack.pop()].items():
+                if ev in shared:
+                    found.add(ev)
+                elif dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        ahead[q] = found
+
+    def counts(qs, qt, seen_shared):
+        return seen_shared or not ahead[qs].isdisjoint(ahead[qt])
+
+    def to_shared(q, ev):
+        """Shortest private path from q to ev, ev included."""
+        paths = {q: ()}
+        queue = [q]
+        for p in queue:
+            if ev in moves[p]:
+                return paths[p] + (ev,)
+            for (x, dst) in moves[p].items():
+                if x not in shared and dst not in paths:
+                    paths[dst] = paths[p] + (x,)
+                    queue.append(dst)
+
+    parent = {}
+    queue = []
+    for q in sorted(moves):
+        if counts(q, q, False):
+            parent[(q, q, q, False)] = None
+            queue.append((q, q, q, False))
+    for node in queue:
+        (qs, qt, qi, seen_shared) = node
+        after_i = moves[qi]
+        # (event of s, event of t, next s, next t, next interleaving, flag)
+        steps = []
+        for (ev, ds) in moves[qs].items():
+            if ev in shared:
+                dt = moves[qt].get(ev)
+                if dt is not None:
+                    steps.append((ev, ev, ds, dt, after_i.get(ev), True))
+            else:
+                di = after_i.get(ev) if ev in e1 else qi
+                steps.append((ev, None, ds, qt, di, seen_shared))
+        for (ev, dt) in moves[qt].items():
+            if ev not in shared:
+                di = after_i.get(ev) if ev in e2 else qi
+                steps.append((None, ev, qs, dt, di, seen_shared))
+        for (x, y, ds, dt, di, flag) in steps:
+            if not counts(ds, dt, flag):
+                continue
+            if di is not None:
+                nxt = (ds, dt, di, flag)
+                if nxt not in parent:
+                    parent[nxt] = (node, x, y)
+                    queue.append(nxt)
+                continue
+            (s, t) = ([x], [y])
+            while parent[node] is not None:
+                (node, x, y) = parent[node]
+                s.append(x)
+                t.append(y)
+            s = tuple(ev for ev in reversed(s) if ev is not None)
+            t = tuple(ev for ev in reversed(t) if ev is not None)
+            if not flag:
+                first = min(ahead[ds] & ahead[dt])
+                (s, t) = (s + to_shared(ds, first), t + to_shared(dt, first))
+            return (node[0], s, t)
     return None
 
 
@@ -728,7 +829,7 @@ def per_event_decomposability(a: Automaton, e1, e2) -> DecomposabilityReport:
         bisim=bisim,
         dc1_witness=dc1_wit,
         dc2_witness=dc2_wit,
-        dc3_witness=_dc3_witness(moves, e1, e2),
+        dc3_witness=_per_event_dc3_witness(moves, e1, e2),
         dc4_witness=_per_event_dc4_witness(a, e1) or _per_event_dc4_witness(a, e2),
         local1=p1,
         local2=p2,

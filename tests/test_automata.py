@@ -475,6 +475,44 @@ def test_pair_walk_decides_deterministic_pairs_as_the_oracle(monkeypatch):
     assert seen["pairs"] >= 3000 and min(seen.values()) > 100, seen
 
 
+# -- the walk ----------------------------------------------------------------
+
+
+def test_walk_queues_its_starts_first_in_order_and_each_once():
+    rows = {"a": {"x": ("b",)}, "b": {"y": ("c", "a")}, "c": {}, "d": {"z": ("b", "c")}}
+    parents: dict = {}
+    walk = automata._walk(rows.__getitem__, ["d", "b", "d", "a"], parents)
+    assert [node for (node, _) in walk] == ["d", "b", "a", "c"]
+    # d reaches b, but b is a start: queued once, with no parent
+    assert parents == {"d": None, "b": None, "a": None, "c": ("d", "z")}
+    assert automata._path(parents, "c") == ("d", ("z",))
+    assert automata._path(parents, "b") == ("b", ())
+
+
+def test_path_reads_a_shortest_path_from_the_starts(rng):
+    for _ in range(300):
+        a = random_automaton(rng, max_states=6, max_events=3)
+        rows = {q: {ev: a.step(q, ev) for ev in a.enabled(q)} for q in a.states}
+        starts = rng.sample(sorted(a.states), rng.randint(1, len(a.states)))
+        parents: dict = {}
+        walked = [node for (node, _) in automata._walk(rows.__getitem__, starts, parents)]
+        assert walked[: len(starts)] == starts
+        # breadth-first levels from all starts at once
+        (distance, level, k) = ({}, set(starts), 0)
+        while level:
+            distance.update((q, k) for q in level)
+            level = {d for q in level for ds in rows[q].values() for d in ds} - distance.keys()
+            k += 1
+        assert set(walked) == set(parents) == set(distance)
+        for node in walked:
+            (start, labels) = automata._path(parents, node)
+            assert start in starts and len(labels) == distance[node]
+            current = {start}
+            for label in labels:
+                current = {d for q in current for d in rows[q].get(label, ())}
+            assert node in current
+
+
 # -- bounded language enumeration -------------------------------------------
 
 

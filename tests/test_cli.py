@@ -73,6 +73,16 @@ def test_check_controllable_pass_and_fail(tmp_path, capsys):
     assert main(["check-controllable", "--plant", str(pp), "--spec", str(pg)]) == 0
     assert main(["check-controllable", "--plant", str(pp), "--spec", str(pb)]) == 1
     assert "uncontrollable d" in capsys.readouterr().out
+    # c reaches s1 and s2, which enable the uncontrollable d and e: the
+    # spec enables both after c, so an NFA is controllable against itself
+    nfa = make_auto(
+        [("s0", "c", "s1"), ("s0", "c", "s2"), ("s1", "d", "s0"), ("s2", "e", "s0")],
+        initial="s0", controllable={"c"},
+    )
+    pn = tmp_path / "nfa.aut"
+    exchange.write(nfa, pn)
+    assert main(["check-controllable", "--plant", str(pn), "--spec", str(pn)]) == 0
+    assert capsys.readouterr().out == "controllable\n"
 
 
 # exact stdout and exit code of verdicts that fail or carry a failing

@@ -296,7 +296,7 @@ def test_agent_loop_contains_mission_strings():
     assert not loop.generates(("Cr-1", "Cr-1"))
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (6, 9), (9, 13), (11, 10), (22, 10)])
+@pytest.mark.parametrize("n_r,n_theta", [(3, 3), (6, 9), (9, 13), (11, 10), (21, 9), (22, 10)])
 def test_agent_loop_enables_at_most_one_actuation(n_r, n_theta):
     # the simulator picks the first enabled actuation in alphabet order; with
     # never more than one enabled, the order decides nothing
@@ -304,6 +304,9 @@ def test_agent_loop_enables_at_most_one_actuation(n_r, n_theta):
     for k in (1, 2):
         actuations = set(models.alphabet(k).actuation_ids)
         loop = models.agent_loop(k)
+        # composed once, from a tuple operand, as composing twice would
+        pair = parallel_compose(models.plant(k), models.formation(k))
+        assert loop == parallel_compose(pair, models.local(k))
         counts = [len(actuations.intersection(loop.enabled(q))) for q in loop.states]
         assert max(counts) == 1
 

@@ -86,31 +86,32 @@ def test_alphabet_mismatch_is_rejected():
 
 
 def test_controllability_agrees_with_definition(rng):
-    for _ in range(40):
-        plant = random_automaton(rng, max_states=4, max_events=3, all_marked=True)
-        spec = random_automaton(rng, max_states=4, max_events=3, all_marked=True)
-        spec = make_auto(
-            list(spec.transitions),
-            initial=spec.initial,
-            states=spec.states,
-            controllable={e.id for e in spec.alphabet if e.controllable},
-            events={e.id for e in plant.alphabet},
+    # a nondeterministic spec enables after s what any state s reaches
+    # enables: every automaton is controllable against itself, and a
+    # failing witness s, e replays: s is generated by the spec, s+e by the
+    # plant but not by the spec
+    seen = dict.fromkeys(("nondeterministic", "controllable", "uncontrollable"), 0)
+    for _ in range(1200):
+        (spec, plant) = (
+            random_automaton(rng, max_states=4, max_events=3, min_events=3) for _ in range(2)
         )
-        if spec.event_ids != plant.event_ids:
-            continue
-        e_uc = {e.id for e in plant.alphabet if not e.controllable}
+        seen["nondeterministic"] += not spec.deterministic
+        assert check_controllability(spec, spec)
         report = check_controllability(spec, plant)
+        e_uc = {e.id for e in plant.alphabet if not e.controllable}
+        assert report == per_event_controllability(spec, plant, e_uc)
+        assert check_controllability((spec, spec), plant) == report
+        seen["controllable" if report else "uncontrollable"] += 1
         if report:
             for s in brute_language(spec, 6, marked_only=False):
                 for ev in sorted(e_uc):
-                    if plant.generates(s + (ev,)):
-                        assert spec.generates(s + (ev,))
-        else:
-            s = report.witness_string
-            ev = report.witness_event
-            assert spec.generates(s)
-            assert plant.generates(s + (ev,))
-            assert not spec.generates(s + (ev,))
+                    assert spec.generates(s + (ev,)) or not plant.generates(s + (ev,))
+            continue
+        (s, ev) = report
+        assert spec.generates(s)
+        assert plant.generates(s + (ev,))
+        assert not spec.generates(s + (ev,))
+    assert min(seen.values()) > 100, seen
 
 
 # -- closed loop -------------------------------------------------------------
@@ -733,7 +734,9 @@ def test_nonblocking_of_several_automata_matches_the_composed_loop():
             for k in range(3)
         )
         verdict = is_nonblocking(s1, s2, a)
-        assert verdict == is_nonblocking(modular_supervisor(s1, s2, a))
+        loop = modular_supervisor(s1, s2, a)
+        assert loop == parallel_compose(parallel_compose(s1, s2), a)
+        assert verdict == is_nonblocking(loop)
         # nested tuples stand for the same loop
         assert verdict == is_nonblocking((s1, s2), a) == is_nonblocking(s1, (s2, a))
         assert verdict == is_nonblocking(((s1,), (s2, (a,))))
@@ -742,6 +745,12 @@ def test_nonblocking_of_several_automata_matches_the_composed_loop():
         assert is_nonblocking(a) == per_event_nonblocking(a)
         outcomes[verdict] += 1
     assert min(outcomes.values()) > 100, outcomes
+    # generic triples: nearly every event its own class
+    for _ in range(300):
+        (s1, s2, a) = (generic_automaton(rng, rng.randint(1, 5)) for _ in range(3))
+        loop = modular_supervisor(s1, s2, a)
+        assert loop == parallel_compose(parallel_compose(s1, s2), a)
+        assert is_nonblocking(s1, s2, a) == is_nonblocking(loop)
 
 
 def test_nonblocking_of_several_automata_checks_their_alphabets():
