@@ -9,20 +9,21 @@ grow with the partition but their class counts do not, so the operations
 below run over classes, or over the common refinement of several automata's
 classes, and never over single events.  ``Automaton.build`` takes rows
 whose middle element may be a group of events, and its per-event work is
-to check each member and place it in its class.  The sorted (source,
-event id, target) triples are derived from the index on request.  All
-operations are pure functions returning new automata.
+to check each member and place it in its class.  No reader of an
+automaton lists a class's events; :func:`polaris.exchange.dumps` expands
+them when it writes a file.  All operations are pure functions returning
+new automata.
 
 Every search here and in :mod:`polaris.supervision` is one breadth-first
 walk, :func:`_walk`, over rows ``node -> label -> successor nodes`` from
 one or several starts; :func:`_path` reads a shortest path back from the
 parents it records.  The subset construction is such a row function,
 walked only where its subsets are reached, and :func:`_walked` names the
-nodes of a walk as the states of a new automaton, for composition and
-projection alike.  An operand of the product walks below is an automaton
-or a tuple of operands, which stands for the product of its members
-composed left to right, its states named ``⟨…,…⟩`` as
-:func:`parallel_compose` names them.
+nodes of a walk as the states of a new automaton: it builds every
+composed, projected and trimmed automaton.  An operand of the product
+walks below is an automaton or a tuple of operands, which stands for the
+product of its members composed left to right, its states named
+``⟨…,…⟩`` as :func:`parallel_compose` names them.
 """
 
 from __future__ import annotations
@@ -263,27 +264,8 @@ class Automaton:
     # -- queries ---------------------------------------------------------
 
     @property
-    def transitions(self) -> tuple:
-        """The relation as sorted (source, event id, target) triples."""
-        members = self._members
-        return tuple(
-            sorted(
-                (q, ev, d)
-                for q, row in self._succ.items()
-                for c, ds in row.items()
-                for ev in members[c]
-                for d in ds
-            )
-        )
-
-    @property
     def event_ids(self) -> frozenset:
         return self._event_ids
-
-    def enabled(self, state: str) -> tuple:
-        """Event ids with at least one transition from ``state``, sorted."""
-        members = self._members
-        return tuple(sorted(ev for c in self._succ.get(state, _NO_ROW) for ev in members[c]))
 
     def step(self, state: str, event_id: str) -> frozenset:
         return self._succ.get(state, _NO_ROW).get(self._class_of.get(event_id), _NO_TARGETS)
@@ -299,49 +281,14 @@ class Automaton:
     def deterministic(self) -> bool:
         return all(len(dsts) == 1 for row in self._succ.values() for dsts in row.values())
 
-    def _reach(self, string: Sequence[str]) -> set:
-        """The states ``string`` leads to; empty iff it is not generated."""
+    def generates(self, string: Sequence[str]) -> bool:
+        """Membership of ``string`` in the generated language."""
         current = {self.initial}
         for ev in string:
             current = {d for q in current for d in self.step(q, ev)}
             if not current:
-                break
-        return current
-
-    def accepts(self, string: Sequence[str]) -> bool:
-        """Membership of ``string`` in the marked language."""
-        return bool(self._reach(string) & self.marked)
-
-    def generates(self, string: Sequence[str]) -> bool:
-        """Membership of ``string`` in the generated language."""
-        return bool(self._reach(string))
-
-    # -- simple rewrites --------------------------------------------------
-
-    def _restricted(self, keep: Mapping[str, str]) -> "Automaton":
-        """The automaton on the states of ``keep``, each renamed to its
-        value; the initial state must be kept."""
-        relation: dict = {}
-        for q, row in self._succ.items():
-            src = keep.get(q)
-            if src is None:
-                continue
-            for c, ds in row.items():
-                pairs = relation.get(c)
-                if pairs is None:
-                    pairs = relation[c] = set()
-                pairs.update((src, keep[d]) for d in ds)
-        return Automaton._from_classes(
-            keep.values(),
-            keep[self.initial],
-            self.alphabet,
-            dict(enumerate(self._members)),
-            relation,
-            {keep[q] for q in self.marked if q in keep},
-        )
-
-    def renamed(self, mapping: Mapping[str, str]) -> "Automaton":
-        return self._restricted({q: mapping.get(q, q) for q in self.states})
+                return False
+        return True
 
 
 def _walk(row_of, starts: Iterable, parents: dict):
@@ -405,11 +352,15 @@ def _walked(row_of, start, name, marks, alphabet: tuple, members: Mapping) -> Au
 
 
 def accessible(a: Automaton) -> Automaton:
-    """Trim to the states reachable from the initial state."""
-    reach = {q for (q, _) in _walk(lambda q: a._succ.get(q, _NO_ROW), (a.initial,), {})}
+    """Trim to the states reachable from the initial state: ``a`` itself
+    when every state is, else the automaton :func:`_walked` names from
+    ``a``'s own rows, by class."""
+    row_of = lambda q: a._succ.get(q, _NO_ROW)
+    reach = {q for (q, _) in _walk(row_of, (a.initial,), {})}
     if reach == a.states:
         return a
-    return a._restricted({q: q for q in reach})
+    members = dict(enumerate(a._members))
+    return _walked(row_of, a.initial, str, a.marked.__contains__, a.alphabet, members)
 
 
 def _common_classes(events: Sequence[str], autos: Sequence[Automaton], split=()) -> dict:
@@ -571,15 +522,11 @@ def _operands(*operands) -> tuple:
     return labels, [(alphabet, *made(x)) for (alphabet, x) in zip(alphabets, operands)]
 
 
-def product_state(q1: str, q2: str) -> str:
-    return f"⟨{q1},{q2}⟩"
-
-
 def _name(node) -> str:
     """The state name of an operand's node: ``⟨q1,q2⟩`` for a pair."""
     if node.__class__ is str:
         return node
-    return product_state(_name(node[0]), _name(node[1]))
+    return f"⟨{_name(node[0])},{_name(node[1])}⟩"
 
 
 def parallel_compose(a1, a2) -> Automaton:

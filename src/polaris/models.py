@@ -258,9 +258,7 @@ class FormationModels(NamedTuple):
 
     def agent_loop(self, k: int) -> Automaton:
         """Composed per-agent supervised plant (for membership checks)."""
-        return parallel_compose(
-            parallel_compose(self.plant(k), self.formation(k)), self.local(k)
-        )
+        return parallel_compose((self.plant(k), self.formation(k)), self.local(k))
 
 
 @lru_cache(maxsize=8)

@@ -99,10 +99,6 @@ class PolarPartition(_PartitionFields):
     def angle(self, j: int) -> float:
         return TWO_PI * (j - 1) / (self.n_theta - 1)
 
-    @property
-    def region_count(self) -> int:
-        return (self.n_r - 1) * (self.n_theta - 1)
-
     def regions(self):
         for i in range(1, self.n_r):
             for j in range(1, self.n_theta):

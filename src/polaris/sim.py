@@ -209,8 +209,8 @@ class Mission:
         all the supervisors are blocked.
         """
         al = self.alphabet(k)
-        choice = next((ev for ev in al.actuation_ids if autos.enabled(ev)), None)
-        if choice is None and not any(autos.enabled(ev) for ev in al.controllable_ids):
+        choice = next((ev for ev in al.actuation_ids if autos.allows(ev)), None)
+        if choice is None and not any(autos.allows(ev) for ev in al.controllable_ids):
             raise SupervisorBlocked(
                 f"agent {k}: no controllable event enabled at plant={autos.plant_state(k)}"
             )
@@ -369,7 +369,7 @@ class _Automata:
         (d1, d2) = world.discrete
         self.state = [d1.plant, d1.formation, d1.local, d2.plant, d2.formation, d2.local]
 
-    def enabled(self, event: str) -> bool:
+    def allows(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
         state = self.state
         return all(
@@ -460,14 +460,14 @@ def supervisor_react(world: WorldState, events, mission: Mission):
     if episode is not None:
         stop_event = STOP_OF_EPISODE[episode.avoider]
         target = 2 if episode.avoider == 1 else 1
-        if not stopped[target - 1] and autos.enabled(stop_event):
+        if not stopped[target - 1] and autos.allows(stop_event):
             autos.feed(stop_event)
             stopped[target - 1] = True
             records.append(
                 EventRecord(t, str(episode.avoider), stop_event, f"stops agent {target}")
             )
         release_event = RELEASE_OF_EPISODE[episode.avoider]
-        if episode.cleared and autos.enabled(release_event):
+        if episode.cleared and autos.allows(release_event):
             autos.feed(release_event)
             stopped[target - 1] = False
             # its command may have ended with a detection while it was stopped

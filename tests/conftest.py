@@ -14,7 +14,6 @@ from polaris.automata import (
     Event,
     _merge_events,
     accessible,
-    product_state,
 )
 from polaris import kernels, models, sim
 from polaris.kernels import (
@@ -49,6 +48,45 @@ def run_polaris(*args, **env):
     return subprocess.run(
         [sys.executable, "-m", "polaris", *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
+# -- per-event readers -------------------------------------------------------
+#
+# An automaton read one event at a time, through its public fields and
+# ``step`` only, so that tests read automata independently of the class
+# index.
+
+
+def transitions(a: Automaton) -> tuple:
+    """The relation as sorted (source, event id, target) triples."""
+    return tuple(
+        sorted((q, e.id, d) for q in a.states for e in a.alphabet for d in a.step(q, e.id))
+    )
+
+
+def enabled(a: Automaton, q: str) -> tuple:
+    """Event ids with at least one transition from ``q``, sorted."""
+    return tuple(sorted(e.id for e in a.alphabet if a.step(q, e.id)))
+
+
+def accepts(a: Automaton, string) -> bool:
+    """Membership of ``string`` in the marked language."""
+    current = {a.initial}
+    for ev in string:
+        current = {d for q in current for d in a.step(q, ev)}
+    return not current.isdisjoint(a.marked)
+
+
+def renamed(a: Automaton, mapping) -> Automaton:
+    """``a`` with each state ``q`` named ``mapping.get(q, q)``."""
+
+    def name(q):
+        return mapping.get(q, q)
+
+    return Automaton.build(
+        map(name, a.states), name(a.initial), a.alphabet,
+        [(name(q), ev, name(d)) for (q, ev, d) in transitions(a)], map(name, a.marked),
     )
 
 
@@ -102,7 +140,7 @@ def dumps_by_triples(a: Automaton) -> str:
     its sorted triples: the oracle of ``exchange.dumps``."""
     mapping = _safe_names(a.states)
     if mapping:
-        a = a.renamed(mapping)
+        a = renamed(a, mapping)
     for ev in a.alphabet:
         if not TOKEN_RE.match(ev.id):
             raise InvalidToken(f"event id {ev.id!r} is not a valid token")
@@ -121,7 +159,7 @@ def dumps_by_triples(a: Automaton) -> str:
             for e in sorted(owned, key=lambda e: e.id)
         ]
         lines.append("owners: " + " ".join(parts))
-    for (src, ev, dst) in a.transitions:
+    for (src, ev, dst) in transitions(a):
         lines.append(f"trans: {src} {ev} {dst}")
     return "\n".join(lines) + "\n"
 
@@ -222,7 +260,7 @@ def unfolded(rng: random.Random, a: Automaton) -> Automaton:
     copies = {q: q + "'" for q in a.states if rng.random() < 0.5}
     trans = [
         (src, ev, copies[dst] if dst in copies and rng.random() < 0.5 else dst)
-        for (src, ev, dst) in a.transitions
+        for (src, ev, dst) in transitions(a)
     ]
     trans += [(copies[src], ev, dst) for (src, ev, dst) in trans if src in copies]
     return Automaton.build(
@@ -233,7 +271,7 @@ def unfolded(rng: random.Random, a: Automaton) -> Automaton:
 
 def rerooted(a: Automaton, q: str) -> Automaton:
     """The same automaton started from ``q``, trimmed."""
-    return accessible(Automaton.build(a.states, q, a.alphabet, a.transitions, a.marked))
+    return accessible(Automaton.build(a.states, q, a.alphabet, transitions(a), a.marked))
 
 
 def brute_language(a: Automaton, n: int, marked_only=True):
@@ -245,7 +283,7 @@ def brute_language(a: Automaton, n: int, marked_only=True):
             out.add(prefix)
         if len(prefix) == n:
             return
-        for ev in sorted({e for q in states for e in a.enabled(q)}):
+        for ev in sorted({e for q in states for e in enabled(a, q)}):
             nxt = frozenset(d for q in states for d in a.step(q, ev))
             if nxt:
                 walk(nxt, prefix + (ev,))
@@ -361,19 +399,19 @@ def project_by_merging(a: Automaton, keep):
                 rp, rq = rq, rp
             parent[rq] = rp
 
-    for (src, ev, dst) in a.transitions:
+    for (src, ev, dst) in transitions(a):
         if ev in hidden:
             union(src, dst)
     kept_events = tuple(e for e in a.alphabet if e.id in keep)
-    transitions = {
+    edges = {
         (find(src), ev, find(dst))
-        for (src, ev, dst) in a.transitions
+        for (src, ev, dst) in transitions(a)
         if ev in keep
     }
     states = {find(q) for q in a.states}
     marked = {find(q) for q in a.marked}
     return accessible(
-        Automaton.build(states, find(a.initial), kept_events, transitions, marked)
+        Automaton.build(states, find(a.initial), kept_events, edges, marked)
     )
 
 
@@ -419,7 +457,7 @@ def generated_strings(a: Automaton, q, n: int):
         state, prefix = stack.pop()
         out.append(prefix)
         if len(prefix) < n:
-            for ev in reversed(a.enabled(state)):
+            for ev in reversed(enabled(a, state)):
                 stack.append((a.step1(state, ev), prefix + (ev,)))
     return out
 
@@ -474,10 +512,10 @@ def check_bisim_relation(a1, a2, pairs):
 # -- per-event oracles -------------------------------------------------------
 #
 # The algorithms as they ran over single events before the automaton index
-# was keyed by event class.  They read automata only through their
-# per-event queries (``enabled``, ``step``, ``step1``, ``transitions``) and
-# build results with ``Automaton.build``, so they are independent of the
-# class index and of every algorithm that runs over classes.  They are
+# was keyed by event class.  They read automata only through the per-event
+# readers above, ``step`` and ``step1``, and build results with
+# ``Automaton.build``, so they are independent of the class index and of
+# every algorithm that runs over classes.  They are
 # independent of ``automata._walk`` too: each keeps its own worklist, and
 # the subset construction (``_per_event_determinize``) and the dc3 search
 # (``_per_event_dc3_witness``) are the ones ``src`` ran before its searches
@@ -486,7 +524,7 @@ def check_bisim_relation(a1, a2, pairs):
 
 def _row(a: Automaton, q):
     """``event -> targets`` of every event enabled at ``q``, sorted."""
-    return {ev: a.step(q, ev) for ev in a.enabled(q)}
+    return {ev: a.step(q, ev) for ev in enabled(a, q)}
 
 
 def per_event_accessible(a: Automaton) -> Automaton:
@@ -505,9 +543,14 @@ def per_event_accessible(a: Automaton) -> Automaton:
         reach,
         a.initial,
         a.alphabet,
-        [t for t in a.transitions if t[0] in reach],
+        [t for t in transitions(a) if t[0] in reach],
         a.marked & reach,
     )
+
+
+def product_state(q1: str, q2: str) -> str:
+    """The name of a product state, as ``parallel_compose`` names it."""
+    return f"⟨{q1},{q2}⟩"
 
 
 def per_event_compose(a1: Automaton, a2: Automaton) -> Automaton:
@@ -518,12 +561,12 @@ def per_event_compose(a1: Automaton, a2: Automaton) -> Automaton:
     init = (a1.initial, a2.initial)
     seen = {init}
     frontier = [init]
-    transitions = []
+    edges = []
     while frontier:
         (q1, q2) = frontier.pop()
         src = product_state(q1, q2)
         moves = []
-        for ev in a1.enabled(q1):
+        for ev in enabled(a1, q1):
             if ev in shared:
                 for d1 in a1.step(q1, ev):
                     for d2 in a2.step(q2, ev):
@@ -531,12 +574,12 @@ def per_event_compose(a1: Automaton, a2: Automaton) -> Automaton:
             else:
                 for d1 in a1.step(q1, ev):
                     moves.append((ev, d1, q2))
-        for ev in a2.enabled(q2):
+        for ev in enabled(a2, q2):
             if ev not in shared:
                 for d2 in a2.step(q2, ev):
                     moves.append((ev, q1, d2))
         for (ev, d1, d2) in moves:
-            transitions.append((src, ev, product_state(d1, d2)))
+            edges.append((src, ev, product_state(d1, d2)))
             if (d1, d2) not in seen:
                 seen.add((d1, d2))
                 frontier.append((d1, d2))
@@ -546,7 +589,7 @@ def per_event_compose(a1: Automaton, a2: Automaton) -> Automaton:
         for (q1, q2) in seen
         if q1 in a1.marked and q2 in a2.marked
     }
-    return Automaton.build(states, product_state(*init), alphabet, transitions, marked)
+    return Automaton.build(states, product_state(*init), alphabet, edges, marked)
 
 
 def _per_event_projection_nfa(a: Automaton, keep: frozenset):
@@ -601,13 +644,13 @@ def per_event_project(a: Automaton, keep) -> Automaton:
     trans, init = _per_event_projection_nfa(a, keep)
     dfa = _per_event_determinize(trans, [init])
     names = {subset: "{" + ",".join(sorted(subset)) + "}" for subset in dfa}
-    transitions = [
+    edges = [
         (names[subset], ev, names[dst])
         for subset, row in dfa.items()
         for ev, dst in row.items()
     ]
     marked = {name for subset, name in names.items() if subset & a.marked}
-    return Automaton.build(set(names.values()), names[init], kept_events, transitions, marked)
+    return Automaton.build(set(names.values()), names[init], kept_events, edges, marked)
 
 
 def _per_event_refine(block_of: dict, succ: dict) -> dict:
@@ -662,7 +705,7 @@ def per_event_nonblocking(a: Automaton) -> bool:
     grew = True
     while grew:
         before = len(can_mark)
-        can_mark |= {src for (src, _, dst) in reach.transitions if dst in can_mark}
+        can_mark |= {src for (src, _, dst) in transitions(reach) if dst in can_mark}
         grew = len(can_mark) > before
     return can_mark == reach.states
 
@@ -678,8 +721,8 @@ def per_event_controllability(spec: Automaton, plant: Automaton, e_uc) -> Contro
     while frontier:
         pair = frontier.pop(0)
         (qs, qp) = pair
-        spec_enabled = {ev for q in qs for ev in spec.enabled(q)}
-        for ev in plant.enabled(qp):
+        spec_enabled = {ev for q in qs for ev in enabled(spec, q)}
+        for ev in enabled(plant, qp):
             if ev in e_uc and ev not in spec_enabled:
                 string = []
                 node = pair
@@ -804,7 +847,7 @@ def per_event_decomposability(a: Automaton, e1, e2) -> DecomposabilityReport:
     priv1 = e1 - e2
     priv2 = e2 - e1
 
-    moves = {q: {ev: a.step1(q, ev) for ev in a.enabled(q)} for q in a.states}
+    moves = {q: {ev: a.step1(q, ev) for ev in enabled(a, q)} for q in a.states}
     block = _per_event_refine(
         {q: q in a.marked for q in a.states},
         {q: {ev: (dst,) for (ev, dst) in row.items()} for (q, row) in moves.items()},
@@ -870,7 +913,7 @@ def scan_command_choice(models, k: int, states) -> str:
         getattr(models, role)(j) for j in (1, 2) for role in ("plant", "formation", "local")
     ]
 
-    def enabled(event):
+    def allowed(event):
         return all(
             auto.step(q, event) for (auto, q) in zip(machines, states) if event in auto.event_ids
         )
@@ -878,9 +921,9 @@ def scan_command_choice(models, k: int, states) -> str:
     al = models.alphabet(k)
     rest = sorted(set(al.commands) - {f"Cth+{k}", f"Cr-{k}"})
     for candidate in (al.hold, f"Cth+{k}", f"Cr-{k}", *rest):
-        if enabled(candidate):
+        if allowed(candidate):
             return candidate
-    if not any(enabled(ev) for ev in al.controllable_ids):
+    if not any(allowed(ev) for ev in al.controllable_ids):
         raise SupervisorBlocked(f"agent {k}: no controllable event enabled")
     return None
 
@@ -1063,6 +1106,24 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
         verdicts[f"final_region_{k}"] = f"({region.i},{region.j})"
     verdicts["flags"] = "; ".join(flags) if flags else "none"
     return sim.ScenarioResult(rows, records, verdicts, mission.controllers_text())
+
+
+def run_scenario_under_the_global_supervisor(cfg) -> "sim.ScenarioResult":
+    """``sim.run_scenario`` with Theorem 1's global side in the local slots.
+
+    Agent 1's local supervisor is the collision supervisor itself, and
+    agent 2's is one state over agent 2's events with a self-loop on each,
+    so that the global supervisor alone restricts the team.  The run's
+    supervisor slots and initial discrete states both come from these
+    automata, through the models that ``sim.build_models`` returns.
+    """
+    models = sim.build_models(cfg.partition)
+    al2 = models.alphabet(2)
+    one_state = Automaton.build(["g"], "g", al2.events, [("g", al2.all_ids, "g")], ["g"])
+    decomposition = models.decomposition._replace(local1=models.collision, local2=one_state)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sim, "build_models", lambda p: models._replace(decomposition=decomposition))
+        return sim.run_scenario(cfg)
 
 
 def classify(r_lo, r_hi, th_lo, span, x, y):

@@ -5,8 +5,10 @@ import pytest
 from conftest import (
     BoundTooLarge,
     _edges,
+    accepts,
     brute_language,
     check_bisim_relation,
+    enabled,
     generic_automaton,
     make_auto,
     marked_language_upto,
@@ -15,6 +17,8 @@ from conftest import (
     random_automaton,
     random_automaton_parts,
     random_automaton_with_twins,
+    renamed,
+    transitions,
     unfolded,
 )
 
@@ -107,7 +111,7 @@ def test_build_on_event_groups_matches_build_on_triples():
         states, initial, events, triples, rows, marked = _random_grouped_parts(rng)
         grouped = Automaton.build(states, initial, events, rows, marked)
         assert grouped == Automaton.build(states, initial, events, triples, marked)
-        assert grouped.transitions == tuple(sorted(triples))
+        assert transitions(grouped) == tuple(sorted(triples))
         seen["shared class"] += any(len(evs) > 1 for evs in grouped._members)
         seen["overlap"] += len(_edges(rows)) > len(triples)
         seen["unused event"] += len(grouped._class_of) > len({ev for (_, ev, _) in triples})
@@ -148,7 +152,7 @@ def test_index_round_trips_random_automata():
         triples = trans + rng.sample(trans, len(trans) // 2)
         rng.shuffle(triples)
         a = Automaton.build(states, initial, events, triples, marked)
-        assert a.transitions == tuple(sorted(set(triples)))
+        assert transitions(a) == tuple(sorted(set(triples)))
         assert exchange.loads(exchange.dumps(a)) == a
         same = Automaton.build(reversed(states), initial, events, reversed(trans), marked)
         assert same == a and hash(same) == hash(a)
@@ -187,11 +191,11 @@ def test_classes_are_maximal_and_canonical():
     a = Automaton.build(["q0", "q1"], "q0", events, trans, ["q0"])
     assert a._members == (("a", "b", "z"), ("c",), ("w",), ("x",), ("y",))
     assert [a._class_of[ev] for ev in "abcwxyz"] == [0, 0, 1, 2, 3, 4, 0]
-    assert a.enabled("q1") == ("a", "b", "c", "y", "z")
+    assert enabled(a, "q1") == ("a", "b", "c", "y", "z")
     # the same automaton reached through the algebra has the same index
-    twin = a.renamed({"q0": "p0", "q1": "p1"})
+    twin = renamed(a, {"q0": "p0", "q1": "p1"})
     rebuilt = natural_project(parallel_compose(a, twin), a.event_ids)
-    assert accessible(rebuilt).renamed({"{⟨q0,p0⟩}": "q0", "{⟨q1,p1⟩}": "q1"}) == a
+    assert renamed(accessible(rebuilt), {"{⟨q0,p0⟩}": "q0", "{⟨q1,p1⟩}": "q1"}) == a
     # rows list their classes in id order, which label-ordered scans rely on
     for auto in (a, twin, rebuilt):
         assert all(list(row) == sorted(row) for row in auto._succ.values())
@@ -206,7 +210,7 @@ def test_accessible_trims_unreachable_chain():
     a = make_auto([("q0", "a", "q1"), ("q2", "a", "q1")], states=["q0", "q1", "q2"])
     trimmed = accessible(a)
     assert trimmed.states == frozenset({"q0", "q1"})
-    assert len(trimmed.transitions) == 1
+    assert len(transitions(trimmed)) == 1
     assert marked_language_upto(trimmed, 3) == marked_language_upto(a, 3)
 
 
@@ -231,8 +235,8 @@ def test_shared_events_synchronize():
     a = make_auto([("p0", "s", "p1"), ("p0", "a", "p0")], initial="p0", marked={"p1"})
     b = make_auto([("r0", "s", "r1")], initial="r0", marked={"r1"})
     product = parallel_compose(a, b)
-    assert product.accepts(["s"])
-    assert product.accepts(["a", "s"])
+    assert accepts(product, ["s"])
+    assert accepts(product, ["a", "s"])
     assert not product.generates(["s", "s"])
 
 
@@ -263,13 +267,13 @@ def test_disjoint_alphabet_product_bounds(rng):
     for _ in range(10):
         a = random_automaton(rng, max_states=4, max_events=2, all_marked=True)
         b = random_automaton(rng, max_states=3, max_events=2, all_marked=True)
-        b = b.renamed({q: "B" + q for q in b.states})
+        b = renamed(b, {q: "B" + q for q in b.states})
         # disjoint alphabets: rename b's events
         b = Automaton.build(
             b.states,
             b.initial,
             [Event(e.id.upper(), e.controllable) for e in b.alphabet],
-            [(s, e.upper(), t) for (s, e, t) in b.transitions],
+            [(s, e.upper(), t) for (s, e, t) in transitions(b)],
             b.marked,
         )
         product = parallel_compose(a, b)
@@ -297,13 +301,13 @@ def test_project_chain_merges_hidden_prefix():
     proj = natural_project(a, {"b"})
     assert proj.deterministic
     assert set(marked_language_upto(proj, 3)) == {("b",)}
-    assert len([t for t in proj.transitions]) == 1
+    assert len([t for t in transitions(proj)]) == 1
 
 
 def test_project_marks_via_closure():
     a = make_auto([("q0", "h", "q1")], marked={"q1"})
     proj = natural_project(a, set())
-    assert proj.accepts([])
+    assert accepts(proj, [])
 
 
 def test_project_idempotent_and_deterministic(rng):
@@ -368,11 +372,11 @@ def test_bisim_distinguishes_language_equal_pair():
 def test_bisim_is_symmetric_and_transitive(rng):
     for _ in range(12):
         a = random_automaton(rng, max_states=4, max_events=3)
-        renamed = a.renamed({q: "r_" + q for q in a.states})
+        twin = renamed(a, {q: "r_" + q for q in a.states})
         # duplicate a state reachable copy: still bisimilar
-        dup_trans = list(a.transitions) + [
-            ("dup", e, t) for (s, e, t) in a.transitions if s == a.initial
-        ] + [(s, e, "dup") for (s, e, t) in a.transitions if t == a.initial]
+        dup_trans = list(transitions(a)) + [
+            ("dup", e, t) for (s, e, t) in transitions(a) if s == a.initial
+        ] + [(s, e, "dup") for (s, e, t) in transitions(a) if t == a.initial]
         dup = Automaton.build(
             set(a.states) | {"dup"},
             a.initial,
@@ -380,9 +384,9 @@ def test_bisim_is_symmetric_and_transitive(rng):
             dup_trans,
             set(a.marked) | ({"dup"} if a.initial in a.marked else set()),
         )
-        assert is_bisimilar(a, renamed)
-        assert is_bisimilar(renamed, a)
-        assert is_bisimilar(renamed, dup)
+        assert is_bisimilar(a, twin)
+        assert is_bisimilar(twin, a)
+        assert is_bisimilar(twin, dup)
         assert is_bisimilar(a, dup)
 
 
@@ -395,7 +399,7 @@ def test_bisim_respects_marking():
 def test_bisimilar_implies_equal_bounded_languages(rng):
     for _ in range(10):
         a = random_automaton(rng, max_states=5, max_events=3)
-        variant = a.renamed({q: q + "_v" for q in a.states})
+        variant = renamed(a, {q: q + "_v" for q in a.states})
         res = is_bisimilar(a, variant)
         assert res
         for n in range(7):
@@ -418,7 +422,7 @@ def _reachable_pairs(a1, a2):
     stack = [start]
     while stack:
         (q1, q2) = stack.pop()
-        for ev in a1.enabled(q1):
+        for ev in enabled(a1, q1):
             for pair in ((d1, d2) for d1 in a1.step(q1, ev) for d2 in a2.step(q2, ev)):
                 if pair not in seen:
                     seen.add(pair)
@@ -428,7 +432,7 @@ def _reachable_pairs(a1, a2):
 
 def _mutated(rng, a):
     """``a`` with one transition dropped or one state's marking flipped."""
-    trans = list(a.transitions)
+    trans = list(transitions(a))
     marked = set(a.marked)
     if trans and rng.random() < 0.5:
         trans.pop(rng.randrange(len(trans)))
@@ -454,15 +458,15 @@ def test_pair_walk_decides_deterministic_pairs_as_the_oracle(monkeypatch):
     for i in range(800):
         make = makers[i % 3]
         a = make()
-        renamed = a.renamed({q: "r" + q for q in a.states})
-        for other in (make(), renamed, unfolded(rng, a), _mutated(rng, a)):
+        twin = renamed(a, {q: "r" + q for q in a.states})
+        for other in (make(), twin, unfolded(rng, a), _mutated(rng, a)):
             assert a.deterministic and other.deterministic
             verdict = is_bisimilar(a, other)
             want = per_event_bisim(a, other)
             assert bool(verdict) == bool(want)
             # a tuple operand is walked as its composition is, names included
             product = parallel_compose(a, other)
-            assert is_bisimilar((a, other), renamed) == is_bisimilar(product, renamed)
+            assert is_bisimilar((a, other), twin) == is_bisimilar(product, twin)
             assert is_bisimilar(a, (other, a)) == is_bisimilar(a, parallel_compose(other, a))
             seen["pairs"] += 1
             if not verdict:
@@ -492,7 +496,7 @@ def test_walk_queues_its_starts_first_in_order_and_each_once():
 def test_path_reads_a_shortest_path_from_the_starts(rng):
     for _ in range(300):
         a = random_automaton(rng, max_states=6, max_events=3)
-        rows = {q: {ev: a.step(q, ev) for ev in a.enabled(q)} for q in a.states}
+        rows = {q: {ev: a.step(q, ev) for ev in enabled(a, q)} for q in a.states}
         starts = rng.sample(sorted(a.states), rng.randint(1, len(a.states)))
         parents: dict = {}
         walked = [node for (node, _) in automata._walk(rows.__getitem__, starts, parents)]

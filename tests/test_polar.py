@@ -52,7 +52,7 @@ def test_grid_radii_and_angles():
     assert [P.radius(i) for i in range(1, 6)] == [0.0, 10.0, 20.0, 30.0, 40.0]
     assert P.angle(1) == 0.0
     assert P.angle(9) == pytest.approx(2 * math.pi)
-    assert P.region_count == 32
+    assert len(list(P.regions())) == (P.n_r - 1) * (P.n_theta - 1) == 32
 
 
 def test_region_bounds_first_cell():

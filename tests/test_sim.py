@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     euler_step,
     relative_velocity_of,
     run_scenario_reacting_every_step,
+    run_scenario_under_the_global_supervisor,
     scan_command_choice,
 )
 
@@ -690,7 +692,7 @@ def clamped_steps(result, u_max, dt) -> int:
 def test_quiet_loop_matches_under_a_partial_velocity_clamp():
     # a 2.5 m/s bound below the 2 m/s command plus the 1.1 m/s leader
     # scales the followers' velocities on many steps without stopping them
-    text = open(BUNDLED, encoding="utf-8").read().replace("sim.u_max = 5", "sim.u_max = 2.5")
+    text = Path(BUNDLED).read_text(encoding="utf-8").replace("sim.u_max = 5", "sim.u_max = 2.5")
     cfg = loads_scenario(text)
     assert 0.0 < cfg.u_max < cfg.speed + math.hypot(*cfg.leader_velocity[0][1:])
     expected = outcome(run_scenario_reacting_every_step, cfg)
@@ -748,6 +750,40 @@ def test_quiet_loop_matches_off_the_default_step_and_bound():
         assert outcome(run_scenario, cfg) == expected, (extra, seed, crossing)
         kinds[expected[0] if isinstance(expected[0], type) else "completed"] += 1
     assert kinds == {SupervisorBlocked: 69, ValidationError: 1, "completed": 22}, kinds
+
+
+def supervised_outcome(run, cfg):
+    """The outputs of a run, or the failure and where it left the
+    followers; the failure's message and discrete states are left out,
+    since they name the supervisors' own states."""
+    try:
+        result = run(cfg)
+    except (HorizonViolation, SupervisorBlocked) as exc:
+        world = exc.world
+        return (type(exc), world.t, world.step_index, world.follower_pos, exc.recent)
+    return (result.csv_text(), result.records, result.verdicts, result.controllers)
+
+
+def test_local_supervisors_drive_the_runs_of_the_global_one():
+    # Theorem 1 in the hybrid loop: the local supervisors, each on its own
+    # agent's events, make the same runs as the collision supervisor over
+    # both, at the defaults and where the abstraction breaks
+    kinds = Counter()
+    alarmed = 0
+    for extra in ("", "sim.dt = 0.05\n", "sim.u_max = 1.25\n"):
+        for seed in range(0, 60, 6):
+            for crossing in (False, True):
+                cfg = loads_scenario(seeded_mission(seed, crossing) + extra)
+                expected = supervised_outcome(run_scenario_under_the_global_supervisor, cfg)
+                assert supervised_outcome(run_scenario, cfg) == expected, (extra, seed, crossing)
+                if isinstance(expected[0], type):
+                    kinds[expected[0]] += 1
+                else:
+                    kinds["completed"] += 1
+                    alarmed += expected[2]["alarm_episodes"] != "0"
+    assert kinds == {"completed": 35, SupervisorBlocked: 25}, kinds
+    # 16 of the completed runs raise an alarm for the collision module
+    assert alarmed == 16
 
 
 def test_quiet_step_matches_step_at_an_angle_just_below_th_lo():

@@ -10,10 +10,12 @@ from conftest import (
     check_bisim_relation,
     dc3_by_sampling,
     dc3_pair_ok,
+    enabled,
     first_shared,
     generic_automaton,
     make_auto,
     marked_language_upto,
+    per_event_accessible,
     per_event_bisim,
     per_event_compose,
     per_event_controllability,
@@ -23,8 +25,10 @@ from conftest import (
     random_automaton,
     random_automaton_parts,
     random_automaton_with_twins,
+    renamed,
     rerooted,
     team_plants,
+    transitions,
     unfolded,
 )
 
@@ -169,9 +173,9 @@ def test_closed_loop_never_enables_disabled_events():
     sup = make_auto([("s0", "a", "s1"), ("s1", "a", "s0")],
                     initial="s0", controllable={"a", "b"}, events={"b"})
     loop = closed_loop(sup, plant)
-    for (src, ev, _) in loop.transitions:
+    for (src, ev, _) in transitions(loop):
         s_component = src[1:-1].split(",")[0]
-        assert ev in sup.enabled(s_component)
+        assert ev in enabled(sup, s_component)
 
 
 # -- modular supervision -----------------------------------------------------
@@ -324,7 +328,7 @@ def _hidden_closure(a, states, keep):
     out = set(states)
     while True:
         more = {
-            d for q in out for ev in a.enabled(q) if ev not in keep for d in a.step(q, ev)
+            d for q in out for ev in enabled(a, q) if ev not in keep for d in a.step(q, ev)
         } - out
         if not more:
             return out
@@ -355,7 +359,7 @@ def _dc4_oracle(a, e1, e2):
         def generated(t):
             r = rerooted(a, t)
             return natural_project(
-                Automaton.build(r.states, t, r.alphabet, r.transitions, r.states), keep
+                Automaton.build(r.states, t, r.alphabet, transitions(r), r.states), keep
             )
 
         for q in sorted(a.states):
@@ -466,7 +470,8 @@ def test_class_algebra_matches_per_event_oracles():
     rng = random.Random(8088)
     seen = dict.fromkeys(
         ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness",
-         "large product", "tuple bisimilar", "tuple not bisimilar", "tuple nondeterministic"), 0
+         "large product", "tuple bisimilar", "tuple not bisimilar", "tuple nondeterministic",
+         "trimmed"), 0
     )
     twin_ids = {f(ev) for ev in "abc" for f in (str.upper, lambda ev: ev + "2")}
 
@@ -484,14 +489,14 @@ def test_class_algebra_matches_per_event_oracles():
         assert parallel_compose(a, b) == per_event_compose(a, b)
         keep = rng.sample(sorted(a.event_ids), rng.randint(0, len(a.event_ids)))
         assert natural_project(a, keep) == per_event_project(a, keep)
-        for other in (b, a.renamed({q: "r" + q for q in a.states}), per_event_compose(a, a)):
+        for other in (b, renamed(a, {q: "r" + q for q in a.states}), per_event_compose(a, a)):
             verdict = is_bisimilar(a, other)
             _assert_same_bisim(a, other, verdict, per_event_bisim(a, other))
             seen["bisimilar"] += bool(verdict)
         # on every other case, a tuple operand is walked as its composition
         # is, names included, nondeterministic members too
         ab = parallel_compose(a, b)
-        others = (a, b, ab.renamed({q: "r" + q for q in ab.states})) if i % 2 else ()
+        others = (a, b, renamed(ab, {q: "r" + q for q in ab.states})) if i % 2 else ()
         for other in others:
             verdict = is_bisimilar((a, b), other)
             assert verdict == is_bisimilar(ab, other)
@@ -501,10 +506,15 @@ def test_class_algebra_matches_per_event_oracles():
 
         spec = Automaton.build(
             a.states, a.initial, a.alphabet,
-            [t for t in a.transitions if rng.random() < 0.7], a.states,
+            [t for t in transitions(a) if rng.random() < 0.7], a.states,
         )
+        # the spec usually has states it no longer reaches
+        for x in (a, spec):
+            trimmed = accessible(x)
+            assert trimmed == per_event_accessible(x)
+            seen["trimmed"] += trimmed is not x
         # operands over one shared alphabet: the product keeps a's tuple
-        for other in (spec, a.renamed({q: "r" + q for q in a.states})):
+        for other in (spec, renamed(a, {q: "r" + q for q in a.states})):
             product = parallel_compose(a, other)
             assert product == per_event_compose(a, other)
             assert product.alphabet is a.alphabet
@@ -601,7 +611,7 @@ def test_unmarked_spec_detected():
     ac = make_auto([("c0", "go", "c0")], initial="c0", controllable={"go"})
     joint = parallel_compose(ap1, ap2)
     unmarked = joint.__class__.build(
-        joint.states, joint.initial, joint.alphabet, joint.transitions, set()
+        joint.states, joint.initial, joint.alphabet, transitions(joint), set()
     )
     assert not verify_decentralized(ap1, ap2, *_locals(ap1, ap2, ac), unmarked)
 
