@@ -1,20 +1,21 @@
 """Pure-Python geometry kernels: the interpolated cell field and
 fixed-step Euler integration with exit-facet classification.
 
-``integrate_cell`` is one loop with no calls but the math functions: each
-Euler step locates its new point once (radius, angle and angular offset),
-and that one location serves both the facet test and the next step's
-field.  It performs the same float operations on the same operands as a
-stepwise loop that calls ``eval_cell``, then locates the new point
-against the cell's facets (``integrate_by_steps`` and its ``classify`` in
-the tests), so its results match that loop bit for bit, exceptions
-included.  Each step makes only the operations that can change a result:
-it clamps no cell coordinate, since only the start can lie outside the
-cell; it counts its steps with ``range``, so ``max_steps`` is an int; it
-makes one compare for the angular exit, which on a full circle decides
-the angular clamp instead; and it calls ``fmod`` only for an angle
-offset not strictly within ±2π, which is ``eval_cell``'s result without
-it.
+``integrate_cell`` takes its start's field from ``eval_cell``, then runs
+one loop with no calls but the math functions: each Euler step locates
+its new point once (radius, angle and angular offset), and that one
+location serves both the facet test and the next step's field.  It
+performs the same float operations on the same operands as a stepwise
+loop that calls ``eval_cell``, then locates the new point against the
+cell's facets (``integrate_by_steps`` and its ``classify`` in the tests),
+so its results match that loop bit for bit, exceptions included, but for
+one input no partition makes (``r_eps == 0``, see ``integrate_cell``).
+Each step makes only the operations that can change a result: it clamps
+no cell coordinate, since only the start can lie outside the cell; it
+counts its steps with ``range``, so ``max_steps`` is an int; it makes one
+compare for the angular exit, which on a full circle decides the angular
+clamp instead; and it calls ``fmod`` only for an angle offset not
+strictly within ±2π, which is ``eval_cell``'s result without it.
 """
 
 from math import atan2, cos, fmod, sin, sqrt
@@ -90,28 +91,35 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     first crossed, with the post-crossing position.  ``max_steps`` is an
     int; when it is not positive the start comes back untouched.
 
-    Each step is ``eval_cell``, an Euler update, then the
-    facet test of the new point, inlined: radial facets first, then an
-    angular excursion attributed to the nearer facet through the
-    complement arc.  The radius, angle and angular offset of a point are
-    computed once and shared by the facet test and the next step's field.
+    The start's field is ``eval_cell``'s, with all of its clamps, since
+    only the start may lie outside the cell.  Each step is an Euler
+    update, then the facet test of the new point, inlined: radial facets
+    first, then an angular excursion attributed to the nearer facet
+    through the complement arc.  A point that passes the test gets its
+    field for the next step at once, from the radius, angle and angular
+    offset that the test computed.
 
-    Only the start, which may lie outside the cell, has its coordinates
-    clamped.  Every later point has passed the facet tests, so
-    ``r_lo <= r <= r_hi`` and, on a partial sector, ``rel <= span`` (or
-    they are NaN), and rounding is monotone, so both coordinates already
-    lie in [0, 1].  On a full circle the angular coordinate exceeds 1
-    exactly when ``rel > span`` (the two differ by at least an ulp near
-    2π), so the angular exit test also decides that clamp.  The radial
-    coordinate of the last point is computed and unused; it cannot raise,
-    since ``r_hi == r_lo`` raises at the start.  ``fmod`` runs only when
-    the angle less ``th_lo`` is not strictly within ±2π (NaN included):
-    it returns a smaller argument unchanged, ``-0.0`` included, so the
-    offset is ``eval_cell``'s either way.
+    That field clamps nothing.  A point that has passed the facet tests
+    has ``r_lo <= r <= r_hi`` and, on a partial sector, ``rel <= span``
+    (or they are NaN), and rounding is monotone, so both coordinates
+    already lie in [0, 1].  On a full circle the angular coordinate
+    exceeds 1 exactly when ``rel > span`` (the two differ by at least an
+    ulp near 2π), so the angular exit test also decides that clamp.
+    ``fmod`` runs only when the angle less ``th_lo`` is not strictly
+    within ±2π (NaN included): it returns a smaller argument unchanged,
+    ``-0.0`` included, so the offset is ``eval_cell``'s either way.
+
+    The field of the last point is computed and unused.  ``r_hi == r_lo``
+    and a zero span raise at the start, so the one division that can
+    raise there is the tangential rate's, at ``r == r_eps == 0``: with
+    ``r_eps == 0`` an INSIDE run whose last step lands exactly on the
+    origin raises ``ZeroDivisionError``, where the stepwise loop returns.
+    No ``PolarPartition`` has ``r_eps == 0``.
     """
     if not 0 < max_steps:
         return (INSIDE, 0, x0, y0)
     (u0r, u0t, u1r, u1t, u2r, u2t, u3r, u3t) = u
+    (vx, vy) = eval_cell(r_lo, r_hi, th_lo, span, u, x0, y0, r_eps)
     two_pi = TWO_PI
     neg_two_pi = -TWO_PI
     dr = r_hi - r_lo
@@ -119,44 +127,11 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
     half_gap = (TWO_PI - span) * 0.5
     x = x0
     y = y0
-    r = sqrt(x * x + y * y)
-    th = atan2(y, x)
-    # a before rel, in eval_cell's order: r_hi == r_lo raises before fmod can
-    a = (r - r_lo) / dr
-    if a < 0.0:
-        a = 0.0
-    elif a > 1.0:
-        a = 1.0
-    rel = th - th_lo
-    if rel < 0.0:
-        if rel <= neg_two_pi:
-            rel = fmod(rel, two_pi)
-            if rel < 0.0:
-                rel += two_pi
-        else:
-            rel += two_pi
-    elif not rel < two_pi:
-        rel = fmod(rel, two_pi)
-    b = rel / span
-    if b > 1.0:
-        b = 1.0 if rel - span <= half_gap else 0.0
     for steps in range(1, max_steps + 1):
-        # the field at (x, y), as eval_cell computes it
-        oma = 1.0 - a
-        omb = 1.0 - b
-        w0 = oma * omb
-        w1 = a * omb
-        w2 = a * b
-        w3 = oma * b
-        ur = w0 * u0r + w1 * u1r + w2 * u2r + w3 * u3r
-        ut = w0 * u0t + w1 * u1t + w2 * u2t + w3 * u3t
-        tang = r * ut / (r_eps if r < r_eps else r)
-        ct = cos(th)
-        st = sin(th)
-        x = x + dt * (ur * ct - tang * st)
-        y = y + dt * (ur * st + tang * ct)
+        x = x + dt * vx
+        y = y + dt * vy
 
-        # locate the new point once, then the facet test
+        # locate the new point once: the facet test, then the next field
         r = sqrt(x * x + y * y)
         if r > r_hi:
             return (EXIT_R_PLUS, steps, x, y)
@@ -182,6 +157,19 @@ def integrate_cell(r_lo, r_hi, th_lo, span, u, x0, y0, dt, max_steps, r_eps):
         else:
             b = rel / span
         a = (r - r_lo) / dr
+        oma = 1.0 - a
+        omb = 1.0 - b
+        w0 = oma * omb
+        w1 = a * omb
+        w2 = a * b
+        w3 = oma * b
+        ur = w0 * u0r + w1 * u1r + w2 * u2r + w3 * u3r
+        ut = w0 * u0t + w1 * u1t + w2 * u2t + w3 * u3t
+        tang = r * ut / (r_eps if r < r_eps else r)
+        ct = cos(th)
+        st = sin(th)
+        vx = ur * ct - tang * st
+        vy = ur * st + tang * ct
     return (INSIDE, steps, x, y)
 
 

@@ -69,14 +69,12 @@ class AgentAlphabet(NamedTuple):
     k: int
     commands: tuple  # the four exit commands
     hold: str
-    external: tuple
     modes: tuple  # the Mode of each actuation id, in actuation_ids order
     detection_ids: tuple
     first_circle: tuple  # detections announcing a first-circle region (formation reached)
     outer_detections: tuple
     actuation_ids: tuple  # the four exit commands and hold: the events that set the motion
     controllable_ids: tuple
-    uncontrollable_ids: tuple
     all_ids: tuple
     events: tuple
 
@@ -113,14 +111,12 @@ def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
         k=k,
         commands=actuations[:4],
         hold=actuations[4],
-        external=EXTERNAL_EVENTS,
         modes=modes,
         detection_ids=detection_ids,
         first_circle=tuple(ev for ((i, _), ev) in detections if i == 1),
         outer_detections=tuple(ev for ((i, _), ev) in detections if i != 1),
         actuation_ids=actuations,
         controllable_ids=actuations + COORDINATION_COMMANDS,
-        uncontrollable_ids=ALARM_EVENTS + detection_ids,
         all_ids=actuations + detection_ids + EXTERNAL_EVENTS,
         events=tuple(
             [Event(c, True, own) for c in actuations]
@@ -142,8 +138,8 @@ def build_plant(al: AgentAlphabet) -> Automaton:
     ready, wait = f"R{al.k}", f"O{al.k}"
     rows = [
         (ready, al.commands, wait),
-        (ready, (al.hold,) + al.external, ready),
-        (wait, al.external, wait),
+        (ready, (al.hold,) + EXTERNAL_EVENTS, ready),
+        (wait, EXTERNAL_EVENTS, wait),
         (wait, al.detection_ids, ready),
     ]
     return Automaton.build([ready, wait], ready, al.events, rows, [ready])

@@ -11,9 +11,10 @@ ones through the automata, then emit the controllable events they enable
 
 Between two events nothing discrete changes, so :func:`run_scenario`
 advances each quiet stretch in one loop over plain floats (``_coast``).
-That loop is the only integrator: it moves both followers inline, with
-``kernels.eval_cell``'s float operations for the field, and :func:`step`
-is one pass of it with its stop tests off.  Besides moving, the loop
+That loop is the only integrator: it takes each follower's start field
+from ``kernels.eval_cell`` and every later one inline, with
+``eval_cell``'s float operations but no clamp, and :func:`step` is one
+pass of it with its stop tests off.  Besides moving, the loop
 makes only a conservative form of :func:`detect_events`'s region test
 and formats the rows.  It stops before the first step that may have an
 event: a follower may leave its region or the horizon, the followers may
@@ -294,9 +295,10 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
 def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
-    The step is one pass of :func:`_coast`'s loop with its stop tests off.
-    The new state is not located here: :func:`detect_events` does that, so
-    a step beyond the horizon does not raise.
+    The step is one pass of :func:`_coast`'s loop with its stop tests
+    off, from ``kernels.eval_cell``'s field at the start.  The new state
+    is not located here: :func:`detect_events` does that, so a step
+    beyond the horizon does not raise.
     """
     return _coast(world, mission, None, world.step_index + 1, math.inf, 0.0, 0.0)[0]
 
@@ -595,10 +597,10 @@ def _row(world: WorldState) -> str:
 def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
     """Follower ``k``'s constants between two events: its offset, held
     flag and region index, its region's :meth:`Mission.bounds`, then
-    ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``, ``th_lo``, ``span``,
-    ``(TWO_PI - span) * 0.5``, eight gains and ``r_eps``.  A held (stopped
-    or uncommanded) follower fetches no cell; its field constants are
-    placeholders that the loop never reads."""
+    ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``, ``th_lo``, ``span``, eight
+    gains and ``r_eps``.  A held (stopped or uncommanded) follower
+    fetches no cell; its field constants are placeholders that the loop
+    never reads."""
     disc = world.discrete[k - 1]
     held = disc.stopped or disc.command is None
     (r_lo, r_hi, th_lo, span, gains, r_eps) = (
@@ -607,7 +609,7 @@ def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
     )
     return (*world.offsets[k - 1], held, disc.region.i, disc.region.j,
             *mission.bounds(disc.region),
-            r_lo, r_hi - r_lo, th_lo, span, (TWO_PI - span) * 0.5, *gains, r_eps)
+            r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps)
 
 
 def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
@@ -615,24 +617,32 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
 
     This loop is the simulator's only integrator.  Between two events each
     follower keeps its command, region and offset, and the episode stays
-    as it is, so only floats change.  Each step moves follower 1, then
-    follower 2, with no call but the math functions: the field of
-    ``kernels.eval_cell`` (none for a held follower) in its float
-    operations on the same operands, the total velocity (leader plus
-    relative) clamped to ``u_max``, and one Euler update.  It then takes
-    the separation, appends the row that :func:`_row` would format to
-    ``rows`` (joined once by :func:`run_scenario`) and updates the minimum
-    separation.  The leader velocity is read again only when ``t`` reaches
-    its next breakpoint.
+    as it is, so only floats change.  A follower's first field is
+    :func:`_relative_velocity`'s: ``kernels.eval_cell``, clamps and all,
+    or (0, 0) when it is held.  Each step moves follower 1, then follower
+    2, with no call but the math functions: the total velocity (leader
+    plus relative) clamped to ``u_max``, one Euler update, the region
+    test, then the field at the new point in ``eval_cell``'s float
+    operations on the same operands.  It then takes the separation,
+    appends the row that :func:`_row` would format to ``rows`` (joined
+    once by :func:`run_scenario`) and updates the minimum separation.  The
+    leader velocity is read again only when ``t`` reaches its next
+    breakpoint.
 
-    Three shortcuts leave every float as ``eval_cell`` and :func:`step`'s
-    clamp compute it.  The field's radius ``sqrt(x*x + y*y)`` is the one
-    the region test took of the same floats at the step before.  ``fmod``
-    runs only when the angle offset is not strictly within ±2π, because
-    it returns a smaller argument unchanged.  ``hypot`` runs only when the
-    squared total speed exceeds ``(u_max * (1 - _MARGIN))**2``, or when
-    that bound is not a normal float (``u_max`` 0, tiny or huge), or the
-    sum is NaN or overflows: below the bound the clamp cannot bind.
+    Only a start can lie outside its region, so the field at a new point
+    clamps nothing.  A point that passes the region test lies inside its
+    ring and (with more than one sector) its wedge by a margin far beyond
+    the rounding of ``sqrt``, ``atan2`` and the offset, so ``r_lo < r <
+    r_hi`` and ``0 < rel < span``: both cell coordinates lie in [0, 1].
+    On a full circle ``span`` is exactly ``TWO_PI``, which bounds the
+    offset.  Three shortcuts leave every float as ``eval_cell`` and
+    :func:`step`'s clamp compute it.  The field's radius ``sqrt(x*x +
+    y*y)`` is the region test's.  ``fmod`` runs only when the angle offset
+    is not strictly within ±2π, because it returns a smaller argument
+    unchanged.  ``hypot`` runs only when the squared total speed exceeds
+    ``(u_max * (1 - _MARGIN))**2``, or when that bound is not a normal
+    float (``u_max`` 0, tiny or huge), or the sum is NaN or overflows:
+    below the bound the clamp cannot bind.
 
     The loop stops before the first step that may have an event: a
     follower may leave its region or the horizon (follower 1's test
@@ -646,8 +656,9 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     division or ``ceil``: a point it passes is one ``locate`` puts in the
     follower's region, and a point within the margin of a grid line or
     the horizon, a NaN or an overflow stops the loop.  With ``rows``
-    None, as :func:`step` calls it, only the ``n_steps`` and ``t_switch``
-    tests stop it, and it appends no row.
+    None, as :func:`step` calls it, the loop takes exactly one step, with
+    no region test, and appends no row; the field it computes at that
+    untested point is never used.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
     stopped (``world`` itself if it took no step).
@@ -673,17 +684,18 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     episode = world.episode
     watch_alarm = watch and episode is None
     watch_release = watch and episode is not None and not episode.cleared
-    (ox1, oy1, held1, i1, j1, blo1, bhi1, ax1, ay1, bx1, by1, lo1, dr1, tlo1, span1, half1,
+    (ox1, oy1, held1, i1, j1, blo1, bhi1, ax1, ay1, bx1, by1, lo1, dr1, tlo1, span1,
      u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
-    (ox2, oy2, held2, i2, j2, blo2, bhi2, ax2, ay2, bx2, by2, lo2, dr2, tlo2, span2, half2,
+    (ox2, oy2, held2, i2, j2, blo2, bhi2, ax2, ay2, bx2, by2, lo2, dr2, tlo2, span2,
      u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
     row = _FLOATS + f",{i1},{j1},{i2},{j2}"
 
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
-    ((rx1, ry1), (rx2, ry2)) = world.relative
-    r1 = sqrt(rx1 * rx1 + ry1 * ry1)
-    r2 = sqrt(rx2 * rx2 + ry2 * ry2)
+    # the start's fields, clamps and all: only a start may lie outside
+    # its region
+    (vx1, vy1) = _relative_velocity(world, mission, 1)
+    (vx2, vy2) = _relative_velocity(world, mission, 2)
     sep = world.separation
     t_lv = t  # the leader velocity is read at the first step
     start = index
@@ -693,31 +705,7 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
             t_lv = next((entry[0] for entry in leader if entry[0] > t), math.inf)
 
         # follower 1
-        if held1:
-            vx = vy = 0.0
-        else:
-            th = atan2(ry1, rx1)
-            a = (r1 - lo1) / dr1
-            if a < 0.0:
-                a = 0.0
-            elif a > 1.0:
-                a = 1.0
-            rel = th - tlo1
-            if not -two_pi < rel < two_pi:
-                rel = fmod(rel, two_pi)
-            if rel < 0.0:
-                rel += two_pi
-            b = rel / span1
-            if b > 1.0:
-                b = 1.0 if rel - span1 <= half1 else 0.0
-            (oma, omb) = (1.0 - a, 1.0 - b)
-            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
-            ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
-            ut = w0 * u0t1 + w1 * u1t1 + w2 * u2t1 + w3 * u3t1
-            tang = r1 * ut / (eps1 if r1 < eps1 else r1)
-            (ct, st) = (cos(th), sin(th))
-            (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
-        (tvx, tvy) = (lvx + vx, lvy + vy)
+        (tvx, tvy) = (lvx + vx1, lvy + vy1)
         if not tvx * tvx + tvy * tvy <= cap2:
             speed = hypot(tvx, tvy)
             if speed > u_max:
@@ -737,33 +725,27 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
                 m = margin * nr1
                 if not (ax1 * nry1 - ay1 * nrx1 > m and nrx1 * by1 - nry1 * bx1 > m):
                     break
-
-        # follower 2, as follower 1
-        if held2:
-            vx = vy = 0.0
-        else:
-            th = atan2(ry2, rx2)
-            a = (r2 - lo2) / dr2
-            if a < 0.0:
-                a = 0.0
-            elif a > 1.0:
-                a = 1.0
-            rel = th - tlo2
+        # the field at the new point, which the region test put inside the
+        # region: no clamp can bind
+        if not held1:
+            th = atan2(nry1, nrx1)
+            a = (nr1 - lo1) / dr1
+            rel = th - tlo1
             if not -two_pi < rel < two_pi:
                 rel = fmod(rel, two_pi)
             if rel < 0.0:
                 rel += two_pi
-            b = rel / span2
-            if b > 1.0:
-                b = 1.0 if rel - span2 <= half2 else 0.0
+            b = rel / span1
             (oma, omb) = (1.0 - a, 1.0 - b)
             (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
-            ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2
-            ut = w0 * u0t2 + w1 * u1t2 + w2 * u2t2 + w3 * u3t2
-            tang = r2 * ut / (eps2 if r2 < eps2 else r2)
+            ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
+            ut = w0 * u0t1 + w1 * u1t1 + w2 * u2t1 + w3 * u3t1
+            tang = nr1 * ut / (eps1 if nr1 < eps1 else nr1)
             (ct, st) = (cos(th), sin(th))
-            (vx, vy) = (ur * ct - tang * st, ur * st + tang * ct)
-        (tvx, tvy) = (lvx + vx, lvy + vy)
+            (vx1, vy1) = (ur * ct - tang * st, ur * st + tang * ct)
+
+        # follower 2, as follower 1
+        (tvx, tvy) = (lvx + vx2, lvy + vy2)
         if not tvx * tvx + tvy * tvy <= cap2:
             speed = hypot(tvx, tvy)
             if speed > u_max:
@@ -783,14 +765,30 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
                 m = margin * nr2
                 if not (ax2 * nry2 - ay2 * nrx2 > m and nrx2 * by2 - nry2 * bx2 > m):
                     break
+        if not held2:
+            th = atan2(nry2, nrx2)
+            a = (nr2 - lo2) / dr2
+            rel = th - tlo2
+            if not -two_pi < rel < two_pi:
+                rel = fmod(rel, two_pi)
+            if rel < 0.0:
+                rel += two_pi
+            b = rel / span2
+            (oma, omb) = (1.0 - a, 1.0 - b)
+            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
+            ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2
+            ut = w0 * u0t2 + w1 * u1t2 + w2 * u2t2 + w3 * u3t2
+            tang = nr2 * ut / (eps2 if nr2 < eps2 else nr2)
+            (ct, st) = (cos(th), sin(th))
+            (vx2, vy2) = (ur * ct - tang * st, ur * st + tang * ct)
 
         nsep = hypot(nx1 - nx2, ny1 - ny2)
         if watch_alarm and sep >= alarm_radius > nsep:
             break
         if watch_release and nsep > release_radius:
             break
-        (x1, y1, rx1, ry1, r1) = (nx1, ny1, nrx1, nry1, nr1)
-        (x2, y2, rx2, ry2, r2) = (nx2, ny2, nrx2, nry2, nr2)
+        (x1, y1, rx1, ry1) = (nx1, ny1, nrx1, nry1)
+        (x2, y2, rx2, ry2) = (nx2, ny2, nrx2, nry2)
         sep = nsep
         index += 1
         t = index * dt

@@ -90,6 +90,12 @@ def renamed(a: Automaton, mapping) -> Automaton:
     )
 
 
+def uncontrollable_ids(al) -> tuple:
+    """The ids of an agent alphabet's uncontrollable events, read off its
+    ``Event`` records."""
+    return tuple(e.id for e in al.events if not e.controllable)
+
+
 def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, events=()):
     """Compact automaton builder for tests.
 

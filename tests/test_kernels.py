@@ -61,6 +61,18 @@ def test_integrate_cell_raises_on_the_same_zero_divisors():
         assert result == (kernels.INSIDE, 0, x, y)
 
 
+def test_an_inside_run_ending_on_the_origin_raises_when_r_eps_is_zero():
+    # integrate_cell computes the field of an INSIDE run's last point and
+    # drops it, so with r_eps == 0, which no partition has, a last step
+    # onto the origin divides by zero where the stepwise oracle returns
+    u = (-1.0, 0.0) * 4
+    args = (0.0, 5.0, 0.0, 1.0, u, 0.5, 0.0, 0.5, 1)
+    assert integrate_by_steps(*args, 0.0) == (kernels.INSIDE, 1, 0.0, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        kernels.integrate_cell(*args, 0.0)
+    assert kernels.integrate_cell(*args, 0.05) == (kernels.INSIDE, 1, 0.0, 0.0)
+
+
 # a full circle, and a span just inside the full-circle cutoff 2*pi - 1e-12
 FULL_SPANS = (TWO_PI, TWO_PI - 1e-13)
 

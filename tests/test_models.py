@@ -7,6 +7,7 @@ from conftest import (
     marked_language_upto,
     project_by_merging,
     transitions,
+    uncontrollable_ids,
 )
 
 import polaris.models
@@ -17,6 +18,7 @@ from polaris.automata import (
     parallel_compose,
 )
 from polaris.models import (
+    EXTERNAL_EVENTS,
     agent_alphabet,
     build_collision_spec,
     build_formation_spec,
@@ -41,11 +43,11 @@ def test_alphabet_counts():
     assert len(al.detection_ids) == (P.n_r - 1) * (P.n_theta - 1) == 32
     assert len(al.first_circle) == P.n_theta - 1 == 8
     assert len(al.commands) == 4
-    assert set(al.external) == {
+    assert set(EXTERNAL_EVENTS) == {
         "Ca12F", "Ca12N", "Ca21F", "Ca21N", "Stop1", "Stop2", "R12", "R21",
     }
     controllable = set(al.controllable_ids)
-    uncontrollable = set(al.uncontrollable_ids)
+    uncontrollable = set(uncontrollable_ids(al))
     assert controllable & uncontrollable == set()
     assert controllable | uncontrollable == set(al.all_ids)
     assert "Ca12F" in uncontrollable and "d_2_3_1" in uncontrollable
@@ -66,7 +68,7 @@ def test_plant_structure():
     assert len(plant.states) == 2
     assert plant.initial == "R1"
     assert plant.marked == frozenset({"R1"})
-    expected = len(al.commands) + len(al.detection_ids) + 2 * len(al.external) + 1
+    expected = len(al.commands) + len(al.detection_ids) + 2 * len(EXTERNAL_EVENTS) + 1
     assert len(transitions(plant)) == expected
 
 

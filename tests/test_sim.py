@@ -1006,15 +1006,19 @@ def field_branches(world, mission, k) -> list:
 
 
 def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
-    # _coast's loop writes eval_cell's field out for each follower, and
-    # step takes its one step through that loop.  Seeded followers sit
-    # just past one facet of their region or within r_eps of the origin,
-    # held, stopped or commanded, under no velocity authority, a partial
-    # clamp and a loose bound.  step must equal conftest's euler_step,
-    # which calls eval_cell, and a one-step quiet advance must equal step
-    # or stop where a follower leaves its region or the horizon.
+    # _coast's loop takes each start field from eval_cell and writes the
+    # field out, with no clamp, at every point that passes its region
+    # test; step takes its one step through that loop.  Seeded followers
+    # sit just past one facet of their region or within r_eps of the
+    # origin, held, stopped or commanded, under no velocity authority, a
+    # partial clamp and a loose bound.  step must equal conftest's
+    # euler_step, which calls eval_cell, and a one- or two-step quiet
+    # advance must equal as many euler_steps or stop where a follower
+    # leaves its region or the horizon.  Only a second step runs the
+    # unclamped field, from a point that may lie just past a facet.
     rng = random.Random(26)
     seen = Counter()
+    two_steps = 0
     places = ("inside", "below r_lo", "beyond r_hi", "below th_lo", "beyond th_hi", "near 0")
     for u_max in (0.0, 2.5, 50.0):
         cfg = small_cfg(dt=0.5, u_max=u_max, leader_velocity=((0.0, 3.0, 1.0),))
@@ -1022,6 +1026,11 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
         # a cleared episode turns both separation tests off
         start = start._replace(episode=Episode(1, cleared=True))
         p = cfg.partition
+
+        def in_regions(moved):
+            return all(math.hypot(*rel) <= p.r_max and locate(p, *rel) == d.region
+                       for (rel, d) in zip(moved.relative, moved.discrete))
+
         for _ in range(250):
             discrete = []
             follower_pos = []
@@ -1054,10 +1063,19 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
             assert step(world, mission) == expected
             rows = []
             (quiet, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
-            if all(math.hypot(*rel) <= p.r_max and locate(p, *rel) == d.region
-                   for (rel, d) in zip(expected.relative, world.discrete)):
+            if in_regions(expected):
                 assert (quiet, rows) == (expected, [csv_row_by_fstring(expected)])
                 seen["quiet step"] += 1
+                second = euler_step(expected, mission)
+                rows = []
+                (quiet, _, _) = sim._coast(world, mission, rows, 2, math.inf, math.inf, 0.0)
+                if in_regions(second):
+                    assert (quiet, rows) == (
+                        second, [csv_row_by_fstring(expected), csv_row_by_fstring(second)]
+                    )
+                    two_steps += any(d.command is not None and not d.stopped for d in discrete)
+                else:
+                    assert (quiet, rows) == (expected, [csv_row_by_fstring(expected)])
             else:
                 assert quiet is world and rows == []
                 seen["quiet stop"] += 1
@@ -1067,11 +1085,12 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
                 speed = math.hypot(3.0 + vx, 1.0 + vy)
                 seen["u_max = 0" if u_max == 0.0 else "clamped" if speed > u_max else "loose"] += 1
     assert min(seen.values()) >= 5 and len(seen) == 12, seen
+    assert two_steps >= 5, two_steps
 
 
-def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
-    # perfbench's mission trace wraps these names, and rejects a traced run
-    # in which one of them is never called
+def traced_calls(monkeypatch, cfg) -> tuple:
+    """``run_scenario(cfg)`` and the calls it makes of each function that
+    perfbench's mission trace wraps."""
     calls = {}
 
     def counting(name, fn):
@@ -1086,18 +1105,32 @@ def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
     located = counting("polar.locate", polar.locate)
     monkeypatch.setattr(polar, "locate", located)
     monkeypatch.setattr(sim, "locate", located)
-    run_scenario(parse_scenario(BUNDLED))
+    return (run_scenario(cfg), calls)
+
+
+def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
+    # perfbench's mission trace wraps these names, and rejects a traced run
+    # in which one of them is never called
+    (_, calls) = traced_calls(monkeypatch, parse_scenario(BUNDLED))
     assert sorted(calls) == [
         "kernels.eval_cell", "polar.locate", "sim.detect_events", "sim.step",
         "sim.supervisor_react",
     ]
     assert all(count >= 1 for count in calls.values()), calls
-    # the steps take the field inline; only the run's one alarm
-    # classification calls eval_cell
-    assert calls["kernels.eval_cell"] == 1
+    # eval_cell gives each commanded follower its start field: once per
+    # quiet stretch (108 calls) and once per step (106), plus the run's
+    # one alarm classification
+    assert calls["kernels.eval_cell"] == 215
     # the quiet loop hands only 54 steps to step and detect_events; a
     # region test margin that cost event steps would show here
     assert calls["sim.step"] == calls["sim.detect_events"] == 54
+
+
+def test_a_run_with_no_alarm_calls_eval_cell(monkeypatch):
+    # the start fields call eval_cell whether or not an alarm is classified
+    (result, calls) = traced_calls(monkeypatch, small_cfg(t_end=1.0))
+    assert result.verdicts["alarm_episodes"] == "0"
+    assert calls["kernels.eval_cell"] >= 1
 
 
 def test_controllers_text_lists_only_the_controllers_a_step_used():
