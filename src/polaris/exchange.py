@@ -27,7 +27,7 @@ import re
 from .automata import Automaton, Event
 from .errors import InvalidToken, ParseError, _read_text
 
-TOKEN_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
+TOKEN_RE = re.compile(r"^[A-Za-z0-9_+\-]+\Z")
 
 _SECTIONS = ("states", "initial", "marked", "controllable", "uncontrollable", "owners", "trans")
 

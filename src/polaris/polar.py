@@ -66,8 +66,9 @@ class PolarPartition(_PartitionFields):
         self = tuple.__new__(cls, (r_max, n_r, n_theta))
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError("r_max must be positive and finite")
-        if self.n_r < 2 or self.n_theta < 2:
-            raise ValueError("need at least two grid lines in each direction")
+        for (name, count) in (("n_r", n_r), ("n_theta", n_theta)):
+            if not (isinstance(count, int) and count >= 2):
+                raise ValueError(f"{name} must be an integer of at least 2")
         if not (self.delta_r > 0 and self.r_eps > 0):
             raise ValueError(
                 f"r_max {self.r_max!r} is too small: its radial step or radius "

@@ -129,17 +129,18 @@ def schedule_at(schedule, t: float):
     return current[1:]
 
 
-_KNOWN_KEYS = {
-    "partition.r_max",
-    "partition.n_r",
-    "partition.n_theta",
-    *_FLOAT_KEYS,
-    "leader.velocity",
-    "follower1.initial_position",
-    "follower1.offsets",
-    "follower2.initial_position",
-    "follower2.offsets",
-}
+def _parse_float(value: str, key: str, path, lineno):
+    try:
+        return float(value)
+    except ValueError:
+        raise ParseError(f"{key}: bad number {value!r}", path, lineno) from None
+
+
+def _parse_int(value: str, key: str, path, lineno):
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key}: bad integer {value!r}", path, lineno) from None
 
 
 def _parse_pair(value: str, key: str, path, lineno):
@@ -169,6 +170,21 @@ def _parse_schedule(value: str, key: str, path, lineno):
     return tuple(entries)
 
 
+#: Every key the parser accepts and the reader of its value, in the order
+#: in which ``loads_scenario`` reads them.
+_READERS = {
+    "partition.r_max": _parse_float,
+    "partition.n_r": _parse_int,
+    "partition.n_theta": _parse_int,
+    "follower1.initial_position": _parse_pair,
+    "follower1.offsets": _parse_schedule,
+    "follower2.initial_position": _parse_pair,
+    "follower2.offsets": _parse_schedule,
+    "leader.velocity": _parse_schedule,
+    **dict.fromkeys(_FLOAT_KEYS, _parse_float),
+}
+
+
 def loads_scenario(text: str, path=None) -> ScenarioConfig:
     values: dict = {}
     seen_any = False
@@ -182,7 +198,7 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _READERS:
             raise ValidationError(f"unknown key {key!r}", path, lineno)
         if key in values:
             raise ParseError(f"duplicate key {key!r}", path, lineno)
@@ -192,64 +208,41 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
     # an absent key keeps the ScenarioConfig default
     base = ScenarioConfig()
 
-    def take_float(key, default):
+    def read(key, default):
         if key not in values:
             return default
         (value, lineno) = values[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{key}: bad number {value!r}", path, lineno) from None
+        return _READERS[key](value, key, path, lineno)
 
-    def take_int(key, default):
-        if key not in values:
-            return default
-        (value, lineno) = values[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"{key}: bad integer {value!r}", path, lineno) from None
+    def located(message):
+        # a message about one key starts with that key
+        (_, line) = values.get(message.split(" ", 1)[0], (None, None))
+        return ValidationError(message, path, line)
 
+    # each partition key is ``partition.`` and the field's name
+    p = base.partition
     try:
-        partition = PolarPartition(
-            take_float("partition.r_max", base.partition.r_max),
-            take_int("partition.n_r", base.partition.n_r),
-            take_int("partition.n_theta", base.partition.n_theta),
-        )
+        partition = p._make(read(f"partition.{name}", v) for (name, v) in p._asdict().items())
     except ValueError as exc:
-        raise ValidationError(str(exc), path) from exc
-
-    followers = []
-    for (idx, follower) in enumerate(base.followers, start=1):
-        pos = follower.initial_position
-        key = f"follower{idx}.initial_position"
-        if key in values:
-            pos = _parse_pair(values[key][0], key, path, values[key][1])
-        offsets = follower.offsets
-        key = f"follower{idx}.offsets"
-        if key in values:
-            offsets = _parse_schedule(values[key][0], key, path, values[key][1])
-        followers.append(FollowerConfig(pos, offsets))
-
-    leader = base.leader_velocity
-    if "leader.velocity" in values:
-        (value, lineno) = values["leader.velocity"]
-        leader = _parse_schedule(value, "leader.velocity", path, lineno)
-
-    floats = {
-        name: take_float(key, None) for (key, name) in _FLOAT_KEYS.items() if key in values
-    }
+        raise located(f"partition.{exc}") from exc
+    followers = tuple(
+        FollowerConfig(
+            read(f"follower{k}.initial_position", f.initial_position),
+            read(f"follower{k}.offsets", f.offsets),
+        )
+        for (k, f) in enumerate(base.followers, start=1)
+    )
+    leader = read("leader.velocity", base.leader_velocity)
+    floats = {name: read(key, None) for (key, name) in _FLOAT_KEYS.items() if key in values}
     if "front_half_angle" in floats:
         floats["front_half_angle"] = math.radians(floats["front_half_angle"])
     cfg = ScenarioConfig(
-        partition=partition, leader_velocity=leader, followers=tuple(followers), **floats
+        partition=partition, leader_velocity=leader, followers=followers, **floats
     )
     try:
         return cfg.validate()
     except ValidationError as exc:
-        message = str(exc)
-        (_, line) = values.get(message.split(" ", 1)[0], (None, None))
-        raise ValidationError(message, path, line) from None
+        raise located(str(exc)) from None
 
 
 def parse_scenario(path) -> ScenarioConfig:

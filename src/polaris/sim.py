@@ -239,18 +239,20 @@ def _locate(p: PolarPartition, k: int, x: float, y: float) -> RegionIndex:
         ) from None
 
 
-def _initial_discretes(follower_pos: tuple, offsets: tuple, mission: Mission) -> tuple:
-    """Both agents' discrete states at the start of a phase.
+def _start_phase(world: WorldState, mission: Mission) -> WorldState:
+    """``world`` at the start of the phase that begins at ``world.t``: the
+    offsets of that phase, and a restarted discrete layer, with every
+    automaton in its initial state, no command, no stop and no episode.
 
     Both followers must be within the horizon (:class:`HorizonViolation`
     otherwise) and then outside the innermost ring, because the reach
     policy needs a start outside it (:class:`ValidationError` otherwise).
     """
-    p = mission.cfg.partition
-    m = mission.models
+    cfg = mission.cfg
+    offsets = tuple(schedule_at(f.offsets, world.t) for f in cfg.followers)
     regions = [
-        _locate(p, k, px - ox, py - oy)
-        for (k, (px, py), (ox, oy)) in zip((1, 2), follower_pos, offsets)
+        _locate(cfg.partition, k, px - ox, py - oy)
+        for (k, (px, py), (ox, oy)) in zip((1, 2), world.follower_pos, offsets)
     ]
     for (k, region) in enumerate(regions, start=1):
         if region.i == 1:
@@ -258,10 +260,12 @@ def _initial_discretes(follower_pos: tuple, offsets: tuple, mission: Mission) ->
                 f"follower {k} starts inside the innermost ring; the reach "
                 "policy needs a start outside it"
             )
-    return tuple(
-        AgentDiscrete(m.plant(k).initial, m.formation(k).initial, m.local(k).initial, region)
+    initial = [auto.initial for (_, _, auto, _) in mission.slots]
+    discrete = tuple(
+        AgentDiscrete(*initial[3 * (k - 1) : 3 * k], region)
         for (k, region) in enumerate(regions, start=1)
     )
+    return world._replace(offsets=offsets, discrete=discrete, episode=None)
 
 
 def initial_world(mission: Mission) -> WorldState:
@@ -270,17 +274,8 @@ def initial_world(mission: Mission) -> WorldState:
     Raises :class:`HorizonViolation` or :class:`ValidationError` for a
     follower that starts beyond the horizon or inside the innermost ring.
     """
-    cfg = mission.cfg
-    offsets = tuple(schedule_at(f.offsets, 0.0) for f in cfg.followers)
-    follower_pos = tuple(f.initial_position for f in cfg.followers)
-    return WorldState(
-        step_index=0,
-        t=0.0,
-        leader_pos=(0.0, 0.0),
-        follower_pos=follower_pos,
-        offsets=offsets,
-        discrete=_initial_discretes(follower_pos, offsets, mission),
-    )
+    follower_pos = tuple(f.initial_position for f in mission.cfg.followers)
+    return _start_phase(WorldState(0, 0.0, (0.0, 0.0), follower_pos, (), ()), mission)
 
 
 def _relative_velocity(world: WorldState, mission: Mission, k: int):
@@ -338,6 +333,11 @@ def detect_events(world_prev: WorldState, world_next: WorldState, mission: Missi
     once the separation exceeds the release radius during an episode.
     Locating the followers in ``world_next`` raises
     :class:`HorizonViolation` for the first one beyond the horizon.
+
+    A new alarm goes to the first agent that is not stopped.  But an
+    agent is stopped only within an episode, and an alarm is raised only
+    while none is open, so every alarm of a run goes to agent 1: agent 2
+    is never the avoider, and its avoidance branch never runs.
     """
     cfg = mission.cfg
     events = []
@@ -361,15 +361,17 @@ def detect_events(world_prev: WorldState, world_next: WorldState, mission: Missi
 
 
 class _Automata:
-    """Mutable view of the six automaton states during one reaction, in
-    ``Mission.slots`` order."""
+    """Mutable view of one reaction at time ``t``: the six automaton
+    states, in ``Mission.slots`` order, and the records of its events."""
 
-    __slots__ = ("slots", "state")
+    __slots__ = ("slots", "state", "t", "records")
 
     def __init__(self, world: WorldState, mission: Mission):
         self.slots = mission.slots
         (d1, d2) = world.discrete
         self.state = [d1.plant, d1.formation, d1.local, d2.plant, d2.formation, d2.local]
+        self.t = world.t
+        self.records = []
 
     def allows(self, event: str) -> bool:
         """Enabled in every automaton whose alphabet contains the event."""
@@ -380,9 +382,11 @@ class _Automata:
             if event in events
         )
 
-    def feed(self, event: str) -> None:
+    def fire(self, agent: int, event: str, detail: str) -> None:
         """Advance every automaton whose alphabet contains the event, in
-        slot order; :class:`SupervisorBlocked` at the first that cannot."""
+        slot order, then record the event as agent ``agent``'s;
+        :class:`SupervisorBlocked` at the first automaton that cannot,
+        with nothing recorded."""
         for (slot, (k, role, auto, events)) in enumerate(self.slots):
             if event not in events:
                 continue
@@ -393,6 +397,7 @@ class _Automata:
                     f"at state {self.state[slot]!r}"
                 )
             self.state[slot] = dst
+        self.records.append(EventRecord(self.t, str(agent), event, detail))
 
     def plant_state(self, k: int) -> str:
         return self.state[3 * (k - 1)]
@@ -427,8 +432,6 @@ def supervisor_react(world: WorldState, events, mission: Mission):
     """
     cfg = mission.cfg
     autos = _Automata(world, mission)
-    records = []
-    t = world.t
     episode = world.episode
     (d1, d2) = world.discrete
     regions = [d1.region, d2.region]
@@ -436,47 +439,35 @@ def supervisor_react(world: WorldState, events, mission: Mission):
     stopped = [d1.stopped, d2.stopped]
     detected = [False, False]
 
-    for item in events:
-        (kind, k, payload) = item
+    for (kind, k, payload) in events:
         if kind == "detection":
             region = payload
             event = mission.alphabet(k).detection(region.i, region.j)
-            autos.feed(event)
+            autos.fire(k, event, f"region=({region.i},{region.j})")
             regions[k - 1] = region
             detected[k - 1] = True
-            records.append(EventRecord(t, str(k), event, f"region=({region.i},{region.j})"))
         elif kind == "alarm":
-            event = payload
-            autos.feed(event)
+            autos.fire(k, payload, f"separation<{cfg.alarm_radius:g}")
             episode = Episode(k)
-            records.append(
-                EventRecord(t, str(k), event, f"separation<{cfg.alarm_radius:g}")
-            )
         elif kind == "cleared":
             episode = episode._replace(cleared=True)
-            records.append(
-                EventRecord(t, "world", "alarm_cleared", f"separation>{cfg.release_radius:g}")
-            )
+            detail = f"separation>{cfg.release_radius:g}"
+            autos.records.append(EventRecord(world.t, "world", "alarm_cleared", detail))
 
     # stop / release requests of the active episode
     if episode is not None:
-        stop_event = STOP_OF_EPISODE[episode.avoider]
-        target = 2 if episode.avoider == 1 else 1
+        avoider = episode.avoider
+        stop_event = STOP_OF_EPISODE[avoider]
+        target = 2 if avoider == 1 else 1
         if not stopped[target - 1] and autos.allows(stop_event):
-            autos.feed(stop_event)
+            autos.fire(avoider, stop_event, f"stops agent {target}")
             stopped[target - 1] = True
-            records.append(
-                EventRecord(t, str(episode.avoider), stop_event, f"stops agent {target}")
-            )
-        release_event = RELEASE_OF_EPISODE[episode.avoider]
+        release_event = RELEASE_OF_EPISODE[avoider]
         if episode.cleared and autos.allows(release_event):
-            autos.feed(release_event)
+            autos.fire(avoider, release_event, f"releases agent {target}")
             stopped[target - 1] = False
             # its command may have ended with a detection while it was stopped
             detected[target - 1] = True
-            records.append(
-                EventRecord(t, str(episode.avoider), release_event, f"releases agent {target}")
-            )
             episode = None
 
     # one actuation command per agent
@@ -491,23 +482,14 @@ def supervisor_react(world: WorldState, events, mission: Mission):
             commands[k - 1] = None
             continue
         if desired != commands[k - 1] or detected[k - 1]:
-            autos.feed(desired)
+            region = regions[k - 1]
+            autos.fire(k, desired, f"region=({region.i},{region.j})")
             commands[k - 1] = desired
-            records.append(
-                EventRecord(t, str(k), desired, f"region=({regions[k-1].i},{regions[k-1].j})")
-            )
 
     discretes = tuple(
         autos.discrete(k, regions[k - 1], commands[k - 1], stopped[k - 1]) for k in (1, 2)
     )
-    return world._replace(discrete=discretes, episode=episode), records
-
-
-def _apply_offset_switch(world: WorldState, mission: Mission) -> WorldState:
-    """Re-center the relative frames and restart the discrete layer."""
-    offsets = tuple(schedule_at(f.offsets, world.t) for f in mission.cfg.followers)
-    discretes = _initial_discretes(world.follower_pos, offsets, mission)
-    return world._replace(offsets=offsets, discrete=discretes, episode=None)
+    return world._replace(discrete=discretes, episode=episode), autos.records
 
 
 class _EpisodeLog:
@@ -858,7 +840,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 break
             if world.t >= t_switch:
                 switch_times.pop(0)
-                world = _apply_offset_switch(world, mission)
+                world = _start_phase(world, mission)
                 phase += 1
                 records.append(
                     EventRecord(world.t, "world", "formation_switch", f"phase={phase + 1}")

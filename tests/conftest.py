@@ -1046,7 +1046,7 @@ def run_scenario_reacting_every_step(cfg) -> "sim.ScenarioResult":
         for _ in range(n_steps):
             if switch_times and world.t >= switch_times[0]:
                 switch_times.pop(0)
-                world = sim._apply_offset_switch(world, mission)
+                world = sim._start_phase(world, mission)
                 phase += 1
                 for k in (1, 2):
                     t_reach[k].append(None)

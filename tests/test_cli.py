@@ -602,7 +602,7 @@ def test_bad_arguments_exit_2(files, capsys, argv, fragment):
          ":2: avoid.release_radius must exceed avoid.alarm_radius (hysteresis)"),
         ("follower1.offsets = 0:1,2 0:3,4\n",
          ":1: follower1.offsets times must be strictly increasing"),
-        ("partition.n_r = 1\n", ": need at least two grid lines in each direction"),
+        ("partition.n_r = 1\n", ":1: partition.n_r must be an integer of at least 2"),
     ],
     ids=["unknown-key", "dt", "hysteresis", "schedule", "partition"],
 )

@@ -107,9 +107,18 @@ def test_missing_file_is_parse_error(tmp_path):
 
 
 def test_writer_rejects_an_event_id_that_is_not_a_token():
-    a = make_auto([("q0", "e?", "q1")])
-    with pytest.raises(InvalidToken, match="not a valid token"):
-        exchange.dumps(a)
+    # a final newline is outside the token set too
+    for event in ("e?", "go\n"):
+        a = make_auto([("q0", event, "q1")])
+        with pytest.raises(InvalidToken, match="not a valid token"):
+            exchange.dumps(a)
+
+
+def test_writer_renames_a_state_name_with_a_final_newline():
+    a = make_auto([("s0\n", "go", "s1")], initial="s0\n", marked={"s1"})
+    reread = exchange.loads(exchange.dumps(a))
+    assert reread.states == {"q000", "s1"}
+    assert is_bisimilar(reread, a)
 
 
 # token-safe names, ``q000``/``q001`` among them so the renamer skips them,

@@ -75,10 +75,16 @@ def test_region_bounds_index_errors():
 
 
 def test_invalid_partitions_rejected():
-    with pytest.raises(ValueError):
-        PolarPartition(0.0, 5, 9)
-    with pytest.raises(ValueError):
-        PolarPartition(10.0, 1, 9)
+    # each message starts with the field at fault
+    for (args, message) in [
+        ((0.0, 5, 9), "r_max must be positive and finite"),
+        ((10.0, 1, 9), "n_r must be an integer of at least 2"),
+        ((50.0, 6.5, 9), "n_r must be an integer of at least 2"),
+        ((50.0, 6, 9.0), "n_theta must be an integer of at least 2"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            PolarPartition(*args)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("r_max", [5e-324, 1e-321])

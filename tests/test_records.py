@@ -190,7 +190,7 @@ def test_constructors_normalize_and_validate_through_replace():
     event = Event("a", True, [1])
     assert event.owners == frozenset({1})
     assert event._replace(owners={1, 2}).owners == frozenset({1, 2})
-    with pytest.raises(ValueError, match="need at least two grid lines"):
+    with pytest.raises(ValueError, match="n_r must be an integer of at least 2"):
         partition()._replace(n_r=1)
     with pytest.raises(ValueError, match="r_max must be positive and finite"):
         PolarPartition(math.nan, 3, 3)

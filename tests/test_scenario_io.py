@@ -5,6 +5,7 @@ import pytest
 from polaris.errors import ParseError, ValidationError
 from polaris.polar import PolarPartition
 from polaris.scenario import (
+    _READERS,
     FollowerConfig,
     ScenarioConfig,
     loads_scenario,
@@ -42,19 +43,45 @@ def test_defaults_applied():
     assert cfg.release_radius == 12.0
 
 
-@pytest.mark.parametrize(
-    ("line", "changed"),
-    [
-        ("sim.dt = 0.05", {"dt": 0.05}),
-        ("partition.n_r = 4", {"partition": PolarPartition(50.0, 4, 9)}),
-        ("avoid.front_half_angle_deg = 45", {"front_half_angle": math.radians(45.0)}),
-        ("leader.velocity = 0:1,2", {"leader_velocity": ((0.0, 1.0, 2.0),)}),
-        (
-            "follower2.initial_position = 3,4",
-            {"followers": (FollowerConfig(), FollowerConfig(initial_position=(3.0, 4.0)))},
-        ),
-    ],
-)
+# one line per key, each value unlike every default
+ONE_KEY_CASES = [
+    ("sim.dt = 0.05", {"dt": 0.05}),
+    ("partition.n_r = 4", {"partition": PolarPartition(50.0, 4, 9)}),
+    ("avoid.front_half_angle_deg = 45", {"front_half_angle": math.radians(45.0)}),
+    ("leader.velocity = 0:1,2", {"leader_velocity": ((0.0, 1.0, 2.0),)}),
+    (
+        "follower2.initial_position = 3,4",
+        {"followers": (FollowerConfig(), FollowerConfig(initial_position=(3.0, 4.0)))},
+    ),
+    ("partition.r_max = 40", {"partition": PolarPartition(40.0, 6, 9)}),
+    ("partition.n_theta = 5", {"partition": PolarPartition(50.0, 6, 5)}),
+    ("sim.t_end = 20", {"t_end": 20.0}),
+    ("sim.u_max = 3", {"u_max": 3.0}),
+    ("sim.speed = 1.5", {"speed": 1.5}),
+    ("sim.kappa = 0.25", {"kappa": 0.25}),
+    ("avoid.alarm_radius = 9", {"alarm_radius": 9.0}),
+    ("avoid.release_radius = 15", {"release_radius": 15.0}),
+    (
+        "follower1.initial_position = 5,6",
+        {"followers": (FollowerConfig(initial_position=(5.0, 6.0)), FollowerConfig())},
+    ),
+    (
+        "follower1.offsets = 0:1,2 10:3,4",
+        {"followers": (FollowerConfig(offsets=((0.0, 1.0, 2.0), (10.0, 3.0, 4.0))),
+                       FollowerConfig())},
+    ),
+    (
+        "follower2.offsets = 0:-1,-2",
+        {"followers": (FollowerConfig(), FollowerConfig(offsets=((0.0, -1.0, -2.0),)))},
+    ),
+]
+
+
+def test_one_key_cases_cover_every_key():
+    assert {line.split(" =")[0] for (line, _) in ONE_KEY_CASES} == set(_READERS)
+
+
+@pytest.mark.parametrize(("line", "changed"), ONE_KEY_CASES)
 def test_one_key_scenario_keeps_every_other_default(line, changed):
     assert loads_scenario(line + "\n") == ScenarioConfig()._replace(**changed)
 
@@ -155,6 +182,9 @@ def test_non_finite_values_rejected(line):
         ("sim.dt 0.02", ParseError, "expected 'key = value'"),
         ("sim.dt = abc", ParseError, "sim.dt: bad number 'abc'"),
         ("partition.n_r = 2.5", ParseError, "partition.n_r: bad integer '2.5'"),
+        # of two faulty keys, the partition's is reported
+        ("follower1.initial_position = 1\npartition.n_r = 1", ValidationError,
+         "line 2: partition.n_r must be an integer of at least 2"),
     ],
 )
 def test_out_of_range_or_malformed_values_rejected(line, error, fragment):

@@ -76,6 +76,25 @@ def test_initial_commands_push_inward():
     assert world.discrete[0].plant == "O1"
 
 
+def test_fire_records_only_an_event_that_every_automaton_takes():
+    (world, mission) = started_world(small_cfg())
+    autos = sim._Automata(world, mission)
+    # agent 1's command is in flight, so its plant cannot take it again
+    with pytest.raises(SupervisorBlocked, match="event Cr-1 undefined in agent 1 plant"):
+        autos.fire(1, "Cr-1", "region=(2,1)")
+    assert autos.records == []
+    autos.fire(1, "d_1_1_1", "region=(1,1)")
+    assert autos.records == [EventRecord(world.t, "1", "d_1_1_1", "region=(1,1)")]
+    assert autos.plant_state(1) == "R1"
+
+
+def test_a_phase_starts_as_the_run_does_whatever_the_discrete_layer_held():
+    (world, mission) = started_world(small_cfg())
+    stopped = tuple(d._replace(stopped=True) for d in world.discrete)
+    busy = world._replace(discrete=stopped, episode=Episode(1, cleared=True))
+    assert sim._start_phase(busy, mission) == initial_world(mission)
+
+
 def test_stopped_follower_holds_relative_position_under_moving_leader():
     cfg = small_cfg(leader_velocity=((0.0, 1.0, 0.5),))
     world, mission = started_world(cfg)
