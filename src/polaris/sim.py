@@ -148,16 +148,22 @@ class Mission:
         m = self.models
         autos = [(k, role, getattr(m, role)(k)) for k in (1, 2) for role in _ROLES]
         self.slots = tuple((k, role, auto, auto.event_ids) for (k, role, auto) in autos)
-        self._cells: dict = {}  # (command, i, j) -> eval_cell geometry and gains
-        self._bounds: dict = {}  # (i, j) -> _coast's region test
+        self._cells: dict = {}  # (command or None, i, j) -> Mission.cell record
 
     def alphabet(self, k: int):
         return self.models.alphabet(k)
 
-    def cell(self, k: int, region: RegionIndex, command: str) -> tuple:
-        """``(r_lo, r_hi, th_lo, span, gains, r_eps)`` of agent ``k``'s
-        command in a region: the ``eval_cell`` arguments that do not depend
-        on the point.
+    def cell(self, k: int, region: RegionIndex, command: Optional[str]) -> tuple:
+        """``(r_lo, r_hi, th_lo, span, gains, r_eps, lo, hi)``: the record
+        of agent ``k``'s command in a region, or of a hold when ``command``
+        is None.
+
+        The first six are the ``eval_cell`` arguments that do not depend on
+        the point; a hold's gains are zero, since a held follower does not
+        move relative to its offset.  ``lo < r < hi`` is the ring half of
+        ``_coast``'s region test: the ring lines moved in by a relative
+        ``_MARGIN``, and ``lo`` at least ``_R_MIN``, below which ``x*x +
+        y*y`` rounds as a subnormal, or to 0.
 
         Command ids name their agent, so the command and region index are a
         complete key.
@@ -166,40 +172,18 @@ class Mission:
         cell = self._cells.get(key)
         if cell is None:
             cfg = self.cfg
-            mode = self.alphabet(k).command_mode(command)
-            vc = cached_controller(cfg.partition, region, mode, cfg.speed, cfg.kappa)
-            self.used_controllers[(region.i, region.j, mode.value)] = vc
+            if command is None:
+                gains = (0.0,) * 8
+            else:
+                mode = self.alphabet(k).command_mode(command)
+                vc = cached_controller(cfg.partition, region, mode, cfg.speed, cfg.kappa)
+                self.used_controllers[(region.i, region.j, mode.value)] = vc
+                gains = vc.flat()
             (r_lo, r_hi, th_lo, th_hi) = region_bounds(cfg.partition, region)
-            cell = (r_lo, r_hi, th_lo, th_hi - th_lo, vc.flat(), cfg.partition.r_eps)
+            cell = (r_lo, r_hi, th_lo, th_hi - th_lo, gains, cfg.partition.r_eps,
+                    max(r_lo * (1.0 + _MARGIN), _R_MIN), r_hi * (1.0 - _MARGIN))
             self._cells[key] = cell
         return cell
-
-    def bounds(self, region: RegionIndex) -> tuple:
-        """``(lo, hi, ax, ay, bx, by)``: the constants of ``_coast``'s
-        region test, a conservative stand-in for :func:`locate`.
-
-        A point (x, y) at radius ``r = sqrt(x*x + y*y)`` passes when
-        ``lo < r < hi`` and, with more than one sector, when both ``ax*y -
-        ay*x`` and ``x*by - y*bx`` exceed ``_MARGIN * r``, (ax, ay) and
-        (bx, by) being the unit vectors along the sector's two rays.  The
-        ring bounds lie ``_MARGIN`` inside the ring lines, relatively, and
-        no ``lo`` is below ``_R_MIN``: a point nearer the origin has an
-        ``x*x + y*y`` that rounds as a subnormal, or to 0, and fails.  A
-        span is at most π once there are two sectors, so the two cross
-        products bound the sector's wedge.  These margins exceed the
-        rounding of ``sqrt`` against ``hypot`` and of the cross products
-        against ``atan2`` by about six orders of magnitude, so a passing
-        point is one that ``locate`` puts in this region.
-        """
-        key = (region.i, region.j)
-        bounds = self._bounds.get(key)
-        if bounds is None:
-            p = self.cfg.partition
-            (r_lo, r_hi, th_lo, th_hi) = region_bounds(p, region)
-            bounds = (max(r_lo * (1.0 + _MARGIN), _R_MIN), r_hi * (1.0 - _MARGIN),
-                      cos(th_lo), sin(th_lo), cos(th_hi), sin(th_hi))
-            self._bounds[key] = bounds
-        return bounds
 
     def choose_command(self, autos: "_Automata", k: int) -> Optional[str]:
         """The enabled actuation command of agent ``k``.
@@ -282,7 +266,7 @@ def _relative_velocity(world: WorldState, mission: Mission, k: int):
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
-    (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
+    (r_lo, r_hi, th_lo, span, gains, r_eps, _, _) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative[k - 1]
     return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps)
 
@@ -581,20 +565,17 @@ def _row(world: WorldState) -> str:
 
 def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
     """Follower ``k``'s constants between two events: its offset, held
-    flag and region index, its region's :meth:`Mission.bounds`, then
-    ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``, ``th_lo``, ``span``, eight
-    gains and ``r_eps``.  A held (stopped or uncommanded) follower
-    fetches no cell; its field constants are placeholders that the loop
-    never reads."""
+    flag and region index, then, from its :meth:`Mission.cell` record (a
+    hold's when it is held: stopped or uncommanded), the ring bounds
+    ``lo`` and ``hi`` and ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
+    ``th_lo``, ``span``, eight gains and ``r_eps``."""
     disc = world.discrete[k - 1]
     held = disc.stopped or disc.command is None
-    (r_lo, r_hi, th_lo, span, gains, r_eps) = (
-        (0.0, 1.0, 0.0, 1.0, (0.0,) * 8, 1.0) if held
-        else mission.cell(k, disc.region, disc.command)
+    (r_lo, r_hi, th_lo, span, gains, r_eps, lo, hi) = mission.cell(
+        k, disc.region, None if held else disc.command
     )
     return (*world.offsets[k - 1], held, disc.region.i, disc.region.j,
-            *mission.bounds(disc.region),
-            r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps)
+            lo, hi, r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps)
 
 
 def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
@@ -606,28 +587,28 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     :func:`_relative_velocity`'s: ``kernels.eval_cell``, clamps and all,
     or (0, 0) when it is held.  Each step moves follower 1, then follower
     2, with no call but the math functions: the total velocity (leader
-    plus relative) clamped to ``u_max``, one Euler update, the region
-    test, then the field at the new point in ``eval_cell``'s float
-    operations on the same operands.  It then takes the separation,
-    appends the row that :func:`_row` would format to ``rows`` (joined
-    once by :func:`run_scenario`) and updates the minimum separation.  The
-    leader velocity is read again only when ``t`` reaches its next
-    breakpoint.
+    plus relative) clamped to ``u_max``, one Euler update, then the new
+    point located once, as ``kernels.integrate_cell`` locates its points:
+    its radius ``sqrt(x*x + y*y)``, its angle ``atan2(y, x)``, the angle's
+    offset ``rel`` from ``th_lo`` in [0, 2π] and its cell coordinate ``b
+    = rel / span``.  That one location serves the region test and then the
+    field at the new point, in ``eval_cell``'s float operations on the
+    same operands.  The step then takes the separation, appends the row
+    that :func:`_row` would format to ``rows`` (joined once by
+    :func:`run_scenario`) and updates the minimum separation.  The leader
+    velocity is read again only when ``t`` reaches its next breakpoint.
 
     Only a start can lie outside its region, so the field at a new point
-    clamps nothing.  A point that passes the region test lies inside its
-    ring and (with more than one sector) its wedge by a margin far beyond
-    the rounding of ``sqrt``, ``atan2`` and the offset, so ``r_lo < r <
-    r_hi`` and ``0 < rel < span``: both cell coordinates lie in [0, 1].
-    On a full circle ``span`` is exactly ``TWO_PI``, which bounds the
-    offset.  Three shortcuts leave every float as ``eval_cell`` and
-    :func:`step`'s clamp compute it.  The field's radius ``sqrt(x*x +
-    y*y)`` is the region test's.  ``fmod`` runs only when the angle offset
-    is not strictly within ±2π, because it returns a smaller argument
-    unchanged.  ``hypot`` runs only when the squared total speed exceeds
-    ``(u_max * (1 - _MARGIN))**2``, or when that bound is not a normal
-    float (``u_max`` 0, tiny or huge), or the sum is NaN or overflows:
-    below the bound the clamp cannot bind.
+    clamps nothing: a point that passes the region test has ``r_lo < r <
+    r_hi`` and, with more than one sector, ``0 < b < 1``; on a full circle
+    ``span`` is exactly ``TWO_PI``, which bounds the offset, so both cell
+    coordinates lie in [0, 1].  Two shortcuts leave every float as
+    ``eval_cell`` and :func:`step`'s clamp compute it.  ``fmod`` runs only
+    when the angle offset is not strictly within ±2π, because it returns
+    a smaller argument unchanged.  ``hypot`` runs only when the squared
+    total speed exceeds ``(u_max * (1 - _MARGIN))**2``, or when that
+    bound is not a normal float (``u_max`` 0, tiny or huge), or the sum
+    is NaN or overflows: below the bound the clamp cannot bind.
 
     The loop stops before the first step that may have an event: a
     follower may leave its region or the horizon (follower 1's test
@@ -636,13 +617,19 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     an episode that is not yet cleared.  It also stops at step
     ``n_steps`` and once ``t`` reaches ``t_switch``.  A stop only has to
     be conservative, because the caller runs that step with :func:`step`
-    and :func:`detect_events`.  So the region test is
-    :meth:`Mission.bounds`'s margin test, with no ``hypot``, ``atan2``,
-    division or ``ceil``: a point it passes is one ``locate`` puts in the
-    follower's region, and a point within the margin of a grid line or
-    the horizon, a NaN or an overflow stops the loop.  With ``rows``
-    None, as :func:`step` calls it, the loop takes exactly one step, with
-    no region test, and appends no row; the field it computes at that
+    and :func:`detect_events`.  So the region test is a margin test in
+    cell coordinates, with no ``hypot``, division by the grid steps or
+    ``ceil``: a point passes when ``lo < r < hi``, :meth:`Mission.cell`'s
+    ring bounds, and, with more than one sector, when ``_MARGIN < b < 1 -
+    _MARGIN``.  Those margins, 1e-9 of a radius and of a sector, exceed
+    the rounding of ``sqrt`` against ``hypot``, and of the angle and its
+    offset (a few ulps of 2π) against ``locate``'s, by more than three
+    orders of magnitude on any partition of up to a thousand sectors.  So
+    a point that passes is one that ``locate`` puts in the follower's
+    region, and a point within the margin of a grid line or the horizon,
+    a NaN or an overflow stops the loop.  With ``rows`` None, as
+    :func:`step` calls it, the loop takes exactly one step, with no
+    region test, and appends no row; the field it computes at that
     untested point is never used.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
@@ -662,16 +649,18 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     cap2 *= cap2
     if not float_info.min <= cap2 <= float_info.max:
         cap2 = -1.0
-    sectors = cfg.partition.n_theta > 2
-    (margin, two_pi) = (_MARGIN, TWO_PI)
+    # the sector half of the region test: no bound with a single sector
+    (b_min, b_max) = ((_MARGIN, 1.0 - _MARGIN) if cfg.partition.n_theta > 2
+                      else (-math.inf, math.inf))
+    two_pi = TWO_PI
     (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
     watch = rows is not None
     episode = world.episode
     watch_alarm = watch and episode is None
     watch_release = watch and episode is not None and not episode.cleared
-    (ox1, oy1, held1, i1, j1, blo1, bhi1, ax1, ay1, bx1, by1, lo1, dr1, tlo1, span1,
+    (ox1, oy1, held1, i1, j1, in1, out1, lo1, dr1, tlo1, span1,
      u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
-    (ox2, oy2, held2, i2, j2, blo2, bhi2, ax2, ay2, bx2, by2, lo2, dr2, tlo2, span2,
+    (ox2, oy2, held2, i2, j2, in2, out2, lo2, dr2, tlo2, span2,
      u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
     row = _FLOATS + f",{i1},{j1},{i2},{j2}"
 
@@ -702,25 +691,22 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         nx1 = x1 + (tvx - lvx) * dt
         ny1 = y1 + (tvy - lvy) * dt
         (nrx1, nry1) = (nx1 - ox1, ny1 - oy1)
+        # locate the new point once: the region test, then the field
         nr1 = sqrt(nrx1 * nrx1 + nry1 * nry1)
-        if watch:
-            if not blo1 < nr1 < bhi1:  # near a ring line or the horizon, or NaN
-                break
-            if sectors:
-                m = margin * nr1
-                if not (ax1 * nry1 - ay1 * nrx1 > m and nrx1 * by1 - nry1 * bx1 > m):
-                    break
-        # the field at the new point, which the region test put inside the
-        # region: no clamp can bind
+        th = atan2(nry1, nrx1)
+        rel = th - tlo1
+        if not -two_pi < rel < two_pi:
+            rel = fmod(rel, two_pi)
+        if rel < 0.0:
+            rel += two_pi
+        b = rel / span1
+        # near a grid line or the horizon, or NaN
+        if watch and not (in1 < nr1 < out1 and b_min < b < b_max):
+            break
+        # the region test put the new point inside the region: no clamp
+        # can bind
         if not held1:
-            th = atan2(nry1, nrx1)
             a = (nr1 - lo1) / dr1
-            rel = th - tlo1
-            if not -two_pi < rel < two_pi:
-                rel = fmod(rel, two_pi)
-            if rel < 0.0:
-                rel += two_pi
-            b = rel / span1
             (oma, omb) = (1.0 - a, 1.0 - b)
             (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
             ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
@@ -743,22 +729,17 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         ny2 = y2 + (tvy - lvy) * dt
         (nrx2, nry2) = (nx2 - ox2, ny2 - oy2)
         nr2 = sqrt(nrx2 * nrx2 + nry2 * nry2)
-        if watch:
-            if not blo2 < nr2 < bhi2:
-                break
-            if sectors:
-                m = margin * nr2
-                if not (ax2 * nry2 - ay2 * nrx2 > m and nrx2 * by2 - nry2 * bx2 > m):
-                    break
+        th = atan2(nry2, nrx2)
+        rel = th - tlo2
+        if not -two_pi < rel < two_pi:
+            rel = fmod(rel, two_pi)
+        if rel < 0.0:
+            rel += two_pi
+        b = rel / span2
+        if watch and not (in2 < nr2 < out2 and b_min < b < b_max):
+            break
         if not held2:
-            th = atan2(nry2, nrx2)
             a = (nr2 - lo2) / dr2
-            rel = th - tlo2
-            if not -two_pi < rel < two_pi:
-                rel = fmod(rel, two_pi)
-            if rel < 0.0:
-                rel += two_pi
-            b = rel / span2
             (oma, omb) = (1.0 - a, 1.0 - b)
             (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
             ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2

@@ -974,7 +974,7 @@ def relative_velocity_of(world, mission, k: int):
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return (0.0, 0.0)
-    (r_lo, r_hi, th_lo, span, gains, r_eps) = mission.cell(k, disc.region, disc.command)
+    (r_lo, r_hi, th_lo, span, gains, r_eps, _, _) = mission.cell(k, disc.region, disc.command)
     (x, y) = world.relative[k - 1]
     return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps)
 

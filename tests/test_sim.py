@@ -926,13 +926,30 @@ def near_grid_lines(p: PolarPartition, rng) -> list:
     return points
 
 
+def near_sector_margins(p: PolarPartition) -> list:
+    """Relative positions at 0.5, 1 and 2 times the quiet loop's angular
+    margin, ``sim._MARGIN`` of a sector, to either side of every sector
+    ray of ``p``, θ = 0 and 2π included, at the middle radius of every
+    ring."""
+    margin = sim._MARGIN * p.delta_theta
+    return [
+        (r * math.cos(th), r * math.sin(th))
+        for j in range(1, p.n_theta + 1)
+        for gap in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+        for th in [p.angle(j) + gap * margin]
+        for r in [(p.radius(i) + p.radius(i + 1)) * 0.5 for i in range(1, p.n_r)]
+    ]
+
+
 def test_quiet_loop_region_test_is_conservative():
-    # _coast's region test skips hypot, atan2 and ceil: it passes a point
-    # only when it lies a margin inside the follower's region.  Held
-    # followers under a leader within the bound do not move, so each
-    # seeded point is the new position of the step.  Each is tried in the
-    # region that locate gives it and in the neighbours across each line;
-    # wherever the loop takes the step, locate must agree.
+    # _coast's region test skips hypot and ceil: it passes a point only
+    # when its radius and angular cell coordinate lie a margin inside the
+    # follower's region.  Held followers under a leader within the bound
+    # do not move, so each seeded point is the new position of the step.
+    # Each is tried in the region that locate gives it and in the
+    # neighbours across each line; wherever the loop takes the step,
+    # locate must agree.  The points at the angular margin both stop
+    # the loop and pass it.
     rng = random.Random(30)
     seen = Counter()
     partitions = (PolarPartition(37.0, 7, 2), PolarPartition(37.0, 7, 3),
@@ -950,7 +967,9 @@ def test_quiet_loop_region_test_is_conservative():
         # a cleared episode turns both separation tests off
         world = sim.WorldState(0, 0.0, (0.0, 0.0), (safe, safe), ((0.0, 0.0), (0.0, 0.0)),
                                tuple(held), Episode(1, cleared=True))
-        for point in near_grid_lines(p, rng):
+        margins = near_sector_margins(p) if p.n_theta > 2 else []
+        for point in near_grid_lines(p, rng) + margins:
+            at_margin = point in margins
             try:
                 found = locate(p, *point)
             except OutOfHorizon:
@@ -970,13 +989,14 @@ def test_quiet_loop_region_test_is_conservative():
                                             discrete=tuple(discrete))
                     (moved, _, _) = sim._coast(moving, mission, [], 1, math.inf, math.inf, 0.0)
                     if moved is moving:
-                        seen["stop"] += 1
+                        seen["stop at the margin" if at_margin else "stop"] += 1
                         continue
                     for ((rx, ry), d) in zip(moved.relative, moved.discrete):
                         assert locate(p, rx, ry) == d.region, (p, point, region, k)
                     seen[f"step on {p.r_max:g},{p.n_theta}"] += 1
+                    seen["step at the margin"] += at_margin
     # every partition but the one whose squares underflow takes steps
-    assert min(seen.values()) >= 100 and len(seen) == 5, seen
+    assert min(seen.values()) >= 100 and len(seen) == 7, seen
 
 
 def test_step_matches_the_reference_at_the_edges_of_the_clamp_pre_test():
@@ -1032,7 +1052,7 @@ def field_branches(world, mission, k) -> list:
     disc = world.discrete[k - 1]
     if disc.stopped or disc.command is None:
         return ["stopped" if disc.stopped else "held"]
-    (r_lo, r_hi, th_lo, span, _, r_eps) = mission.cell(k, disc.region, disc.command)
+    (r_lo, r_hi, th_lo, span, _, r_eps, _, _) = mission.cell(k, disc.region, disc.command)
     (rx, ry) = world.relative[k - 1]
     r = math.hypot(rx, ry)
     rel = (math.atan2(ry, rx) - th_lo) % (2.0 * math.pi)
@@ -1162,6 +1182,24 @@ def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
     # the quiet loop hands only 54 steps to step and detect_events; a
     # region test margin that cost event steps would show here
     assert calls["sim.step"] == calls["sim.detect_events"] == 54
+
+
+# the steps that the quiet loop hands to step and detect_events in
+# seeded_mission(seed, crossing) at the defaults
+SEEDED_EVENT_STEPS = {
+    (0, False): 38, (0, True): 44, (1, False): 32, (1, True): 44,
+    (2, False): 39, (2, True): 44, (3, False): 24, (3, True): 39,
+    (4, False): 32, (4, True): 37, (5, False): 33, (5, True): 45,
+}
+
+
+@pytest.mark.parametrize(("seed", "crossing"), sorted(SEEDED_EVENT_STEPS))
+def test_seeded_missions_hand_as_few_steps_to_the_event_path(monkeypatch, seed, crossing):
+    # beside the bundled run's 54: a region test margin that cost event
+    # steps would show on more than one input
+    (_, calls) = traced_calls(monkeypatch, loads_scenario(seeded_mission(seed, crossing)))
+    expected = SEEDED_EVENT_STEPS[(seed, crossing)]
+    assert calls["sim.step"] == calls["sim.detect_events"] == expected
 
 
 def test_a_run_with_no_alarm_calls_eval_cell(monkeypatch):
