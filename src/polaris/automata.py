@@ -785,18 +785,20 @@ def _subset_name(subset: frozenset) -> str:
     return "{" + ",".join(sorted(subset)) + "}"
 
 
-def natural_project(a: Automaton, keep: Iterable[str]) -> Automaton:
+def natural_project(a: Automaton, keep: Iterable[str], *, projection=None) -> Automaton:
     """Erase events outside ``keep`` to silent moves, then determinize.
 
     Returns a deterministic automaton over ``keep`` whose generated and
     marked languages are the projections of the originals; a subset state
-    is marked iff it contains a marked state.
+    is marked iff it contains a marked state.  ``projection``, when given,
+    is :func:`_projection`'s result for ``a`` and ``keep``'s mask, which a
+    caller that walks the same construction again passes to share it.
     """
     keep = frozenset(keep)
     kept = a._sigma.within(keep)
     if kept is None:
         raise ValueError(f"keep set contains unknown events: {sorted(keep - a.event_ids)}")
-    row, init, visible = _projection(a, kept)
+    row, init, visible = projection or _projection(a, kept)
     return _walked(
         row, init, _subset_name, a.marked.intersection, a._sigma.restricted(kept), visible
     )

@@ -547,12 +547,14 @@ class ScenarioResult:
         return tuple(tuple(seg) for seg in segments)
 
 
-# one CSV row: the CSV_HEADER columns, floats to six decimals
-_FLOATS = ",".join(["%.6f"] * 11)
-_ROW = _FLOATS + ",%d,%d,%d,%d"
+# one CSV row in ASCII bytes: the CSV_HEADER columns, floats to six
+# decimals.  bytes % converts each float as str % does, without a
+# unicode writer
+_FLOATS = b",".join([b"%.6f"] * 11)
+_ROW = _FLOATS + b",%d,%d,%d,%d"
 
 
-def _row(world: WorldState) -> str:
+def _row(world: WorldState) -> bytes:
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
     ((rx1, ry1), (rx2, ry2)) = world.relative
@@ -594,9 +596,10 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     = rel / span``.  That one location serves the region test and then the
     field at the new point, in ``eval_cell``'s float operations on the
     same operands.  The step then takes the separation, appends the row
-    that :func:`_row` would format to ``rows`` (joined once by
-    :func:`run_scenario`) and updates the minimum separation.  The leader
-    velocity is read again only when ``t`` reaches its next breakpoint.
+    that :func:`_row` would format, in ASCII bytes, to ``rows`` (joined
+    and decoded once by :func:`run_scenario`) and updates the minimum
+    separation.  The leader velocity is read again only when ``t``
+    reaches its next breakpoint.
 
     Only a start can lie outside its region, so the field at a new point
     clamps nothing: a point that passes the region test has ``r_lo < r <
@@ -662,7 +665,7 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
      u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
     (ox2, oy2, held2, i2, j2, in2, out2, lo2, dr2, tlo2, span2,
      u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
-    row = _FLOATS + f",{i1},{j1},{i2},{j2}"
+    row = _FLOATS + b",%d,%d,%d,%d" % (i1, j1, i2, j2)
 
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
@@ -708,7 +711,10 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if not held1:
             a = (nr1 - lo1) / dr1
             (oma, omb) = (1.0 - a, 1.0 - b)
-            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
+            w0 = oma * omb
+            w1 = a * omb
+            w2 = a * b
+            w3 = oma * b
             ur = w0 * u0r1 + w1 * u1r1 + w2 * u2r1 + w3 * u3r1
             ut = w0 * u0t1 + w1 * u1t1 + w2 * u2t1 + w3 * u3t1
             tang = nr1 * ut / (eps1 if nr1 < eps1 else nr1)
@@ -741,7 +747,10 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         if not held2:
             a = (nr2 - lo2) / dr2
             (oma, omb) = (1.0 - a, 1.0 - b)
-            (w0, w1, w2, w3) = (oma * omb, a * omb, a * b, oma * b)
+            w0 = oma * omb
+            w1 = a * omb
+            w2 = a * b
+            w3 = oma * b
             ur = w0 * u0r2 + w1 * u1r2 + w2 * u2r2 + w3 * u3r2
             ut = w0 * u0t2 + w1 * u1t2 + w2 * u2t2 + w3 * u3t2
             tang = nr2 * ut / (eps2 if nr2 < eps2 else nr2)
@@ -753,8 +762,16 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
             break
         if watch_release and nsep > release_radius:
             break
-        (x1, y1, rx1, ry1) = (nx1, ny1, nrx1, nry1)
-        (x2, y2, rx2, ry2) = (nx2, ny2, nrx2, nry2)
+        # plain stores: a four-name tuple assignment builds and unpacks a
+        # tuple
+        x1 = nx1
+        y1 = ny1
+        rx1 = nrx1
+        ry1 = nry1
+        x2 = nx2
+        y2 = ny2
+        rx2 = nrx2
+        ry2 = nry2
         sep = nsep
         index += 1
         t = index * dt
@@ -787,8 +804,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     radius with no episode open or past the release radius in an episode
     not yet cleared; that step runs through :func:`step` and
     :func:`detect_events`.  It also stops when a formation switch is due
-    and after the last step.  The rows go to a list that becomes the
-    result's CSV text in one join after the last step.
+    and after the last step.  The rows, formatted as ASCII bytes, go to a
+    list that one join and one decode turn into the result's CSV text
+    after the last step.
 
     A start or formation switch that puts a follower inside the innermost
     ring raises :class:`ValidationError`; one that puts it beyond the
@@ -878,7 +896,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         region = world.discrete[k - 1].region
         verdicts[f"final_region_{k}"] = f"({region.i},{region.j})"
     verdicts["flags"] = "; ".join(flags) if flags else "none"
-    return ScenarioResult(rows, records, verdicts, mission.controllers_text())
+    # the rows are ASCII bytes: one join and one decode give the text
+    # that the result joins with its header, as it joins str rows
+    text = b"\n".join(rows).decode("ascii")
+    return ScenarioResult((text,), records, verdicts, mission.controllers_text())
 
 
 def _read_records(records, mission: Mission) -> tuple:

@@ -9,6 +9,7 @@ replaced by the parallel composition of its natural projections.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
@@ -184,17 +185,26 @@ class DecomposabilityReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _dc4_witness(a: Automaton, keep: int) -> Optional[tuple]:
+def _shared_projection(a: Automaton, keep: int) -> tuple:
+    """:func:`_projection`'s result for ``a`` and the mask ``keep``, with
+    each subset's row computed once, for a projection and a
+    :func:`_dc4_witness` walk of the same construction."""
+    (row, init, visible) = _projection(a, keep)
+    return (cache(row), init, visible)
+
+
+def _dc4_witness(a: Automaton, projection: tuple) -> Optional[tuple]:
     """First (q, ev, t1, t2) whose projected successors t1 < t2 differ.
 
     Two successors of one projected step must generate the same projected
-    language.  One walk of the subset construction from every singleton
-    subset reaches the subsets, which are refined once from a single
-    block, so equal blocks mean equal languages.  A singleton's row holds
-    the projected successors of its state.  A projected class is scanned
-    as its smallest kept event.
+    language.  One walk of the subset construction ``projection`` (as
+    :func:`_shared_projection` gives it) from every singleton subset
+    reaches the subsets, which are refined once from a single block, so
+    equal blocks mean equal languages.  A singleton's row holds the
+    projected successors of its state.  A projected class is scanned as
+    its smallest kept event.
     """
-    row, _, visible = _projection(a, keep)
+    (row, _, visible) = projection
     label = a._sigma.universe.label
     rows = dict(_walk(row, [frozenset([q]) for q in a.states], {}))
     block = _refine(dict.fromkeys(rows, 0), rows)
@@ -310,7 +320,11 @@ def check_decomposability(
     (e1, e2, m1, m2) = _coverage(a, e1, e2)
     # the conditions quantify over reachable behavior only
     a = accessible(a)
-    p1, p2 = natural_project(a, e1), natural_project(a, e2)
+    # one subset construction per event set: dc4's walks reuse the rows
+    # that the projections' walks made
+    (proj1, proj2) = (_shared_projection(a, m1), _shared_projection(a, m2))
+    p1 = natural_project(a, e1, projection=proj1)
+    p2 = natural_project(a, e2, projection=proj2)
     bisim = is_bisimilar(a, parallel_compose(p1, p2))
 
     # the conditions run over labels: a label stands for the events of one
@@ -348,7 +362,7 @@ def check_decomposability(
         dc1_witness=dc1_wit,
         dc2_witness=dc2_wit,
         dc3_witness=_dc3_witness(moves, in1, in2),
-        dc4_witness=_dc4_witness(a, m1) or _dc4_witness(a, m2),
+        dc4_witness=_dc4_witness(a, proj1) or _dc4_witness(a, proj2),
         local1=p1,
         local2=p2,
     )

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import struct
 import sys
 import tracemalloc
 from collections import Counter
@@ -1063,6 +1064,70 @@ def field_branches(world, mission, k) -> list:
     return branches
 
 
+def decoded(rows) -> list:
+    """The ASCII rows that ``sim._coast`` and ``sim._row`` format, as str."""
+    return [row.decode("ascii") for row in rows]
+
+
+def awkward_floats(rng, n: int) -> list:
+    """``n`` floats for the six-decimal row format: signed zeros and
+    infinities, NaN, the least subnormal, huge values, exact ties at the
+    seventh decimal (odd multiples of 1/128) and values within 1e-9 of a
+    tie, then random bit patterns."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300]
+    values = []
+    for _ in range(n):
+        kind = rng.randrange(5)
+        if kind == 0:
+            values.append(rng.choice(special))
+        elif kind == 1:
+            values.append((2 * rng.randrange(-10**6, 10**6) + 1) / 128)
+        elif kind == 2:
+            tie = (rng.randrange(-10**9, 10**9) + 0.5) * 1e-6
+            values.append(tie + rng.uniform(-1e-9, 1e-9))
+        elif kind == 3:
+            values.append(rng.uniform(-1e3, 1e3))
+        else:
+            bits = rng.getrandbits(64).to_bytes(8, "little")
+            values.append(struct.unpack("<d", bits)[0])
+    return values
+
+
+def test_bytes_rows_match_the_reference_format_on_awkward_floats():
+    # _row and _coast's row template format their floats with bytes %,
+    # which must write what a format spec per field writes for every
+    # float: _row's on worlds whose every float field is awkward, and
+    # _coast's on a quiet step from such a leader position, which a
+    # leader at rest, or moving at -0.0, keeps
+    rng = random.Random(42)
+    (start, mission) = started_world(small_cfg())
+    for _ in range(2000):
+        f = awkward_floats(rng, 11)
+        world = start._replace(
+            t=f[0], leader_pos=(f[1], f[2]), follower_pos=((f[3], f[4]), (f[5], f[6])),
+            offsets=((f[7], f[8]), (f[9], f[10])),
+        )
+        assert decoded([sim._row(world)]) == [csv_row_by_fstring(world)]
+    quiet = Counter()
+    for velocity in (0.0, -0.0):
+        # followers off the grid lines, so that their first step is quiet
+        followers = (
+            FollowerConfig((30.0, 15.0), ((0.0, 10.0, 10.0),)),
+            FollowerConfig((-30.0, -15.0), ((0.0, -10.0, -10.0),)),
+        )
+        cfg = small_cfg(leader_velocity=((0.0, velocity, velocity),), followers=followers)
+        (start, mission) = started_world(cfg)
+        start = start._replace(episode=Episode(1, cleared=True))
+        for _ in range(200):
+            world = start._replace(leader_pos=tuple(awkward_floats(rng, 2)))
+            rows = []
+            (moved, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
+            assert moved is not world
+            assert decoded(rows) == [csv_row_by_fstring(moved)]
+            quiet.update(map(repr, moved.leader_pos))
+    assert {"0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e+300"} <= set(quiet), quiet
+
+
 def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
     # _coast's loop takes each start field from eval_cell and writes the
     # field out, with no clamp, at every point that passes its region
@@ -1122,18 +1187,18 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
             rows = []
             (quiet, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
             if in_regions(expected):
-                assert (quiet, rows) == (expected, [csv_row_by_fstring(expected)])
+                assert (quiet, decoded(rows)) == (expected, [csv_row_by_fstring(expected)])
                 seen["quiet step"] += 1
                 second = euler_step(expected, mission)
                 rows = []
                 (quiet, _, _) = sim._coast(world, mission, rows, 2, math.inf, math.inf, 0.0)
                 if in_regions(second):
-                    assert (quiet, rows) == (
+                    assert (quiet, decoded(rows)) == (
                         second, [csv_row_by_fstring(expected), csv_row_by_fstring(second)]
                     )
                     two_steps += any(d.command is not None and not d.stopped for d in discrete)
                 else:
-                    assert (quiet, rows) == (expected, [csv_row_by_fstring(expected)])
+                    assert (quiet, decoded(rows)) == (expected, [csv_row_by_fstring(expected)])
             else:
                 assert quiet is world and rows == []
                 seen["quiet stop"] += 1
