@@ -2,12 +2,13 @@
 
 Automata are immutable values: states are opaque strings, the alphabet is a
 set of :class:`Event` records, and the transition relation is stored once,
-as a successor index keyed by event class (state -> class id -> set of
-targets) that also represents nondeterminism.  A class is a maximal set of
-events with one relation, controllability and owners.  Every set of events
-is a bit mask over a universe, the sorted event ids of a
-:class:`_Universe`: bit i stands for its i-th id, so a mask's lowest set bit
-is its smallest event.  An automaton holds its classes as masks and its
+as a successor index keyed by event class (state -> class label -> sorted
+tuple of targets) that also represents nondeterminism.  A class is a
+maximal set of events with one relation, controllability and owners, and
+its label is its smallest event.  Every set of events is a bit mask over a
+universe, the sorted event ids of a :class:`_Universe`: bit i stands for
+its i-th id, so a mask's lowest set bit is its smallest event, and a
+mask's label.  An automaton holds its classes as masks and its
 alphabet as one mask per (controllable, owners) kind, an
 :class:`_Alphabet`; the models of one partition share one universe.  The
 models' alphabets grow with the partition but their class counts do not,
@@ -15,13 +16,16 @@ so the operations below refine, merge and build over masks: the common
 refinement of several automata's classes is the nonzero ANDs of their
 class masks, and automata over one universe merge alphabets by their
 kinds.  Automata over different universes (files, tests) are remapped onto
-the union of their alphabets, once per call.  ``Automaton.build`` takes
-rows whose middle element may be a group of events, as ids or as a mask.
-A class is expanded into its events only where a reader asks for single
-events: :meth:`Automaton.step` (through ``_class_of``), ``event_ids``,
-``alphabet``, :func:`polaris.exchange.dumps` (through ``_members``), a
-projection's keep set and the rows of ``build`` given as ids.  All
-operations are pure functions returning new automata.
+the union of their alphabets, once per call; a class keeps its label
+there.  The product walks read an automaton's index as their rows unless
+the common refinement of their operands splits one of its classes.
+``Automaton.build`` takes rows whose middle element may be a group of
+events, as ids or as a mask.  A class is expanded into its events only
+where a reader asks for single events: :meth:`Automaton.step` (through
+``_class_of``), ``event_ids``, ``alphabet``,
+:func:`polaris.exchange.dumps` (through ``_members``), a projection's keep
+set and the rows of ``build`` given as ids.  All operations are pure
+functions returning new automata.
 
 Every search here and in :mod:`polaris.supervision` is one breadth-first
 walk, :func:`_walk`, over rows ``node -> label -> successor nodes`` from
@@ -40,7 +44,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetConflict
 
@@ -55,7 +59,6 @@ __all__ = [
 ]
 
 _NO_ROW: dict = {}
-_NO_TARGETS: frozenset = frozenset()
 # the digits of bin() as the bytes 0 and 1, selectors for itertools.compress
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -83,24 +86,6 @@ class Event(_EventFields):
     def _make(cls, fields):
         # ``_replace`` builds through here, so it normalizes ``owners`` too
         return cls(*fields)
-
-
-def _merge_events(groups: Sequence[Iterable[Event]]) -> tuple:
-    """Union alphabets by id, checking controllability agreement; the
-    union is sorted by id, and an event's owners unite its records'."""
-    by_id: dict[str, Event] = {}
-    for group in groups:
-        for ev in group:
-            old = by_id.setdefault(ev.id, ev)
-            if old is ev or old == ev:
-                continue
-            if old.controllable != ev.controllable:
-                raise AlphabetConflict(
-                    f"event {ev.id!r} is controllable in one alphabet "
-                    "and uncontrollable in the other"
-                )
-            by_id[ev.id] = Event(ev.id, ev.controllable, old.owners | ev.owners)
-    return tuple([by_id[ev] for ev in sorted(by_id)])
 
 
 class _Universe:
@@ -149,16 +134,16 @@ class _Alphabet:
 
     @classmethod
     def of(cls, events: Iterable[Event]) -> "_Alphabet":
-        """The alphabet of ``events``, merged by id as :func:`_merge_events`
-        merges them, over the universe of their ids."""
-        events = _merge_events([events])
-        universe = _Universe(ev.id for ev in events)
+        """The alphabet of ``events`` over the universe of their ids: the
+        union (:func:`_merged`) of one alphabet per (controllable, owners)
+        kind, so records of one id unite their owners, and conflict when
+        their controllability differs."""
         by_kind: dict = {}
         for (ev, *kind) in events:
             by_kind.setdefault(tuple(kind), []).append(ev)
-        alphabet = cls(universe, {kind: universe.mask(ids) for kind, ids in by_kind.items()})
-        alphabet._events = events
-        return alphabet
+        universe = _Universe(ev for ids in by_kind.values() for ev in ids)
+        kinds = [cls(universe, {kind: universe.mask(ids)}) for (kind, ids) in by_kind.items()]
+        return _merged(kinds or [cls(universe, {})])
 
     @property
     def events(self) -> tuple:
@@ -225,32 +210,30 @@ def _refined(blocks: list, masks: Iterable[int]) -> list:
 class Automaton:
     """A finite transition system with marked states.
 
-    ``_succ`` is the only stored transition relation: state -> class id ->
-    nonempty frozenset of targets, equal sets shared as one object, rows
-    listing their classes in id order; ``_det`` tells that every set has
-    one target.  ``_masks[c]`` is the mask of class ``c`` over the
-    universe of ``_sigma``, the :class:`_Alphabet`.  Classes
-    are maximal (events share one exactly when they have the same relation,
-    controllability and owners) and numbered by their lowest bits, the
-    order of their smallest members, so equal automata have equal indexes
-    however they were built, and equality compares the index, by mask over
-    one universe and by member ids across two.  ``_members`` (class ->
-    sorted ids), ``_class_of`` (id -> class), ``_event_ids`` and
-    ``_labelled`` (every state's ``_succ`` row keyed by each class's
-    smallest event, each target set a sorted tuple, for the product walks)
-    are made when first read.  The
-    hash and ``repr`` read the four public fields only.  Instances are
-    validated on construction and never mutated afterwards.
+    ``_succ`` is the only stored transition relation: every state -> class
+    label -> nonempty sorted tuple of targets, a row empty when its state
+    has no moves, equal tuples shared as one object, rows listing their
+    classes in label order; ``_det`` tells that every tuple has one
+    target.  ``_masks[c]`` is the mask of the class labelled ``c`` over
+    the universe of ``_sigma``, the :class:`_Alphabet`, in label order.
+    Classes are maximal (events share one exactly when they have the same
+    relation, controllability and owners) and labelled by their smallest
+    members, so equal automata have equal indexes however they were built,
+    and equality compares the index, by mask over one universe and by
+    member ids across two.  ``_members`` (label -> sorted ids),
+    ``_class_of`` (id -> label) and ``_event_ids`` are made when first
+    read.  The hash and ``repr`` read the four public fields only.
+    Instances are validated on construction and never mutated afterwards.
     """
 
     __slots__ = (
         "states", "initial", "marked", "_succ", "_sigma", "_masks", "_det",
-        "_members", "_class_of", "_event_ids", "_labelled",
+        "_members", "_class_of", "_event_ids",
     )
 
     def __init__(
         self, states: frozenset, initial: str, marked: frozenset,
-        _succ: dict, _sigma: _Alphabet, _masks: tuple, _det: bool,
+        _succ: dict, _sigma: _Alphabet, _masks: dict, _det: bool,
     ):
         set_field = object.__setattr__
         set_field(self, "states", states)
@@ -265,21 +248,13 @@ class Automaton:
         # the per-event views of the index, made on first read
         if name == "_members":
             ids_of = self._sigma.universe.ids_of
-            value = tuple(tuple(ids_of(m)) for m in self._masks)
+            value = {c: tuple(ids_of(m)) for (c, m) in self._masks.items()}
         elif name == "_class_of":
             value = {}
-            for c, evs in enumerate(self._members):
+            for c, evs in self._members.items():
                 value.update(dict.fromkeys(evs, c))
         elif name == "_event_ids":
             value = frozenset(self._sigma.universe.ids_of(self._sigma.mask))
-        elif name == "_labelled":
-            (succ, label) = (self._succ, self._sigma.universe.label)
-            own = [label(m) for m in self._masks]
-            ordered = {ds: tuple(sorted(ds)) for row in succ.values() for ds in row.values()}
-            value = {
-                q: {own[c]: ordered[ds] for c, ds in succ.get(q, _NO_ROW).items()}
-                for q in self.states
-            }
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
@@ -383,38 +358,39 @@ class Automaton:
         for (m, pairs) in groups:
             pairs = frozenset(pairs)
             merged[pairs] = merged.get(pairs, 0) | m
-        kinds = alphabet.kinds.values()
+        (kinds, label) = (alphabet.kinds.values(), alphabet.universe.label)
         classes = sorted(
-            (x & -x, x, pairs) for (pairs, m) in merged.items() for k in kinds if (x := m & k)
+            (label(x), x, pairs) for (pairs, m) in merged.items() for k in kinds if (x := m & k)
         )
-        # one frozenset per distinct target set, shared by every row using it:
-        # a lone target takes its one-element set from ``ones``; a second
-        # target turns the entry into a mutable set, frozen and shared below
-        succ: dict = {}
+        # one tuple per distinct target set, shared by every row using it: a
+        # lone target takes its one-element tuple from ``ones``; a second
+        # target turns the entry into a list, sorted and shared below
+        states = frozenset(states)
+        succ = dict.fromkeys(states, _NO_ROW)
         ones: dict = {}
         grown: list = []
-        for c, (_, _, pairs) in enumerate(classes):
+        for (c, _, pairs) in classes:
             for (src, dst) in pairs:
-                row = succ.get(src)
-                if row is None:
+                row = succ[src]
+                if row is _NO_ROW:
                     row = succ[src] = {}
                 targets = row.get(c)
                 if targets is None:
                     one = ones.get(dst)
                     if one is None:
-                        one = ones[dst] = frozenset((dst,))
+                        one = ones[dst] = (dst,)
                     row[c] = one
-                elif targets.__class__ is set:
-                    targets.add(dst)
+                elif targets.__class__ is list:
+                    targets.append(dst)
                 else:
-                    row[c] = {*targets, dst}
+                    row[c] = [*targets, dst]
                     grown.append((row, c))
         shared: dict = {}
         for (row, c) in grown:
-            targets = frozenset(row[c])
+            targets = tuple(sorted(row[c]))
             row[c] = shared.setdefault(targets, targets)
-        masks = tuple(m for (_, m, _) in classes)
-        return cls(frozenset(states), initial, frozenset(marked), succ, alphabet, masks, not grown)
+        masks = {c: m for (c, m, _) in classes}
+        return cls(states, initial, frozenset(marked), succ, alphabet, masks, not grown)
 
     # -- queries ---------------------------------------------------------
 
@@ -426,15 +402,16 @@ class Automaton:
     def event_ids(self) -> frozenset:
         return self._event_ids
 
-    def step(self, state: str, event_id: str) -> frozenset:
-        return self._succ.get(state, _NO_ROW).get(self._class_of.get(event_id), _NO_TARGETS)
+    def step(self, state: str, event_id: str) -> tuple:
+        """The sorted targets of ``event_id`` from ``state``."""
+        return self._succ.get(state, _NO_ROW).get(self._class_of.get(event_id), ())
 
     def step1(self, state: str, event_id: str) -> Optional[str]:
         """Deterministic step; None when undefined."""
         dsts = self.step(state, event_id)
         if len(dsts) > 1:
             raise ValueError(f"nondeterministic step at ({state!r}, {event_id!r})")
-        return next(iter(dsts)) if dsts else None
+        return dsts[0] if dsts else None
 
     @property
     def deterministic(self) -> bool:
@@ -513,29 +490,24 @@ def accessible(a: Automaton) -> Automaton:
     """Trim to the states reachable from the initial state: ``a`` itself
     when every state is, else the automaton :func:`_walked` names from
     ``a``'s own rows, by class."""
-    row_of = lambda q: a._succ.get(q, _NO_ROW)
+    row_of = a._succ.__getitem__
     reach = {q for (q, _) in _walk(row_of, (a.initial,), {})}
     if reach == a.states:
         return a
-    members = dict(enumerate(a._masks))
-    return _walked(row_of, a.initial, str, a.marked.__contains__, a._sigma, members)
+    return _walked(row_of, a.initial, str, a.marked.__contains__, a._sigma, a._masks)
 
 
 def _label_rows(a: Automaton, on: list) -> dict:
     """``a``'s successor rows over the labels of a common refinement:
     state -> label -> sorted tuple of targets, for every state, rows in
-    label order.  ``on`` lists the ``(label, class)`` of each label in
-    ``a``'s alphabet, in label order.  Unless the refinement splits a
-    class, a class's label is its own smallest event, and the rows are
-    ``a._labelled`` as they are."""
-    rows = a._labelled
+    label order.  ``on`` lists the ``(label, class label)`` of each label
+    in ``a``'s alphabet, in label order.  Unless the refinement splits a
+    class, each label is its class's own, and the rows are ``a._succ``."""
     if len(on) == len(a._masks):
-        return rows
-    own = a._sigma.universe.label
-    on = [(label, own(a._masks[c])) for (label, c) in on]
+        return a._succ
     return {
-        q: {label: ds for (label, mine) in on if (ds := row.get(mine)) is not None}
-        for (q, row) in rows.items()
+        q: {label: ds for (label, c) in on if (ds := row.get(c)) is not None}
+        for (q, row) in a._succ.items()
     }
 
 
@@ -617,11 +589,11 @@ def _leaves(operand) -> list:
 
 def _over_one_universe(autos: list) -> tuple:
     """``(universe, views)``: a universe that every automaton's events are
-    in, and each automaton's ``(alphabet, class masks)`` over it, keyed by
-    ``id``.  It is the longest of their universes when it extends all of
-    them, else the first that holds every event, else a new one.  The
-    automata whose universes it does not extend are remapped, each event to
-    its new bit in its class, each kind as its classes."""
+    in, and each automaton's ``(alphabet, label -> class mask)`` over it,
+    keyed by ``id``.  It is the longest of their universes when it extends
+    all of them, else the first that holds every event, else a new one.
+    The automata whose universes it does not extend are remapped, each
+    event to its new bit in its class, each kind as its classes."""
     universes = [a._sigma.universe for a in autos]
     universe = max(universes, key=lambda u: len(u.ids))
     kept = list(map(universe.extends, universes))
@@ -638,11 +610,11 @@ def _over_one_universe(autos: list) -> tuple:
                 sigma = _Alphabet(universe, sigma.kinds)
             views[id(a)] = (sigma, a._masks)
             continue
-        (masks, bit) = ([0] * len(a._masks), universe.bit)
+        (masks, bit) = (dict.fromkeys(a._masks, 0), universe.bit)
         for (ev, c) in a._class_of.items():
             masks[c] |= bit[ev]
         kinds = {
-            kind: sum(new for (old, new) in zip(a._masks, masks) if old & m)
+            kind: sum(new for (old, new) in zip(a._masks.values(), masks.values()) if old & m)
             for (kind, m) in a._sigma.kinds.items()
         }
         views[id(a)] = (_Alphabet(universe, kinds), masks)
@@ -665,10 +637,10 @@ def _operands(*operands, split=()) -> tuple:
     members = [_leaves(x) for x in operands]
     autos = list({id(a): a for mine in members for a in mine}.values())
     (universe, views) = _over_one_universe(autos)
-    # a block's key holds its class in each automaton, None outside it
+    # a block's key holds its class label in each automaton, None outside it
     blocks = [(reduce(or_, [sigma.mask for (sigma, _) in views.values()]), ())]
     for (sigma, masks) in views.values():
-        classes = [*enumerate(masks), (None, ~sigma.mask)]
+        classes = [*masks.items(), (None, ~sigma.mask)]
         blocks = [(x, key + (c,)) for (b, key) in blocks for (c, m) in classes if (x := b & m)]
     for m in split:
         blocks = [(x, key) for (b, key) in blocks for y in (m, ~m) if (x := b & y)]
@@ -726,22 +698,22 @@ def _projection(a: Automaton, keep: int):
     A class with an event outside ``keep`` moves silently; one with a kept
     event is visible through its kept events.  Returns ``(row, init,
     visible)``: ``row(subset)`` is the subset's row for :func:`_walk`,
-    mapping each visible class that a member enables to a one-tuple of the
-    subset it reaches by hidden moves, then that class, then hidden moves
-    (never the empty subset); ``init`` is the hidden closure of the
-    initial state and ``visible[c]`` is the mask of the kept events of each
-    visible class.  Each state's closure and its own row are computed
-    once.
+    mapping the label of each visible class that a member enables to a
+    one-tuple of the subset it reaches by hidden moves, then that class,
+    then hidden moves (never the empty subset); ``init`` is the hidden
+    closure of the initial state and ``visible[c]`` is the mask of the kept
+    events of the visible class labelled ``c``.  Each state's closure and
+    its own row are computed once.
     """
     visible = {}
     hidden = set()
-    for c, m in enumerate(a._masks):
+    for c, m in a._masks.items():
         if m & keep:
             visible[c] = m & keep
         if m & ~keep:
             hidden.add(c)
     hidden_rows = {
-        q: {c: dsts for c, dsts in a._succ.get(q, _NO_ROW).items() if c in hidden}
+        q: {c: dsts for c, dsts in a._succ[q].items() if c in hidden}
         for q in a.states
     }
     closure = {
@@ -754,7 +726,7 @@ def _projection(a: Automaton, keep: int):
     for q in a.states:
         reached: dict = {}
         for p in closure[q]:
-            for c, dsts in a._succ.get(p, _NO_ROW).items():
+            for c, dsts in a._succ[p].items():
                 if c in visible:
                     ds = reached.get(c)
                     if ds is None:

@@ -201,8 +201,8 @@ def _dc4_witness(a: Automaton, projection: tuple) -> Optional[tuple]:
     :func:`_shared_projection` gives it) from every singleton subset
     reaches the subsets, which are refined once from a single block, so
     equal blocks mean equal languages.  A singleton's row holds the
-    projected successors of its state.  A projected class is scanned as
-    its smallest kept event.
+    projected successors of its state.  A projected class, which the rows
+    key by its label in ``a``, is scanned as its smallest kept event.
     """
     (row, _, visible) = projection
     label = a._sigma.universe.label

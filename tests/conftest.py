@@ -12,7 +12,6 @@ from polaris.automata import (
     Automaton,
     BisimResult,
     Event,
-    _merge_events,
     accessible,
 )
 from polaris import kernels, models, sim
@@ -25,6 +24,7 @@ from polaris.kernels import (
     eval_cell,
 )
 from polaris.errors import (
+    AlphabetConflict,
     HorizonViolation,
     InvalidToken,
     OutOfHorizon,
@@ -561,6 +561,19 @@ def per_event_accessible(a: Automaton) -> Automaton:
 def product_state(q1: str, q2: str) -> str:
     """The name of a product state, as ``parallel_compose`` names it."""
     return f"⟨{q1},{q2}⟩"
+
+
+def _merge_events(groups) -> tuple:
+    """Union alphabets by id, checking controllability agreement; the
+    union is sorted by id, and an event's owners unite its records'."""
+    by_id: dict = {}
+    for group in groups:
+        for ev in group:
+            old = by_id.setdefault(ev.id, ev)
+            if old.controllable != ev.controllable:
+                raise AlphabetConflict(f"event {ev.id!r} is both controllable and not")
+            by_id[ev.id] = Event(ev.id, ev.controllable, old.owners | ev.owners)
+    return tuple(by_id[ev] for ev in sorted(by_id))
 
 
 def per_event_compose(a1: Automaton, a2: Automaton) -> Automaton:

@@ -32,6 +32,8 @@ from polaris.automata import (
     parallel_compose,
 )
 from polaris.errors import AlphabetConflict
+from polaris.models import build_models
+from polaris.polar import PolarPartition
 
 
 def test_build_validates_endpoints():
@@ -112,7 +114,7 @@ def test_build_on_event_groups_matches_build_on_triples():
         grouped = Automaton.build(states, initial, events, rows, marked)
         assert grouped == Automaton.build(states, initial, events, triples, marked)
         assert transitions(grouped) == tuple(sorted(triples))
-        seen["shared class"] += any(len(evs) > 1 for evs in grouped._members)
+        seen["shared class"] += any(len(evs) > 1 for evs in grouped._members.values())
         seen["overlap"] += len(_edges(rows)) > len(triples)
         seen["unused event"] += len(grouped._class_of) > len({ev for (_, ev, _) in triples})
         seen["plain id"] += any(isinstance(g, str) for (_, g, _) in rows)
@@ -169,18 +171,19 @@ def test_deterministic_flag():
         nondet.step1("q0", "a")
 
 
-def test_equal_target_sets_share_one_frozenset():
+def test_equal_target_sets_share_one_tuple():
     a = make_auto([("q0", "a", "q1"), ("q0", "b", "q1"), ("q1", "a", "q1"),
                    ("q1", "b", "q0"), ("q1", "c", "q0")])
-    assert a.step("q0", "a") == {"q1"}
+    assert a.step("q0", "a") == ("q1",)
     assert a.step("q0", "a") is a.step("q0", "b") is a.step("q1", "a")
     assert a.step("q1", "b") is a.step("q1", "c")
-    # sets of two or more targets are shared too
-    n = make_auto([("q0", "a", "q0"), ("q0", "a", "q1"), ("q1", "b", "q1"),
+    # tuples of two or more targets are sorted and shared too
+    n = make_auto([("q0", "a", "q1"), ("q0", "a", "q0"), ("q1", "b", "q1"),
                    ("q1", "b", "q0"), ("q1", "c", "q1")])
-    assert n.step("q0", "a") == {"q0", "q1"}
+    assert n.step("q0", "a") == ("q0", "q1")
     assert n.step("q0", "a") is n.step("q1", "b")
-    assert n.step("q1", "c") == {"q1"}
+    assert n.step("q1", "c") == ("q1",)
+    assert n.step("q2", "a") == n.step("q0", "d") == ()
 
 
 def test_classes_are_maximal_and_canonical():
@@ -189,16 +192,48 @@ def test_classes_are_maximal_and_canonical():
     trans = [("q0", ev, "q1") for ev in "abcxyz"] + [("q1", ev, "q0") for ev in "abcyz"]
     events = [Event(ev, ev != "c", {2} if ev == "y" else ()) for ev in "abcwxyz"]
     a = Automaton.build(["q0", "q1"], "q0", events, trans, ["q0"])
-    assert a._members == (("a", "b", "z"), ("c",), ("w",), ("x",), ("y",))
-    assert [a._class_of[ev] for ev in "abcwxyz"] == [0, 0, 1, 2, 3, 4, 0]
+    # each class is labelled by its smallest event
+    assert a._members == {"a": ("a", "b", "z"), "c": ("c",), "w": ("w",), "x": ("x",), "y": ("y",)}
+    assert [a._class_of[ev] for ev in "abcwxyz"] == ["a", "a", "c", "w", "x", "y", "a"]
+    assert a._succ == {
+        "q0": {"a": ("q1",), "c": ("q1",), "x": ("q1",), "y": ("q1",)},
+        "q1": {"a": ("q0",), "c": ("q0",), "y": ("q0",)},
+    }
     assert enabled(a, "q1") == ("a", "b", "c", "y", "z")
     # the same automaton reached through the algebra has the same index
     twin = renamed(a, {"q0": "p0", "q1": "p1"})
     rebuilt = natural_project(parallel_compose(a, twin), a.event_ids)
     assert renamed(accessible(rebuilt), {"{⟨q0,p0⟩}": "q0", "{⟨q1,p1⟩}": "q1"}) == a
-    # rows list their classes in id order, which label-ordered scans rely on
+    # every state has a row, listing its classes in label order, which
+    # label-ordered scans rely on
     for auto in (a, twin, rebuilt):
+        assert auto._succ.keys() == auto.states
+        assert list(auto._masks) == sorted(auto._masks)
         assert all(list(row) == sorted(row) for row in auto._succ.values())
+    assert make_auto([], states=["q0", "q1"])._succ == {"q0": {}, "q1": {}}
+
+
+def test_walks_read_the_stored_relation():
+    models = build_models(PolarPartition(50.0, 6, 9))
+    autos = [x for x in models if isinstance(x, Automaton)]
+    autos += [models.decomposition.local1, models.decomposition.local2]
+    autos.append(exchange.loads(exchange.dumps(models.plant1)))
+    split = 0
+    for a in autos:
+        (_, [(_, (rows, _, _, _), _)]) = automata._operands(a)
+        assert rows is a._succ
+        # a class cut in two by a split mask is read through new rows with
+        # the same moves, under the labels of its two parts
+        (c, evs) = next((c, evs) for (c, evs) in a._members.items() if len(evs) > 1)
+        cut = a._sigma.universe.mask([evs[-1]])
+        (labels, [(_, (rows, _, _, _), _)]) = automata._operands(a, split=(cut,))
+        assert rows is not a._succ and evs[-1] in labels and c in labels
+        ids_of = a._sigma.universe.ids_of
+        moves = [(q, ev, d) for (q, row) in rows.items() for (label, ds) in row.items()
+                 for ev in ids_of(labels[label]) for d in ds]
+        assert sorted(moves) == list(transitions(a))
+        split += 1
+    assert split == 8
 
 
 def test_accessible_identity_for_single_state():

@@ -1,7 +1,12 @@
 """The toolkit's records: immutable, equal and hashed by value, ordered by
-field order where they are ordered, and shown as ``Name(field=value, ...)``."""
+field order where they are ordered, and shown as ``Name(field=value, ...)``;
+and the annotations of every function the toolkit defines resolve."""
 
+import importlib
+import inspect
 import math
+import pkgutil
+import typing
 
 import pytest
 
@@ -184,6 +189,30 @@ def test_removed_wrappers_are_not_exported():
 
     for name in ("NotDecomposable", "DecentralizedVerdict", "BisimRelation"):
         assert not hasattr(polaris, name)
+
+
+def test_every_annotation_resolves():
+    # get_type_hints evaluates each annotation in its function's module, so
+    # an annotation naming what the module never imports raises NameError
+    import polaris
+
+    checked = []
+    for info in pkgutil.iter_modules(polaris.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"polaris.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for f in vars(obj).values() if inspect.isclass(obj) else (obj,):
+                f = getattr(f, "__func__", getattr(f, "fget", f))
+                if callable(f):
+                    f = inspect.unwrap(f)
+                # a record's generated __new__ belongs to no module of ours
+                if inspect.isfunction(f) and f.__module__ == module.__name__:
+                    typing.get_type_hints(f)
+                    checked.append(f"{module.__name__}.{f.__qualname__}")
+    assert {"polaris.automata._walked", "polaris.automata.Automaton.build"} <= set(checked)
 
 
 def test_constructors_normalize_and_validate_through_replace():

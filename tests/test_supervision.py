@@ -484,7 +484,7 @@ def test_class_algebra_matches_per_event_oracles():
             rng, max_states=4, max_events=3, min_events=2, deterministic=i % 3 != 0
         )
         b = random_automaton_with_twins(rng, max_states=3, max_events=3)
-        seen["merged"] += any(len(evs) > 1 for evs in a._members)
+        seen["merged"] += any(len(evs) > 1 for evs in a._members.values())
 
         assert parallel_compose(a, b) == per_event_compose(a, b)
         keep = rng.sample(sorted(a.event_ids), rng.randint(0, len(a.event_ids)))
