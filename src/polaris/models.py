@@ -32,10 +32,9 @@ its own alphabets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
-from .automata import Automaton, Event, _Alphabet, _Universe, parallel_compose
+from .automata import Automaton, _Alphabet, _Universe, parallel_compose
 from .polar import Mode, PolarPartition
 from .supervision import DecomposabilityReport, check_decomposability
 
@@ -67,8 +66,7 @@ def _detection(i: int, j: int, k: int) -> str:
 class AgentAlphabet(NamedTuple):
     """All event ids of one agent, grouped by role.
 
-    :func:`agent_alphabet` builds every group once, the :class:`Event`
-    records included; the fields are tuples.
+    :func:`agent_alphabet` builds every group once; the fields are tuples.
     """
 
     k: int
@@ -81,7 +79,6 @@ class AgentAlphabet(NamedTuple):
     actuation_ids: tuple  # the four exit commands and hold: the events that set the motion
     controllable_ids: tuple
     all_ids: tuple
-    events: tuple
 
     def detection(self, i: int, j: int) -> str:
         return _detection(i, j, self.k)
@@ -119,14 +116,6 @@ def agent_alphabet(k: int, p: PolarPartition) -> AgentAlphabet:
         actuation_ids=actuations,
         controllable_ids=actuations + COORDINATION_COMMANDS,
         all_ids=actuations + detection_ids + EXTERNAL_EVENTS,
-        # the owner sets are frozensets already, so each record is made as
-        # the plain tuple that Event's constructor would make of them
-        events=tuple(
-            chain.from_iterable(
-                map(tuple.__new__, repeat(Event), zip(ids, repeat(controllable), repeat(owners)))
-                for (ids, controllable, owners) in _kinds(k, actuations, detection_ids)
-            )
-        ),
     )
 
 

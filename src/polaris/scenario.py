@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError, _read_text
-from .polar import PolarPartition
+from .polar import DEFAULT_KAPPA, PolarPartition
 
 __all__ = ["FollowerConfig", "ScenarioConfig", "parse_scenario", "loads_scenario"]
 
@@ -51,7 +51,7 @@ class ScenarioConfig(NamedTuple):
     t_end: float = 150.0
     u_max: float = 5.0
     speed: float = 2.0
-    kappa: float = 0.5
+    kappa: float = DEFAULT_KAPPA
     alarm_radius: float = 8.0
     release_radius: float = 12.0
     front_half_angle: float = math.radians(60.0)

@@ -11,8 +11,9 @@ ones through the automata, then emit the controllable events they enable
 
 Between two events nothing discrete changes, so :func:`run_scenario`
 advances each quiet stretch in one loop over plain floats (``_coast``).
-That loop is the only integrator: it takes each follower's start field
-from ``kernels.eval_cell`` and every later one inline, with
+That loop is the only integrator: it reads each follower's record,
+``kernels.eval_cell``'s start field included, from ``_follower``, the
+one place that derives it, and computes every later field inline, with
 ``eval_cell``'s float operations but no clamp, and :func:`step` is one
 pass of it with its stop tests off.  Besides moving, the loop
 makes only a conservative form of :func:`detect_events`'s region test
@@ -262,21 +263,35 @@ def initial_world(mission: Mission) -> WorldState:
     return _start_phase(WorldState(0, 0.0, (0.0, 0.0), follower_pos, (), ()), mission)
 
 
-def _relative_velocity(world: WorldState, mission: Mission, k: int):
+def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
+    """Follower ``k``'s record between two events: its offset, held flag
+    and region index, then, from its :meth:`Mission.cell` record (a
+    hold's when it is held: stopped or uncommanded), the ring bounds
+    ``lo`` and ``hi``, ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
+    ``th_lo``, ``span``, eight gains and ``r_eps``, and last its start
+    velocity: ``kernels.eval_cell`` at its relative position, clamps and
+    all, or (0, 0) when it is held."""
     disc = world.discrete[k - 1]
-    if disc.stopped or disc.command is None:
-        return (0.0, 0.0)
-    (r_lo, r_hi, th_lo, span, gains, r_eps, _, _) = mission.cell(k, disc.region, disc.command)
-    (x, y) = world.relative[k - 1]
-    return kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x, y, r_eps)
+    held = disc.stopped or disc.command is None
+    (r_lo, r_hi, th_lo, span, gains, r_eps, lo, hi) = mission.cell(
+        k, disc.region, None if held else disc.command
+    )
+    (ox, oy) = world.offsets[k - 1]
+    if held:
+        velocity = (0.0, 0.0)
+    else:
+        (x, y) = world.follower_pos[k - 1]
+        velocity = kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x - ox, y - oy, r_eps)
+    return (ox, oy, held, disc.region.i, disc.region.j,
+            lo, hi, r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps, *velocity)
 
 
 def step(world: WorldState, mission: Mission) -> WorldState:
     """Advance the continuous state by one Euler step of length dt.
 
     The step is one pass of :func:`_coast`'s loop with its stop tests
-    off, from ``kernels.eval_cell``'s field at the start.  The new state
-    is not located here: :func:`detect_events` does that, so a step
+    off, from the start velocity that :func:`_follower` gives.  The new
+    state is not located here: :func:`detect_events` does that, so a step
     beyond the horizon does not raise.
     """
     return _coast(world, mission, None, world.step_index + 1, math.inf, 0.0, 0.0)[0]
@@ -296,7 +311,7 @@ def _classify_alarm(world: WorldState, mission: Mission, owner: int) -> str:
     (front, not_front) = ALARMS_OF_EPISODE[owner]
     (ox, oy) = world.follower_pos[owner - 1]
     (tx, ty) = world.follower_pos[other - 1]
-    (vx, vy) = _relative_velocity(world, mission, owner)
+    (vx, vy) = _follower(world, mission, owner)[-2:]
     if math.hypot(vx, vy) < 1e-9:
         (rx, ry) = world.relative[owner - 1]
         if math.hypot(rx, ry) < cfg.partition.r_eps:
@@ -565,41 +580,26 @@ def _row(world: WorldState) -> bytes:
     )
 
 
-def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
-    """Follower ``k``'s constants between two events: its offset, held
-    flag and region index, then, from its :meth:`Mission.cell` record (a
-    hold's when it is held: stopped or uncommanded), the ring bounds
-    ``lo`` and ``hi`` and ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
-    ``th_lo``, ``span``, eight gains and ``r_eps``."""
-    disc = world.discrete[k - 1]
-    held = disc.stopped or disc.command is None
-    (r_lo, r_hi, th_lo, span, gains, r_eps, lo, hi) = mission.cell(
-        k, disc.region, None if held else disc.command
-    )
-    return (*world.offsets[k - 1], held, disc.region.i, disc.region.j,
-            lo, hi, r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps)
-
-
 def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
     """Advance ``world`` through the steps that cannot have an event.
 
     This loop is the simulator's only integrator.  Between two events each
     follower keeps its command, region and offset, and the episode stays
-    as it is, so only floats change.  A follower's first field is
-    :func:`_relative_velocity`'s: ``kernels.eval_cell``, clamps and all,
-    or (0, 0) when it is held.  Each step moves follower 1, then follower
-    2, with no call but the math functions: the total velocity (leader
-    plus relative) clamped to ``u_max``, one Euler update, then the new
-    point located once, as ``kernels.integrate_cell`` locates its points:
-    its radius ``sqrt(x*x + y*y)``, its angle ``atan2(y, x)``, the angle's
-    offset ``rel`` from ``th_lo`` in [0, 2π] and its cell coordinate ``b
-    = rel / span``.  That one location serves the region test and then the
-    field at the new point, in ``eval_cell``'s float operations on the
-    same operands.  The step then takes the separation, appends the row
-    that :func:`_row` would format, in ASCII bytes, to ``rows`` (joined
-    and decoded once by :func:`run_scenario`) and updates the minimum
-    separation.  The leader velocity is read again only when ``t``
-    reaches its next breakpoint.
+    as it is, so only floats change.  Each follower's record comes from
+    :func:`_follower`, its first field included: ``kernels.eval_cell``'s,
+    clamps and all, or (0, 0) when it is held.  Each step moves follower
+    1, then follower 2, with no call but the math functions: the total
+    velocity (leader plus relative) clamped to ``u_max``, one Euler
+    update, then the new point located once, as ``kernels.integrate_cell``
+    locates its points: its radius ``sqrt(x*x + y*y)``, its angle
+    ``atan2(y, x)``, the angle's offset ``rel`` from ``th_lo`` in [0, 2π]
+    and its cell coordinate ``b = rel / span``.  That one location serves
+    the region test and then the field at the new point, in
+    ``eval_cell``'s float operations on the same operands.  The step then
+    takes the separation, appends the row that :func:`_row` would format,
+    in ASCII bytes, to ``rows`` (joined and decoded once by
+    :func:`run_scenario`) and updates the minimum separation.  The leader
+    velocity is read again only when ``t`` reaches its next breakpoint.
 
     Only a start can lie outside its region, so the field at a new point
     clamps nothing: a point that passes the region test has ``r_lo < r <
@@ -661,18 +661,14 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     episode = world.episode
     watch_alarm = watch and episode is None
     watch_release = watch and episode is not None and not episode.cleared
-    (ox1, oy1, held1, i1, j1, in1, out1, lo1, dr1, tlo1, span1,
-     u0r1, u0t1, u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1) = _follower(world, mission, 1)
-    (ox2, oy2, held2, i2, j2, in2, out2, lo2, dr2, tlo2, span2,
-     u0r2, u0t2, u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2) = _follower(world, mission, 2)
+    (ox1, oy1, held1, i1, j1, in1, out1, lo1, dr1, tlo1, span1, u0r1, u0t1,
+     u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1, vx1, vy1) = _follower(world, mission, 1)
+    (ox2, oy2, held2, i2, j2, in2, out2, lo2, dr2, tlo2, span2, u0r2, u0t2,
+     u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2, vx2, vy2) = _follower(world, mission, 2)
     row = _FLOATS + b",%d,%d,%d,%d" % (i1, j1, i2, j2)
 
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
-    # the start's fields, clamps and all: only a start may lie outside
-    # its region
-    (vx1, vy1) = _relative_velocity(world, mission, 1)
-    (vx2, vy2) = _relative_velocity(world, mission, 2)
     sep = world.separation
     t_lv = t  # the leader velocity is read at the first step
     start = index
@@ -766,19 +762,17 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
         # tuple
         x1 = nx1
         y1 = ny1
-        rx1 = nrx1
-        ry1 = nry1
         x2 = nx2
         y2 = ny2
-        rx2 = nrx2
-        ry2 = nry2
         sep = nsep
         index += 1
         t = index * dt
         lx = lx + lvx * dt
         ly = ly + lvy * dt
         if watch:
-            rows.append(row % (t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2))
+            rows.append(
+                row % (t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, nrx1, nry1, nrx2, nry2)
+            )
             if sep < min_sep:
                 min_sep = sep
                 min_sep_t = t

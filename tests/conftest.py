@@ -90,10 +90,16 @@ def renamed(a: Automaton, mapping) -> Automaton:
     )
 
 
+def agent_events(al) -> tuple:
+    """The ``Event`` records of agent ``al``'s events, read off the
+    alphabet of its plant, which holds every one of them."""
+    return models.build_plant(al).alphabet
+
+
 def uncontrollable_ids(al) -> tuple:
     """The ids of an agent alphabet's uncontrollable events, read off its
     ``Event`` records."""
-    return tuple(e.id for e in al.events if not e.controllable)
+    return tuple(e.id for e in agent_events(al) if not e.controllable)
 
 
 def make_auto(trans, initial="q0", marked=None, controllable=(), states=None, events=()):
@@ -924,7 +930,7 @@ follower2.offsets = 0:-2.677,21.653 40:-5.111,8.216
 
 
 def scan_command_choice(models, k: int, states) -> str:
-    """Uncached command choice of agent ``k``, the simulator's reference.
+    """Command choice of agent ``k`` by a plain scan, the simulator's reference.
 
     ``states`` are the six supervisor states: agent 1's plant, formation
     and local supervisor, then agent 2's.  Returns the first actuation
@@ -1145,9 +1151,23 @@ def run_scenario_under_the_global_supervisor(cfg) -> "sim.ScenarioResult":
     automata, through the models that ``sim.build_models`` returns.
     """
     models = sim.build_models(cfg.partition)
-    al2 = models.alphabet(2)
-    one_state = Automaton.build(["g"], "g", al2.events, [("g", al2.all_ids, "g")], ["g"])
-    decomposition = models.decomposition._replace(local1=models.collision, local2=one_state)
+    free2 = one_state_supervisor(models, 2, models.alphabet(2).all_ids)
+    return run_scenario_with_locals(cfg, models.collision, free2)
+
+
+def one_state_supervisor(models, k: int, loops) -> Automaton:
+    """One state over agent ``k``'s events, with a self-loop on each of
+    ``loops``."""
+    return Automaton.build(["g"], "g", models.plant(k).alphabet, [("g", loops, "g")], ["g"])
+
+
+def run_scenario_with_locals(cfg, local1, local2) -> "sim.ScenarioResult":
+    """``sim.run_scenario`` with ``local1`` and ``local2`` as the agents'
+    local supervisors, through the models that ``sim.build_models``
+    returns, so that the run's supervisor slots and initial discrete
+    states both come from them."""
+    models = sim.build_models(cfg.partition)
+    decomposition = models.decomposition._replace(local1=local1, local2=local2)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(sim, "build_models", lambda p: models._replace(decomposition=decomposition))
         return sim.run_scenario(cfg)
@@ -1269,7 +1289,7 @@ def undecomposable_collision(monkeypatch):
         # built from the agents' event records, over a universe of its own
         states = ["c0", "c1", "c2"]
         rows = [("c0", al1.commands[0], "c1"), ("c0", al2.commands[0], "c2")]
-        return Automaton.build(states, "c0", al1.events + al2.events, rows, states)
+        return Automaton.build(states, "c0", agent_events(al1) + agent_events(al2), rows, states)
 
     monkeypatch.setattr(models, "build_collision_spec", build)
     models.build_models.cache_clear()

@@ -144,6 +144,19 @@ def test_build_on_event_groups_names_the_bad_event_or_endpoint():
             assert str(exc.value) == text
 
 
+def test_build_on_a_mask_names_the_smallest_event_outside_the_alphabet():
+    # a mask row is checked at once: of its events outside the alphabet,
+    # the error names the smallest
+    universe = automata._Universe(["a", "b", "c", "d", "e"])
+    alphabet = automata._Alphabet(universe, {(True, frozenset()): universe.mask(["a", "c"])})
+    rows = [("s0", universe.mask(["a", "c"]), "s1"), ("s1", universe.mask(["e", "c", "d"]), "s0")]
+    with pytest.raises(ValueError) as exc:
+        Automaton.build(["s0", "s1"], "s0", alphabet, rows, [])
+    assert str(exc.value) == "transition event 'd' not in alphabet"
+    a = Automaton.build(["s0", "s1"], "s0", alphabet, rows[:1], [])
+    assert a.step("s0", "c") == ("s1",)
+
+
 def test_index_round_trips_random_automata():
     rng = random.Random(7001)
     for i in range(600):

@@ -56,7 +56,7 @@ def test_alphabet_counts():
 
 def test_alphabet_owner_tags():
     al = agent_alphabet(2, P)
-    by_id = {e.id: e for e in al.events}
+    by_id = {e.id: e for e in build_plant(al).alphabet}
     assert by_id["Cr-2"].owners == frozenset({2})
     assert by_id["d_1_1_2"].owners == frozenset({2})
     assert by_id["Stop1"].owners == frozenset({1, 2})

@@ -62,10 +62,10 @@ RECORDS = [
         "ValidationResult(violations=('r+ (vertex v1)',))",
     ),
     (
-        lambda: AgentAlphabet(1, ("Cr+1",), "C0_1", (), (), (), (), (), (), (), ()),
+        lambda: AgentAlphabet(1, ("Cr+1",), "C0_1", (), (), (), (), (), (), ()),
         "AgentAlphabet(k=1, commands=('Cr+1',), hold='C0_1', modes=(), "
         "detection_ids=(), first_circle=(), outer_detections=(), actuation_ids=(), "
-        "controllable_ids=(), all_ids=(), events=())",
+        "controllable_ids=(), all_ids=())",
     ),
     (
         lambda: FormationModels(

@@ -13,15 +13,19 @@ from conftest import (
     CROSSING_CFG,
     csv_row_by_fstring,
     euler_step,
+    one_state_supervisor,
     relative_velocity_of,
     run_scenario_reacting_every_step,
     run_scenario_under_the_global_supervisor,
+    run_scenario_with_locals,
     scan_command_choice,
+    uncontrollable_ids,
 )
 
 from polaris import kernels, polar, sim
 from polaris.cli import main
 from polaris.errors import HorizonViolation, OutOfHorizon, SupervisorBlocked, ValidationError
+from polaris.models import COORDINATION_COMMANDS
 from polaris.polar import TWO_PI, PolarPartition, RegionIndex, locate
 from polaris.scenario import (
     FollowerConfig,
@@ -189,7 +193,7 @@ def test_detect_alarm_front_vs_not_front():
     holding = (d1._replace(region=RegionIndex(1, 1), command="C0_1"), d2)
     prev = world._replace(follower_pos=((10.0, 10.0), (19.0, 10.0)), discrete=holding)
     nxt = world._replace(follower_pos=((10.0, 10.0), (17.5, 10.0)), discrete=holding)
-    assert sim._relative_velocity(nxt, mission, 1) == (0.0, 0.0)
+    assert sim._follower(nxt, mission, 1)[-2:] == (0.0, 0.0)
     assert detect_events(prev, nxt, mission)[-1] == ("alarm", 1, "Ca12N")
     # with no command and away from the centre, follower 1 heads toward its
     # goal: here at -pi + 0.1, so the bearing pi to follower 2 is 0.1 rad
@@ -446,7 +450,7 @@ def test_failure_context_keeps_the_last_records():
 # Every command choice of a run must equal the reference scan over the six
 # automata, in its own fixed order.
 @pytest.mark.parametrize("source", ["bundled", "crossing"])
-def test_memoized_command_choice_matches_uncached_scan(source, monkeypatch):
+def test_command_choice_matches_the_reference_scan(source, monkeypatch):
     if source == "bundled":
         cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
     else:
@@ -468,6 +472,52 @@ def test_memoized_command_choice_matches_uncached_scan(source, monkeypatch):
     assert None not in {choice for (*_, choice) in choices}
     for (models, k, states, choice) in choices:
         assert scan_command_choice(models, k, states) == choice
+
+
+def run_with_local1(cfg, loops):
+    """``run_scenario(cfg)`` with agent 1's local supervisor one state
+    with a self-loop on each of ``loops``, and agent 2's one state with a
+    self-loop on each of its events."""
+    models = sim.build_models(cfg.partition)
+    return run_scenario_with_locals(
+        cfg,
+        one_state_supervisor(models, 1, loops),
+        one_state_supervisor(models, 2, models.alphabet(2).all_ids),
+    )
+
+
+def test_a_local_supervisor_that_enables_no_controllable_event_blocks_the_start():
+    cfg = parse_scenario(BUNDLED)
+    al1 = sim.build_models(cfg.partition).alphabet(1)
+    with pytest.raises(SupervisorBlocked) as info:
+        run_with_local1(cfg, uncontrollable_ids(al1))
+    assert str(info.value) == "agent 1: no controllable event enabled at plant=R1"
+    assert info.value.world.step_index == 0
+    assert info.value.recent == ()
+
+
+def test_a_follower_with_only_coordination_commands_enabled_holds(monkeypatch):
+    cfg = parse_scenario(BUNDLED)
+    al1 = sim.build_models(cfg.partition).alphabet(1)
+    held = []
+    follower = sim._follower
+
+    def recording(world, mission, k):
+        record = follower(world, mission, k)
+        if k == 1:
+            held.append((world.discrete[0].command, record[2], record[-2:]))
+        return record
+
+    monkeypatch.setattr(sim, "_follower", recording)
+    result = run_with_local1(cfg, uncontrollable_ids(al1) + COORDINATION_COMMANDS)
+    # every reaction records no command for agent 1, and every stretch
+    # holds it: its relative position changes only at the formation switch
+    assert held and set(held) == {(None, True, (0.0, 0.0))}
+    assert not [rec for rec in result.records if rec.agent == "1"]
+    relative = {tuple(row.split(",")[7:9]) for row in result.rows}
+    assert relative == {("-41.900000", "-0.900000"), ("0.100000", "19.100000")}
+    assert result.verdicts["t_reach_1"] == "none none"
+    assert result.verdicts["t_reach_2"] == "7.52 60.42"
 
 
 def test_region_tracking_matches_locate_every_step():
@@ -1247,6 +1297,24 @@ def test_run_scenario_calls_every_function_the_benchmark_traces(monkeypatch):
     # the quiet loop hands only 54 steps to step and detect_events; a
     # region test margin that cost event steps would show here
     assert calls["sim.step"] == calls["sim.detect_events"] == 54
+
+
+def test_a_bundled_run_reads_each_follower_record_once_per_stretch(monkeypatch):
+    # _follower is the one reader of Mission.cell between events: twice per
+    # quiet stretch (109 stretches) and once for the run's one alarm
+    # classification.  A second reader of the same record would show here
+    cells = []
+    cell = Mission.cell
+
+    def counted(mission, k, region, command):
+        cells.append((k, region, command))
+        return cell(mission, k, region, command)
+
+    monkeypatch.setattr(Mission, "cell", counted)
+    (_, calls) = traced_calls(monkeypatch, parse_scenario(BUNDLED))
+    assert len(cells) == 219
+    assert calls["kernels.eval_cell"] == 215
+    assert calls["sim.step"] == 54
 
 
 # the steps that the quiet loop hands to step and detect_events in
