@@ -19,8 +19,8 @@ kinds.  Automata over different universes (files, tests) are remapped onto
 the union of their alphabets, once per call; a class keeps its label
 there.  The product walks read an automaton's index as their rows unless
 the common refinement of their operands splits one of its classes.
-``Automaton.build`` takes rows whose middle element may be a group of
-events, as ids or as a mask.  A class is expanded into its events only
+``Automaton.build`` takes rows whose middle element is an event id or a
+mask, a group of events.  A class is expanded into its events only
 where a reader asks for single events: :meth:`Automaton.step` (through
 ``_class_of``), ``event_ids``, ``alphabet``,
 :func:`polaris.exchange.dumps` (through ``_members``), a projection's keep
@@ -298,12 +298,12 @@ class Automaton:
         """Validate (source, event, target) rows and index them by class.
 
         ``alphabet`` is an iterable of events or an :class:`_Alphabet`.  A
-        row's event is an event id, a tuple of event ids (an event group,
-        which stands for one triple per member) or a mask over the
-        alphabet's universe.  Endpoints are checked once per row, ids once
-        per member and a mask at once.  The rows' masks refine the alphabet
-        into blocks, each block's pairs are those of the rows holding it,
-        and :meth:`_from_classes` makes the classes of the blocks.
+        row's event is an event id or a mask over the alphabet's universe,
+        which stands for one triple per member; a zero mask adds nothing.
+        Endpoints are checked once per row, and a mask's events at once.
+        The rows' masks refine the alphabet into blocks, each block's pairs
+        are those of the rows holding it, and :meth:`_from_classes` makes
+        the classes of the blocks.
         """
         states = frozenset(states)
         marked = frozenset(marked)
@@ -315,26 +315,24 @@ class Automaton:
             raise ValueError("marked states must be a subset of the state set")
         (universe, inside) = (alphabet.universe, alphabet.mask)
         ends_of: dict = {}  # a row mask -> its (source, target) pairs
-        for (src, group, dst) in transitions:
-            if isinstance(group, str):
-                group = (group,)
-            if not group:
+        for (src, event, dst) in transitions:
+            is_id = event.__class__ is not int
+            if not (is_id or event):
                 continue
             if src not in states or dst not in states:
-                first = universe.label(group) if group.__class__ is int else group[0]
+                first = event if is_id else universe.label(event)
                 raise ValueError(f"transition ({src},{first},{dst}) has unknown endpoint")
-            if group.__class__ is not int:
-                ids, group = group, 0
-                for ev in ids:
-                    b = universe.bit.get(ev, 0) & inside
-                    if not b:
-                        raise ValueError(f"transition event {ev!r} not in alphabet")
-                    group |= b
-            elif group & ~inside:
+            if is_id:
+                mask = universe.bit.get(event, 0) & inside
+                if not mask:
+                    raise ValueError(f"transition event {event!r} not in alphabet")
+            elif event & ~inside:
                 raise ValueError(
-                    f"transition event {universe.label(group & ~inside)!r} not in alphabet"
+                    f"transition event {universe.label(event & ~inside)!r} not in alphabet"
                 )
-            ends_of.setdefault(group, []).append((src, dst))
+            else:
+                mask = event
+            ends_of.setdefault(mask, []).append((src, dst))
         blocks = _refined([inside], ends_of)
         groups = [(b, [e for m, ends in ends_of.items() if m & b for e in ends]) for b in blocks]
         return cls._from_classes(states, initial, alphabet, groups, marked)

@@ -15,14 +15,16 @@ That loop is the only integrator: it reads each follower's record,
 ``kernels.eval_cell``'s start field included, from ``_follower``, the
 one place that derives it, and computes every later field inline, with
 ``eval_cell``'s float operations but no clamp, and :func:`step` is one
-pass of it with its stop tests off.  Besides moving, the loop
-makes only a conservative form of :func:`detect_events`'s region test
-and formats the rows.  It stops before the first step that may have an
-event: a follower may leave its region or the horizon, the followers may
-close within the alarm radius or part beyond the release radius, or a
-formation switch is due.  That step runs through :func:`step`,
-:func:`detect_events` and :func:`supervisor_react`, so every event and
-failure comes from them.
+pass of it with its stop tests off.  ``_coast`` is also the one writer
+of the trajectory: every CSV row and the minimum separation.  Besides
+that, the loop makes only a conservative form of
+:func:`detect_events`'s region test.  It stops before the first step
+that may have an event: a follower may leave its region or the horizon,
+the followers may close within the alarm radius or part beyond the
+release radius, or a formation switch is due.  That step runs through
+:func:`step`, :func:`detect_events` and :func:`supervisor_react`, so
+every event and failure comes from them; the next ``_coast`` writes the
+world it leaves.
 
 Everything is deterministic: identical configs produce identical
 trajectories, logs and verdicts byte for byte.
@@ -264,9 +266,9 @@ def initial_world(mission: Mission) -> WorldState:
 
 
 def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
-    """Follower ``k``'s record between two events: its offset, held flag
-    and region index, then, from its :meth:`Mission.cell` record (a
-    hold's when it is held: stopped or uncommanded), the ring bounds
+    """Follower ``k``'s record between two events: its offset and held
+    flag, then, from its :meth:`Mission.cell` record (a hold's when it is
+    held: stopped or uncommanded), the ring bounds
     ``lo`` and ``hi``, ``eval_cell``'s ``r_lo``, ``r_hi - r_lo``,
     ``th_lo``, ``span``, eight gains and ``r_eps``, and last its start
     velocity: ``kernels.eval_cell`` at its relative position, clamps and
@@ -282,8 +284,7 @@ def _follower(world: WorldState, mission: Mission, k: int) -> tuple:
     else:
         (x, y) = world.follower_pos[k - 1]
         velocity = kernels.eval_cell(r_lo, r_hi, th_lo, span, gains, x - ox, y - oy, r_eps)
-    return (ox, oy, held, disc.region.i, disc.region.j,
-            lo, hi, r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps, *velocity)
+    return (ox, oy, held, lo, hi, r_lo, r_hi - r_lo, th_lo, span, *gains, r_eps, *velocity)
 
 
 def step(world: WorldState, mission: Mission) -> WorldState:
@@ -562,26 +563,21 @@ class ScenarioResult:
         return tuple(tuple(seg) for seg in segments)
 
 
-# one CSV row in ASCII bytes: the CSV_HEADER columns, floats to six
-# decimals.  bytes % converts each float as str % does, without a
-# unicode writer
+# the float columns of a CSV row in ASCII bytes, to six decimals; _coast
+# appends the four region columns.  bytes % converts each float as str %
+# does, without a unicode writer
 _FLOATS = b",".join([b"%.6f"] * 11)
-_ROW = _FLOATS + b",%d,%d,%d,%d"
-
-
-def _row(world: WorldState) -> bytes:
-    (lx, ly) = world.leader_pos
-    ((x1, y1), (x2, y2)) = world.follower_pos
-    ((rx1, ry1), (rx2, ry2)) = world.relative
-    (d1, d2) = world.discrete
-    return _ROW % (
-        world.t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2,
-        d1.region.i, d1.region.j, d2.region.i, d2.region.j,
-    )
 
 
 def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple:
-    """Advance ``world`` through the steps that cannot have an event.
+    """Write ``world``'s row, then advance it while no event can occur.
+
+    With ``rows`` a list, it first appends, in ASCII bytes, the row of its
+    start world (the start after the first reaction, or the world an event
+    step left), and takes that world's separation and ``t`` into the
+    minimum.  The row reads the world's own regions and offsets, so a
+    ``_coast`` with no step to take fetches no cell: the controllers text
+    lists only the controllers that some step used.
 
     This loop is the simulator's only integrator.  Between two events each
     follower keeps its command, region and offset, and the episode stays
@@ -596,10 +592,10 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     and its cell coordinate ``b = rel / span``.  That one location serves
     the region test and then the field at the new point, in
     ``eval_cell``'s float operations on the same operands.  The step then
-    takes the separation, appends the row that :func:`_row` would format,
-    in ASCII bytes, to ``rows`` (joined and decoded once by
-    :func:`run_scenario`) and updates the minimum separation.  The leader
-    velocity is read again only when ``t`` reaches its next breakpoint.
+    takes the separation, appends its row through the start row's
+    template, whose region columns hold for the whole stretch, and
+    updates the minimum separation.  The leader velocity is read again
+    only when ``t`` reaches its next breakpoint.
 
     Only a start can lie outside its region, so the field at a new point
     clamps nothing: a point that passes the region test has ``r_lo < r <
@@ -632,16 +628,28 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     region, and a point within the margin of a grid line or the horizon,
     a NaN or an overflow stops the loop.  With ``rows`` None, as
     :func:`step` calls it, the loop takes exactly one step, with no
-    region test, and appends no row; the field it computes at that
-    untested point is never used.
+    region test, and appends no row, not even the start world's; the
+    field it computes at that untested point is never used.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
     stopped (``world`` itself if it took no step).
     """
     index = world.step_index
     t = world.t
-    # with no step to take, fetch no cell: the controllers text lists only
-    # the controllers that some step used
+    (lx, ly) = world.leader_pos
+    ((x1, y1), (x2, y2)) = world.follower_pos
+    sep = world.separation
+    watch = rows is not None
+    if watch:
+        # the start world's row and separation, from its regions and
+        # offsets: no cell is fetched
+        (d1, d2) = world.discrete
+        row = _FLOATS + b",%d,%d,%d,%d" % (d1.region.i, d1.region.j, d2.region.i, d2.region.j)
+        ((rx1, ry1), (rx2, ry2)) = world.relative
+        rows.append(row % (t, lx, ly, lx + x1, ly + y1, lx + x2, ly + y2, rx1, ry1, rx2, ry2))
+        if sep < min_sep:
+            min_sep = sep
+            min_sep_t = t
     if not (index < n_steps and t < t_switch):
         return (world, min_sep, min_sep_t)
     cfg = mission.cfg
@@ -657,19 +665,14 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
                       else (-math.inf, math.inf))
     two_pi = TWO_PI
     (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
-    watch = rows is not None
     episode = world.episode
     watch_alarm = watch and episode is None
     watch_release = watch and episode is not None and not episode.cleared
-    (ox1, oy1, held1, i1, j1, in1, out1, lo1, dr1, tlo1, span1, u0r1, u0t1,
+    (ox1, oy1, held1, in1, out1, lo1, dr1, tlo1, span1, u0r1, u0t1,
      u1r1, u1t1, u2r1, u2t1, u3r1, u3t1, eps1, vx1, vy1) = _follower(world, mission, 1)
-    (ox2, oy2, held2, i2, j2, in2, out2, lo2, dr2, tlo2, span2, u0r2, u0t2,
+    (ox2, oy2, held2, in2, out2, lo2, dr2, tlo2, span2, u0r2, u0t2,
      u1r2, u1t2, u2r2, u2t2, u3r2, u3t2, eps2, vx2, vy2) = _follower(world, mission, 2)
-    row = _FLOATS + b",%d,%d,%d,%d" % (i1, j1, i2, j2)
 
-    (lx, ly) = world.leader_pos
-    ((x1, y1), (x2, y2)) = world.follower_pos
-    sep = world.separation
     t_lv = t  # the leader velocity is read at the first step
     start = index
     while index < n_steps and t < t_switch:
@@ -798,9 +801,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     radius with no episode open or past the release radius in an episode
     not yet cleared; that step runs through :func:`step` and
     :func:`detect_events`.  It also stops when a formation switch is due
-    and after the last step.  The rows, formatted as ASCII bytes, go to a
-    list that one join and one decode turn into the result's CSV text
-    after the last step.
+    and after the last step.  ``_coast`` writes every row, as ASCII bytes
+    that one join and one decode turn into the CSV text at the end, and
+    keeps the minimum separation; an event step writes neither.
 
     A start or formation switch that puts a follower inside the innermost
     ring raises :class:`ValidationError`; one that puts it beyond the
@@ -823,13 +826,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     switch_times = list(cfg.switch_times())
     n_steps = int(round(cfg.t_end / cfg.dt))
     phase = 0
-    min_sep = world.separation
+    min_sep = math.inf
     min_sep_t = 0.0
 
     try:
         (world, reacted) = supervisor_react(world, [], mission)
         records.extend(reacted)
-        rows.append(_row(world))
 
         while True:
             t_switch = switch_times[0] if switch_times else math.inf
@@ -854,11 +856,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if events:
                 (world, reacted) = supervisor_react(world, events, mission)
                 records.extend(reacted)
-            rows.append(_row(world))
-
-            if world.separation < min_sep:
-                min_sep = world.separation
-                min_sep_t = world.t
     except (SupervisorBlocked, HorizonViolation) as exc:
         records.extend(getattr(exc, "reacted", ()))
         exc.world = world

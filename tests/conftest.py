@@ -137,16 +137,14 @@ def team_plants():
 
 
 def _edges(rows, universe=None) -> list:
-    """Expand ``(source, event group, target)`` rows, a group being a tuple
-    of event ids, one plain id or a bit mask over ``universe``'s sorted
-    ids, into ``(source, event id, target)`` triples, in row order."""
+    """Expand ``(source, event group, target)`` rows, a group being one
+    plain id or a bit mask over ``universe``'s sorted ids, into ``(source,
+    event id, target)`` triples, in row order."""
 
     def members(group):
         if isinstance(group, str):
             return (group,)
-        if isinstance(group, int):
-            return [ev for (i, ev) in enumerate(universe.ids) if group >> i & 1]
-        return group
+        return [ev for (i, ev) in enumerate(universe.ids) if group >> i & 1]
 
     return [(src, ev, dst) for (src, group, dst) in rows for ev in members(group)]
 
@@ -974,7 +972,7 @@ def locate_by_formula(p, x: float, y: float) -> RegionIndex:
 
 def csv_row_by_fstring(world) -> str:
     """One trajectory row with a format spec per field, the reference for
-    ``sim._row``'s single template."""
+    the rows that ``sim._coast`` formats as bytes."""
     (lx, ly) = world.leader_pos
     ((x1, y1), (x2, y2)) = world.follower_pos
     ((rx1, ry1), (rx2, ry2)) = world.relative
@@ -1158,7 +1156,8 @@ def run_scenario_under_the_global_supervisor(cfg) -> "sim.ScenarioResult":
 def one_state_supervisor(models, k: int, loops) -> Automaton:
     """One state over agent ``k``'s events, with a self-loop on each of
     ``loops``."""
-    return Automaton.build(["g"], "g", models.plant(k).alphabet, [("g", loops, "g")], ["g"])
+    rows = [("g", ev, "g") for ev in loops]
+    return Automaton.build(["g"], "g", models.plant(k).alphabet, rows, ["g"])
 
 
 def run_scenario_with_locals(cfg, local1, local2) -> "sim.ScenarioResult":

@@ -64,9 +64,11 @@ def _random_grouped_parts(rng: random.Random):
 
     Some events copy an earlier event's relation (so they share its class)
     and some have no transition.  Each (source, target) pair's events are
-    split into random groups, given alone as plain ids or as one-element
-    tuples; the rows add overlapping groups, empty groups and duplicates.
-    Returns (states, initial, events, triples, rows, marked).
+    split into random groups, each a mask over the events' universe or,
+    alone, a plain id or a one-event mask; the rows add overlapping
+    groups, empty masks and duplicates.  Returns (states, initial, events,
+    alphabet, triples, rows, marked), ``alphabet`` the events' alphabet
+    over the universe of the masks.
     """
     n = rng.randint(1, 5)
     states = [f"s{i}" for i in range(n)]
@@ -86,6 +88,8 @@ def _random_grouped_parts(rng: random.Random):
                 [(q, d) for q in states for d in states if rng.random() < 0.6 / n]
             )
     triples = [(q, ev.id, d) for ev, pairs in zip(events, relations) for (q, d) in pairs]
+    alphabet = automata._Alphabet.of(events)
+    bits = alphabet.universe.mask
     by_ends: dict = {}
     for (q, ev, d) in triples:
         by_ends.setdefault((q, d), []).append(ev)
@@ -94,53 +98,60 @@ def _random_grouped_parts(rng: random.Random):
         rest = rng.sample(evs, len(evs))
         while rest:
             cut = rng.randint(1, len(rest))
-            group, rest = tuple(rest[:cut]), rest[cut:]
-            rows.append((q, group[0] if cut == 1 and rng.random() < 0.5 else group, d))
+            group, rest = rest[:cut], rest[cut:]
+            rows.append((q, group[0] if cut == 1 and rng.random() < 0.5 else bits(group), d))
         if rng.random() < 0.3:
-            rows.append((q, tuple(rng.sample(evs, rng.randint(1, len(evs)))), d))
+            rows.append((q, bits(rng.sample(evs, rng.randint(1, len(evs)))), d))
         if rng.random() < 0.1:
-            rows.append((q, (), d))
+            rows.append((q, 0, d))
     rows += [row for row in rows if rng.random() < 0.2]
     rng.shuffle(rows)
     marked = [q for q in states if rng.random() < 0.5]
-    return states, states[0], events, triples, rows, marked
+    return states, states[0], events, alphabet, triples, rows, marked
 
 
 def test_build_on_event_groups_matches_build_on_triples():
     rng = random.Random(2101)
     seen = {"shared class": 0, "overlap": 0, "unused event": 0, "plain id": 0}
     for _ in range(1200):
-        states, initial, events, triples, rows, marked = _random_grouped_parts(rng)
-        grouped = Automaton.build(states, initial, events, rows, marked)
+        states, initial, events, alphabet, triples, rows, marked = _random_grouped_parts(rng)
+        grouped = Automaton.build(states, initial, alphabet, rows, marked)
         assert grouped == Automaton.build(states, initial, events, triples, marked)
         assert transitions(grouped) == tuple(sorted(triples))
         seen["shared class"] += any(len(evs) > 1 for evs in grouped._members.values())
-        seen["overlap"] += len(_edges(rows)) > len(triples)
+        seen["overlap"] += len(_edges(rows, alphabet.universe)) > len(triples)
         seen["unused event"] += len(grouped._class_of) > len({ev for (_, ev, _) in triples})
         seen["plain id"] += any(isinstance(g, str) for (_, g, _) in rows)
         # a bad row anywhere raises what the per-event triples raise
-        bad = ("s0", ("ev0", "nope"), "s0") if rng.random() < 0.5 else ("s0", ("ev0",), "gone")
+        bad = rng.choice([("s0", "nope", "s0"), ("s0", "ev0", "gone"),
+                          ("s0", alphabet.universe.mask(["ev0"]), "gone")])
         rows.insert(rng.randint(0, len(rows)), bad)
         with pytest.raises(ValueError) as by_rows:
-            Automaton.build(states, initial, events, rows, marked)
+            Automaton.build(states, initial, alphabet, rows, marked)
         with pytest.raises(ValueError) as by_triples:
-            Automaton.build(states, initial, events, _edges(rows), marked)
+            Automaton.build(states, initial, alphabet, _edges(rows, alphabet.universe), marked)
         assert str(by_rows.value) == str(by_triples.value)
     assert min(seen.values()) > 50, seen
 
 
 def test_build_on_event_groups_names_the_bad_event_or_endpoint():
-    events = [Event("ev0", True), Event("ev1", False)]
+    # a mask row names its smallest event: at an unknown endpoint, its
+    # first triple's; outside the alphabet, the smallest there
+    universe = automata._Universe(["ev0", "ev1", "yy", "zz"])
+    alphabet = automata._Alphabet(universe, {(True, frozenset()): universe.mask(["ev0"]),
+                                             (False, frozenset()): universe.mask(["ev1"])})
+    bits = universe.mask
     cases = [
-        ([("s0", ("ev0", "zz"), "s1")], "transition event 'zz' not in alphabet"),
-        ([("s0", ("ev1", "ev0"), "s9")], "transition (s0,ev1,s9) has unknown endpoint"),
-        ([("s0", ("ev0",), "s1"), ("s1", ("ev1", "yy", "zz"), "s0")],
+        ([("s0", "zz", "s1")], "transition event 'zz' not in alphabet"),
+        ([("s0", "ev1", "s9")], "transition (s0,ev1,s9) has unknown endpoint"),
+        ([("s0", bits(["ev1", "ev0"]), "s9")], "transition (s0,ev0,s9) has unknown endpoint"),
+        ([("s0", "ev0", "s1"), ("s1", bits(["ev1", "zz", "yy"]), "s0")],
          "transition event 'yy' not in alphabet"),
     ]
     for rows, text in cases:
-        for transitions in (rows, _edges(rows)):
+        for transitions in (rows, _edges(rows, universe)):
             with pytest.raises(ValueError) as exc:
-                Automaton.build(["s0", "s1"], "s0", events, transitions, [])
+                Automaton.build(["s0", "s1"], "s0", alphabet, transitions, [])
             assert str(exc.value) == text
 
 

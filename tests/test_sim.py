@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import struct
@@ -660,6 +661,51 @@ def outcome(run, cfg):
     return (result.csv_text(), result.log_text(), result.verdicts_text(), result.controllers)
 
 
+# the seeded sweep: seeded_mission 0-59, both kinds, at each setting.  A
+# simulator change that keeps every output must keep its outcome counts,
+# its event steps (sim.step calls) per setting and one sha256 over every
+# output, or failure with its world, recent and reacted records
+SWEEP_SETTINGS = {
+    "": ({"completed": 120}, 4588),
+    "sim.dt = 0.05": ({"SupervisorBlocked": 117, "completed": 3}, 3894),
+    "sim.u_max = 1.25": ({"completed": 82, "SupervisorBlocked": 32,
+                          "HorizonViolation": 4, "ValidationError": 2}, 3001),
+}
+SWEEP_SHA256 = "3bc878d43c1464c3efb4e6481e88a28010ab9e4198f1392d03f37043adc67a81"
+
+
+def test_the_seeded_sweep_is_pinned(monkeypatch):
+    counted = step
+    steps = [0]
+
+    def counting(world, mission):
+        steps[0] += 1
+        return counted(world, mission)
+
+    monkeypatch.setattr(sim, "step", counting)
+    digest = hashlib.sha256()
+    for (extra, (kinds, event_steps)) in SWEEP_SETTINGS.items():
+        seen = Counter()
+        steps[0] = 0
+        for seed in range(60):
+            for crossing in (False, True):
+                cfg = loads_scenario(seeded_mission(seed, crossing) + extra + "\n")
+                try:
+                    result = run_scenario(cfg)
+                except (HorizonViolation, SupervisorBlocked, ValidationError) as exc:
+                    kind = type(exc).__name__
+                    record = (kind, str(exc), getattr(exc, "world", None),
+                              getattr(exc, "recent", None), getattr(exc, "reacted", None))
+                else:
+                    kind = "completed"
+                    record = (result.csv_text(), result.log_text(), result.verdicts_text(),
+                              result.controllers)
+                seen[kind] += 1
+                digest.update(repr(record).encode())
+        assert (seen, steps[0]) == (kinds, event_steps), extra
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
 # run_scenario reacts only on steps with events; the reference reacts on
 # every step.  The two must agree on every output and failure.
 @pytest.mark.parametrize("source", ["bundled", "crossing", "trailing", "switch-beyond"])
@@ -1115,7 +1161,7 @@ def field_branches(world, mission, k) -> list:
 
 
 def decoded(rows) -> list:
-    """The ASCII rows that ``sim._coast`` and ``sim._row`` format, as str."""
+    """The ASCII rows that ``sim._coast`` formats, as str."""
     return [row.decode("ascii") for row in rows]
 
 
@@ -1144,10 +1190,10 @@ def awkward_floats(rng, n: int) -> list:
 
 
 def test_bytes_rows_match_the_reference_format_on_awkward_floats():
-    # _row and _coast's row template format their floats with bytes %,
-    # which must write what a format spec per field writes for every
-    # float: _row's on worlds whose every float field is awkward, and
-    # _coast's on a quiet step from such a leader position, which a
+    # _coast formats its rows with bytes %, which must write what a format
+    # spec per field writes for every float: the start row of a _coast
+    # with no step to take, on worlds whose every float field is awkward,
+    # and the rows of a quiet step from such a leader position, which a
     # leader at rest, or moving at -0.0, keeps
     rng = random.Random(42)
     (start, mission) = started_world(small_cfg())
@@ -1157,7 +1203,10 @@ def test_bytes_rows_match_the_reference_format_on_awkward_floats():
             t=f[0], leader_pos=(f[1], f[2]), follower_pos=((f[3], f[4]), (f[5], f[6])),
             offsets=((f[7], f[8]), (f[9], f[10])),
         )
-        assert decoded([sim._row(world)]) == [csv_row_by_fstring(world)]
+        rows = []
+        (same, _, _) = sim._coast(world, mission, rows, world.step_index, math.inf, math.inf, 0.0)
+        assert same is world
+        assert decoded(rows) == [csv_row_by_fstring(world)]
     quiet = Counter()
     for velocity in (0.0, -0.0):
         # followers off the grid lines, so that their first step is quiet
@@ -1173,9 +1222,31 @@ def test_bytes_rows_match_the_reference_format_on_awkward_floats():
             rows = []
             (moved, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
             assert moved is not world
-            assert decoded(rows) == [csv_row_by_fstring(moved)]
+            assert decoded(rows) == [csv_row_by_fstring(world), csv_row_by_fstring(moved)]
             quiet.update(map(repr, moved.leader_pos))
     assert {"0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e+300"} <= set(quiet), quiet
+
+
+def test_a_coast_with_no_step_to_take_writes_its_start_row_and_separation(monkeypatch):
+    # _coast is the trajectory's one writer: on entry it appends its start
+    # world's row and takes that world's separation into the minimum, from
+    # the world's regions and offsets, so with no step to take (the last
+    # step done, or a formation switch due) it fetches no cell
+    (start, mission) = started_world(small_cfg())
+    world = start._replace(step_index=7, t=0.14)
+    sep = world.separation
+    cells = []
+    monkeypatch.setattr(Mission, "cell", lambda *args: cells.append(args))
+    for (n_steps, t_switch) in ((7, math.inf), (3, math.inf), (8, 0.14), (8, 0.0)):
+        for (min_sep, min_sep_t, expected) in ((math.inf, 0.0, (sep, 0.14)),
+                                               (2.0 * sep, 0.02, (sep, 0.14)),
+                                               (sep, 0.02, (sep, 0.02)),
+                                               (0.5 * sep, 0.02, (0.5 * sep, 0.02))):
+            rows = []
+            (same, *kept) = sim._coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t)
+            assert same is world and tuple(kept) == expected
+            assert decoded(rows) == [csv_row_by_fstring(world)]
+    assert cells == []
 
 
 def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
@@ -1188,7 +1259,8 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
     # euler_step, which calls eval_cell, and a one- or two-step quiet
     # advance must equal as many euler_steps or stop where a follower
     # leaves its region or the horizon.  Only a second step runs the
-    # unclamped field, from a point that may lie just past a facet.
+    # unclamped field, from a point that may lie just past a facet.  Every
+    # advance appends its start world's row first.
     rng = random.Random(26)
     seen = Counter()
     two_steps = 0
@@ -1234,23 +1306,26 @@ def test_quiet_loop_field_matches_the_reference_on_every_clamp_branch():
             world = start._replace(follower_pos=tuple(follower_pos), discrete=tuple(discrete))
             expected = euler_step(world, mission)
             assert step(world, mission) == expected
+            first = csv_row_by_fstring(world)
             rows = []
             (quiet, _, _) = sim._coast(world, mission, rows, 1, math.inf, math.inf, 0.0)
             if in_regions(expected):
-                assert (quiet, decoded(rows)) == (expected, [csv_row_by_fstring(expected)])
+                assert (quiet, decoded(rows)) == (expected, [first, csv_row_by_fstring(expected)])
                 seen["quiet step"] += 1
                 second = euler_step(expected, mission)
                 rows = []
                 (quiet, _, _) = sim._coast(world, mission, rows, 2, math.inf, math.inf, 0.0)
                 if in_regions(second):
                     assert (quiet, decoded(rows)) == (
-                        second, [csv_row_by_fstring(expected), csv_row_by_fstring(second)]
+                        second, [first, csv_row_by_fstring(expected), csv_row_by_fstring(second)]
                     )
                     two_steps += any(d.command is not None and not d.stopped for d in discrete)
                 else:
-                    assert (quiet, decoded(rows)) == (expected, [csv_row_by_fstring(expected)])
+                    assert (quiet, decoded(rows)) == (
+                        expected, [first, csv_row_by_fstring(expected)]
+                    )
             else:
-                assert quiet is world and rows == []
+                assert quiet is world and decoded(rows) == [first]
                 seen["quiet stop"] += 1
             for k in (1, 2):
                 seen.update(field_branches(world, mission, k))
