@@ -14,11 +14,13 @@ alphabet as one mask per (controllable, owners) kind, an
 models' alphabets grow with the partition but their class counts do not,
 so the operations below refine, merge and build over masks: the common
 refinement of several automata's classes is the nonzero ANDs of their
-class masks, and automata over one universe merge alphabets by their
-kinds.  Automata over different universes (files, tests) are remapped onto
-the union of their alphabets, once per call; a class keeps its label
-there.  The product walks read an automaton's index as their rows unless
-the common refinement of their operands splits one of its classes.
+class masks, and automata over universes with the same ids merge
+alphabets by their kinds.  Automata over universes with different ids
+(files, tests) are all remapped onto one new universe of their events,
+once per call; a class keeps its label there, so no result depends on
+the universe a walk reads.  The product walks read an automaton's index
+as their rows unless the common refinement of their operands splits one
+of its classes.
 ``Automaton.build`` takes rows whose middle element is an event id or a
 mask, a group of events.  A class is expanded into its events only
 where a reader asks for single events: :meth:`Automaton.step` (through
@@ -109,10 +111,10 @@ class _Universe:
         """The smallest id of a nonzero ``mask``: its lowest set bit."""
         return self.ids[(mask & -mask).bit_length() - 1]
 
-    def extends(self, other: "_Universe") -> bool:
-        """Whether ``other``'s ids begin this universe's, so that a mask
-        over ``other`` means the same events over this one."""
-        return self is other or self.ids[: len(other.ids)] == other.ids
+    def same(self, other: "_Universe") -> bool:
+        """Whether ``other`` holds the same ids, so that a mask means the
+        same events over both."""
+        return self is other or self.ids == other.ids
 
 
 class _Alphabet:
@@ -167,10 +169,10 @@ class _Alphabet:
 
 
 def _merged(alphabets: Sequence[_Alphabet]) -> _Alphabet:
-    """The union of alphabets over one universe: the first, when all are
-    equal.  An event's owners unite its owners in each, and an event
-    controllable in one and uncontrollable in another raises
-    :class:`AlphabetConflict`, naming the smallest such event."""
+    """The union of alphabets over universes with the same ids: the
+    first, when all are equal.  An event's owners unite its owners in
+    each, and an event controllable in one and uncontrollable in another
+    raises :class:`AlphabetConflict`, naming the smallest such event."""
     first = alphabets[0]
     if all(x is first or x.kinds == first.kinds for x in alphabets):
         return first
@@ -219,8 +221,8 @@ class Automaton:
     Classes are maximal (events share one exactly when they have the same
     relation, controllability and owners) and labelled by their smallest
     members, so equal automata have equal indexes however they were built,
-    and equality compares the index, by mask over one universe and by
-    member ids across two.  ``_members`` (label -> sorted ids),
+    and equality compares the index, by mask over universes with the same
+    ids and by member ids otherwise.  ``_members`` (label -> sorted ids),
     ``_class_of`` (id -> label) and ``_event_ids`` are made when first
     read.  The hash and ``repr`` read the four public fields only.
     Instances are validated on construction and never mutated afterwards.
@@ -273,7 +275,7 @@ class Automaton:
         if fields != (other.states, other.initial, other.marked, other._succ):
             return False
         (u, v) = (self._sigma.universe, other._sigma.universe)
-        if u.extends(v) or v.extends(u):
+        if u.same(v):
             return self._masks == other._masks and self._sigma.kinds == other._sigma.kinds
         return self._members == other._members and self.alphabet == other.alphabet
 
@@ -517,12 +519,11 @@ def _pairs(ds1: tuple, ds2: tuple) -> tuple:
 class _Product(dict):
     """The synchronous product of two operands, its rows made on demand.
 
-    An operand is a quadruple ``(rows, holds, marks, det)``: ``rows`` maps
-    each of its nodes to ``label -> tuple of targets`` over the labels of
-    one common refinement, ``holds`` is the set of labels its alphabet
-    holds, ``marks`` tells its marked nodes and ``det`` that each entry of
-    its rows has one target; :func:`_operands` makes them and nests
-    products through :meth:`side`.  A node is a pair of the
+    An operand is a triple ``(rows, holds, marks)``: ``rows`` maps each of
+    its nodes to ``label -> tuple of targets`` over the labels of one
+    common refinement, ``holds`` is the set of labels its alphabet holds
+    and ``marks`` tells its marked nodes; :func:`_operands` makes them and
+    nests products through :meth:`side`.  A node is a pair of the
     operands' nodes.  :meth:`row` builds a node's row, ``label ->
     successor nodes``, and ``self[node]`` builds it on its first read and
     keeps it, for nested products, whose rows are read again.  A shared
@@ -533,19 +534,18 @@ class _Product(dict):
     of each operand's (sorted) targets.
     """
 
-    __slots__ = ("_rows1", "_rows2", "_marks1", "_marks2", "_shared", "_only2", "_holds", "_det")
+    __slots__ = ("_rows1", "_rows2", "_marks1", "_marks2", "_shared", "_only2", "_holds")
 
     def __init__(self, side1: tuple, side2: tuple):
         super().__init__()
-        (self._rows1, holds1, self._marks1, det1) = side1
-        (self._rows2, holds2, self._marks2, det2) = side2
+        (self._rows1, holds1, self._marks1) = side1
+        (self._rows2, holds2, self._marks2) = side2
         self._shared = holds1 & holds2
         self._only2 = holds2 - holds1
         self._holds = holds1 | holds2
-        self._det = det1 and det2
 
     def side(self) -> tuple:
-        return (self, self._holds, self.marks, self._det)
+        return (self, self._holds, self.marks)
 
     def marks(self, node: tuple) -> bool:
         return self._marks1(node[0]) and self._marks2(node[1])
@@ -556,7 +556,6 @@ class _Product(dict):
         row2 = self._rows2[q2]
         shared = self._shared
         stay1, stay2 = (q1,), (q2,)
-        det = self._det  # then every successor is one pair
         row = {}
         for (label, ds1) in self._rows1[q1].items():
             if label not in shared:
@@ -565,12 +564,12 @@ class _Product(dict):
                 ds2 = row2.get(label)
                 if ds2 is None:
                     continue
-            row[label] = (ds1 + ds2,) if det or len(ds1) == 1 == len(ds2) else _pairs(ds1, ds2)
+            row[label] = (ds1 + ds2,) if len(ds1) == 1 == len(ds2) else _pairs(ds1, ds2)
         only2 = self._only2
         if only2:
             for (label, ds2) in row2.items():
                 if label in only2:
-                    row[label] = (stay1 + ds2,) if det or len(ds2) == 1 else _pairs(stay1, ds2)
+                    row[label] = (stay1 + ds2,) if len(ds2) == 1 else _pairs(stay1, ds2)
         return row
 
     def __missing__(self, node: tuple) -> dict:
@@ -588,33 +587,27 @@ def _leaves(operand) -> list:
 def _over_one_universe(autos: list) -> tuple:
     """``(universe, views)``: a universe that every automaton's events are
     in, and each automaton's ``(alphabet, label -> class mask)`` over it,
-    keyed by ``id``.  It is the longest of their universes when it extends
-    all of them, else the first that holds every event, else a new one.
-    The automata whose universes it does not extend are remapped, each
-    event to its new bit in its class, each kind as its classes."""
-    universes = [a._sigma.universe for a in autos]
-    universe = max(universes, key=lambda u: len(u.ids))
-    kept = list(map(universe.extends, universes))
-    if not all(kept):
-        events = set().union(*[a.event_ids for a in autos])
-        universe = next((u for u in universes if u.bit.keys() >= events), None)
-        universe = universe or _Universe(events)
-        kept = list(map(universe.extends, universes))
+    keyed by ``id``.  When every automaton's universe holds the same ids
+    as the first one's, it is the first one's, and each view is the
+    automaton's own alphabet and masks.  Otherwise it is a new universe of
+    all their events, and every automaton is remapped onto it, each event
+    to its new bit in its class, each kind as its classes."""
+    universe = autos[0]._sigma.universe
+    if all(universe.same(a._sigma.universe) for a in autos):
+        return universe, {id(a): (a._sigma, a._masks) for a in autos}
+    universe = _Universe(set().union(*[a.event_ids for a in autos]))
+    bit = universe.bit
     views = {}
-    for (a, keep) in zip(autos, kept):
-        if keep:
-            sigma = a._sigma
-            if sigma.universe is not universe:
-                sigma = _Alphabet(universe, sigma.kinds)
-            views[id(a)] = (sigma, a._masks)
-            continue
-        (masks, bit) = (dict.fromkeys(a._masks, 0), universe.bit)
+    for a in autos:
+        (masks, kinds) = (dict.fromkeys(a._masks, 0), dict.fromkeys(a._sigma.kinds, 0))
         for (ev, c) in a._class_of.items():
             masks[c] |= bit[ev]
-        kinds = {
-            kind: sum(new for (old, new) in zip(a._masks.values(), masks.values()) if old & m)
-            for (kind, m) in a._sigma.kinds.items()
-        }
+        for (old, new) in zip(a._masks.values(), masks.values()):
+            # a class lies in one kind
+            for (kind, m) in a._sigma.kinds.items():
+                if old & m:
+                    kinds[kind] |= new
+                    break
         views[id(a)] = (_Alphabet(universe, kinds), masks)
     return universe, views
 
@@ -626,11 +619,12 @@ def _operands(*operands, split=()) -> tuple:
     refinement of the classes of every automaton in the operands, split
     further by each mask of ``split``, to its mask, in label order, a
     block's label being its smallest event.  ``made`` holds each operand's
-    ``(alphabet, quadruple, start node)``: a tuple's alphabet merges its
+    ``(alphabet, triple, start node)``: a tuple's alphabet merges its
     members' (:func:`_merged`), and its node is the nested pair of its
     members' nodes.  The automata are read over one universe, as
-    :func:`_over_one_universe` picks it; ``split`` is given over the first
-    automaton's universe, which the pick extends when there is one.
+    :func:`_over_one_universe` gives it.  ``split`` is passed with a
+    single automaton and given over that automaton's universe, which is
+    then the walk's.
     """
     members = [_leaves(x) for x in operands]
     autos = list({id(a): a for mine in members for a in mine}.values())
@@ -647,7 +641,7 @@ def _operands(*operands, split=()) -> tuple:
     sides = {}
     for (i, a) in enumerate(autos):
         on = [(label, key[i]) for (label, (_, key)) in zip(labels, blocks) if key[i] is not None]
-        sides[id(a)] = (_label_rows(a, on), frozenset(dict(on)), a.marked.__contains__, a._det)
+        sides[id(a)] = (_label_rows(a, on), frozenset(dict(on)), a.marked.__contains__)
 
     def made(operand) -> tuple:
         # the members of a tuple that are automata are read in place, so a
@@ -682,7 +676,7 @@ def parallel_compose(a1, a2) -> Automaton:
     the :class:`_Product` of both operands reaches, by label of their
     common refinement, so a product class is a union of pairs of operand
     classes.  The walk keeps no rows."""
-    (labels, [(alphabet, (product, _, marks, _), init)]) = _operands((a1, a2))
+    (labels, [(alphabet, (product, _, marks), init)]) = _operands((a1, a2))
     return _walked(product.row, init, _name, marks, alphabet, labels)
 
 
@@ -827,9 +821,9 @@ def _equivalent(side1: tuple, side2: tuple, start: tuple) -> Optional[frozenset]
     side, marked and unmarked ones as the initial blocks, gives the
     maximal bisimulation, or None when it holds no start pair.
     """
-    (rows1, holds1, marks1, det1), (rows2, holds2, marks2, det2) = side1, side2
+    (rows1, holds1, marks1), (rows2, holds2, marks2) = side1, side2
     every = holds1 | holds2
-    pairs = _Product((rows1, every, marks1, det1), (rows2, every, marks2, det2))
+    pairs = _Product((rows1, every, marks1), (rows2, every, marks2))
     parents: dict = {}
     for ((x, y), row) in _walk(pairs.row, (start,), parents):
         if marks1(x) != marks2(y) or not len(row) == len(rows1[x]) == len(rows2[y]):

@@ -225,6 +225,11 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         partition = p._make(read(f"partition.{name}", v) for (name, v) in p._asdict().items())
     except ValueError as exc:
         raise located(f"partition.{exc}") from exc
+    # a single sector has no angular facet to turn through, so a mission's
+    # first avoidance turn would stop the run; a PolarPartition and a
+    # Mission still take two lines
+    if partition.n_theta < 3:
+        raise located("partition.n_theta must be an integer of at least 3 in a scenario file")
     followers = tuple(
         FollowerConfig(
             read(f"follower{k}.initial_position", f.initial_position),

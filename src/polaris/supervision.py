@@ -59,7 +59,7 @@ def is_nonblocking(a, *more) -> bool:
     walk is then wider than its own.  Raises :class:`AlphabetConflict`
     where composing would.
     """
-    (_, [(_, (rows, _, marks, _), start)]) = _operands((a, *more))
+    (_, [(_, (rows, _, marks), start)]) = _operands((a, *more))
     row_of = rows.row if isinstance(rows, _Product) else rows.__getitem__
     reached: dict = {}
     predecessors: dict = {}
@@ -333,7 +333,7 @@ def check_decomposability(
     # The target is read through step1 rather than from the row only
     # because test_tracing_patches_every_binding_and_restores_it in
     # perfbench/tests expects this function to call Automaton.step
-    (labels, [(_, (rows, _, _, _), _)]) = _operands(a, split=(m1, m2))
+    (labels, [(_, (rows, _, _), _)]) = _operands(a, split=(m1, m2))
     (in1, in2) = ({label for (label, m) in labels.items() if m & e} for e in (m1, m2))
     (priv1, priv2) = (in1 - in2, in2 - in1)
     moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in rows.items()}

@@ -244,13 +244,13 @@ def test_walks_read_the_stored_relation():
     autos.append(exchange.loads(exchange.dumps(models.plant1)))
     split = 0
     for a in autos:
-        (_, [(_, (rows, _, _, _), _)]) = automata._operands(a)
+        (_, [(_, (rows, _, _), _)]) = automata._operands(a)
         assert rows is a._succ
         # a class cut in two by a split mask is read through new rows with
         # the same moves, under the labels of its two parts
         (c, evs) = next((c, evs) for (c, evs) in a._members.items() if len(evs) > 1)
         cut = a._sigma.universe.mask([evs[-1]])
-        (labels, [(_, (rows, _, _, _), _)]) = automata._operands(a, split=(cut,))
+        (labels, [(_, (rows, _, _), _)]) = automata._operands(a, split=(cut,))
         assert rows is not a._succ and evs[-1] in labels and c in labels
         ids_of = a._sigma.universe.ids_of
         moves = [(q, ev, d) for (q, row) in rows.items() for (label, ds) in row.items()

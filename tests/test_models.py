@@ -13,10 +13,12 @@ from conftest import (
 import polaris.models
 from polaris.automata import (
     Automaton,
+    _Universe,
     is_bisimilar,
     natural_project,
     parallel_compose,
 )
+from polaris.cli import main
 from polaris.models import (
     EXTERNAL_EVENTS,
     agent_alphabet,
@@ -26,6 +28,8 @@ from polaris.models import (
     build_plant,
 )
 from polaris.polar import PolarPartition
+from polaris.scenario import parse_scenario
+from polaris.sim import run_scenario
 from polaris.supervision import (
     check_controllability,
     check_decomposability,
@@ -204,6 +208,32 @@ def test_build_models_builds_each_alphabet_once(monkeypatch):
     monkeypatch.setattr(polaris.models, "agent_alphabet", counted)
     build_models.__wrapped__(P)  # past the cache
     assert calls == [1, 2]
+
+
+def test_the_models_of_a_partition_share_one_universe(monkeypatch, tmp_path):
+    # the product walks read automata whose universes hold the same ids
+    # without remapping them: build-models makes one universe, and the
+    # walks on its models and a run on them make none
+    made = []
+    init = _Universe.__init__
+
+    def counted(self, ids):
+        made.append(self)
+        init(self, ids)
+
+    monkeypatch.setattr(_Universe, "__init__", counted)
+    for spec in ("50,6,9", "50,12,18", "50,24,36", "50,9,13", "50,21,9"):
+        build_models.cache_clear()
+        made.clear()
+        assert main(["build-models", "--partition", spec, "-o", str(tmp_path / spec)]) == 0
+        assert len(made) == 1, spec
+    cfg = parse_scenario("src/polaris/data/paper_phase12.cfg")
+    models = build_models(cfg.partition)
+    made.clear()
+    models.agent_loop(1)
+    models.agent_loop(2)
+    run_scenario(cfg)
+    assert made == []
 
 
 def test_build_models_reports_a_collision_supervisor_that_is_not_decomposable(

@@ -245,3 +245,21 @@ def test_mutated_cfg_inputs_exit_0_1_or_2(tmp_path, capsys):
     print(f"{skips} of {CFG_CASES} mutated configs skipped for their size")
     assert codes[0] >= 30 and codes[2] >= 500 and codes["2 after the start"] >= 1, codes
     assert set(kinds) == set(CFG_KINDS)
+
+
+def test_a_one_sector_partition_is_rejected_at_its_line(tmp_path, capsys):
+    # a single sector has no angular facet: the bundled mission's first
+    # avoidance turn would stop the run with an error that names no file
+    with open(BUNDLED_CFG, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    lineno = next(n for (n, line) in enumerate(lines, start=1)
+                  if line.startswith("partition.n_theta ="))
+    lines[lineno - 1] = "partition.n_theta = 2"
+    path = tmp_path / "mission.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(path), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:{lineno}: partition.n_theta "), captured.err
+    assert not out.exists()
