@@ -154,8 +154,6 @@ def cmd_build_models(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = parse_scenario(args.scenario)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_scenario(cfg)
     except (HorizonViolation, ValidationError) as exc:
@@ -164,6 +162,8 @@ def cmd_simulate(args) -> int:
         # a start or formation switch that the file's positions make
         # impossible: no world was reached, so the file is named instead
         raise ValidationError(str(exc), args.scenario) from exc
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "trajectory.csv").write_text(result.csv_text(), encoding="utf-8")
     (outdir / "events.log").write_text(result.log_text(), encoding="utf-8")
     verdicts = result.verdicts_text()

@@ -197,7 +197,7 @@ class VertexControls(NamedTuple):
 
 
 def _facets_of(p: PolarPartition, idx: RegionIndex):
-    """Facet names that exist for this region (no inner facet at i = 1)."""
+    """The facets this region has (no inner facet at i = 1); every facet check reads it."""
     names = ["r+", "th+", "th-"] if idx.i == 1 else ["r+", "r-", "th+", "th-"]
     if p.n_theta == 2:
         # a single full-circle sector has no angular facets
@@ -228,13 +228,14 @@ def design_controller(
         raise ValueError("speed must be positive and finite")
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must be in (0, 1]")
+    facets = _facets_of(p, idx)
     if mode is Mode.INVARIANT:
         m = kappa * speed
-        inner_r = 0.0 if idx.i == 1 else m
-        mt = 0.0 if p.n_theta == 2 else m
+        inner_r = m if "r-" in facets else 0.0
+        mt = m if "th+" in facets else 0.0
         return VertexControls(mode, ((inner_r, mt), (-m, mt), (-m, -mt), (inner_r, -mt)))
     exit_facet = _EXIT_FACET[mode]
-    if exit_facet not in _facets_of(p, idx):
+    if exit_facet not in facets:
         raise Infeasible(f"region ({idx.i},{idx.j}) has no {exit_facet} facet to exit through")
     (nr, nt) = _FACETS[exit_facet].normal
     vec = (speed * nr, speed * nt)
@@ -269,7 +270,7 @@ def eval_control(
     r = math.hypot(x, y)
     if not (r_lo - tol <= r <= r_hi + tol):
         raise OutsideRegion(f"radius {r:.9g} outside [{r_lo:.9g}, {r_hi:.9g}]")
-    if span < TWO_PI - 1e-12:
+    if "th+" in _facets_of(p, idx):
         th = math.atan2(y, x)
         rel = math.fmod(th - th_lo, TWO_PI)
         if rel < 0.0:

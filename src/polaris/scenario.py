@@ -61,6 +61,9 @@ class ScenarioConfig(NamedTuple):
     def validate(self) -> "ScenarioConfig":
         """This config, or :class:`ValidationError` for the first invariant
         it violates.  A message about one key starts with that key."""
+        # a single sector has no angular facet for an avoidance turn
+        if self.partition.n_theta < 3:
+            raise ValidationError("partition.n_theta must be at least 3 to simulate")
         for (key, name) in _FLOAT_KEYS.items():
             _check_finite(key, getattr(self, name))
         if self.dt <= 0:
@@ -225,11 +228,6 @@ def loads_scenario(text: str, path=None) -> ScenarioConfig:
         partition = p._make(read(f"partition.{name}", v) for (name, v) in p._asdict().items())
     except ValueError as exc:
         raise located(f"partition.{exc}") from exc
-    # a single sector has no angular facet to turn through, so a mission's
-    # first avoidance turn would stop the run; a PolarPartition and a
-    # Mission still take two lines
-    if partition.n_theta < 3:
-        raise located("partition.n_theta must be an integer of at least 3 in a scenario file")
     followers = tuple(
         FollowerConfig(
             read(f"follower{k}.initial_position", f.initial_position),

@@ -599,15 +599,14 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
 
     Only a start can lie outside its region, so the field at a new point
     clamps nothing: a point that passes the region test has ``r_lo < r <
-    r_hi`` and, with more than one sector, ``0 < b < 1``; on a full circle
-    ``span`` is exactly ``TWO_PI``, which bounds the offset, so both cell
-    coordinates lie in [0, 1].  Two shortcuts leave every float as
-    ``eval_cell`` and :func:`step`'s clamp compute it.  ``fmod`` runs only
-    when the angle offset is not strictly within ±2π, because it returns
-    a smaller argument unchanged.  ``hypot`` runs only when the squared
-    total speed exceeds ``(u_max * (1 - _MARGIN))**2``, or when that
-    bound is not a normal float (``u_max`` 0, tiny or huge), or the sum
-    is NaN or overflows: below the bound the clamp cannot bind.
+    r_hi`` and ``0 < b < 1``, so both cell coordinates lie in [0, 1].
+    Two shortcuts leave every float as ``eval_cell`` and :func:`step`'s
+    clamp compute it.  ``fmod`` runs only when the angle offset is not
+    strictly within ±2π, because it returns a smaller argument unchanged.
+    ``hypot`` runs only when the squared total speed exceeds ``(u_max *
+    (1 - _MARGIN))**2``, or when that bound is not a normal float
+    (``u_max`` 0, tiny or huge), or the sum is NaN or overflows: below the
+    bound the clamp cannot bind.
 
     The loop stops before the first step that may have an event: a
     follower may leave its region or the horizon (follower 1's test
@@ -619,17 +618,17 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     and :func:`detect_events`.  So the region test is a margin test in
     cell coordinates, with no ``hypot``, division by the grid steps or
     ``ceil``: a point passes when ``lo < r < hi``, :meth:`Mission.cell`'s
-    ring bounds, and, with more than one sector, when ``_MARGIN < b < 1 -
-    _MARGIN``.  Those margins, 1e-9 of a radius and of a sector, exceed
-    the rounding of ``sqrt`` against ``hypot``, and of the angle and its
-    offset (a few ulps of 2π) against ``locate``'s, by more than three
-    orders of magnitude on any partition of up to a thousand sectors.  So
-    a point that passes is one that ``locate`` puts in the follower's
-    region, and a point within the margin of a grid line or the horizon,
-    a NaN or an overflow stops the loop.  With ``rows`` None, as
-    :func:`step` calls it, the loop takes exactly one step, with no
-    region test, and appends no row, not even the start world's; the
-    field it computes at that untested point is never used.
+    ring bounds, and ``_MARGIN < b < 1 - _MARGIN``.  Those margins, 1e-9
+    of a radius and of a sector, exceed the rounding of ``sqrt`` against
+    ``hypot``, and of the angle and its offset (a few ulps of 2π) against
+    ``locate``'s, by more than three orders of magnitude on any partition
+    of up to a thousand sectors.  So a point that passes is one that
+    ``locate`` puts in the follower's region, and a point within the
+    margin of a grid line or the horizon, a NaN or an overflow stops the
+    loop.  With ``rows`` None, as :func:`step` calls it, the loop takes
+    exactly one step, with no region test, and appends no row, not even
+    the start world's; the field it computes at that untested point is
+    never used.
 
     Returns ``(world, min_sep, min_sep_t)``, with the world where the loop
     stopped (``world`` itself if it took no step).
@@ -660,9 +659,8 @@ def _coast(world, mission, rows, n_steps, t_switch, min_sep, min_sep_t) -> tuple
     cap2 *= cap2
     if not float_info.min <= cap2 <= float_info.max:
         cap2 = -1.0
-    # the sector half of the region test: no bound with a single sector
-    (b_min, b_max) = ((_MARGIN, 1.0 - _MARGIN) if cfg.partition.n_theta > 2
-                      else (-math.inf, math.inf))
+    # the sector half of the region test
+    (b_min, b_max) = (_MARGIN, 1.0 - _MARGIN)
     two_pi = TWO_PI
     (alarm_radius, release_radius) = (cfg.alarm_radius, cfg.release_radius)
     episode = world.episode

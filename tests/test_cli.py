@@ -528,6 +528,7 @@ def test_simulate_failure_reports_where_the_run_stopped(tmp_path, capsys):
     assert lines[-1] == "    t=1.020000 agent=1 event=C0_1 detail=region=(1,1)"
     assert "    t=1.000000 agent=2 event=d_4_4_2 detail=region=(4,4)" in lines
     assert len(lines) == 13
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_start_failure_has_no_world_to_report(tmp_path, capsys):
@@ -537,6 +538,7 @@ def test_simulate_start_failure_has_no_world_to_report(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {scenario}: follower 1 at relative radius 165.565 beyond horizon 50\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_start_in_the_innermost_ring_names_the_file(tmp_path, capsys):
@@ -547,6 +549,7 @@ def test_simulate_start_in_the_innermost_ring_names_the_file(tmp_path, capsys):
         f"error: {scenario}: follower 1 starts inside the innermost ring; "
         "the reach policy needs a start outside it\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("r_max", ["nan", "inf"])

@@ -127,6 +127,8 @@ def test_bad_tuple_and_schedule():
         ScenarioConfig()._replace(leader_velocity=()).validate()
     with pytest.raises(ValidationError, match="exactly two followers"):
         ScenarioConfig()._replace(followers=(FollowerConfig(),)).validate()
+    with pytest.raises(ValidationError, match="^partition.n_theta "):
+        ScenarioConfig()._replace(partition=PolarPartition(50.0, 6, 2)).validate()
 
 
 def test_schedule_lookup():
@@ -185,6 +187,8 @@ def test_non_finite_values_rejected(line):
         # of two faulty keys, the partition's is reported
         ("follower1.initial_position = 1\npartition.n_r = 1", ValidationError,
          "line 2: partition.n_r must be an integer of at least 2"),
+        # the sector rule is validate's first check, ahead of sim.dt's
+        ("sim.dt = 0\npartition.n_theta = 2", ValidationError, "line 2: partition.n_theta"),
     ],
 )
 def test_out_of_range_or_malformed_values_rejected(line, error, fragment):

@@ -319,6 +319,11 @@ def test_start_inside_first_ring_rejected():
     )
     with pytest.raises(ValidationError):
         run_scenario(cfg)
+    # a single sector has no angular facet for the bundled mission's first
+    # avoidance turn: validate refuses it before the run starts
+    cfg = parse_scenario(BUNDLED)._replace(partition=PolarPartition(50.0, 21, 2))
+    with pytest.raises(ValidationError, match="^partition.n_theta "):
+        run_scenario(cfg)
 
 
 def test_switch_into_first_ring_rejected(tmp_path, capsys):
@@ -1049,9 +1054,8 @@ def test_quiet_loop_region_test_is_conservative():
     # the loop and pass it.
     rng = random.Random(30)
     seen = Counter()
-    partitions = (PolarPartition(37.0, 7, 2), PolarPartition(37.0, 7, 3),
-                  PolarPartition(37.0, 7, 9), PolarPartition(1e-150, 4, 9),
-                  PolarPartition(1e-159, 4, 9))
+    partitions = (PolarPartition(37.0, 7, 3), PolarPartition(37.0, 7, 9),
+                  PolarPartition(1e-150, 4, 9), PolarPartition(1e-159, 4, 9))
     for p in partitions:
         mission = Mission(small_cfg(partition=p, leader_velocity=((0.0, 1.0, 0.5),)))
         m = mission.models
@@ -1064,7 +1068,7 @@ def test_quiet_loop_region_test_is_conservative():
         # a cleared episode turns both separation tests off
         world = sim.WorldState(0, 0.0, (0.0, 0.0), (safe, safe), ((0.0, 0.0), (0.0, 0.0)),
                                tuple(held), Episode(1, cleared=True))
-        margins = near_sector_margins(p) if p.n_theta > 2 else []
+        margins = near_sector_margins(p)
         for point in near_grid_lines(p, rng) + margins:
             at_margin = point in margins
             try:
@@ -1093,7 +1097,7 @@ def test_quiet_loop_region_test_is_conservative():
                     seen[f"step on {p.r_max:g},{p.n_theta}"] += 1
                     seen["step at the margin"] += at_margin
     # every partition but the one whose squares underflow takes steps
-    assert min(seen.values()) >= 100 and len(seen) == 7, seen
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen
 
 
 def test_step_matches_the_reference_at_the_edges_of_the_clamp_pre_test():
