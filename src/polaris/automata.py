@@ -91,21 +91,31 @@ class Event(_EventFields):
 
 
 class _Universe:
-    """Sorted event ids: bit i of a mask over the universe stands for ``ids[i]``."""
+    """Sorted event ids: bit i of a mask over the universe stands for ``ids[i]``.
 
-    __slots__ = ("ids", "bit")
+    The ids of a mask are made the first time :meth:`ids_of` is asked for
+    them and kept, so the models of one partition, which share a universe
+    and many class masks, expand each mask once.
+    """
+
+    __slots__ = ("ids", "bit", "_ids_of")
 
     def __init__(self, ids: Iterable[str]):
         self.ids = tuple(sorted(set(ids)))
         self.bit = {ev: 1 << i for i, ev in enumerate(self.ids)}
+        self._ids_of: dict = {}
 
     def mask(self, ids: Iterable[str]) -> int:
         """The mask of ``ids``; a KeyError names an id outside the universe."""
         return reduce(or_, map(self.bit.__getitem__, ids), 0)
 
-    def ids_of(self, mask: int) -> list:
+    def ids_of(self, mask: int) -> tuple:
         """The ids of ``mask``, sorted."""
-        return list(compress(self.ids, bin(mask)[:1:-1].encode().translate(_DIGITS)))
+        ids = self._ids_of.get(mask)
+        if ids is None:
+            bits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+            ids = self._ids_of[mask] = tuple(compress(self.ids, bits))
+        return ids
 
     def label(self, mask: int) -> str:
         """The smallest id of a nonzero ``mask``: its lowest set bit."""
@@ -250,7 +260,7 @@ class Automaton:
         # the per-event views of the index, made on first read
         if name == "_members":
             ids_of = self._sigma.universe.ids_of
-            value = {c: tuple(ids_of(m)) for (c, m) in self._masks.items()}
+            value = {c: ids_of(m) for (c, m) in self._masks.items()}
         elif name == "_class_of":
             value = {}
             for c, evs in self._members.items():
@@ -632,8 +642,18 @@ def _operands(*operands, split=()) -> tuple:
     # a block's key holds its class label in each automaton, None outside it
     blocks = [(reduce(or_, [sigma.mask for (sigma, _) in views.values()]), ())]
     for (sigma, masks) in views.values():
-        classes = [*masks.items(), (None, ~sigma.mask)]
-        blocks = [(x, key + (c,)) for (b, key) in blocks for (c, m) in classes if (x := b & m)]
+        classes = [(None, ~sigma.mask), *masks.items()]
+        refined = []
+        for (b, key) in blocks:
+            # a block meets few classes: the scan stops once they cover it
+            for (c, m) in classes:
+                x = b & m
+                if x:
+                    refined.append((x, key + (c,)))
+                    b ^= x
+                    if not b:
+                        break
+        blocks = refined
     for m in split:
         blocks = [(x, key) for (b, key) in blocks for y in (m, ~m) if (x := b & y)]
     blocks.sort(key=lambda block: block[0] & -block[0])
@@ -782,12 +802,14 @@ def _refine(block_of: dict, succ: dict) -> dict:
     """Coarsest stable refinement of an initial partition.
 
     ``block_of`` maps every state to its initial block and ``succ`` maps
-    every state to ``event -> successor states`` (an event may stand for a
-    class of events).  Blocks are split on (event, target-block) signatures
-    until stable; the result maps each state to a block id, two states
-    sharing one iff they are bisimilar under the initial partition.  Block
-    ids are numbered in order of first appearance: callers only compare
-    them.
+    every state to ``event -> nonempty successor states`` (an event may
+    stand for a class of events).  Blocks are split until stable on
+    signatures: a state's block and the one flat set of its (event,
+    target block) pairs, which, as every successor set is nonempty, tells
+    the same states apart as the set of (event, set of target blocks)
+    pairs.  The result maps each state to a block id, two states sharing
+    one iff they are bisimilar under the initial partition.  Block ids are
+    numbered in order of first appearance: callers only compare them.
     """
     while True:
         new_ids: dict = {}
@@ -795,10 +817,7 @@ def _refine(block_of: dict, succ: dict) -> dict:
         for q in block_of:
             sig = (
                 block_of[q],
-                frozenset(
-                    (ev, frozenset([block_of[d] for d in dsts]))
-                    for ev, dsts in succ[q].items()
-                ),
+                frozenset([(ev, block_of[d]) for ev, dsts in succ[q].items() for d in dsts]),
             )
             new_block_of[q] = new_ids.setdefault(sig, len(new_ids))
         if len(new_ids) == len(set(block_of.values())):

@@ -17,14 +17,17 @@ is byte-identical.  State names produced by composition or projection may
 contain characters outside the token set; the writer deterministically
 renames those as it prints them (``q000``, ``q001``, ... in sorted order),
 which preserves all languages and bisimilarity.  It walks the class index
-source by source and sorts only each source's (event, target) pairs.
+source by source and sorts only each source's (event, target) pairs.  The
+``controllable:``, ``uncontrollable:`` and ``owners:`` lines depend only on
+the alphabet, and are made once per alphabet of a model set.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .automata import Automaton, Event
+from .automata import Automaton, Event, _Universe
 from .errors import InvalidToken, ParseError, _read_text
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_+\-]+\Z")
@@ -52,7 +55,7 @@ def _safe_names(states) -> dict:
     return mapping
 
 
-def _joined(ids: list) -> str:
+def _joined(ids: tuple) -> str:
     """``ids`` joined by spaces, or None when one is not a token: the line
     must be tokens split by single spaces, one space fewer than the ids."""
     line = " ".join(ids)
@@ -61,32 +64,43 @@ def _joined(ids: list) -> str:
     return line
 
 
-def dumps(a: Automaton) -> str:
-    """The canonical text of ``a``, written by walking its class index."""
-    (kinds, ids_of) = (a._sigma.kinds, a._sigma.universe.ids_of)
+@lru_cache(maxsize=8)
+def _alphabet_lines(universe: _Universe, kinds: frozenset) -> str:
+    """The ``controllable:``, ``uncontrollable:`` and ``owners:`` lines of
+    the alphabet whose (kind, mask) pairs are ``kinds``, over ``universe``.
+
+    Kept per universe object and kinds, so the models of one set, which
+    share a universe, make each alphabet's lines once; a universe made
+    later, even of the same ids, makes its own.
+    """
+    ids_of = universe.ids_of
     (controllable, uncontrollable) = (
-        _joined(ids_of(sum(m for ((c, _), m) in kinds.items() if c == flag)))
-        for flag in (True, False)
+        _joined(ids_of(sum(m for ((c, _), m) in kinds if c == flag))) for flag in (True, False)
     )
     if controllable is None or uncontrollable is None:
-        bad = next(ev for ev in ids_of(a._sigma.mask) if not TOKEN_RE.match(ev))
+        bad = next(ev for ev in ids_of(sum(m for (_, m) in kinds)) if not TOKEN_RE.match(ev))
         raise InvalidToken(f"event id {bad!r} is not a valid token")
+    lines = ["controllable: " + controllable, "uncontrollable: " + uncontrollable]
+    tag_of: dict = {}
+    for ((_, owners), m) in kinds:
+        if owners:
+            tag_of.update(dict.fromkeys(ids_of(m), "=" + ",".join(map(str, sorted(owners)))))
+    if tag_of:
+        owned = ids_of(sum(m for ((_, owners), m) in kinds if owners))
+        lines.append("owners: " + " ".join([ev + tag_of[ev] for ev in owned]))
+    return "\n".join(lines)
+
+
+def dumps(a: Automaton) -> str:
+    """The canonical text of ``a``, written by walking its class index."""
     mapping = _safe_names(a.states)
     name = {q: mapping.get(q, q) for q in a.states}
     lines = [
         "states: " + " ".join(sorted(name.values())),
         "initial: " + name[a.initial],
         "marked: " + " ".join(sorted(name[q] for q in a.marked)),
-        "controllable: " + controllable,
-        "uncontrollable: " + uncontrollable,
+        _alphabet_lines(a._sigma.universe, frozenset(a._sigma.kinds.items())),
     ]
-    tag_of: dict = {}
-    for ((_, owners), m) in kinds.items():
-        if owners:
-            tag_of.update(dict.fromkeys(ids_of(m), "=" + ",".join(map(str, sorted(owners)))))
-    if tag_of:
-        owned = ids_of(sum(m for ((_, owners), m) in kinds.items() if owners))
-        lines.append("owners: " + " ".join([ev + tag_of[ev] for ev in owned]))
     # a space sorts below every token character, so sorting one source's
     # lines sorts its (event, target) pairs.  The lines of one class and
     # target are made by one join, split at the newlines that no token

@@ -98,7 +98,7 @@ def check_controllability(spec, plant) -> ControllabilityReport:
     operands = _operands(_determinized(spec), plant)
     (labels, [(spec_events, spec_side, qs0), (plant_events, plant_side, qp0)]) = operands
     if spec_events.mask != plant_events.mask:
-        difference = spec_events.universe.ids_of(spec_events.mask ^ plant_events.mask)
+        difference = list(spec_events.universe.ids_of(spec_events.mask ^ plant_events.mask))
         raise AlphabetMismatch(f"spec and plant must share an alphabet; difference: {difference}")
     uncontrollable = sum(m for ((c, _), m) in plant_events.kinds.items() if not c)
     e_uc = frozenset(label for (label, m) in labels.items() if m & uncontrollable)
@@ -152,7 +152,7 @@ def _coverage(a: Automaton, e1, e2):
         raise CoverageError(f"event sets contain unknown events: {sorted(unknown)}")
     missing = a._sigma.mask & ~(m1 | m2)
     if missing:
-        missing = a._sigma.universe.ids_of(missing)
+        missing = list(a._sigma.universe.ids_of(missing))
         raise CoverageError(f"event sets do not cover the alphabet: {missing}")
     return e1, e2, m1, m2
 
@@ -163,15 +163,98 @@ def decompose(a: Automaton, e1: Iterable[str], e2: Iterable[str]):
     return natural_project(a, e1), natural_project(a, e2)
 
 
-class DecomposabilityReport(NamedTuple):
+_WITNESSES = ("dc1_witness", "dc2_witness", "dc3_witness", "dc4_witness")
+
+
+class DecomposabilityReport:
+    """The decomposability verdict, its projections and one witness per
+    condition, None when the condition holds.
+
+    ``bool(report)`` is the verdict, that of ``bisim``, and reads nothing
+    else.  ``local1`` and ``local2`` are the projections of the accessible
+    automaton that were composed.  A report that
+    :func:`check_decomposability` makes holds the evidence the conditions
+    read, and computes each witness the first time it is read, then keeps
+    it: dc1 and dc2 come from one pass, dc4 runs over E1, then E2.  One
+    made by the constructor holds the witnesses it is given.  Either way
+    it is an immutable record of the seven ``_fields``: equal, hashed and
+    shown (``DecomposabilityReport(bisim=..., ...)``) by their values, so
+    comparing, hashing or showing one reads every witness.
+    """
+
+    _fields = ("bisim", *_WITNESSES, "local1", "local2")
+    __slots__ = (*_fields, "_evidence")
     bisim: BisimResult
-    dc1_witness: Optional[tuple] = None
-    dc2_witness: Optional[tuple] = None
-    dc3_witness: Optional[tuple] = None
-    dc4_witness: Optional[tuple] = None
-    # the projections of the accessible automaton that were composed
-    local1: Optional[Automaton] = None
-    local2: Optional[Automaton] = None
+    dc1_witness: Optional[tuple]
+    dc2_witness: Optional[tuple]
+    dc3_witness: Optional[tuple]
+    dc4_witness: Optional[tuple]
+    local1: Optional[Automaton]
+    local2: Optional[Automaton]
+
+    def __init__(
+        self,
+        bisim: BisimResult,
+        dc1_witness: Optional[tuple] = None,
+        dc2_witness: Optional[tuple] = None,
+        dc3_witness: Optional[tuple] = None,
+        dc4_witness: Optional[tuple] = None,
+        local1: Optional[Automaton] = None,
+        local2: Optional[Automaton] = None,
+    ):
+        values = (bisim, dc1_witness, dc2_witness, dc3_witness, dc4_witness, local1, local2)
+        for (name, value) in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _read_later(cls, bisim: BisimResult, local1: Automaton, local2: Automaton, evidence):
+        """A report whose witnesses :meth:`__getattr__` computes from
+        ``evidence``, as :func:`check_decomposability` gives it."""
+        report = object.__new__(cls)
+        given = {"bisim": bisim, "local1": local1, "local2": local2, "_evidence": evidence}
+        for (name, value) in given.items():
+            object.__setattr__(report, name, value)
+        return report
+
+    def __getattr__(self, name):
+        # a witness that was not given, on its first read
+        if name not in _WITNESSES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (a, rows, moves, in1, in2, proj1, proj2) = self._evidence
+        if name == "dc3_witness":
+            found = {name: _dc3_witness(moves, in1, in2)}
+        elif name == "dc4_witness":
+            found = {name: _dc4_witness(a, proj1) or _dc4_witness(a, proj2)}
+        else:
+            found = dict(zip(_WITNESSES, _dc12_witnesses(a, rows, moves, in1 - in2, in2 - in1)))
+        for (field, value) in found.items():
+            object.__setattr__(self, field, value)
+        return found[name]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> "DecomposabilityReport":
+        kept = {name: getattr(self, name) for name in self._fields if name not in changes}
+        return DecomposabilityReport(**kept, **changes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = [f"{name}={value!r}" for (name, value) in zip(self._fields, self._values())]
+        return f"{type(self).__name__}({', '.join(shown)})"
 
     def __bool__(self):
         return bool(self.bisim)
@@ -202,17 +285,25 @@ def _dc4_witness(a: Automaton, projection: tuple) -> Optional[tuple]:
     reaches the subsets, which are refined once from a single block, so
     equal blocks mean equal languages.  A singleton's row holds the
     projected successors of its state.  A projected class, which the rows
-    key by its label in ``a``, is scanned as its smallest kept event.
+    key by its label in ``a``, is scanned as its smallest kept event, and
+    only when its successors lie in more than one block.
     """
     (row, _, visible) = projection
     label = a._sigma.universe.label
     rows = dict(_walk(row, [frozenset([q]) for q in a.states], {}))
     block = _refine(dict.fromkeys(rows, 0), rows)
+    # the block of each state's singleton subset
+    block_of = {q: block[frozenset([q])] for q in a.states}
     for q in sorted(a.states):
         after = rows[frozenset([q])]
-        for ev, targets in sorted((label(visible[c]), targets) for c, (targets,) in after.items()):
-            for t1, t2 in combinations(sorted(targets), 2):
-                if block[frozenset([t1])] != block[frozenset([t2])]:
+        split = [
+            (label(visible[c]), sorted(targets))
+            for c, (targets,) in after.items()
+            if len({block_of[t] for t in targets}) > 1
+        ]
+        for ev, targets in sorted(split):
+            for t1, t2 in combinations(targets, 2):
+                if block_of[t1] != block_of[t2]:
                     return (q, ev, t1, t2)
     return None
 
@@ -288,17 +379,54 @@ def _dc3_witness(moves: dict, e1: frozenset, e2: frozenset) -> Optional[tuple]:
     return None
 
 
+def _dc12_witnesses(a: Automaton, rows: dict, moves: dict, priv1: set, priv2: set) -> tuple:
+    """``(dc1, dc2)``: the first (q, x, y) failing each, from one pass.
+
+    ``rows`` and ``moves`` are :func:`check_decomposability`'s label rows
+    of ``a`` and their one targets, and ``priv1`` and ``priv2`` the labels
+    private to E1 and to E2.  dc1 fails where an enabled x and y are not
+    enabled after each other, dc2 where xy and yx reach states that the
+    refinement of ``a``, marked and unmarked states as the initial blocks,
+    puts in different blocks.
+    """
+    # states are bisimilar iff they share a block of the refinement of a
+    block = _refine({q: q in a.marked for q in a.states}, rows)
+    dc1_wit = dc2_wit = None
+    for q in sorted(a.states):
+        # rows list their labels in sorted order, so witnesses come out
+        # in (sorted q, sorted x, sorted y) order
+        row = moves[q]
+        ys = [(y, qy) for (y, qy) in row.items() if y in priv2]
+        for (x, qx) in row.items():
+            if x not in priv1:
+                continue
+            after_x = moves[qx]
+            for (y, qy) in ys:
+                qxy = after_x.get(y)
+                qyx = moves[qy].get(x)
+                if qxy is None or qyx is None:
+                    dc1_wit = dc1_wit or (q, x, y)
+                elif block[qxy] != block[qyx]:
+                    dc2_wit = dc2_wit or (q, x, y)
+    return dc1_wit, dc2_wit
+
+
 def check_decomposability(
     a: Automaton, e1: Iterable[str], e2: Iterable[str], *, n: Optional[int] = None
 ) -> DecomposabilityReport:
-    """Decide decomposability and run the four diagnostic conditions.
+    """Decide decomposability; the report explains the verdict when read.
 
     The verdict is ``bool(report)``, that of ``report.bisim``: the
     accessible automaton is bisimilar to the composition of its
     projections onto both event sets, which the report carries as
-    ``local1`` and ``local2``.  The conditions, named after Karimadini and
-    Lin (Automatica 47(5), 2011), locate a failure.  Each is decided
+    ``local1`` and ``local2``.  The four conditions, named after Karimadini
+    and Lin (Automatica 47(5), 2011), locate a failure.  Each is decided
     exactly over the accessible part and holds iff its witness is None.
+    The report keeps what they read (the accessible automaton, its label
+    rows and their targets, the labels in E1 and in E2, and each event
+    set's subset construction) and computes each witness on its first
+    read (:class:`DecomposabilityReport`), so a caller pays only for the
+    conditions it reads.
 
     - dc1: at each state q, an enabled E1-private x and E2-private y stay
       enabled after each other; witness ``(q, x, y)``.
@@ -335,37 +463,9 @@ def check_decomposability(
     # perfbench/tests expects this function to call Automaton.step
     (labels, [(_, (rows, _, _), _)]) = _operands(a, split=(m1, m2))
     (in1, in2) = ({label for (label, m) in labels.items() if m & e} for e in (m1, m2))
-    (priv1, priv2) = (in1 - in2, in2 - in1)
     moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in rows.items()}
-    # states are bisimilar iff they share a block of the refinement of a
-    block = _refine({q: q in a.marked for q in a.states}, rows)
-    dc1_wit = dc2_wit = None
-    for q in sorted(a.states):
-        # rows list their labels in sorted order, so witnesses come out
-        # in (sorted q, sorted x, sorted y) order
-        row = moves[q]
-        ys = [(y, qy) for (y, qy) in row.items() if y in priv2]
-        for (x, qx) in row.items():
-            if x not in priv1:
-                continue
-            after_x = moves[qx]
-            for (y, qy) in ys:
-                qxy = after_x.get(y)
-                qyx = moves[qy].get(x)
-                if qxy is None or qyx is None:
-                    dc1_wit = dc1_wit or (q, x, y)
-                elif block[qxy] != block[qyx]:
-                    dc2_wit = dc2_wit or (q, x, y)
-
-    return DecomposabilityReport(
-        bisim=bisim,
-        dc1_witness=dc1_wit,
-        dc2_witness=dc2_wit,
-        dc3_witness=_dc3_witness(moves, in1, in2),
-        dc4_witness=_dc4_witness(a, proj1) or _dc4_witness(a, proj2),
-        local1=p1,
-        local2=p2,
-    )
+    evidence = (a, rows, moves, in1, in2, proj1, proj2)
+    return DecomposabilityReport._read_later(bisim, p1, p2, evidence)
 
 
 def verify_decentralized(ap1, ap2, local1, local2, a_spec) -> BisimResult:

@@ -12,6 +12,7 @@ from conftest import CROSSING_CFG, SRC, make_auto, run_polaris, team_plants
 from polaris import cli, exchange, models, sim, supervision
 from polaris.automata import is_bisimilar, natural_project, parallel_compose
 from polaris.cli import main
+from polaris.polar import PolarPartition
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "polaris" / "data"
@@ -431,6 +432,50 @@ def test_build_models_decides_decomposability_once(tmp_path, capsys, monkeypatch
     assert calls == {
         "check_decomposability": 1, "natural_project": 2, "is_bisimilar": 2, "parallel_compose": 1,
     }
+
+
+def test_witnesses_are_computed_only_when_read(tmp_path, capsys, monkeypatch):
+    # build_models reads no condition, build-models prints dc1, dc2 and
+    # dc4 (over E1, then E2) but not dc3, and check-decomposable all four
+    passes = ("_dc12_witnesses", "_dc3_witness", "_dc4_witness")
+    calls = dict.fromkeys(passes, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in passes:
+        monkeypatch.setattr(supervision, name, counted(name, getattr(supervision, name)))
+
+    def taken() -> tuple:
+        counts = tuple(calls.values())
+        calls.update(dict.fromkeys(passes, 0))
+        return counts
+
+    models.build_models.__wrapped__(PolarPartition(50.0, 9, 13))
+    assert taken() == (0, 0, 0)
+    models.build_models.cache_clear()
+    out = tmp_path / "models"
+    assert main(["build-models", "--partition", "50,9,13", "-o", str(out)]) == 0
+    assert taken() == (1, 0, 2)
+    events = [f"--events1=@{out / 'a1.aut'}", f"--events2=@{out / 'a2.aut'}"]
+    assert main(["check-decomposable", str(out / "ac.aut"), *events]) == 0
+    assert capsys.readouterr().out.endswith("dc1: pass\ndc2: pass\ndc3: pass\ndc4: pass\n")
+    assert taken() == (1, 1, 2)
+
+
+def test_build_models_makes_each_alphabets_header_lines_once(tmp_path, capsys):
+    # the seven files use three alphabets: agent 1's (a1, af1, ac1), agent
+    # 2's (a2, af2, ac2) and both agents' (ac); a later build of the same
+    # partition has its own universe and makes its own lines
+    made = exchange._alphabet_lines.cache_info().misses
+    for run in (1, 2):
+        models.build_models.cache_clear()
+        out = tmp_path / str(run)
+        assert main(["build-models", "--partition", "50,9,13", "-o", str(out)]) == 0
+        assert exchange._alphabet_lines.cache_info().misses - made == 3 * run
 
 
 def test_build_models_exits_1_when_the_collision_supervisor_is_not_decomposable(

@@ -464,6 +464,18 @@ def _assert_same_bisim(a1, a2, verdict, oracle):
         assert verdict == oracle
 
 
+def _made_witnesses(report) -> list:
+    """The witnesses a report holds, read without computing any."""
+    made = []
+    for name in ("dc1_witness", "dc2_witness", "dc3_witness", "dc4_witness"):
+        try:
+            object.__getattribute__(report, name)
+        except AttributeError:
+            continue
+        made.append(name)
+    return made
+
+
 def test_class_algebra_matches_per_event_oracles():
     # twins put several events in one class, so a class-level result must
     # equal the per-event one, witnesses (smallest member first) included
@@ -529,6 +541,17 @@ def test_class_algebra_matches_per_event_oracles():
             report = check_decomposability(a, e1, e2)
             want = per_event_decomposability(a, e1, e2)
             assert report._replace(bisim=want.bisim) == want
+            # the witnesses are made when read, and that does not show:
+            # the verdict reads none, they read alike in reverse order, and
+            # a report shown before any read equals the oracle's
+            late = check_decomposability(a, e1, e2)
+            assert bool(late) == bool(want) and _made_witnesses(late) == []
+            witnesses = ("dc4_witness", "dc3_witness", "dc2_witness", "dc1_witness")
+            assert [getattr(late, w) for w in witnesses] == [getattr(want, w) for w in witnesses]
+            shown = check_decomposability(a, e1, e2)
+            assert repr(shown) == repr(report)
+            assert shown._replace(bisim=want.bisim) == want
+            assert hash(shown) == hash(late) == hash(report)
             _assert_same_bisim(
                 accessible(a), parallel_compose(report.local1, report.local2),
                 report.bisim, want.bisim,
