@@ -91,31 +91,21 @@ class Event(_EventFields):
 
 
 class _Universe:
-    """Sorted event ids: bit i of a mask over the universe stands for ``ids[i]``.
+    """Sorted event ids: bit i of a mask over the universe stands for ``ids[i]``."""
 
-    The ids of a mask are made the first time :meth:`ids_of` is asked for
-    them and kept, so the models of one partition, which share a universe
-    and many class masks, expand each mask once.
-    """
-
-    __slots__ = ("ids", "bit", "_ids_of")
+    __slots__ = ("ids", "bit")
 
     def __init__(self, ids: Iterable[str]):
         self.ids = tuple(sorted(set(ids)))
         self.bit = {ev: 1 << i for i, ev in enumerate(self.ids)}
-        self._ids_of: dict = {}
 
     def mask(self, ids: Iterable[str]) -> int:
         """The mask of ``ids``; a KeyError names an id outside the universe."""
         return reduce(or_, map(self.bit.__getitem__, ids), 0)
 
-    def ids_of(self, mask: int) -> tuple:
+    def ids_of(self, mask: int) -> list:
         """The ids of ``mask``, sorted."""
-        ids = self._ids_of.get(mask)
-        if ids is None:
-            bits = bin(mask)[:1:-1].encode().translate(_DIGITS)
-            ids = self._ids_of[mask] = tuple(compress(self.ids, bits))
-        return ids
+        return list(compress(self.ids, bin(mask)[:1:-1].encode().translate(_DIGITS)))
 
     def label(self, mask: int) -> str:
         """The smallest id of a nonzero ``mask``: its lowest set bit."""
@@ -260,7 +250,7 @@ class Automaton:
         # the per-event views of the index, made on first read
         if name == "_members":
             ids_of = self._sigma.universe.ids_of
-            value = {c: ids_of(m) for (c, m) in self._masks.items()}
+            value = {c: tuple(ids_of(m)) for (c, m) in self._masks.items()}
         elif name == "_class_of":
             value = {}
             for c, evs in self._members.items():
@@ -642,18 +632,8 @@ def _operands(*operands, split=()) -> tuple:
     # a block's key holds its class label in each automaton, None outside it
     blocks = [(reduce(or_, [sigma.mask for (sigma, _) in views.values()]), ())]
     for (sigma, masks) in views.values():
-        classes = [(None, ~sigma.mask), *masks.items()]
-        refined = []
-        for (b, key) in blocks:
-            # a block meets few classes: the scan stops once they cover it
-            for (c, m) in classes:
-                x = b & m
-                if x:
-                    refined.append((x, key + (c,)))
-                    b ^= x
-                    if not b:
-                        break
-        blocks = refined
+        classes = [*masks.items(), (None, ~sigma.mask)]
+        blocks = [(x, key + (c,)) for (b, key) in blocks for (c, m) in classes if (x := b & m)]
     for m in split:
         blocks = [(x, key) for (b, key) in blocks for y in (m, ~m) if (x := b & y)]
     blocks.sort(key=lambda block: block[0] & -block[0])

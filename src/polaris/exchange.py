@@ -55,7 +55,7 @@ def _safe_names(states) -> dict:
     return mapping
 
 
-def _joined(ids: tuple) -> str:
+def _joined(ids: list) -> str:
     """``ids`` joined by spaces, or None when one is not a token: the line
     must be tokens split by single spaces, one space fewer than the ids."""
     line = " ".join(ids)
@@ -64,12 +64,13 @@ def _joined(ids: tuple) -> str:
     return line
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=3)
 def _alphabet_lines(universe: _Universe, kinds: frozenset) -> str:
     """The ``controllable:``, ``uncontrollable:`` and ``owners:`` lines of
     the alphabet whose (kind, mask) pairs are ``kinds``, over ``universe``.
 
-    Kept per universe object and kinds, so the models of one set, which
+    Kept per universe object and kinds, for the three alphabets of a model
+    set (each agent's and both agents'), so the models of one set, which
     share a universe, make each alphabet's lines once; a universe made
     later, even of the same ids, makes its own.
     """

@@ -98,7 +98,7 @@ def check_controllability(spec, plant) -> ControllabilityReport:
     operands = _operands(_determinized(spec), plant)
     (labels, [(spec_events, spec_side, qs0), (plant_events, plant_side, qp0)]) = operands
     if spec_events.mask != plant_events.mask:
-        difference = list(spec_events.universe.ids_of(spec_events.mask ^ plant_events.mask))
+        difference = spec_events.universe.ids_of(spec_events.mask ^ plant_events.mask)
         raise AlphabetMismatch(f"spec and plant must share an alphabet; difference: {difference}")
     uncontrollable = sum(m for ((c, _), m) in plant_events.kinds.items() if not c)
     e_uc = frozenset(label for (label, m) in labels.items() if m & uncontrollable)
@@ -152,7 +152,7 @@ def _coverage(a: Automaton, e1, e2):
         raise CoverageError(f"event sets contain unknown events: {sorted(unknown)}")
     missing = a._sigma.mask & ~(m1 | m2)
     if missing:
-        missing = list(a._sigma.universe.ids_of(missing))
+        missing = a._sigma.universe.ids_of(missing)
         raise CoverageError(f"event sets do not cover the alphabet: {missing}")
     return e1, e2, m1, m2
 
@@ -175,10 +175,11 @@ class DecomposabilityReport:
     automaton that were composed.  A report that
     :func:`check_decomposability` makes holds the evidence the conditions
     read, and computes each witness the first time it is read, then keeps
-    it: dc1 and dc2 come from one pass, dc4 runs over E1, then E2.  One
-    made by the constructor holds the witnesses it is given.  Either way
-    it is an immutable record of the seven ``_fields``: equal, hashed and
-    shown (``DecomposabilityReport(bisim=..., ...)``) by their values, so
+    it: dc1 and dc2 come from one pass, dc4 runs over E1, then E2; once
+    every witness is read, the evidence is let go.  One made by the
+    constructor holds the witnesses it is given.  Either way it is an
+    immutable record of the seven ``_fields``: equal, hashed and shown
+    (``DecomposabilityReport(bisim=..., ...)``) by their values, so
     comparing, hashing or showing one reads every witness.
     """
 
@@ -205,6 +206,7 @@ class DecomposabilityReport:
         values = (bisim, dc1_witness, dc2_witness, dc3_witness, dc4_witness, local1, local2)
         for (name, value) in zip(self._fields, values):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_evidence", None)
 
     @classmethod
     def _read_later(cls, bisim: BisimResult, local1: Automaton, local2: Automaton, evidence):
@@ -229,6 +231,13 @@ class DecomposabilityReport:
             found = dict(zip(_WITNESSES, _dc12_witnesses(a, rows, moves, in1 - in2, in2 - in1)))
         for (field, value) in found.items():
             object.__setattr__(self, field, value)
+        try:
+            for field in _WITNESSES:
+                object.__getattribute__(self, field)
+        except AttributeError:
+            pass
+        else:
+            object.__setattr__(self, "_evidence", None)
         return found[name]
 
     def __setattr__(self, name, value):
@@ -285,25 +294,17 @@ def _dc4_witness(a: Automaton, projection: tuple) -> Optional[tuple]:
     reaches the subsets, which are refined once from a single block, so
     equal blocks mean equal languages.  A singleton's row holds the
     projected successors of its state.  A projected class, which the rows
-    key by its label in ``a``, is scanned as its smallest kept event, and
-    only when its successors lie in more than one block.
+    key by its label in ``a``, is scanned as its smallest kept event.
     """
     (row, _, visible) = projection
     label = a._sigma.universe.label
     rows = dict(_walk(row, [frozenset([q]) for q in a.states], {}))
     block = _refine(dict.fromkeys(rows, 0), rows)
-    # the block of each state's singleton subset
-    block_of = {q: block[frozenset([q])] for q in a.states}
     for q in sorted(a.states):
         after = rows[frozenset([q])]
-        split = [
-            (label(visible[c]), sorted(targets))
-            for c, (targets,) in after.items()
-            if len({block_of[t] for t in targets}) > 1
-        ]
-        for ev, targets in sorted(split):
-            for t1, t2 in combinations(targets, 2):
-                if block_of[t1] != block_of[t2]:
+        for ev, targets in sorted((label(visible[c]), targets) for c, (targets,) in after.items()):
+            for t1, t2 in combinations(sorted(targets), 2):
+                if block[frozenset([t1])] != block[frozenset([t2])]:
                     return (q, ev, t1, t2)
     return None
 

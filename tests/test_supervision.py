@@ -542,12 +542,14 @@ def test_class_algebra_matches_per_event_oracles():
             want = per_event_decomposability(a, e1, e2)
             assert report._replace(bisim=want.bisim) == want
             # the witnesses are made when read, and that does not show:
-            # the verdict reads none, they read alike in reverse order, and
-            # a report shown before any read equals the oracle's
+            # the verdict reads none, they read alike in reverse order (and
+            # the evidence goes once all are read), and a report shown
+            # before any read equals the oracle's
             late = check_decomposability(a, e1, e2)
             assert bool(late) == bool(want) and _made_witnesses(late) == []
             witnesses = ("dc4_witness", "dc3_witness", "dc2_witness", "dc1_witness")
             assert [getattr(late, w) for w in witnesses] == [getattr(want, w) for w in witnesses]
+            assert late._evidence is None
             shown = check_decomposability(a, e1, e2)
             assert repr(shown) == repr(report)
             assert shown._replace(bisim=want.bisim) == want
