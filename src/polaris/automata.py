@@ -221,11 +221,12 @@ class Automaton:
     Classes are maximal (events share one exactly when they have the same
     relation, controllability and owners) and labelled by their smallest
     members, so equal automata have equal indexes however they were built,
-    and equality compares the index, by mask over universes with the same
-    ids and by member ids otherwise.  ``_members`` (label -> sorted ids),
-    ``_class_of`` (id -> label) and ``_event_ids`` are made when first
-    read.  The hash and ``repr`` read the four public fields only.
-    Instances are validated on construction and never mutated afterwards.
+    and equality compares the index and each class's member ids.
+    ``_members`` (label -> sorted ids), ``_class_of`` (id -> label) and
+    ``_event_ids`` are made when first read.  The hash and ``repr`` read
+    the four public fields only.  Instances are validated on construction
+    and never mutated afterwards; a copy or a pickle holds the seven
+    constructor fields only.
     """
 
     __slots__ = (
@@ -274,13 +275,14 @@ class Automaton:
         fields = (self.states, self.initial, self.marked, self._succ)
         if fields != (other.states, other.initial, other.marked, other._succ):
             return False
-        (u, v) = (self._sigma.universe, other._sigma.universe)
-        if u.same(v):
-            return self._masks == other._masks and self._sigma.kinds == other._sigma.kinds
         return self._members == other._members and self.alphabet == other.alphabet
 
     def __hash__(self):
         return hash((self.states, self.initial, self.alphabet, self.marked))
+
+    def __reduce__(self):
+        fields = (self.states, self.initial, self.marked, self._succ, self._sigma, self._masks)
+        return (type(self), (*fields, self._det))
 
     def __repr__(self):
         return (

@@ -163,9 +163,6 @@ def decompose(a: Automaton, e1: Iterable[str], e2: Iterable[str]):
     return natural_project(a, e1), natural_project(a, e2)
 
 
-_WITNESSES = ("dc1_witness", "dc2_witness", "dc3_witness", "dc4_witness")
-
-
 class DecomposabilityReport:
     """The decomposability verdict, its projections and one witness per
     condition, None when the condition holds.
@@ -173,18 +170,20 @@ class DecomposabilityReport:
     ``bool(report)`` is the verdict, that of ``bisim``, and reads nothing
     else.  ``local1`` and ``local2`` are the projections of the accessible
     automaton that were composed.  A report that
-    :func:`check_decomposability` makes holds the evidence the conditions
-    read, and computes each witness the first time it is read, then keeps
-    it: dc1 and dc2 come from one pass, dc4 runs over E1, then E2; once
-    every witness is read, the evidence is let go.  One made by the
-    constructor holds the witnesses it is given.  Either way it is an
-    immutable record of the seven ``_fields``: equal, hashed and shown
-    (``DecomposabilityReport(bisim=..., ...)``) by their values, so
-    comparing, hashing or showing one reads every witness.
+    :func:`check_decomposability` makes holds, in ``_pending``, a
+    zero-argument call per witness it has not computed yet.  The first
+    read of a witness pops its call, runs it and keeps the value, so what
+    that call alone read is let go with it.  One made by the constructor
+    holds the witnesses it is given and nothing pending.  Either way it is
+    an immutable record of the seven ``_fields``: equal, hashed, shown
+    (``DecomposabilityReport(bisim=..., ...)``), copied and pickled by
+    their values, so each of these reads every witness.
     """
 
-    _fields = ("bisim", *_WITNESSES, "local1", "local2")
-    __slots__ = (*_fields, "_evidence")
+    _fields = (
+        "bisim", "dc1_witness", "dc2_witness", "dc3_witness", "dc4_witness", "local1", "local2"
+    )
+    __slots__ = (*_fields, "_pending")
     bisim: BisimResult
     dc1_witness: Optional[tuple]
     dc2_witness: Optional[tuple]
@@ -206,39 +205,25 @@ class DecomposabilityReport:
         values = (bisim, dc1_witness, dc2_witness, dc3_witness, dc4_witness, local1, local2)
         for (name, value) in zip(self._fields, values):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_evidence", None)
+        object.__setattr__(self, "_pending", {})
 
     @classmethod
-    def _read_later(cls, bisim: BisimResult, local1: Automaton, local2: Automaton, evidence):
-        """A report whose witnesses :meth:`__getattr__` computes from
-        ``evidence``, as :func:`check_decomposability` gives it."""
+    def _read_later(cls, bisim: BisimResult, local1: Automaton, local2: Automaton, pending: dict):
+        """A report whose witnesses are the calls of ``pending``, keyed by
+        field name, as :func:`check_decomposability` gives them."""
         report = object.__new__(cls)
-        given = {"bisim": bisim, "local1": local1, "local2": local2, "_evidence": evidence}
+        given = {"bisim": bisim, "local1": local1, "local2": local2, "_pending": pending}
         for (name, value) in given.items():
             object.__setattr__(report, name, value)
         return report
 
     def __getattr__(self, name):
         # a witness that was not given, on its first read
-        if name not in _WITNESSES:
+        if name not in self._pending:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        (a, rows, moves, in1, in2, proj1, proj2) = self._evidence
-        if name == "dc3_witness":
-            found = {name: _dc3_witness(moves, in1, in2)}
-        elif name == "dc4_witness":
-            found = {name: _dc4_witness(a, proj1) or _dc4_witness(a, proj2)}
-        else:
-            found = dict(zip(_WITNESSES, _dc12_witnesses(a, rows, moves, in1 - in2, in2 - in1)))
-        for (field, value) in found.items():
-            object.__setattr__(self, field, value)
-        try:
-            for field in _WITNESSES:
-                object.__getattribute__(self, field)
-        except AttributeError:
-            pass
-        else:
-            object.__setattr__(self, "_evidence", None)
-        return found[name]
+        value = self._pending.pop(name)()
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -248,6 +233,9 @@ class DecomposabilityReport:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return (type(self), self._values())
 
     def _replace(self, **changes) -> "DecomposabilityReport":
         kept = {name: getattr(self, name) for name in self._fields if name not in changes}
@@ -423,11 +411,11 @@ def check_decomposability(
     ``local1`` and ``local2``.  The four conditions, named after Karimadini
     and Lin (Automatica 47(5), 2011), locate a failure.  Each is decided
     exactly over the accessible part and holds iff its witness is None.
-    The report keeps what they read (the accessible automaton, its label
-    rows and their targets, the labels in E1 and in E2, and each event
-    set's subset construction) and computes each witness on its first
-    read (:class:`DecomposabilityReport`), so a caller pays only for the
-    conditions it reads.
+    Each witness is a call pending in the report until it is first read
+    (:class:`DecomposabilityReport`), so a caller pays only for the
+    conditions it reads: dc1 and dc2 share one pass over the accessible
+    automaton's label rows and targets, dc3 walks the targets, and dc4
+    each event set's subset construction, E1's first.
 
     - dc1: at each state q, an enabled E1-private x and E2-private y stay
       enabled after each other; witness ``(q, x, y)``.
@@ -465,8 +453,15 @@ def check_decomposability(
     (labels, [(_, (rows, _, _), _)]) = _operands(a, split=(m1, m2))
     (in1, in2) = ({label for (label, m) in labels.items() if m & e} for e in (m1, m2))
     moves = {q: {ev: a.step1(q, ev) for ev in row} for (q, row) in rows.items()}
-    evidence = (a, rows, moves, in1, in2, proj1, proj2)
-    return DecomposabilityReport._read_later(bisim, p1, p2, evidence)
+    # each call holds only what its condition reads
+    dc12 = cache(lambda: _dc12_witnesses(a, rows, moves, in1 - in2, in2 - in1))
+    pending = {
+        "dc1_witness": lambda: dc12()[0],
+        "dc2_witness": lambda: dc12()[1],
+        "dc3_witness": lambda: _dc3_witness(moves, in1, in2),
+        "dc4_witness": lambda: _dc4_witness(a, proj1) or _dc4_witness(a, proj2),
+    }
+    return DecomposabilityReport._read_later(bisim, p1, p2, pending)
 
 
 def verify_decentralized(ap1, ap2, local1, local2, a_spec) -> BisimResult:

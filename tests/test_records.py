@@ -2,20 +2,26 @@
 field order where they are ordered, and shown as ``Name(field=value, ...)``;
 and the annotations of every function the toolkit defines resolve."""
 
+import copy
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 import typing
 
 import pytest
 
 from polaris.automata import Automaton, BisimResult, Event
-from polaris.models import AgentAlphabet, FormationModels
+from polaris.models import AgentAlphabet, FormationModels, build_models
 from polaris.polar import Mode, PolarPartition, RegionIndex, ValidationResult, VertexControls
 from polaris.scenario import FollowerConfig, ScenarioConfig
 from polaris.sim import CSV_HEADER, AgentDiscrete, Episode, EventRecord, ScenarioResult, WorldState
-from polaris.supervision import ControllabilityReport, DecomposabilityReport
+from polaris.supervision import (
+    ControllabilityReport,
+    DecomposabilityReport,
+    check_decomposability,
+)
 
 EVENT = "Event(id='a', controllable=True, owners=frozenset({1}))"
 AUTOMATON = (
@@ -137,6 +143,29 @@ def test_record_fields_cannot_be_assigned(make, text):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         delattr(record, names[0])
+
+
+def _round_trips(record) -> list:
+    return [pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)]
+
+
+@pytest.mark.parametrize(("make", "text"), RECORDS, ids=IDS)
+def test_records_round_trip_through_pickle_and_copy(make, text):
+    # compared by value: a frozenset may list its members in another
+    # order once unpickled, so the repr can differ
+    for copied in _round_trips(make()):
+        assert copied == make() and hash(copied) == hash(make())
+
+
+def test_computed_reports_and_models_round_trip_through_pickle_and_copy():
+    # a report whose witnesses are still pending, alone and inside models
+    made = [
+        lambda: check_decomposability(automaton(), ["a"], ["a"]),
+        lambda: build_models.__wrapped__(partition()),
+    ]
+    for make in made:
+        for copied in _round_trips(make()):
+            assert copied == make()
 
 
 def test_sorting_follows_field_order():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -476,10 +478,26 @@ def _made_witnesses(report) -> list:
     return made
 
 
-def test_class_algebra_matches_per_event_oracles():
+def _spy_on_subset_constructions(monkeypatch) -> list:
+    """A list that gets a weak reference to the row function of each
+    subset construction that ``_shared_projection`` makes from now on."""
+    made = []
+
+    def spy(*args):
+        projection = shared_projection(*args)
+        made.append(weakref.ref(projection[0]))
+        return projection
+
+    shared_projection = supervision._shared_projection
+    monkeypatch.setattr(supervision, "_shared_projection", spy)
+    return made
+
+
+def test_class_algebra_matches_per_event_oracles(monkeypatch):
     # twins put several events in one class, so a class-level result must
     # equal the per-event one, witnesses (smallest member first) included
     rng = random.Random(8088)
+    constructions = _spy_on_subset_constructions(monkeypatch)
     seen = dict.fromkeys(
         ("merged", "bisimilar", "uncontrollable", "dc1", "dc2", "dc3", "dc4", "twin witness",
          "large product", "tuple bisimilar", "tuple not bisimilar", "tuple nondeterministic",
@@ -542,14 +560,19 @@ def test_class_algebra_matches_per_event_oracles():
             want = per_event_decomposability(a, e1, e2)
             assert report._replace(bisim=want.bisim) == want
             # the witnesses are made when read, and that does not show:
-            # the verdict reads none, they read alike in reverse order (and
-            # the evidence goes once all are read), and a report shown
-            # before any read equals the oracle's
+            # the verdict reads none, they read alike in another order
+            # (each read lets go of what only its condition read: once
+            # dc4 is read, both subset constructions are gone), and a
+            # report shown before any read equals the oracle's
+            constructions.clear()
             late = check_decomposability(a, e1, e2)
             assert bool(late) == bool(want) and _made_witnesses(late) == []
-            witnesses = ("dc4_witness", "dc3_witness", "dc2_witness", "dc1_witness")
+            witnesses = ("dc4_witness", "dc2_witness", "dc1_witness")
             assert [getattr(late, w) for w in witnesses] == [getattr(want, w) for w in witnesses]
-            assert late._evidence is None
+            assert [made() for made in constructions] == [None, None]
+            assert list(late._pending) == ["dc3_witness"]
+            assert late.dc3_witness == want.dc3_witness
+            assert late._pending == {}
             shown = check_decomposability(a, e1, e2)
             assert repr(shown) == repr(report)
             assert shown._replace(bisim=want.bisim) == want
@@ -573,6 +596,20 @@ def test_class_algebra_matches_per_event_oracles():
             assert product == per_event_compose(p1, p2)
             seen["large product"] += len(product.states) >= 200
     assert all(seen.values()) and seen["large product"] == 8, seen
+
+
+def test_each_conditions_inputs_go_once_its_witness_is_read(monkeypatch):
+    # build-models reads dc1, dc2 and dc4: only dc3's call is then left,
+    # and neither subset construction outlives dc4's read
+    constructions = _spy_on_subset_constructions(monkeypatch)
+    report = build_models.__wrapped__(PolarPartition(50.0, 9, 13)).decomposition
+    assert len(constructions) == 2
+    for witness in ("dc1_witness", "dc2_witness", "dc4_witness"):
+        assert getattr(report, witness) is None
+    gc.collect()
+    assert [made() for made in constructions] == [None, None]
+    assert list(report._pending) == ["dc3_witness"]
+    assert report.dc3_witness is None and report._pending == {}
 
 
 def test_natural_project_marked_language_is_projected_brute_language(rng):
